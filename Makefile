@@ -19,7 +19,8 @@ test-lifecycle:
 
 # Quick benchmark smoke: the bit-packed engine throughput comparisons,
 # including the >=10x packed-vs-naive gate, the compiler-pipeline gates
-# (chain fusion, P=8 fabric decomposition) and the sharding scaling gate.
+# (chain fusion, P=8 fabric decomposition) and the WorkerPool sharding
+# scaling gate.
 bench-smoke:
 	$(PYTEST) benchmarks/test_engine_throughput.py -q
 

@@ -43,6 +43,7 @@ import pytest
 from repro.core.netlist import LUTNetlist
 from repro.engine import (
     ShardedEngine,
+    WorkerPool,
     compile_netlist,
     optimize_netlist,
     pack_bits,
@@ -431,7 +432,9 @@ def test_sharding_scaling_smoke():
     engines = {}
     try:
         for n_workers in (4, 8):
-            engine = ShardedEngine(netlist, n_workers=n_workers, backend="process")
+            engine = ShardedEngine(
+                netlist, pool=WorkerPool(n_workers=n_workers, backend="process")
+            )
             np.testing.assert_array_equal(
                 engine.run_packed(packed), serial.run_packed(packed)
             )
@@ -472,7 +475,7 @@ def test_sharding_scaling_smoke():
         )
     finally:
         for engine in engines.values():
-            engine.close()
+            engine.pool.close()
 
 
 def test_pack_unpack_overhead():

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.output_layer import SparseQuantizedOutputLayer, quantize_symmetric
 from repro.engine import ShardedEngine, WorkerPool, pack_bits, rinc_bank_netlist
 from repro.serving import BackgroundServer, InferenceServer, ServerStats
-from repro.serving.protocol import encode_message, read_message, write_message
+from repro.serving.transport import encode_message, read_message, write_message
 from repro.utils.rng import as_rng
 
 from bench_utils import emit, record_gate
@@ -58,8 +58,8 @@ def _build_model():
     The RINC bank is the engine benchmark's serving-scale P=6 topology with
     random tables (the optimiser's adversarial case); the output layer gets
     random quantised weights — the arithmetic is identical to a trained
-    layer's.  Built once and shared by both tests; the engine stays open for
-    the process lifetime (its finalizer reclaims the pool at exit).
+    layer's.  Built once and shared by both tests; the pool stays open for
+    the process lifetime (its finalizer reclaims it at exit).
     """
     if _MODEL_CACHE:
         return _MODEL_CACHE["model"]
@@ -77,7 +77,7 @@ def _build_model():
     layer.float_biases_ = rng.normal(size=N_CLASSES)
     layer.weights_ = quantize_symmetric(layer.float_weights_, layer.n_bits)
     layer.biases_ = quantize_symmetric(layer.float_biases_, layer.n_bits)
-    engine = ShardedEngine(netlist, n_workers=2)
+    engine = ShardedEngine(netlist, pool=WorkerPool(n_workers=2))
 
     def scores_fn(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.uint8)

@@ -37,13 +37,13 @@ import numpy as np
 
 from repro.engine import pack_bits, unpack_bits
 from repro.serving import BackgroundServer, InferenceServer, ServerStats
-from repro.serving.binary_protocol import (
+from repro.serving.transport import (
     _COMMON,
     _REPLY_HEAD,
     OP_REPLY,
     encode_predict_request,
 )
-from repro.serving.protocol import encode_message, read_message
+from repro.serving.transport import encode_message, read_message
 from repro.utils.rng import as_rng
 
 from bench_utils import emit, record_gate

@@ -111,21 +111,15 @@ def main(print_stats_text: bool = False) -> None:
 
     # 3. serve both: one shared WorkerPool under every model, one queue and
     #    one stats collector per model, a shared admission budget over all;
-    #    warm_up pre-forks the pool and pre-compiles both engines before
-    #    traffic arrives
+    #    register_model compiles and attaches each engine, so pool.warm_up
+    #    forks workers that inherit both before traffic arrives
     pool = WorkerPool(n_workers=2)
-
-    def warm_up():
-        for clf in models.values():
-            clf.predict_batch(X_test[:1], pool=pool)
-        pool.warm_up()
-
     server = InferenceServer(
         max_batch=64,
         max_wait_us=2000,
         max_queue=4096,
         max_total_queue=8192,
-        warm_up=warm_up,
+        warm_up=pool.warm_up,
         http_port=0,  # any free port; serves GET /metrics and /healthz
     )
     for name, clf in models.items():

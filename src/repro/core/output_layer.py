@@ -223,12 +223,13 @@ class SparseQuantizedOutputLayer(BatchedPredictorMixin):
         from repro.engine.bitpack import packed_weighted_sums
 
         int_weights, scale = self._integer_weights()
-        scores = np.empty((n_samples, self.n_classes), dtype=np.float64)
-        for cls in range(self.n_classes):
-            rows = packed[cls * self.fan_in : (cls + 1) * self.fan_in]
-            sums = packed_weighted_sums(rows, int_weights[cls], n_samples)
-            scores[:, cls] = scale * sums + self.biases_[cls]
-        return scores
+        # one counter per output neuron, all rippling together
+        sums = packed_weighted_sums(
+            packed.reshape(self.n_classes, self.fan_in, packed.shape[1]),
+            int_weights,
+            n_samples,
+        )
+        return scale * sums + self.biases_
 
     def predict_packed(self, packed_bits: np.ndarray, n_samples: int) -> np.ndarray:
         """Predicted labels from packed intermediate words (see above)."""

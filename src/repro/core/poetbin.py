@@ -19,8 +19,7 @@ import numpy as np
 from repro.core.netlist import LUTNetlist
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.compiled_netlist import CompiledNetlist
-    from repro.engine.parallel import ShardedEngine, WorkerPool
+    from repro.engine.compiled_netlist import PackedEngine
 from repro.core.output_layer import SparseQuantizedOutputLayer
 from repro.core.rinc import RINCClassifier
 from repro.utils.metrics import accuracy
@@ -83,8 +82,6 @@ class PoETBiNClassifier:
         self.n_features_: Optional[int] = None
         # engine backend ("numpy"/"native"/"native-mt"/"auto") -> engine
         self._compiled_: dict = {}
-        # (n_workers or ("pool", id(pool)), engine_backend) -> ShardedEngine
-        self._sharded_: dict = {}
 
     @property
     def n_intermediate(self) -> int:
@@ -126,7 +123,6 @@ class PoETBiNClassifier:
         self.n_features_ = X_features.shape[1]
         # invalidate cached engines before mutating the RINC bank
         self._compiled_ = {}
-        self._close_sharded()
 
         self.rinc_modules_ = []
         for neuron in range(self.n_intermediate):
@@ -173,15 +169,16 @@ class PoETBiNClassifier:
         self._check_fitted()
         return self.output_layer_.predict(self.predict_intermediate(X_features))
 
-    def compiled_netlist(self, engine_backend: str = "numpy"):
+    def compiled_netlist(self, engine_backend: str = "numpy") -> "PackedEngine":
         """The bit-packed engine for this classifier, compiled on first use.
 
-        ``engine_backend`` picks the evaluation engine — the NumPy word-op
-        interpreter (default), the generated-C native engine
+        ``engine_backend`` names the evaluation engine (see
+        :func:`~repro.engine.compiled_netlist.build_engine`): the NumPy
+        word-op interpreter (default), the generated-C native engine
         (``"native"``), its autotuned multithreaded/SIMD tier
         (``"native-mt"``, which shards large batches across word ranges
         in-process), or ``"auto"`` (native when the host has a C
-        toolchain, else NumPy) — cached per backend.
+        toolchain, else NumPy) — cached per name.
         """
         self._check_fitted()
         engine = self._compiled_.get(engine_backend)
@@ -194,82 +191,36 @@ class PoETBiNClassifier:
             self._compiled_[engine_backend] = engine
         return engine
 
-    def sharded_engine(
-        self,
-        n_workers: Optional[int] = None,
-        *,
-        pool: Optional["WorkerPool"] = None,
-        engine_backend: str = "numpy",
-    ) -> "ShardedEngine":
-        """A multicore executor for the RINC bank.
-
-        ``n_workers`` creates (and caches, per worker count) an engine that
-        owns a private pool — the single-model path.  ``pool`` instead
-        attaches this classifier to a shared
-        :class:`~repro.engine.parallel.WorkerPool` (cached per pool), so
-        many classifiers served from one process share one set of worker
-        processes — the multi-model serving path.  ``engine_backend``
-        picks the per-worker evaluation engine (see
-        :meth:`compiled_netlist`); caching keys on it, so one classifier
-        can serve a native and a NumPy view side by side.
-        """
-        self._check_fitted()
-        if (pool is None) == (n_workers is None):
-            raise ValueError("provide exactly one of n_workers and pool")
-        from repro.engine.parallel import ShardedEngine
-
-        base = ("pool", id(pool)) if pool is not None else n_workers
-        key = (base, engine_backend)
-        engine = self._sharded_.get(key)
-        if engine is None:
-            engine = ShardedEngine(
-                self.to_netlist(),
-                n_workers=n_workers,
-                pool=pool,
-                engine_backend=engine_backend,
-            )
-            self._sharded_[key] = engine
-        return engine
-
-    def _close_sharded(self) -> None:
-        for engine in self._sharded_.values():
-            engine.close()
-        self._sharded_ = {}
-
     def _engine(
-        self,
-        n_workers: Optional[int],
-        pool: Optional["WorkerPool"] = None,
-        engine_backend: str = "numpy",
-    ):
-        if pool is not None:
-            if n_workers is not None:
-                raise ValueError(
-                    "provide at most one of n_workers and pool"
-                )
-            return self.sharded_engine(pool=pool, engine_backend=engine_backend)
-        if n_workers is None or n_workers <= 1:
-            return self.compiled_netlist(engine_backend)
-        return self.sharded_engine(n_workers, engine_backend=engine_backend)
+        self, engine: Optional["PackedEngine"], engine_backend: Optional[str]
+    ) -> "PackedEngine":
+        """The engine a batch method runs on: the one the caller built
+        (``engine``) or this classifier's cached one for ``engine_backend``
+        (default ``"numpy"``).  The classifier holds no pool: to shard over
+        processes, pass ``engine=ShardedEngine(clf.to_netlist(), pool=...)``
+        — the caller made that attachment and closes it."""
+        if engine is None:
+            return self.compiled_netlist(engine_backend or "numpy")
+        if engine_backend is not None:
+            raise ValueError("provide at most one of engine and engine_backend")
+        return engine
 
     def predict_intermediate_batch(
         self,
         X_features: np.ndarray,
         batch_size: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        pool: Optional["WorkerPool"] = None,
-        engine_backend: str = "numpy",
+        engine: Optional["PackedEngine"] = None,
+        engine_backend: Optional[str] = None,
     ) -> np.ndarray:
         """Intermediate bits via the bit-packed engine; matches
-        :meth:`predict_intermediate` bit for bit.  ``n_workers`` shards the
-        packed words across a private process pool; ``pool`` shares an
-        existing :class:`~repro.engine.parallel.WorkerPool` instead (see
-        :meth:`sharded_engine`).  ``engine_backend`` picks the evaluator —
-        ``"numpy"``, ``"native"`` (generated C), ``"native-mt"``
-        (autotuned multithreaded native) or ``"auto"``."""
+        :meth:`predict_intermediate` bit for bit.  ``engine_backend`` names
+        this classifier's cached evaluator — ``"numpy"`` (default),
+        ``"native"`` (generated C), ``"native-mt"`` (autotuned
+        multithreaded native) or ``"auto"``; ``engine`` instead runs on an
+        engine the caller built (see :meth:`_engine`)."""
         from repro.engine import predict_in_batches
 
-        engine = self._engine(n_workers, pool, engine_backend)
+        engine = self._engine(engine, engine_backend)
         X_features = check_binary_matrix(X_features, "X_features")
         return predict_in_batches(engine.predict_batch, X_features, batch_size)
 
@@ -277,15 +228,15 @@ class PoETBiNClassifier:
         self,
         X_features: np.ndarray,
         batch_size: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        pool: Optional["WorkerPool"] = None,
-        engine_backend: str = "numpy",
+        engine: Optional["PackedEngine"] = None,
+        engine_backend: Optional[str] = None,
     ) -> np.ndarray:
         """Predicted class labels, packed end to end.
 
         The whole serving path stays in packed words: the RINC bank is
-        evaluated by the compiled netlist (sharded across ``n_workers``
-        private processes, or a shared ``pool``, when given), and its
+        evaluated by the compiled netlist (this classifier's cached engine
+        for ``engine_backend``, or the caller's ``engine`` — e.g. a
+        pool-bound :class:`~repro.engine.parallel.ShardedEngine`), and its
         packed outputs feed the output layer's popcount-based read-out
         directly — nothing is unpacked between the RINC bank and the final
         scores.  The intermediate bits are bit-identical to
@@ -297,7 +248,7 @@ class PoETBiNClassifier:
         """
         from repro.engine import pack_bits, predict_in_batches
 
-        engine = self._engine(n_workers, pool, engine_backend)
+        engine = self._engine(engine, engine_backend)
         X_features = check_binary_matrix(X_features, "X_features")
 
         def predict_chunk(chunk: np.ndarray) -> np.ndarray:
@@ -312,9 +263,8 @@ class PoETBiNClassifier:
         self,
         X_features: np.ndarray,
         batch_size: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        pool: Optional["WorkerPool"] = None,
-        engine_backend: str = "numpy",
+        engine: Optional["PackedEngine"] = None,
+        engine_backend: Optional[str] = None,
     ) -> np.ndarray:
         """Per-class decision scores ``(n, nc)``, packed end to end.
 
@@ -322,14 +272,13 @@ class PoETBiNClassifier:
         :meth:`~repro.core.output_layer.SparseQuantizedOutputLayer.decision_scores_packed`,
         and ``argmax`` over them reproduces :meth:`predict_batch` — so a
         server can return labels *and* confidences from a single packed
-        evaluation instead of running the bank twice.  ``pool`` attaches
-        the bank to a shared :class:`~repro.engine.parallel.WorkerPool`,
-        the multi-model server's configuration.
+        evaluation instead of running the bank twice.  The server passes
+        the ``engine`` it resolved at registration.
         """
         self._check_fitted()
         from repro.engine import pack_bits, predict_in_batches
 
-        engine = self._engine(n_workers, pool, engine_backend)
+        engine = self._engine(engine, engine_backend)
         X_features = check_binary_matrix(X_features, "X_features")
 
         def scores_chunk(chunk: np.ndarray) -> np.ndarray:
@@ -344,9 +293,8 @@ class PoETBiNClassifier:
         self,
         packed: np.ndarray,
         n_samples: int,
-        n_workers: Optional[int] = None,
-        pool: Optional["WorkerPool"] = None,
-        engine_backend: str = "numpy",
+        engine: Optional["PackedEngine"] = None,
+        engine_backend: Optional[str] = None,
     ) -> np.ndarray:
         """Per-class scores ``(n_samples, nc)`` from *already-packed* rows.
 
@@ -380,7 +328,7 @@ class PoETBiNClassifier:
                 f"packed has {packed.shape[1]} words per plane, but "
                 f"{n_samples} samples need {expected_words}"
             )
-        engine = self._engine(n_workers, pool, engine_backend)
+        engine = self._engine(engine, engine_backend)
         packed_intermediate = engine.run_packed(packed)
         return self.output_layer_.decision_scores_packed(
             packed_intermediate, n_samples

@@ -81,9 +81,8 @@ class RINCClassifier:
         self.children_: List[object] = []
         self.mat_: Optional[MATModule] = None
         self._leaf: Optional[RINC0] = None
-        # engines keyed by (n_features, n_workers or None); values are
-        # CompiledNetlist or ShardedEngine, so alternating serial and
-        # sharded serving never rebuilds a pool
+        # n_features -> compiled engine (the netlist reads primary inputs,
+        # so its shape depends on the width of X)
         self._compiled_: dict = {}
 
     # ------------------------------------------------------------------ fit
@@ -95,9 +94,6 @@ class RINCClassifier:
     ) -> "RINCClassifier":
         """Train with hierarchical AdaBoost (Algorithm 2)."""
         # the netlist changes with refitting: drop every cached engine
-        for engine in self._compiled_.values():
-            if hasattr(engine, "close"):
-                engine.close()
         self._compiled_ = {}
         if self.n_levels == 0:
             self._leaf = RINC0(self.n_inputs).fit(X, y, sample_weight=sample_weight)
@@ -147,18 +143,12 @@ class RINCClassifier:
         return self.mat_.evaluate(self.child_outputs(X))
 
     def predict_batch(
-        self,
-        X: np.ndarray,
-        batch_size: Optional[int] = None,
-        n_workers: Optional[int] = None,
+        self, X: np.ndarray, batch_size: Optional[int] = None
     ) -> np.ndarray:
         """Binary prediction via the bit-packed engine; matches :meth:`predict`.
 
         The module's netlist runs through the engine's optimising pass
-        pipeline and is compiled on first use, cached per feature width and
-        worker count (the netlist reads primary inputs, so its shape depends
-        on the width of ``X``).  ``n_workers > 1`` serves the batch through
-        a sharded multicore executor with bit-identical results.
+        pipeline and is compiled on first use, cached per feature width.
         """
         from repro.engine import compile_netlist, predict_in_batches
         from repro.utils.validation import check_binary_matrix
@@ -166,18 +156,12 @@ class RINCClassifier:
         self._check_fitted()
         X = check_binary_matrix(X, "X")
         n_features = X.shape[1]
-        key = (n_features, n_workers if n_workers and n_workers > 1 else None)
-        engine = self._compiled_.get(key)
+        engine = self._compiled_.get(n_features)
         if engine is None:
             netlist, signal = self.to_netlist(n_primary_inputs=n_features)
             netlist.mark_output(signal)
-            if key[1] is None:
-                engine = compile_netlist(netlist)
-            else:
-                from repro.engine.parallel import ShardedEngine
-
-                engine = ShardedEngine(netlist, n_workers=key[1])
-            self._compiled_[key] = engine
+            engine = compile_netlist(netlist)
+            self._compiled_[n_features] = engine
         return predict_in_batches(engine.predict_batch, X, batch_size)[:, 0]
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:

@@ -47,6 +47,13 @@ Compiler
     dedicated single-mux step, the software mirror of free F7/F8 muxes.
     Results are bit-identical to ``LUTNetlist.evaluate_outputs`` under
     every pipeline configuration.
+    :func:`~repro.engine.compiled_netlist.build_engine` is the one place a
+    backend *name* (``"numpy"``, ``"native"``, ``"native-mt"``, ``"auto"``)
+    becomes an engine object, and every engine — NumPy, native, pool-bound —
+    shares the :class:`~repro.engine.compiled_netlist.PackedEngine` surface
+    (``run_packed``, ``evaluate_outputs``/``predict_batch``,
+    ``n_primary_inputs``, ``n_outputs``, ``backend``, ``threads``,
+    ``unroll``, ``close``), so callers resolve once and carry the object.
 
 ``native``
     The generated-C backend:
@@ -80,11 +87,11 @@ Runtime
     ``(model_id, word_range)`` shard — so one pool serves many netlists and
     multiple in-flight requests concurrently (shared-memory IPC, per-worker
     compiled programs, serial fallback for small batches).
-    :class:`~repro.engine.parallel.ShardedEngine` is the per-model view —
-    ``ShardedEngine(netlist, n_workers=4)`` owns a private pool, the PR-3
-    behaviour; ``ShardedEngine(netlist, pool=shared)`` attaches to a shared
-    one.  Packed 64-sample word blocks are independent, so sharded results
-    are bit-identical to serial.
+    :class:`~repro.engine.parallel.ShardedEngine` is the engine handle
+    binding ``(pool, model_id)``: ``ShardedEngine(netlist, pool=pool)``
+    attaches, ``close()`` detaches, and the caller owns both.  Packed
+    64-sample word blocks are independent, so sharded results are
+    bit-identical to serial.
 
 ``bitpack``
     Packs an ``(n_samples, n_signals)`` 0/1 matrix into an
@@ -115,10 +122,12 @@ Usage
 >>> compiled = compile_netlist(classifier.to_netlist(), max_lut_inputs=6)
 >>> bits = compiled.predict_batch(X_bits)          # == netlist.evaluate_outputs(X_bits)
 
-or simply ``classifier.predict_batch(X_bits, n_workers=4)``, which compiles,
-caches and shards the engine on first use — and keeps PoET-BiN serving
-packed from the feature bits through the RINC bank into the popcount
-read-out.
+or simply ``classifier.predict_batch(X_bits)``, which compiles and caches
+the engine on first use — and keeps PoET-BiN serving packed from the
+feature bits through the RINC bank into the popcount read-out
+(``engine_backend="native"`` picks the generated-C engine,
+``engine=ShardedEngine(classifier.to_netlist(), pool=pool)`` a pool the
+caller made).
 """
 
 from repro.engine.batching import (
@@ -139,6 +148,8 @@ from repro.engine.bitpack import (
 from repro.engine.compiled_netlist import (
     ENGINE_BACKENDS,
     CompiledNetlist,
+    PackedEngine,
+    build_engine,
     compile_netlist,
 )
 from repro.engine.ir import IRGraph, IRNode
@@ -182,11 +193,13 @@ __all__ = [
     "NativeCompiledNetlist",
     "NativeUnavailableError",
     "Pass",
+    "PackedEngine",
     "PassManager",
     "ShardedEngine",
     "WORD_BITS",
     "WorkerPool",
     "autotune_config",
+    "build_engine",
     "coalesce_batches",
     "concat_packed",
     "compile_netlist",

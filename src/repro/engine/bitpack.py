@@ -25,6 +25,9 @@ WORD_BITS = 64
 #: (de)packing below is platform independent.
 _WORD_DTYPE = np.dtype("<u8")
 
+#: samples whose count planes :func:`packed_weighted_sums` unpacks at once
+_COUNT_BLOCK = 64 * WORD_BITS
+
 
 def n_words(n_samples: int) -> int:
     """Number of ``uint64`` words needed to hold ``n_samples`` bits."""
@@ -76,73 +79,86 @@ def packed_weighted_sums(
     result are unpacked at the end, so the cost scales with ``log2(sum
     |weights|)`` words per sample instead of one byte per signal per sample.
 
+    Leading axes are independent *groups* (one output neuron each, with its
+    own signals and weights) whose counters ripple in lock-step, so the
+    number of NumPy calls — what a one-word serving batch pays for — does
+    not grow with the number of neurons.
+
     Parameters
     ----------
     packed:
-        ``uint64`` array of shape ``(n_signals, n_words)`` as produced by
-        :func:`pack_bits`.  Padding bits may hold garbage; the corresponding
-        samples are truncated from the result.
+        ``uint64`` array of shape ``(..., n_signals, n_words)``; each
+        ``(n_signals, n_words)`` block is as produced by :func:`pack_bits`.
+        Padding bits may hold garbage; the corresponding samples are
+        truncated from the result.
     weights:
-        Integer weights of shape ``(n_signals,)``; any sign.
+        Integer weights of shape ``(..., n_signals)``; any sign.
     n_samples:
         Number of samples to recover.
 
     Returns
     -------
     numpy.ndarray
-        ``int64`` vector of shape ``(n_samples,)``.
+        ``int64`` array of shape ``(n_samples, ...)``.
     """
     packed = np.asarray(packed, dtype=np.uint64)
-    if packed.ndim != 2:
-        raise ValueError(f"packed must be 2-D, got shape {packed.shape}")
+    if packed.ndim < 2:
+        raise ValueError(f"packed must be at least 2-D, got shape {packed.shape}")
     weights = np.asarray(weights)
-    if weights.shape != (packed.shape[0],):
+    if weights.shape != packed.shape[:-1]:
         raise ValueError(
-            f"weights must have shape ({packed.shape[0]},), got {weights.shape}"
+            f"weights must have shape {packed.shape[:-1]}, got {weights.shape}"
         )
     if not np.issubdtype(weights.dtype, np.integer):
         raise ValueError("weights must be integers (quantise first)")
-    total = np.zeros(n_samples, dtype=np.int64)
+    weights = weights.astype(np.int64)
+    groups = packed.shape[:-2]
+    total = np.zeros((n_samples,) + groups, dtype=np.int64)
     for sign in (1, -1):
-        magnitudes = np.maximum(sign * weights.astype(np.int64), 0)
-        planes = _vertical_accumulate(packed, magnitudes)
+        planes = _vertical_accumulate(packed, np.maximum(sign * weights, 0))
         if not planes:
             continue
-        counts = unpack_bits(np.stack(planes), n_samples).astype(np.int64)
-        total += sign * (counts @ (np.int64(1) << np.arange(len(planes), dtype=np.int64)))
+        rows = len(planes) * int(np.prod(groups, dtype=np.int64))
+        stacked = np.stack(planes, axis=-2).reshape(rows, packed.shape[-1])
+        place = sign * (np.int64(1) << np.arange(len(planes), dtype=np.int64))
+        # unpack and weigh the count planes a cache-sized block at a time
+        for lo in range(0, n_samples, _COUNT_BLOCK):
+            hi = min(lo + _COUNT_BLOCK, n_samples)
+            counts = unpack_bits(stacked[:, lo // WORD_BITS : n_words(hi)], hi - lo)
+            counts = counts.reshape((hi - lo,) + groups + (len(planes),))
+            total[lo:hi] += counts.astype(np.int64) @ place
     return total
 
 
 def _vertical_accumulate(packed: np.ndarray, magnitudes: np.ndarray) -> list:
-    """Bit-sliced sum ``sum_k magnitudes[k] * row_k``: one word per plane.
+    """Bit-sliced sums ``sum_k magnitudes[..., k] * packed[..., k, :]``: a
+    list of count planes, each ``(..., n_words)``.
 
     Each set bit ``j`` of a weight adds its signal's word row at plane ``j``
     of the counter; carries ripple upward through word-wide half adders
     (``sum = a ^ b``, ``carry = a & b``), exactly like a hardware counter
-    column.
+    column.  A group whose weight lacks bit ``j`` adds zero words there.
     """
     planes: list = []
-    for row, magnitude in zip(packed, magnitudes):
-        magnitude = int(magnitude)
-        plane = 0
-        while magnitude:
-            if magnitude & 1:
-                carry = row
-                level = plane
-                while len(planes) < level:  # counter not yet this tall
-                    planes.append(np.zeros_like(row))
-                while True:
-                    if level == len(planes):
-                        planes.append(carry.copy())
-                        break
-                    carry_out = planes[level] & carry
-                    planes[level] = planes[level] ^ carry
-                    if not carry_out.any():
-                        break
-                    carry = carry_out
-                    level += 1
-            magnitude >>= 1
-            plane += 1
+    n_bits = int(magnitudes.max(initial=0)).bit_length()
+    # all-ones words where bit ``j`` of the magnitude is set, else zero
+    select = (-((magnitudes[..., None] >> np.arange(n_bits)) & 1)).astype(np.uint64)
+    wanted = select.any(axis=tuple(range(select.ndim - 2)))
+    for k, plane in zip(*np.nonzero(wanted)):
+        carry = packed[..., k, :] & select[..., k, plane, None]
+        level = int(plane)
+        while len(planes) < level:  # counter not yet this tall
+            planes.append(np.zeros_like(carry))
+        while True:
+            if level == len(planes):
+                planes.append(carry)
+                break
+            carry_out = planes[level] & carry
+            planes[level] = planes[level] ^ carry
+            if not carry_out.any():
+                break
+            carry = carry_out
+            level += 1
     return planes
 
 

@@ -77,7 +77,49 @@ class _MuxGroup:
         return self.output_slots.shape[0]
 
 
-class CompiledNetlist:
+class PackedEngine:
+    """The surface every engine shares, whatever runs the words.
+
+    Subclasses provide ``run_packed``, ``n_primary_inputs`` and
+    ``n_outputs``; callers (the classifiers' batch methods, the serving
+    layer) hold an engine as an object and need nothing else.
+    """
+
+    #: the evaluator behind ``run_packed`` — ``"numpy"``, ``"native"`` or
+    #: ``"native-mt"``; what ``list_models`` and ``/metrics`` advertise
+    backend = "numpy"
+    #: in-process word-shard fan-out of ``run_packed``
+    threads = 1
+    #: vector lane count of the generated code (words per statement)
+    unroll = 1
+
+    def evaluate_outputs(self, X_bits: np.ndarray) -> np.ndarray:
+        """Bit-exact packed counterpart of ``LUTNetlist.evaluate_outputs``."""
+        X_bits = check_binary_matrix(X_bits, "X_bits")
+        if X_bits.shape[1] != self.n_primary_inputs:
+            raise ValueError(
+                f"expected {self.n_primary_inputs} primary inputs, "
+                f"got {X_bits.shape[1]}"
+            )
+        out = self.run_packed(pack_bits(X_bits))
+        return unpack_bits(out, X_bits.shape[0])
+
+    def predict_batch(self, X_bits: np.ndarray) -> np.ndarray:
+        """Alias of :meth:`evaluate_outputs` (the shared batched entry point)."""
+        return self.evaluate_outputs(X_bits)
+
+    def close(self) -> None:
+        """Release what the engine holds outside this object (idempotent);
+        nothing for the in-process engines."""
+
+    def __enter__(self) -> "PackedEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class CompiledNetlist(PackedEngine):
     """A LUT netlist compiled for bit-packed batch evaluation.
 
     Build one with :func:`compile_netlist` (or :meth:`from_netlist`); the
@@ -97,10 +139,6 @@ class CompiledNetlist:
     n_groups:
         Number of vectorised evaluation steps.
     """
-
-    #: engine-backend tag (the native engine's counterpart says "native");
-    #: surfaced through the serving layer's ``list_models``/``stats_text``
-    backend = "numpy"
 
     def __init__(
         self,
@@ -356,25 +394,67 @@ class CompiledNetlist:
         # advanced indexing already yields a fresh array
         return state[self._output_slots]
 
-    def evaluate_outputs(self, X_bits: np.ndarray) -> np.ndarray:
-        """Bit-exact packed counterpart of ``LUTNetlist.evaluate_outputs``."""
-        X_bits = check_binary_matrix(X_bits, "X_bits")
-        if X_bits.shape[1] != self.n_primary_inputs:
-            raise ValueError(
-                f"expected {self.n_primary_inputs} primary inputs, "
-                f"got {X_bits.shape[1]}"
-            )
-        packed = pack_bits(X_bits)
-        out = self.run_packed(packed)
-        return unpack_bits(out, X_bits.shape[0])
 
-    def predict_batch(self, X_bits: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`evaluate_outputs` (the shared batched entry point)."""
-        return self.evaluate_outputs(X_bits)
-
-
-#: engine backends ``compile_netlist`` accepts
+#: engine backend names :func:`build_engine` accepts
 ENGINE_BACKENDS = ("numpy", "native", "native-mt", "auto")
+
+
+def build_engine(
+    netlist: LUTNetlist,
+    backend: str,
+    *,
+    max_threads: Optional[int] = None,
+    strict: bool = True,
+) -> PackedEngine:
+    """Lower an already-optimised ``netlist`` and pick its executor.
+
+    The one place a backend *name* becomes an engine, and so the one place
+    ``"auto"`` and the no-toolchain fallback are decided:
+    :func:`compile_netlist`, :meth:`WorkerPool.attach
+    <repro.engine.parallel.WorkerPool.attach>` and the pool's workers all
+    come through here and carry the returned object from then on.
+
+    ``"numpy"`` is the word-op interpreter; ``"native"`` lowers further to
+    generated C in a cached shared object (:mod:`repro.engine.native`);
+    ``"native-mt"`` is its autotuned multithreaded/SIMD tier, with the
+    tuner's thread count capped at ``max_threads`` when given (how a
+    multi-worker pool divides the host between processes and threads).
+    ``"native"``/``"native-mt"`` raise
+    :class:`~repro.engine.native.NativeUnavailableError` when the host
+    cannot build; ``"auto"`` tries native and falls back to NumPy — with
+    a warning only when a toolchain exists but the build failed, since a
+    missing toolchain is a normal deployment.  ``strict=False`` is the
+    worker-side contract: *any* failed native build degrades to the
+    bit-exact NumPy engine, so a worker that lost the toolchain or the
+    cache the parent had still serves its shards.
+    """
+    if backend not in ENGINE_BACKENDS:
+        raise ValueError(
+            f"unknown engine backend {backend!r} (choose from {ENGINE_BACKENDS})"
+        )
+    program = CompiledNetlist.from_netlist(netlist)
+    if backend == "numpy":
+        return program
+    from repro.engine import native  # deferred: native imports this module
+
+    try:
+        if backend == "native-mt":
+            return native.NativeCompiledNetlist.tuned(
+                program, max_threads=max_threads
+            )
+        return native.NativeCompiledNetlist(program)
+    except Exception as error:
+        unavailable = isinstance(error, native.NativeUnavailableError)
+        if strict and not (backend == "auto" and unavailable):
+            raise
+        if native.find_compiler() is not None:
+            warnings.warn(
+                f"native backend unavailable ({error}); "
+                "falling back to the NumPy engine",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return program
 
 
 def compile_netlist(
@@ -383,7 +463,7 @@ def compile_netlist(
     passes: Optional[Sequence] = None,
     max_lut_inputs: Optional[int] = None,
     backend: str = "numpy",
-):
+) -> PackedEngine:
     """Compile ``netlist`` for bit-packed batch inference.
 
     The netlist first runs through the optimisation pipeline of
@@ -404,43 +484,9 @@ def compile_netlist(
         ``max_lut_inputs``-input tables plus dedicated mux steps.  ``None``
         (the default) leaves wide LUTs intact.
     backend:
-        ``"numpy"`` (the default) returns the NumPy word-op interpreter;
-        ``"native"`` lowers the program further to generated C compiled
-        into a cached shared object (see :mod:`repro.engine.native`),
-        raising :class:`~repro.engine.native.NativeUnavailableError` when
-        the host has no C toolchain; ``"native-mt"`` is the autotuned
-        multithreaded/SIMD native runtime — the per-netlist autotuner
-        picks threads × unroll × opt tier and ``run_packed`` shards large
-        batches across word ranges in-process; ``"auto"`` tries native and
-        silently falls back to NumPy when it cannot build (a warning is
-        emitted only when a toolchain exists but the build failed — that
-        is unexpected, whereas a missing toolchain is a normal
-        deployment).
+        The executor — see :func:`build_engine`.
     """
-    if backend not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {backend!r} (choose from {ENGINE_BACKENDS})"
-        )
     if not netlist.output_signals:
         raise ValueError("netlist must declare at least one output signal")
     optimized = optimize_netlist(netlist, passes=passes, max_lut_inputs=max_lut_inputs)
-    program = CompiledNetlist.from_netlist(optimized)
-    if backend == "numpy":
-        return program
-    from repro.engine import native  # deferred: native imports this module
-
-    try:
-        if backend == "native-mt":
-            return native.NativeCompiledNetlist.tuned(program)
-        return native.NativeCompiledNetlist(program)
-    except native.NativeUnavailableError as error:
-        if backend in ("native", "native-mt"):
-            raise
-        if native.find_compiler() is not None:
-            warnings.warn(
-                f"native backend unavailable ({error}); "
-                "falling back to the NumPy engine",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return program
+    return build_engine(optimized, backend)

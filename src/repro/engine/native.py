@@ -95,9 +95,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.bitpack import pack_bits, unpack_bits
-from repro.engine.compiled_netlist import CompiledNetlist, _Group, _MuxGroup
-from repro.utils.validation import check_binary_matrix
+from repro.engine.compiled_netlist import (
+    CompiledNetlist,
+    PackedEngine,
+    _Group,
+    _MuxGroup,
+)
 
 try:  # POSIX only; on other platforms builds fall back to the atomic-rename race
     import fcntl
@@ -697,7 +700,7 @@ def autotune_config(
 
 
 # ------------------------------------------------------------------- engine
-class NativeCompiledNetlist:
+class NativeCompiledNetlist(PackedEngine):
     """A :class:`CompiledNetlist` lowered to a compiled shared object.
 
     Same evaluation surface as the NumPy engine — ``run_packed`` on packed
@@ -723,7 +726,8 @@ class NativeCompiledNetlist:
     Build one with ``compile_netlist(netlist, backend="native")`` (or
     ``"auto"``), or :meth:`tuned` / ``backend="native-mt"`` for the
     autotuned multithreaded configuration; constructing directly from an
-    already-lowered program is what the worker pool does.  Raises
+    already-lowered program is what
+    :func:`~repro.engine.compiled_netlist.build_engine` does.  Raises
     :class:`NativeUnavailableError` when the host cannot build.
     """
 
@@ -883,19 +887,3 @@ class NativeCompiledNetlist:
         if first_error is not None:
             raise first_error
         return out
-
-    def evaluate_outputs(self, X_bits: np.ndarray) -> np.ndarray:
-        """Bit-exact packed counterpart of ``LUTNetlist.evaluate_outputs``."""
-        X_bits = check_binary_matrix(X_bits, "X_bits")
-        if X_bits.shape[1] != self.n_primary_inputs:
-            raise ValueError(
-                f"expected {self.n_primary_inputs} primary inputs, "
-                f"got {X_bits.shape[1]}"
-            )
-        packed = pack_bits(X_bits)
-        out = self.run_packed(packed)
-        return unpack_bits(out, X_bits.shape[0])
-
-    def predict_batch(self, X_bits: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`evaluate_outputs` (the shared batched entry point)."""
-        return self.evaluate_outputs(X_bits)

@@ -6,21 +6,22 @@ any contiguous word range of the packed batch can be evaluated independently
 and the per-range outputs concatenated — bit for bit what the serial engine
 produces.
 
-Since PR 5 that fact is exploited by two classes instead of one:
-
 :class:`WorkerPool`
     A standalone pool of worker processes (or threads) that is **not** bound
     to any netlist.  Models are *attached* by id — each worker holds a
     registry of compiled engines, built lazily per model — and every task is
     a ``(model_id, word_range)`` shard, so one pool serves many netlists and
     multiple in-flight requests concurrently.  This is the substrate of the
-    multi-model serving layer: one box, one pool, N models.
+    multi-model serving layer: one box, one pool, N models — and the one
+    multi-process path: nothing else in the package creates a pool.
 
 :class:`ShardedEngine`
-    A thin per-model view over a pool.  The PR-3 constructor is preserved —
-    ``ShardedEngine(netlist, n_workers=4)`` creates a private single-model
-    pool, exactly the old behaviour — and ``ShardedEngine(netlist,
-    pool=shared)`` attaches the model to a shared pool instead.
+    The engine handle binding ``(pool, model_id)``: constructing it attaches
+    a netlist to a pool the caller made, closing it detaches exactly that
+    attachment, and in between it has the surface of every other engine
+    (:class:`~repro.engine.compiled_netlist.PackedEngine`), so whoever
+    holds it — a classifier's ``engine=`` argument, a serving registration —
+    need not know a pool is behind it.
 
 Backends
 ========
@@ -49,16 +50,15 @@ Batches too small to be worth splitting (fewer than
 backend, so the executor is safe to leave enabled for ragged traffic.
 
 Orthogonal to the pool flavour, each attached model picks its *evaluation
-engine* via ``engine_backend``: the NumPy word-op interpreter (default),
-the generated-C native engine of :mod:`repro.engine.native` (``"native"`` /
-``"auto"``), or the autotuned multithreaded native runtime
-(``"native-mt"``).  The parent builds the shared object once at attach
-time; workers — forked or threaded — regenerate the same source and reuse
-the digest-keyed cache, so a native model costs one C build per host,
-total.
+engine* via ``engine_backend`` — a name
+:func:`~repro.engine.compiled_netlist.build_engine` resolves once, in the
+parent, at attach time.  The parent builds the shared object then; workers —
+forked or threaded — are told the *resolved* backend, regenerate the same
+source and reuse the digest-keyed cache, so a native model costs one C
+build per host, total.
 
-``native-mt`` and the fork question
-===================================
+Pool processes × engine threads
+===============================
 
 The ``native-mt`` engine shards ``run_packed`` across word ranges on an
 in-process thread pool (ctypes releases the GIL, so the threads genuinely
@@ -72,10 +72,10 @@ fighting over the same cores:
   the serial path — the engine's own thread shards replace the pool's
   process shards.  Pass ``prefer_threads=False`` to the pool to override
   the heuristic and force process sharding anyway.
-* **When processes *are* used, worker-side threads are capped.**  A model
-  attached with ``engine_backend="native-mt"`` on a multi-worker pool
-  ships workers the backend string ``"native-mt@{cap}"`` with
-  ``cap = cpu_count // n_workers`` (min 1), so processes × threads never
+* **When processes *are* used, worker-side threads are capped.**  A
+  ``native-mt`` model on a multi-worker pool ships every task the integer
+  cap ``cpu_count // n_workers`` (min 1), which the worker hands to
+  ``build_engine(max_threads=)``, so processes × threads never
   oversubscribes the host by default.
 
 The fork + shared-memory contract
@@ -125,16 +125,15 @@ Usage
 =====
 
 >>> with WorkerPool(n_workers=4) as pool:
-...     a = ShardedEngine(netlist_a, pool=pool)    # multi-model serving
+...     a = ShardedEngine(netlist_a, pool=pool)    # many models, one pool
 ...     b = ShardedEngine(netlist_b, pool=pool)
-...     labels = a.predict_batch(X_a)              # == serial, bit for bit
-...
->>> with ShardedEngine(netlist, n_workers=4) as engine:   # single model
-...     labels = engine.predict_batch(X_bits)
+...     bits = a.predict_batch(X_a)                # == serial, bit for bit
+...     with ShardedEngine(clf.to_netlist(), pool=pool) as engine:
+...         labels = clf.predict_batch(X, engine=engine)
 
-Both own OS resources (worker processes, shared memory); close them or use
-context managers.  Closing a :class:`ShardedEngine` view over a shared pool
-detaches its model but leaves the pool running.
+The pool owns OS resources (worker processes, shared memory); close it or
+use it as a context manager.  Closing a :class:`ShardedEngine` detaches its
+model and leaves the pool running.
 """
 
 from __future__ import annotations
@@ -155,44 +154,11 @@ import numpy as np
 
 from repro.core.netlist import LUTNetlist
 from repro.engine.bitpack import pack_bits, unpack_bits
-from repro.engine.compiled_netlist import ENGINE_BACKENDS, CompiledNetlist
+from repro.engine.compiled_netlist import PackedEngine, build_engine
 from repro.engine.passes import optimize_netlist
 from repro.utils.validation import check_binary_matrix
 
 __all__ = ["ShardedEngine", "WorkerPool", "shard_bounds"]
-
-
-def _build_engine(
-    netlist: LUTNetlist, engine_backend: str, *, strict: bool = False
-):
-    """Compile an already-optimised ``netlist`` for ``engine_backend``.
-
-    Besides the public backend names, this accepts the worker-side form
-    ``"native-mt@N"`` — the autotuned engine with its thread count capped
-    at ``N``, which is how a multi-worker pool divides the host between
-    processes and threads (see the module docstring).
-
-    ``strict`` is the parent-side attach contract: ``engine_backend=
-    "native"``/``"native-mt"`` must surface the build failure.
-    Worker-side (and ``"auto"`` everywhere) a failed native build degrades
-    to the NumPy engine instead — bit-exact, just slower — so a worker
-    missing the toolchain the parent had can still serve its shards.
-    """
-    program = CompiledNetlist.from_netlist(netlist)
-    if engine_backend == "numpy":
-        return program
-    base, _, cap_text = engine_backend.partition("@")
-    try:
-        from repro.engine.native import NativeCompiledNetlist
-
-        if base == "native-mt":
-            max_threads = int(cap_text) if cap_text else None
-            return NativeCompiledNetlist.tuned(program, max_threads=max_threads)
-        return NativeCompiledNetlist(program)
-    except Exception:
-        if strict and base in ("native", "native-mt"):
-            raise
-        return program
 
 
 def shard_bounds(n_words: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -226,7 +192,12 @@ def _worker_init(netlists: Dict[str, LUTNetlist]) -> None:
     _WORKER["shm"] = {}
 
 
-def _worker_engine(key: str, payload: Optional[bytes], engine_backend: str):
+def _worker_engine(
+    key: str,
+    payload: Optional[bytes],
+    engine_backend: str,
+    max_threads: Optional[int],
+):
     """This worker's compiled engine for attach key ``key`` (lazy).
 
     Fork-inherited netlists compile on first contact; models attached after
@@ -245,7 +216,9 @@ def _worker_engine(key: str, payload: Optional[bytes], engine_backend: str):
                 )
             netlist = pickle.loads(payload)
             _WORKER["netlists"][key] = netlist
-        engine = _build_engine(netlist, engine_backend)
+        engine = build_engine(
+            netlist, engine_backend, max_threads=max_threads, strict=False
+        )
         _WORKER["engines"][key] = engine
     return engine
 
@@ -277,6 +250,7 @@ def _worker_run(
         str,
         Optional[bytes],
         str,
+        Optional[int],
         str,
         str,
         int,
@@ -295,6 +269,7 @@ def _worker_run(
         key,
         payload,
         engine_backend,
+        max_threads,
         in_name,
         out_name,
         n_inputs,
@@ -305,7 +280,7 @@ def _worker_run(
         retired,
     ) = task
     _worker_evict(retired)
-    engine = _worker_engine(key, payload, engine_backend)
+    engine = _worker_engine(key, payload, engine_backend, max_threads)
     shm_in = _worker_attach_shm(in_name)
     shm_out = _worker_attach_shm(out_name)
     # buffers are grow-only, so they may be larger than this batch needs
@@ -370,13 +345,12 @@ class _PoolModel:
     #: unique per attach — a re-attached id never aliases a stale worker copy
     key: str
     netlist: LUTNetlist
-    serial: object  # CompiledNetlist or NativeCompiledNetlist
-    #: resolved engine backend label ("numpy", "native" or "native-mt")
-    engine_backend: str = "numpy"
-    #: backend string shipped to workers — equals ``engine_backend`` except
-    #: for native-mt on a multi-worker pool, where it carries the
-    #: per-worker thread cap as ``"native-mt@N"``
-    worker_backend: str = "numpy"
+    #: the engine every shard is bit-identical to; its ``backend`` is the
+    #: resolved name workers are told to build
+    serial: PackedEngine
+    #: per-worker thread cap shipped with each task (native-mt on a
+    #: multi-worker pool), ``None`` for no cap
+    worker_threads: Optional[int] = None
     #: pickled optimised netlist for lazy re-attach; ``None`` when the
     #: netlist is (or will be, at the fork) fork-inherited, and cleared
     #: again once every worker has confirmed compiling its copy
@@ -492,43 +466,32 @@ class WorkerPool:
         raises — detach first (re-attaching then gets a fresh worker-side
         key, so stale worker copies can never serve the new model).
 
-        ``engine_backend`` picks the per-worker evaluation engine:
-        ``"native"`` compiles the generated-C shared object here (so the
-        build cost is paid once, at attach — forked workers regenerate the
-        same source and hit the digest-keyed .so cache), ``"native-mt"``
-        runs the autotuner and serves the multithreaded native runtime
-        (workers get thread counts capped at ``cpu_count // n_workers`` so
-        processes × threads never oversubscribes), ``"auto"`` degrades to
-        ``"numpy"`` when the host cannot build.  The resolved choice is
-        readable via :meth:`engine_backend`, the in-process thread count
-        via :meth:`engine_threads`.
+        ``engine_backend`` names the evaluation engine
+        (:func:`~repro.engine.compiled_netlist.build_engine` resolves it
+        here, once — a native build is paid at attach, and forked workers
+        regenerate the same source and hit the digest-keyed .so cache).
+        The resolved engine is :meth:`serial_engine`; read its
+        ``backend``/``threads`` for what actually serves.
         """
         self._check_open()
         if model_id is not None and (
             not isinstance(model_id, str) or not model_id
         ):
             raise ValueError("model_id must be a non-empty string")
-        if engine_backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {engine_backend!r} "
-                f"(choose from {ENGINE_BACKENDS})"
-            )
         optimized = optimize_netlist(
             netlist, passes=passes, max_lut_inputs=max_lut_inputs
         )
-        serial = _build_engine(optimized, engine_backend, strict=True)
-        worker_backend = serial.backend
-        if worker_backend == "native-mt" and self.n_workers > 1:
+        serial = build_engine(optimized, engine_backend)
+        worker_threads = None
+        if serial.backend == "native-mt" and self.n_workers > 1:
             # divide the host between pool processes and in-process threads
-            cap = max(1, (os.cpu_count() or 1) // self.n_workers)
-            worker_backend = f"native-mt@{cap}"
+            worker_threads = max(1, (os.cpu_count() or 1) // self.n_workers)
         entry = _PoolModel(
             model_id="",  # assigned under the lock below
             key=f"#{next(self._attach_seq)}",
             netlist=optimized,
             serial=serial,
-            engine_backend=serial.backend,
-            worker_backend=worker_backend,
+            worker_threads=worker_threads,
         )
 
         def insert() -> bool:
@@ -643,16 +606,6 @@ class WorkerPool:
         """The single-threaded engine all of a model's shards match."""
         return self._entry(model_id).serial
 
-    def engine_backend(self, model_id: str) -> str:
-        """The resolved engine backend serving ``model_id``
-        (``"numpy"``, ``"native"`` or ``"native-mt"``)."""
-        return self._entry(model_id).engine_backend
-
-    def engine_threads(self, model_id: str) -> int:
-        """The in-process thread count of ``model_id``'s serial engine
-        (1 for every backend except an autotuned ``native-mt``)."""
-        return getattr(self._entry(model_id).serial, "threads", 1)
-
     def optimized_netlist(self, model_id: str) -> LUTNetlist:
         """The post-pipeline netlist the pool serves for ``model_id``."""
         return self._entry(model_id).netlist
@@ -749,7 +702,7 @@ class WorkerPool:
         """
         if self.prefer_threads is False:
             return False
-        return getattr(entry.serial, "threads", 1) > 1
+        return entry.serial.threads > 1
 
     def evaluate_outputs(self, model_id: str, X_bits: np.ndarray) -> np.ndarray:
         """Bit-exact sharded ``LUTNetlist.evaluate_outputs`` for one model."""
@@ -789,7 +742,8 @@ class WorkerPool:
                     (
                         entry.key,
                         entry.payload,
-                        entry.worker_backend,
+                        entry.serial.backend,
+                        entry.worker_threads,
                         shm_in.name,
                         shm_out.name,
                         n_inputs,
@@ -980,8 +934,11 @@ class WorkerPool:
                     engines.append(None)
         for index, engine in enumerate(engines):
             if engine is None:  # compile outside the lock
-                engines[index] = _build_engine(
-                    entry.netlist, entry.worker_backend
+                engines[index] = build_engine(
+                    entry.netlist,
+                    entry.serial.backend,
+                    max_threads=entry.worker_threads,
+                    strict=False,
                 )
         futures = [
             executor.submit(engines[i].run_packed, packed[:, lo:hi])
@@ -1005,176 +962,51 @@ class WorkerPool:
         return np.concatenate(results, axis=1)
 
 
-class ShardedEngine:
-    """A per-model view over a :class:`WorkerPool` — bit-exact vs serial.
+class ShardedEngine(PackedEngine):
+    """The engine handle binding ``(pool, model_id)`` — bit-exact vs serial.
 
-    Parameters
-    ----------
-    netlist:
-        The netlist to serve; optimised once at attach time.
-    n_workers, backend, min_words_per_worker:
-        Forwarded to the private pool (ignored when ``pool`` is given —
-        those are pool-level knobs).
-    passes, max_lut_inputs:
-        Optimisation-pipeline options for *this model*.
-    engine_backend:
-        ``"numpy"`` (default), ``"native"`` (generated-C shared object,
-        compiled at attach, shared with forked workers through the
-        digest-keyed .so cache), ``"native-mt"`` (the autotuned
-        multithreaded native runtime — such models run in-process by
-        default instead of forking, see ``prefer_threads``) or ``"auto"``
-        (native when the host can build, else NumPy).  Orthogonal to
-        ``backend``, which picks the *pool* flavour
-        (processes/threads/serial).
-    prefer_threads:
-        Forwarded to the private pool (see :class:`WorkerPool`); ignored
-        when ``pool`` is given.
-    pool:
-        A shared :class:`WorkerPool` to attach to.  ``None`` (the PR-3
-        behaviour) creates a private single-model pool that this engine
-        owns and closes.
-    model_id:
-        The id to attach under (``None`` generates one).
-
-    Closing a view over a shared pool detaches the model and leaves the
-    pool running; closing an engine that owns its pool shuts the pool down.
+    Constructing it attaches ``netlist`` to ``pool`` (``passes``,
+    ``max_lut_inputs``, ``engine_backend`` and ``model_id`` as in
+    :meth:`WorkerPool.attach`); :meth:`close` detaches exactly this
+    attachment and leaves the pool — which the caller made and owns —
+    running.  ``backend``/``threads``/``unroll`` are the attached serial
+    engine's.
     """
 
     def __init__(
         self,
         netlist: LUTNetlist,
-        n_workers: Optional[int] = None,
-        backend: Optional[str] = None,
         *,
+        pool: WorkerPool,
         passes: Optional[Sequence] = None,
         max_lut_inputs: Optional[int] = None,
         engine_backend: str = "numpy",
-        min_words_per_worker: int = 4,
-        prefer_threads: Optional[bool] = None,
-        pool: Optional[WorkerPool] = None,
         model_id: Optional[str] = None,
     ) -> None:
-        if pool is None:
-            pool = WorkerPool(
-                n_workers=n_workers,
-                backend=backend,
-                min_words_per_worker=min_words_per_worker,
-                prefer_threads=prefer_threads,
-            )
-            self._owns_pool = True
-        else:
-            self._owns_pool = False
         self.pool = pool
-        try:
-            self.model_id = pool.attach(
-                model_id,
-                netlist,
-                passes=passes,
-                max_lut_inputs=max_lut_inputs,
-                engine_backend=engine_backend,
-            )
-        except BaseException:
-            if self._owns_pool:
-                pool.close()
-            raise
+        self.model_id = pool.attach(
+            model_id,
+            netlist,
+            passes=passes,
+            max_lut_inputs=max_lut_inputs,
+            engine_backend=engine_backend,
+        )
+        serial = pool.serial_engine(self.model_id)
+        self.n_primary_inputs = serial.n_primary_inputs
+        self.n_outputs = serial.n_outputs
+        self.backend = serial.backend
+        self.threads = serial.threads
+        self.unroll = serial.unroll
         self._closed = False
 
-    # ------------------------------------------------------------ properties
-    @property
-    def n_workers(self) -> int:
-        return self.pool.n_workers
-
-    @property
-    def backend(self) -> str:
-        return self.pool.backend
-
-    @property
-    def min_words_per_worker(self) -> int:
-        return self.pool.min_words_per_worker
-
-    @property
-    def engine_backend(self) -> str:
-        """The resolved evaluation backend
-        (``"numpy"``, ``"native"`` or ``"native-mt"``)."""
-        return self.pool.engine_backend(self.model_id)
-
-    @property
-    def engine_threads(self) -> int:
-        """In-process thread count of the serial engine (1 unless
-        autotuned ``native-mt``)."""
-        return self.pool.engine_threads(self.model_id)
-
-    @property
-    def _netlist(self) -> LUTNetlist:
-        return self.pool.optimized_netlist(self.model_id)
-
-    @property
-    def serial_engine(self):
-        """The single-threaded engine all shards are bit-identical to."""
-        return self.pool.serial_engine(self.model_id)
-
-    @property
-    def n_primary_inputs(self) -> int:
-        return self.serial_engine.n_primary_inputs
-
-    @property
-    def n_outputs(self) -> int:
-        return self.serial_engine.n_outputs
-
-    @property
-    def _pool(self):
-        """The raw OS pool, if one has been created (None before first use)."""
-        resources = self.pool._resources
-        return resources["pool"] or resources["thread_pool"]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedEngine({self.model_id!r} on {self.n_workers} x "
-            f"{self.backend}, {self.serial_engine.n_nodes} LUTs)"
-        )
-
-    def warm_up(self) -> "ShardedEngine":
-        """Start the underlying pool now (see :meth:`WorkerPool.warm_up`)."""
-        self._check_open()
-        self.pool.warm_up()
-        return self
-
-    # ------------------------------------------------------------ evaluation
     def run_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Sharded counterpart of ``CompiledNetlist.run_packed``."""
-        self._check_open()
-        return self.pool.run_packed(self.model_id, packed_inputs)
-
-    def evaluate_outputs(self, X_bits: np.ndarray) -> np.ndarray:
-        """Bit-exact sharded counterpart of ``LUTNetlist.evaluate_outputs``."""
-        self._check_open()
-        return self.pool.evaluate_outputs(self.model_id, X_bits)
-
-    def predict_batch(
-        self, X_bits: np.ndarray, batch_size: Optional[int] = None
-    ) -> np.ndarray:
-        """Alias of :meth:`evaluate_outputs` (the shared batched entry point)."""
-        from repro.engine.batching import predict_in_batches
-
-        return predict_in_batches(self.evaluate_outputs, X_bits, batch_size)
-
-    # --------------------------------------------------------------- cleanup
-    def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("this ShardedEngine has been closed")
+        return self.pool.run_packed(self.model_id, packed_inputs)
 
     def close(self) -> None:
-        """Detach the model; shut the pool down too if this engine owns it."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns_pool:
-            self.pool.close()
-        else:
+        """Detach this attachment (idempotent); the pool keeps running."""
+        if not self._closed:
+            self._closed = True
             self.pool.detach(self.model_id)
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -7,21 +7,15 @@ replicated boxes behind one router.  The pieces, bottom-up:
 
 ``transport``
     The single implementation of both wire codecs — length-prefixed JSON
-    and the zero-copy binary format — plus first-byte protocol
-    discrimination, the shared typed-error mapping, and
+    and the zero-copy binary format, in which clients ship
+    :func:`~repro.engine.bitpack.pack_bits` uint64 bit-planes in a
+    versioned frame (magic ``0xBF``) and the server feeds the words
+    straight to the engine — plus first-byte protocol discrimination (both
+    coexist on one listener), the shared typed-error mapping, and
     :class:`~repro.serving.transport.FrameServer`: the dual-protocol
     asyncio listener with the explicit ``starting → serving → draining →
     stopped`` lifecycle that both the backend server and the cluster
-    router subclass.
-
-``protocol`` / ``binary_protocol``
-    Documented re-export shims over ``transport`` (the historical import
-    names): the JSON wire format with its request/response objects, and
-    the zero-copy binary format — clients ship
-    :func:`~repro.engine.bitpack.pack_bits` uint64 bit-planes in a
-    versioned frame (magic ``0xBF``) and the server feeds the words
-    straight to the engine.  Both protocols coexist on one listener; the
-    first byte discriminates.
+    router subclass.  ``docs/serving.md`` carries the wire formats.
 
 ``metrics_http``
     :class:`~repro.serving.metrics_http.HttpMetricsListener` — a native
@@ -53,7 +47,8 @@ replicated boxes behind one router.  The pieces, bottom-up:
     connection's requests route to their model's queue, so socket
     concurrency becomes per-model batch occupancy while one shared
     :class:`~repro.engine.parallel.WorkerPool` (pass ``pool=``) carries
-    every model's sharded evaluation.
+    every model's sharded evaluation.  Registration resolves each model's
+    engine once and owns it until the version retires.
     :class:`~repro.serving.server.BackgroundServer` hosts it on a dedicated
     event-loop thread for blocking callers.  ``drain()`` stops admissions
     (typed ``unavailable`` rejections, 503 on ``/healthz``) and flushes
@@ -100,16 +95,6 @@ See ``docs/serving.md`` for the knobs and their failure semantics, and
 wins this buys.
 """
 
-from repro.serving.binary_protocol import (
-    BINARY_MAGIC,
-    BINARY_VERSION,
-    BinaryProtocolError,
-    BinaryReply,
-    BinaryRequest,
-    encode_predict_request,
-    encode_reply,
-    recv_reply,
-)
 from repro.serving.client import ServingClient, StaleConnectionError
 from repro.serving.lifecycle import (
     CanaryPolicy,
@@ -117,15 +102,6 @@ from repro.serving.lifecycle import (
     LifecycleLog,
 )
 from repro.serving.metrics_http import HttpMetricsListener
-from repro.serving.protocol import (
-    MAX_MESSAGE_BYTES,
-    ProtocolError,
-    encode_message,
-    read_message,
-    recv_message,
-    send_message,
-    write_message,
-)
 from repro.serving.queue import (
     AdmissionBudget,
     BadRequestError,
@@ -144,16 +120,31 @@ from repro.serving.router import BackendFailedError, Rebalancer, RouterServer
 from repro.serving.server import BackgroundServer, InferenceServer
 from repro.serving.stats import ServerStats, render_stats_text
 from repro.serving.transport import (
+    BINARY_MAGIC,
+    BINARY_VERSION,
     BinaryControlRequest,
+    BinaryProtocolError,
+    BinaryReply,
+    BinaryRequest,
     FrameServer,
+    MAX_MESSAGE_BYTES,
+    ProtocolError,
     RawBinaryReply,
     WIRE_ERROR_TYPES,
     decode_control_reply,
     decode_reply,
     encode_control_reply,
     encode_control_request,
+    encode_message,
+    encode_predict_request,
+    encode_reply,
+    read_message,
     recv_control_reply,
+    recv_message,
+    recv_reply,
     replace_request_id,
+    send_message,
+    write_message,
 )
 
 __all__ = [

@@ -31,7 +31,7 @@ Stream discipline
 
 The protocols are strictly request/response over one byte stream, so any
 failure that can leave a *half-consumed frame* on the socket — a timeout
-mid-read, a :class:`~repro.serving.protocol.ProtocolError`, a connection
+mid-read, a :class:`~repro.serving.transport.ProtocolError`, a connection
 error mid-frame — poisons every later exchange: the next read would parse
 the stale frame's remaining bytes as a fresh header and return garbage.
 The client therefore marks the connection **dead** at the first such
@@ -84,7 +84,7 @@ class StaleConnectionError(ConnectionError):
     """This client's stream may hold a half-consumed frame; reuse refused.
 
     Raised by every request method after an earlier ``socket.timeout``,
-    :class:`~repro.serving.protocol.ProtocolError` or mid-frame connection
+    :class:`~repro.serving.transport.ProtocolError` or mid-frame connection
     failure.  The fix is always the same: close this client and open a new
     one (with a :class:`~repro.serving.retry.RetryPolicy` for the
     reconnect, if you want backoff).

@@ -54,8 +54,8 @@ Evaluation runs on a dedicated single-thread executor, which serialises
 engine calls (the compiled engine's scratch buffers are not thread-safe)
 and keeps the event loop free to admit requests while NumPy works.  The
 executor persists across batches — together with the (optional)
-:class:`~repro.engine.parallel.ShardedEngine` process pool underneath the
-batch function, the whole worker stack outlives any one call.
+:class:`~repro.engine.parallel.WorkerPool` underneath the batch function's
+engine, the whole worker stack outlives any one call.
 
 Packed submissions
 ==================

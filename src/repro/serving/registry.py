@@ -20,10 +20,11 @@ loop, and the server's predict paths have no await point between resolving
 the serving record and entering the queue's admission — so every request
 either fully admitted to the old version (and completes there) or resolves
 the new one.  The displaced version drains (its queue closes, completing
-everything admitted) and then *retires*: its ``on_retire`` callback runs —
-the hook that detaches its sharded engine from the shared
-:class:`~repro.engine.parallel.WorkerPool` — and the version leaves the
-chain.
+everything admitted) and then *retires*: the engine the registration owns
+is closed — which, for a pool-bound
+:class:`~repro.engine.parallel.ShardedEngine`, detaches exactly that
+version from the shared :class:`~repro.engine.parallel.WorkerPool` — its
+``on_retire`` callback runs, and the version leaves the chain.
 
 :meth:`set_shadow` mirrors a sampled fraction of a family's traffic to a
 standby candidate *after* the primary reply is on the wire (no client
@@ -45,12 +46,11 @@ default family's serving version, unknown → the typed
 *live* version — the debugging door for comparing a standby against the
 primary by hand; draining/retired versions resolve as not-found.
 
-Model *evaluation* sharing happens one layer down: every version's batch
-function typically closes over a
-:class:`~repro.engine.parallel.ShardedEngine` view attached to one shared
-:class:`~repro.engine.parallel.WorkerPool`, so N families × V versions
-share one set of worker processes while keeping independent queues up
-here.
+Model *evaluation* sharing happens one layer down: every version's
+engine is typically a :class:`~repro.engine.parallel.ShardedEngine`
+attached to one shared :class:`~repro.engine.parallel.WorkerPool`, so N
+families × V versions share one set of worker processes while keeping
+independent queues — and independent attachments — up here.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.compiled_netlist import ENGINE_BACKENDS
 from repro.serving.lifecycle import (
     CanaryPolicy,
     DivergenceStore,
@@ -109,17 +110,18 @@ class RegisteredModel:
     queue: BatchingQueue
     scores_mode: bool
     stats: ServerStats
+    #: what the evaluation engine runs with — read off ``engine`` at
+    #: registration, or the caller's label for explicit functions
     backend: str = "numpy"
-    #: in-process thread count of the evaluation engine (the native-mt
-    #: word-shard fan-out; 1 for single-threaded backends)
     threads: int = 1
-    #: vector lane count of the generated code (words per statement;
-    #: 1 for scalar backends)
     unroll: int = 1
     version: int = 1
     state: str = SERVING
-    #: runs exactly once when this version retires (drained and removed) —
-    #: the worker-pool detach hook; exceptions are logged, never raised.
+    #: the engine this version owns (``None`` for explicit functions);
+    #: closed exactly once when the version retires
+    engine: Optional[Any] = None
+    #: runs exactly once when this version retires (drained and removed),
+    #: after the engine is closed; exceptions are logged, never raised.
     on_retire: Optional[Callable[[], Any]] = None
 
     def describe(self) -> Dict[str, Any]:
@@ -216,9 +218,8 @@ class ModelRegistry:
         max_queue: Optional[int] = None,
         stats: Optional[ServerStats] = None,
         default: bool = False,
-        backend: str = "numpy",
-        threads: int = 1,
-        unroll: int = 1,
+        engine: Optional[Any] = None,
+        backend: Optional[str] = None,
         version: Optional[int] = None,
         on_retire: Optional[Callable[[], Any]] = None,
     ) -> RegisteredModel:
@@ -235,9 +236,12 @@ class ModelRegistry:
         would be meaningless otherwise) and share the family's
         :class:`~repro.serving.stats.ServerStats` unless given their own —
         shared stats keep the family's counters monotonic across flips.
-        ``on_retire`` runs once when the version drains out (the
-        worker-pool detach hook).  Per-model knobs fall back to the
-        registry defaults.
+        ``engine`` is the engine the functions evaluate on: the version
+        owns it, advertises its ``backend``/``threads``/``unroll`` and
+        closes it on retire; without one, ``backend`` is a descriptive
+        label (default ``"numpy"``).  ``on_retire`` runs once when the
+        version drains out.  Per-model knobs fall back to the registry
+        defaults.
         """
         if not isinstance(name, str) or not name:
             raise ValueError("model name must be a non-empty string")
@@ -254,6 +258,14 @@ class ModelRegistry:
             )
         if (batch_fn is None) == (scores_fn is None):
             raise ValueError("provide exactly one of batch_fn and scores_fn")
+        if engine is not None:
+            backend = engine.backend
+        elif backend is None:
+            backend = "numpy"
+        elif backend not in ENGINE_BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {ENGINE_BACKENDS}"
+            )
         scores_mode = scores_fn is not None
         version = 1 if version is None else int(version)
         if version < 1:
@@ -293,10 +305,11 @@ class ModelRegistry:
             scores_mode=scores_mode,
             stats=stats,
             backend=backend,
-            threads=threads,
-            unroll=unroll,
+            threads=getattr(engine, "threads", 1),
+            unroll=getattr(engine, "unroll", 1),
             version=version,
             state=SERVING if family is None else STANDBY,
+            engine=engine,
             on_retire=on_retire,
         )
         entry.stats = entry.queue.stats  # the queue created one if None
@@ -430,12 +443,16 @@ class ModelRegistry:
         family.log.record("retired", version=entry.version)
 
     def retire_record(self, entry: RegisteredModel) -> None:
-        """Mark a record retired and fire its ``on_retire`` hook once."""
+        """Mark a record retired; close its engine and fire its
+        ``on_retire`` hook, each exactly once."""
         if entry.state == RETIRED:
             return
         entry.state = RETIRED
-        hook, entry.on_retire = entry.on_retire, None
-        if hook is not None:
+        hooks = (getattr(entry.engine, "close", None), entry.on_retire)
+        entry.engine = entry.on_retire = None
+        for hook in hooks:
+            if hook is None:
+                continue
             try:
                 hook()
             except Exception as error:  # noqa: BLE001 - never break serving

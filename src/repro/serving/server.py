@@ -2,8 +2,8 @@
 
 :class:`InferenceServer` ties the pieces together: a TCP listener speaking
 *both* wire protocols on one port — the length-prefixed JSON protocol
-(:mod:`repro.serving.protocol`) and the zero-copy binary protocol
-(:mod:`repro.serving.binary_protocol`), discriminated by each frame's
+and the zero-copy binary protocol (both in
+:mod:`repro.serving.transport`), discriminated by each frame's
 first byte, with binary predict requests feeding their packed words
 straight into the model's queue — plus an optional plain-HTTP listener
 (``http_port=``) serving ``GET /metrics`` and ``GET /healthz``
@@ -30,9 +30,12 @@ function (per-class decision scores, labels derived by ``argmax``).
 offers — for :class:`~repro.core.poetbin.PoETBiNClassifier` that is
 ``decision_scores_batch``, the path that serves straight from
 ``decision_scores_packed`` without unpacking between the RINC bank and the
-read-out.  Passing ``pool=`` routes a model's sharded evaluation through a
-shared :class:`~repro.engine.parallel.WorkerPool`, so every hosted model's
-big batches fan out over one set of worker processes.
+read-out.  Registration resolves the model's *engine* once — built for
+``backend=``, or attached to a shared
+:class:`~repro.engine.parallel.WorkerPool` with ``pool=`` so every hosted
+model's big batches fan out over one set of worker processes — and the
+registration owns that engine: it serves from it, advertises its
+``backend``/``threads``/``unroll``, and closes it on retire.
 
 :class:`BackgroundServer` runs the whole thing on a dedicated event-loop
 thread, which is how the tests, the benchmark and the demo drive it from
@@ -42,12 +45,12 @@ blocking code.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import threading
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.parallel import ShardedEngine
 from repro.serving.lifecycle import CanaryPolicy
 from repro.serving.metrics_http import HttpMetricsListener
 from repro.serving.queue import (
@@ -69,134 +72,57 @@ from repro.serving.transport import (
 __all__ = ["BackgroundServer", "InferenceServer"]
 
 
-def _forwardable(fn: Callable, candidates: Dict[str, Any]) -> Dict[str, Any]:
-    """The subset of ``candidates`` that ``fn``'s signature accepts.
+def _bind_model(
+    model: Any, backend: Optional[str], pool: Optional[Any]
+) -> Tuple[Any, Optional[Callable], Optional[Callable], Optional[Callable]]:
+    """``(engine, batch_fn, scores_fn, packed_fn)`` for serving ``model``.
 
-    An engine exposing a bare ``predict_batch(X)`` (a ``CompiledNetlist``,
-    a ``ShardedEngine`` view that already *is* a pool binding) must not be
-    handed sharding kwargs it never declared — the pre-PR behaviour was to
-    ignore them silently, and a per-request ``TypeError`` would be a
-    regression.  Unintrospectable callables forward nothing.
+    A model that serves from a compiled LUT netlist — it offers
+    ``to_netlist()``, ``compiled_netlist(backend)`` and batch methods taking
+    ``engine=``, like :class:`~repro.core.poetbin.PoETBiNClassifier` — gets
+    its engine resolved here, once: attached to ``pool`` as a
+    :class:`~repro.engine.parallel.ShardedEngine` the registration owns, or
+    the model's own engine for ``backend``.  Its scores and zero-copy packed
+    entry points are bound to that engine object.
+
+    Anything else is served as it is — ``decision_scores_batch`` (with
+    ``decision_scores_packed_batch`` as the binary protocol's packed path
+    when offered), then ``predict_batch``, then the model as a plain
+    callable — with no engine the server could select: ``backend``/``pool``
+    raise instead of being dropped.
     """
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        return {}
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ):
-        return dict(candidates)
-    return {k: v for k, v in candidates.items() if k in params}
-
-
-def _resolved_backend(backend: Optional[str]) -> str:
-    """The backend *label* a registration advertises: ``None`` → numpy,
-    ``"auto"`` → whichever engine the host toolchain actually yields.
-    ``"native-mt"`` keeps its label (the attach raises downstream when the
-    host cannot build, same contract as ``"native"``)."""
-    from repro.engine.compiled_netlist import ENGINE_BACKENDS
-    from repro.engine.native import toolchain_available
-
-    if backend is None:
-        return "numpy"
-    if backend not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {ENGINE_BACKENDS}"
+    if hasattr(model, "compiled_netlist"):
+        if pool is not None:
+            engine = ShardedEngine(
+                model.to_netlist(), pool=pool, engine_backend=backend or "numpy"
+            )
+        else:
+            engine = model.compiled_netlist(backend or "numpy")
+        return (
+            engine,
+            None,
+            lambda X: model.decision_scores_batch(X, engine=engine),
+            lambda words, n: model.decision_scores_packed_batch(
+                words, n, engine=engine
+            ),
         )
-    if backend == "auto":
-        return "native" if toolchain_available() else "numpy"
-    return backend
-
-
-def _resolved_threads(label: str, threads: Optional[int]) -> int:
-    """The in-process thread count a registration advertises.
-
-    An explicit ``threads`` wins; otherwise ``native-mt`` defaults to the
-    autotuner's parallel candidate (the host core count) and every other
-    backend is single-threaded.
-    """
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        return threads
-    if label == "native-mt":
-        from repro.engine.native import default_thread_count
-
-        return default_thread_count()
-    return 1
-
-
-def _resolved_unroll(label: str, unroll: Optional[int]) -> int:
-    """The vector lane count a registration advertises.
-
-    An explicit ``unroll`` wins; otherwise ``native-mt`` defaults to the
-    autotuner's vector candidate and every other backend is scalar.
-    """
-    if unroll is not None:
-        if unroll < 1:
-            raise ValueError("unroll must be >= 1")
-        return unroll
-    if label == "native-mt":
-        from repro.engine.native import DEFAULT_UNROLL
-
-        return DEFAULT_UNROLL
-    return 1
-
-
-def _model_entry_point(
-    model: Any,
-    n_workers: Optional[int],
-    pool: Optional[Any],
-    engine_backend: Optional[str] = None,
-) -> Tuple[Optional[Callable], Optional[Callable], Optional[Callable]]:
-    """``(batch_fn, scores_fn, packed_fn)`` for what ``model`` offers.
-
-    Preference order: ``decision_scores_batch`` (labels *and* scores from
-    one packed evaluation — PoET-BiN's serving path), then
-    ``predict_batch``, then the model itself as a plain callable.  A model
-    that additionally offers ``decision_scores_packed_batch`` (scores
-    straight from pre-packed words) gets it wired as the binary protocol's
-    zero-copy ``packed_fn``.  ``n_workers``/``pool``/``engine_backend``
-    are forwarded where the entry point accepts them, so big coalesced
-    batches fan out to the model's sharded engine — a shared ``pool``
-    makes every hosted model share one set of workers, and
-    ``engine_backend`` picks the evaluator (numpy vs generated C).
-    """
-    if n_workers is not None and pool is not None:
-        raise ValueError("provide at most one of n_workers and pool")
-    candidates = {}
-    if n_workers is not None:
-        candidates["n_workers"] = n_workers
-    if pool is not None:
-        candidates["pool"] = pool
-    if engine_backend is not None:
-        candidates["engine_backend"] = engine_backend
+    if backend is not None or pool is not None:
+        raise ValueError(
+            f"{type(model).__name__} has no compiled_netlist() to select an "
+            "engine for, so it cannot honour backend=/pool=; build the "
+            "engine yourself and register its function"
+        )
     if hasattr(model, "decision_scores_batch"):
-        packed_fn = None
-        if hasattr(model, "decision_scores_packed_batch"):
-            packed_forwarded = _forwardable(
-                model.decision_scores_packed_batch, candidates
-            )
-            packed_fn = (
-                lambda words, n: model.decision_scores_packed_batch(
-                    words, n, **packed_forwarded
-                )
-            )
-        forwarded = _forwardable(model.decision_scores_batch, candidates)
-        if not forwarded:
-            return None, model.decision_scores_batch, packed_fn
         return (
             None,
-            lambda X: model.decision_scores_batch(X, **forwarded),
-            packed_fn,
+            None,
+            model.decision_scores_batch,
+            getattr(model, "decision_scores_packed_batch", None),
         )
     if hasattr(model, "predict_batch"):
-        forwarded = _forwardable(model.predict_batch, candidates)
-        if not forwarded:
-            return model.predict_batch, None, None
-        return (lambda X: model.predict_batch(X, **forwarded)), None, None
+        return None, model.predict_batch, None, None
     if callable(model):
-        return model, None, None
+        return None, model, None, None
     raise TypeError(
         f"{type(model).__name__} offers neither decision_scores_batch, "
         "predict_batch nor __call__"
@@ -260,21 +186,6 @@ class InferenceServer(FrameServer):
         Listen-queue depth; sized for hundreds of simultaneous connects
         (the whole point of a coalescing server is bursty many-client
         traffic, and a dropped SYN costs a full retransmit timeout).
-    backend:
-        Descriptive label for the constructor-registered default model's
-        evaluation engine (``"numpy"``/``"native"``/``"native-mt"``);
-        :meth:`for_model` resolves it from its ``backend=`` selection.
-        Surfaced in ``list_models`` and the
-        ``repro_serving_model_backend`` metric.
-    threads:
-        In-process thread count label for the default model (the
-        ``native-mt`` engine's word-shard fan-out; 1 for everything else).
-        Surfaced in ``list_models`` and the
-        ``repro_serving_model_threads`` gauge.
-    unroll:
-        Vector lane count label for the default model (words per emitted
-        statement in the ``native-mt`` engine's generated code; 1 for
-        scalar backends).  Surfaced in ``list_models``.
     """
 
     def __init__(
@@ -293,9 +204,6 @@ class InferenceServer(FrameServer):
         stats: Optional[ServerStats] = None,
         warm_up: Optional[Callable[[], Any]] = None,
         backlog: int = 512,
-        backend: str = "numpy",
-        threads: int = 1,
-        unroll: int = 1,
     ) -> None:
         if batch_fn is not None and scores_fn is not None:
             raise ValueError("provide at most one of batch_fn and scores_fn")
@@ -317,9 +225,6 @@ class InferenceServer(FrameServer):
                 scores_fn=scores_fn,
                 packed_fn=packed_fn,
                 stats=stats,
-                backend=backend,
-                threads=threads,
-                unroll=unroll,
             )
         else:
             if stats is not None:
@@ -343,49 +248,19 @@ class InferenceServer(FrameServer):
         cls,
         model: Any,
         *,
-        n_workers: Optional[int] = None,
         pool: Optional[Any] = None,
         backend: Optional[str] = None,
-        threads: Optional[int] = None,
-        unroll: Optional[int] = None,
+        stats: Optional[ServerStats] = None,
         **kwargs,
     ):
-        """Build a single-model server around ``model``'s best entry point.
-
-        See :func:`_model_entry_point` for the preference order (including
-        the binary protocol's packed path when the model offers one);
-        ``register_model(name, model=...)`` is the multi-model counterpart.
-        ``backend`` selects the evaluation engine where the model accepts
-        an ``engine_backend`` kwarg — ``"native"`` for the generated-C
-        backend, ``"native-mt"`` for its autotuned multithreaded tier,
-        ``"auto"`` to use native when a C toolchain exists.  ``threads``
-        overrides the advertised in-process thread count (defaulting to
-        the host core count for ``native-mt``, 1 otherwise); ``unroll``
-        likewise the advertised vector lane count.
-        """
-        label = _resolved_backend(backend)
-        resolved_threads = _resolved_threads(label, threads)
-        resolved_unroll = _resolved_unroll(label, unroll)
-        batch_fn, scores_fn, packed_fn = _model_entry_point(
-            model, n_workers, pool, backend
+        """A single-model server: construct, then
+        ``register_model("default", model=model, pool=pool, backend=backend,
+        stats=stats)`` (which see); ``kwargs`` go to the constructor."""
+        server = cls(**kwargs)
+        server.register_model(
+            "default", model=model, pool=pool, backend=backend, stats=stats
         )
-        if scores_fn is not None:
-            return cls(
-                scores_fn=scores_fn,
-                packed_fn=packed_fn,
-                backend=label,
-                threads=resolved_threads,
-                unroll=resolved_unroll,
-                **kwargs,
-            )
-        return cls(
-            batch_fn=batch_fn,
-            packed_fn=packed_fn,
-            backend=label,
-            threads=resolved_threads,
-            unroll=resolved_unroll,
-            **kwargs,
-        )
+        return server
 
     # ------------------------------------------------------- model hosting
     @property
@@ -413,7 +288,6 @@ class InferenceServer(FrameServer):
         scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         packed_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
         model: Any = None,
-        n_workers: Optional[int] = None,
         pool: Optional[Any] = None,
         max_batch: Optional[int] = None,
         max_wait_us: Optional[float] = None,
@@ -421,8 +295,6 @@ class InferenceServer(FrameServer):
         stats: Optional[ServerStats] = None,
         default: bool = False,
         backend: Optional[str] = None,
-        threads: Optional[int] = None,
-        unroll: Optional[int] = None,
         version: Optional[int] = None,
         on_retire: Optional[Callable[[], Any]] = None,
     ) -> RegisteredModel:
@@ -430,69 +302,65 @@ class InferenceServer(FrameServer):
 
         Give either an evaluation function (``batch_fn``/``scores_fn``,
         plus optionally the binary protocol's zero-copy ``packed_fn``) or
-        ``model=`` to pick the object's best entry point — including its
-        packed path when it offers one (optionally sharded over
-        ``n_workers`` / a shared ``pool`` — pass the same pool to every
-        model so they share one set of worker processes).  With ``model=``,
-        ``backend`` selects the evaluation engine (``"numpy"``,
-        ``"native"`` for generated C, ``"native-mt"`` for the autotuned
-        multithreaded native runtime, ``"auto"`` for
-        native-if-toolchain); with explicit functions it is a descriptive
-        label only.  The resolved value shows up in ``list_models`` and
-        the ``repro_serving_model_backend`` metric; ``threads`` likewise
-        labels the in-process word-shard fan-out (defaulting to the host
-        core count for ``native-mt``, 1 otherwise) in ``list_models`` and
-        the ``repro_serving_model_threads`` gauge, and ``unroll`` the
-        vector lane count (the autotuner default for ``native-mt``, 1
-        otherwise) in ``list_models``.  Knobs left ``None``
-        inherit the server-level defaults.  Safe while serving: requests
-        naming ``name`` route to the new queue from the next dispatch.
+        ``model=`` to pick the object's best entry point (see
+        :func:`_bind_model`).  With ``model=``, the engine is resolved
+        *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
+        generated C, ``"native-mt"`` for the autotuned multithreaded native
+        runtime, ``"auto"`` for native-if-toolchain) and ``pool`` attaches
+        it to a shared :class:`~repro.engine.parallel.WorkerPool` — pass
+        the same pool to every model so they share one set of worker
+        processes, attached before ``warm_up=pool.warm_up`` forks them.  A
+        native build happens in this call; on a live server build it
+        off-loop first (``clf.compiled_netlist("native")`` caches it) so
+        the loop pays a cache hit.  The registration owns the engine:
+        ``list_models``, ``repro_serving_model_backend`` and
+        ``repro_serving_model_threads`` report what it actually runs with,
+        and it is closed — detached from the pool — exactly once, when this
+        version retires.  With explicit functions ``backend`` is a
+        descriptive label only and ``pool`` does not apply.  Knobs left
+        ``None`` inherit the server-level defaults.  Safe while serving:
+        requests naming ``name`` route to the new queue from the next
+        dispatch.
 
         ``version=`` on an already-hosted name adds a *standby* version to
         the family — traffic moves only on ``promote``/``promote_canary``
         (see :class:`~repro.serving.registry.ModelRegistry`).  When the
         version eventually retires (displaced by a promotion, rolled back
-        by a canary, or unregistered), ``on_retire`` runs once; with
-        ``model=`` and sharded evaluation (``pool=``/``n_workers=``) a
-        hook is synthesized automatically that closes the model's cached
-        sharded engines — detaching the retired version from the shared
-        :class:`~repro.engine.parallel.WorkerPool` so worker-side state
-        does not accumulate across version churn.
+        by a canary, or unregistered), ``on_retire`` runs once, after the
+        engine is closed.
         """
-        label = _resolved_backend(backend)
-        resolved_threads = _resolved_threads(label, threads)
-        resolved_unroll = _resolved_unroll(label, unroll)
+        engine = None
         if model is not None:
             if batch_fn is not None or scores_fn is not None or packed_fn is not None:
                 raise ValueError("provide model= or an evaluation fn, not both")
-            batch_fn, scores_fn, packed_fn = _model_entry_point(
-                model, n_workers, pool, backend
+            engine, batch_fn, scores_fn, packed_fn = _bind_model(
+                model, backend, pool
             )
-            if on_retire is None and (
-                pool is not None or n_workers is not None
-            ):
-                on_retire = getattr(model, "_close_sharded", None)
-        elif n_workers is not None or pool is not None:
+        elif pool is not None:
             raise ValueError(
-                "n_workers/pool apply to model=; with an explicit "
-                "batch_fn/scores_fn, bind the sharding into the function"
+                "pool applies to model=; with an explicit "
+                "batch_fn/scores_fn, bind the engine into the function"
             )
-        return self._registry.register(
-            name,
-            batch_fn,
-            scores_fn=scores_fn,
-            packed_fn=packed_fn,
-            max_batch=max_batch,
-            max_wait_us=max_wait_us,
-            max_queue=max_queue,
-            stats=stats,
-            default=default,
-            backend=label,
-            threads=resolved_threads,
-            unroll=resolved_unroll,
-            version=version,
-            on_retire=on_retire,
-        )
+        try:
+            return self._registry.register(
+                name,
+                batch_fn,
+                scores_fn=scores_fn,
+                packed_fn=packed_fn,
+                max_batch=max_batch,
+                max_wait_us=max_wait_us,
+                max_queue=max_queue,
+                stats=stats,
+                default=default,
+                engine=engine,
+                backend=backend,
+                version=version,
+                on_retire=on_retire,
+            )
+        except BaseException:
+            if engine is not None:
+                engine.close()  # a rejected registration must not leak an attach
+            raise
 
     async def unregister_model(self, name: str) -> None:
         """Stop hosting ``name`` — every version: new requests get

@@ -1,15 +1,9 @@
 """The unified transport layer: every wire frame is parsed by exactly one codec.
 
-Before this module existed, the length-prefixed JSON codec, the ``0xBF``
-binary codec, the first-byte protocol discrimination and the typed error
-mapping were spread (and partly duplicated) across ``protocol.py``,
-``binary_protocol.py``, ``client.py`` and ``server.py`` — the asyncio
-listener re-implemented the JSON header read inside its discrimination
-path, and the client owned the error-type table the binary decoder had to
-import at runtime.  This module is the single implementation all of them —
-and the cluster router — consume; :mod:`repro.serving.protocol` and
-:mod:`repro.serving.binary_protocol` remain as documented re-export shims
-so existing imports keep working, but no codec logic lives there.
+The length-prefixed JSON codec, the ``0xBF`` binary codec, the first-byte
+protocol discrimination and the typed error mapping all live here — the
+single implementation the client, the server and the cluster router
+consume.  ``docs/serving.md`` describes both wire formats.
 
 Layout:
 

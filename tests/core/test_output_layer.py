@@ -192,6 +192,24 @@ class TestPackedWeightedSums:
             bits.astype(np.int64) @ weights,
         )
 
+    @pytest.mark.parametrize("n", [0, 1, 65, 5000])
+    def test_leading_axes_are_independent_groups(self, n):
+        """One counter per group, rippling together: same sums as one call
+        per group (5000 samples span two unpack blocks)."""
+        from repro.engine import pack_bits
+        from repro.engine.bitpack import packed_weighted_sums
+
+        rng = np.random.default_rng(n)
+        bits = rng.integers(0, 2, size=(n, 3, 5), dtype=np.uint8)
+        weights = rng.integers(-90, 91, size=(3, 5))
+        weights[1] = 0  # a group that never raises a plane
+        packed = np.stack([pack_bits(bits[:, g]) for g in range(3)])
+        sums = packed_weighted_sums(packed, weights, n)
+        assert sums.shape == (n, 3) and sums.dtype == np.int64
+        np.testing.assert_array_equal(
+            sums, np.einsum("ngk,gk->ng", bits.astype(np.int64), weights)
+        )
+
     def test_garbage_padding_is_ignored(self):
         from repro.engine.bitpack import packed_weighted_sums
 

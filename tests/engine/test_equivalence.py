@@ -90,34 +90,10 @@ class TestRandomNetlistEquivalence:
         )
 
 
-def _train_small_poetbin(seed=0):
-    rng = as_rng(seed)
-    n, n_features, n_classes, per_class = 400, 48, 3, 2
-    X = (rng.random((n, n_features)) < 0.5).astype(np.uint8)
-    n_intermediate = n_classes * per_class
-    targets = np.empty((n, n_intermediate), dtype=np.uint8)
-    for j in range(n_intermediate):
-        support = rng.choice(n_features, size=5, replace=False)
-        w = rng.normal(size=5)
-        targets[:, j] = (X[:, support] @ w - w.sum() / 2 >= 0).astype(np.uint8)
-    block = targets.reshape(n, n_classes, per_class).sum(axis=2).astype(float)
-    y = np.argmax(block + rng.normal(scale=0.05, size=block.shape), axis=1)
-    clf = PoETBiNClassifier(
-        n_classes=n_classes,
-        n_inputs=4,
-        n_levels=1,
-        branching=(3,),
-        intermediate_per_class=per_class,
-        output_epochs=3,
-        seed=0,
-    ).fit(X, targets, y)
-    return clf, X, targets, y
-
-
 class TestClassifierFastPaths:
     @pytest.fixture(scope="class")
-    def trained(self):
-        return _train_small_poetbin()
+    def trained(self, trained_poetbin):
+        return trained_poetbin
 
     def test_poetbin_predict_batch_matches_predict(self, trained):
         clf, X, _targets, _y = trained
@@ -196,27 +172,51 @@ class TestClassifierFastPaths:
             clf.predict_batch(X, batch_size=77), expected
         )
 
-    def test_sharded_predict_batch_matches(self, trained):
-        clf, X, _targets, _y = trained
-        np.testing.assert_array_equal(
-            clf.predict_batch(X, n_workers=2), clf.predict(X)
-        )
-        np.testing.assert_array_equal(
-            clf.predict_intermediate_batch(X, n_workers=2),
-            clf.predict_intermediate(X),
-        )
-        clf._close_sharded()
+    def test_pre_refactor_pickle_attributes_are_tolerated(self, trained):
+        """A classifier pickled before the private-pool cache was removed
+        carries a ``_sharded_`` dict (and RINC caches keyed by a tuple):
+        tolerated on load, never required."""
+        import copy
+        import pickle
 
-    def test_rinc_sharded_predict_batch_matches(self, trained):
-        clf, X, targets, _y = trained
-        module = RINCClassifier(n_inputs=4, n_levels=1, branching=(2,))
-        module.fit(X, targets[:, 0])
-        np.testing.assert_array_equal(
-            module.predict_batch(X, n_workers=2), module.predict(X)
-        )
-        # serial and sharded engines are cached side by side — no churn
+        clf, X, _targets, _y = trained
+        old = copy.copy(clf)
+        old._compiled_ = {}
+        old._sharded_ = {}
+        old.rinc_modules_ = [copy.copy(m) for m in clf.rinc_modules_]
+        old.rinc_modules_[0]._compiled_ = {(X.shape[1], None): object()}
+        restored = pickle.loads(pickle.dumps(old))
+        np.testing.assert_array_equal(restored.predict_batch(X), clf.predict(X))
+        module = restored.rinc_modules_[0]
         np.testing.assert_array_equal(module.predict_batch(X), module.predict(X))
-        assert len(module._compiled_) == 2
-        for engine in module._compiled_.values():
-            if hasattr(engine, "close"):
-                engine.close()
+
+    def test_caller_owned_pool_engine_matches(self, trained):
+        """The classifier holds no pool: the caller attaches, passes the
+        handle as ``engine=`` and detaches."""
+        from repro.engine import ShardedEngine, WorkerPool
+
+        clf, X, _targets, _y = trained
+        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
+            with ShardedEngine(clf.to_netlist(), pool=pool) as handle:
+                np.testing.assert_array_equal(
+                    clf.predict_batch(X, engine=handle), clf.predict(X)
+                )
+                np.testing.assert_array_equal(
+                    clf.predict_batch(X, batch_size=129, engine=handle),
+                    clf.predict(X),
+                )
+                np.testing.assert_array_equal(
+                    clf.predict_intermediate_batch(X, engine=handle),
+                    clf.predict_intermediate(X),
+                )
+                np.testing.assert_array_equal(
+                    clf.decision_scores_batch(X, engine=handle),
+                    clf.decision_scores_batch(X),
+                )
+                with pytest.raises(ValueError, match="at most one"):
+                    clf.predict_batch(X, engine=handle, engine_backend="numpy")
+            assert pool.model_ids == []
+        assert not any(  # nothing pool-bound is cached on the classifier
+            isinstance(engine, ShardedEngine)
+            for engine in clf._compiled_.values()
+        )

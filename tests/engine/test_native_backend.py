@@ -234,6 +234,24 @@ class TestToolchainFallback:
         with pytest.raises(ValueError, match="backend"):
             compile_netlist(netlist, backend="fortran")
 
+    def test_one_fallback_rule_for_every_caller(self, monkeypatch):
+        """``build_engine`` is where the fallback is decided, so the pool's
+        attach (strict) and its workers (``strict=False``) follow it too."""
+        from repro.engine import WorkerPool, build_engine
+
+        monkeypatch.setattr(native_mod, "find_compiler", lambda: None)
+        netlist = random_netlist(8, 12, seed=3)
+        for backend in ("native", "native-mt"):
+            with pytest.raises(NativeUnavailableError):
+                build_engine(netlist, backend)
+            # worker-side: degrade to the bit-exact NumPy engine instead
+            assert build_engine(netlist, backend, strict=False).backend == "numpy"
+        with WorkerPool(n_workers=2, backend="thread") as pool:
+            with pytest.raises(NativeUnavailableError):
+                pool.attach("m", netlist, engine_backend="native")
+            pool.attach("m", netlist, engine_backend="auto")
+            assert pool.serial_engine("m").backend == "numpy"
+
     @needs_cc
     def test_auto_with_toolchain_goes_native(self):
         netlist = random_netlist(8, 12, seed=3)

@@ -4,8 +4,8 @@ Splits from ``test_native_backend`` (which covers the tier-1 scalar
 engine): everything here exercises the multithreaded/SIMD surface added
 on top of it — ragged shard math across thread counts, the unrolled
 source structure, the per-netlist autotune records, the ``native-mt``
-backend plumbing through ``compile_netlist`` and the worker pool, and
-the oversubscription rules between pool processes and engine threads.
+backend through ``build_engine``/``compile_netlist`` and the worker pool,
+and the oversubscription rules between pool processes and engine threads.
 
 The correctness tests run on any host with a C toolchain regardless of
 core count — with one core the shards simply queue on the shared
@@ -22,9 +22,9 @@ from repro.engine import (
     CompiledNetlist,
     MTConfig,
     NativeCompiledNetlist,
-    ShardedEngine,
     WorkerPool,
     autotune_config,
+    build_engine,
     compile_netlist,
     pack_bits,
     random_netlist,
@@ -35,7 +35,6 @@ from repro.engine.native import (
     generate_c_source,
     toolchain_available,
 )
-from repro.engine.parallel import _build_engine
 from repro.utils.rng import as_rng
 
 needs_cc = pytest.mark.skipif(
@@ -270,9 +269,9 @@ class TestNativeMTBackend:
             engine.predict_batch(X), netlist.evaluate_outputs(X)
         )
 
-    def test_build_engine_parses_thread_cap(self):
+    def test_build_engine_takes_the_thread_cap_as_an_integer(self):
         netlist = random_netlist(12, 20, seed=63)
-        engine = _build_engine(netlist, "native-mt@2")
+        engine = build_engine(netlist, "native-mt", max_threads=2)
         assert isinstance(engine, NativeCompiledNetlist)
         assert engine.backend == "native-mt"
         assert engine.threads <= 2
@@ -297,9 +296,9 @@ class TestPoolComposition:
             model = pool.attach(None, netlist, engine_backend="native-mt")
             cap = max(1, (os.cpu_count() or 1) // 2)
             entry = pool._entry(model)
-            assert entry.worker_backend == f"native-mt@{cap}"
-            assert entry.engine_backend == "native-mt"
-            assert pool.engine_threads(model) >= 1
+            assert entry.worker_threads == cap
+            assert entry.serial.backend == "native-mt"
+            assert entry.serial.threads >= 1
             X = as_rng(72).integers(0, 2, size=(400, 12), dtype=np.uint8)
             np.testing.assert_array_equal(
                 pool.evaluate_outputs(model, X), netlist.evaluate_outputs(X)
@@ -331,27 +330,11 @@ class TestPoolComposition:
                 pool.evaluate_outputs(model, X), netlist.evaluate_outputs(X)
             )
 
-    def test_sharded_engine_forwards_and_reports(self):
-        netlist = random_netlist(10, 18, seed=76)
-        with ShardedEngine(
-            netlist,
-            n_workers=2,
-            backend="thread",
-            engine_backend="native-mt",
-            prefer_threads=True,
-        ) as engine:
-            assert engine.engine_backend == "native-mt"
-            assert engine.engine_threads >= 1
-            assert engine.pool.prefer_threads is True
-            X = as_rng(77).integers(0, 2, size=(150, 10), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                engine.evaluate_outputs(X), netlist.evaluate_outputs(X)
-            )
-
     def test_numpy_models_unaffected_by_heuristic(self):
         """The heuristic only triggers on engines that expose threads > 1."""
         netlist = random_netlist(10, 18, seed=78)
         with WorkerPool(n_workers=2, backend="thread") as pool:
             model = pool.attach(None, netlist, engine_backend="numpy")
             assert not pool._prefer_in_process(pool._entry(model))
-            assert pool.engine_threads(model) == 1
+            assert pool._entry(model).worker_threads is None
+            assert pool.serial_engine(model).threads == 1

@@ -1,11 +1,11 @@
-"""Sharded executor tests: bit-exactness against the serial engine.
+"""Worker-pool tests: the multi-model contract and the pool's own lifecycle.
 
-Word blocks of a packed batch are independent, so the sharded executor must
-reproduce the serial engine bit for bit for every worker count, backend and
-batch shape — including batches too small to shard (serial fallback) and
-empty batches.  The :class:`WorkerPool` tests add the multi-model contract:
-several netlists attached to one pool (before and after the fork), shard
-interleaving under concurrent per-model load, and detach semantics.
+Word blocks of a packed batch are independent, so a pool must reproduce the
+serial engine bit for bit — that, for the :class:`ShardedEngine` handle on
+every pool flavour, is ``test_engine_conformance``'s job.  Here: several
+netlists attached to one pool (before and after the fork), shard
+interleaving under concurrent per-model load, detach/eviction semantics,
+fallback, and cleanup.
 """
 
 import threading
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    ShardedEngine,
     WorkerPool,
     compile_netlist,
     random_netlist,
@@ -42,155 +41,38 @@ class TestShardBounds:
             shard_bounds(8, 0)
 
 
-class TestShardedEquivalence:
-    @pytest.fixture(scope="class")
-    def case(self):
-        netlist = random_netlist(24, 60, seed=21, n_outputs=8)
-        return netlist, compile_netlist(netlist)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("n_workers", [1, 2, 5])
-    def test_matches_serial_bit_for_bit(self, case, backend, n_workers):
-        netlist, serial = case
-        rng = as_rng(5)
-        with ShardedEngine(
-            netlist, n_workers=n_workers, backend=backend, min_words_per_worker=1
-        ) as engine:
-            for n_samples in (0, 1, 63, 64, 65, 257, 1500):
-                X = rng.integers(0, 2, size=(n_samples, 24), dtype=np.uint8)
-                np.testing.assert_array_equal(
-                    engine.predict_batch(X),
-                    serial.predict_batch(X),
-                    err_msg=f"{backend} x{n_workers}, {n_samples} samples",
-                )
-
-    def test_chunked_batches_match(self, case):
-        netlist, serial = case
-        rng = as_rng(6)
-        X = rng.integers(0, 2, size=(700, 24), dtype=np.uint8)
-        with ShardedEngine(netlist, n_workers=2, min_words_per_worker=1) as engine:
-            np.testing.assert_array_equal(
-                engine.predict_batch(X, batch_size=129), serial.predict_batch(X)
-            )
-
-    def test_small_batches_fall_back_to_serial(self, case):
-        netlist, _ = case
-        rng = as_rng(7)
-        with ShardedEngine(netlist, n_workers=4, min_words_per_worker=8) as engine:
-            X = rng.integers(0, 2, size=(64, 24), dtype=np.uint8)  # one word
-            # never sharded: the pool is not even created
-            engine.predict_batch(X)
-            assert engine._pool is None
-
-    def test_pipeline_options_forwarded(self):
-        netlist = random_netlist(16, 30, seed=22, lut_widths=(8,), n_outputs=4)
-        rng = as_rng(8)
-        X = rng.integers(0, 2, size=(300, 16), dtype=np.uint8)
-        with ShardedEngine(
-            netlist, n_workers=2, max_lut_inputs=6, min_words_per_worker=1
-        ) as engine:
-            assert all(
-                node.n_inputs <= 6 for node in engine._netlist.nodes
-            )
-            np.testing.assert_array_equal(
-                engine.predict_batch(X), netlist.evaluate_outputs(X)
-            )
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_native_engine_backend_matches(self, case, backend):
-        """Sharded evaluation on the generated-C engine stays bit-exact."""
-        from repro.engine.native import toolchain_available
-
-        if not toolchain_available():
-            pytest.skip("no C compiler on this host")
-        netlist, serial = case
-        rng = as_rng(15)
-        with ShardedEngine(
-            netlist,
-            n_workers=2,
-            backend=backend,
-            engine_backend="native",
-            min_words_per_worker=1,
-        ) as engine:
-            assert engine.engine_backend == "native"
-            for n_samples in (1, 64, 257, 1500):
-                X = rng.integers(0, 2, size=(n_samples, 24), dtype=np.uint8)
-                np.testing.assert_array_equal(
-                    engine.predict_batch(X),
-                    serial.predict_batch(X),
-                    err_msg=f"native/{backend}, {n_samples} samples",
-                )
-
-    def test_auto_engine_backend_resolves(self, case):
-        """'auto' resolves at attach: the serial engine reports what won."""
-        from repro.engine.native import toolchain_available
-
-        netlist, serial = case
-        rng = as_rng(16)
-        with ShardedEngine(
-            netlist, n_workers=2, engine_backend="auto",
-            min_words_per_worker=1,
-        ) as engine:
-            expected = "native" if toolchain_available() else "numpy"
-            assert engine.engine_backend == expected
-            X = rng.integers(0, 2, size=(400, 24), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                engine.predict_batch(X), serial.predict_batch(X)
-            )
-
-    def test_unknown_engine_backend_rejected(self, case):
-        netlist, _ = case
-        with pytest.raises(ValueError, match="engine backend"):
-            ShardedEngine(netlist, n_workers=2, engine_backend="fortran")
-
-
 class TestLifecycle:
-    def test_close_is_idempotent_and_final(self):
-        netlist = random_netlist(8, 10, seed=23)
-        engine = ShardedEngine(netlist, n_workers=2, min_words_per_worker=1)
-        rng = as_rng(9)
-        X = rng.integers(0, 2, size=(300, 8), dtype=np.uint8)
-        engine.predict_batch(X)
-        engine.close()
-        engine.close()
-        with pytest.raises(RuntimeError):
-            engine.predict_batch(X)
+    def test_small_batches_fall_back_to_serial(self):
+        netlist = random_netlist(24, 60, seed=21, n_outputs=8)
+        rng = as_rng(7)
+        with WorkerPool(n_workers=4, min_words_per_worker=8) as pool:
+            pool.attach("m", netlist)
+            X = rng.integers(0, 2, size=(64, 24), dtype=np.uint8)  # one word
+            # never sharded: the OS pool is not even created
+            pool.evaluate_outputs("m", X)
+            assert pool._resources["pool"] is None
+            assert pool._resources["thread_pool"] is None
 
-    def test_wrong_shapes_rejected(self):
-        netlist = random_netlist(8, 10, seed=24)
-        with ShardedEngine(netlist, n_workers=2) as engine:
-            with pytest.raises(ValueError):
-                engine.run_packed(np.zeros((3, 4), dtype=np.uint64))
-            with pytest.raises(ValueError):
-                engine.predict_batch(np.zeros((5, 9), dtype=np.uint8))
-
-    def test_invalid_construction(self):
-        netlist = random_netlist(8, 10, seed=25)
-        with pytest.raises(ValueError):
-            ShardedEngine(netlist, backend="gpu")
-        with pytest.raises(ValueError):
-            ShardedEngine(netlist, n_workers=0)
-        with pytest.raises(ValueError):
-            ShardedEngine(netlist, min_words_per_worker=0)
-
-    def test_abandoned_engine_is_reclaimed_by_gc(self):
-        """Dropping an engine without close() must still release its pool."""
+    def test_abandoned_pool_is_reclaimed_by_gc(self):
+        """Dropping a pool without close() must still release its workers."""
         import gc
 
         netlist = random_netlist(8, 10, seed=28)
-        engine = ShardedEngine(netlist, n_workers=2, min_words_per_worker=1)
+        pool = WorkerPool(n_workers=2, min_words_per_worker=1)
+        pool.attach("m", netlist)
         rng = as_rng(11)
-        engine.predict_batch(rng.integers(0, 2, size=(300, 8), dtype=np.uint8))
-        resources = engine.pool._resources
+        pool.evaluate_outputs(
+            "m", rng.integers(0, 2, size=(300, 8), dtype=np.uint8)
+        )
+        resources = pool._resources
         assert resources["pool"] is not None
-        del engine
+        del pool
         gc.collect()
         assert resources["pool"] is None
 
     def test_single_worker_degenerates_to_serial(self):
-        netlist = random_netlist(8, 10, seed=26)
-        with ShardedEngine(netlist, n_workers=1, backend="process") as engine:
-            assert engine.backend == "serial"
+        with WorkerPool(n_workers=1, backend="process") as pool:
+            assert pool.backend == "serial"
 
 
 class TestWorkerPool:
@@ -360,32 +242,6 @@ class TestWorkerPool:
             with pytest.raises(ValueError, match="rounds"):
                 pool.worker_registry_sizes(rounds=0)
 
-    def test_shared_pool_views(self, models):
-        """ShardedEngine views share one pool; closing a view detaches only."""
-        netlist_a, serial_a = models["a"]
-        netlist_b, serial_b = models["b"]
-        rng = as_rng(16)
-        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            view_a = ShardedEngine(netlist_a, pool=pool, model_id="a")
-            view_b = ShardedEngine(netlist_b, pool=pool)
-            assert view_a.model_id == "a"
-            assert view_b.model_id != "a"
-            assert sorted(pool.model_ids) == sorted(
-                [view_a.model_id, view_b.model_id]
-            )
-            X = rng.integers(0, 2, size=(300, 24), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                view_a.predict_batch(X), serial_a.predict_batch(X)
-            )
-            view_a.close()  # detaches "a", pool stays up for "b"
-            assert pool.model_ids == [view_b.model_id]
-            X_b = rng.integers(0, 2, size=(300, 16), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                view_b.predict_batch(X_b), serial_b.predict_batch(X_b)
-            )
-            with pytest.raises(RuntimeError, match="closed"):
-                view_a.predict_batch(X)
-
     def test_fallback_to_threads_releases_shared_memory(self, models):
         """The thread backend never leases shm again: fallback must unlink
         the free pairs instead of hoarding them for the process lifetime."""
@@ -467,6 +323,7 @@ class TestWorkerHelpers:
                         "m#0",
                         None,
                         "numpy",
+                        None,
                         shm_in.name,
                         shm_out.name,
                         12,
@@ -488,6 +345,7 @@ class TestWorkerHelpers:
                         "late#1",
                         None,
                         "numpy",
+                        None,
                         shm_in.name,
                         shm_out.name,
                         12,
@@ -509,6 +367,7 @@ class TestWorkerHelpers:
                     "late#1",
                     pickle.dumps(other),
                     "numpy",
+                    None,
                     shm_in.name,
                     shm_out.name,
                     10,

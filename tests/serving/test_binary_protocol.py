@@ -28,7 +28,7 @@ from repro.serving import (
     encode_reply,
     recv_reply,
 )
-from repro.serving.binary_protocol import (
+from repro.serving.transport import (
     BINARY_MAGIC,
     BINARY_VERSION,
     MAX_PAYLOAD_BYTES,

@@ -17,8 +17,8 @@ import pytest
 
 from repro.engine import pack_bits
 from repro.serving import InferenceServer
-from repro.serving.binary_protocol import decode_reply, encode_predict_request
-from repro.serving.protocol import read_message, write_message
+from repro.serving.transport import decode_reply, encode_predict_request
+from repro.serving.transport import read_message, write_message
 from repro.serving.transport import read_reply_frame
 from repro.serving.queue import ServerUnavailableError
 

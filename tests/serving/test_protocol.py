@@ -6,8 +6,8 @@ import struct
 
 import pytest
 
-from repro.serving import protocol, transport
-from repro.serving.protocol import (
+from repro.serving import transport
+from repro.serving.transport import (
     ProtocolError,
     encode_message,
     read_message,
@@ -75,7 +75,7 @@ class TestBlockingTransport:
     def test_oversized_frame_rejected_without_allocation(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1))
+            a.sendall(struct.pack(">I", transport.MAX_MESSAGE_BYTES + 1))
             with pytest.raises(ProtocolError, match="cap"):
                 recv_message(b)
         finally:
@@ -106,8 +106,6 @@ class TestBlockingTransport:
 
 
 def test_encode_respects_cap(monkeypatch):
-    # the codec lives in transport (protocol is a re-export shim), so the
-    # cap must be patched where the implementation reads it
     monkeypatch.setattr(transport, "MAX_MESSAGE_BYTES", 8)
     with pytest.raises(ProtocolError, match="cap"):
         encode_message({"op": "a message longer than eight bytes"})
@@ -154,7 +152,7 @@ class TestAsyncTransport:
     def test_oversized_frame_rejected(self):
         async def main():
             reader = self._reader_with(
-                struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1), eof=False
+                struct.pack(">I", transport.MAX_MESSAGE_BYTES + 1), eof=False
             )
             return await read_message(reader)
 

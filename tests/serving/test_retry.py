@@ -18,7 +18,7 @@ from repro.serving import (
     ServingClient,
     ServingError,
 )
-from repro.serving.protocol import recv_message, send_message
+from repro.serving.transport import recv_message, send_message
 
 
 class TestRetryPolicySchedule:

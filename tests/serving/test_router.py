@@ -18,7 +18,7 @@ import pytest
 
 from repro.engine import pack_bits
 from repro.serving import InferenceServer, RetryPolicy, RouterServer
-from repro.serving.protocol import (
+from repro.serving.transport import (
     encode_message,
     read_message,
     write_message,

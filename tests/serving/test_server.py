@@ -107,7 +107,7 @@ class TestPipelining:
         """Many requests in flight on one connection, matched via id echo."""
         import asyncio
 
-        from repro.serving.protocol import read_message, write_message
+        from repro.serving.transport import read_message, write_message
 
         rng = as_rng(7)
         batches = {
@@ -277,7 +277,7 @@ class TestMultiModel:
         come back bit-exact vs each model's direct predict_batch."""
         import asyncio
 
-        from repro.serving.protocol import read_message, write_message
+        from repro.serving.transport import read_message, write_message
 
         rng = as_rng(8)
         requests = {}
@@ -480,7 +480,7 @@ class TestConstruction:
 
     def test_for_model_prefers_scores_path(self):
         class Model:
-            def decision_scores_batch(self, X, n_workers=None):
+            def decision_scores_batch(self, X):
                 return _scores_fn(X)
 
             def predict_batch(self, X):  # pragma: no cover - must not win
@@ -500,30 +500,28 @@ class TestConstruction:
         with pytest.raises(TypeError):
             InferenceServer.for_model(object())
 
-    def test_for_model_ignores_sharding_kwargs_the_model_lacks(self):
-        """A bare predict_batch(X) engine must serve even with n_workers
-        given (the pre-refactor behaviour: silently unforwarded)."""
+    def test_engine_selection_a_model_cannot_honour_raises(self):
+        """A bare ``predict_batch(X)`` object has no engine the server could
+        select: ``backend=``/``pool=`` must raise at registration, not be
+        dropped and then advertised anyway."""
 
         class BareEngine:
             def predict_batch(self, X):
                 return np.zeros(np.asarray(X).shape[0], dtype=np.int64)
 
-        srv = InferenceServer.for_model(
-            BareEngine(), n_workers=4, max_batch=4, max_wait_us=1_000,
-            max_queue=64,
-        )
-        with BackgroundServer(srv) as handle:
-            with ServingClient(*handle.address) as client:
-                labels = client.predict(np.ones((2, N_FEATURES), dtype=np.uint8))
-        assert labels.tolist() == [0, 0]
-
-    def test_for_model_rejects_both_n_workers_and_pool(self):
-        class Model:
-            def predict_batch(self, X, n_workers=None, pool=None):
-                return np.zeros(np.asarray(X).shape[0], dtype=np.int64)
-
-        with pytest.raises(ValueError, match="at most one"):
-            InferenceServer.for_model(Model(), n_workers=2, pool=object())
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
+        with pytest.raises(ValueError, match="cannot honour"):
+            srv.register_model("m", model=BareEngine(), backend="native")
+        with WorkerPool(n_workers=2) as pool:
+            with pytest.raises(ValueError, match="cannot honour"):
+                srv.register_model("m", model=BareEngine(), pool=pool)
+            with pytest.raises(ValueError, match="cannot honour"):
+                InferenceServer.for_model(BareEngine(), pool=pool)
+            assert pool.model_ids == []
+        assert srv.registry.names == []
+        # without a selection it serves as it is, labelled numpy
+        entry = srv.register_model("m", model=BareEngine())
+        assert (entry.backend, entry.threads, entry.unroll) == ("numpy", 1, 1)
 
     def test_empty_server_stats_property_is_inert(self):
         srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
@@ -531,7 +529,7 @@ class TestConstruction:
 
     def test_register_model_rejects_sharding_kwargs_without_model(self):
         srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
-        with pytest.raises(ValueError, match="apply to model="):
+        with pytest.raises(ValueError, match="applies to model="):
             srv.register_model("m", _scores_fn, pool=object())
 
     def test_unregistering_the_default_clears_it(self):
@@ -550,98 +548,15 @@ class TestConstruction:
         srv.register_model("third", batch_fn=lambda X: np.zeros(len(X)))
         assert srv.registry.default_name == "third"
 
-    def test_backend_selection_forwards_and_labels(self):
-        """``backend=`` reaches the model's ``engine_backend`` kwarg and
-        the resolved label lands on the registration."""
-        from repro.serving.server import _resolved_backend
-
-        seen = []
-
-        class Model:
-            def predict_batch(self, X, engine_backend="numpy"):
-                seen.append(engine_backend)
-                return np.zeros(np.asarray(X).shape[0], dtype=np.int64)
-
+    def test_explicit_function_backend_is_a_label(self):
+        """With explicit functions ``backend=`` only describes them."""
         srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
-        entry = srv.register_model("m", model=Model(), backend="numpy")
-        assert entry.backend == "numpy"
-        assert entry.describe()["backend"] == "numpy"
-        # the auto label matches what the host toolchain can deliver
-        from repro.engine.native import toolchain_available
-
-        expected = "native" if toolchain_available() else "numpy"
-        assert _resolved_backend("auto") == expected
-        entry2 = srv.register_model("m2", model=Model(), backend="auto")
-        assert entry2.backend == expected
-
-        # a backend nobody implements is rejected at registration time
+        entry = srv.register_model("m", _scores_fn)
+        assert (entry.backend, entry.threads, entry.unroll) == ("numpy", 1, 1)
+        entry = srv.register_model("n", scores_fn=_scores_fn, backend="native")
+        assert entry.describe()["backend"] == "native"
         with pytest.raises(ValueError, match="unknown backend"):
-            srv.register_model("m3", model=Model(), backend="fortran")
-
-    def test_native_mt_label_threads_and_gauge(self):
-        """``backend="native-mt"`` advertises its thread/unroll choice: in
-        ``list_models`` (describe) and the model_threads gauge."""
-        from repro.engine.native import DEFAULT_UNROLL, default_thread_count
-        from repro.serving.server import _resolved_threads, _resolved_unroll
-
-        class Model:
-            def predict_batch(self, X, engine_backend="numpy"):
-                return np.zeros(np.asarray(X).shape[0], dtype=np.int64)
-
-        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
-        entry = srv.register_model(
-            "mt", model=Model(), backend="native-mt", threads=6, unroll=8
-        )
-        assert entry.backend == "native-mt"
-        assert entry.threads == 6
-        assert entry.unroll == 8
-        assert entry.describe()["threads"] == 6
-        assert entry.describe()["unroll"] == 8
-        # default resolution: host core count / autotuner lane count for
-        # native-mt, scalar for everything else
-        assert _resolved_threads("native-mt", None) == default_thread_count()
-        assert _resolved_threads("numpy", None) == 1
-        assert _resolved_unroll("native-mt", None) == DEFAULT_UNROLL
-        assert _resolved_unroll("numpy", None) == 1
-        with pytest.raises(ValueError, match="threads"):
-            srv.register_model(
-                "bad", model=Model(), backend="native-mt", threads=0
-            )
-        with pytest.raises(ValueError, match="unroll"):
-            srv.register_model(
-                "bad", model=Model(), backend="native-mt", unroll=0
-            )
-        plain = srv.register_model("plain", model=Model(), backend="numpy")
-        assert plain.threads == 1
-        assert plain.unroll == 1
-        text = srv.render_metrics()
-        assert "# TYPE repro_serving_model_threads gauge" in text
-        assert 'repro_serving_model_threads{model="mt"} 6' in text
-        assert 'repro_serving_model_threads{model="plain"} 1' in text
-        assert (
-            'repro_serving_model_backend{model="mt",backend="native-mt"} 1'
-            in text
-        )
-
-    def test_for_model_backend_reaches_the_engine(self):
-        """End to end: backend= on for_model selects the model's engine."""
-        seen = []
-
-        class Model:
-            def predict_batch(self, X, engine_backend="numpy"):
-                seen.append(engine_backend)
-                return np.zeros(np.asarray(X).shape[0], dtype=np.int64)
-
-        srv = InferenceServer.for_model(
-            Model(), backend="numpy", max_batch=4, max_wait_us=1_000,
-            max_queue=64,
-        )
-        with BackgroundServer(srv) as handle:
-            with ServingClient(*handle.address) as client:
-                client.predict(np.ones((2, N_FEATURES), dtype=np.uint8))
-                listing = client.list_models()
-        assert seen == ["numpy"]
-        assert listing["models"][0]["backend"] == "numpy"
+            srv.register_model("f", _scores_fn, backend="fortran")
 
     def test_warm_up_runs_before_first_request(self):
         ran = []
@@ -654,6 +569,174 @@ class TestConstruction:
         )
         with BackgroundServer(srv):
             assert ran == [True]
+
+
+class TestEngineOwnership:
+    """Registration resolves the engine once and owns it: attached when
+    ``register_model`` returns, advertised as what it actually runs with,
+    closed exactly once — and only it — when the version retires."""
+
+    @pytest.fixture()
+    def trained(self, trained_poetbin):
+        import copy
+
+        clf, X, _targets, _y = trained_poetbin
+        clf = copy.copy(clf)
+        clf._compiled_ = {}  # this test's own engine cache
+        return clf, X[:100], clf.predict(X[:100])
+
+    def test_pool_registration_attaches_before_start(self, trained):
+        """``warm_up=pool.warm_up`` must fork-inherit every registered
+        model instead of forking an empty pool."""
+        clf, X, expected = trained
+        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
+            srv = InferenceServer(
+                max_batch=64, max_wait_us=1_000, warm_up=pool.warm_up
+            )
+            first = srv.register_model("first", model=clf, pool=pool)
+            second = srv.register_model(
+                "second", model=clf, pool=pool, backend="auto"
+            )
+            assert len(pool.model_ids) == 2  # attached now, not lazily
+            attached = [first.engine.model_id, second.engine.model_id]
+            assert sorted(pool.model_ids) == sorted(attached)
+            with BackgroundServer(srv) as handle:
+                if pool.backend == "process":
+                    assert pool._resources["pool"] is not None
+                    for model_id in attached:
+                        # fork-inherited: nothing left to ship by pickle
+                        assert pool._entry(model_id).payload is None
+                with ServingClient(*handle.address, binary=True) as client:
+                    for name in ("first", "second"):
+                        np.testing.assert_array_equal(
+                            client.predict(X, model=name), expected
+                        )
+                assert sorted(pool.model_ids) == sorted(attached)
+            assert pool.model_ids == []  # stop() retired both
+
+    def test_retiring_one_registration_keeps_the_others_attached(self, trained):
+        """One fitted classifier under two names and as two versions on one
+        pool: each registration owns its own attachment."""
+        import asyncio
+
+        clf, X, expected = trained
+        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
+            # a long coalescing window parks a small request in its queue
+            srv = InferenceServer(max_batch=64, max_wait_us=500_000)
+            gone = srv.register_model("gone", model=clf, pool=pool)
+            kept_v1 = srv.register_model("kept", model=clf, pool=pool)
+            kept_v2 = srv.register_model(
+                "kept", model=clf, pool=pool, version=2
+            )
+            assert len(pool.model_ids) == 3  # one attachment each
+            ids = [e.engine.model_id for e in (gone, kept_v1, kept_v2)]
+            assert sorted(pool.model_ids) == sorted(ids)
+            with BackgroundServer(srv) as handle:
+
+                async def retire_with_a_request_in_flight():
+                    in_flight = asyncio.ensure_future(gone.queue.submit(X[:5]))
+                    await asyncio.sleep(0)  # admitted, waiting to coalesce
+                    await srv.unregister_model("gone")
+                    return await in_flight
+
+                scores = handle.run(retire_with_a_request_in_flight())
+                np.testing.assert_array_equal(
+                    np.argmax(scores, axis=1), expected[:5]
+                )
+                assert sorted(pool.model_ids) == sorted(ids[1:])
+                with ServingClient(*handle.address) as client:
+                    np.testing.assert_array_equal(
+                        client.predict(X, model="kept"), expected
+                    )
+
+                    async def promote():
+                        srv.registry.promote("kept", 2)
+                        await srv.registry.wait_idle()
+
+                    handle.run(promote())
+                    assert pool.model_ids == [ids[2]]
+                    np.testing.assert_array_equal(
+                        client.predict(X, model="kept"), expected
+                    )
+                    with pytest.raises(ModelNotFoundError):
+                        client.predict(X, model="gone")
+
+    def test_rejected_registration_leaks_no_attachment(self, trained):
+        clf, _X, _expected = trained
+        with WorkerPool(n_workers=2) as pool:
+            srv = InferenceServer(max_batch=4, max_wait_us=1_000)
+            entry = srv.register_model("m", model=clf, pool=pool)
+            with pytest.raises(ValueError, match="already registered"):
+                srv.register_model("m", model=clf, pool=pool)
+            assert pool.model_ids == [entry.engine.model_id]
+
+    def test_advertises_what_the_engine_runs_with(
+        self, trained, tmp_path, monkeypatch
+    ):
+        """A ``native-mt`` model whose tuner pinned ``threads=1`` must not
+        be advertised with the host core count."""
+        import json
+
+        from repro.engine import autotune_config
+        from repro.engine.native import default_thread_count, toolchain_available
+
+        if not toolchain_available():
+            pytest.skip("no C compiler on this host")
+        if default_thread_count() < 2:
+            pytest.skip("needs a >=2-core host to tell 1 from the core count")
+        clf, X, expected = trained
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        autotune_config(compile_netlist(clf.to_netlist()))
+        (record_path,) = tmp_path.glob("*.tune.json")
+        record = json.loads(record_path.read_text())
+        record.update(threads=1, unroll=4, opt_tier="fast")
+        record_path.write_text(json.dumps(record))
+
+        srv = InferenceServer.for_model(
+            clf, backend="native-mt", max_batch=64, max_wait_us=1_000
+        )
+        entry = srv.registry.resolve(None)
+        assert (entry.backend, entry.threads, entry.unroll) == ("native-mt", 1, 4)
+        assert entry.engine is clf.compiled_netlist("native-mt")
+        assert 'repro_serving_model_threads{model="default"} 1' in (
+            srv.render_metrics()
+        )
+        with BackgroundServer(srv) as handle:
+            with ServingClient(*handle.address, binary=True) as client:
+                np.testing.assert_array_equal(client.predict(X), expected)
+                (listed,) = client.list_models()["models"]
+        assert (listed["backend"], listed["threads"], listed["unroll"]) == (
+            "native-mt", 1, 4,
+        )
+
+    def test_backend_selection_reaches_the_engine(self, trained):
+        """``backend=`` is resolved by the engine layer, at registration."""
+        from repro.engine.native import toolchain_available
+
+        clf, X, expected = trained
+        srv = InferenceServer(max_batch=64, max_wait_us=1_000)
+        plain = srv.register_model("plain", model=clf)
+        assert plain.engine is clf.compiled_netlist("numpy")
+        assert (plain.backend, plain.threads, plain.unroll) == ("numpy", 1, 1)
+        auto = srv.register_model("auto", model=clf, backend="auto")
+        assert auto.backend == ("native" if toolchain_available() else "numpy")
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            srv.register_model("bad", model=clf, backend="fortran")
+        text = srv.render_metrics()
+        assert (
+            f'repro_serving_model_backend{{model="auto",backend="{auto.backend}"}} 1'
+            in text
+        )
+        with BackgroundServer(srv) as handle:
+            for binary in (False, True):
+                with ServingClient(*handle.address, binary=binary) as client:
+                    labels, scores = client.predict(
+                        X, model="auto", return_scores=True
+                    )
+                    np.testing.assert_array_equal(labels, expected)
+                    np.testing.assert_allclose(
+                        scores, clf.decision_scores_batch(X)
+                    )
 
 
 # --------------------------------------------------------------------- PR 6
@@ -743,14 +826,14 @@ class TestMixedProtocolPipelining:
         import asyncio
 
         from repro.engine import pack_bits
-        from repro.serving.binary_protocol import (
+        from repro.serving.transport import (
             _COMMON,
             _REPLY_HEAD,
             BINARY_MAGIC,
             _parse_reply,
             encode_predict_request,
         )
-        from repro.serving.protocol import read_message
+        from repro.serving.transport import read_message
 
         rng = as_rng(23)
         batches = {
@@ -795,7 +878,7 @@ class TestMixedProtocolPipelining:
                             )
                         )
                     else:
-                        from repro.serving.protocol import write_message
+                        from repro.serving.transport import write_message
 
                         await write_message(
                             writer,

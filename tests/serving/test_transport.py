@@ -1,11 +1,9 @@
 """The unified transport layer: one codec implementation, shared by all.
 
-The refactor's acceptance criterion is that every frame is parsed by
-exactly one implementation — these tests pin (a) the shim modules to the
-transport functions *by identity*, so a duplicate codec path cannot sneak
-back in unnoticed, (b) the shared error-type mapping both protocols and
-both directions use, and (c) the router-facing pieces: the client-side
-unified reply reader and the raw-frame request-id splice.
+Every frame is parsed by exactly one implementation — these tests pin
+(a) the client to the shared error-type table, (b) the error-type mapping
+both protocols and both directions use, and (c) the router-facing pieces:
+the client-side unified reply reader and the raw-frame request-id splice.
 """
 
 import asyncio
@@ -14,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine import pack_bits
-from repro.serving import binary_protocol, protocol, transport
+from repro.serving import transport
 from repro.serving.queue import (
     BadRequestError,
     ServerOverloadedError,
@@ -50,32 +48,6 @@ def _drive(*byte_chunks):
 
 
 class TestSingleImplementation:
-    """The shims re-export transport's objects — identical, not parallel."""
-
-    def test_json_shim_is_identity(self):
-        assert protocol.encode_message is transport.encode_message
-        assert protocol.read_message is transport.read_message
-        assert protocol.write_message is transport.write_message
-        assert protocol.recv_message is transport.recv_message
-        assert protocol.send_message is transport.send_message
-        assert protocol.ProtocolError is transport.ProtocolError
-        assert protocol.MAX_MESSAGE_BYTES == transport.MAX_MESSAGE_BYTES
-
-    def test_binary_shim_is_identity(self):
-        assert binary_protocol.read_frame is transport.read_frame
-        assert binary_protocol.recv_reply is transport.recv_reply
-        assert (
-            binary_protocol.encode_predict_request
-            is transport.encode_predict_request
-        )
-        assert binary_protocol.encode_reply is transport.encode_reply
-        assert binary_protocol.encode_error is transport.encode_error
-        assert (
-            binary_protocol.BinaryProtocolError
-            is transport.BinaryProtocolError
-        )
-        assert binary_protocol.ERROR_CODES is transport.ERROR_CODES
-
     def test_client_error_table_is_the_shared_one(self):
         from repro.serving import client
 
