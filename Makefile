@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-lifecycle bench-smoke bench-native bench-native-mt bench-serving serve-demo serve-stats serve-cluster check
+.PHONY: test test-lifecycle bench-smoke bench-native bench-native-mt bench-serving bench-perf bench-perf-trace serve-demo serve-stats serve-cluster check
 
 # Tier-1 verification: the full test suite (includes benchmarks/).
 test:
@@ -48,6 +48,16 @@ bench-native-mt:
 # throughput with a zero-loss replica-death drill (see docs/serving.md).
 bench-serving:
 	$(PYTEST) benchmarks/test_serving_latency.py benchmarks/test_wire_overhead.py benchmarks/test_router_throughput.py -q
+
+# The absolute, layered benchmark (benchmarks/perf/README.md): six workloads
+# from the raw kernel to open-loop serving, every number in absolute units,
+# every output checked.  Untraced = the end-to-end metrics the PR driver
+# compares; the traced pass adds the per-layer rows.  Not part of test/check.
+bench-perf:
+	python3 benchmarks/perf/run.py --seed 7 --label local
+
+bench-perf-trace:
+	python3 benchmarks/perf/run.py --seed 7 --label local --trace 1
 
 # End-to-end serving demo: train two PoET-BiN variants on the
 # synthetic-digits dataset, serve both from one server over a shared

@@ -5,6 +5,10 @@ bits, so a neuron's pre-activation is a function of ``P`` binary inputs and can
 be realised with ``q`` LUTs (one per output bit of the ``q``-bit quantised
 value).  The layer is retrained on the *predicted* RINC outputs so that its
 weights adapt to the RINC approximation errors, then quantised to ``q`` bits.
+
+The packed serving path takes that literally: each neuron's ``2**P`` possible
+pre-activations are tabulated once (:meth:`SparseQuantizedOutputLayer.score_table`)
+and inference is a table look-up, with no arithmetic per sample.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ from repro.nn.schedulers import ExponentialDecay
 from repro.nn.trainer import Trainer
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_binary_matrix, check_labels
+
+#: widest fan-in whose ``2**fan_in``-entry score table is built; beyond it
+#: (never the paper's ``P <= 8``) the packed read-out sums bit-sliced words
+MAX_TABLE_FAN_IN = 16
 
 
 def quantize_symmetric(values: np.ndarray, n_bits: int) -> np.ndarray:
@@ -83,7 +91,6 @@ class SparseQuantizedOutputLayer(BatchedPredictorMixin):
         self.biases_: Optional[np.ndarray] = None  # (n_classes,) quantised
         self.float_weights_: Optional[np.ndarray] = None
         self.float_biases_: Optional[np.ndarray] = None
-        self._integer_weights_cache_: Optional[tuple] = None
 
     @property
     def n_inputs(self) -> int:
@@ -132,7 +139,6 @@ class SparseQuantizedOutputLayer(BatchedPredictorMixin):
         self.float_biases_ = dense.params["b"].copy()
         self.weights_ = quantize_symmetric(self.float_weights_, self.n_bits)
         self.biases_ = quantize_symmetric(self.float_biases_, self.n_bits)
-        self._integer_weights_cache_ = None
         return self
 
     # -------------------------------------------------------------- predict
@@ -140,36 +146,80 @@ class SparseQuantizedOutputLayer(BatchedPredictorMixin):
         if self.weights_ is None or self.biases_ is None:
             raise RuntimeError("this output layer has not been fitted yet")
 
-    def _integer_weights(self) -> tuple:
-        """Quantised weights as ``(int_matrix, scale)``; exact by construction.
+    def __getstate__(self) -> dict:
+        """Pickle the parameters, never the derived read-out cache (nor the
+        cache attribute older versions of this class pickled)."""
+        state = self.__dict__.copy()
+        state.pop("_readout_cache_", None)
+        state.pop("_integer_weights_cache_", None)
+        return state
+
+    def _readout(self) -> tuple:
+        """``(int_weights, scale, table)`` of the packed read-out.
 
         Symmetric quantisation maps every weight to ``k * scale`` with
         integer ``k`` in ``[-(2**(q-1) - 1), 2**(q-1) - 1]`` and the largest
         magnitude hitting the extreme level exactly, so the scale is
         recoverable from the stored quantised weights alone — no extra
-        serialised state is needed for the packed path.
+        serialised state is needed for the packed path.  ``table[j, i]`` is
+        neuron ``j``'s score ``scale * (integer weighted sum of the bits of
+        i, LSB = the neuron's first input) + bias``; ``None`` when
+        ``fan_in > MAX_TABLE_FAN_IN``.
 
-        The result is cached: the packed serving path calls this once per
-        request, and for one-sample requests the recovery arithmetic would
-        otherwise rival the engine evaluation itself.  The cache is keyed
-        on the identity of ``weights_``, so both :meth:`fit` and direct
-        reassignment of the public attribute (the pattern benchmarks and
-        deserialisation use) invalidate it.
+        Cached on the *contents* of ``weights_``/``biases_``/``n_bits``
+        (the serving path asks once per batch; the key costs under a
+        microsecond), so refitting, reassigning either attribute and
+        writing into one in place all rebuild it.  Weights that are not
+        on the ``n_bits`` grid raise instead of being silently re-quantised
+        into scores :meth:`decision_scores` would not give.
         """
-        cached = self._integer_weights_cache_
-        if cached is None or cached[0] is not self.weights_:
-            levels = 2 ** (self.n_bits - 1) - 1
-            max_abs = (
-                float(np.max(np.abs(self.weights_))) if self.weights_.size else 0.0
+        weights = np.asarray(self.weights_, dtype=np.float64)
+        biases = np.asarray(self.biases_, dtype=np.float64)
+        key = (weights.tobytes(), biases.tobytes(), self.n_bits)
+        cached = getattr(self, "_readout_cache_", None)
+        if cached is not None and cached[0] == key:
+            return cached[1:]
+        if weights.shape != (self.n_classes, self.fan_in) or biases.shape != (
+            self.n_classes,
+        ):
+            raise ValueError(
+                f"weights_/biases_ must have shapes ({self.n_classes}, "
+                f"{self.fan_in}) and ({self.n_classes},), got {weights.shape} "
+                f"and {biases.shape}"
             )
-            if max_abs == 0.0:
-                ints, scale = np.zeros_like(self.weights_, dtype=np.int64), 1.0
-            else:
-                scale = max_abs / levels
-                ints = np.round(self.weights_ / scale).astype(np.int64)
-            cached = (self.weights_, ints, scale)
-            self._integer_weights_cache_ = cached
-        return cached[1], cached[2]
+        max_abs = float(np.max(np.abs(weights)))
+        if max_abs == 0.0:
+            ints, scale = np.zeros(weights.shape, dtype=np.int64), 1.0
+        else:
+            scale = max_abs / (2 ** (self.n_bits - 1) - 1)
+            ints = np.round(weights / scale).astype(np.int64)
+            if np.max(np.abs(ints * scale - weights)) > 1e-9 * max_abs:
+                raise ValueError(
+                    f"weights_ are not on the {self.n_bits}-bit symmetric "
+                    "grid the packed read-out serves; pass them through "
+                    "quantize_symmetric first"
+                )
+        table = None
+        if self.fan_in <= MAX_TABLE_FAN_IN:
+            index = np.arange(1 << self.fan_in)[:, None]
+            index_bits = (index >> np.arange(self.fan_in)) & 1
+            table = np.ascontiguousarray((scale * (index_bits @ ints.T) + biases).T)
+            table.setflags(write=False)  # shared with every caller
+        self._readout_cache_ = (key, ints, scale, table)
+        return ints, scale, table
+
+    def score_table(self) -> Optional[np.ndarray]:
+        """Every neuron as the look-up table it is: ``(n_classes,
+        2**fan_in)`` ``float64``, read-only.
+
+        Entry ``[j, i]`` is neuron ``j``'s decision score when its ``fan_in``
+        intermediate bits spell ``i`` LSB-first — what an engine's
+        ``run_scores`` and :func:`~repro.engine.bitpack.lookup_scores` index.
+        ``None`` for a layer with ``fan_in > MAX_TABLE_FAN_IN``, which has
+        no table; :meth:`scores_from_engine` serves either kind.
+        """
+        self._check_fitted()
+        return self._readout()[2]
 
     def decision_scores(self, intermediate_bits: np.ndarray) -> np.ndarray:
         """Quantised pre-activations of every output neuron."""
@@ -199,11 +249,11 @@ class SparseQuantizedOutputLayer(BatchedPredictorMixin):
         compiled RINC bank emits (one row per intermediate bit, samples on
         the bit axis) — exactly ``CompiledNetlist.run_packed``'s output, so
         serving never unpacks between the RINC bank and the read-out.  Each
-        neuron's quantised weights are integers times a common scale, so its
-        pre-activation is ``scale * (popcount-weighted sum) + bias``,
-        evaluated with bit-sliced word adders
-        (:func:`~repro.engine.bitpack.packed_weighted_sums`); only the few
-        count planes of the result are ever unpacked.
+        sample's ``P`` bits index the neuron's :meth:`score_table`
+        (:func:`~repro.engine.bitpack.lookup_scores`); a layer too wide for
+        a table (``fan_in > MAX_TABLE_FAN_IN``) evaluates the same
+        expression per sample with bit-sliced word adders
+        (:func:`~repro.engine.bitpack.packed_weighted_sums`).
 
         Matches :meth:`decision_scores` up to float summation order (the
         weighted sum is exact in integers; the single ``scale`` multiply can
@@ -220,9 +270,11 @@ class SparseQuantizedOutputLayer(BatchedPredictorMixin):
             raise ValueError(
                 f"cannot recover {n_samples} samples from {packed.shape[1]} words"
             )
-        from repro.engine.bitpack import packed_weighted_sums
+        from repro.engine.bitpack import lookup_scores, packed_weighted_sums
 
-        int_weights, scale = self._integer_weights()
+        int_weights, scale, table = self._readout()
+        if table is not None:
+            return lookup_scores(packed, n_samples, table)
         # one counter per output neuron, all rippling together
         sums = packed_weighted_sums(
             packed.reshape(self.n_classes, self.fan_in, packed.shape[1]),
@@ -230,6 +282,26 @@ class SparseQuantizedOutputLayer(BatchedPredictorMixin):
             n_samples,
         )
         return scale * sums + self.biases_
+
+    def scores_from_engine(
+        self, engine, packed_features: np.ndarray, n_samples: int
+    ) -> np.ndarray:
+        """Packed *feature* words to ``(n_samples, n_classes)`` scores on
+        ``engine``, the compiled RINC bank feeding this layer.
+
+        One :meth:`~repro.engine.compiled_netlist.PackedEngine.run_scores`
+        call — bank and table look-up together, fused into the kernel on
+        the native engines — and bit-identical to
+        :meth:`decision_scores_packed` on ``engine.run_packed``'s output,
+        which is what a layer too wide to tabulate gets instead.  Whether
+        the layer has a table is decided here and nowhere else.
+        """
+        table = self.score_table()
+        if table is None:
+            return self.decision_scores_packed(
+                engine.run_packed(packed_features), n_samples
+            )
+        return engine.run_scores(packed_features, n_samples, table)
 
     def predict_packed(self, packed_bits: np.ndarray, n_samples: int) -> np.ndarray:
         """Predicted labels from packed intermediate words (see above)."""

@@ -237,13 +237,14 @@ class PoETBiNClassifier:
         evaluated by the compiled netlist (this classifier's cached engine
         for ``engine_backend``, or the caller's ``engine`` — e.g. a
         pool-bound :class:`~repro.engine.parallel.ShardedEngine`), and its
-        packed outputs feed the output layer's popcount-based read-out
-        directly — nothing is unpacked between the RINC bank and the final
-        scores.  The intermediate bits are bit-identical to
+        packed outputs index the output layer's score table directly —
+        nothing is unpacked between the RINC bank and the final scores.
+        The intermediate bits are bit-identical to
         :meth:`predict_intermediate`; labels match :meth:`predict` except
         in the measure-zero case of two classes whose float scores tie
-        within rounding ulps (the packed read-out sums integers exactly,
-        the float reference accumulates per-weight rounding — see
+        within rounding ulps (a table entry is one multiply of an exact
+        integer sum, the float reference accumulates per-weight rounding —
+        see
         :meth:`~repro.core.output_layer.SparseQuantizedOutputLayer.decision_scores_packed`).
         """
         from repro.engine import pack_bits, predict_in_batches
@@ -252,10 +253,10 @@ class PoETBiNClassifier:
         X_features = check_binary_matrix(X_features, "X_features")
 
         def predict_chunk(chunk: np.ndarray) -> np.ndarray:
-            packed_intermediate = engine.run_packed(pack_bits(chunk))
-            return self.output_layer_.predict_packed(
-                packed_intermediate, chunk.shape[0]
+            scores = self.output_layer_.scores_from_engine(
+                engine, pack_bits(chunk), chunk.shape[0]
             )
+            return np.argmax(scores, axis=1)
 
         return predict_in_batches(predict_chunk, X_features, batch_size)
 
@@ -268,12 +269,14 @@ class PoETBiNClassifier:
     ) -> np.ndarray:
         """Per-class decision scores ``(n, nc)``, packed end to end.
 
-        The serving-layer entry point: one engine pass yields the scores via
-        :meth:`~repro.core.output_layer.SparseQuantizedOutputLayer.decision_scores_packed`,
-        and ``argmax`` over them reproduces :meth:`predict_batch` — so a
-        server can return labels *and* confidences from a single packed
-        evaluation instead of running the bank twice.  The server passes
-        the ``engine`` it resolved at registration.
+        The serving-layer entry point: one ``engine.run_scores`` call
+        yields the scores (bit-identical to
+        :meth:`~repro.core.output_layer.SparseQuantizedOutputLayer.decision_scores_packed`
+        on the bank's packed outputs), and ``argmax`` over them reproduces
+        :meth:`predict_batch` — so a server can return labels *and*
+        confidences from a single packed evaluation instead of running the
+        bank twice.  The server passes the ``engine`` it resolved at
+        registration.
         """
         self._check_fitted()
         from repro.engine import pack_bits, predict_in_batches
@@ -282,9 +285,8 @@ class PoETBiNClassifier:
         X_features = check_binary_matrix(X_features, "X_features")
 
         def scores_chunk(chunk: np.ndarray) -> np.ndarray:
-            packed_intermediate = engine.run_packed(pack_bits(chunk))
-            return self.output_layer_.decision_scores_packed(
-                packed_intermediate, chunk.shape[0]
+            return self.output_layer_.scores_from_engine(
+                engine, pack_bits(chunk), chunk.shape[0]
             )
 
         return predict_in_batches(scores_chunk, X_features, batch_size)
@@ -329,10 +331,7 @@ class PoETBiNClassifier:
                 f"{n_samples} samples need {expected_words}"
             )
         engine = self._engine(engine, engine_backend)
-        packed_intermediate = engine.run_packed(packed)
-        return self.output_layer_.decision_scores_packed(
-            packed_intermediate, n_samples
-        )
+        return self.output_layer_.scores_from_engine(engine, packed, n_samples)
 
     def score(self, X_features: np.ndarray, y: np.ndarray) -> float:
         """Multiclass accuracy."""

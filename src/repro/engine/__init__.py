@@ -51,9 +51,13 @@ Compiler
     backend *name* (``"numpy"``, ``"native"``, ``"native-mt"``, ``"auto"``)
     becomes an engine object, and every engine — NumPy, native, pool-bound —
     shares the :class:`~repro.engine.compiled_netlist.PackedEngine` surface
-    (``run_packed``, ``evaluate_outputs``/``predict_batch``,
-    ``n_primary_inputs``, ``n_outputs``, ``backend``, ``threads``,
-    ``unroll``, ``close``), so callers resolve once and carry the object.
+    (``run_packed``, ``run_scores``, ``evaluate_outputs``/
+    ``predict_batch``, ``n_primary_inputs``, ``n_outputs``, ``backend``,
+    ``threads``, ``unroll``, ``close``), so callers resolve once and carry
+    the object.  ``run_scores(packed, n_samples, table)`` is the bank plus
+    the table-lookup read-out in one call: ``run_packed`` +
+    :func:`~repro.engine.bitpack.lookup_scores` by default, fused into the
+    kernel by the native engine.
 
 ``native``
     The generated-C backend:
@@ -66,8 +70,10 @@ Compiler
     wraps it as a
     :class:`~repro.engine.native.NativeCompiledNetlist` with the exact
     ``run_packed``/``predict_batch`` surface — bit-exact vs NumPy and
-    an order of magnitude faster.  ``backend="auto"`` falls back to the
-    NumPy engine on hosts without a C compiler.
+    an order of magnitude faster — and a ``run_scores`` whose read-out is
+    an epilogue of the same generated unit (table entries copied for the
+    live lanes, no floating-point arithmetic in C).  ``backend="auto"``
+    falls back to the NumPy engine on hosts without a C compiler.
     ``backend="native-mt"`` is tier 2: the same statements are also
     instantiated against a K-lane GCC/Clang vector type (so the compiler
     autovectorises the mux cascades across words), ``run_packed`` shards
@@ -96,10 +102,12 @@ Runtime
 ``bitpack``
     Packs an ``(n_samples, n_signals)`` 0/1 matrix into an
     ``(n_signals, ceil(n/64))`` ``uint64`` matrix (samples along the bit
-    axis, little-endian) and back, plus
-    :func:`~repro.engine.bitpack.packed_weighted_sums` — per-sample integer
-    dot products computed with bit-sliced word adders (the popcount path
-    that keeps the quantised output layer packed end to end).
+    axis, little-endian) and back, plus the packed read-outs:
+    :func:`~repro.engine.bitpack.lookup_scores` — each sample's ``P``
+    planes index a per-neuron score table, the output neuron as the LUT the
+    paper makes it — and :func:`~repro.engine.bitpack.packed_weighted_sums`
+    — per-sample integer dot products with bit-sliced word adders, what a
+    layer too wide for a table (``fan_in > 16``) falls back to.
 
 ``batching``
     The shared ``predict_batch(X, batch_size=None)`` entry point.
@@ -124,7 +132,7 @@ Usage
 
 or simply ``classifier.predict_batch(X_bits)``, which compiles and caches
 the engine on first use — and keeps PoET-BiN serving packed from the
-feature bits through the RINC bank into the popcount read-out
+feature bits through the RINC bank into the table-lookup read-out
 (``engine_backend="native"`` picks the generated-C engine,
 ``engine=ShardedEngine(classifier.to_netlist(), pool=pool)`` a pool the
 caller made).
@@ -139,6 +147,7 @@ from repro.engine.batching import (
 from repro.engine.bitpack import (
     WORD_BITS,
     concat_packed,
+    lookup_scores,
     mask_padding,
     n_words,
     pack_bits,
@@ -204,6 +213,7 @@ __all__ = [
     "concat_packed",
     "compile_netlist",
     "default_passes",
+    "lookup_scores",
     "mask_padding",
     "n_words",
     "optimize_netlist",

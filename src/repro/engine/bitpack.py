@@ -25,8 +25,13 @@ WORD_BITS = 64
 #: (de)packing below is platform independent.
 _WORD_DTYPE = np.dtype("<u8")
 
-#: samples whose count planes :func:`packed_weighted_sums` unpacks at once
+#: samples whose planes :func:`lookup_scores` and
+#: :func:`packed_weighted_sums` unpack at once (cache-sized, word-aligned)
 _COUNT_BLOCK = 64 * WORD_BITS
+
+#: sample rows :func:`pack_bits` transposes at once; a multiple of 8 so each
+#: block lands on a byte boundary of the packed planes
+_PACK_BLOCK = 1024
 
 
 def n_words(n_samples: int) -> int:
@@ -58,13 +63,101 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     arr = arr.astype(np.uint8, copy=False)
     samples, signals = arr.shape
     words = n_words(samples)
-    # packbits is much faster along a contiguous axis, so pay for one byte
-    # transpose copy up front and pack each signal's samples contiguously.
-    transposed = np.ascontiguousarray(arr.T)
-    packed_bytes = np.packbits(transposed, axis=1, bitorder="little")
     padded = np.zeros((signals, words * (WORD_BITS // 8)), dtype=np.uint8)
-    padded[:, : packed_bytes.shape[1]] = packed_bytes
+    # packbits is much faster along a contiguous axis, so each signal's
+    # samples are transposed contiguous first — a block of rows at a time:
+    # one whole-matrix byte transpose strides past the cache and costs 4x
+    # more per sample beyond a few hundred rows.
+    for lo in range(0, samples, _PACK_BLOCK):
+        block = np.ascontiguousarray(arr[lo : lo + _PACK_BLOCK].T)
+        packed_bytes = np.packbits(block, axis=1, bitorder="little")
+        padded[:, lo // 8 : lo // 8 + packed_bytes.shape[1]] = packed_bytes
     return padded.view(_WORD_DTYPE).astype(np.uint64, copy=False)
+
+
+def _plane_bytes(planes: np.ndarray) -> np.ndarray:
+    """``(n_signals, n_words)`` words as ``(n_signals, 8 * n_words)`` bytes,
+    sample ``s`` at bit ``s % 8`` of byte ``s // 8`` on every platform."""
+    as_bytes = np.ascontiguousarray(planes.astype(_WORD_DTYPE, copy=False))
+    signals, words = planes.shape
+    return as_bytes.view(np.uint8).reshape(signals, words * (WORD_BITS // 8))
+
+
+def check_score_table(
+    table: np.ndarray, n_planes: int, words: int, n_samples: int
+) -> int:
+    """Validate a read-out ``table`` against the planes it indexes; returns
+    the fan-in ``p``.
+
+    ``table`` must be a C-contiguous ``float64`` array of shape
+    ``(n_planes // p, 2**p)`` and ``n_samples`` must fit in ``words``
+    packed words — the checks every ``run_scores`` makes before reading a plane
+    (or handing a pointer to C).
+    """
+    if not isinstance(table, np.ndarray) or table.dtype != np.float64:
+        raise ValueError("table must be a float64 array")
+    if table.ndim != 2 or not table.flags.c_contiguous:
+        raise ValueError(
+            f"table must be a C-contiguous 2-D array, got shape {table.shape}"
+        )
+    n_groups, size = table.shape
+    p = size.bit_length() - 1
+    if p < 1 or size != 1 << p or n_groups * p != n_planes:
+        raise ValueError(
+            f"table must have shape (n_planes // p, 2**p) for {n_planes} "
+            f"planes, got {table.shape}"
+        )
+    if n_samples < 0 or n_samples > words * WORD_BITS:
+        raise ValueError(f"cannot recover {n_samples} samples from {words} words")
+    return p
+
+
+def lookup_scores(planes: np.ndarray, n_samples: int, table: np.ndarray) -> np.ndarray:
+    """Per-sample table look-up straight from packed planes.
+
+    Planes ``g*p .. g*p + p - 1`` are, LSB first, the bits of sample ``s``'s
+    index into ``table[g]`` — the software form of the paper's output
+    neuron, a function of ``p`` intermediate bits realised as a LUT.  No
+    arithmetic happens here: the result holds the table's own entries.
+
+    Parameters
+    ----------
+    planes:
+        ``uint64`` array of shape ``(n_groups * p, n_words)`` as produced
+        by :func:`pack_bits`.  Padding bits may hold garbage; only the
+        first ``n_samples`` lanes are read.
+    n_samples:
+        Number of samples to recover.
+    table:
+        C-contiguous ``float64`` array of shape ``(n_groups, 2**p)``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``float64`` array of shape ``(n_samples, n_groups)``.
+    """
+    planes = np.asarray(planes, dtype=np.uint64)
+    if planes.ndim != 2:
+        raise ValueError(f"planes must be 2-D, got shape {planes.shape}")
+    p = check_score_table(table, planes.shape[0], planes.shape[1], n_samples)
+    n_groups, size = table.shape
+    scores = np.empty((n_samples, n_groups), dtype=np.float64)
+    as_bytes = _plane_bytes(planes)
+    index_dtype = np.min_scalar_type(size - 1)
+    shifts = np.arange(p, dtype=index_dtype).reshape(1, p, 1)
+    # a block at a time, so transient memory does not grow with the batch
+    for lo in range(0, n_samples, _COUNT_BLOCK):
+        hi = min(lo + _COUNT_BLOCK, n_samples)
+        # plane-wise expansion: each plane's samples stay contiguous
+        bits = np.unpackbits(
+            as_bytes[:, lo // 8 : (hi + 7) // 8],
+            axis=1,
+            count=hi - lo,
+            bitorder="little",
+        ).reshape(n_groups, p, hi - lo)
+        index = np.bitwise_or.reduce(bits << shifts, axis=1)
+        scores[lo:hi] = np.take_along_axis(table, index.astype(np.intp), axis=1).T
+    return scores
 
 
 def packed_weighted_sums(
@@ -83,6 +176,10 @@ def packed_weighted_sums(
     own signals and weights) whose counters ripple in lock-step, so the
     number of NumPy calls — what a one-word serving batch pays for — does
     not grow with the number of neurons.
+
+    The output layer uses this only when its fan-in is too wide to tabulate
+    (see :func:`lookup_scores` for the table form every paper-shaped layer
+    takes).
 
     Parameters
     ----------
@@ -291,8 +388,7 @@ def unpack_bits(packed: np.ndarray, n_samples: int) -> np.ndarray:
             f"packed data holds {words * WORD_BITS} bits per signal, "
             f"cannot recover {n_samples} samples"
         )
-    as_bytes = np.ascontiguousarray(arr.astype(_WORD_DTYPE, copy=False)).view(np.uint8)
-    as_bytes = as_bytes.reshape(signals, words * (WORD_BITS // 8))
+    as_bytes = _plane_bytes(arr)
     # Transpose the byte matrix first so the expansion to bits lands directly
     # in (samples, signals) layout instead of needing a bit-matrix transpose.
     unpacked = np.unpackbits(

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.netlist import LUTNetlist, primary_input_index
-from repro.engine.bitpack import pack_bits, unpack_bits
+from repro.engine.bitpack import lookup_scores, pack_bits, unpack_bits
 from repro.engine.passes import MUX_TABLE, optimize_netlist
 from repro.utils.validation import check_binary_matrix
 
@@ -83,6 +83,8 @@ class PackedEngine:
     Subclasses provide ``run_packed``, ``n_primary_inputs`` and
     ``n_outputs``; callers (the classifiers' batch methods, the serving
     layer) hold an engine as an object and need nothing else.
+    :meth:`run_scores` is derived from ``run_packed``; an engine that can
+    fuse the read-out into its kernel overrides it.
     """
 
     #: the evaluator behind ``run_packed`` — ``"numpy"``, ``"native"`` or
@@ -107,6 +109,21 @@ class PackedEngine:
     def predict_batch(self, X_bits: np.ndarray) -> np.ndarray:
         """Alias of :meth:`evaluate_outputs` (the shared batched entry point)."""
         return self.evaluate_outputs(X_bits)
+
+    def run_scores(
+        self, packed_inputs: np.ndarray, n_samples: int, table: np.ndarray
+    ) -> np.ndarray:
+        """Packed inputs to table-looked-up scores, ``(n_samples, n_groups)``
+        ``float64``.
+
+        ``table`` is ``(n_groups, 2**p)`` with ``n_groups * p == n_outputs``:
+        outputs ``g*p .. g*p + p - 1`` are, LSB first, each sample's index
+        into ``table[g]`` (see :func:`~repro.engine.bitpack.lookup_scores`)
+        — a LUT-netlist whose last layer is a table of numbers, which is
+        what PoET-BiN's output neurons are.  Only the first ``n_samples``
+        lanes are read, so padding bits may hold anything.
+        """
+        return lookup_scores(self.run_packed(packed_inputs), n_samples, table)
 
     def close(self) -> None:
         """Release what the engine holds outside this object (idempotent);

@@ -20,10 +20,18 @@ of straight-line word statements:
   per-word driver: one ``W s[n_slots]`` stack array holds the whole live
   state, so the working set is L1-resident instead of a word-matrix walk
   through L2;
-* the exported entry points are ``run(in, out, n_words)`` and its
-  range-restricted sibling ``run_range(in, out, lo, hi, n_words)`` — the
-  latter writes only word columns ``[lo, hi)`` of the full-stride planes,
-  which is what makes in-process word sharding possible.
+* the exported entry points are ``run_range(in, out, lo, hi, n_words)``,
+  which writes only word columns ``[lo, hi)`` of the full-stride planes —
+  what makes in-process word sharding possible — and
+  ``run_scores_range(in, table, scores, lo, hi, n_words, n_samples,
+  n_groups, p)``, the same word program followed by a read-out epilogue:
+  each word's outputs stay in a stack-local block and, for the live lanes
+  only, output bits ``g*p .. g*p+p-1`` index ``table[g]`` and the entry is
+  copied to ``scores[sample][g]``.  The epilogue is generic in
+  ``(n_groups, p)``, so the unit is keyed by the netlist alone (retraining
+  a read-out never recompiles), and it does no floating-point arithmetic —
+  scores are moved as 64-bit patterns, so bit-exactness cannot depend on
+  compiler flags.
 
 Tier 2: SIMD width and in-process threads
 =========================================
@@ -95,6 +103,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.bitpack import check_score_table, n_words
 from repro.engine.compiled_netlist import (
     CompiledNetlist,
     PackedEngine,
@@ -161,10 +170,12 @@ _UNSET = object()
 _compiler_cache: object = _UNSET
 _compiler_lock = threading.Lock()
 
-#: digest -> loaded (CDLL, run, run_range) so every instance of the same
-#: program in one process shares a single dlopen handle
+#: digest -> loaded (CDLL, run_range, run_scores_range) so every instance
+#: of the same program in one process shares a single dlopen handle
 _loaded_libs: Dict[str, Tuple[ctypes.CDLL, object, object]] = {}
 _loaded_lock = threading.Lock()
+
+_WORD_PTR = ctypes.POINTER(ctypes.c_uint64)
 
 #: the process-wide executor shard calls run on; daemon threads, created
 #: lazily, shared by every engine so N models never stack N thread pools
@@ -336,6 +347,51 @@ def _node_statements(program: CompiledNetlist) -> List[str]:
     return lines
 
 
+#: the read-out epilogue of ``run_scores_range``: ``out`` is a block of ``k``
+#: words per output plane.  Eight samples at a time: ``spread8`` puts bit
+#: ``i`` of a plane byte into byte ``i`` of a word, so OR-ing the ``p``
+#: spread planes, each shifted by its bit position, builds eight indices at
+#: once (bits 8..15 of a wide index in a second word).  ``uint64_t``
+#: throughout — table entries are moved, never interpreted as numbers, so
+#: no compiler flag can change a score
+_SCORES_EPILOGUE = """\
+static inline uint64_t spread8(uint64_t byte) {
+uint64_t x = (byte * 0x0101010101010101ULL) & 0x8040201008040201ULL;
+return ((x + 0x7F7F7F7F7F7F7F7FULL) >> 7) & 0x0101010101010101ULL;
+}
+
+static void copy_scores(const uint64_t* restrict out, size_t k, size_t w,
+ const uint64_t* restrict table, uint64_t* restrict scores,
+ size_t n_samples, size_t n_groups, size_t p) {
+for (size_t j = 0; j < k; ++j) {
+size_t first = (w + j) * 64;
+if (first >= n_samples) return;
+size_t lanes = n_samples - first < 64 ? n_samples - first : 64;
+for (size_t g = 0; g < n_groups; ++g) {
+const uint64_t* plane = out + g * p * k + j;
+const uint64_t* row = table + (g << p);
+uint64_t* dst = scores + first * n_groups + g;
+for (size_t s = 0; s < lanes; s += 8) {
+uint64_t lo = 0, hi = 0;
+for (size_t b = 0; b < p && b < 8; ++b)
+ lo |= spread8((plane[b * k] >> s) & 255) << b;
+for (size_t b = 8; b < p; ++b)
+ hi |= spread8((plane[b * k] >> s) & 255) << (b - 8);
+size_t live = lanes - s < 8 ? lanes - s : 8;
+for (size_t t = 0; t < live; ++t)
+ dst[(s + t) * n_groups] =
+  row[((lo >> (8 * t)) & 255) | (((hi >> (8 * t)) & 255) << 8)];
+}
+}
+}
+}
+"""
+
+
+#: widest fan-in ``copy_scores`` indexes: two spread bytes per lane
+_MAX_FUSED_FAN_IN = 16
+
+
 def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
     """The C translation unit evaluating ``program``, ready to compile.
 
@@ -343,12 +399,13 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
     shared-object cache: the parent process and every forked worker
     regenerate the same bytes and share one build.
 
-    ``unroll=1`` emits only the scalar (``uint64_t``) instantiation —
-    PR-8's program plus the ``run_range`` export.  ``unroll=K`` (K > 1)
-    additionally instantiates the same statement stream against a K-lane
-    GCC/Clang vector type; ``run_range`` runs the vector body over the
-    K-aligned span of the range and the scalar body over the tail, so the
-    result is bit-exact for every word count.
+    ``unroll=1`` emits only the scalar (``uint64_t``) instantiation.
+    ``unroll=K`` (K > 1) additionally instantiates the same statement
+    stream against a K-lane GCC/Clang vector type; both exports
+    (``run_range`` and the fused read-out ``run_scores_range``, see the
+    module docstring) run the vector body over the K-aligned span of the
+    range and the scalar body over the tail, so the result is bit-exact
+    for every word count.
     """
     if unroll < 1:
         raise ValueError("unroll must be >= 1")
@@ -414,8 +471,29 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
     parts.append("for (; w < hi; ++w) run_word_w1(in, out, w, n_words);")
     parts.append("}")
     parts.append("")
-    parts.append("void run(const uint64_t* in, uint64_t* out, size_t n_words) {")
-    parts.append("run_range(in, out, 0, n_words, n_words);")
+    parts.append(_SCORES_EPILOGUE)
+    parts.append(
+        "void run_scores_range(const uint64_t* in, const uint64_t* table,"
+        " uint64_t* scores, size_t lo, size_t hi, size_t n_words,"
+        " size_t n_samples, size_t n_groups, size_t p) {"
+    )
+    parts.append(f"uint64_t bin[{max(program.n_primary_inputs, 1) * unroll}];")
+    parts.append(f"uint64_t bout[{max(program.n_outputs, 1) * unroll}];")
+    parts.append("size_t w = lo;")
+    for k in reversed(widths):
+        # k-word blocks: gather the inputs compactly so the word program's
+        # outputs land in the compact stack block too (one shared stride)
+        parts.append(f"for (; w + {k} <= hi; w += {k}) {{")
+        parts.append(
+            f"for (size_t i = 0; i < {program.n_primary_inputs}; ++i)"
+            f" for (size_t j = 0; j < {k}; ++j)"
+            f" bin[i * {k} + j] = in[i * n_words + w + j];"
+        )
+        parts.append(f"run_word_w{k}(bin, bout, 0, {k});")
+        parts.append(
+            f"copy_scores(bout, {k}, w, table, scores, n_samples, n_groups, p);"
+        )
+        parts.append("}")
     parts.append("}")
     return "\n".join(parts) + "\n"
 
@@ -523,20 +601,13 @@ def _load_entry_points(digest: str, so_path: str):
         cached = _loaded_libs.get(digest)
         if cached is None:
             lib = ctypes.CDLL(so_path)
-            word_ptr = ctypes.POINTER(ctypes.c_uint64)
-            run = lib.run
-            run.argtypes = [word_ptr, word_ptr, ctypes.c_size_t]
-            run.restype = None
             run_range = lib.run_range
-            run_range.argtypes = [
-                word_ptr,
-                word_ptr,
-                ctypes.c_size_t,
-                ctypes.c_size_t,
-                ctypes.c_size_t,
-            ]
+            run_range.argtypes = [_WORD_PTR, _WORD_PTR] + [ctypes.c_size_t] * 3
             run_range.restype = None
-            cached = (lib, run, run_range)
+            run_scores_range = lib.run_scores_range
+            run_scores_range.argtypes = [_WORD_PTR] * 3 + [ctypes.c_size_t] * 6
+            run_scores_range.restype = None
+            cached = (lib, run_range, run_scores_range)
             _loaded_libs[digest] = cached
         return cached[1], cached[2]
 
@@ -765,7 +836,7 @@ class NativeCompiledNetlist(PackedEngine):
         self.digest, self.shared_object = build_shared_object(
             self.c_source, cache_dir=self._cache_dir, opt_tier=opt_tier
         )
-        self._run, self._run_range = _load_entry_points(
+        self._run_range, self._run_scores_range = _load_entry_points(
             self.digest, self.shared_object
         )
 
@@ -838,16 +909,7 @@ class NativeCompiledNetlist(PackedEngine):
         )
 
     # ---------------------------------------------------------- evaluation
-    def run_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Evaluate on packed inputs; returns packed output words.
-
-        Same contract as :meth:`CompiledNetlist.run_packed`: input shape
-        ``(n_primary_inputs, n_words)``, bits past the last sample
-        unspecified in the result.  With ``threads > 1`` the word axis is
-        split into contiguous shards evaluated concurrently — the shards
-        write disjoint ``[lo, hi)`` column ranges of the same output
-        planes, so the result is bit-identical to the serial call.
-        """
+    def _check_inputs(self, packed_inputs: np.ndarray) -> np.ndarray:
         packed_inputs = np.ascontiguousarray(packed_inputs, dtype=np.uint64)
         if (
             packed_inputs.ndim != 2
@@ -857,23 +919,23 @@ class NativeCompiledNetlist(PackedEngine):
                 f"packed_inputs must have shape ({self.n_primary_inputs}, "
                 f"n_words), got {packed_inputs.shape}"
             )
-        words = packed_inputs.shape[1]
-        out = np.empty((self.n_outputs, words), dtype=np.uint64)
-        if not words:
-            return out
-        word_ptr = ctypes.POINTER(ctypes.c_uint64)
-        in_ptr = packed_inputs.ctypes.data_as(word_ptr)
-        out_ptr = out.ctypes.data_as(word_ptr)
+        return packed_inputs
+
+    def _sharded(self, words: int, call) -> None:
+        """``call(lo, hi)`` over the word range ``[0, words)``: whole on the
+        calling thread, or — with ``threads > 1`` and at least
+        ``min_words_per_thread`` words per shard — as contiguous shards run
+        concurrently on the shared executor."""
         n_shards = 1
         if self.threads > 1:
             n_shards = min(self.threads, words // self.min_words_per_thread)
         if n_shards <= 1:
-            self._run(in_ptr, out_ptr, words)
-            return out
+            call(0, words)
+            return
         executor = _shared_executor()
         edges = [(i * words) // n_shards for i in range(n_shards + 1)]
         futures = [
-            executor.submit(self._run_range, in_ptr, out_ptr, lo, hi, words)
+            executor.submit(call, lo, hi)
             for lo, hi in zip(edges, edges[1:])
             if hi > lo
         ]
@@ -886,4 +948,59 @@ class NativeCompiledNetlist(PackedEngine):
                     first_error = error
         if first_error is not None:
             raise first_error
+
+    def run_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
+        """Evaluate on packed inputs; returns packed output words.
+
+        Same contract as :meth:`CompiledNetlist.run_packed`: input shape
+        ``(n_primary_inputs, n_words)``, bits past the last sample
+        unspecified in the result.  With ``threads > 1`` the word axis is
+        split into contiguous shards evaluated concurrently — the shards
+        write disjoint ``[lo, hi)`` column ranges of the same output
+        planes, so the result is bit-identical to the serial call.
+        """
+        packed_inputs = self._check_inputs(packed_inputs)
+        words = packed_inputs.shape[1]
+        out = np.empty((self.n_outputs, words), dtype=np.uint64)
+        if not words:
+            return out
+        in_ptr = packed_inputs.ctypes.data_as(_WORD_PTR)
+        out_ptr = out.ctypes.data_as(_WORD_PTR)
+        self._sharded(
+            words, lambda lo, hi: self._run_range(in_ptr, out_ptr, lo, hi, words)
+        )
         return out
+
+    def run_scores(
+        self, packed_inputs: np.ndarray, n_samples: int, table: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`PackedEngine.run_scores` as one C call per shard.
+
+        The read-out runs as the epilogue of the word program
+        (``run_scores_range``): output planes never leave the C stack and
+        the GIL stays released from the feature words to the scores.  Each
+        shard writes the score rows of its own word range, by the same
+        split as :meth:`run_packed`.  Everything is validated here, before
+        any pointer reaches C; a table wider than the epilogue indexes
+        (``p > 16``) takes the base ``run_packed`` + look-up route.
+        """
+        packed_inputs = self._check_inputs(packed_inputs)
+        words = packed_inputs.shape[1]
+        n_samples = int(n_samples)
+        p = check_score_table(table, self.n_outputs, words, n_samples)
+        if p > _MAX_FUSED_FAN_IN:
+            return super().run_scores(packed_inputs, n_samples, table)
+        n_groups = table.shape[0]
+        scores = np.empty((n_samples, n_groups), dtype=np.float64)
+        if not n_samples:
+            return scores
+        in_ptr = packed_inputs.ctypes.data_as(_WORD_PTR)
+        table_ptr = table.ctypes.data_as(_WORD_PTR)
+        scores_ptr = scores.ctypes.data_as(_WORD_PTR)
+        self._sharded(
+            n_words(n_samples),  # words past the last sample score nothing
+            lambda lo, hi: self._run_scores_range(
+                in_ptr, table_ptr, scores_ptr, lo, hi, words, n_samples, n_groups, p
+            ),
+        )
+        return scores

@@ -28,10 +28,10 @@ adds more, each evaluating either a *labels* function or a *scores*
 function (per-class decision scores, labels derived by ``argmax``).
 :meth:`InferenceServer.for_model` picks the best entry point a model
 offers — for :class:`~repro.core.poetbin.PoETBiNClassifier` that is
-``decision_scores_batch``, the path that serves straight from
-``decision_scores_packed`` without unpacking between the RINC bank and the
-read-out.  Registration resolves the model's *engine* once — built for
-``backend=``, or attached to a shared
+``decision_scores_batch``, the path that serves straight from the
+engine's ``run_scores`` — RINC bank and table-lookup read-out in one call,
+nothing unpacked in between.  Registration resolves the model's *engine*
+once — built for ``backend=``, or attached to a shared
 :class:`~repro.engine.parallel.WorkerPool` with ``pool=`` so every hosted
 model's big batches fan out over one set of worker processes — and the
 registration owns that engine: it serves from it, advertises its

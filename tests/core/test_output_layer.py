@@ -106,7 +106,7 @@ class TestSparseOutputLayer:
 
 
 class TestPackedReadout:
-    """The popcount-based packed scorer vs the float reference path."""
+    """The table-lookup packed scorer vs the float reference path."""
 
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -136,12 +136,12 @@ class TestPackedReadout:
             layer.predict_packed(packed, bits.shape[0]), layer.predict(bits)
         )
 
-    @pytest.mark.parametrize("n_samples", [0, 1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n_samples", [0, 1, 63, 64, 65, 200, 5000])
     def test_ragged_batches(self, fitted, n_samples):
         from repro.engine import pack_bits
 
         layer, bits, _y = fitted
-        chunk = bits[:n_samples]
+        chunk = np.resize(bits, (n_samples, bits.shape[1]))  # 5000 spans blocks
         packed = pack_bits(chunk)
         scores = layer.decision_scores_packed(packed, n_samples)
         assert scores.shape == (n_samples, 4)
@@ -152,9 +152,116 @@ class TestPackedReadout:
 
     def test_integer_weights_round_trip(self, fitted):
         layer, _bits, _y = fitted
-        ints, scale = layer._integer_weights()
+        ints, scale, _table = layer._readout()
         np.testing.assert_allclose(ints * scale, layer.weights_, rtol=1e-9)
         assert np.abs(ints).max() <= 2 ** (layer.n_bits - 1) - 1
+
+    def test_score_table_is_the_neuron_as_a_lut(self, fitted):
+        """Entry ``[j, i]`` is neuron ``j``'s score on the bits of ``i``,
+        LSB = the neuron's first input."""
+        layer, _bits, _y = fitted
+        table = layer.score_table()
+        assert table.shape == (4, 2**5) and table.dtype == np.float64
+        assert table.flags.c_contiguous and not table.flags.writeable
+        index_bits = (np.arange(2**5)[:, None] >> np.arange(5)) & 1
+        for neuron in range(4):
+            np.testing.assert_allclose(
+                table[neuron],
+                index_bits @ layer.weights_[neuron] + layer.biases_[neuron],
+                rtol=1e-9,
+                atol=1e-12,
+            )
+        assert layer.score_table() is table  # built once, then cached
+
+    def test_garbage_padding_is_ignored(self, fitted):
+        from repro.engine import pack_bits
+
+        layer, bits, _y = fitted
+        packed = pack_bits(bits[:70])
+        poisoned = packed.copy()
+        poisoned[:, -1] |= ~np.uint64(0) << np.uint64(6)
+        np.testing.assert_array_equal(
+            layer.decision_scores_packed(poisoned, 70),
+            layer.decision_scores_packed(packed, 70),
+        )
+
+    def test_in_place_weight_edit_reaches_the_packed_path(self):
+        """The read-out cache is keyed on contents: writing into
+        ``weights_`` (same array object) or replacing ``biases_`` must
+        change the packed scores exactly as it changes the reference."""
+        from repro.engine import pack_bits
+
+        layer = SparseQuantizedOutputLayer(n_classes=2, fan_in=2, n_bits=3)
+        layer.weights_ = np.array([[3.0, 1.0], [2.0, -3.0]])
+        layer.biases_ = np.array([0.5, -0.5])
+        bits = np.array([[1, 0, 1, 1], [1, 1, 0, 1]], dtype=np.uint8)
+        packed = pack_bits(bits)
+        np.testing.assert_allclose(
+            layer.decision_scores_packed(packed, 2), layer.decision_scores(bits)
+        )
+        layer.weights_[0, 0] = -1.0
+        np.testing.assert_allclose(
+            layer.decision_scores_packed(packed, 2), layer.decision_scores(bits)
+        )
+        layer.biases_ = np.array([7.0, 8.0])
+        np.testing.assert_allclose(
+            layer.decision_scores_packed(packed, 2), layer.decision_scores(bits)
+        )
+        layer.biases_[1] = -2.0
+        np.testing.assert_allclose(
+            layer.decision_scores_packed(packed, 2), layer.decision_scores(bits)
+        )
+
+    def test_off_grid_weights_are_rejected_not_requantised(self):
+        from repro.engine import pack_bits
+
+        layer = SparseQuantizedOutputLayer(n_classes=2, fan_in=2)
+        layer.weights_ = np.array([[1.0, 0.5], [0.25, 1.0]])  # 0.5 * 127 = 63.5
+        layer.biases_ = np.zeros(2)
+        packed = pack_bits(np.ones((1, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="quantize_symmetric"):
+            layer.decision_scores_packed(packed, 1)
+        with pytest.raises(ValueError, match="quantize_symmetric"):
+            layer.score_table()
+        layer.weights_ = quantize_symmetric(layer.weights_, layer.n_bits)
+        np.testing.assert_allclose(
+            layer.decision_scores_packed(packed, 1),
+            layer.decision_scores(np.ones((1, 4), dtype=np.uint8)),
+        )
+
+    def test_misshapen_parameters_rejected(self):
+        layer = SparseQuantizedOutputLayer(n_classes=2, fan_in=2)
+        layer.weights_ = np.ones((2, 3))
+        layer.biases_ = np.zeros(2)
+        with pytest.raises(ValueError, match="shapes"):
+            layer.score_table()
+
+    def test_wide_fan_in_has_no_table_and_sums_words(self):
+        """``fan_in > 16``: ``2**fan_in`` entries per neuron is no longer a
+        table worth building; the bit-sliced adders serve it."""
+        from repro.engine import pack_bits
+
+        rng = np.random.default_rng(5)
+        layer = SparseQuantizedOutputLayer(n_classes=2, fan_in=17)
+        layer.weights_ = quantize_symmetric(rng.normal(size=(2, 17)), 8)
+        layer.biases_ = quantize_symmetric(rng.normal(size=2), 8)
+        assert layer.score_table() is None
+        bits = rng.integers(0, 2, size=(150, 34), dtype=np.uint8)
+        np.testing.assert_allclose(
+            layer.decision_scores_packed(pack_bits(bits), 150),
+            layer.decision_scores(bits),
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+    def test_pickle_drops_the_cache(self, fitted):
+        import pickle
+
+        layer, bits, _y = fitted
+        layer.score_table()
+        clone = pickle.loads(pickle.dumps(layer))
+        assert "_readout_cache_" not in clone.__dict__
+        np.testing.assert_array_equal(clone.score_table(), layer.score_table())
 
     def test_all_zero_weights_are_safe(self):
         layer = SparseQuantizedOutputLayer(n_classes=2, fan_in=2)

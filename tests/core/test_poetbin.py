@@ -1,5 +1,8 @@
 """Tests for the complete PoET-BiN classifier."""
 
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,107 @@ class TestServingEntryPoints:
         clf = PoETBiNClassifier(n_classes=3, n_inputs=4)
         with pytest.raises(RuntimeError):
             clf.decision_scores_batch(np.zeros((2, 16), dtype=np.uint8))
+
+
+class TestScoringGoesThroughRunScores:
+    """Features -> scores is one ``engine.run_scores`` call per chunk; a
+    read-out too wide for a table falls back to ``run_packed`` + adders."""
+
+    class _Spy:
+        def __init__(self, engine):
+            self.engine, self.calls = engine, []
+
+        def run_scores(self, *args):
+            self.calls.append("run_scores")
+            return self.engine.run_scores(*args)
+
+        def run_packed(self, *args):
+            self.calls.append("run_packed")
+            return self.engine.run_packed(*args)
+
+    def test_three_scoring_methods_make_one_call_each(self, trained_poetbin):
+        from repro.engine import pack_bits
+
+        clf, X, _targets, _y = trained_poetbin
+        spy = self._Spy(clf.compiled_netlist())
+        batch = X[:100]
+        labels = clf.predict_batch(batch, engine=spy)
+        scores = clf.decision_scores_batch(batch, engine=spy)
+        packed_scores = clf.decision_scores_packed_batch(
+            pack_bits(batch), 100, engine=spy
+        )
+        assert spy.calls == ["run_scores"] * 3
+        np.testing.assert_array_equal(scores, packed_scores)
+        np.testing.assert_array_equal(labels, np.argmax(scores, axis=1))
+        np.testing.assert_array_equal(
+            scores,
+            clf.output_layer_.decision_scores_packed(
+                clf.compiled_netlist().run_packed(pack_bits(batch)), 100
+            ),
+        )
+        spy.calls.clear()
+        clf.decision_scores_batch(batch, batch_size=30, engine=spy)
+        assert spy.calls == ["run_scores"] * 4
+
+    def test_wide_read_out_keeps_the_adder_route(self):
+        rng = as_rng(2)
+        n_features, per_class = 24, 17
+        X = (rng.random((200, n_features)) < 0.5).astype(np.uint8)
+        targets = X[:, rng.integers(0, n_features, size=2 * per_class)]
+        y = (targets[:, :per_class].sum(1) < targets[:, per_class:].sum(1)).astype(int)
+        clf = PoETBiNClassifier(
+            n_classes=2, n_inputs=2, n_levels=1, intermediate_per_class=per_class,
+            output_epochs=2, seed=0,
+        ).fit(X, targets, y)
+        assert clf.output_layer_.score_table() is None
+        spy = self._Spy(clf.compiled_netlist())
+        scores = clf.decision_scores_batch(X, engine=spy)
+        assert spy.calls == ["run_packed"]
+        np.testing.assert_allclose(
+            scores,
+            clf.output_layer_.decision_scores(clf.predict_intermediate(X)),
+            rtol=1e-9,
+            atol=1e-9,
+        )
+        np.testing.assert_array_equal(clf.predict_batch(X), np.argmax(scores, axis=1))
+
+
+class TestParentPickleCompatibility:
+    """``data/poetbin_pr14.pkl`` was written by the commit before the
+    table read-out: its output layer carries ``_integer_weights_cache_``
+    and no table, its classifier a compiled NumPy engine, and ``scores``
+    are that commit's ``decision_scores_batch(X)``."""
+
+    @pytest.fixture()
+    def saved(self):
+        path = Path(__file__).parent / "data" / "poetbin_pr14.pkl"
+        with open(path, "rb") as handle:
+            return pickle.load(handle)  # written by this repository's own code
+
+    def test_unpickles_serves_and_repickles(self, saved):
+        clf, X, scores = saved["clf"], saved["X"], saved["scores"]
+        layer_state = clf.output_layer_.__dict__
+        assert "_integer_weights_cache_" in layer_state
+        assert "_readout_cache_" not in layer_state
+        # the very doubles the parent served, on the engine it pickled...
+        np.testing.assert_array_equal(clf.decision_scores_batch(X), scores)
+        np.testing.assert_array_equal(clf.predict_batch(X), np.argmax(scores, axis=1))
+        # ...and the pickle of a classifier that has served holds neither cache
+        clone = pickle.loads(pickle.dumps(clf))
+        clone_state = clone.output_layer_.__dict__
+        assert "_integer_weights_cache_" not in clone_state
+        assert "_readout_cache_" not in clone_state
+        np.testing.assert_array_equal(clone.decision_scores_batch(X), scores)
+
+    def test_serves_the_same_scores_natively(self, saved):
+        from repro.engine.native import toolchain_available
+
+        if not toolchain_available():
+            pytest.skip("no C compiler on this host")
+        clf, X, scores = saved["clf"], saved["X"], saved["scores"]
+        np.testing.assert_array_equal(
+            clf.decision_scores_batch(X, engine_backend="native"), scores
+        )
 
 
 class TestOnGeneratedMulticlassTask:

@@ -81,6 +81,30 @@ class TestRoundTrip:
         bits = [[0, 1], [1, 0], [1, 1]]
         np.testing.assert_array_equal(unpack_bits(pack_bits(bits), 3), bits)
 
+    @pytest.mark.parametrize("n_samples", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("n_signals", [1, 13, 256])
+    def test_row_block_edges(self, rng, n_samples, n_signals):
+        """``pack_bits`` transposes 1024 rows at a time: the words must not
+        depend on where the block edges fall, nor on the input's layout."""
+        bits = rng.integers(0, 2, size=(n_samples, n_signals), dtype=np.uint8)
+        # the definition, sample by sample: bit s % 64 of word [f, s // 64]
+        expected = np.zeros((n_signals, n_words(n_samples)), dtype=np.uint64)
+        rows, cols = np.nonzero(bits)
+        np.bitwise_or.at(
+            expected,
+            (cols, rows // WORD_BITS),
+            np.uint64(1) << (rows % WORD_BITS).astype(np.uint64),
+        )
+        packed = pack_bits(bits)
+        assert packed.dtype == np.uint64 and packed.flags.c_contiguous
+        np.testing.assert_array_equal(packed, expected)
+        np.testing.assert_array_equal(pack_bits(bits.astype(bool)), expected)
+        strided = np.zeros((n_samples, 2 * n_signals), dtype=np.uint8)
+        strided[:, ::2] = bits
+        np.testing.assert_array_equal(pack_bits(strided[:, ::2]), expected)
+        np.testing.assert_array_equal(pack_bits(np.asfortranarray(bits)), expected)
+        np.testing.assert_array_equal(unpack_bits(packed, n_samples), bits)
+
 
 class TestValidation:
     def test_pack_rejects_non_binary(self):

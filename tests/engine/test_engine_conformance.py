@@ -6,6 +6,9 @@ process / thread / serial :class:`WorkerPool` — an engine must reproduce
 ``LUTNetlist.evaluate_outputs`` bit for bit on ragged batches and expose
 the shared :class:`PackedEngine` surface, because the classifiers and the
 serving layer hold engines as objects and know nothing else about them.
+That surface includes ``run_scores``, the bank and the table-lookup
+read-out in one call, which must return the very doubles the read-out
+formula gives, on every engine.
 """
 
 import numpy as np
@@ -19,7 +22,9 @@ from repro.engine import (
     pack_bits,
     random_netlist,
 )
-from repro.engine.native import toolchain_available
+from repro.engine.bitpack import lookup_scores
+from repro.engine.compiled_netlist import CompiledNetlist
+from repro.engine.native import NativeCompiledNetlist, toolchain_available
 from repro.utils.rng import as_rng
 
 N_INPUTS = 24
@@ -44,6 +49,14 @@ def _pool_bound(pool_backend, n_workers, engine_backend="numpy"):
     return build
 
 
+def _sharded_native(netlist):
+    """native-mt with a one-word grain: a 3-word batch runs as 2 shards."""
+    engine = NativeCompiledNetlist(
+        CompiledNetlist.from_netlist(netlist), threads=2, min_words_per_thread=1
+    )
+    return engine, None
+
+
 def _engine_param(build, backend, id, needs_toolchain=False):
     return pytest.param(
         (build, backend), id=id, marks=[needs_cc] if needs_toolchain else []
@@ -54,6 +67,7 @@ ENGINES = [
     _engine_param(_in_process("numpy"), "numpy", "numpy"),
     _engine_param(_in_process("native"), "native", "native", True),
     _engine_param(_in_process("native-mt"), "native-mt", "native-mt", True),
+    _engine_param(_sharded_native, "native-mt", "native-mt-2x1word", True),
     _engine_param(_pool_bound("process", 2), "numpy", "pool-process"),
     _engine_param(_pool_bound("process", 5), "numpy", "pool-process-x5"),
     _engine_param(_pool_bound("thread", 2), "numpy", "pool-thread"),
@@ -116,7 +130,13 @@ class TestConformance:
         assert isinstance(built.unroll, int) and built.unroll >= 1
         if backend != "native-mt":
             assert (built.threads, built.unroll) == (1, 1)
-        for method in ("run_packed", "evaluate_outputs", "predict_batch", "close"):
+        for method in (
+            "run_packed",
+            "run_scores",
+            "evaluate_outputs",
+            "predict_batch",
+            "close",
+        ):
             assert callable(getattr(built, method))
 
     def test_wrong_shapes_rejected(self, engine):
@@ -125,6 +145,172 @@ class TestConformance:
             built.run_packed(np.zeros((3, 4), dtype=np.uint64))
         with pytest.raises(ValueError):
             built.predict_batch(np.zeros((5, N_INPUTS + 1), dtype=np.uint8))
+
+
+def _readout_case(fan_in, n_groups, seed):
+    """A bank with ``fan_in * n_groups`` outputs and a read-out over them:
+    ``(netlist, int_weights, scale, biases, table)``, the table built by
+    the output layer's own expression."""
+    rng = as_rng(seed)
+    sub = random_netlist(N_INPUTS, 60, seed=21, n_outputs=fan_in * n_groups)
+    int_weights = rng.integers(-127, 128, size=(n_groups, fan_in))
+    int_weights[0, 0] = 0
+    if n_groups > 1:
+        int_weights[1] = -np.abs(int_weights[1])  # an all-negative neuron
+    scale = 0.37 / 127
+    biases = rng.normal(size=n_groups)
+    index_bits = (np.arange(1 << fan_in)[:, None] >> np.arange(fan_in)) & 1
+    table = np.ascontiguousarray((scale * (index_bits @ int_weights.T) + biases).T)
+    return sub, int_weights, scale, biases, table
+
+
+class TestRunScores:
+    """``run_scores`` == ``run_packed`` + ``lookup_scores`` == the formula
+    the table replaced, to the bit, whatever runs the words."""
+
+    @pytest.fixture(
+        scope="class",
+        # 12/16 take the native epilogue's second index byte, 17 is past it
+        params=[(1, 10), (5, 4), (6, 10), (8, 1), (8, 4), (12, 2), (16, 1), (17, 1)],
+        ids=lambda shape: f"p{shape[0]}-g{shape[1]}",
+    )
+    def case(self, request):
+        fan_in, n_groups = request.param
+        return _readout_case(fan_in, n_groups, seed=fan_in * 31 + n_groups)
+
+    @pytest.fixture(scope="class", params=ENGINES)
+    def built(self, request, case):
+        build, _backend = request.param
+        engine, pool = build(case[0])
+        yield engine
+        engine.close()
+        if pool is not None:
+            pool.close()
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 63, 64, 65, 150, 1000])
+    def test_bit_identical_scores(self, built, case, n_samples):
+        sub, int_weights, scale, biases, table = case
+        X = as_rng(9 + n_samples).integers(
+            0, 2, size=(n_samples, N_INPUTS), dtype=np.uint8
+        )
+        packed = pack_bits(X)
+        tail = n_samples % 64
+        if tail:  # all-ones garbage in the padding lanes
+            packed[:, -1] |= ~np.uint64(0) << np.uint64(tail)
+        scores = built.run_scores(packed, n_samples, table)
+        assert scores.dtype == np.float64
+        assert scores.shape == (n_samples, table.shape[0])
+        assert scores.flags.c_contiguous
+        np.testing.assert_array_equal(
+            scores, lookup_scores(built.run_packed(packed), n_samples, table)
+        )
+        bits = sub.evaluate_outputs(X).astype(np.int64)
+        sums = np.einsum(
+            "ngk,gk->ng", bits.reshape((n_samples,) + int_weights.shape), int_weights
+        )
+        np.testing.assert_array_equal(scores, scale * sums + biases)
+
+    def test_table_and_sample_count_validated(self, built, case):
+        table = case[4]
+        packed = np.zeros((N_INPUTS, 2), dtype=np.uint64)
+        bad_tables = [
+            table[:, :-1],  # not 2**p wide
+            np.ascontiguousarray(table[:, : table.shape[1] // 2]),  # p - 1
+            np.vstack([table, table]),  # n_groups * p != n_outputs
+            table.astype(np.float32),
+            table.astype(np.int64),
+            np.asfortranarray(np.vstack([table, table]))[: table.shape[0]],  # strided
+            table.ravel(),
+        ]
+        for bad in bad_tables:
+            with pytest.raises(ValueError):
+                built.run_scores(packed, 100, bad)
+        with pytest.raises(ValueError):
+            built.run_scores(packed, 129, table)
+        with pytest.raises(ValueError):
+            built.run_scores(packed, -1, table)
+        with pytest.raises(ValueError):
+            built.run_scores(np.zeros((3, 2), dtype=np.uint64), 100, table)
+
+
+@needs_cc
+class TestNativeRunScoresIsFused:
+    def test_one_c_call_per_shard_and_no_run_packed(self, monkeypatch):
+        sub, _w, _s, _b, table = _readout_case(6, 4, seed=3)
+        engine = NativeCompiledNetlist(
+            CompiledNetlist.from_netlist(sub), threads=2, min_words_per_thread=1
+        )
+        calls = []
+        real = engine._run_scores_range
+
+        def counting(*args):
+            calls.append(args[3:5])
+            return real(*args)
+
+        def banned(*_args, **_kwargs):
+            raise AssertionError("native run_scores went through run_packed")
+
+        monkeypatch.setattr(engine, "_run_scores_range", counting)
+        monkeypatch.setattr(engine, "run_packed", banned)
+        monkeypatch.setattr(engine, "_run_range", banned)
+        X = as_rng(1).integers(0, 2, size=(130, N_INPUTS), dtype=np.uint8)
+        scores = engine.run_scores(pack_bits(X), 130, table)  # 3 words, 2 shards
+        assert sorted(calls) == [(0, 1), (1, 3)]
+        reference = CompiledNetlist.from_netlist(sub)
+        np.testing.assert_array_equal(
+            scores, reference.run_scores(pack_bits(X), 130, table)
+        )
+        calls.clear()
+        engine.run_scores(pack_bits(X[:1]), 1, table)  # sub-grain: one call
+        assert calls == [(0, 1)]
+
+    def test_bad_arguments_never_reach_c(self, monkeypatch):
+        sub, _w, _s, _b, table = _readout_case(6, 4, seed=3)
+        engine = NativeCompiledNetlist(CompiledNetlist.from_netlist(sub))
+
+        def banned(*_args):
+            raise AssertionError("unvalidated arguments reached C")
+
+        monkeypatch.setattr(engine, "_run_scores_range", banned)
+        packed = np.zeros((N_INPUTS, 1), dtype=np.uint64)
+        for bad in (table[:, :32], table[:3], table.astype(np.float32), table.T):
+            with pytest.raises(ValueError):
+                engine.run_scores(packed, 10, bad)
+        with pytest.raises(ValueError):
+            engine.run_scores(packed, 65, table)
+        assert engine.run_scores(packed[:, :0], 0, table).shape == (0, 4)
+
+    def test_table_wider_than_the_epilogue_takes_the_base_route(self, monkeypatch):
+        """``copy_scores`` builds 16-bit indices; a 17-bit table must not
+        reach it (it would alias lanes silently)."""
+        sub, _w, _s, _b, table = _readout_case(17, 1, seed=5)
+        engine = NativeCompiledNetlist(CompiledNetlist.from_netlist(sub))
+
+        def banned(*_args):
+            raise AssertionError("a 17-bit table reached the 16-bit epilogue")
+
+        monkeypatch.setattr(engine, "_run_scores_range", banned)
+        X = as_rng(3).integers(0, 2, size=(200, N_INPUTS), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            engine.run_scores(pack_bits(X), 200, table),
+            lookup_scores(engine.run_packed(pack_bits(X)), 200, table),
+        )
+
+    def test_generated_c_moves_scores_without_arithmetic(self):
+        """No ``double``/``float`` anywhere in the unit: scores are copied
+        as 64-bit patterns, so no FP flag can touch them — and the unit is
+        generic in the read-out's shape, keyed by the netlist alone."""
+        sub, *_ = _readout_case(6, 4, seed=3)
+        engine = NativeCompiledNetlist(CompiledNetlist.from_netlist(sub))
+        assert "void run_scores_range(" in engine.c_source
+        assert "double" not in engine.c_source
+        assert "float" not in engine.c_source
+        other = _readout_case(8, 3, seed=4)[4]  # same 24 outputs, p=8
+        X = as_rng(2).integers(0, 2, size=(70, N_INPUTS), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            engine.run_scores(pack_bits(X), 70, other),
+            lookup_scores(engine.run_packed(pack_bits(X)), 70, other),
+        )
 
 
 class TestHandleLifecycle:
