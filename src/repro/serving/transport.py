@@ -508,6 +508,8 @@ def replace_request_id(frame: bytes, request_id: int) -> bytes:
     the backend answered with the router's internal id, the client must see
     its own.
     """
+    if len(frame) < _COMMON.size:
+        raise BinaryProtocolError("frame truncated mid-header")
     return (
         frame[:_REQUEST_ID_OFFSET]
         + _REQUEST_ID.pack(request_id)
@@ -583,30 +585,48 @@ def _parse_reply(
     return BinaryReply(request_id=request_id, labels=labels, scores=scores)
 
 
+def _frame_part(frame: bytes, start: int, n_bytes: int, what: str) -> bytes:
+    """``frame[start:start + n_bytes]``, or a typed error if the frame ends
+    first — the in-memory counterpart of :func:`_recv_or_raise`."""
+    part = frame[start: start + n_bytes]
+    if len(part) < n_bytes:
+        raise BinaryProtocolError(f"frame truncated mid-{what}")
+    return part
+
+
 def decode_reply(frame: bytes) -> BinaryReply:
     """Fully parse one OP_REPLY frame held in memory (raises typed errors
     for OP_ERROR frames, exactly like :func:`recv_reply`)."""
     magic, version, opcode, flags, request_id = _COMMON.unpack(
-        frame[: _COMMON.size]
+        _frame_part(frame, 0, _COMMON.size, "header")
     )
     if magic != BINARY_MAGIC:
         raise BinaryProtocolError(
             f"expected a binary reply, got leading byte 0x{magic:02x}"
         )
     _check_version(version)
-    rest = frame[_COMMON.size:]
     if opcode == OP_ERROR:
-        code, msg_len = _ERROR_HEAD.unpack(rest[: _ERROR_HEAD.size])
-        message = rest[
-            _ERROR_HEAD.size: _ERROR_HEAD.size + msg_len
-        ].decode("utf-8", errors="replace")
+        code, msg_len = _ERROR_HEAD.unpack(
+            _frame_part(frame, _COMMON.size, _ERROR_HEAD.size, "error header")
+        )
+        message = _frame_part(
+            frame, _COMMON.size + _ERROR_HEAD.size, msg_len, "error message"
+        ).decode("utf-8", errors="replace")
         raise wire_exception(ERROR_CODES.get(code, "internal"), message)
     if opcode != OP_REPLY:
         raise BinaryProtocolError(
             f"unexpected opcode 0x{opcode:02x} in a reply"
         )
-    head = rest[: _REPLY_HEAD.size]
-    return _parse_reply(flags, request_id, head, rest[_REPLY_HEAD.size:])
+    head = _frame_part(frame, _COMMON.size, _REPLY_HEAD.size, "reply header")
+    samples, n_classes = _REPLY_HEAD.unpack(head)
+    labels_bytes, scores_bytes = _reply_sizes(samples, n_classes, flags)
+    body = _frame_part(
+        frame,
+        _COMMON.size + _REPLY_HEAD.size,
+        labels_bytes + scores_bytes,
+        "reply body",
+    )
+    return _parse_reply(flags, request_id, head, body)
 
 
 # ----------------------------------------------- unified readers (both sides)
@@ -774,7 +794,7 @@ def recv_reply(sock: socket.socket) -> BinaryReply:
 def decode_control_reply(frame: bytes) -> Tuple[int, Dict[str, Any]]:
     """Parse one OP_CONTROL_REPLY frame held in memory → ``(id, payload)``."""
     magic, version, opcode, _flags, request_id = _COMMON.unpack(
-        frame[: _COMMON.size]
+        _frame_part(frame, 0, _COMMON.size, "header")
     )
     if magic != BINARY_MAGIC:
         raise BinaryProtocolError(
@@ -785,9 +805,12 @@ def decode_control_reply(frame: bytes) -> Tuple[int, Dict[str, Any]]:
         raise BinaryProtocolError(
             f"unexpected opcode 0x{opcode:02x} in a control reply"
         )
-    rest = frame[_COMMON.size:]
-    (length,) = _CONTROL_HEAD.unpack(rest[: _CONTROL_HEAD.size])
-    body = rest[_CONTROL_HEAD.size: _CONTROL_HEAD.size + length]
+    (length,) = _CONTROL_HEAD.unpack(
+        _frame_part(frame, _COMMON.size, _CONTROL_HEAD.size, "control header")
+    )
+    body = _frame_part(
+        frame, _COMMON.size + _CONTROL_HEAD.size, length, "control body"
+    )
     return request_id, _decode_body(body)
 
 

@@ -17,16 +17,14 @@ every checkpoint:
 Defaults are sized for CI (``make check``); crank ``REPRO_SOAK_OPS`` (and
 optionally ``REPRO_SOAK_SEED``) for a real soak::
 
-    REPRO_SOAK_OPS=2000 python -m pytest tests/serving/test_lifecycle_chaos.py
+    REPRO_SOAK_OPS=2000 python -m pytest -s tests/serving/test_lifecycle_chaos.py
 
-The outcome is recorded into ``BENCH_results.json`` via
-``bench_utils.record_gate`` so soak runs leave a machine-readable trail.
+The run prints its size, seed and the shadow divergences it recorded
+(``-s`` shows the line on a pass; a failure shows it with the traceback).
 """
 
 import os
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,9 +37,6 @@ from repro.serving import (
 )
 from repro.serving.queue import ServingError
 from repro.serving.registry import SERVING
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
-from bench_utils import record_gate  # noqa: E402
 
 N_FEATURES = 16
 N_CLASSES = 4
@@ -269,27 +264,18 @@ def test_lifecycle_chaos_soak():
         version=1,
         on_retire=lambda: attached.discard(1),
     )
-    passed = 0.0
-    divergences = 0
-    try:
-        with BackgroundServer(srv) as handle:
-            with ServingClient(*handle.address) as client:
-                fuzzer = Fuzzer(
-                    handle, client, random.Random(SOAK_SEED), attached
-                )
-                fuzzer.run(SOAK_OPS)
-                report = client.shadow_report("m")
-                divergences = report["total_divergences"]
-                assert report["total_requests"] >= 0
-        passed = 1.0
-    finally:
-        record_gate("lifecycle_soak", passed, 1.0, unit="pass")
-        record_gate(
-            "lifecycle_soak_divergences_recorded",
-            float(divergences),
-            0.0,
-            unit="count",
-        )
+    with BackgroundServer(srv) as handle:
+        with ServingClient(*handle.address) as client:
+            fuzzer = Fuzzer(handle, client, random.Random(SOAK_SEED), attached)
+            fuzzer.run(SOAK_OPS)
+            report = client.shadow_report("m")
+    soak = (
+        f"lifecycle soak: {SOAK_OPS} ops, seed {SOAK_SEED}, "
+        f"{report['total_divergences']} shadow divergences recorded over "
+        f"{report['total_requests']} mirrored requests"
+    )
+    print(soak)
+    assert report["total_requests"] >= 0, soak
 
 
 def test_soak_knobs_are_read():

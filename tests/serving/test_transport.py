@@ -22,9 +22,12 @@ from repro.serving.queue import (
 from repro.serving.registry import ModelNotFoundError
 from repro.serving.transport import (
     ERROR_CODES,
+    BinaryProtocolError,
     RawBinaryReply,
     WIRE_ERROR_TYPES,
+    decode_control_reply,
     decode_reply,
+    encode_control_reply,
     encode_error,
     encode_message,
     encode_reply,
@@ -169,3 +172,49 @@ class TestReplaceRequestId:
                 packed, 2, model="m", request_id=3
             )
         )
+
+
+class TestTruncatedFramesInMemory:
+    """The in-memory decoders check every announced size against the bytes
+    they hold: any proper prefix of a valid frame is a typed
+    ``BinaryProtocolError`` — never ``struct.error``, a NumPy ``ValueError``
+    or a half-read message — and the complete frame decodes as ever."""
+
+    LABELS = np.array([5, 0, 9, 2], dtype=np.int64)
+    SCORES = np.arange(8, dtype=np.float64).reshape(4, 2)
+
+    @pytest.mark.parametrize("scores", [None, SCORES], ids=["labels", "scored"])
+    def test_reply_prefixes(self, scores):
+        frame = encode_reply(self.LABELS, scores, request_id=9)
+        for cut in range(len(frame)):
+            with pytest.raises(BinaryProtocolError):
+                decode_reply(frame[:cut])
+        decoded = decode_reply(frame)
+        assert decoded.request_id == 9
+        np.testing.assert_array_equal(decoded.labels, self.LABELS)
+        if scores is None:
+            assert decoded.scores is None
+        else:
+            np.testing.assert_array_equal(decoded.scores, scores)
+
+    def test_error_prefixes(self):
+        frame = encode_error("overloaded", "queue full", request_id=3)
+        for cut in range(len(frame)):
+            with pytest.raises(BinaryProtocolError):
+                decode_reply(frame[:cut])
+        with pytest.raises(ServerOverloadedError, match="^queue full$"):
+            decode_reply(frame)
+
+    def test_control_reply_prefixes(self):
+        payload = {"ok": True, "status": "promoted", "version": 2}
+        frame = encode_control_reply(payload, request_id=17)
+        for cut in range(len(frame)):
+            with pytest.raises(BinaryProtocolError):
+                decode_control_reply(frame[:cut])
+        assert decode_control_reply(frame) == (17, payload)
+
+    def test_splice_rejects_a_frame_shorter_than_its_header(self):
+        frame = encode_reply(self.LABELS)
+        for cut in range(8):  # the common header that holds the id
+            with pytest.raises(BinaryProtocolError):
+                replace_request_id(frame[:cut], 7)
