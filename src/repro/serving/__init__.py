@@ -6,16 +6,20 @@ for many hosted models*, sharing one worker pool — and, one level up, many
 replicated boxes behind one router.  The pieces, bottom-up:
 
 ``transport``
-    The single implementation of both wire codecs — length-prefixed JSON
-    and the zero-copy binary format, in which clients ship
+    One wire grammar, one request path.  Both wire formats — length-prefixed
+    JSON and the zero-copy binary format, in which clients ship
     :func:`~repro.engine.bitpack.pack_bits` uint64 bit-planes in a
     versioned frame (magic ``0xBF``) and the server feeds the words
-    straight to the engine — plus first-byte protocol discrimination (both
-    coexist on one listener), the shared typed-error mapping, and
-    :class:`~repro.serving.transport.FrameServer`: the dual-protocol
-    asyncio listener with the explicit ``starting → serving → draining →
-    stopped`` lifecycle that both the backend server and the cluster
-    router subclass.  ``docs/serving.md`` carries the wire formats.
+    straight to the engine — are declared once, as a table, and decoded by
+    one sans-IO walk shared by the asyncio, blocking-socket and in-memory
+    readers (first-byte discrimination lets both coexist on one listener;
+    anything undecodable is a typed protocol error).  On top sit the shared
+    typed-error mapping and :class:`~repro.serving.transport.FrameServer`:
+    the dual-protocol asyncio listener with the explicit ``starting →
+    serving → draining → stopped`` lifecycle that both the backend server
+    and the cluster router subclass through a single dispatch hook — the
+    base encodes each wire-neutral result for the wire its request arrived
+    on.  ``docs/serving.md`` carries the wire formats.
 
 ``metrics_http``
     :class:`~repro.serving.metrics_http.HttpMetricsListener` — a native

@@ -51,26 +51,23 @@ refuses further requests with :class:`StaleConnectionError`.
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.bitpack import pack_bits
-from repro.serving.queue import (
-    BadRequestError,
-    ServerOverloadedError,
-    ServingError,
-)
+from repro.serving.queue import BadRequestError, ServerOverloadedError
 from repro.serving.retry import RetryPolicy
 from repro.serving.transport import (
     ProtocolError,
     WIRE_ERROR_TYPES,
     encode_control_request,
+    encode_message,
     encode_predict_request,
     recv_control_reply,
     recv_message,
     recv_reply,
-    send_message,
+    wire_exception,
 )
 
 __all__ = ["ServingClient", "StaleConnectionError"]
@@ -150,77 +147,51 @@ class ServingClient:
     def _mark_dead(self, error: BaseException) -> None:
         self._dead = f"{type(error).__name__}: {error}"
 
-    @staticmethod
-    def _ok_or_raise(response: Dict[str, Any]) -> Dict[str, Any]:
-        if response.get("ok"):
-            return response
-        error = response.get("error") or {}
-        exc_type = _ERROR_TYPES.get(error.get("type"), ServingError)
-        raise exc_type(error.get("message", "unknown server error"))
+    def _exchange(self, frame: bytes, recv: Callable[[socket.socket], Any]):
+        """Send one frame, read its reply with ``recv`` — the one exchange
+        every op goes through, and the owner of the dead-connection rule.
 
-    def _request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        A typed :class:`~repro.serving.queue.ServingError` from ``recv``
+        (an OP_ERROR frame) propagates without killing the connection: the
+        frame was consumed whole.
+        """
         self._check_usable()
         try:
-            send_message(self._sock, payload)
-            response = recv_message(self._sock)
+            self._sock.sendall(frame)
+            reply = recv(self._sock)
         except (ProtocolError, OSError) as error:
             # timeout (a mid-read one leaves a partial frame), framing
             # error, or transport failure: the stream position is unknown
             self._mark_dead(error)
             raise
-        if response is None:
+        if reply is None:
             error = ConnectionError("server closed the connection")
             self._mark_dead(error)
             raise error
-        return self._ok_or_raise(response)
+        return reply
 
-    def _control(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One lifecycle/control op over this client's native protocol.
+    def _request(
+        self, payload: Dict[str, Any], *, control: bool = False
+    ) -> Dict[str, Any]:
+        """One JSON-bodied op; typed server errors raise.
 
-        A ``binary=True`` client ships the op inside an OP_CONTROL binary
-        frame (so its pipelined stream stays single-codec); a JSON client
-        sends the plain JSON frame.  Typed server errors raise the same
-        exceptions either way.
+        ``control=True`` marks a lifecycle op, which rides this client's
+        native protocol: a ``binary=True`` client ships it inside an
+        OP_CONTROL binary frame (so its pipelined stream stays
+        single-codec), a JSON client sends the plain JSON frame.
         """
-        if not self._binary:
-            return self._request(payload)
-        self._check_usable()
-        try:
-            self._sock.sendall(encode_control_request(payload))
-            response = recv_control_reply(self._sock)
-        except (ProtocolError, OSError) as error:
-            self._mark_dead(error)
-            raise
-        return self._ok_or_raise(response)
-
-    def _request_binary(
-        self,
-        rows: np.ndarray,
-        return_scores: bool,
-        model: Optional[str],
-    ):
-        self._check_usable()
-        try:
-            packed = pack_bits(rows)
-        except ValueError as error:
-            raise BadRequestError(str(error)) from error
-        frame = encode_predict_request(
-            packed,
-            rows.shape[0],
-            model=model,
-            return_scores=return_scores,
+        if control and self._binary:
+            response = self._exchange(
+                encode_control_request(payload), recv_control_reply
+            )
+        else:
+            response = self._exchange(encode_message(payload), recv_message)
+        if response.get("ok"):
+            return response
+        error = response.get("error") or {}
+        raise wire_exception(
+            error.get("type"), error.get("message", "unknown server error")
         )
-        try:
-            self._sock.sendall(frame)
-            reply = recv_reply(self._sock)
-        except (ProtocolError, OSError) as error:
-            self._mark_dead(error)
-            raise
-        # typed ServingErrors from recv_reply propagate without killing the
-        # connection: an OP_ERROR frame was consumed whole
-        if return_scores:
-            return reply.labels, np.asarray(reply.scores, dtype=np.float64)
-        return reply.labels
 
     @staticmethod
     def _as_rows(features: np.ndarray) -> np.ndarray:
@@ -253,31 +224,46 @@ class ServingClient:
         """
         rows = self._as_rows(features)
         if self._binary:
-            if self._retry is None:
-                return self._request_binary(rows, return_scores, model)
-            return self._retry.call(
-                lambda: self._request_binary(rows, return_scores, model),
-                retry_on=(ServerOverloadedError,),
+            self._check_usable()
+            try:
+                packed = pack_bits(rows)
+            except ValueError as error:
+                raise BadRequestError(str(error)) from error
+            frame = encode_predict_request(
+                packed, rows.shape[0], model=model, return_scores=return_scores
             )
-        # no dtype coercion: the server validates the raw values, so a 0.5
-        # is rejected with BadRequestError instead of truncating to 0
-        payload = {
-            "op": "predict",
-            "features": rows.tolist(),
-            "return_scores": bool(return_scores),
-        }
-        if model is not None:
-            payload["model"] = model
-        if self._retry is None:
-            response = self._request(payload)
+
+            def attempt() -> Tuple[Any, Any]:
+                reply = self._exchange(frame, recv_reply)
+                return reply.labels, reply.scores
+
         else:
-            response = self._retry.call(
-                lambda: self._request(payload),
-                retry_on=(ServerOverloadedError,),
+            # no dtype coercion: the server validates the raw values, so a
+            # 0.5 is rejected with BadRequestError instead of truncating to 0
+            payload = {
+                "op": "predict",
+                "features": rows.tolist(),
+                "return_scores": bool(return_scores),
+            }
+            if model is not None:
+                payload["model"] = model
+
+            def attempt() -> Tuple[Any, Any]:
+                response = self._request(payload)
+                return (
+                    response["labels"],
+                    response["scores"] if return_scores else None,
+                )
+
+        if self._retry is None:
+            labels, scores = attempt()
+        else:
+            labels, scores = self._retry.call(
+                attempt, retry_on=(ServerOverloadedError,)
             )
-        labels = np.asarray(response["labels"], dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
         if return_scores:
-            return labels, np.asarray(response["scores"], dtype=np.float64)
+            return labels, np.asarray(scores, dtype=np.float64)
         return labels
 
     def stats(self, model: Optional[str] = None) -> Dict[str, Any]:
@@ -307,8 +293,9 @@ class ServingClient:
         """Atomically flip ``model``'s serving pointer to ``version``; the
         displaced version drains and retires.  Returns the flip record
         (``{"model", "version", "previous", "changed"}``)."""
-        return self._control(
-            {"op": "promote", "model": model, "version": int(version)}
+        return self._request(
+            {"op": "promote", "model": model, "version": int(version)},
+            control=True,
         )
 
     def set_shadow(
@@ -316,18 +303,21 @@ class ServingClient:
     ) -> Dict[str, Any]:
         """Mirror ``fraction`` of ``model``'s traffic to standby
         ``version``; divergences land in the server's shadow report."""
-        return self._control(
+        return self._request(
             {
                 "op": "set_shadow",
                 "model": model,
                 "version": int(version),
                 "fraction": float(fraction),
-            }
+            },
+            control=True,
         )
 
     def clear_shadow(self, model: str) -> Dict[str, Any]:
         """Stop mirroring ``model``'s traffic (idempotent)."""
-        return self._control({"op": "clear_shadow", "model": model})
+        return self._request(
+            {"op": "clear_shadow", "model": model}, control=True
+        )
 
     def promote_canary(
         self,
@@ -355,7 +345,7 @@ class ServingClient:
         }
         if max_p99_ratio is not None:
             payload["max_p99_ratio"] = float(max_p99_ratio)
-        return self._control(payload)
+        return self._request(payload, control=True)
 
     def shadow_report(self, model: Optional[str] = None) -> Dict[str, Any]:
         """The model family's divergence evidence: counters, divergence
@@ -363,14 +353,14 @@ class ServingClient:
         payload: Dict[str, Any] = {"op": "shadow_report"}
         if model is not None:
             payload["model"] = model
-        return self._control(payload)["report"]
+        return self._request(payload, control=True)["report"]
 
     def lifecycle(self, model: Optional[str] = None) -> list:
         """The model family's lifecycle event history, oldest first."""
         payload: Dict[str, Any] = {"op": "lifecycle"}
         if model is not None:
             payload["model"] = model
-        return self._control(payload)["events"]
+        return self._request(payload, control=True)["events"]
 
     # -------------------------------------------------------------- cleanup
     def close(self) -> None:

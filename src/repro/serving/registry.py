@@ -16,7 +16,7 @@ Live lifecycle
 family (the first registration of a name creates the family with that
 version serving).  :meth:`promote` flips the serving pointer **atomically
 between batches**: the flip is a synchronous pointer swap on the event
-loop, and the server's predict paths have no await point between resolving
+loop, and the server's predict path has no await point between resolving
 the serving record and entering the queue's admission — so every request
 either fully admitted to the old version (and completes there) or resolves
 the new one.  The displaced version drains (its queue closes, completing
@@ -123,6 +123,18 @@ class RegisteredModel:
     #: runs exactly once when this version retires (drained and removed),
     #: after the engine is closed; exceptions are logged, never raised.
     on_retire: Optional[Callable[[], Any]] = None
+
+    def submit(self, request: Any):
+        """Admit one decoded predict into this version's queue; returns the
+        awaitable of its result slice.
+
+        The one place packed words and JSON rows part ways — a
+        ``BinaryRequest``'s words go in as words, a ``JsonPredictRequest``'s
+        rows as rows — shared by the primary path and the shadow mirror.
+        """
+        if request.packed is not None:
+            return self.queue.submit_packed(request.packed, request.n_samples)
+        return self.queue.submit(request.rows)
 
     def describe(self) -> Dict[str, Any]:
         """The ``list_models`` wire entry for this model version."""
@@ -511,9 +523,7 @@ class ModelRegistry:
     def spawn_shadow(
         self,
         entry: RegisteredModel,
-        payload: np.ndarray,
-        n_samples: int,
-        packed: bool,
+        request: Any,
         primary_result: Any,
         primary_latency_us: float,
     ) -> Optional[asyncio.Task]:
@@ -540,13 +550,7 @@ class ModelRegistry:
             return None
         return self._schedule(
             self._mirror(
-                family,
-                candidate,
-                payload,
-                n_samples,
-                packed,
-                primary_result,
-                primary_latency_us,
+                family, candidate, request, primary_result, primary_latency_us
             )
         )
 
@@ -554,19 +558,14 @@ class ModelRegistry:
         self,
         family: _ModelFamily,
         candidate: RegisteredModel,
-        payload: np.ndarray,
-        n_samples: int,
-        packed: bool,
+        request: Any,
         primary_result: Any,
         primary_latency_us: float,
     ) -> None:
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         try:
-            if packed:
-                out = await candidate.queue.submit_packed(payload, n_samples)
-            else:
-                out = await candidate.queue.submit(payload)
+            out = await candidate.submit(request)
         except asyncio.CancelledError:
             raise
         except Exception as error:  # noqa: BLE001 - sheds, model failures
@@ -579,7 +578,7 @@ class ModelRegistry:
                 family.scores_mode, primary_result, out
             )
             family.divergences.observe(
-                n_samples,
+                request.n_samples,
                 mismatched,
                 delta,
                 latency_us / max(primary_latency_us, 1e-9),

@@ -64,23 +64,21 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.serving.metrics_http import HttpMetricsListener
 from repro.serving.queue import (
+    BadRequestError,
     ServerOverloadedError,
     ServerUnavailableError,
-    ServingError,
 )
-from repro.serving.registry import ModelRegistry
+from repro.serving.registry import ModelNotFoundError, ModelRegistry
 from repro.serving.retry import RetryPolicy
 from repro.serving.stats import _escape_label, _format_value
 from repro.serving.transport import (
     BinaryRequest,
     FrameServer,
     RawBinaryReply,
-    encode_error,
     encode_message,
     encode_predict_request,
-    error_response,
+    model_field,
     read_reply_frame,
-    replace_request_id,
 )
 
 __all__ = ["BackendFailedError", "Rebalancer", "RouterServer"]
@@ -399,7 +397,7 @@ class RouterServer(FrameServer):
             base, version = ModelRegistry.split_versioned(name)
             if version is not None and base in self._placement:
                 return base
-            raise ServingError(  # becomes model_not_found on the wire
+            raise ModelNotFoundError(
                 f"unknown model {name!r} "
                 f"(routed: {sorted(self._placement)})"
             )
@@ -575,10 +573,18 @@ class RouterServer(FrameServer):
             )
 
     # ------------------------------------------------------------- dispatch
-    async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request.get("op", "predict")
-        if op == "predict":
-            return await self._route_json(request)
+    def _dispatch(self, request):
+        """The :class:`FrameServer` hook: predicts of either wire are
+        forwarded, every other JSON-bodied op is answered here."""
+        if (
+            isinstance(request, BinaryRequest)
+            or request.get("op", "predict") == "predict"
+        ):
+            return self._forward(request)
+        return self._control(request)
+
+    async def _control(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        op = request["op"]
         if op == "ping":
             return {"ok": True, "state": self.state, "role": "router"}
         if op == "stats":
@@ -605,91 +611,75 @@ class RouterServer(FrameServer):
         if op == "drain":
             await self.drain()
             return {"ok": True, "state": self.state}
-        return error_response("bad_request", f"unknown op {op!r}")
+        raise BadRequestError(f"unknown op {op!r}")
 
-    async def _route_json(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _forward(
+        self, request: Union[Dict[str, Any], BinaryRequest]
+    ) -> Union[Dict[str, Any], RawBinaryReply]:
+        """One predict, whichever wire carried it, to the best replica.
+
+        The wire contributes only how the forwarded request is framed and
+        what comes back: a binary reply stays a raw frame (the base splices
+        the client's id in — zero-copy), a JSON reply is the backend's dict.
+        """
         if self.state != self.SERVING:
-            return error_response(
-                ServerUnavailableError.error_type,
-                f"this router is {self.state} and admits no new work",
+            raise ServerUnavailableError(
+                f"this router is {self.state} and admits no new work"
             )
-        model = request.get("model")
-        if model is not None and not isinstance(model, str):
-            return error_response(
-                "bad_request", "the model field must be a string"
-            )
-        try:
-            resolved = self._resolve_model(model)
-        except ServingError as error:
-            return error_response("model_not_found", str(error))
+        binary = isinstance(request, BinaryRequest)
+        model = request.model if binary else model_field(request)
+        resolved = self._resolve_model(model)
+        # preserve a client's version pin ("m@2"); only fill in the
+        # resolved name when the client named no model at all
+        forwarded_model = resolved if model is None else model
 
         def frame_for(rid: int) -> bytes:
-            forwarded = dict(request)
-            forwarded["id"] = rid  # the router's id, not the client's
-            # preserve a client's version pin ("m@2"); only fill in the
-            # resolved name when the client named no model at all
-            forwarded["model"] = resolved if model is None else model
-            return encode_message(forwarded)
-
-        try:
-            reply = await self._route(resolved, frame_for)
-        except ServingError as error:
-            return error_response(error.error_type, str(error))
-        response = dict(reply)
-        # the base FrameServer echoes the *client's* id; the router-side id
-        # must not leak through (nor appear when the client sent none)
-        response.pop("id", None)
-        return response
-
-    async def _dispatch_binary(self, request: BinaryRequest) -> bytes:
-        client_rid = request.request_id
-        if self.state != self.SERVING:
-            return encode_error(
-                ServerUnavailableError.error_type,
-                f"this router is {self.state} and admits no new work",
-                request_id=client_rid,
-            )
-        try:
-            resolved = self._resolve_model(request.model)
-        except ServingError as error:
-            return encode_error(
-                "model_not_found", str(error), request_id=client_rid
+            if binary:
+                return encode_predict_request(
+                    request.packed,
+                    request.n_samples,
+                    model=forwarded_model,
+                    return_scores=request.return_scores,
+                    request_id=rid,
+                )
+            # the router's id, not the client's
+            return encode_message(
+                {**request, "id": rid, "model": forwarded_model}
             )
 
-        def frame_for(rid: int) -> bytes:
-            return encode_predict_request(
-                request.packed,
-                request.n_samples,
-                model=resolved if request.model is None else request.model,
-                return_scores=request.return_scores,
-                request_id=rid,
-            )
-
-        try:
-            reply = await self._route(resolved, frame_for)
-        except ServingError as error:
-            return encode_error(
-                error.error_type, str(error), request_id=client_rid
-            )
-        # zero-copy forward: splice the client's id into the raw frame
-        return replace_request_id(reply.frame, client_rid)
+        reply = await self._route(resolved, frame_for)
+        if not binary:
+            # the base FrameServer echoes the *client's* id; the router-side
+            # id must not leak through (nor appear when the client sent none)
+            reply = dict(reply)
+            reply.pop("id", None)
+        return reply
 
     # --------------------------------------------------------------- health
-    async def _probe(self, link: _BackendLink) -> Optional[str]:
-        """One active health probe; the backend's lifecycle state, or
-        ``None`` when the probe failed."""
+    async def _ask(
+        self, link: _BackendLink, payload: Dict[str, Any], connect_timeout: float
+    ) -> Optional[Dict[str, Any]]:
+        """One JSON control op to one backend — the exchange behind health
+        probes and the rebalancer; ``None`` when the link, the
+        ``health_timeout`` deadline or the op itself failed."""
         try:
-            conn = await link.connection(self._health_timeout)
+            conn = await link.connection(connect_timeout)
             rid = self._next_id()
             reply = await asyncio.wait_for(
-                conn.request(rid, encode_message({"op": "ping", "id": rid})),
+                conn.request(rid, encode_message({**payload, "id": rid})),
                 self._health_timeout,
             )
         except (BackendFailedError, asyncio.TimeoutError):
             return None
         if not isinstance(reply, dict) or not reply.get("ok"):
             return None
-        return reply.get("state", "serving")
+        return reply
+
+    async def _probe(self, link: _BackendLink) -> Optional[str]:
+        """One active health probe; the backend's lifecycle state, or
+        ``None`` when the probe failed."""
+        reply = await self._ask(link, {"op": "ping"}, self._health_timeout)
+        return None if reply is None else reply.get("state", "serving")
 
     async def check_health_once(self) -> None:
         """Probe every link once and apply ejection/reinstatement."""
@@ -773,25 +763,6 @@ class Rebalancer:
         self._demand: Dict[str, float] = {}
         self._completed: Dict[Tuple[str, str], float] = {}
 
-    async def _scrape(
-        self, link: _BackendLink, model: str
-    ) -> Optional[Dict[str, Any]]:
-        try:
-            conn = await link.connection(self._router._connect_timeout)
-            rid = self._router._next_id()
-            reply = await asyncio.wait_for(
-                conn.request(
-                    rid,
-                    encode_message({"op": "stats", "model": model, "id": rid}),
-                ),
-                self._router._health_timeout,
-            )
-        except (BackendFailedError, asyncio.TimeoutError):
-            return None
-        if not isinstance(reply, dict) or not reply.get("ok"):
-            return None
-        return reply
-
     async def rebalance_once(self) -> Dict[str, float]:
         """One scrape → demand → push cycle; returns the pushed weights."""
         router = self._router
@@ -802,7 +773,11 @@ class Rebalancer:
             volume = 0.0
             worst_p95 = 0.0
             for link in router.healthy_replicas(model):
-                reply = await self._scrape(link, model)
+                reply = await router._ask(
+                    link,
+                    {"op": "stats", "model": model},
+                    router._connect_timeout,
+                )
                 if reply is None:
                     continue
                 stats = reply.get("stats") or {}
@@ -845,18 +820,11 @@ class Rebalancer:
 
     async def _push(self, weights: Dict[str, float]) -> None:
         router = self._router
-        frame_payload = {"op": "set_admission_weights", "weights": weights}
         for link in router.links():
-            if link.state != _BackendLink.HEALTHY:
-                continue
-            try:
-                conn = await link.connection(router._connect_timeout)
-                rid = router._next_id()
-                payload = dict(frame_payload)
-                payload["id"] = rid
-                await asyncio.wait_for(
-                    conn.request(rid, encode_message(payload)),
-                    router._health_timeout,
+            if link.state == _BackendLink.HEALTHY:
+                # a lost push self-heals on the next pass
+                await router._ask(
+                    link,
+                    {"op": "set_admission_weights", "weights": weights},
+                    router._connect_timeout,
                 )
-            except (BackendFailedError, asyncio.TimeoutError):
-                continue  # a lost push self-heals on the next pass

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,9 +64,8 @@ from repro.serving.stats import ServerStats, render_stats_text
 from repro.serving.transport import (
     BinaryRequest,
     FrameServer,
-    encode_error,
-    encode_reply,
-    error_response as _error_response,
+    JsonPredictRequest,
+    model_field,
 )
 
 __all__ = ["BackgroundServer", "InferenceServer"]
@@ -438,21 +437,56 @@ class InferenceServer(FrameServer):
         await self._registry.close()
 
     # ------------------------------------------------------------- dispatch
-    def _resolve(self, request: Dict[str, Any]) -> RegisteredModel:
-        model = request.get("model")
-        if model is not None and not isinstance(model, str):
-            raise BadRequestError("the model field must be a string")
-        return self._registry.resolve(model)
+    def _dispatch(self, request):
+        """The :class:`FrameServer` hook: a predict of either wire goes to
+        :meth:`_predict` — each wire contributes only its decode — and
+        every other JSON-bodied op to :meth:`_control`."""
+        if isinstance(request, BinaryRequest):
+            return self._predict(request)
+        if request.get("op", "predict") == "predict":
+            return self._predict(JsonPredictRequest.decode(request))
+        return self._control(request)
 
-    async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request.get("op", "predict")
-        if op == "predict":
-            return await self._handle_predict(request)
+    async def _predict(
+        self, request: Union[BinaryRequest, JsonPredictRequest]
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One predict, whichever wire carried it: ``(labels, scores)``.
+
+        Packed words go straight into the model's queue, JSON rows through
+        the queue's validation; failures are typed
+        :class:`~repro.serving.queue.ServingError`\\ s the base encodes for
+        the requester's wire.
+        """
+        if self.state != self.SERVING:
+            raise ServerUnavailableError(
+                f"this server is {self.state} and admits no new work"
+            )
+        entry = self._registry.resolve(request.model)
+        if request.return_scores and not entry.scores_mode:
+            raise BadRequestError(f"model {entry.name!r} has no scores path")
+        loop = asyncio.get_running_loop()
+        t0 = loop.time()
+        try:
+            result = await entry.submit(request)
+        except ServingError:
+            raise
+        except Exception as error:  # noqa: BLE001 - model failure
+            raise ServingError(f"{type(error).__name__}: {error}") from error
+        # mirror to the shadow candidate (if any) *after* the primary
+        # result exists — fire-and-forget, the client reply is not delayed
+        self._registry.spawn_shadow(
+            entry, request, result, (loop.time() - t0) * 1e6
+        )
+        result = np.asarray(result)
+        if not entry.scores_mode:
+            return result, None
+        labels = np.argmax(result, axis=1)
+        return labels, result if request.return_scores else None
+
+    async def _control(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        op = request["op"]
         if op == "stats":
-            try:
-                entry = self._resolve(request)
-            except ServingError as error:
-                return _error_response(error.error_type, str(error))
+            entry = self._registry.resolve(model_field(request))
             return {
                 "ok": True,
                 "model": entry.name,
@@ -488,18 +522,14 @@ class InferenceServer(FrameServer):
             "lifecycle",
         ):
             return self._handle_lifecycle(op, request)
-        return _error_response("bad_request", f"unknown op {op!r}")
+        raise BadRequestError(f"unknown op {op!r}")
 
     def _handle_lifecycle(
         self, op: str, request: Dict[str, Any]
     ) -> Dict[str, Any]:
         """The lifecycle control ops, shared by both wire protocols (JSON
         frames and binary OP_CONTROL frames dispatch identically)."""
-        model = request.get("model")
-        if model is not None and not isinstance(model, str):
-            return _error_response(
-                "bad_request", "the model field must be a string"
-            )
+        model = model_field(request)
         try:
             if op == "shadow_report":
                 return {
@@ -517,9 +547,7 @@ class InferenceServer(FrameServer):
                 return {"ok": True, **self._registry.clear_shadow(model)}
             version = request.get("version")
             if not isinstance(version, int) or isinstance(version, bool):
-                return _error_response(
-                    "bad_request", f"op {op!r} needs an integer version"
-                )
+                raise BadRequestError(f"op {op!r} needs an integer version")
             if op == "promote":
                 return {"ok": True, **self._registry.promote(model, version)}
             if op == "set_shadow":
@@ -527,8 +555,8 @@ class InferenceServer(FrameServer):
                 if not isinstance(fraction, (int, float)) or isinstance(
                     fraction, bool
                 ):
-                    return _error_response(
-                        "bad_request", "fraction must be a number in (0, 1]"
+                    raise BadRequestError(
+                        "fraction must be a number in (0, 1]"
                     )
                 return {
                     "ok": True,
@@ -542,28 +570,23 @@ class InferenceServer(FrameServer):
                 "ok": True,
                 **self._registry.promote_canary(model, version, policy),
             }
-        except ServingError as error:
-            return _error_response(error.error_type, str(error))
         except (TypeError, ValueError) as error:
-            return _error_response("bad_request", str(error))
+            raise BadRequestError(str(error)) from error
 
     def _handle_set_weights(self, request: Dict[str, Any]) -> Dict[str, Any]:
         budget = self._registry.budget
         if budget is None:
-            return _error_response(
-                "bad_request",
+            raise BadRequestError(
                 "this server has no shared admission budget to partition; "
-                "start it with max_total_queue=",
+                "start it with max_total_queue="
             )
         weights = request.get("weights")
         if not isinstance(weights, dict):
-            return _error_response(
-                "bad_request", "weights must be a {model: weight} object"
-            )
+            raise BadRequestError("weights must be a {model: weight} object")
         try:
             budget.set_weights(weights)
         except ValueError as error:
-            return _error_response("bad_request", str(error))
+            raise BadRequestError(str(error)) from error
         return {
             "ok": True,
             "weights": budget.weights,
@@ -571,108 +594,6 @@ class InferenceServer(FrameServer):
                 name: budget.share_of(name) for name in budget.weights
             },
         }
-
-    async def _dispatch_binary(self, request: BinaryRequest) -> bytes:
-        """One binary predict: packed words straight into the model's queue.
-
-        Returns the encoded reply (or typed error) frame; the request id is
-        echoed so pipelining clients re-associate out-of-order completions.
-        """
-        rid = request.request_id
-        if self.state != self.SERVING:
-            return encode_error(
-                "unavailable",
-                f"this server is {self.state} and admits no new work",
-                request_id=rid,
-            )
-        try:
-            entry = self._registry.resolve(request.model)
-        except ServingError as error:
-            return encode_error(error.error_type, str(error), request_id=rid)
-        if request.return_scores and not entry.scores_mode:
-            return encode_error(
-                "bad_request",
-                f"model {entry.name!r} has no scores path",
-                request_id=rid,
-            )
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        try:
-            result = await entry.queue.submit_packed(
-                request.packed, request.n_samples
-            )
-        except ServingError as error:
-            return encode_error(error.error_type, str(error), request_id=rid)
-        except Exception as error:  # noqa: BLE001 - model failure
-            return encode_error(
-                "internal", f"{type(error).__name__}: {error}", request_id=rid
-            )
-        # mirror to the shadow candidate (if any) *after* the primary
-        # result exists — fire-and-forget, the client reply is not delayed
-        self._registry.spawn_shadow(
-            entry,
-            request.packed,
-            request.n_samples,
-            True,
-            result,
-            (loop.time() - t0) * 1e6,
-        )
-        if entry.scores_mode:
-            scores = np.asarray(result)
-            labels = np.argmax(scores, axis=1)
-            return encode_reply(
-                labels,
-                scores if request.return_scores else None,
-                request_id=rid,
-            )
-        return encode_reply(np.asarray(result), request_id=rid)
-
-    async def _handle_predict(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if self.state != self.SERVING:
-            return _error_response(
-                ServerUnavailableError.error_type,
-                f"this server is {self.state} and admits no new work",
-            )
-        try:
-            entry = self._resolve(request)
-        except ServingError as error:
-            return _error_response(error.error_type, str(error))
-        return_scores = bool(request.get("return_scores", False))
-        if return_scores and not entry.scores_mode:
-            return _error_response(
-                "bad_request",
-                f"model {entry.name!r} has no scores path",
-            )
-        features = request.get("features")
-        try:
-            # no dtype coercion here: check_binary_matrix inside the queue
-            # must see the raw values so 0.5 is rejected, not truncated to 0
-            rows = np.asarray(features)
-        except (TypeError, ValueError):
-            return _error_response(
-                "bad_request", "features must be a rectangular 0/1 matrix"
-            )
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        try:
-            result = await entry.queue.submit(rows)
-        except ServingError as error:
-            return _error_response(error.error_type, str(error))
-        except Exception as error:  # noqa: BLE001 - model failure
-            self_type = type(error).__name__
-            return _error_response("internal", f"{self_type}: {error}")
-        # mirror to the shadow candidate (if any) *after* the primary
-        # result exists — fire-and-forget, the client reply is not delayed
-        self._registry.spawn_shadow(
-            entry, rows, rows.shape[0], False, result, (loop.time() - t0) * 1e6
-        )
-        if entry.scores_mode:
-            labels = np.argmax(result, axis=1)
-            response: Dict[str, Any] = {"ok": True, "labels": labels.tolist()}
-            if return_scores:
-                response["scores"] = np.asarray(result).tolist()
-            return response
-        return {"ok": True, "labels": np.asarray(result).tolist()}
 
 
 class BackgroundServer:
@@ -720,6 +641,8 @@ class BackgroundServer:
                 loop.run_forever()
             finally:
                 loop.run_until_complete(self.server.stop())
+                loop.run_until_complete(self._settle())
+                loop.run_until_complete(loop.shutdown_asyncgens())
                 loop.close()
 
         self._thread = threading.Thread(
@@ -732,6 +655,31 @@ class BackgroundServer:
             self._thread = None
             raise failure[0]
         return self.address
+
+    @staticmethod
+    async def _settle(grace: float = 1.0) -> None:
+        """Leave no task pending when the loop closes, as ``asyncio.run``
+        ensures — a pending task destroyed with its loop logs "Task was
+        destroyed but it is pending!", and its coroutine's ``finally`` then
+        trips over "Event loop is closed".
+
+        What can outlive ``stop()`` are connections accepted in the
+        listener's last moment: asyncio's accept tasks and the handlers
+        they start, which hang up by themselves once they run.  They get
+        ``grace`` seconds to do that before anything is cancelled —
+        cancelling an accept in flight logs an error of its own in debug
+        mode.
+        """
+        loop = asyncio.get_running_loop()
+        me = asyncio.current_task()
+        deadline = loop.time() + grace
+        while others := asyncio.all_tasks() - {me}:
+            if loop.time() >= deadline:
+                for task in others:
+                    task.cancel()
+                await asyncio.gather(*others, return_exceptions=True)
+                return
+            await asyncio.wait(others, timeout=deadline - loop.time())
 
     def run(self, coro, timeout: float = 30.0):
         """Run ``coro`` on the server's event loop and return its result.

@@ -1,24 +1,35 @@
-"""The unified transport layer: every wire frame is parsed by exactly one codec.
+"""The unified transport layer: one wire grammar, one request path.
 
-The length-prefixed JSON codec, the ``0xBF`` binary codec, the first-byte
-protocol discrimination and the typed error mapping all live here — the
-single implementation the client, the server and the cluster router
-consume.  ``docs/serving.md`` describes both wire formats.
+The length-prefixed JSON framing, the ``0xBF`` binary framing, the
+first-byte protocol discrimination and the typed error mapping all live
+here — the single implementation the client, the server and the cluster
+router consume.  ``docs/serving.md`` describes both wire formats.
 
 Layout:
 
-* **JSON codec** — :func:`encode_message`, async :func:`read_message` /
-  :func:`write_message`, blocking :func:`recv_message` /
-  :func:`send_message`.  Frames are a 4-byte big-endian length followed by
-  one UTF-8 JSON object, capped at :data:`MAX_MESSAGE_BYTES`.
-* **Binary codec** — :func:`encode_predict_request`, :func:`encode_reply`,
-  :func:`encode_error`, :func:`decode_reply`, blocking :func:`recv_reply`.
-  Frames lead with :data:`BINARY_MAGIC` (0xBF), which a JSON length header
+* **Grammar** — :data:`_FRAMES` declares every binary opcode once (head
+  ``struct``, a size rule ``(flags, head fields) → body part sizes`` that
+  enforces the caps, parser), and :func:`_walk` is the one sans-IO walk
+  over it and over the JSON framing (a 4-byte big-endian length, then one
+  UTF-8 JSON object, capped at :data:`MAX_MESSAGE_BYTES`).  It asks a
+  ``fetch(n)`` for bytes: the asyncio readers await it over
+  ``readexactly``, a blocking socket and a frame held in memory step it
+  through :func:`_drive` — three views of one decoder, out of which every
+  failure reachable from bytes comes as a :class:`ProtocolError`.
+* **Readers** — each a byte-fetcher composed with a :class:`_Direction`
+  (which frames may arrive): :func:`read_frame` (server side: requests of
+  either protocol), :func:`read_reply_frame` (client side: replies of
+  either protocol, returned *raw* so a router can forward the bytes
+  untouched after :func:`replace_request_id`), :func:`read_message` /
+  :func:`recv_message`, :func:`recv_reply` / :func:`decode_reply`,
+  :func:`recv_control_reply` / :func:`decode_control_reply`.
+* **Encoders** — :func:`encode_message` / :func:`write_message` /
+  :func:`send_message`, :func:`encode_predict_request`,
+  :func:`encode_reply`, :func:`encode_error`, and, sharing one body
+  encoder with the JSON frames and one framer with each other,
+  :func:`encode_control_request` / :func:`encode_control_reply`.  Binary
+  frames lead with :data:`BINARY_MAGIC` (0xBF), which a JSON length header
   under the 64 MiB cap (first byte <= 0x04) can never produce.
-* **Discrimination** — :func:`read_frame` (server side: requests of either
-  protocol) and :func:`read_reply_frame` (client side: replies of either
-  protocol, returned *raw* so a router can forward the bytes untouched
-  after :func:`replace_request_id`).
 * **Error mapping** — :data:`WIRE_ERROR_TYPES` (wire ``error.type`` string
   → typed exception) and :data:`ERROR_CODES` (binary error code → string),
   the one table both protocols and both directions share.
@@ -26,17 +37,31 @@ Layout:
   the dual-protocol asyncio front end with the explicit
   ``starting → serving → draining → stopped`` lifecycle that
   :class:`~repro.serving.server.InferenceServer` and
-  :class:`~repro.serving.router.RouterServer` both subclass.
+  :class:`~repro.serving.router.RouterServer` both subclass through one
+  ``_dispatch`` hook; the base encodes each wire-neutral result for the
+  wire its request arrived on.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from functools import partial
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -59,6 +84,7 @@ __all__ = [
     "CorkedWriter",
     "ERROR_CODES",
     "FrameServer",
+    "JsonPredictRequest",
     "MAX_MESSAGE_BYTES",
     "MAX_MODEL_NAME_BYTES",
     "MAX_PAYLOAD_BYTES",
@@ -79,6 +105,7 @@ __all__ = [
     "encode_predict_request",
     "encode_reply",
     "error_response",
+    "model_field",
     "read_frame",
     "read_message",
     "read_reply_frame",
@@ -139,122 +166,7 @@ def error_response(error_type: str, message: str) -> Dict[str, Any]:
     return {"ok": False, "error": {"type": error_type, "message": message}}
 
 
-# ----------------------------------------------------------------- JSON codec
-def encode_message(payload: Dict[str, Any]) -> bytes:
-    """Serialise one message to its framed wire form.
-
-    Non-finite floats raise :class:`ProtocolError`: ``json.dumps`` would
-    otherwise emit the bare ``NaN``/``Infinity`` tokens, which are not JSON
-    — a strict peer rejects the whole frame.  The server converts this
-    failure into the typed ``internal`` wire error; the binary protocol
-    carries non-finite scores losslessly instead.
-    """
-    try:
-        body = json.dumps(
-            payload, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-    except ValueError as error:
-        raise ProtocolError(
-            f"payload is not JSON-serialisable: {error}"
-        ) from error
-    if len(body) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message of {len(body)} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte cap"
-        )
-    return _HEADER.pack(len(body)) + body
-
-
-def _decode_body(body: bytes) -> Dict[str, Any]:
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"invalid JSON payload: {error}") from error
-    if not isinstance(payload, dict):
-        raise ProtocolError(
-            f"payload must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
-
-
-def _check_length(length: int) -> None:
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"frame announces {length} bytes, cap is {MAX_MESSAGE_BYTES}"
-        )
-
-
-async def _read_json_after_first(
-    reader: asyncio.StreamReader, first: bytes
-) -> Dict[str, Any]:
-    """Finish reading a JSON frame whose header's first byte was consumed
-    by protocol discrimination — the one shared tail both unified readers
-    use, so the JSON framing has no second implementation."""
-    try:
-        rest = await reader.readexactly(_HEADER.size - 1)
-    except asyncio.IncompleteReadError as error:
-        raise ProtocolError("connection closed mid-header") from error
-    (length,) = _HEADER.unpack(first + rest)
-    _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ProtocolError("connection closed mid-message") from error
-    return _decode_body(body)
-
-
-async def read_message(
-    reader: asyncio.StreamReader,
-) -> Optional[Dict[str, Any]]:
-    """Read one framed JSON message; ``None`` on clean EOF before a header."""
-    try:
-        first = await reader.readexactly(1)
-    except asyncio.IncompleteReadError:
-        return None  # connection closed between messages
-    return await _read_json_after_first(reader, first)
-
-
-async def write_message(
-    writer: asyncio.StreamWriter, payload: Dict[str, Any]
-) -> None:
-    """Frame and send one message, draining the transport buffer."""
-    writer.write(encode_message(payload))
-    await writer.drain()
-
-
-def _recv_exactly(sock: socket.socket, n_bytes: int) -> bytes:
-    chunks = []
-    remaining = n_bytes
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Blocking counterpart of :func:`read_message` (``None`` on clean EOF)."""
-    header = _recv_exactly(sock, _HEADER.size)
-    if not header:
-        return None
-    if len(header) < _HEADER.size:
-        raise ProtocolError("connection closed mid-header")
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    body = _recv_exactly(sock, length)
-    if len(body) < length:
-        raise ProtocolError("connection closed mid-message")
-    return _decode_body(body)
-
-
-def send_message(sock: socket.socket, payload: Dict[str, Any]) -> None:
-    """Blocking counterpart of :func:`write_message`."""
-    sock.sendall(encode_message(payload))
-
-
-# --------------------------------------------------------------- binary codec
+# ------------------------------------------------------------- wire constants
 #: First byte of every binary frame.  JSON frames lead with the high byte
 #: of a big-endian length capped at 64 MiB (<= 0x04), so 0xBF is
 #: unambiguous on a shared listener.
@@ -310,6 +222,48 @@ class BinaryRequest:
     return_scores: bool
 
 
+def model_field(payload: Dict[str, Any]) -> Optional[str]:
+    """A JSON-bodied op's optional ``model`` field (``None`` = the default
+    model); anything but a string is the typed ``bad_request``."""
+    model = payload.get("model")
+    if model is not None and not isinstance(model, str):
+        raise BadRequestError("the model field must be a string")
+    return model
+
+
+@dataclass
+class JsonPredictRequest:
+    """The JSON protocol's ``predict`` op, decoded to :class:`BinaryRequest`'s
+    shape — ``rows`` where that has ``packed`` — so a server's one predict
+    routine takes either, and
+    :meth:`~repro.serving.registry.RegisteredModel.submit` picks the queue's
+    entry point from whichever payload is there."""
+
+    model: Optional[str]
+    rows: np.ndarray  # (n_samples, n_features), values as the client sent them
+    n_samples: int
+    return_scores: bool
+    packed = None  # not a field: a JSON predict never carries words
+
+    @classmethod
+    def decode(cls, payload: Dict[str, Any]) -> "JsonPredictRequest":
+        model = model_field(payload)
+        try:
+            # no dtype coercion here: check_binary_matrix inside the queue
+            # must see the raw values so 0.5 is rejected, not truncated to 0
+            rows = np.asarray(payload.get("features"))
+        except (TypeError, ValueError):
+            raise BadRequestError(
+                "features must be a rectangular 0/1 matrix"
+            ) from None
+        return cls(
+            model=model,
+            rows=rows,
+            n_samples=len(rows) if rows.ndim else 0,
+            return_scores=bool(payload.get("return_scores", False)),
+        )
+
+
 @dataclass
 class BinaryReply:
     """One decoded OP_REPLY frame."""
@@ -350,6 +304,412 @@ class RawBinaryReply:
     opcode: int
     error_type: Optional[str]  # set only for OP_ERROR frames
     frame: bytes
+
+
+# ----------------------------------------------------------------- JSON bodies
+def _encode_json(payload: Dict[str, Any], what: str) -> bytes:
+    """The one JSON body encoder (JSON frames and both control ops)."""
+    try:
+        body = json.dumps(
+            payload, separators=(",", ":"), allow_nan=False
+        ).encode("utf-8")
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(
+            f"payload is not JSON-serialisable: {error}"
+        ) from error
+    if len(body) > MAX_MESSAGE_BYTES:
+        raise ProtocolError(
+            f"{what} of {len(body)} bytes exceeds the "
+            f"{MAX_MESSAGE_BYTES}-byte cap"
+        )
+    return body
+
+
+def _decode_json(body: bytes) -> Dict[str, Any]:
+    """The one JSON body decoder (JSON frames and both control ops)."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal past
+        # the interpreter's digit limit; a body of 200 000 '[' overflows
+        # the scanner's recursion instead
+        raise ProtocolError(f"invalid JSON payload: {error}") from error
+    if not isinstance(payload, dict):
+        raise ProtocolError(
+            f"payload must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+def _check_length(length: int, error: type = ProtocolError) -> int:
+    if length > MAX_MESSAGE_BYTES:
+        raise error(
+            f"frame announces {length} bytes, cap is {MAX_MESSAGE_BYTES}"
+        )
+    return length
+
+
+# ------------------------------------------------------------- binary grammar
+def _capped(payload: int) -> int:
+    if payload > MAX_PAYLOAD_BYTES:
+        raise BinaryProtocolError(
+            f"frame announces {payload} payload bytes, "
+            f"cap is {MAX_PAYLOAD_BYTES}"
+        )
+    return payload
+
+
+def _predict_body(
+    flags: int, name_len: int, samples: int, features: int
+) -> Tuple[int, int]:
+    if name_len > MAX_MODEL_NAME_BYTES:
+        raise BinaryProtocolError(
+            f"model name of {name_len} bytes exceeds the "
+            f"{MAX_MODEL_NAME_BYTES}-byte cap"
+        )
+    # two parts, two reads: the words keep a buffer of their own, 8-byte
+    # aligned and never joined into (or sliced out of) a larger ``bytes``
+    return name_len, _capped(features * n_words(samples) * 8)
+
+
+def _reply_body(flags: int, samples: int, n_classes: int) -> Tuple[int]:
+    per_sample = 1 + (n_classes if flags & FLAG_SCORES else 0)
+    return (_capped(samples * per_sample * 8),)
+
+
+def _error_body(flags: int, code: int, msg_len: int) -> Tuple[int]:
+    return (msg_len,)  # a u16: at most 65535, no cap to enforce
+
+
+def _control_body(flags: int, length: int) -> Tuple[int]:
+    return (_check_length(length, BinaryProtocolError),)
+
+
+def _parse_predict(
+    flags: int,
+    request_id: int,
+    fields: Tuple[int, int, int],
+    name: bytes,
+    payload: bytes,
+) -> BinaryRequest:
+    _, samples, features = fields
+    return BinaryRequest(
+        request_id,
+        name.decode("utf-8") if name else None,
+        np.frombuffer(payload, dtype=_WORD).reshape(features, n_words(samples)),
+        samples,
+        bool(flags & FLAG_SCORES),
+    )
+
+
+def _parse_reply(
+    flags: int, request_id: int, fields: Tuple[int, int], body: bytes
+) -> BinaryReply:
+    samples, n_classes = fields
+    labels = np.frombuffer(body, dtype=_LABEL, count=samples).astype(
+        np.int64, copy=False
+    )
+    scores = None
+    if flags & FLAG_SCORES:
+        scores = np.frombuffer(
+            body, dtype=_SCORE, count=samples * n_classes, offset=samples * 8
+        ).reshape(samples, n_classes)
+    return BinaryReply(request_id, labels, scores)
+
+
+def _parse_error(
+    flags: int, request_id: int, fields: Tuple[int, int], body: bytes
+) -> None:
+    """An OP_ERROR frame *raises* — the exception class registered for its
+    code in :data:`WIRE_ERROR_TYPES`, the same mapping the JSON client
+    uses — whichever reply the caller was waiting for."""
+    raise wire_exception(
+        ERROR_CODES.get(fields[0], "internal"),
+        body.decode("utf-8", errors="replace"),
+    )
+
+
+def _parse_control(
+    flags: int, request_id: int, fields: Tuple[int], body: bytes
+) -> BinaryControlRequest:
+    return BinaryControlRequest(request_id, _decode_json(body))
+
+
+def _parse_control_reply(
+    flags: int, request_id: int, fields: Tuple[int], body: bytes
+) -> Tuple[int, Dict[str, Any]]:
+    return request_id, _decode_json(body)
+
+
+class _Frame(NamedTuple):
+    """One opcode's row of the binary grammar."""
+
+    head: struct.Struct  # the fixed fields that follow the common header
+    body: Callable[..., Tuple[int, ...]]  # (flags, *head fields) → part sizes
+    parse: Callable[..., Any]  # (flags, request id, head fields, *parts)
+
+
+#: The binary wire grammar, declared once.  Every frame is the common
+#: header (magic, version, opcode, flags, request id), the opcode's fixed
+#: ``head``, then the body parts whose sizes ``body`` derives from the
+#: flags and head fields — raising :class:`BinaryProtocolError` past
+#: :data:`MAX_PAYLOAD_BYTES` / :data:`MAX_MODEL_NAME_BYTES` /
+#: :data:`MAX_MESSAGE_BYTES` *before* anything of that size is read.
+_FRAMES: Dict[int, _Frame] = {
+    OP_PREDICT: _Frame(_PREDICT_HEAD, _predict_body, _parse_predict),
+    OP_REPLY: _Frame(_REPLY_HEAD, _reply_body, _parse_reply),
+    OP_ERROR: _Frame(_ERROR_HEAD, _error_body, _parse_error),
+    OP_CONTROL: _Frame(_CONTROL_HEAD, _control_body, _parse_control),
+    OP_CONTROL_REPLY: _Frame(
+        _CONTROL_HEAD, _control_body, _parse_control_reply
+    ),
+}
+
+
+class _Direction(NamedTuple):
+    """Which frames a reader accepts, and how it wants them."""
+
+    ops: Tuple[int, ...]  # binary opcodes that may arrive; () = JSON only
+    json: bool  # may JSON frames arrive (and clean EOF mean ``None``)?
+    where: str  # finishes "unexpected opcode 0x.. "
+    raw: bool = False  # keep binary frames as RawBinaryReply, unparsed
+
+
+_JSON_ONLY = _Direction((), True, "")
+_REQUESTS = _Direction(
+    (OP_PREDICT, OP_CONTROL),
+    True,
+    "from a client (only OP_PREDICT and OP_CONTROL cross this direction)",
+)
+_REPLIES = _Direction(
+    (OP_REPLY, OP_ERROR, OP_CONTROL_REPLY), True, "in a reply", raw=True
+)
+_PREDICT_REPLY = _Direction((OP_REPLY, OP_ERROR), False, "in a reply")
+_CONTROL_REPLY = _Direction(
+    (OP_CONTROL_REPLY, OP_ERROR), False, "in a control reply"
+)
+
+_MAGIC = bytes([BINARY_MAGIC])
+
+
+def _check_version(version: int) -> None:
+    if version != BINARY_VERSION:
+        raise BinaryProtocolError(
+            f"unsupported binary protocol version {version} "
+            f"(this side speaks {BINARY_VERSION})"
+        )
+
+
+async def _walk(
+    fetch: Callable[[int], Awaitable[bytes]], direction: _Direction, lost: str
+):
+    """Decode one frame: the single walk over the wire grammar.
+
+    ``fetch(n)`` awaits exactly ``n`` bytes or raises
+    :class:`asyncio.IncompleteReadError` where the stream ends (``lost``
+    words the error).  That is ``StreamReader.readexactly`` as it stands, so
+    the asyncio readers await this coroutine with nothing in between; the
+    blocking views run the very same coroutine through :func:`_drive`.  The
+    result is ``None`` on clean EOF before a frame, a ``dict`` for a JSON
+    frame, and for a binary frame the opcode's parsed object — or a
+    :class:`RawBinaryReply` when ``direction.raw``.  No read is ever
+    requested beyond a size the grammar has announced and capped.
+    """
+    ops, json_ok, where, raw = direction
+    try:  # a JSON length, or magic/version/opcode/flags
+        prefix = await fetch(_HEADER.size)
+    except asyncio.IncompleteReadError as short:
+        prefix = short.partial
+    if not (ops and prefix[:1] == _MAGIC):
+        if json_ok:
+            if not prefix:
+                return None  # clean EOF between frames
+            if len(prefix) < _HEADER.size:
+                raise ProtocolError(f"{lost} mid-header")
+            length = _check_length(_HEADER.unpack(prefix)[0])
+            try:
+                body = await fetch(length) if length else b""
+            except asyncio.IncompleteReadError:
+                raise ProtocolError(f"{lost} mid-message") from None
+            return _decode_json(body)
+        if prefix:
+            raise BinaryProtocolError(
+                f"expected a binary reply, got leading byte 0x{prefix[0]:02x}"
+            )
+    if len(prefix) < _HEADER.size:
+        raise BinaryProtocolError(f"{lost} mid-binary-frame")
+    _, version, opcode, flags = prefix
+    _check_version(version)
+    if opcode not in ops:
+        raise BinaryProtocolError(f"unexpected opcode 0x{opcode:02x} {where}")
+    head, body_sizes, parse = _FRAMES[opcode]
+    try:
+        rest = await fetch(_REQUEST_ID.size + head.size)
+        (request_id,) = _REQUEST_ID.unpack_from(rest)
+        fields = head.unpack_from(rest, _REQUEST_ID.size)
+        parts: List[bytes] = []
+        for size in body_sizes(flags, *fields):
+            parts.append(await fetch(size) if size else b"")
+    except asyncio.IncompleteReadError:
+        raise BinaryProtocolError(f"{lost} mid-binary-frame") from None
+    if raw:
+        error_type = None
+        if opcode == OP_ERROR:
+            error_type = ERROR_CODES.get(fields[0], "internal")
+        return RawBinaryReply(
+            request_id, opcode, error_type, b"".join((prefix, rest, *parts))
+        )
+    try:
+        return parse(flags, request_id, fields, *parts)
+    except BinaryProtocolError:
+        raise
+    except (ProtocolError, UnicodeDecodeError) as error:
+        # a control body that is not a JSON object, a model name that is not
+        # UTF-8: still this frame's fault, so still a typed binary error —
+        # the peer is answered on the wire it spoke
+        raise BinaryProtocolError(str(error)) from error
+
+
+def _drive(fetch: Callable[[int], bytes], direction: _Direction, lost: str):
+    """Run the walk over a blocking ``fetch(n) -> up to n bytes``.
+
+    Its reads never suspend, so a single step runs the coroutine to its
+    end — the blocking socket and the in-memory frame are views of the same
+    walk the asyncio readers await, not a second decoder.
+    """
+
+    async def exactly(n_bytes: int) -> bytes:
+        data = fetch(n_bytes)
+        if len(data) < n_bytes:
+            raise asyncio.IncompleteReadError(data, n_bytes)
+        return data
+
+    try:
+        _walk(exactly, direction, lost).send(None)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a blocking fetch suspended the walk")
+
+
+def _recv_exactly(sock: socket.socket, n_bytes: int) -> bytes:
+    chunks = []
+    remaining = n_bytes
+    while remaining:
+        chunk = sock.recv(remaining)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
+def _recv(sock: socket.socket, direction: _Direction):
+    return _drive(partial(_recv_exactly, sock), direction, "connection closed")
+
+
+def _slice(frame: bytes, direction: _Direction):
+    return _drive(io.BytesIO(frame).read, direction, "frame truncated")
+
+
+# -------------------------------------------------------------------- readers
+async def read_frame(
+    reader: asyncio.StreamReader,
+) -> Union[None, Dict[str, Any], BinaryRequest, BinaryControlRequest]:
+    """Read one *request* frame of either protocol from a shared listener.
+
+    Returns ``None`` on clean EOF before a frame, a ``dict`` for a JSON
+    frame, a :class:`BinaryRequest` for a binary predict frame, or a
+    :class:`BinaryControlRequest` for a binary-framed control op.  The
+    first byte discriminates: :data:`BINARY_MAGIC` can never open a JSON
+    length header (the 64 MiB cap keeps that byte <= 0x04).
+    """
+    return await _walk(reader.readexactly, _REQUESTS, "connection closed")
+
+
+async def read_reply_frame(
+    reader: asyncio.StreamReader,
+) -> Union[None, Dict[str, Any], RawBinaryReply]:
+    """Read one *reply* frame of either protocol (the client direction).
+
+    The router's backend connections use this: JSON replies come back as
+    dicts (re-associated by their ``id``), binary replies come back as
+    :class:`RawBinaryReply` — validated and sized, payload untouched — so
+    forwarding to the client is an id splice, not a decode/re-encode.
+    ``None`` means clean EOF.
+    """
+    return await _walk(reader.readexactly, _REPLIES, "connection closed")
+
+
+async def read_message(
+    reader: asyncio.StreamReader,
+) -> Optional[Dict[str, Any]]:
+    """Read one framed JSON message; ``None`` on clean EOF before a header."""
+    return await _walk(reader.readexactly, _JSON_ONLY, "connection closed")
+
+
+def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
+    """Blocking counterpart of :func:`read_message` (``None`` on clean EOF)."""
+    return _recv(sock, _JSON_ONLY)
+
+
+def recv_reply(sock: socket.socket) -> BinaryReply:
+    """Blocking read of one binary reply; typed errors raise client-side.
+
+    An OP_ERROR frame raises the exception class registered for its code in
+    :data:`WIRE_ERROR_TYPES` — the same mapping the JSON client uses — so
+    callers cannot tell which transport carried the error.
+    """
+    return _recv(sock, _PREDICT_REPLY)
+
+
+def decode_reply(frame: bytes) -> BinaryReply:
+    """Fully parse one OP_REPLY frame held in memory (raises typed errors
+    for OP_ERROR frames, exactly like :func:`recv_reply`)."""
+    return _slice(frame, _PREDICT_REPLY)
+
+
+def recv_control_reply(sock: socket.socket) -> Dict[str, Any]:
+    """Blocking read of one OP_CONTROL_REPLY frame's JSON payload.
+
+    Error semantics match the JSON protocol: the payload itself carries
+    ``ok``/``error``, and the caller maps it exactly like a JSON response.
+    A server that could not even decode the control frame (a version
+    mismatch, say) answers OP_ERROR instead; that raises its typed
+    exception here, as it does from :func:`recv_reply`.
+    """
+    return _recv(sock, _CONTROL_REPLY)[1]
+
+
+def decode_control_reply(frame: bytes) -> Tuple[int, Dict[str, Any]]:
+    """Parse one OP_CONTROL_REPLY frame held in memory → ``(id, payload)``."""
+    return _slice(frame, _CONTROL_REPLY)
+
+
+# ------------------------------------------------------------------- encoders
+def encode_message(payload: Dict[str, Any]) -> bytes:
+    """Serialise one message to its framed wire form.
+
+    Non-finite floats raise :class:`ProtocolError`: the encoder would
+    otherwise emit the bare ``NaN``/``Infinity`` tokens, which are not JSON
+    — a strict peer rejects the whole frame.  The server converts this
+    failure into the typed ``internal`` wire error; the binary protocol
+    carries non-finite scores losslessly instead.
+    """
+    body = _encode_json(payload, "message")
+    return _HEADER.pack(len(body)) + body
+
+
+async def write_message(
+    writer: asyncio.StreamWriter, payload: Dict[str, Any]
+) -> None:
+    """Frame and send one message, draining the transport buffer."""
+    writer.write(encode_message(payload))
+    await writer.drain()
+
+
+def send_message(sock: socket.socket, payload: Dict[str, Any]) -> None:
+    """Blocking counterpart of :func:`write_message`."""
+    sock.sendall(encode_message(payload))
 
 
 def encode_predict_request(
@@ -452,53 +812,32 @@ def encode_error(
     )
 
 
-def _encode_control_body(payload: Dict[str, Any]) -> bytes:
-    try:
-        body = json.dumps(
-            payload, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(
-            f"payload is not JSON-serialisable: {error}"
-        ) from error
-    if len(body) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"control payload of {len(body)} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte cap"
+def _control_frame(
+    opcode: int, payload: Dict[str, Any], request_id: int
+) -> bytes:
+    """The one framer of a JSON body inside a binary frame."""
+    body = _encode_json(payload, "control payload")
+    return b"".join(
+        (
+            _COMMON.pack(BINARY_MAGIC, BINARY_VERSION, opcode, 0, request_id),
+            _CONTROL_HEAD.pack(len(body)),
+            body,
         )
-    return body
+    )
 
 
 def encode_control_request(
     payload: Dict[str, Any], *, request_id: int = 0
 ) -> bytes:
     """Frame one JSON control op for the binary wire (OP_CONTROL)."""
-    body = _encode_control_body(payload)
-    return b"".join(
-        (
-            _COMMON.pack(
-                BINARY_MAGIC, BINARY_VERSION, OP_CONTROL, 0, request_id
-            ),
-            _CONTROL_HEAD.pack(len(body)),
-            body,
-        )
-    )
+    return _control_frame(OP_CONTROL, payload, request_id)
 
 
 def encode_control_reply(
     payload: Dict[str, Any], *, request_id: int = 0
 ) -> bytes:
     """Frame one JSON control response (OP_CONTROL_REPLY)."""
-    body = _encode_control_body(payload)
-    return b"".join(
-        (
-            _COMMON.pack(
-                BINARY_MAGIC, BINARY_VERSION, OP_CONTROL_REPLY, 0, request_id
-            ),
-            _CONTROL_HEAD.pack(len(body)),
-            body,
-        )
-    )
+    return _control_frame(OP_CONTROL_REPLY, payload, request_id)
 
 
 def replace_request_id(frame: bytes, request_id: int) -> bytes:
@@ -517,329 +856,54 @@ def replace_request_id(frame: bytes, request_id: int) -> bytes:
     )
 
 
-# ------------------------------------------------------------ binary decoding
-def _check_version(version: int) -> None:
-    if version != BINARY_VERSION:
-        raise BinaryProtocolError(
-            f"unsupported binary protocol version {version} "
-            f"(this side speaks {BINARY_VERSION})"
-        )
-
-
-def _predict_sizes(name_len: int, samples: int, features: int) -> int:
-    """Validate an OP_PREDICT header, returning the payload byte count."""
-    if name_len > MAX_MODEL_NAME_BYTES:
-        raise BinaryProtocolError(
-            f"model name of {name_len} bytes exceeds the "
-            f"{MAX_MODEL_NAME_BYTES}-byte cap"
-        )
-    payload = features * n_words(samples) * 8
-    if payload > MAX_PAYLOAD_BYTES:
-        raise BinaryProtocolError(
-            f"frame announces {payload} payload bytes, "
-            f"cap is {MAX_PAYLOAD_BYTES}"
-        )
-    return payload
-
-
-def _reply_sizes(samples: int, n_classes: int, flags: int) -> Tuple[int, int]:
-    labels_bytes = samples * 8
-    scores_bytes = samples * n_classes * 8 if flags & FLAG_SCORES else 0
-    if labels_bytes + scores_bytes > MAX_PAYLOAD_BYTES:
-        raise BinaryProtocolError(
-            f"frame announces {labels_bytes + scores_bytes} payload bytes, "
-            f"cap is {MAX_PAYLOAD_BYTES}"
-        )
-    return labels_bytes, scores_bytes
-
-
-def _parse_predict(
-    flags: int, request_id: int, head: bytes, name: bytes, payload: bytes
-) -> BinaryRequest:
-    _, samples, features = _PREDICT_HEAD.unpack(head)
-    packed = np.frombuffer(payload, dtype=_WORD).reshape(
-        features, n_words(samples)
-    )
-    return BinaryRequest(
-        request_id=request_id,
-        model=name.decode("utf-8") if name else None,
-        packed=packed,
-        n_samples=samples,
-        return_scores=bool(flags & FLAG_SCORES),
-    )
-
-
-def _parse_reply(
-    flags: int, request_id: int, head: bytes, body: bytes
-) -> BinaryReply:
-    samples, n_classes = _REPLY_HEAD.unpack(head)
-    labels_bytes, _ = _reply_sizes(samples, n_classes, flags)
-    labels = np.frombuffer(body[:labels_bytes], dtype=_LABEL).astype(
-        np.int64, copy=False
-    )
-    scores = None
-    if flags & FLAG_SCORES:
-        scores = np.frombuffer(body[labels_bytes:], dtype=_SCORE).reshape(
-            samples, n_classes
-        )
-    return BinaryReply(request_id=request_id, labels=labels, scores=scores)
-
-
-def _frame_part(frame: bytes, start: int, n_bytes: int, what: str) -> bytes:
-    """``frame[start:start + n_bytes]``, or a typed error if the frame ends
-    first — the in-memory counterpart of :func:`_recv_or_raise`."""
-    part = frame[start: start + n_bytes]
-    if len(part) < n_bytes:
-        raise BinaryProtocolError(f"frame truncated mid-{what}")
-    return part
-
-
-def decode_reply(frame: bytes) -> BinaryReply:
-    """Fully parse one OP_REPLY frame held in memory (raises typed errors
-    for OP_ERROR frames, exactly like :func:`recv_reply`)."""
-    magic, version, opcode, flags, request_id = _COMMON.unpack(
-        _frame_part(frame, 0, _COMMON.size, "header")
-    )
-    if magic != BINARY_MAGIC:
-        raise BinaryProtocolError(
-            f"expected a binary reply, got leading byte 0x{magic:02x}"
-        )
-    _check_version(version)
-    if opcode == OP_ERROR:
-        code, msg_len = _ERROR_HEAD.unpack(
-            _frame_part(frame, _COMMON.size, _ERROR_HEAD.size, "error header")
-        )
-        message = _frame_part(
-            frame, _COMMON.size + _ERROR_HEAD.size, msg_len, "error message"
-        ).decode("utf-8", errors="replace")
-        raise wire_exception(ERROR_CODES.get(code, "internal"), message)
-    if opcode != OP_REPLY:
-        raise BinaryProtocolError(
-            f"unexpected opcode 0x{opcode:02x} in a reply"
-        )
-    head = _frame_part(frame, _COMMON.size, _REPLY_HEAD.size, "reply header")
-    samples, n_classes = _REPLY_HEAD.unpack(head)
-    labels_bytes, scores_bytes = _reply_sizes(samples, n_classes, flags)
-    body = _frame_part(
-        frame,
-        _COMMON.size + _REPLY_HEAD.size,
-        labels_bytes + scores_bytes,
-        "reply body",
-    )
-    return _parse_reply(flags, request_id, head, body)
-
-
-# ----------------------------------------------- unified readers (both sides)
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> Union[None, Dict[str, Any], BinaryRequest, BinaryControlRequest]:
-    """Read one *request* frame of either protocol from a shared listener.
-
-    Returns ``None`` on clean EOF before a frame, a ``dict`` for a JSON
-    frame, a :class:`BinaryRequest` for a binary predict frame, or a
-    :class:`BinaryControlRequest` for a binary-framed control op.  The
-    first byte discriminates: :data:`BINARY_MAGIC` can never open a JSON
-    length header (the 64 MiB cap keeps that byte <= 0x04).
-    """
-    try:
-        first = await reader.readexactly(1)
-    except asyncio.IncompleteReadError:
-        return None  # clean EOF between frames
-    if first[0] != BINARY_MAGIC:
-        return await _read_json_after_first(reader, first)
-    try:
-        version, opcode, flags, request_id = struct.unpack(
-            "<BBBI", await reader.readexactly(_COMMON.size - 1)
-        )
-        _check_version(version)
-        if opcode == OP_CONTROL:
-            head = await reader.readexactly(_CONTROL_HEAD.size)
-            (length,) = _CONTROL_HEAD.unpack(head)
-            try:
-                _check_length(length)
-            except ProtocolError as error:
-                raise BinaryProtocolError(str(error)) from error
-            body = await reader.readexactly(length) if length else b""
-            try:
-                payload = _decode_body(body)
-            except ProtocolError as error:
-                raise BinaryProtocolError(str(error)) from error
-            return BinaryControlRequest(
-                request_id=request_id, payload=payload
-            )
-        if opcode != OP_PREDICT:
-            raise BinaryProtocolError(
-                f"unexpected opcode 0x{opcode:02x} from a client "
-                "(only OP_PREDICT and OP_CONTROL cross this direction)"
-            )
-        head = await reader.readexactly(_PREDICT_HEAD.size)
-        name_len, samples, features = _PREDICT_HEAD.unpack(head)
-        payload_len = _predict_sizes(name_len, samples, features)
-        name = await reader.readexactly(name_len) if name_len else b""
-        payload = await reader.readexactly(payload_len)
-    except asyncio.IncompleteReadError as error:
-        raise BinaryProtocolError(
-            "connection closed mid-binary-frame"
-        ) from error
-    return _parse_predict(flags, request_id, head, name, payload)
-
-
-async def read_reply_frame(
-    reader: asyncio.StreamReader,
-) -> Union[None, Dict[str, Any], RawBinaryReply]:
-    """Read one *reply* frame of either protocol (the client direction).
-
-    The router's backend connections use this: JSON replies come back as
-    dicts (re-associated by their ``id``), binary replies come back as
-    :class:`RawBinaryReply` — validated and sized, payload untouched — so
-    forwarding to the client is an id splice, not a decode/re-encode.
-    ``None`` means clean EOF.
-    """
-    try:
-        first = await reader.readexactly(1)
-    except asyncio.IncompleteReadError:
-        return None
-    if first[0] != BINARY_MAGIC:
-        return await _read_json_after_first(reader, first)
-    try:
-        rest_common = await reader.readexactly(_COMMON.size - 1)
-        version, opcode, flags, request_id = struct.unpack(
-            "<BBBI", rest_common
-        )
-        _check_version(version)
-        if opcode == OP_ERROR:
-            head = await reader.readexactly(_ERROR_HEAD.size)
-            code, msg_len = _ERROR_HEAD.unpack(head)
-            body = await reader.readexactly(msg_len) if msg_len else b""
-            return RawBinaryReply(
-                request_id=request_id,
-                opcode=OP_ERROR,
-                error_type=ERROR_CODES.get(code, "internal"),
-                frame=first + rest_common + head + body,
-            )
-        if opcode == OP_CONTROL_REPLY:
-            head = await reader.readexactly(_CONTROL_HEAD.size)
-            (length,) = _CONTROL_HEAD.unpack(head)
-            try:
-                _check_length(length)
-            except ProtocolError as error:
-                raise BinaryProtocolError(str(error)) from error
-            body = await reader.readexactly(length) if length else b""
-            return RawBinaryReply(
-                request_id=request_id,
-                opcode=OP_CONTROL_REPLY,
-                error_type=None,
-                frame=first + rest_common + head + body,
-            )
-        if opcode != OP_REPLY:
-            raise BinaryProtocolError(
-                f"unexpected opcode 0x{opcode:02x} in a reply"
-            )
-        head = await reader.readexactly(_REPLY_HEAD.size)
-        samples, n_classes = _REPLY_HEAD.unpack(head)
-        labels_bytes, scores_bytes = _reply_sizes(samples, n_classes, flags)
-        body = await reader.readexactly(labels_bytes + scores_bytes)
-    except asyncio.IncompleteReadError as error:
-        raise BinaryProtocolError(
-            "connection closed mid-binary-frame"
-        ) from error
-    return RawBinaryReply(
-        request_id=request_id,
-        opcode=OP_REPLY,
-        error_type=None,
-        frame=first + rest_common + head + body,
-    )
-
-
-# ------------------------------------------------------------------- blocking
-def _recv_or_raise(sock: socket.socket, n_bytes: int, what: str) -> bytes:
-    data = _recv_exactly(sock, n_bytes)
-    if len(data) < n_bytes:
-        raise BinaryProtocolError(f"connection closed mid-{what}")
-    return data
-
-
-def recv_reply(sock: socket.socket) -> BinaryReply:
-    """Blocking read of one binary reply; typed errors raise client-side.
-
-    An OP_ERROR frame raises the exception class registered for its code in
-    :data:`WIRE_ERROR_TYPES` — the same mapping the JSON client uses — so
-    callers cannot tell which transport carried the error.
-    """
-    header = _recv_or_raise(sock, _COMMON.size, "header")
-    magic, version, opcode, flags, request_id = _COMMON.unpack(header)
-    if magic != BINARY_MAGIC:
-        raise BinaryProtocolError(
-            f"expected a binary reply, got leading byte 0x{magic:02x}"
-        )
-    _check_version(version)
-    if opcode == OP_ERROR:
-        head = _recv_or_raise(sock, _ERROR_HEAD.size, "error header")
-        code, msg_len = _ERROR_HEAD.unpack(head)
-        message = _recv_or_raise(sock, msg_len, "error message").decode(
-            "utf-8", errors="replace"
-        )
-        raise wire_exception(ERROR_CODES.get(code, "internal"), message)
-    if opcode != OP_REPLY:
-        raise BinaryProtocolError(
-            f"unexpected opcode 0x{opcode:02x} in a reply"
-        )
-    head = _recv_or_raise(sock, _REPLY_HEAD.size, "reply header")
-    samples, n_classes = _REPLY_HEAD.unpack(head)
-    labels_bytes, scores_bytes = _reply_sizes(samples, n_classes, flags)
-    body = _recv_or_raise(sock, labels_bytes + scores_bytes, "reply body")
-    return _parse_reply(flags, request_id, head, body)
-
-
-def decode_control_reply(frame: bytes) -> Tuple[int, Dict[str, Any]]:
-    """Parse one OP_CONTROL_REPLY frame held in memory → ``(id, payload)``."""
-    magic, version, opcode, _flags, request_id = _COMMON.unpack(
-        _frame_part(frame, 0, _COMMON.size, "header")
-    )
-    if magic != BINARY_MAGIC:
-        raise BinaryProtocolError(
-            f"expected a binary control reply, got leading byte 0x{magic:02x}"
-        )
-    _check_version(version)
-    if opcode != OP_CONTROL_REPLY:
-        raise BinaryProtocolError(
-            f"unexpected opcode 0x{opcode:02x} in a control reply"
-        )
-    (length,) = _CONTROL_HEAD.unpack(
-        _frame_part(frame, _COMMON.size, _CONTROL_HEAD.size, "control header")
-    )
-    body = _frame_part(
-        frame, _COMMON.size + _CONTROL_HEAD.size, length, "control body"
-    )
-    return request_id, _decode_body(body)
-
-
-def recv_control_reply(sock: socket.socket) -> Dict[str, Any]:
-    """Blocking read of one OP_CONTROL_REPLY frame's JSON payload.
-
-    Error semantics match the JSON protocol: the payload itself carries
-    ``ok``/``error``, so this only raises on transport/framing failures —
-    the caller maps typed wire errors exactly like a JSON response.
-    """
-    header = _recv_or_raise(sock, _COMMON.size, "header")
-    magic, version, opcode, _flags, _request_id = _COMMON.unpack(header)
-    if magic != BINARY_MAGIC:
-        raise BinaryProtocolError(
-            f"expected a binary control reply, got leading byte 0x{magic:02x}"
-        )
-    _check_version(version)
-    if opcode != OP_CONTROL_REPLY:
-        raise BinaryProtocolError(
-            f"unexpected opcode 0x{opcode:02x} in a control reply"
-        )
-    head = _recv_or_raise(sock, _CONTROL_HEAD.size, "control header")
-    (length,) = _CONTROL_HEAD.unpack(head)
-    _check_length(length)
-    body = _recv_or_raise(sock, length, "control body") if length else b""
-    return _decode_body(body)
-
-
 # --------------------------------------------------------- listener machinery
+def _encode_response(request: Any, result: Any) -> bytes:
+    """Encode a handler's wire-neutral ``result`` for the wire ``request``
+    (a frame as :func:`read_frame` returned it) arrived on.
+
+    OP_PREDICT is answered by OP_REPLY or OP_ERROR carrying its request id;
+    the JSON-bodied wires get the same response ``dict`` — as a JSON frame
+    echoing the request's ``"id"`` when it sent one (how pipelining clients
+    re-associate out-of-order completions), or inside OP_CONTROL_REPLY.
+    """
+    if isinstance(request, BinaryRequest):
+        rid = request.request_id
+        if isinstance(result, tuple):
+            return encode_reply(*result, request_id=rid)
+        if isinstance(result, ServingError):
+            return encode_error(result.error_type, str(result), request_id=rid)
+        # zero-copy forward: splice the client's id into the raw frame
+        return replace_request_id(result.frame, rid)
+    if isinstance(result, ServingError):
+        result = error_response(result.error_type, str(result))
+    elif isinstance(result, tuple):
+        labels, scores = result
+        result = {"ok": True, "labels": labels.tolist()}
+        if scores is not None:
+            result["scores"] = scores.tolist()
+
+    def frame(response: Dict[str, Any]) -> bytes:
+        if isinstance(request, BinaryControlRequest):
+            return encode_control_reply(
+                response, request_id=request.request_id
+            )
+        if "id" in request:
+            response["id"] = request["id"]
+        return encode_message(response)
+
+    try:
+        return frame(result)
+    except ProtocolError as error:
+        # e.g. a model emitted NaN/Inf scores: JSON cannot carry them
+        # (allow_nan=False), so the client gets the typed internal error
+        # instead of a frame its parser rejects — the connection stays usable
+        return frame(
+            error_response(
+                "internal", f"response not representable in JSON: {error}"
+            )
+        )
+
+
 class CorkedWriter:
     """Per-connection response writer that coalesces same-tick writes.
 
@@ -886,13 +950,15 @@ class FrameServer:
 
     Subclasses (:class:`~repro.serving.server.InferenceServer`, the cluster
     :class:`~repro.serving.router.RouterServer`) implement request
-    semantics through two hooks — :meth:`_dispatch` for JSON requests and
-    :meth:`_dispatch_binary` for binary predicts — while this base owns
-    everything transport-shaped: the listener, per-connection pipelined
-    dispatch with id echo, corked writes, protocol discrimination, and the
-    connection teardown rules (an abortive disconnect *cancels* that
-    connection's in-flight requests, so their queued work is discarded and
-    their admission reservations released; a clean EOF lets them finish).
+    semantics through one hook, :meth:`_dispatch`, which takes a decoded
+    request of either wire and returns a wire-neutral result — while this
+    base owns everything transport-shaped: the listener, per-connection
+    pipelined dispatch, encoding each result for the wire its request
+    arrived on (:func:`_encode_response`: id echo, ``OP_ERROR`` vs error
+    dict), corked writes, protocol discrimination, and the connection
+    teardown rules (an abortive disconnect *cancels* that connection's
+    in-flight requests, so their queued work is discarded and their
+    admission reservations released; a clean EOF lets them finish).
 
     Lifecycle states::
 
@@ -1008,10 +1074,19 @@ class FrameServer:
     async def _on_stop(self) -> None:
         """Runs last in :meth:`stop` (e.g. close queues and registries)."""
 
-    async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        raise NotImplementedError
+    def _dispatch(
+        self, request: Union[Dict[str, Any], BinaryRequest]
+    ) -> Awaitable[Any]:
+        """The one request hook: an awaitable of ``request``'s result.
 
-    async def _dispatch_binary(self, request: BinaryRequest) -> bytes:
+        ``request`` is a :class:`BinaryRequest` (OP_PREDICT) or the ``dict``
+        of a JSON-bodied op, whether a JSON frame or OP_CONTROL carried it.
+        The result is wire-neutral — a response ``dict``, a predict's
+        ``(labels, scores or None)``, a backend's :class:`RawBinaryReply`
+        to forward — and a raised :class:`~repro.serving.queue.ServingError`
+        is the typed failure.  Not a coroutine itself: it returns the
+        handler's, so the predict path pays for no frame in between.
+        """
         raise NotImplementedError
 
     # ----------------------------------------------------------- connection
@@ -1032,50 +1107,24 @@ class FrameServer:
         corked = CorkedWriter(writer)
         in_flight: set = set()
 
-        async def respond(request: Dict[str, Any]) -> None:
-            response = await self._dispatch(request)
-            if "id" in request:
-                response["id"] = request["id"]
+        async def respond(request) -> None:
             try:
-                corked.send(response)
-            except ProtocolError as error:
-                # e.g. a model emitted NaN/Inf scores: JSON cannot carry
-                # them (encode_message enforces allow_nan=False), so the
-                # client gets the typed internal error instead of a frame
-                # its parser rejects — the connection stays usable
-                fallback = error_response(
-                    "internal", f"response not representable in JSON: {error}"
+                result = await self._dispatch(
+                    request.payload
+                    if isinstance(request, BinaryControlRequest)
+                    else request
                 )
-                if "id" in request:
-                    fallback["id"] = request["id"]
-                corked.send(fallback)
-            await corked.drain()
-
-        async def respond_binary(request: BinaryRequest) -> None:
-            corked.send_raw(await self._dispatch_binary(request))
-            await corked.drain()
-
-        async def respond_control(request: BinaryControlRequest) -> None:
-            # a binary-framed control op dispatches through the JSON op
-            # table; the response rides back inside the binary framing so
-            # the client's pipelined stream stays single-codec
-            response = await self._dispatch(request.payload)
-            try:
-                frame = encode_control_reply(
-                    response, request_id=request.request_id
-                )
-            except ProtocolError as error:
-                frame = encode_control_reply(
-                    error_response(
-                        "internal",
-                        f"response not representable in JSON: {error}",
-                    ),
-                    request_id=request.request_id,
-                )
-            corked.send_raw(frame)
+            except ServingError as error:
+                result = error
+            corked.send_raw(_encode_response(request, result))
             await corked.drain()
 
         try:
+            if self._server is None or not self._server.is_serving():
+                # accepted in the listener's last moment, started only after
+                # stop() swept _connections: nobody would ever cancel this
+                # handler, so it hangs up by itself
+                return
             while True:
                 try:
                     request = await read_frame(reader)
@@ -1087,14 +1136,7 @@ class FrameServer:
                     break
                 if request is None:  # client closed cleanly
                     break
-                if isinstance(request, BinaryRequest):
-                    request_task = asyncio.create_task(respond_binary(request))
-                elif isinstance(request, BinaryControlRequest):
-                    request_task = asyncio.create_task(
-                        respond_control(request)
-                    )
-                else:
-                    request_task = asyncio.create_task(respond(request))
+                request_task = asyncio.create_task(respond(request))
                 in_flight.add(request_task)
                 request_task.add_done_callback(in_flight.discard)
             # clean close: let in-flight requests finish (their replies may

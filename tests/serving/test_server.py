@@ -864,7 +864,7 @@ class TestMixedProtocolPipelining:
             body = await reader.readexactly(
                 samples * 8 + (samples * n_classes * 8 if flags & 1 else 0)
             )
-            reply = _parse_reply(flags, request_id, head, body)
+            reply = _parse_reply(flags, request_id, (samples, n_classes), body)
             return reply.request_id, reply.labels
 
         async def drive():
@@ -1021,3 +1021,45 @@ class TestHttpMetrics:
             scores_fn=_scores_fn, max_batch=4, max_wait_us=500, max_queue=16
         )
         assert srv.http_address is None
+
+
+class TestTeardownLeavesNoTaskBehind:
+    def test_stop_with_connections_the_server_never_served(self, caplog):
+        """30 x (start, 20 bare connects, immediate stop): connections
+        accepted in the listener's last moment used to be destroyed pending
+        with the loop — "Task was destroyed but it is pending!", then
+        "Event loop is closed" out of the orphaned handler's ``finally`` —
+        the last run-to-run difference in tier-1's output."""
+        import gc
+        import logging
+        import socket
+        import sys
+
+        unraisable = []
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                for _ in range(30):
+                    srv = InferenceServer(
+                        scores_fn=_scores_fn, max_batch=4, max_queue=16
+                    )
+                    handle = BackgroundServer(srv)
+                    handle.start()
+                    # debug mode also reports accepts cancelled in flight
+                    handle._loop.call_soon_threadsafe(
+                        handle._loop.set_debug, True
+                    )
+                    socks = [
+                        socket.create_connection(handle.address)
+                        for _ in range(20)
+                    ]
+                    handle.stop()
+                    for sock in socks:
+                        sock.close()
+                gc.collect()
+        finally:
+            sys.unraisablehook = previous_hook
+        logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+        assert not logged, logged[:3]
+        assert not unraisable, [str(u.exc_value) for u in unraisable[:3]]
