@@ -8,7 +8,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-lifecycle check bench bench-perf bench-perf-trace serve-demo serve-stats serve-cluster
+.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace serve-demo serve-stats serve-cluster
 
 # Tier-1 verification: the full test suite (tests/ and benchmarks/).
 test:
@@ -32,6 +32,23 @@ check:
 		echo "make check: the test run changed the working tree:"; \
 		echo "$$after"; exit 1; \
 	fi
+
+# Sanitizer tier (ROADMAP 4d), not part of test/check (~2 min): the engine
+# conformance and native-backend suites with every generated unit — seg*
+# functions, drivers, copy_scores/spread8, the stack blocks — compiled *and*
+# linked under ASan + UBSan, any finding fatal.  It needs nothing from the
+# code: find_compiler shell-splits CC, the command is part of the cache
+# digest, the same command prefix runs the per-unit compiles and the link,
+# and the sanitized object loads under ctypes once libasan is preloaded
+# (UBSan alone needs no preload).  Leak checking is off: CPython's own
+# allocations would drown it.  The cache is a throwaway directory.
+check-san:
+	@cache=$$(mktemp -d); \
+	LD_PRELOAD=$$(cc -print-file-name=libasan.so) ASAN_OPTIONS=detect_leaks=0 \
+	CC="cc -fsanitize=address,undefined -fno-sanitize-recover=all" \
+	REPRO_NATIVE_CACHE=$$cache \
+	$(PYTEST) tests/engine/test_engine_conformance.py tests/engine/test_native_backend.py -x -q; \
+	status=$$?; rm -rf $$cache; exit $$status
 
 # The one wall-clock target that is not benchmarks/perf: eight report-only
 # A-vs-B comparisons (chain fusion, P=8 pipeline, structured bank, pool

@@ -4,8 +4,8 @@
 netlist to a flat, topologically-ordered, slot-allocated word program — but
 executing it still means a Python loop dispatching NumPy kernels group by
 group, with every mux step writing its intermediate back to memory.  This
-module lowers that same program one step further, into a C translation unit
-of straight-line word statements:
+module lowers that same program one step further, into C source of
+straight-line word statements:
 
 * every LUT becomes an unrolled Shannon-mux expression over its input
   slots, built MSB-first exactly like the NumPy cascade, with the table
@@ -15,11 +15,20 @@ of straight-line word statements:
   structured tables most of the tree collapses;
 * mux-shaped 3-input LUTs keep their dedicated 3-op ``a ^ ((a ^ b) & sel)``
   lowering, and arity-0 constants become literal broadcasts;
-* the statements are wrapped in ``static`` segment functions of bounded
-  size (C compilers are superlinear in function length) called from a
-  per-word driver: one ``W s[n_slots]`` stack array holds the whole live
-  state, so the working set is L1-resident instead of a word-matrix walk
-  through L2;
+* the statements are wrapped in ``seg*`` functions, each closed before its
+  *emitted statements* — mux-tree temps and slot stores, of which one node
+  can be dozens — would pass ``_SEGMENT_STATEMENTS``: past a few hundred
+  statements per function GCC's allocator and schedulers hit their size
+  caps, and both the build and the code get slower.  A per-word driver
+  calls them in order: one ``W s[n_slots]`` stack array holds the whole
+  live state, so the working set is L1-resident instead of a word-matrix
+  walk through L2;
+* consecutive segments are grouped into translation units of at most
+  ``_UNIT_STATEMENTS`` statements, cut where the program says and nowhere
+  the host does (the source and its digest never depend on a core count).
+  The units travel in the one source string, behind marker lines, and
+  :func:`build_shared_object` compiles them concurrently.  A segment
+  called across units has hidden visibility: a direct call, not an export;
 * the exported entry points are ``run_range(in, out, lo, hi, n_words)``,
   which writes only word columns ``[lo, hi)`` of the full-stride planes —
   what makes in-process word sharding possible — and
@@ -28,7 +37,7 @@ of straight-line word statements:
   each word's outputs stay in a stack-local block and, for the live lanes
   only, output bits ``g*p .. g*p+p-1`` index ``table[g]`` and the entry is
   copied to ``scores[sample][g]``.  The epilogue is generic in
-  ``(n_groups, p)``, so the unit is keyed by the netlist alone (retraining
+  ``(n_groups, p)``, so the build is keyed by the netlist alone (retraining
   a read-out never recompiles), and it does no floating-point arithmetic —
   scores are moved as 64-bit patterns, so bit-exactness cannot depend on
   compiler flags.
@@ -56,7 +65,7 @@ exploits that with a *Python* ``ThreadPoolExecutor`` over ``run_range``
 calls on disjoint word ranges — chosen over a pthread pool compiled into
 each ``.so`` because (a) the GIL is already released, so Python threads
 reach the same parallelism, (b) one process-wide executor is shared by
-every engine instead of one pthread pool per generated unit, and (c) the
+every engine instead of one pthread pool per generated object, and (c) the
 generated C stays dependency-free and trivially portable.  Batches smaller
 than ``min_words_per_thread`` words per shard never split, so small-batch
 latency is identical to the single-threaded engine.
@@ -68,12 +77,12 @@ the ``.so`` cache; :meth:`NativeCompiledNetlist.tuned` (what
 ``compile_netlist(backend="native-mt")`` calls) applies it, and
 ``tune(force=True)`` re-measures on demand.
 
-The unit is compiled at attach time with the host toolchain (``$CC``, else
-``cc``/``gcc``/``clang``) into a shared object cached under a digest of the
-generated source + build command, so recompiling the same netlist — in this
-process, a forked worker, or tomorrow's process — reuses one build.
+The source is compiled at attach time with the host toolchain (``$CC``,
+else ``cc``/``gcc``/``clang``) into a shared object cached under a digest of
+the generated source + build command, so recompiling the same netlist — in
+this process, a forked worker, or tomorrow's process — reuses one build.
 Concurrent builders of the same digest serialise on a ``<digest>.lock``
-file, so exactly one compiler runs per digest per host and the losers reuse
+file, so exactly one build runs per digest per host and the losers reuse
 the winner's atomically-published object.
 :class:`NativeCompiledNetlist` wraps the loaded object behind the exact
 ``run_packed``/``evaluate_outputs``/``predict_batch`` surface of the NumPy
@@ -92,6 +101,7 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
@@ -99,7 +109,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,7 +137,7 @@ __all__ = [
     "shared_object_cache_dir",
 ]
 
-#: optimisation tiers for the generated unit.  Straight-line bitwise code
+#: optimisation tiers for the generated source.  Straight-line bitwise code
 #: gains ~3x going -O0 -> -O1 (register allocation of the slot array) and
 #: little beyond at unroll=1; the vector instantiation wants -O2 plus the
 #: host ISA (-march=native) so the compiler picks the widest SIMD register.
@@ -151,10 +161,34 @@ DEFAULT_UNROLL = 4
 #: run on fewer shards, and under ``2 * grain`` words stay single-threaded
 DEFAULT_MIN_WORDS_PER_THREAD = 32
 
-#: segment the straight-line program into static functions of at most this
-#: many statements — C compilers are superlinear in single-function length
-#: (the P=6 benchmark unit compiles 4-5x faster segmented, same runtime)
-_SEGMENT_STATEMENTS = 200
+#: a ``seg*`` function closes before its *emitted statements* (mux-tree
+#: temps and slot stores, not nodes) would pass this — GCC's allocator and
+#: schedulers cap out on functions of thousands of statements and both the
+#: build and the kernel pay for it; docs/architecture.md has the sweep
+_SEGMENT_STATEMENTS = 250
+
+#: consecutive segments are grouped into translation units of at most this
+#: many statements, summed over the widths instantiated, which
+#: :func:`build_shared_object` compiles concurrently
+_UNIT_STATEMENTS = 4000
+
+#: the line between two translation units in a generated source — a comment,
+#: so the whole string (what is kept as ``<digest>.c``) also compiles as one
+_UNIT_MARKER = "/* ---- next translation unit ---- */\n"
+
+#: linkage of a segment function called from another unit: a direct call
+#: (no PLT) the shared object does not export
+_HIDDEN = '__attribute__((visibility("hidden")))'
+
+_UNIT_PRELUDE = (
+    "#include <stdint.h>",
+    "#include <stddef.h>",
+    "",
+    "/* C0/C1 broadcast against whichever word type W is in effect. */",
+    "#define C0 ((W){0})",
+    "#define C1 (~(W){0})",
+    "",
+)
 
 #: autotune persistence format version (bump to invalidate stale records)
 _TUNE_VERSION = 1
@@ -314,18 +348,22 @@ def _emit_lut(
     return rec(0, len(table), 0)
 
 
-def _node_statements(program: CompiledNetlist) -> List[str]:
-    """One straight-line C statement (or brace block) per node, in program
-    order — the body the segmenter splits."""
-    lines: List[str] = []
+def _node_blocks(program: CompiledNetlist) -> List[Tuple[str, int]]:
+    """One ``(C text, emitted statements)`` pair per node, in program order.
+
+    A mux or constant node is one statement; a LUT node is a brace block of
+    its mux-tree temps plus the slot store — up to 2**arity statements, so
+    the packers below budget by the count, not by the node.
+    """
+    blocks: List[Tuple[str, int]] = []
     temp_counter = [0]
     for group in program._groups:
         if isinstance(group, _MuxGroup):
             for row in range(group.n_nodes):
                 sel, a, b = (int(v) for v in group.input_slots[row])
                 out = int(group.output_slots[row])
-                lines.append(
-                    f"s[{out}] = s[{a}] ^ ((s[{a}] ^ s[{b}]) & s[{sel}]);"
+                blocks.append(
+                    (f"s[{out}] = s[{a}] ^ ((s[{a}] ^ s[{b}]) & s[{sel}]);", 1)
                 )
             continue
         assert isinstance(group, _Group)
@@ -334,7 +372,7 @@ def _node_statements(program: CompiledNetlist) -> List[str]:
             for row in range(group.n_nodes):
                 out = int(group.output_slots[row])
                 constant = "C1" if tables[row, 0] else "C0"
-                lines.append(f"s[{out}] = {constant};")
+                blocks.append((f"s[{out}] = {constant};", 1))
             continue
         for row in range(group.n_nodes):
             input_exprs = [f"s[{int(v)}]" for v in group.input_slots[row]]
@@ -343,8 +381,28 @@ def _node_statements(program: CompiledNetlist) -> List[str]:
             value = _emit_lut(statements, temp_counter, table, input_exprs)
             out = int(group.output_slots[row])
             body = " ".join(statements)
-            lines.append(f"{{ {body} s[{out}] = {value}; }}")
-    return lines
+            blocks.append(
+                (f"{{ {body} s[{out}] = {value}; }}", len(statements) + 1)
+            )
+    return blocks
+
+
+def _pack(weights: Sequence[int], budget: int) -> List[range]:
+    """Consecutive index ranges whose summed weight stays within ``budget``.
+
+    A range closes before the next item would take it past the budget, so
+    the only over-budget range is a single item that alone exceeds it.
+    """
+    ranges: List[range] = []
+    start = total = 0
+    for index, weight in enumerate(weights):
+        if index > start and total + weight > budget:
+            ranges.append(range(start, index))
+            start, total = index, 0
+        total += weight
+    if start < len(weights):
+        ranges.append(range(start, len(weights)))
+    return ranges
 
 
 #: the read-out epilogue of ``run_scores_range``: ``out`` is a block of ``k``
@@ -393,11 +451,14 @@ _MAX_FUSED_FAN_IN = 16
 
 
 def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
-    """The C translation unit evaluating ``program``, ready to compile.
+    """The C source evaluating ``program``, ready for
+    :func:`build_shared_object`.
 
-    Deterministic for a given ``(program, unroll)``, so its digest keys the
-    shared-object cache: the parent process and every forked worker
-    regenerate the same bytes and share one build.
+    Deterministic for a given ``(program, unroll)`` — segment and unit
+    boundaries follow from the emitted statement counts alone, never from
+    the host — so its digest keys the shared-object cache: the parent
+    process and every forked worker regenerate the same bytes and share
+    one build.
 
     ``unroll=1`` emits only the scalar (``uint64_t``) instantiation.
     ``unroll=K`` (K > 1) additionally instantiates the same statement
@@ -406,42 +467,51 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
     module docstring) run the vector body over the K-aligned span of the
     range and the scalar body over the tail, so the result is bit-exact
     for every word count.
+
+    A program of more than ``_UNIT_STATEMENTS`` statements comes back as
+    several translation units in the one string, joined by
+    ``_UNIT_MARKER`` lines: the first holds the driver and the exports and
+    declares the segments of the others, which hold nothing but ``seg*``
+    functions of hidden visibility.
     """
     if unroll < 1:
         raise ValueError("unroll must be >= 1")
-    node_lines = _node_statements(program)
-    segments = [
-        node_lines[i : i + _SEGMENT_STATEMENTS]
-        for i in range(0, len(node_lines), _SEGMENT_STATEMENTS)
-    ]
-    n_slots = max(program.n_slots, 1)
-    parts = [
-        "#include <stdint.h>",
-        "#include <stddef.h>",
-        "",
-        "/* C0/C1 broadcast against whichever word type W is in effect. */",
-        "#define C0 ((W){0})",
-        "#define C1 (~(W){0})",
-        "",
-    ]
+    blocks = _node_blocks(program)
+    counts = [count for _, count in blocks]
     widths = [1] if unroll == 1 else [1, unroll]
-    for k in widths:
+    segments = _pack(counts, _SEGMENT_STATEMENTS)
+    # every width instantiates every segment, so that is what a unit costs
+    units = _pack(
+        [len(widths) * sum(counts[i] for i in segment) for segment in segments],
+        _UNIT_STATEMENTS,
+    ) or [range(0)]  # a program of no nodes is still a driver
+
+    def open_width(k: int, own: range, linkage: str) -> List[str]:
+        """The word type ``W`` at ``k`` lanes and segment functions ``own``."""
         if k == 1:
-            parts.append("typedef uint64_t w1;")
+            lines = ["typedef uint64_t w1;"]
         else:
             # may_alias: the lanes are loaded straight out of the uint64
             # planes, so the vector type must be allowed to alias them;
             # aligned(8): packed planes are only word-aligned
-            parts.append(
+            lines = [
                 f"typedef uint64_t w{k} __attribute__((vector_size({k * 8}),"
                 " aligned(8), may_alias));"
-            )
-        parts.append(f"#define W w{k}")
-        for index, segment in enumerate(segments):
-            parts.append(f"static void seg{index}_w{k}(W* restrict s) {{")
-            parts.extend(segment)
-            parts.append("}")
-            parts.append("")
+            ]
+        lines.append(f"#define W w{k}")
+        for index in own:
+            lines.append(f"{linkage} void seg{index}_w{k}(W* restrict s) {{")
+            lines.extend(blocks[i][0] for i in segments[index])
+            lines.append("}")
+            lines.append("")
+        return lines
+
+    n_slots = max(program.n_slots, 1)
+    parts = list(_UNIT_PRELUDE)
+    for k in widths:
+        parts.extend(open_width(k, units[0], "static"))
+        for index in range(units[0].stop, len(segments)):
+            parts.append(f"{_HIDDEN} void seg{index}_w{k}(W* restrict s);")
         parts.append(
             f"static void run_word_w{k}(const uint64_t* restrict in,"
             " uint64_t* restrict out, size_t w, size_t n_words) {"
@@ -495,7 +565,15 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
         )
         parts.append("}")
     parts.append("}")
-    return "\n".join(parts) + "\n"
+    sources = ["\n".join(parts) + "\n"]
+    for own in units[1:]:
+        parts = list(_UNIT_PRELUDE)
+        for k in widths:
+            parts.extend(open_width(k, own, _HIDDEN))
+            parts.append("#undef W")
+            parts.append("")
+        sources.append("\n".join(parts))
+    return _UNIT_MARKER.join(sources)
 
 
 # -------------------------------------------------------------------- build
@@ -530,20 +608,72 @@ def _build_lock(directory: str, digest: str):
             fcntl.flock(handle, fcntl.LOCK_UN)
 
 
+def _run_compilers(commands: List[List[str]]) -> None:
+    """Run compiler ``commands`` concurrently, one per core at most.
+
+    A short-lived pool of its own hands each free slot the next command —
+    never the engines' shared executor, whose threads serve live inference
+    while a hot swap compiles.  On the first failure nothing further is
+    started and the compilers still running are terminated — each leads a
+    process group, so the ``cc1``/``as`` children a driver would orphan go
+    with it — and once every one of them has been waited for,
+    :class:`NativeUnavailableError` names the failed command with the tail
+    of its output.
+    """
+    running: List[subprocess.Popen] = []
+    failures: List[str] = []
+    lock = threading.Lock()
+
+    def run(command: List[str]) -> None:
+        with lock:
+            if failures:
+                return
+            process = subprocess.Popen(
+                command,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                start_new_session=True,
+            )
+            running.append(process)
+        stdout, stderr = process.communicate()
+        with lock:
+            running.remove(process)
+            if process.returncode != 0 and not failures:
+                tail = (stderr or stdout or "").strip()[-2000:]
+                failures.append(f"C build failed ({' '.join(command)}): {tail}")
+                for other in running:
+                    if other.returncode is None:  # unreaped: the pid is its own
+                        try:
+                            os.killpg(other.pid, signal.SIGTERM)
+                        except ProcessLookupError:
+                            pass  # just exited; its thread is reaping it
+
+    jobs = max(1, min(len(commands), default_thread_count()))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(run, commands))
+    if failures:
+        raise NativeUnavailableError(failures[0])
+
+
 def build_shared_object(
     source: str, *, cache_dir: Optional[str] = None, opt_tier: str = "base"
 ) -> Tuple[str, str]:
     """Compile ``source`` into a cached shared object; ``(digest, path)``.
 
-    The cache key digests the source *and* the build command (so a
+    The cache key digests the whole source *and* the build command (so a
     compiler, flag, or ``opt_tier`` change never serves a stale object).
-    Builds land under a unique temp name and are published with an atomic
+    A source of several translation units (see :func:`generate_c_source`)
+    is compiled unit by unit with ``cc -c``, concurrently, and the objects
+    linked by the same command; a source of one unit — every small
+    netlist — goes to that link command as it is, a single compiler run.
+    Builds land under unique temp names and are published with an atomic
     rename; concurrent builders of the same digest additionally serialise
-    on a ``<digest>.lock`` file so only one compiler runs per digest.
+    on a ``<digest>.lock`` file so only one build runs per digest.
 
     Raises :class:`NativeUnavailableError` when the host has no C toolchain
     or the build fails (including an ``opt_tier`` whose flags the host
-    compiler rejects).
+    compiler rejects); a failed build leaves nothing behind.
     """
     compiler = find_compiler()
     if compiler is None:
@@ -570,24 +700,28 @@ def build_shared_object(
         unique = f".{os.getpid()}-{threading.get_ident()}.tmp"
         c_tmp = c_path + unique + ".c"  # cc needs the suffix to see C source
         so_tmp = so_path + unique
+        sources = {c_tmp: source}  # what to write: the kept source, the units
+        compiles: List[List[str]] = []
+        link_inputs = [c_tmp]  # one unit: the source itself, one compiler run
+        units = source.split(_UNIT_MARKER)
+        if len(units) > 1:
+            link_inputs = []
+            for index, unit in enumerate(units):
+                stem = f"{c_path}{unique}.{index}"
+                sources[stem + ".c"] = unit
+                compiles.append(command + ["-c", "-o", stem + ".o", stem + ".c"])
+                link_inputs.append(stem + ".o")
         try:
-            with open(c_tmp, "w") as handle:
-                handle.write(source)
-            result = subprocess.run(
-                command + ["-o", so_tmp, c_tmp],
-                capture_output=True,
-                text=True,
-            )
-            if result.returncode != 0:
-                tail = (result.stderr or result.stdout or "").strip()[-2000:]
-                raise NativeUnavailableError(
-                    f"C build failed ({' '.join(command)}): {tail}"
-                )
+            for path, text in sources.items():
+                with open(path, "w") as handle:
+                    handle.write(text)
+            _run_compilers(compiles)
+            _run_compilers([command + ["-o", so_tmp] + link_inputs])
             # keep the source next to the object for debugging, then publish
             os.replace(c_tmp, c_path)
             os.replace(so_tmp, so_path)
         finally:
-            for leftover in (c_tmp, so_tmp):
+            for leftover in [*sources, *link_inputs, so_tmp]:
                 try:
                     os.unlink(leftover)
                 except OSError:
@@ -644,34 +778,21 @@ class MTConfig:
     opt_tier: str
 
 
-def _candidate_configs(n_cpus: int) -> List[MTConfig]:
-    """The 2–3 configs the autotuner measures, baseline first.
+def _candidate_builds(n_cpus: int) -> List[Tuple[int, str, List[int]]]:
+    """What the autotuner measures, baseline first: ``(unroll, opt_tier,
+    thread counts)`` per build.
 
-    Baseline is PR-8's engine exactly; the second candidate isolates the
-    SIMD win (same single thread, vector code, fast tier); the third adds
-    the thread fan-out on multi-core hosts.  Keeping the list this small
-    bounds attach-time cost at three cached builds and a few dozen
+    The baseline is PR-8's engine exactly; the second build isolates the
+    SIMD win (vector code, fast tier, still one thread) and, on multi-core
+    hosts, is measured again with the thread fan-out — a second ``threads``
+    value on the same engine, not a third build.  Keeping the list this
+    small bounds attach-time cost at two builds and a few dozen
     calibration runs.
     """
-    candidates = [
-        MTConfig(threads=1, unroll=1, opt_tier="base"),
-        MTConfig(threads=1, unroll=DEFAULT_UNROLL, opt_tier="fast"),
+    return [
+        (1, "base", [1]),
+        (DEFAULT_UNROLL, "fast", [1, n_cpus] if n_cpus > 1 else [1]),
     ]
-    if n_cpus > 1:
-        candidates.append(
-            MTConfig(threads=n_cpus, unroll=DEFAULT_UNROLL, opt_tier="fast")
-        )
-    return candidates
-
-
-def _program_tune_digest(program: CompiledNetlist) -> str:
-    """The netlist-identity digest autotune records are keyed by.
-
-    Derived from the canonical scalar source only — *not* the flags — so
-    one record covers every (unroll, tier) variant of the same program.
-    """
-    source = generate_c_source(program, unroll=1)
-    return hashlib.sha256(source.encode()).hexdigest()[:24]
 
 
 def autotune_config(
@@ -691,10 +812,29 @@ def autotune_config(
     unsupporting toolchain) are skipped; the baseline build failing raises
     :class:`NativeUnavailableError` like any native attach.
     """
+    config, _ = _autotune(
+        program, cache_dir=cache_dir, force=force, calibration_words=calibration_words
+    )
+    return config
+
+
+def _autotune(
+    program: CompiledNetlist,
+    *,
+    cache_dir: Optional[str],
+    force: bool,
+    calibration_words: int,
+) -> Tuple[MTConfig, Dict[int, str]]:
+    """:func:`autotune_config`, also handing back every source it generated
+    (``unroll -> source``) so the attach that tunes builds the winner
+    without generating it again."""
     if calibration_words < 1:
         raise ValueError("calibration_words must be positive")
     directory = cache_dir or shared_object_cache_dir()
-    digest = _program_tune_digest(program)
+    sources = {1: generate_c_source(program, unroll=1)}
+    # the record is keyed by the canonical scalar source only — *not* the
+    # flags — so it covers every (unroll, tier) variant of the same program
+    digest = hashlib.sha256(sources[1].encode()).hexdigest()[:24]
     record_path = os.path.join(directory, f"{digest}.tune.json")
     n_cpus = default_thread_count()
     if not force:
@@ -705,11 +845,12 @@ def autotune_config(
                 record.get("version") == _TUNE_VERSION
                 and record.get("n_cpus") == n_cpus
             ):
-                return MTConfig(
+                config = MTConfig(
                     threads=int(record["threads"]),
                     unroll=int(record["unroll"]),
                     opt_tier=str(record["opt_tier"]),
                 )
+                return config, sources
         except (OSError, ValueError, KeyError, TypeError):
             pass  # missing/stale/corrupt record: re-measure below
     rng = np.random.default_rng(0xB17AC5)
@@ -723,30 +864,32 @@ def autotune_config(
     best: Optional[MTConfig] = None
     best_time = float("inf")
     timings: Dict[str, float] = {}
-    for index, candidate in enumerate(_candidate_configs(n_cpus)):
+    for unroll, opt_tier, thread_counts in _candidate_builds(n_cpus):
         try:
             engine = NativeCompiledNetlist(
                 program,
                 cache_dir=cache_dir,
-                threads=candidate.threads,
-                unroll=candidate.unroll,
-                opt_tier=candidate.opt_tier,
+                unroll=unroll,
+                opt_tier=opt_tier,
+                _source=sources.get(unroll),
             )
         except NativeUnavailableError:
-            if index == 0:
+            if best is None:
                 raise  # no toolchain / broken base tier: not tunable at all
             continue
-        engine.run_packed(calibration)  # warm: page in code, spin up threads
-        elapsed = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            engine.run_packed(calibration)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        timings[f"{candidate.threads}x{candidate.unroll}:{candidate.opt_tier}"] = (
-            elapsed
-        )
-        if elapsed < best_time:
-            best, best_time = candidate, elapsed
+        sources[unroll] = engine.c_source
+        for threads in thread_counts:
+            engine.threads = threads
+            engine.run_packed(calibration)  # warm: page in code, spin up threads
+            elapsed = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                engine.run_packed(calibration)
+                elapsed = min(elapsed, time.perf_counter() - start)
+            timings[f"{threads}x{unroll}:{opt_tier}"] = elapsed
+            if elapsed < best_time:
+                best = MTConfig(threads=threads, unroll=unroll, opt_tier=opt_tier)
+                best_time = elapsed
     assert best is not None  # the baseline either measured or raised
     record = {
         "version": _TUNE_VERSION,
@@ -767,7 +910,7 @@ def autotune_config(
             os.unlink(tmp)
         except OSError:
             pass
-    return best
+    return best, sources
 
 
 # ------------------------------------------------------------------- engine
@@ -813,7 +956,10 @@ class NativeCompiledNetlist(PackedEngine):
         unroll: int = 1,
         opt_tier: str = "base",
         min_words_per_thread: int = DEFAULT_MIN_WORDS_PER_THREAD,
+        _source: Optional[str] = None,
     ) -> None:
+        # _source: this (program, unroll)'s generated source, when the
+        # autotuner already holds it — an attach generates each only once
         if threads < 1:
             raise ValueError("threads must be >= 1")
         if min_words_per_thread < 1:
@@ -825,14 +971,16 @@ class NativeCompiledNetlist(PackedEngine):
         self.threads = threads
         self.min_words_per_thread = min_words_per_thread
         self._cache_dir = cache_dir
-        self._apply_build(unroll=unroll, opt_tier=opt_tier)
+        self._apply_build(unroll=unroll, opt_tier=opt_tier, source=_source)
         if threads > 1:
             self.backend = "native-mt"
 
-    def _apply_build(self, *, unroll: int, opt_tier: str) -> None:
+    def _apply_build(
+        self, *, unroll: int, opt_tier: str, source: Optional[str] = None
+    ) -> None:
         self.unroll = unroll
         self.opt_tier = opt_tier
-        self.c_source = generate_c_source(self.program, unroll=unroll)
+        self.c_source = source or generate_c_source(self.program, unroll=unroll)
         self.digest, self.shared_object = build_shared_object(
             self.c_source, cache_dir=self._cache_dir, opt_tier=opt_tier
         )
@@ -858,7 +1006,12 @@ class NativeCompiledNetlist(PackedEngine):
         the worker pool uses it to divide the host between processes and
         threads instead of oversubscribing.
         """
-        config = autotune_config(program, cache_dir=cache_dir)
+        config, sources = _autotune(
+            program,
+            cache_dir=cache_dir,
+            force=False,
+            calibration_words=_CALIBRATION_WORDS,
+        )
         threads = config.threads
         if max_threads is not None:
             threads = max(1, min(threads, max_threads))
@@ -869,6 +1022,7 @@ class NativeCompiledNetlist(PackedEngine):
             unroll=config.unroll,
             opt_tier=config.opt_tier,
             min_words_per_thread=min_words_per_thread,
+            _source=sources.get(config.unroll),
         )
         instance.backend = "native-mt"
         instance.tuned_config = config
@@ -882,10 +1036,17 @@ class NativeCompiledNetlist(PackedEngine):
         Returns the adopted config; the instance's ``threads``/``unroll``/
         ``opt_tier`` and loaded code are switched in place.
         """
-        config = autotune_config(
-            self.program, cache_dir=self._cache_dir, force=force
+        config, sources = _autotune(
+            self.program,
+            cache_dir=self._cache_dir,
+            force=force,
+            calibration_words=_CALIBRATION_WORDS,
         )
-        self._apply_build(unroll=config.unroll, opt_tier=config.opt_tier)
+        self._apply_build(
+            unroll=config.unroll,
+            opt_tier=config.opt_tier,
+            source=sources.get(config.unroll),
+        )
         self.threads = config.threads
         self.backend = "native-mt"
         self.tuned_config = config

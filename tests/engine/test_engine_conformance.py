@@ -11,9 +11,14 @@ read-out in one call, which must return the very doubles the read-out
 formula gives, on every engine.
 """
 
+import ctypes
+import os
+import re
+
 import numpy as np
 import pytest
 
+from repro.core.netlist import LUTNetlist, primary_input
 from repro.engine import (
     PackedEngine,
     ShardedEngine,
@@ -24,7 +29,13 @@ from repro.engine import (
 )
 from repro.engine.bitpack import lookup_scores
 from repro.engine.compiled_netlist import CompiledNetlist
-from repro.engine.native import NativeCompiledNetlist, toolchain_available
+from repro.engine import native as native_mod
+from repro.engine.native import (
+    NativeCompiledNetlist,
+    generate_c_source,
+    toolchain_available,
+)
+from repro.engine.passes import MUX_TABLE
 from repro.utils.rng import as_rng
 
 N_INPUTS = 24
@@ -311,6 +322,135 @@ class TestNativeRunScoresIsFused:
             engine.run_scores(pack_bits(X), 70, other),
             lookup_scores(engine.run_packed(pack_bits(X)), 70, other),
         )
+
+
+SEGMENT_BUDGET = 8
+UNIT_BUDGET = 24
+
+
+def _boundary_netlist():
+    """100 raw nodes, lowered without passes so all of them reach the code
+    generator: 32 constants and 40 muxes over the primary inputs — two runs
+    of one-statement blocks longer than a unit, so a unit boundary falls
+    inside each — then 2-, 4- and 6-input LUTs reading anything earlier,
+    the widest of them a block larger than either budget."""
+    rng = as_rng(77)
+    netlist = LUTNetlist(n_primary_inputs=N_INPUTS)
+
+    def add(arity, readable, table=None):
+        if table is None:
+            table = rng.integers(0, 2, size=1 << arity, dtype=np.uint8)
+        reads = rng.choice(len(readable), size=arity, replace=False)
+        return netlist.add_node(
+            name=f"n{len(netlist.nodes)}",
+            kind="mat",
+            input_signals=[readable[i] for i in reads],
+            table=table,
+        )
+
+    inputs = [primary_input(i) for i in range(N_INPUTS)]
+    constants = [add(0, inputs) for _ in range(32)]
+    muxes = [add(3, inputs, MUX_TABLE) for _ in range(40)]
+    luts = []
+    for arity in [2, 4, 2, 4, 2, 4, 6] * 4:
+        luts.append(add(arity, inputs + constants + muxes + luts))
+    netlist.output_signals = luts[-16:] + constants[:2] + muxes[:2]
+    return netlist
+
+
+def _segment_bodies(unit_source, width=1):
+    """Per ``seg*`` function of one width: its node blocks, one per line."""
+    bodies = re.findall(
+        rf"void seg\d+_w{width}\(W\* restrict s\) \{{\n(.*?)\n\}}\n", unit_source, re.S
+    )
+    return [body.split("\n") for body in bodies]
+
+
+@needs_cc
+class TestSegmentAndUnitBoundaries:
+    """Where the code generator cuts ``seg*`` functions and translation
+    units is invisible: same bits, same exports, same source on any host."""
+
+    @pytest.fixture(scope="class")
+    def tiny_budgets(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native_mod, "_SEGMENT_STATEMENTS", SEGMENT_BUDGET)
+            patch.setattr(native_mod, "_UNIT_STATEMENTS", UNIT_BUDGET)
+            yield
+
+    @pytest.fixture(scope="class")
+    def netlist(self):
+        return _boundary_netlist()
+
+    @pytest.fixture(scope="class", params=[(1, "base"), (4, "fast")], ids=["w1", "w4"])
+    def built(self, request, netlist, tiny_budgets, tmp_path_factory):
+        unroll, opt_tier = request.param
+        return NativeCompiledNetlist(
+            CompiledNetlist.from_netlist(netlist),
+            cache_dir=str(tmp_path_factory.mktemp("units")),
+            unroll=unroll,
+            opt_tier=opt_tier,
+        )
+
+    def test_the_source_really_is_cut_everywhere(self, built):
+        units = built.c_source.split(native_mod._UNIT_MARKER)
+        assert len(units) >= 3
+        assert "void run_range(" in units[0]
+        assert all("run_range" not in unit for unit in units[1:])
+        segments = [body for unit in units for body in _segment_bodies(unit)]
+        assert len(segments) >= 20
+        sizes = [sum(block.count(";") for block in body) for body in segments]
+        # a segment is over budget only when one node block alone is
+        over = [body for body, size in zip(segments, sizes) if size > SEGMENT_BUDGET]
+        assert over and all(len(body) == 1 for body in over)
+        # and some unit starts on a constant, some unit on a mux
+        first_blocks = [_segment_bodies(unit)[0][0] for unit in units[1:]]
+        assert any(re.fullmatch(r"s\[\d+\] = C[01];", b) for b in first_blocks)
+        assert any(re.fullmatch(r"s\[\d+\] = s\[\d+\] \^ .*", b) for b in first_blocks)
+        if built.unroll > 1:  # every width is cut at the same places
+            assert [
+                len(_segment_bodies(unit, built.unroll)) for unit in units
+            ] == [len(_segment_bodies(unit)) for unit in units]
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 63, 64, 65, 1000])
+    def test_bit_exact_across_the_cuts(self, built, netlist, n_samples):
+        X = as_rng(5 + n_samples).integers(
+            0, 2, size=(n_samples, N_INPUTS), dtype=np.uint8
+        )
+        expected = netlist.evaluate_outputs(X)
+        np.testing.assert_array_equal(built.evaluate_outputs(X), expected)
+        table = as_rng(6).normal(size=(5, 1 << 4))  # 20 outputs = 5 x 4 bits
+        np.testing.assert_array_equal(
+            built.run_scores(pack_bits(X), n_samples, table),
+            lookup_scores(pack_bits(expected), n_samples, table),
+        )
+
+    def test_source_depends_on_the_program_alone(self, built, monkeypatch):
+        sources = {built.c_source}  # generated on this host's core count
+        for n_cpus in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: n_cpus)
+            sources.add(generate_c_source(built.program, unroll=built.unroll))
+        assert len(sources) == 1
+
+    def test_object_exports_the_entry_points_only(self, built):
+        lib = ctypes.CDLL(built.shared_object)
+        assert lib.run_range and lib.run_scores_range
+        last = len(re.findall(r"^seg\d+_w1\(s\);$", built.c_source, re.M)) - 1
+        for hidden in ("seg0_w1", f"seg{last}_w1", f"run_word_w{built.unroll}"):
+            assert f"{hidden}(" in built.c_source
+            with pytest.raises(AttributeError):
+                getattr(lib, hidden)
+
+    def test_kept_source_is_the_whole_source(self, built):
+        kept = os.path.join(
+            os.path.dirname(built.shared_object), f"{built.digest}.c"
+        )
+        with open(kept) as handle:
+            assert handle.read() == built.c_source
+        leftovers = set(os.listdir(os.path.dirname(kept))) - {
+            f"{built.digest}.c", f"{built.digest}.so", f"{built.digest}.lock",
+        }
+        assert leftovers == set()
 
 
 class TestHandleLifecycle:

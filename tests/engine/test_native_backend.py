@@ -141,74 +141,170 @@ class TestNativeEquivalence:
         assert da != db
 
 
+def _cc_wrapper(directory, fail_on=None, hang_on=None):
+    """A ``$CC`` wrapper that logs each invocation and delegates to the real
+    compiler — except its ``fail_on``-th invocation, which fails at once,
+    and its ``hang_on``-th, which (when it starts before that failure)
+    first waits ~10 s to be terminated and logs ``survived`` if nobody did.
+
+    Invocations take their number by ``mkdir`` (atomic, so concurrent
+    compilers never share one) and log it with their pid through
+    ``O_APPEND``; ``exec`` keeps that pid for the compiler itself.
+    Returns ``(wrapper path, log path)``.
+    """
+    import stat
+
+    log = directory / "cc_invocations.log"
+    tickets = directory / "cc_tickets"
+    tickets.mkdir()
+    wrapper = directory / "cc_wrapper.sh"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        "n=1\n"
+        f'while ! mkdir "{tickets}/$n" 2>/dev/null; do n=$((n+1)); done\n'
+        f'echo "$n $$" >> {log}\n'
+        f'if [ "$n" = "{fail_on}" ]; then\n'
+        f' mkdir "{tickets}/failed"; echo "injected failure" >&2; exit 1\n'
+        "fi\n"
+        f'if [ "$n" = "{hang_on}" ] && [ ! -e "{tickets}/failed" ]; then\n'
+        " i=0; while [ $i -lt 1000 ]; do sleep 0.01; i=$((i+1)); done\n"
+        f' echo "$n survived" >> {log}\n'
+        "fi\n"
+        f'exec {" ".join(find_compiler())} "$@"\n'
+    )
+    wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
+    return wrapper, log
+
+
+def _multi_unit_source(monkeypatch):
+    """``(source, n_units)`` of a small netlist cut into several units."""
+    monkeypatch.setattr(native_mod, "_SEGMENT_STATEMENTS", 10)
+    monkeypatch.setattr(native_mod, "_UNIT_STATEMENTS", 40)
+    source = generate_c_source(compile_netlist(random_netlist(10, 30, seed=77)))
+    n_units = source.count(native_mod._UNIT_MARKER) + 1
+    assert n_units >= 4
+    return source, n_units
+
+
+def _race_two_builders(tmp_path, source):
+    """Two processes building ``source`` at once through a logging ``$CC``
+    wrapper; returns ``(compiler invocations, cache dir, digest)``.
+
+    The children rendezvous on a barrier so both reach
+    ``build_shared_object`` with the cache cold — without the
+    ``<digest>.lock`` serialisation both would invoke the compiler.
+    """
+    import multiprocessing as mp
+    import os
+
+    wrapper, log = _cc_wrapper(tmp_path)
+    cache = tmp_path / "cache"
+    ctx = mp.get_context("fork")
+    barrier = ctx.Barrier(2)
+    results = ctx.Queue()
+
+    def racer():
+        os.environ["CC"] = str(wrapper)
+        native_mod._compiler_cache = native_mod._UNSET  # re-discover $CC
+        barrier.wait()
+        digest, path = build_shared_object(source, cache_dir=str(cache))
+        results.put((digest, os.path.getsize(path)))
+
+    procs = [ctx.Process(target=racer) for _ in range(2)]
+    for p in procs:
+        p.start()
+    outcomes = [results.get(timeout=60) for _ in procs]
+    for p in procs:
+        p.join(timeout=60)
+    digests = {d for d, _ in outcomes}
+    assert len(digests) == 1
+    return len(log.read_text().splitlines()), cache, digests.pop()
+
+
 @needs_cc
 class TestConcurrentBuilders:
     def test_racing_processes_compile_once(self, tmp_path):
         """Two processes building the same digest: exactly one compiler
-        run, both get a working object, no corruption.
-
-        Each child process builds the same source through a $CC wrapper
-        script that logs its invocation (O_APPEND, so concurrent writers
-        never interleave) before delegating to the real compiler.  The
-        children rendezvous on a barrier so both reach
-        ``build_shared_object`` with the cache cold — without the
-        ``<digest>.lock`` serialisation both would invoke the compiler.
-        """
-        import multiprocessing as mp
-        import os
-        import stat
-
-        cc = find_compiler()
-        log = tmp_path / "cc_invocations.log"
-        wrapper = tmp_path / "cc_wrapper.sh"
-        wrapper.write_text(
-            "#!/bin/sh\n"
-            f'echo "invoked $$" >> {log}\n'
-            f'exec {" ".join(cc)} "$@"\n'
-        )
-        wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
+        run, both get a working object, no corruption."""
         source = generate_c_source(
             compile_netlist(random_netlist(10, 30, seed=77))
         )
-        cache = tmp_path / "cache"
-
-        ctx = mp.get_context("fork")
-        barrier = ctx.Barrier(2)
-        results = ctx.Queue()
-
-        def racer():
-            os.environ["CC"] = str(wrapper)
-            native_mod._compiler_cache = native_mod._UNSET  # re-discover $CC
-            barrier.wait()
-            digest, path = build_shared_object(source, cache_dir=str(cache))
-            results.put((digest, os.path.getsize(path)))
-
-        procs = [ctx.Process(target=racer) for _ in range(2)]
-        for p in procs:
-            p.start()
-        outcomes = [results.get(timeout=60) for _ in procs]
-        for p in procs:
-            p.join(timeout=60)
-        digests = {d for d, _ in outcomes}
-        assert len(digests) == 1
         # one compile total across both processes (the loser waited on the
         # lock file and reused the winner's atomically-published object)
-        assert len(log.read_text().splitlines()) == 1
+        invocations, cache, digest = _race_two_builders(tmp_path, source)
+        assert invocations == 1
         # the published object is loadable and correct in this process
-        digest = digests.pop()
         so_path = str(cache / f"{digest}.so")
         run, _ = native_mod._load_entry_points(digest, so_path)
         assert run is not None
 
-    def test_stale_tmp_files_are_cleaned(self, tmp_path):
-        source = generate_c_source(
+    def test_racing_processes_build_the_units_once(self, tmp_path, monkeypatch):
+        """The multi-unit twin: one compile per unit and one link across
+        both racers — one build per digest per host."""
+        source, n_units = _multi_unit_source(monkeypatch)
+        invocations, cache, digest = _race_two_builders(tmp_path, source)
+        assert invocations == n_units + 1
+        run, _ = native_mod._load_entry_points(digest, str(cache / f"{digest}.so"))
+        assert run is not None
+
+    def test_stale_tmp_files_are_cleaned(self, tmp_path, monkeypatch):
+        """Success or failure, one unit or several: no ``.tmp`` names and
+        no objects stay behind, and a failed build publishes nothing."""
+        one_unit = generate_c_source(
             compile_netlist(random_netlist(6, 8, seed=42))
         )
-        build_shared_object(source, cache_dir=str(tmp_path))
-        leftovers = [
-            name for name in tmp_path.iterdir() if ".tmp" in name.name
+        several, _ = _multi_unit_source(monkeypatch)
+        for source in (one_unit, several):
+            digest, _ = build_shared_object(source, cache_dir=str(tmp_path))
+            broken = source + "this is not C\n"  # lands in the last unit
+            with pytest.raises(NativeUnavailableError, match="C build failed"):
+                build_shared_object(broken, cache_dir=str(tmp_path))
+            names = sorted(path.name for path in tmp_path.iterdir())
+            assert [n for n in names if not n.endswith(".lock")] == [
+                f"{digest}.c", f"{digest}.so",
+            ]
+            for path in tmp_path.iterdir():
+                path.unlink()
+
+    @pytest.mark.parametrize("failing", ["first unit", "second unit", "link"])
+    def test_failed_compiler_run_leaves_nothing_behind(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """The k-th compiler invocation fails: the compiler running beside
+        it is terminated and waited for, no temp and no object survives,
+        nothing is published, the error names the failed command — and the
+        same build then succeeds."""
+        import os
+
+        source, n_units = _multi_unit_source(monkeypatch)
+        fail_on, hang_on = {
+            "first unit": (1, 2),
+            "second unit": (2, 1),
+            "link": (n_units + 1, None),  # the link runs alone
+        }[failing]
+        if os.cpu_count() == 1:
+            hang_on = None  # one compiler at a time: nothing runs beside it
+        wrapper, log = _cc_wrapper(tmp_path, fail_on=fail_on, hang_on=hang_on)
+        monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(wrapper)])
+        cache = tmp_path / "cache"
+        with pytest.raises(NativeUnavailableError, match="injected failure") as info:
+            build_shared_object(source, cache_dir=str(cache))
+        message = str(info.value)
+        assert str(wrapper) in message
+        assert (" -c " in message) == (failing != "link")
+        assert [p.name for p in cache.iterdir() if p.suffix != ".lock"] == []
+        started = [line.split() for line in log.read_text().splitlines()]
+        assert "survived" not in [what for _, what in started]
+        # nothing was started after the failure, and every compiler is reaped
+        assert len(started) <= fail_on + (os.cpu_count() or 1)
+        for _, pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(pid), 0)
+        digest, so_path = build_shared_object(source, cache_dir=str(cache))
+        assert sorted(p.name for p in cache.iterdir() if p.suffix != ".lock") == [
+            f"{digest}.c", f"{digest}.so",
         ]
-        assert leftovers == []
+        assert native_mod._load_entry_points(digest, so_path)[0] is not None
 
 
 class TestToolchainFallback:

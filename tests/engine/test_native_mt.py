@@ -239,6 +239,31 @@ class TestAutotune:
             engine.predict_batch(X), netlist.evaluate_outputs(X)
         )
 
+    def test_one_codegen_per_program_and_unroll(self, tmp_path, monkeypatch):
+        """An attach generates each ``(program, unroll)`` source once: the
+        tune digest and the baseline share the scalar one, both thread
+        counts are measured on one 4-lane engine, and the winner is built
+        from the source the tuner already holds."""
+        _, program = _program(seed=60)
+        generated = []
+        real = native_mod.generate_c_source
+
+        def spy(program, unroll=1):
+            generated.append(unroll)
+            return real(program, unroll)
+
+        monkeypatch.setattr(native_mod, "generate_c_source", spy)
+        cold = NativeCompiledNetlist.tuned(program, cache_dir=str(tmp_path))
+        assert sorted(generated) == [1, native_mod.DEFAULT_UNROLL]
+        record = json.loads(next(tmp_path.glob("*.tune.json")).read_text())
+        # one timing per (build, thread count): three candidates, two builds
+        assert len(record["timings_s"]) == (3 if default_thread_count() > 1 else 2)
+        generated.clear()
+        warm = NativeCompiledNetlist.tuned(program, cache_dir=str(tmp_path))
+        assert len(generated) <= 2 and len(set(generated)) == len(generated)
+        assert warm.tuned_config == cold.tuned_config
+        assert warm.digest == cold.digest
+
     def test_tune_instance_method_adopts_winner(self, tmp_path):
         netlist, program = _program(seed=58)
         engine = NativeCompiledNetlist(program, cache_dir=str(tmp_path))
