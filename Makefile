@@ -8,7 +8,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace serve-demo serve-stats serve-cluster
+.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace profile-compile serve-demo serve-stats serve-cluster
 
 # Tier-1 verification: the full test suite (tests/ and benchmarks/).
 test:
@@ -33,7 +33,7 @@ check:
 		echo "$$after"; exit 1; \
 	fi
 
-# Sanitizer tier (ROADMAP 4d), not part of test/check (~2 min): the engine
+# Sanitizer tier (ROADMAP item 5), not part of test/check (~2 min): the engine
 # conformance and native-backend suites with every generated unit — seg*
 # functions, drivers, copy_scores/spread8, the stack blocks — compiled *and*
 # linked under ASan + UBSan, any finding fatal.  It needs nothing from the
@@ -68,6 +68,13 @@ bench-perf:
 
 bench-perf-trace:
 	python3 benchmarks/perf/run.py --seed 7 --label local --trace 1
+
+# Where a warm compile_netlist goes: per-stage milliseconds, fold counts,
+# table_cost / statement_cost and a cProfile top 15 for the three synthetic
+# benchmark netlists on the NumPy backend (no toolchain, no cache).  Report
+# only: asserts nothing, writes only to stdout, not part of test/check.
+profile-compile:
+	PYTHONPATH=src python examples/profile_compile.py
 
 # End-to-end serving demo: train two PoET-BiN variants on the
 # synthetic-digits dataset, serve both from one server over a shared

@@ -125,7 +125,7 @@ class LUTNetlist:
             )
         input_signals = list(input_signals)
         for signal in input_signals:
-            if self.is_primary_input(signal) or signal in self._names:
+            if signal in self._names or self.is_primary_input(signal):
                 continue
             if is_primary_input(signal):
                 raise ValueError(f"primary input {signal!r} out of range")
@@ -184,10 +184,8 @@ class LUTNetlist:
         """
         level: Dict[str, int] = {}
         for node in self.nodes:
-            input_levels = [
-                0 if self.is_primary_input(sig) else level[sig]
-                for sig in node.input_signals
-            ]
+            # a signal without a level is a primary input (add_node checked)
+            input_levels = [level.get(sig, 0) for sig in node.input_signals]
             level[node.name] = (max(input_levels) if input_levels else 0) + 1
         return level
 

@@ -16,7 +16,8 @@ Compiler
 ``ir``
     The engine IR: :class:`~repro.engine.ir.IRGraph`, a mutable,
     name-indexed, pass-friendly view of a
-    :class:`~repro.core.netlist.LUTNetlist` that round-trips losslessly.
+    :class:`~repro.core.netlist.LUTNetlist` that round-trips losslessly,
+    with truth tables held as integers and the table algebra over them.
 
 ``passes``
     Ordered, individually testable optimisation passes:
@@ -33,7 +34,9 @@ Compiler
     shared with ``repro.hardware.lut_decompose``).
     :func:`~repro.engine.passes.default_passes` assembles the default
     pipeline; :func:`~repro.engine.passes.optimize_netlist` runs it
-    netlist-to-netlist.
+    netlist-to-netlist.  :func:`~repro.engine.passes.table_cost` prices a
+    program for the NumPy executor, :func:`~repro.engine.passes.mux_cost` /
+    :func:`~repro.engine.passes.statement_cost` for the generated C.
 
 ``compiled_netlist``
     Lowering and execution: :func:`compile_netlist(netlist, *, passes=...,
@@ -178,7 +181,9 @@ from repro.engine.passes import (
     Pass,
     PassManager,
     default_passes,
+    mux_cost,
     optimize_netlist,
+    statement_cost,
     table_cost,
 )
 from repro.engine.random_netlists import (
@@ -215,6 +220,7 @@ __all__ = [
     "default_passes",
     "lookup_scores",
     "mask_padding",
+    "mux_cost",
     "n_words",
     "optimize_netlist",
     "pack_bits",
@@ -224,6 +230,7 @@ __all__ = [
     "rinc_bank_netlist",
     "shard_bounds",
     "split_batches",
+    "statement_cost",
     "structured_bank_netlist",
     "table_cost",
     "unpack_bits",

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.netlist import LUTNetlist, primary_input_index
+from repro.core.netlist import LUTNetlist
 from repro.engine.bitpack import lookup_scores, pack_bits, unpack_bits
 from repro.engine.passes import MUX_TABLE, optimize_netlist
 from repro.utils.validation import check_binary_matrix
@@ -230,6 +230,7 @@ class CompiledNetlist(PackedEngine):
             by_level.setdefault(level[node.name], []).append(node)
 
         groups: List[object] = []
+        mux_bytes = MUX_TABLE.tobytes()
         for lvl in range(1, n_levels + 1):
             # Recycle only slots whose last read happened in an *earlier*
             # level: groups within one level run sequentially, so a slot
@@ -241,7 +242,7 @@ class CompiledNetlist(PackedEngine):
             mux_nodes: List = []
             for node in by_level[lvl]:
                 # mux-shaped 3-input LUTs get the dedicated 3-op lowering
-                if node.n_inputs == 3 and np.array_equal(node.table, MUX_TABLE):
+                if node.n_inputs == 3 and node.table.tobytes() == mux_bytes:
                     mux_nodes.append(node)
                 else:
                     by_arity.setdefault(node.n_inputs, []).append(node)
@@ -251,11 +252,8 @@ class CompiledNetlist(PackedEngine):
                 input_slots = np.empty((len(nodes), arity), dtype=np.int64)
                 output_slots = np.empty(len(nodes), dtype=np.int64)
                 for row, node in enumerate(nodes):
-                    for col, sig in enumerate(node.input_signals):
-                        if netlist.is_primary_input(sig):
-                            input_slots[row, col] = primary_input_index(sig)
-                        else:
-                            input_slots[row, col] = slot_of[sig]
+                    # primary inputs have held slots 0..F-1 from the start
+                    input_slots[row] = [slot_of[sig] for sig in node.input_signals]
                     if free:
                         slot = free.pop()
                     else:
@@ -268,17 +266,14 @@ class CompiledNetlist(PackedEngine):
             for arity in sorted(by_arity):
                 nodes = by_arity[arity]
                 input_slots, output_slots = assign_slots(nodes, arity)
-                table_words = np.empty((len(nodes), 1 << arity, 1), dtype=np.uint64)
-                for row, node in enumerate(nodes):
-                    table_words[row, :, 0] = np.where(
-                        node.table.astype(bool), _ALL_ONES, np.uint64(0)
-                    )
+                tables = np.stack([node.table for node in nodes])
+                table_words = np.where(tables != 0, _ALL_ONES, np.uint64(0))
                 groups.append(
                     _Group(
                         arity=arity,
                         input_slots=input_slots,
                         output_slots=output_slots,
-                        table_words=table_words,
+                        table_words=table_words[:, :, np.newaxis],
                     )
                 )
             if mux_nodes:

@@ -40,12 +40,27 @@ keeps passes honest:
   lowering, the hardware codegen) address results by output position, which
   is only stable because passes preserve the ``outputs`` list (constant
   folding *aliases* an output to a constant node rather than deleting it).
+
+Truth tables as integers
+========================
+
+A node stores its truth table as :attr:`IRNode.bits`, one Python ``int``
+with bit ``a`` = ``table[a]``: a 6-input LUT is a 64-bit word, and "does
+this node change" is a few shifts and masks.  A pass reads ``node.bits`` and
+writes with ``node.rewrite(inputs, bits)``.  ``node.table`` is the same
+table as the ``np.uint8`` array the rest of the system reads: built fresh on
+every read and converted on assignment, so the two cannot disagree (writing
+*into* the array changes nothing — assign it).  The algebra below —
+:func:`table_support`, :func:`cofactor`, :func:`reexpress` — is what passes
+compute with; :func:`mux_ops` is the walk that prices a table in generated
+C (:func:`~repro.engine.passes.mux_cost`; the NumPy executor's price is
+:func:`~repro.engine.passes.table_cost`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +69,161 @@ from repro.core.netlist import (
     is_primary_input,
     primary_input_index,
 )
+
+
+# --------------------------------------------------------------------------
+# truth tables as integers: bit ``a`` of ``bits`` is ``table[a]``
+# --------------------------------------------------------------------------
+#: widest table whose axis masks are kept; a wider one rebuilds its masks
+#: per call (``LUTNetlist`` allows 24 inputs: a cached 2**24-bit mask per
+#: axis would be 48 MB)
+_CACHED_MASK_WIDTH = 12
+_AXIS_MASKS: Dict[int, Tuple[int, ...]] = {}
+
+
+def _axis_masks(n_inputs: int) -> Tuple[int, ...]:
+    """``masks[p]``: the addresses of an ``n_inputs`` table whose bit ``p``
+    (0 = last input) is clear — ``2**p`` ones, ``2**p`` zeros, repeated."""
+    masks = _AXIS_MASKS.get(n_inputs)
+    if masks is None:
+        built = []
+        for p in range(n_inputs):
+            mask, width = (1 << (1 << p)) - 1, 2 << p
+            while width < 1 << n_inputs:
+                mask |= mask << width
+                width <<= 1
+            built.append(mask)
+        masks = tuple(built)
+        if n_inputs <= _CACHED_MASK_WIDTH:
+            _AXIS_MASKS[n_inputs] = masks
+    return masks
+
+
+def table_bits(table: np.ndarray) -> int:
+    """A 0/1 truth-table array as an integer."""
+    return int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
+
+
+def bits_table(bits: int, n_inputs: int) -> np.ndarray:
+    """Inverse of :func:`table_bits`: a fresh ``(2**n_inputs,)`` ``uint8`` array."""
+    size = 1 << n_inputs
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
+def table_support(bits: int, n_inputs: int) -> List[int]:
+    """Indices of the inputs (0 = first = address MSB) the table depends on:
+    those whose two Shannon cofactors differ somewhere."""
+    masks = _axis_masks(n_inputs)
+    return [
+        j
+        for j in range(n_inputs)
+        if ((bits >> (1 << (n_inputs - 1 - j))) ^ bits) & masks[n_inputs - 1 - j]
+    ]
+
+
+def cofactor(bits: int, n_inputs: int, index: int, value: int) -> int:
+    """The ``n_inputs - 1`` table with input ``index`` fixed to ``value``
+    (which also drops an input the table does not depend on)."""
+    masks = _axis_masks(n_inputs)
+    p = n_inputs - 1 - index
+    bits = (bits >> (value << p)) & masks[p]
+    for q in range(p, n_inputs - 1):  # close the gaps, doubling the run length
+        bits = (bits | (bits >> (1 << q))) & masks[q + 1]
+    return bits
+
+
+def reexpress(
+    bits: int,
+    inputs: Sequence[str],
+    new_inputs: Sequence[str],
+    const: Optional[Mapping[str, int]] = None,
+) -> int:
+    """The table of the same function over ``new_inputs``.
+
+    ``inputs`` names the signal behind each address bit of ``bits``; a signal
+    in ``const`` is replaced by its value, a signal named twice is read once,
+    and every other signal must appear in ``new_inputs`` — in any order, and
+    among signals the function does not read (those become don't-cares).
+    """
+    current = list(inputs)
+    for j in reversed(range(len(current))):
+        sig = current[j]
+        first = current.index(sig)
+        if const and sig in const:
+            bits = cofactor(bits, len(current), j, const[sig])
+        elif first != j:
+            # keep the addresses on which both reads agree: where the first
+            # read is 1, take the entry that has this read at 1 too
+            n = len(current)
+            low = _axis_masks(n)[n - 1 - first]
+            bits = (bits & low) | ((bits >> (1 << (n - 1 - j))) & ~low)
+            bits = cofactor(bits, n, j, 0)
+        else:
+            continue
+        del current[j]
+    for sig in new_inputs:
+        if sig not in current:  # a don't-care input, as the new address MSB
+            bits |= bits << (1 << len(current))
+            current.insert(0, sig)
+    n = len(current)
+    masks = _axis_masks(n)
+    for j, sig in enumerate(new_inputs):
+        k = current.index(sig)
+        if k != j:  # swap address bits j and k (j < k) of every entry
+            high, low = n - 1 - j, n - 1 - k
+            delta = (1 << high) - (1 << low)
+            moved = ((bits >> delta) ^ bits) & masks[high] & ~masks[low]
+            bits ^= moved | (moved << delta)
+            current[j], current[k] = current[k], current[j]
+    return bits
+
+
+def mux_ops(bits: int, n_inputs: int) -> Tuple[List[Tuple[int, int, int, int]], int]:
+    """The Shannon-mux program of one table, ``(ops, root)``: what it costs
+    in generated C is ``len(ops)``.
+
+    A memoised walk over the cofactor tree, MSB first, constants folded: an
+    all-0/all-1 subtree is a literal, a 2-entry leaf the address bit or its
+    complement, equal cofactors need no mux, a subtable met twice is computed
+    once.  An op ``(form, a, b, depth)`` has input ``depth`` select cofactor
+    ``a`` (at 0) or ``b`` (at 1); ``form`` 4 is the full mux, and 0-3 are
+    what is left of it when the other arm is a constant: ``b & x``,
+    ``a & ~x``, ``b | ~x``, ``a | x``.  References ``a``, ``b``, ``root``:
+    ``k >= 0`` is ``ops[k]``, ``-1``/``-2`` constant 0/1, ``-3 - 2*d`` input
+    ``d``, ``-4 - 2*d`` its complement.
+    """
+    ops: List[Tuple[int, int, int, int]] = []
+    memo: List[Dict[int, int]] = [{} for _ in range(n_inputs)]  # per depth
+
+    def walk(sub: int, size: int, depth: int) -> int:
+        """Reference of a subtable that is neither constant nor a leaf."""
+        hit = memo[depth].get(sub)
+        if hit is not None:
+            return hit
+        half = size >> 1
+        ones = (1 << half) - 1
+        low, high = sub & ones, sub >> half
+        if half == 2:  # both cofactors are leaves on input depth + 1
+            a, b = leaves[depth + 1][low], leaves[depth + 1][high]
+        else:
+            a = -1 if low == 0 else -2 if low == ones else walk(low, half, depth + 1)
+            b = -1 if high == 0 else -2 if high == ones else walk(high, half, depth + 1)
+        if a == b:
+            result = a
+        else:
+            form = 0 if a == -1 else 1 if b == -1 else 2 if a == -2 else 3 if b == -2 else 4
+            result = len(ops)
+            ops.append((form, a, b, depth))
+        memo[depth][sub] = result
+        return result
+
+    # a 2-entry table by its bits: 0, (1, 0) = ~input, (0, 1) = input, 1
+    leaves = [(-1, -4 - 2 * d, -3 - 2 * d, -2) for d in range(n_inputs)]
+    size = 1 << n_inputs
+    if bits in (0, (1 << size) - 1):
+        return ops, -1 if bits == 0 else -2
+    return ops, leaves[0][bits] if n_inputs == 1 else walk(bits, size, 0)
 
 
 @dataclass
@@ -69,8 +239,25 @@ class IRNode:
     name: str
     kind: str
     inputs: List[str]
-    table: np.ndarray
+    bits: int  # the truth table: bit ``a`` is ``table[a]``
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._size = 1 << len(self.inputs)  # entries; validate() holds inputs to it
+
+    def rewrite(self, inputs: List[str], bits: int) -> None:
+        """Replace the node's function: ``bits`` is its table over ``inputs``."""
+        self.inputs, self.bits, self._size = inputs, bits, 1 << len(inputs)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The truth table as a fresh ``(2**n_inputs,)`` ``uint8`` array."""
+        return bits_table(self.bits, len(self.inputs))
+
+    @table.setter
+    def table(self, table: np.ndarray) -> None:
+        table = np.asarray(table, dtype=np.uint8)
+        self.bits, self._size = table_bits(table), table.size
 
     @property
     def n_inputs(self) -> int:
@@ -83,7 +270,7 @@ class IRNode:
     def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError(f"node {self.name!r} is not a constant")
-        return int(self.table[0])
+        return self.bits & 1
 
 
 class IRGraph:
@@ -107,7 +294,7 @@ class IRGraph:
                 node.name,
                 node.kind,
                 list(node.input_signals),
-                node.table.copy(),
+                node.table,
                 dict(node.metadata),
             )
         graph.outputs = list(netlist.output_signals)
@@ -152,21 +339,20 @@ class IRGraph:
         name: str,
         kind: str,
         inputs: List[str],
-        table: np.ndarray,
+        table: Union[np.ndarray, int],
         metadata: Optional[dict] = None,
     ) -> IRNode:
-        """Append a node at the end of the topological order."""
+        """Append a node at the end of the topological order; ``table`` is
+        the array, or the integer a pass already holds (:attr:`IRNode.bits`)."""
         if name in self._by_name:
             raise ValueError(f"duplicate node name {name!r}")
         if self.is_primary_input(name):
             raise ValueError(f"node name {name!r} shadows a primary input")
-        node = IRNode(
-            name=name,
-            kind=kind,
-            inputs=list(inputs),
-            table=np.asarray(table, dtype=np.uint8),
-            metadata=metadata or {},
-        )
+        node = IRNode(name, kind, list(inputs), 0, metadata or {})
+        if isinstance(table, int):
+            node.bits = table
+        else:
+            node.table = table
         self._nodes.append(node)
         self._by_name[name] = node
         return node
@@ -199,17 +385,11 @@ class IRGraph:
 
     def live_nodes(self) -> set:
         """Names of nodes reachable from the declared outputs."""
-        live: set = set()
-        stack = [sig for sig in self.outputs if sig in self._by_name]
-        while stack:
-            name = stack.pop()
-            if name in live:
-                continue
-            live.add(name)
-            for sig in self._by_name[name].inputs:
-                if sig in self._by_name:
-                    stack.append(sig)
-        return live
+        live = set(self.outputs)
+        for node in reversed(self._nodes):  # consumers come after producers
+            if node.name in live:
+                live.update(node.inputs)
+        return live & self._by_name.keys()
 
     def node_levels(self) -> Dict[str, int]:
         """Longest-chain level of every node (primary inputs sit at level 0)."""
@@ -236,10 +416,10 @@ class IRGraph:
             if self._by_name.get(node.name) is not node:
                 raise ValueError(f"node {node.name!r} is not indexed by name")
             expected = 1 << node.n_inputs
-            if node.table.shape != (expected,):
+            if node._size != expected:
                 raise ValueError(
                     f"node {node.name!r}: table must have {expected} entries, "
-                    f"got {node.table.shape}"
+                    f"got {node._size}"
                 )
             if len(set(node.inputs)) != len(node.inputs):
                 raise ValueError(f"node {node.name!r}: duplicate input signals")

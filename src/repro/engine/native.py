@@ -120,6 +120,7 @@ from repro.engine.compiled_netlist import (
     _Group,
     _MuxGroup,
 )
+from repro.engine.ir import mux_ops
 
 try:  # POSIX only; on other platforms builds fall back to the atomic-rename race
     import fcntl
@@ -283,69 +284,44 @@ def shared_object_cache_dir() -> str:
 
 
 # ------------------------------------------------------------------ codegen
+#: C text of :func:`~repro.engine.ir.mux_ops` forms 0-3: (temp, live arm, input)
+_ARM_FORMS = ("W %s = %s & %s;", "W %s = %s & ~%s;", "W %s = %s | ~%s;", "W %s = %s | %s;")
+
+
 def _emit_lut(
     statements: List[str],
     temp_counter: List[int],
-    table: Tuple[int, ...],
+    bits: int,
     input_exprs: List[str],
 ) -> str:
     """Emit statements computing ``table[address]`` for one LUT node.
 
-    ``input_exprs[0]`` is the address MSB, matching the NumPy cascade and
-    the netlist's ``binary_to_index`` convention.  Returns the C expression
-    (a temp name, an input, or a constant) holding the node's value.
-    Constant table entries fold at generation time: a fully-constant
-    subtree is a literal, a 2-entry leaf is the address bit or its
-    complement, and a mux with one constant arm degrades to a single
-    ``&``/``|``.  Structurally identical cofactor subtrees are shared
-    through a memo keyed by the subtable, so repeated patterns inside one
-    table (ubiquitous in trained tables) cost one temp.
-
-    Temps are declared with the abstract word type ``W`` so the same
-    statement stream instantiates as scalar ``uint64_t`` or as a K-lane
-    vector (see :func:`generate_c_source`).
+    ``bits`` is the truth table as an integer and ``input_exprs[0]`` the
+    address MSB, matching the NumPy cascade and the netlist's
+    ``binary_to_index`` convention.  One ``W t<k> = ...;`` per op of
+    :func:`repro.engine.ir.mux_ops` (constants folded, equal cofactors
+    shared), declared with the abstract word type ``W`` so the stream
+    instantiates as scalar or K-lane vector.  Returns the C expression (a
+    temp, an input, or a constant) holding the node's value.
     """
-    memo: Dict[Tuple[int, ...], str] = {}
-
-    def emit(text: str) -> str:
-        name = f"t{temp_counter[0]}"
-        temp_counter[0] += 1
-        statements.append(f"W {name} = {text};")
-        return name
-
-    def rec(lo: int, hi: int, depth: int) -> str:
-        sub = table[lo:hi]
-        if all(v == 0 for v in sub):
-            return "C0"
-        if all(v == 1 for v in sub):
-            return "C1"
-        hit = memo.get(sub)
-        if hit is not None:
-            return hit
+    ops, root = mux_ops(bits, len(input_exprs))
+    base = temp_counter[0]
+    temp_counter[0] += len(ops)
+    # indexed by mux_ops' references: op k from the front, -1/-2 the
+    # constants and -3 - 2d / -4 - 2d input d and its complement from the back
+    names = [f"t{base + k}" for k in range(len(ops))]
+    for x in reversed(input_exprs):
+        names += (f"~{x}", x)
+    names += ("C1", "C0")
+    for k, (form, a, b, depth) in enumerate(ops):
         x = input_exprs[depth]
-        if hi - lo == 2:
-            # leaf pair (0,1) is the bit itself, (1,0) its complement
-            result = x if sub == (0, 1) else f"~{x}"
-        else:
-            mid = (lo + hi) // 2
-            a = rec(lo, mid, depth + 1)  # cofactor with x = 0
-            b = rec(mid, hi, depth + 1)  # cofactor with x = 1
-            if a == b:
-                result = a
-            elif a == "C0":
-                result = emit(f"{b} & {x}")
-            elif b == "C0":
-                result = emit(f"{a} & ~{x}")
-            elif a == "C1":
-                result = emit(f"{b} | ~{x}")
-            elif b == "C1":
-                result = emit(f"{a} | {x}")
-            else:
-                result = emit(f"{a} ^ (({a} ^ {b}) & {x})")
-        memo[sub] = result
-        return result
-
-    return rec(0, len(table), 0)
+        if form == 4:
+            a, b = names[a], names[b]
+            statements.append(f"W {names[k]} = {a} ^ (({a} ^ {b}) & {x});")
+        else:  # one arm is a constant: odd forms keep a, even forms keep b
+            arm = names[a if form & 1 else b]
+            statements.append(_ARM_FORMS[form] % (names[k], arm, x))
+    return names[root]
 
 
 def _node_blocks(program: CompiledNetlist) -> List[Tuple[str, int]]:
@@ -358,28 +334,27 @@ def _node_blocks(program: CompiledNetlist) -> List[Tuple[str, int]]:
     blocks: List[Tuple[str, int]] = []
     temp_counter = [0]
     for group in program._groups:
+        outs = group.output_slots.tolist()
+        slots = group.input_slots.tolist()
         if isinstance(group, _MuxGroup):
-            for row in range(group.n_nodes):
-                sel, a, b = (int(v) for v in group.input_slots[row])
-                out = int(group.output_slots[row])
+            for out, (sel, a, b) in zip(outs, slots):
                 blocks.append(
                     (f"s[{out}] = s[{a}] ^ ((s[{a}] ^ s[{b}]) & s[{sel}]);", 1)
                 )
             continue
         assert isinstance(group, _Group)
-        tables = (group.table_words[:, :, 0] != 0).astype(np.uint8)
-        if group.arity == 0:
-            for row in range(group.n_nodes):
-                out = int(group.output_slots[row])
-                constant = "C1" if tables[row, 0] else "C0"
-                blocks.append((f"s[{out}] = {constant};", 1))
-            continue
-        for row in range(group.n_nodes):
-            input_exprs = [f"s[{int(v)}]" for v in group.input_slots[row]]
+        # each row's table as the integer mux_ops walks, cut from one blob
+        packed = np.packbits(group.table_words[:, :, 0] != 0, axis=1, bitorder="little")
+        width = packed.shape[1]
+        blob = packed.tobytes()
+        for row, out in enumerate(outs):
+            bits = int.from_bytes(blob[row * width : (row + 1) * width], "little")
+            if group.arity == 0:
+                blocks.append((f"s[{out}] = {'C1' if bits else 'C0'};", 1))
+                continue
             statements: List[str] = []
-            table = tuple(int(v) for v in tables[row])
-            value = _emit_lut(statements, temp_counter, table, input_exprs)
-            out = int(group.output_slots[row])
+            input_exprs = [f"s[{v}]" for v in slots[row]]
+            value = _emit_lut(statements, temp_counter, bits, input_exprs)
             body = " ".join(statements)
             blocks.append(
                 (f"{{ {body} s[{out}] = {value}; }}", len(statements) + 1)

@@ -13,9 +13,9 @@ a sequence of ordered, individually testable passes over
 ``FuseChainsPass``
     Fuses single-fanout LUT chains into wider tables.  Fusion is driven by
     the packed engine's cost model — a LUT costs ``~2**P`` word muxes — so a
-    chain is merged exactly when the fused table is no more expensive than
-    the pair it replaces, which also cuts levels, groups and scatter/gather
-    traffic.
+    chain is merged exactly when the fused table is *strictly cheaper* than
+    the pair it replaces (equal cost is rejected, see "The fusion cost
+    rule"), which also cuts levels, groups and scatter/gather traffic.
 
 ``DedupTablesPass``
     Merges structurally identical nodes — same ordered inputs, same truth
@@ -79,10 +79,22 @@ monotone (every accepted fusion reduces total mux count, so the walk
 terminates without a fixpoint budget).  ``_MAX_TABLE_WIDTH`` caps ``W`` as a
 safety net against pathological chains.
 
+Two costs, one per executor
+===========================
+
+:func:`table_cost` (``sum(2**P)``) is what the *NumPy* executor runs — full
+cascades — and what the fusion rule and ``DedupTablesPass`` count.  The
+generated C folds constants and shares equal cofactors, so there a table
+costs :func:`mux_cost` statements (the length of
+:func:`repro.engine.ir.mux_ops`, the walk the code generator formats) and a
+program :func:`statement_cost`, which is what the native segmenter budgets
+by.  A pass that lowers one should be shown not to raise the other.
+
 Every pass preserves the graph's input/output semantics bit for bit: for any
 binary batch, ``run(graph).to_netlist().evaluate_outputs`` equals the
 original netlist's.  The property tests in ``tests/engine/test_ir_passes.py``
-enforce this per pass and for the full pipeline.
+enforce this per pass and for the full pipeline.  Passes compute on tables
+as integers ("Truth tables as integers" in :mod:`repro.engine.ir`).
 """
 
 from __future__ import annotations
@@ -91,13 +103,21 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.ir import IRGraph, IRNode
-from repro.utils.bitops import binary_to_index, enumerate_binary_inputs
+from repro.engine.ir import (
+    IRGraph,
+    IRNode,
+    cofactor,
+    mux_ops,
+    reexpress,
+    table_bits,
+    table_support,
+)
 
 #: Truth table of a 2:1 mux with address bits (select, a, b):
 #: ``select = 0 -> a``, ``select = 1 -> b``.  Decomposition emits these and
 #: the lowered program evaluates them with a dedicated 3-op word mux.
 MUX_TABLE = np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=np.uint8)
+_MUX_BITS = table_bits(MUX_TABLE)
 
 #: Hard ceiling on fused table width; ``2**16`` entries is the largest table
 #: worth materialising (the cost rule keeps real fusions far below this).
@@ -142,81 +162,61 @@ class PassManager:
 class ConstantFoldPass(Pass):
     """Fold constants, drop don't-care inputs, prune dead nodes.
 
-    One topological sweep per invocation:
+    One topological sweep per invocation, over the nodes the outputs can
+    reach (a third of a raw bank can be dead on arrival, and the sweep should
+    not rewrite what it is about to delete); most nodes need none of the
+    following and cost a few integer operations on :attr:`IRNode.bits`:
 
     * zero-input nodes and nodes whose table collapses are recorded as
       constants and substituted into every consumer's truth table;
     * inputs a table does not actually depend on are dropped (support
       reduction — Shannon cofactors on that input are equal);
     * identity buffers (1-input ``[0, 1]`` tables) are aliased away;
-    * finally, every node unreachable from the declared outputs is removed.
+    * finally, every node the sweep disconnected is removed.
     """
 
     name = "constant-fold"
 
     def run(self, graph: IRGraph) -> IRGraph:
         const: Dict[str, int] = {}
+        # never chains: a buffer's input was itself resolved when it was visited
         alias: Dict[str, str] = {}
-
-        def resolve(signal: str) -> str:
-            while signal in alias:
-                signal = alias[signal]
-            return signal
-
+        self._prune(graph)
         for node in graph.nodes:
-            inputs = [resolve(sig) for sig in node.inputs]
-            if any(sig in const for sig in inputs) or len(set(inputs)) != len(
-                inputs
-            ) or inputs != node.inputs:
-                self._rebuild_table(node, inputs, const)
-            self._reduce_support(node)
-            if node.n_inputs == 0:
-                const[node.name] = node.constant_value()
-            elif node.n_inputs == 1 and np.array_equal(
-                node.table, np.array([0, 1], dtype=np.uint8)
+            inputs = [alias.get(sig, sig) for sig in node.inputs] if alias else node.inputs
+            if (
+                inputs != node.inputs
+                or not const.keys().isdisjoint(inputs)
+                or len(set(inputs)) != len(inputs)
             ):
+                self._rebuild_table(node, inputs, const)
+            bits, n = node.bits, node.n_inputs
+            support = table_support(bits, n)
+            if len(support) < n:
+                for j in sorted(set(range(n)).difference(support), reverse=True):
+                    bits = cofactor(bits, n, j, 0)
+                    n -= 1
+                node.rewrite([node.inputs[j] for j in support], bits)
+            if n == 0:
+                const[node.name] = bits
+            elif n == 1 and bits == 0b10:
                 alias[node.name] = node.inputs[0]
+        graph.outputs = [alias.get(sig, sig) for sig in graph.outputs]
+        self._prune(graph)
+        return graph
 
-        graph.outputs = [resolve(sig) for sig in graph.outputs]
+    @staticmethod
+    def _prune(graph: IRGraph) -> None:
         live = graph.live_nodes()
         graph.remove_nodes(
             [node.name for node in graph.nodes if node.name not in live]
         )
-        return graph
 
     @staticmethod
     def _rebuild_table(node: IRNode, inputs: List[str], const: Dict[str, int]) -> None:
         """Re-express the table over the distinct non-constant inputs."""
-        kept: List[str] = []
-        for sig in inputs:
-            if sig not in const and sig not in kept:
-                kept.append(sig)
-        rows = enumerate_binary_inputs(len(kept))
-        columns = []
-        for sig in inputs:
-            if sig in const:
-                columns.append(
-                    np.full(rows.shape[0], const[sig], dtype=np.uint8)
-                )
-            else:
-                columns.append(rows[:, kept.index(sig)])
-        if columns:
-            node.table = node.table[binary_to_index(np.column_stack(columns))]
-        node.inputs = kept
-
-    @staticmethod
-    def _reduce_support(node: IRNode) -> None:
-        """Drop inputs whose two Shannon cofactors are identical."""
-        axis = 0
-        while axis < node.n_inputs:
-            cube = node.table.reshape((2,) * node.n_inputs)
-            zero = np.take(cube, 0, axis=axis)
-            one = np.take(cube, 1, axis=axis)
-            if np.array_equal(zero, one):
-                node.table = np.ascontiguousarray(zero).reshape(-1)
-                node.inputs = node.inputs[:axis] + node.inputs[axis + 1 :]
-            else:
-                axis += 1
+        kept = list(dict.fromkeys(sig for sig in inputs if sig not in const))
+        node.rewrite(kept, reexpress(node.bits, inputs, kept, const))
 
 
 # --------------------------------------------------------------------------
@@ -226,18 +226,13 @@ class FuseChainsPass(Pass):
     """Fuse single-fanout LUT chains into wider tables.
 
     A node read by exactly one consumer (and not declared an output) can be
-    inlined into that consumer by composing the truth tables.  Fusion is
-    applied only when the packed-engine cost strictly decreases —
-    ``2**W < 2**P_parent + 2**P_child`` for fused width ``W`` — i.e. when
-    parent and child overlap enough that the fused table is genuinely
-    narrower than the pair.  (Equal-cost fusions such as two disjoint
-    2-input LUTs into a 3-input table trade the saved gather/scatter for a
-    deeper Shannon cascade and measure as a wash or a loss, so they are
-    rejected.)  Chains over a shared support therefore collapse to a single
-    table while wide LUTs are left alone.  ``max_width`` additionally caps
-    ``W``; when the pipeline later decomposes onto a physical fabric, the
-    cap is the fabric width, so fusion never creates a table the decomposer
-    would immediately split back apart.
+    inlined into that consumer by composing the truth tables — when that is
+    strictly cheaper (module docstring, "The fusion cost rule"), so chains
+    over a shared support collapse to a single table while wide LUTs are
+    left alone.  ``max_width`` additionally caps the fused width; when the
+    pipeline later decomposes onto a physical fabric, the cap is the fabric
+    width, so fusion never creates a table the decomposer would immediately
+    split back apart.
     """
 
     name = "fuse-chains"
@@ -301,21 +296,19 @@ class FuseChainsPass(Pass):
     def _fuse(self, parent: IRNode, child: IRNode, fanout: Dict[str, int]) -> None:
         """Inline ``child`` into ``parent``, composing the truth tables."""
         inputs = self._fused_inputs(parent, child)
-        rows = enumerate_binary_inputs(len(inputs))
-        child_columns = rows[:, [inputs.index(sig) for sig in child.inputs]]
-        child_values = child.table[binary_to_index(child_columns)]
-        columns = [
-            child_values if sig == child.name else rows[:, inputs.index(sig)]
-            for sig in parent.inputs
-        ]
+        # the parent's two cofactors on the child, muxed by the child itself
+        low, high = (
+            reexpress(parent.bits, parent.inputs, inputs, {child.name: value})
+            for value in (0, 1)
+        )
+        bits = low ^ ((low ^ high) & reexpress(child.bits, child.inputs, inputs))
         # Signals read by both parent and child are merged into one column,
         # so their fanout drops by the number of duplicate reads.
         for sig in set(parent.inputs) & set(child.inputs):
             if sig in fanout:
                 fanout[sig] -= 1
         fanout.pop(child.name, None)
-        parent.table = parent.table[binary_to_index(np.column_stack(columns))]
-        parent.inputs = inputs
+        parent.rewrite(inputs, bits)
         parent.metadata.setdefault("fused_from", []).append(child.name)
 
 
@@ -329,9 +322,32 @@ def table_cost(graph) -> int:
     broadcast at ``P = 0``), so this is the mux-count proxy every
     cost-driven pass optimises against.  Duck-typed over anything with
     ``.nodes`` carrying ``n_inputs`` — both :class:`~repro.engine.ir.IRGraph`
-    and :class:`~repro.core.netlist.LUTNetlist`.
+    and :class:`~repro.core.netlist.LUTNetlist`.  The NumPy executor's price;
+    the generated C is priced by :func:`statement_cost`.
     """
     return sum(1 << node.n_inputs for node in graph.nodes)
+
+
+def mux_cost(table: np.ndarray) -> int:
+    """Statements the generated C spends on one truth table: the length of
+    :func:`repro.engine.ir.mux_ops`, at most ``2**P - 1`` and, unlike
+    :func:`table_cost`, dependent on the table's content and input order."""
+    table = np.asarray(table)
+    return len(mux_ops(table_bits(table), table.size.bit_length() - 1)[0])
+
+
+def statement_cost(graph) -> int:
+    """Statements :func:`~repro.engine.native.generate_c_source` emits for a
+    program: per node :func:`mux_cost` plus the slot store, and one for a
+    constant or a mux-shaped node.  Duck-typed like :func:`table_cost`."""
+    total = 0
+    for node in graph.nodes:
+        bits = table_bits(node.table)
+        if node.n_inputs == 0 or (node.n_inputs == 3 and bits == _MUX_BITS):
+            total += 1
+        else:
+            total += len(mux_ops(bits, node.n_inputs)[0]) + 1
+    return total
 
 
 class DedupTablesPass(Pass):
@@ -339,7 +355,7 @@ class DedupTablesPass(Pass):
 
     One topological sweep: each node's inputs are first rewritten through
     the alias map (so duplicates whose inputs were themselves duplicates
-    still converge), then the node is keyed by ``(inputs, table bytes)``.
+    still converge), then the node is keyed by ``(inputs, table bits)``.
     The first node with a given key survives; later ones are aliased to it
     and removed, with declared outputs re-pointed at the survivor (the IR
     contract allows output aliasing — ``ConstantFoldPass`` relies on the
@@ -370,7 +386,7 @@ class DedupTablesPass(Pass):
                 ConstantFoldPass._rebuild_table(node, inputs, {})
             else:
                 node.inputs = inputs
-            key = (tuple(node.inputs), node.table.tobytes())
+            key = (tuple(node.inputs), node.bits)
             survivor = seen.get(key)
             if survivor is None:
                 seen[key] = node.name
@@ -406,14 +422,11 @@ class DecomposePass(Pass):
         self.max_inputs = max_inputs
 
     def run(self, graph: IRGraph) -> IRGraph:
+        if all(node.n_inputs <= self.max_inputs for node in graph.nodes):
+            return graph  # already on the fabric
         result = IRGraph(n_primary_inputs=graph.n_primary_inputs)
         for node in graph.nodes:
-            if node.n_inputs <= self.max_inputs:
-                result.add_node(
-                    node.name, node.kind, list(node.inputs), node.table, dict(node.metadata)
-                )
-                continue
-            self._split(result, node, node.name, list(node.inputs), node.table)
+            self._split(result, node, node.name, list(node.inputs), node.bits)
         result.outputs = list(graph.outputs)
         return result
 
@@ -423,20 +436,21 @@ class DecomposePass(Pass):
         node: IRNode,
         name: str,
         signals: List[str],
-        table: np.ndarray,
+        bits: int,
     ) -> str:
         if len(signals) <= self.max_inputs:
-            result.add_node(name, node.kind, signals, table, dict(node.metadata))
+            result.add_node(name, node.kind, signals, bits, dict(node.metadata))
             return name
-        half = table.size // 2
-        low = self._split(result, node, f"{name}_c0", signals[1:], table[:half])
-        high = self._split(result, node, f"{name}_c1", signals[1:], table[half:])
+        half = 1 << (len(signals) - 1)  # entries per cofactor on the MSB
+        rest = signals[1:]
+        low = self._split(result, node, f"{name}_c0", rest, bits & ((1 << half) - 1))
+        high = self._split(result, node, f"{name}_c1", rest, bits >> half)
         mux_name = f"{name}_mux" if name != node.name else name
         result.add_node(
             mux_name,
             "mux",
             [signals[0], low, high],
-            MUX_TABLE,
+            _MUX_BITS,
             {"decomposed_from": node.name},
         )
         return mux_name
