@@ -8,7 +8,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace profile-compile serve-demo serve-stats serve-cluster
+.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace profile-compile profile-predict serve-demo serve-stats serve-cluster
 
 # Tier-1 verification: the full test suite (tests/ and benchmarks/).
 test:
@@ -75,6 +75,15 @@ bench-perf-trace:
 # only: asserts nothing, writes only to stdout, not part of test/check.
 profile-compile:
 	PYTHONPATH=src python examples/profile_compile.py
+
+# Where a default predict_batch goes: ns/sample per stage (check, pack, the
+# NumPy executor, look-up, argmax) at 16 384 and 64 rows on the benchmark's
+# clf_p6 (cached under benchmarks/perf/out, refitted in ~12 s when absent),
+# NumPy calls and word-passes per LUT arity, the achieved ns per word-pass
+# against an in-place ^= on the same scratch, and pack / unpack / concat at
+# 1, 64 and 16 384 rows.  Report only, like profile-compile.
+profile-predict:
+	PYTHONPATH=src:. python examples/profile_predict.py
 
 # End-to-end serving demo: train two PoET-BiN variants on the
 # synthetic-digits dataset, serve both from one server over a shared

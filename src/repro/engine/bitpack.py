@@ -12,11 +12,30 @@ Bit order is little-endian within a word: sample ``s`` lives at bit
 last sample; consumers that invert signals may leave garbage in the padding,
 which :func:`unpack_bits` discards by truncating to the requested sample
 count.
+
+Packing is a bit-matrix transpose, done in word lanes rather than bit by
+bit.  A row of ``uint8`` bits is read as ``uint64`` lanes of eight signals;
+eight consecutive sample rows, row ``r`` shifted left by ``r``, OR into one
+lane whose every byte is already a packed byte — of one signal, for those
+eight samples::
+
+    sample 8g+0   [s0 s1 s2 .. s7]            one lane = 8 signal bytes
+    sample 8g+1   [s0 s1 s2 .. s7] << 1
+       ...                                    OR
+    sample 8g+7   [s0 s1 s2 .. s7] << 7
+                  ----------------------
+                  [B0 B1 B2 .. B7]            byte k: signal k, samples 8g..8g+7
+
+What is left is a *byte* transpose of a matrix eight times smaller than the
+input.  :func:`unpack_bits` runs it backwards: transpose the packed bytes,
+then ``(lane >> r) & 0x0101010101010101`` is sample row ``8g + r``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.utils.validation import is_binary
 
 #: Number of samples carried by one packed word.
 WORD_BITS = 64
@@ -29,9 +48,11 @@ _WORD_DTYPE = np.dtype("<u8")
 #: :func:`packed_weighted_sums` unpack at once (cache-sized, word-aligned)
 _COUNT_BLOCK = 64 * WORD_BITS
 
-#: sample rows :func:`pack_bits` transposes at once; a multiple of 8 so each
-#: block lands on a byte boundary of the packed planes
-_PACK_BLOCK = 1024
+#: lane arithmetic of the byte transpose: sample row ``r`` of a group of eight
+#: lands at bit ``r`` of every byte of the lane
+_ROW_SHIFT = np.arange(8, dtype=_WORD_DTYPE)
+_ROW_BIT = np.left_shift(np.ones(8, dtype=_WORD_DTYPE), _ROW_SHIFT)
+_LANE_ONES = np.array(0x0101010101010101, dtype=_WORD_DTYPE)
 
 
 def n_words(n_samples: int) -> int:
@@ -58,21 +79,30 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 2:
         raise ValueError(f"bits must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    if not is_binary(arr):
         raise ValueError("bits must contain only 0/1 values")
-    arr = arr.astype(np.uint8, copy=False)
     samples, signals = arr.shape
-    words = n_words(samples)
-    padded = np.zeros((signals, words * (WORD_BITS // 8)), dtype=np.uint8)
-    # packbits is much faster along a contiguous axis, so each signal's
-    # samples are transposed contiguous first — a block of rows at a time:
-    # one whole-matrix byte transpose strides past the cache and costs 4x
-    # more per sample beyond a few hundred rows.
-    for lo in range(0, samples, _PACK_BLOCK):
-        block = np.ascontiguousarray(arr[lo : lo + _PACK_BLOCK].T)
-        packed_bytes = np.packbits(block, axis=1, bitorder="little")
-        padded[:, lo // 8 : lo // 8 + packed_bytes.shape[1]] = packed_bytes
-    return padded.view(_WORD_DTYPE).astype(np.uint64, copy=False)
+    groups, lanes = -(-samples // 8), -(-signals // 8)
+    if arr.dtype == np.bool_:
+        arr = arr.view(np.uint8)
+    if not (
+        arr.dtype == np.uint8
+        and arr.flags.c_contiguous
+        and (samples, signals) == (8 * groups, 8 * lanes)
+    ):
+        # whole lanes of whole row groups, nothing more
+        whole = np.zeros((8 * groups, 8 * lanes), dtype=np.uint8)
+        whole[:samples, :signals] = arr
+        arr = whole
+    # OR the eight rows of a group, row r shifted to bit r: the bytes never
+    # carry into each other, so the OR is a sum of products
+    packed = np.einsum(
+        "grl,r->gl", arr.view(_WORD_DTYPE).reshape(groups, 8, lanes), _ROW_BIT
+    )
+    packed_bytes = packed.view(np.uint8).reshape(groups, 8 * lanes)
+    planes = np.zeros((signals, n_words(samples) * (WORD_BITS // 8)), dtype=np.uint8)
+    planes[:, :groups] = packed_bytes[:, :signals].T
+    return planes.view(_WORD_DTYPE).astype(np.uint64, copy=False)
 
 
 def _plane_bytes(planes: np.ndarray) -> np.ndarray:
@@ -338,12 +368,41 @@ def concat_packed(chunks, n_samples_list) -> np.ndarray:
             raise ValueError(
                 f"chunk of {chunk.shape[1]} words cannot hold {k} samples"
             )
-    total = sum(counts)
-    out = np.zeros((signals, n_words(total)), dtype=np.uint64)
+    if 0 in counts:  # empty blocks contribute nothing
+        chunks = [chunk for chunk, k in zip(chunks, counts) if k]
+        counts = [k for k in counts if k]
+    out = np.zeros((signals, n_words(sum(counts))), dtype=np.uint64)
+    if not chunks:
+        return out
+    if not any(k % WORD_BITS for k in counts):
+        # whole words only: nothing to mask, nothing to shift
+        pieces = [chunk[:, : k // WORD_BITS] for chunk, k in zip(chunks, counts)]
+        return np.concatenate(pieces, axis=1, out=out)
+    if {chunk.shape[1] for chunk in chunks} == {1}:
+        # What a serving flush is: many requests of at most a word each.
+        # Mask and shift them all at once, one chunk per row.  Chunks come in
+        # offset order and none is longer than a word, so every output word
+        # but perhaps the last has a run of chunks starting in it, which
+        # reduceat ORs; only the last chunk of a run can reach into the next
+        # word, and its spill is zero when it does not.
+        k = np.array(counts)
+        start = np.cumsum(k) - k
+        word, bit = start >> 6, (start & 63).astype(np.uint64)
+        rows = np.concatenate(chunks).reshape(len(chunks), signals)
+        keep = ~np.uint64(0) >> (WORD_BITS - k).astype(np.uint64)
+        rows &= keep[:, np.newaxis]
+        first = np.searchsorted(word, np.arange(word[-1] + 1))
+        out[:, : first.size] = np.bitwise_or.reduceat(
+            rows << bit[:, np.newaxis], first, axis=0
+        ).T
+        last = np.append(first[1:], len(chunks)) - 1
+        # >> 64 is not a shift: two steps, so that bit 0 spills nothing
+        spill = rows[last] >> np.uint64(1)
+        spill >>= (np.uint64(63) - bit[last])[:, np.newaxis]
+        out[:, 1:] |= spill[: out.shape[1] - 1].T
+        return out
     offset = 0
     for chunk, k in zip(chunks, counts):
-        if k == 0:
-            continue
         live = mask_padding(chunk[:, : n_words(k)], k)
         word, bit = divmod(offset, WORD_BITS)
         span = live.shape[1]
@@ -388,10 +447,12 @@ def unpack_bits(packed: np.ndarray, n_samples: int) -> np.ndarray:
             f"packed data holds {words * WORD_BITS} bits per signal, "
             f"cannot recover {n_samples} samples"
         )
-    as_bytes = _plane_bytes(arr)
-    # Transpose the byte matrix first so the expansion to bits lands directly
-    # in (samples, signals) layout instead of needing a bit-matrix transpose.
-    unpacked = np.unpackbits(
-        np.ascontiguousarray(as_bytes.T), axis=0, bitorder="little"
-    )
-    return unpacked[:n_samples]
+    groups, lanes = -(-n_samples // 8), -(-signals // 8)
+    # pack_bits backwards: transpose the packed bytes, then row r of a group
+    # of eight samples is bit r of every byte of the lane
+    packed = np.zeros((groups, 8 * lanes), dtype=np.uint8)
+    packed[:, :signals] = _plane_bytes(arr[:, : n_words(n_samples)])[:, :groups].T
+    rows = packed.view(_WORD_DTYPE)[:, np.newaxis, :] >> _ROW_SHIFT[:, np.newaxis]
+    rows &= _LANE_ONES
+    unpacked = rows.view(np.uint8).reshape(8 * groups, 8 * lanes)
+    return np.ascontiguousarray(unpacked[:n_samples, :signals])

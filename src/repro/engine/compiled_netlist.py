@@ -13,20 +13,38 @@ operations:
   the netlist size;
 * nodes are scheduled level by level and **grouped by LUT arity**, so one
   vectorised step evaluates every same-width LUT of a level at once;
-* each group is evaluated by iterated **Shannon expansion**: the truth
-  tables, materialised as all-zero/all-one words, are halved ``P`` times by
-  the mux identity ``f = f0 ^ ((f0 ^ f1) & x)`` on the address bit ``x`` —
-  pure AND/XOR word ops, no arithmetic, exactly like the hardware mux tree.
+* each group is evaluated a **chunk** of nodes at a time, in an
+  *entry-major* scratch ``(rows, nodes, words)`` sized from one byte budget:
+
+  1. one ``take`` copies the chunk's inputs in; five block calls then build
+     the **basis** — all sixteen Boolean functions of a node's first two
+     inputs ``(x0, x1)``: the inputs, their complements, the four minterms
+     and theirs, xor / xnor and the two constants;
+  2. a table entry ``j`` (an assignment of the *other* inputs) is, as a
+     function of ``(x0, x1)``, one of those sixteen: its four table bits
+     ``t[j], t[Q+j], t[2Q+j], t[3Q+j]`` (``Q = 2**(P-2)``) are the function's
+     truth code, known from the table.  One row gather fills the ``Q`` entries,
+     and the two leading address bits are resolved without a single mux;
+  3. the remaining ``P - 2`` bits are folded by **Shannon expansion** in
+     place, ``f = f0 ^ ((f0 ^ f1) & x)`` on the most significant bit, so both
+     cofactors are contiguous leading blocks of the shrinking entry axis and
+     the selector ``(nodes, words)`` broadcasts along it — every pass is one
+     long contiguous run, pure AND/XOR word ops like the hardware mux tree.
+
+  A 6-input LUT costs about 80 word-passes this way (6 + 14 + 16 + 45)
+  where halving the whole table six times costs 157.
 
 Padding bits past the last sample hold unspecified values during evaluation
 (constants and inverted signals set them); they are discarded when results
-are unpacked.
+are unpacked.  The scratch belongs to the instance, so an instance is not
+thread-safe.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,9 +56,22 @@ from repro.utils.validation import check_binary_matrix
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: target size of the in-place mux working set; roughly half a typical L2,
-#: found empirically (a working set past L2 roughly halves throughput)
-_MUX_SCRATCH_BYTES = 1 << 18
+#: working set of one LUT chunk (inputs + basis + entries).  Not a knob: the
+#: sweep that picked it is in docs/architecture.md ("The NumPy executor").
+_LUT_CHUNK_BYTES = 1 << 20
+
+# The basis: every Boolean function of a LUT's first two inputs, in the order
+# run_packed builds them.  A function is named by its truth code, bit
+# ``2*x0 + x1`` = its value there; ``_BASIS_ROW[code]`` is its row.
+_X0, _X1 = 0b1100, 0b1010
+_LITERALS0, _LITERALS1 = (_X0, _X0 ^ 15), (_X1, _X1 ^ 15)
+_MINTERMS = [a & b for a in _LITERALS0 for b in _LITERALS1]
+_BASIS_ROW = np.argsort(
+    [_X0, _X1, _X0 ^ 15, _X1 ^ 15]
+    + _MINTERMS
+    + [m ^ 15 for m in _MINTERMS]
+    + [a ^ b for a in _LITERALS0 for b in (_X1, _X0)]  # xor, 0, xnor, 1
+)
 
 
 @dataclass(frozen=True)
@@ -55,6 +86,34 @@ class _Group:
     @property
     def n_nodes(self) -> int:
         return self.output_slots.shape[0]
+
+    # What CompiledNetlist.run_packed reads for arity >= 2, derived from the
+    # fields above on first use (the native backend never asks).
+    @property
+    def work_rows(self) -> int:
+        """Rows of chunk scratch per node: inputs, derived basis, entries."""
+        return self.arity + 14 + (1 << (self.arity - 2))
+
+    def chunk_nodes(self, words: int) -> int:
+        """How many nodes' scratch fits the byte budget at ``words`` words."""
+        per_node = 8 * self.work_rows * max(words, 1)
+        return max(1, min(self.n_nodes, _LUT_CHUNK_BYTES // per_node))
+
+    @cached_property
+    def gather_slots(self) -> np.ndarray:
+        """``(arity, n_nodes)`` input slots in scratch order: x2.., x0, x1."""
+        return np.ascontiguousarray(np.roll(self.input_slots, -2, axis=1).T)
+
+    @cached_property
+    def basis_rows(self) -> np.ndarray:
+        """``(2**(arity-2), n_nodes)``: the scratch row each entry is copied from.
+
+        Entry ``j`` of a node is, as a function of ``(x0, x1)``, the four
+        table bits ``j, Q+j, 2Q+j, 3Q+j``; that truth code names its row.
+        """
+        quarters = (self.table_words != 0).reshape(self.n_nodes, 4, -1)
+        codes = (quarters * np.array([[1], [2], [4], [8]])).sum(axis=1)
+        return np.ascontiguousarray((_BASIS_ROW[codes] + (self.arity - 2)).T)
 
 
 @dataclass(frozen=True)
@@ -141,9 +200,10 @@ class CompiledNetlist(PackedEngine):
 
     Build one with :func:`compile_netlist` (or :meth:`from_netlist`); the
     compiled program is reusable across batches of any size.  Evaluation
-    reuses an internal scratch working set (sized for the most recent batch
-    word count), so a ``CompiledNetlist`` instance is **not thread-safe**;
-    share the netlist and compile one instance per worker instead.
+    reuses an internal grow-only scratch (the slot matrix and one chunk's
+    working set, sized for the largest batch seen and never pickled), so a
+    ``CompiledNetlist`` instance is **not thread-safe**; share the netlist
+    and compile one instance per worker instead.
 
     Attributes
     ----------
@@ -173,15 +233,22 @@ class CompiledNetlist(PackedEngine):
         # reusable working set, cached by *capacity* (rounded up to the
         # next power of two) rather than exact word count: alternating
         # batch sizes reuse one grow-only allocation through views instead
-        # of reallocating all three scratch arrays on every call
-        self._scratch: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
-        lut_groups = [g for g in groups if isinstance(g, _Group)]
-        self._max_group_nodes = max((g.n_nodes for g in lut_groups), default=0)
-        self._max_group_half = max(
-            ((1 << g.arity) >> 1 for g in lut_groups), default=0
-        )
-        self._max_mux_nodes = max(
-            (g.n_nodes for g in groups if isinstance(g, _MuxGroup)), default=0
+        # of reallocating on every call.  (capacity, state words, chunk words)
+        self._scratch: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._node_index = np.arange(max((g.n_nodes for g in groups), default=0))
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_scratch": None}
+
+    def __setstate__(self, state: dict) -> None:
+        # a pickle carries the program; the working set is rebuilt on first
+        # use, so one written before the scratch changed shape still runs
+        self.__init__(
+            state["n_primary_inputs"],
+            state["_groups"],
+            state["_output_slots"],
+            state["n_slots"],
+            state["n_nodes"],
         )
 
     # ---------------------------------------------------------- compilation
@@ -324,38 +391,10 @@ class CompiledNetlist(PackedEngine):
                 f"got {packed_inputs.shape}"
             )
         words = packed_inputs.shape[1]
-        chunk_half = max(self._max_group_half, 1)
-        max_nodes = max(self._max_group_nodes, 1)
         if self._scratch is None or self._scratch[0] < words:
-            # grow-only, rounded up to the next power of two: ragged
-            # alternating batch sizes settle on one allocation instead of
-            # thrashing all three scratch arrays every call
-            capacity = 1 << (max(words, 1) - 1).bit_length()
-            if self._scratch is not None:
-                capacity = max(capacity, self._scratch[0])
-            state_buf = np.empty((self.n_slots, capacity), dtype=np.uint64)
-            # flat mux scratch, re-carved per call: big enough for one
-            # L2-sized chunk at any word count up to the capacity
-            flat_words = max(
-                chunk_half * capacity,
-                min(_MUX_SCRATCH_BYTES // 8, max_nodes * chunk_half * capacity),
-            )
-            mux_flat = np.empty(flat_words, dtype=np.uint64)
-            mux2_buf = np.empty((self._max_mux_nodes, capacity), dtype=np.uint64)
-            self._scratch = (capacity, state_buf, mux_flat, mux2_buf)
-        _, state_buf, mux_flat, mux2_buf = self._scratch
-        state = state_buf[:, :words]
-        mux2 = mux2_buf[:, :words]
-        # Cache-block the mux cascade: the buffer is halved P times in
-        # place, so keeping one chunk of nodes resident in L2 through the
-        # whole cascade matters more than vector length.  Chunking depends
-        # on the *actual* word count, so the views are carved per call.
-        chunk_nodes = max(1, _MUX_SCRATCH_BYTES // (chunk_half * words * 8 or 1))
-        chunk_nodes = min(chunk_nodes, max_nodes)
-        chunk_nodes = min(chunk_nodes, max(1, mux_flat.size // (chunk_half * max(words, 1))))
-        mux = mux_flat[: chunk_nodes * chunk_half * words].reshape(
-            chunk_nodes, chunk_half, words
-        )
+            self._scratch = self._allocate(words)
+        _, state_buf, work_buf = self._scratch
+        state = state_buf[: self.n_slots * words].reshape(self.n_slots, words)
         state[: self.n_primary_inputs] = packed_inputs
         for group in self._groups:
             if isinstance(group, _MuxGroup):
@@ -363,7 +402,8 @@ class CompiledNetlist(PackedEngine):
                 # software analogue of the hardware's free F7/F8 muxes
                 select = state[group.input_slots[:, 0]]
                 a = state[group.input_slots[:, 1]]
-                scratch = mux2[: group.n_nodes]
+                scratch = work_buf[: group.n_nodes * words]
+                scratch = scratch.reshape(group.n_nodes, words)
                 np.bitwise_xor(a, state[group.input_slots[:, 2]], out=scratch)
                 scratch &= select
                 scratch ^= a
@@ -375,36 +415,94 @@ class CompiledNetlist(PackedEngine):
                     tables[:, 0], (group.n_nodes, words)
                 )
                 continue
-            for start in range(0, group.n_nodes, chunk_nodes):
-                stop = min(start + chunk_nodes, group.n_nodes)
-                gathered = state[group.input_slots[start:stop]]  # (C, arity, words)
-                # Shannon-expand on the most-significant address bit first
-                # (the node's first input), so both cofactors are contiguous
-                # halves of the shrinking table.  The first mux widens the
-                # narrow table words into the reusable scratch buffer, and
-                # every later mux runs in place on that buffer via
-                #   high ^= low; high &= x; high ^= low == mux(x, low, high)
-                # leaving the result in the upper half, which the next step
-                # halves again.
-                half = tables.shape[1] >> 1
-                x = gathered[:, 0][:, np.newaxis, :]  # (C, 1, words)
-                low = tables[start:stop, :half]
-                high = tables[start:stop, half:]
-                acc = mux[: stop - start, :half]
-                np.bitwise_and(low ^ high, x, out=acc)  # low ^ high is narrow
+            if group.arity == 1:
+                # one narrow mux: the table words broadcast along the row
+                low = tables[:, 0]
+                acc = state[group.input_slots[:, 0]]
+                acc &= low ^ tables[:, 1]
                 acc ^= low
-                for bit in range(1, group.arity):
+                state[group.output_slots] = acc
+                continue
+            arity, rows = group.arity, group.work_rows
+            chunk = group.chunk_nodes(words)
+            for start in range(0, group.n_nodes, chunk):
+                stop = min(start + chunk, group.n_nodes)
+                n = stop - start
+                work = work_buf[: rows * n * words].reshape(rows, n, words)
+                # rows 0..arity-1: the inputs, x2.. first, then x0 and x1
+                state.take(
+                    group.gather_slots[:, start:stop],
+                    axis=0,
+                    out=work[:arity],
+                    mode="clip",
+                )
+                # rows arity-2..arity+13: the sixteen functions of (x0, x1)
+                # in _BASIS_ROW's order, five block calls
+                base = arity - 2
+                np.invert(work[base:arity], out=work[arity : arity + 2])
+                literals0 = work[base : arity + 1 : 2, np.newaxis]  # x0, ~x0
+                literals1 = work[base + 1 : arity + 2 : 2]  # x1, ~x1
+                minterms = work[arity + 2 : arity + 6]
+                np.bitwise_and(
+                    literals0, literals1, out=minterms.reshape(2, 2, n, words)
+                )
+                np.invert(minterms, out=work[arity + 6 : arity + 10])
+                np.bitwise_xor(
+                    literals0,
+                    work[base:arity][::-1],  # x1, x0: xor, 0 / xnor, 1
+                    out=work[arity + 10 : arity + 14].reshape(2, 2, n, words),
+                )
+                # every remaining table entry is one of those rows: its two
+                # leading address bits are resolved by the copy
+                index = group.basis_rows[:, start:stop] * n
+                index += self._node_index[:n]
+                acc = work[arity + 14 :]
+                # (a source that stops where ``acc`` starts: take copies its
+                # output twice over when the two overlap)
+                work[: arity + 14].reshape((arity + 14) * n, words).take(
+                    index, axis=0, out=acc, mode="clip"
+                )
+                # fold the other address bits in place, most significant
+                # first so both cofactors are contiguous leading blocks:
+                #   high ^= low; high &= x; high ^= low == mux(x, low, high)
+                # with x (n, words) broadcast along the leading entry axis
+                half = acc.shape[0]
+                for bit in range(base):
                     half >>= 1
-                    x = gathered[:, bit][:, np.newaxis, :]
-                    low = acc[:, :half]
-                    high = acc[:, half:]
-                    high ^= low
-                    high &= x
-                    high ^= low
-                    acc = high
-                state[group.output_slots[start:stop]] = acc[:, 0]
+                    low = acc[:half]
+                    acc = acc[half:]
+                    acc ^= low
+                    acc &= work[bit]
+                    acc ^= low
+                state[group.output_slots[start:stop]] = acc[0]
         # advanced indexing already yields a fresh array
         return state[self._output_slots]
+
+    def _allocate(self, words: int) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Scratch for any word count up to ``words`` rounded up to a power
+        of two (never below the capacity already held)."""
+        capacity = 1 << (max(words, 1) - 1).bit_length()
+        if self._scratch is not None:
+            capacity = max(capacity, self._scratch[0])
+        work_words = 1
+        for group in self._groups:
+            if isinstance(group, _MuxGroup):
+                need = group.n_nodes * capacity
+            elif group.arity >= 2:
+                # the largest chunk at any word count up to the capacity:
+                # the budget's worth, or one node when a node exceeds it
+                need = min(
+                    group.n_nodes * group.work_rows * capacity,
+                    max(_LUT_CHUNK_BYTES // 8, group.work_rows * capacity),
+                )
+            else:
+                continue
+            work_words = max(work_words, need)
+        return (
+            capacity,
+            np.empty(self.n_slots * capacity, dtype=np.uint64),
+            np.empty(work_words, dtype=np.uint64),
+        )
 
 
 #: engine backend names :func:`build_engine` accepts

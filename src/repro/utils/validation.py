@@ -13,12 +13,26 @@ def check_consistent_lengths(**named_arrays: np.ndarray) -> None:
         raise ValueError(f"inconsistent first-axis lengths: {details}")
 
 
+def is_binary(arr: np.ndarray) -> bool:
+    """Whether every element of ``arr`` is 0 or 1.
+
+    ``bool`` and ``uint8`` — what every batch path hands over — are settled
+    by the dtype or one ``max``; any other dtype gets the element-wise test,
+    which is also what rejects NaN.
+    """
+    if arr.size == 0 or arr.dtype == np.bool_:
+        return True
+    if arr.dtype == np.uint8:
+        return bool(arr.max() <= 1)
+    return bool(np.all((arr == 0) | (arr == 1)))
+
+
 def check_binary_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     """Validate and return a 2-D 0/1 matrix as ``uint8``."""
     arr = np.asarray(X)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    if not is_binary(arr):
         raise ValueError(f"{name} must contain only 0/1 values")
     return arr.astype(np.uint8, copy=False)
 
@@ -28,7 +42,7 @@ def check_binary_vector(y: np.ndarray, name: str = "y") -> np.ndarray:
     arr = np.asarray(y)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    if not is_binary(arr):
         raise ValueError(f"{name} must contain only 0/1 values")
     return arr.astype(np.uint8, copy=False)
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import WORD_BITS, n_words, pack_bits, unpack_bits
+from repro.engine import WORD_BITS, concat_packed, n_words, pack_bits, unpack_bits
 
 
 class TestNWords:
@@ -84,8 +86,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("n_samples", [1023, 1024, 1025, 2049])
     @pytest.mark.parametrize("n_signals", [1, 13, 256])
     def test_row_block_edges(self, rng, n_samples, n_signals):
-        """``pack_bits`` transposes 1024 rows at a time: the words must not
-        depend on where the block edges fall, nor on the input's layout."""
+        """The words are the definition's, whatever the row count's remainder
+        by 8 and by 64 and whatever the input's layout."""
         bits = rng.integers(0, 2, size=(n_samples, n_signals), dtype=np.uint8)
         # the definition, sample by sample: bit s % 64 of word [f, s // 64]
         expected = np.zeros((n_signals, n_words(n_samples)), dtype=np.uint64)
@@ -225,3 +227,129 @@ class TestConcatPacked:
             concat_packed([a, b], [3, 3])  # signal-count mismatch
         with pytest.raises(ValueError):
             concat_packed([a], [200])  # too few words for the claim
+
+
+# ------------------------------------------ the layout against np.packbits
+def ref_pack(bits):
+    planes = np.zeros((bits.shape[1], n_words(bits.shape[0]) * WORD_BITS), np.uint8)
+    planes[:, : bits.shape[0]] = np.asarray(bits, dtype=np.uint8).T
+    return np.packbits(planes, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def ref_unpack(packed, n_samples):
+    as_bytes = np.ascontiguousarray(packed.astype("<u8")).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=n_samples, bitorder="little").T
+
+
+def ref_concat(chunks, counts):
+    return ref_pack(np.concatenate([ref_unpack(c, k) for c, k in zip(chunks, counts)]))
+
+
+EDGE_COUNTS = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1000]
+sample_counts = st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, 300))
+signal_counts = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 16, 256]), st.integers(0, 40))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _laid_out(bits, layout):
+    if layout == "fortran":
+        return np.asfortranarray(bits)
+    if layout == "sliced":  # every other row and column of a larger matrix
+        wide = np.zeros((2 * bits.shape[0], 2 * bits.shape[1] + 1), dtype=bits.dtype)
+        wide[::2, 1::2] = bits
+        return wide[::2, 1::2]
+    if layout == "unaligned":  # contiguous, but not on a word boundary
+        raw = np.zeros(bits.size * bits.itemsize + 1, dtype=np.uint8)
+        view = raw[1:].view(bits.dtype).reshape(bits.shape)
+        view[...] = bits
+        return view
+    return bits
+
+
+class TestAgainstPackbits:
+    """``pack_bits`` / ``unpack_bits`` / ``concat_packed`` equal the three
+    ``np.packbits`` references above on every shape, dtype and layout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds,
+        sample_counts,
+        signal_counts,
+        st.sampled_from([bool, np.uint8, np.int64, np.float64]),
+        st.sampled_from(["c", "fortran", "sliced", "unaligned"]),
+    )
+    def test_pack_and_round_trip(self, seed, n_samples, n_signals, dtype, layout):
+        bits = np.random.default_rng(seed).integers(
+            0, 2, size=(n_samples, n_signals)
+        ).astype(dtype)
+        packed = pack_bits(_laid_out(bits, layout))
+        assert packed.dtype == np.uint64 and packed.flags.c_contiguous
+        np.testing.assert_array_equal(packed, ref_pack(bits))
+        restored = unpack_bits(packed, n_samples)
+        assert restored.dtype == np.uint8 and restored.flags.c_contiguous
+        np.testing.assert_array_equal(restored, bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds, sample_counts, signal_counts, st.integers(0, 2), st.booleans())
+    def test_unpack_truncates_and_ignores_padding(
+        self, seed, n_samples, n_signals, spare_words, sliced
+    ):
+        rng = np.random.default_rng(seed)
+        words = n_words(n_samples) + spare_words
+        packed = rng.integers(0, 2**64, size=(n_signals, 2 * words), dtype=np.uint64)
+        packed = packed[:, ::2] if sliced else packed[:, :words]
+        np.testing.assert_array_equal(
+            unpack_bits(packed, n_samples), ref_unpack(packed, n_samples)
+        )
+
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [
+            (2, np.uint8),
+            (2, np.int64),
+            (2, np.float64),
+            (-1, np.int8),
+            (-1, np.int64),
+            (-1, np.float64),
+            (0.5, np.float64),
+            (float("nan"), np.float64),
+        ],
+    )
+    def test_one_bad_value_is_rejected(self, bad, dtype):
+        bits = np.zeros((9, 17), dtype=dtype)
+        bits[8, 16] = bad
+        with pytest.raises(ValueError, match="^bits must contain only 0/1 values$"):
+            pack_bits(bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seeds,
+        st.integers(0, 9),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0, 1, 63, 64, 65, 128]), st.integers(0, 200)
+                ),
+                st.integers(0, 1),  # words beyond what the count needs
+            ),
+            min_size=1,
+            max_size=70,
+        ),
+        st.booleans(),
+    )
+    def test_concat(self, seed, n_signals, blocks, narrow):
+        """Any mix of counts and widths, garbage in every padding lane; with
+        ``narrow`` every block is at most a word, the case a flush sends."""
+        rng = np.random.default_rng(seed)
+        counts = [min(k, WORD_BITS) if narrow else k for k, _ in blocks]
+        widths = [
+            max(n_words(k), 1) if narrow else n_words(k) + spare
+            for k, (_, spare) in zip(counts, blocks)
+        ]
+        chunks = [
+            rng.integers(0, 2**64, size=(n_signals, width), dtype=np.uint64)
+            for width in widths
+        ]
+        merged = concat_packed(chunks, counts)
+        assert merged.dtype == np.uint64
+        np.testing.assert_array_equal(merged, ref_concat(chunks, counts))

@@ -173,12 +173,10 @@ class TestEvaluation:
     def test_scratch_buffers_stable_across_batch_sizes(self, rng):
         """Ragged batches reuse one grow-only scratch allocation.
 
-        The pre-PR behaviour reallocated state and mux scratch whenever the
-        word count *changed* — serving traffic alternating between big and
-        small batches thrashed the allocator every request.  Now the
-        buffers are cached by rounded-up capacity: shrinking batches reuse
-        the existing arrays (same objects, views carved per call), and only
-        a genuinely larger batch grows them.
+        Serving traffic alternates between big and small batches, so the
+        flat state and chunk buffers are cached by rounded-up capacity:
+        shrinking batches reuse the existing arrays (same objects, views
+        carved per call), and only a genuinely larger batch grows them.
         """
         netlist = random_netlist(16, 40, seed=31)
         compiled = compile_netlist(netlist)
@@ -186,7 +184,7 @@ class TestEvaluation:
 
         X_big = rng.integers(0, 2, size=(500, 16), dtype=np.uint8)
         compiled.run_packed(pack_bits(X_big))
-        capacity, state_buf, mux_flat, mux2_buf = compiled._scratch
+        capacity, state_buf, work_buf = compiled._scratch
         assert capacity >= 8  # 500 samples = 8 words
 
         for n_samples in (1, 64, 500, 65, 3, 128):
@@ -195,11 +193,10 @@ class TestEvaluation:
             np.testing.assert_array_equal(
                 compiled.run_packed(packed), reference.run_packed(packed)
             )
-            cap_now, state_now, mux_now, mux2_now = compiled._scratch
+            cap_now, state_now, work_now = compiled._scratch
             assert cap_now == capacity
             assert state_now is state_buf
-            assert mux_now is mux_flat
-            assert mux2_now is mux2_buf
+            assert work_now is work_buf
 
         # a larger batch grows the cache (never shrinks it)
         X_huge = rng.integers(0, 2, size=(4000, 16), dtype=np.uint8)

@@ -17,6 +17,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.netlist import LUTNetlist, primary_input
 from repro.engine import (
@@ -26,7 +28,9 @@ from repro.engine import (
     compile_netlist,
     pack_bits,
     random_netlist,
+    unpack_bits,
 )
+from repro.engine import compiled_netlist as compiled_mod
 from repro.engine.bitpack import lookup_scores
 from repro.engine.compiled_netlist import CompiledNetlist
 from repro.engine import native as native_mod
@@ -324,6 +328,77 @@ class TestNativeRunScoresIsFused:
         )
 
 
+def _node_adder(netlist, rng):
+    """``add(arity, readable, table=None)``: append a LUT reading ``arity``
+    distinct signals of ``readable`` (random table unless given)."""
+
+    def add(arity, readable, table=None):
+        if table is None:
+            table = rng.integers(0, 2, size=1 << arity, dtype=np.uint8)
+        reads = rng.choice(len(readable), size=arity, replace=False)
+        return netlist.add_node(
+            name=f"n{len(netlist.nodes)}",
+            kind="mat",
+            input_signals=[readable[i] for i in reads],
+            table=table,
+        )
+
+    return add
+
+
+def _every_arity_netlist(seed):
+    """Two levels, lowered without passes so every node reaches the executor:
+    five LUTs of each arity 0-10 over the primary inputs, three of each arity
+    1-10 and four mux-shaped ones reading anything earlier, one 12-input LUT.
+    Uniformly random tables, so every basis row is gathered from."""
+    rng = as_rng(seed)
+    netlist = LUTNetlist(n_primary_inputs=N_INPUTS)
+
+    add = _node_adder(netlist, rng)
+    inputs = [primary_input(i) for i in range(N_INPUTS)]
+    first = [add(arity, inputs) for arity in range(11) for _ in range(5)]
+    second = [add(arity, inputs + first) for arity in range(1, 11) for _ in range(3)]
+    second += [add(3, inputs + first, MUX_TABLE) for _ in range(4)]
+    second.append(add(12, inputs + first))
+    netlist.output_signals = second + first[::2]
+    return netlist
+
+
+class TestNumpyExecutorDifferential:
+    """The entry-major cascade against ``LUTNetlist.evaluate_outputs``: every
+    arity, chunk boundaries wherever a shrunken budget puts them (a group of
+    five is then 2 + 2 + 1 or 3 + 2 or one node at a time), every word-count
+    edge, garbage in the padding lanes, and one instance across an
+    alternating sequence of batch sizes (scratch reuse, then growth)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 700, 5_000, 40_000, 1 << 20]),
+        st.permutations([0, 1, 63, 64, 65, 1000, 1, 64]),
+    )
+    def test_equals_the_reference(self, seed, budget, sizes):
+        netlist = _every_arity_netlist(seed)
+        program = CompiledNetlist.from_netlist(netlist)
+        arities = {g.arity for g in program._groups if hasattr(g, "arity")}
+        assert arities == set(range(11)) | {12}
+        rng = as_rng(seed + 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compiled_mod, "_LUT_CHUNK_BYTES", budget)
+            for n_samples in sizes:
+                X = rng.integers(0, 2, size=(n_samples, N_INPUTS), dtype=np.uint8)
+                packed = pack_bits(X)
+                if n_samples % 64:  # whatever a caller left past the last sample
+                    packed[:, -1] |= rng.integers(
+                        0, 2**64, size=N_INPUTS, dtype=np.uint64
+                    ) << np.uint64(n_samples % 64)
+                np.testing.assert_array_equal(
+                    unpack_bits(program.run_packed(packed), n_samples),
+                    netlist.evaluate_outputs(X),
+                    err_msg=f"{n_samples} samples, budget {budget}",
+                )
+
+
 SEGMENT_BUDGET = 8
 UNIT_BUDGET = 24
 
@@ -337,17 +412,7 @@ def _boundary_netlist():
     rng = as_rng(77)
     netlist = LUTNetlist(n_primary_inputs=N_INPUTS)
 
-    def add(arity, readable, table=None):
-        if table is None:
-            table = rng.integers(0, 2, size=1 << arity, dtype=np.uint8)
-        reads = rng.choice(len(readable), size=arity, replace=False)
-        return netlist.add_node(
-            name=f"n{len(netlist.nodes)}",
-            kind="mat",
-            input_signals=[readable[i] for i in reads],
-            table=table,
-        )
-
+    add = _node_adder(netlist, rng)
     inputs = [primary_input(i) for i in range(N_INPUTS)]
     constants = [add(0, inputs) for _ in range(32)]
     muxes = [add(3, inputs, MUX_TABLE) for _ in range(40)]
