@@ -8,7 +8,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace profile-compile profile-predict serve-demo serve-stats serve-cluster
+.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace profile-compile profile-predict profile-serve serve-demo serve-stats serve-cluster
 
 # Tier-1 verification: the full test suite (tests/ and benchmarks/).
 test:
@@ -84,6 +84,16 @@ profile-compile:
 # 1, 64 and 16 384 rows.  Report only, like profile-compile.
 profile-predict:
 	PYTHONPATH=src:. python examples/profile_predict.py
+
+# Where a served one-sample predict goes: an in-process server on clf_p6
+# (native engine, cached beside the fixture) under the benchmark's closed
+# loop (2 connections, 256 in flight, generator in a child process) —
+# CPU us per request by stage (decode, admit, coalesce, evaluate, book,
+# complete/encode, write), frames per chunk, replies per write, tasks and
+# loop handles created per request, and a cProfile top 15 of the loop
+# thread.  Report only, like profile-compile.
+profile-serve:
+	PYTHONPATH=src:. python examples/profile_serve.py
 
 # End-to-end serving demo: train two PoET-BiN variants on the
 # synthetic-digits dataset, serve both from one server over a shared

@@ -1,13 +1,18 @@
 """Request coalescing: many small requests, one packed evaluation.
 
-:class:`BatchingQueue` is the asyncio heart of the serving layer.  Callers
-``await submit(rows)`` with any number of samples; the queue holds requests
-for at most ``max_wait_us`` microseconds, stacks whatever has accumulated
-into a single matrix (:func:`~repro.engine.batching.coalesce_batches`), runs
-the model's batch function **once**, and scatters per-request slices of the
-result back to each caller's future
-(:func:`~repro.engine.batching.split_batches`).  64 one-sample requests thus
-cost one packed word of engine work instead of 64 engine invocations.
+:class:`BatchingQueue` is the asyncio heart of the serving layer.  A
+request is a row range in a batch, not a task: :meth:`BatchingQueue.admit`
+/ :meth:`BatchingQueue.admit_packed` validate and admit it synchronously,
+in the caller's own stack frame, with a *reply sink* where a future used to
+be; the queue holds requests for at most ``max_wait_us`` microseconds,
+stacks whatever has accumulated into a single matrix
+(:func:`~repro.engine.batching.coalesce_batches`), runs the model's batch
+function **once** on its executor thread, and completes the batch **once**:
+one stats record, then one call per distinct sink with the whole result, in
+which every entry knows its row range.  The awaitable ``submit(rows)`` /
+``submit_packed(words, n)`` are that same core with a sink that resolves a
+future.  64 one-sample requests thus cost one packed word of engine work
+and one completion instead of 64 of each.
 
 Flush policy
 ============
@@ -77,12 +82,11 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.batching import coalesce_batches, split_batches
+from repro.engine.batching import coalesce_batches
 from repro.engine.bitpack import (
     concat_packed,
     mask_padding,
@@ -251,25 +255,41 @@ class AdmissionBudget:
                 self._per_key[key] = held
 
 
-@dataclass
 class _Pending:
-    payload: np.ndarray  # (k, F) rows, or (F, n_words(k)) packed words
-    n_samples: int
-    packed: bool
-    future: asyncio.Future
-    enqueued_at: float
+    """One admitted request waiting for (or riding in) a batch.
 
-    @property
-    def batch_key(self):
-        """Entries sharing a coalesced batch must agree on this.
+    ``complete`` and ``tag`` are its reply sink: when the batch is done the
+    queue calls ``complete(entries, result, error)`` once for all entries of
+    the batch that share it (``result`` the whole batch's, ``error`` the
+    exception that replaces it), and each entry finds its rows at
+    ``result[entry.lo:entry.lo + entry.n_samples]`` and whom to answer in
+    its ``tag``, which the queue never looks into.
+    """
 
-        Rows and packed words can never share one matrix, and neither can
-        two feature widths — a mismatch flushes the pending batch first
-        (the newcomer starts a fresh one), mirroring the width rule of the
-        row path.
-        """
-        width = self.payload.shape[0] if self.packed else self.payload.shape[1]
-        return (self.packed, width)
+    __slots__ = (
+        "payload", "n_samples", "lo", "complete", "tag", "enqueued_at"
+    )
+
+    def __init__(self, payload, n_samples, lo, complete, tag) -> None:
+        self.payload = payload  # (k, F) rows, or (F, n_words(k)) packed words
+        self.n_samples = n_samples
+        self.lo = lo  # its first row in the batch (and in the batch's result)
+        self.complete = complete
+        self.tag = tag
+        self.enqueued_at = time.perf_counter()
+
+
+def _resolve_futures(entries, result, error) -> None:
+    """The completion behind the awaitable ``submit`` / ``submit_packed``:
+    each entry's ``tag`` is the caller's future."""
+    for entry in entries:
+        future = entry.tag
+        if future.done():
+            continue  # the caller was cancelled after its batch flushed
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result[entry.lo:entry.lo + entry.n_samples])
 
 
 class BatchingQueue:
@@ -338,8 +358,11 @@ class BatchingQueue:
         self._budget = budget
         self._budget_key = budget_key
         self._pending: List[_Pending] = []
+        #: what the pending entries agree on: (packed words?, feature width)
+        self._pending_key: Tuple[bool, int] = (False, 0)
         self._queued_samples = 0
         self._inflight_samples = 0
+        self._depth_hwm = 0  # loop-confined; reaches the stats once per batch
         self._timer: Optional[asyncio.TimerHandle] = None
         self._inflight: set = set()
         self._executor = ThreadPoolExecutor(
@@ -366,7 +389,7 @@ class BatchingQueue:
 
     def _admit(self, k: int) -> None:
         """Admission control for ``k`` samples (shared by both submit paths)."""
-        backlog = self.backlog_samples
+        backlog = self._queued_samples + self._inflight_samples
         if backlog + k > self.max_queue and backlog > 0:
             self.stats.observe_shed()
             raise ServerOverloadedError(
@@ -395,46 +418,44 @@ class BatchingQueue:
                 f"{self._budget.max_samples}"
             )
 
-    async def _enqueue(
-        self, payload: np.ndarray, k: int, packed: bool
-    ) -> np.ndarray:
-        loop = asyncio.get_running_loop()
-        entry = _Pending(
-            payload, k, packed, loop.create_future(), time.perf_counter()
-        )
+    def _enqueue(
+        self,
+        payload: np.ndarray,
+        k: int,
+        key: Tuple[bool, int],
+        complete: Callable,
+        tag: Any,
+    ) -> None:
+        self._admit(k)
         # Requests that can never share the pending batch's coalesced matrix
         # (different feature width, or rows vs packed words) flush what is
         # queued and start a fresh batch, so a client with the wrong shape
         # fails alone instead of wedging co-travellers.
-        if self._pending and entry.batch_key != self._pending[0].batch_key:
-            self._flush_now(loop)
-        self._pending.append(entry)
-        self._queued_samples += k
-        # A caller that disappears before the flush (abortive disconnect →
-        # the connection handler cancels its request tasks) must not leave
-        # its entry behind: the dead entry would hold queue backlog and its
-        # shared-budget reservation until a batch happened to evaluate it,
-        # and the engine would burn a batch slot computing answers nobody
-        # reads.  The done-callback fires on cancellation; entries already
-        # flushed to a batch are out of our hands (the batch's finally
-        # releases them as always).
-        entry.future.add_done_callback(self._discard_if_cancelled(entry))
-        self.stats.observe_queue_depth(self.backlog_samples)
-        if self._queued_samples >= self.max_batch:
-            self._flush_now(loop)
+        if self._pending and key != self._pending_key:
+            self._flush_now()
+        self._pending_key = key
+        self._pending.append(
+            _Pending(payload, k, self._queued_samples, complete, tag)
+        )
+        self._queued_samples = queued = self._queued_samples + k
+        if queued + self._inflight_samples > self._depth_hwm:
+            self._depth_hwm = queued + self._inflight_samples
+        if queued >= self.max_batch:
+            self._flush_now()
         elif self._timer is None:
-            self._timer = loop.call_later(
-                self.max_wait_us / 1e6, self._on_timer, loop
+            self._timer = asyncio.get_running_loop().call_later(
+                self.max_wait_us / 1e6, self._flush_now
             )
-        return await entry.future
 
-    async def submit(self, rows: np.ndarray) -> np.ndarray:
-        """Queue ``rows`` (a ``(k, F)`` 0/1 matrix, ``k >= 1``) and await
-        the per-request slice of the coalesced result.
+    def admit(self, rows: np.ndarray, complete: Callable, tag: Any) -> None:
+        """Validate and admit ``rows`` (a ``(k, F)`` 0/1 matrix, ``k >= 1``)
+        in the caller's own stack frame; the answer goes to the reply sink
+        ``complete`` / ``tag`` (see :class:`_Pending`) when its batch is done.
 
         Raises :class:`BadRequestError` for malformed input and
         :class:`ServerOverloadedError` when admission control sheds the
-        request.
+        request — in both cases nothing was queued and ``complete`` will
+        not be called for it.
         """
         if self._closed:
             raise RuntimeError("this BatchingQueue has been closed")
@@ -444,13 +465,14 @@ class BatchingQueue:
             raise BadRequestError(str(error)) from error
         if rows.shape[0] == 0:
             raise BadRequestError("a request must carry at least one sample")
-        self._admit(rows.shape[0])
-        return await self._enqueue(rows, rows.shape[0], packed=False)
+        self._enqueue(
+            rows, rows.shape[0], (False, rows.shape[1]), complete, tag
+        )
 
-    async def submit_packed(
-        self, packed: np.ndarray, n_samples: int
-    ) -> np.ndarray:
-        """Queue a *pre-packed* request and await its slice of the result.
+    def admit_packed(
+        self, packed: np.ndarray, n_samples: int, complete: Callable, tag: Any
+    ) -> None:
+        """:meth:`admit` for a *pre-packed* request.
 
         ``packed`` is the ``(F, n_words(n_samples))`` uint64 bit-plane
         matrix of :func:`~repro.engine.bitpack.pack_bits` — what the binary
@@ -458,8 +480,8 @@ class BatchingQueue:
         the packed domain (:func:`~repro.engine.bitpack.concat_packed`)
         and fed to ``packed_fn`` as words; without a ``packed_fn`` the
         coalesced words are unpacked once and ``batch_fn`` runs as usual.
-        Admission control, coalescing policy and stats are identical to
-        :meth:`submit`.
+        The queue keeps ``packed`` until the batch evaluates, so it must be
+        a buffer the caller will not write to again.
         """
         if self._closed:
             raise RuntimeError("this BatchingQueue has been closed")
@@ -479,33 +501,67 @@ class BatchingQueue:
                 f"{n_samples} samples need {n_words(n_samples)} words per "
                 f"signal, got {words.shape[1]}"
             )
-        self._admit(n_samples)
-        return await self._enqueue(words, n_samples, packed=True)
+        self._enqueue(
+            words, n_samples, (True, words.shape[0]), complete, tag
+        )
 
-    def _discard_if_cancelled(
-        self, entry: _Pending
-    ) -> Callable[[asyncio.Future], None]:
-        def on_done(future: asyncio.Future) -> None:
-            if not future.cancelled():
-                return
-            try:
-                self._pending.remove(entry)
-            except ValueError:
-                return  # already flushed into a batch; its finally releases
-            self._queued_samples -= entry.n_samples
-            if self._budget is not None:
-                self._budget.release(entry.n_samples, self._budget_key)
+    def discard(self, abandoned: Callable[[Any], bool]) -> None:
+        """Drop every still-queued entry whose ``tag`` satisfies
+        ``abandoned`` — its caller is gone (an abortive disconnect, a
+        cancelled ``submit``).
 
-        return on_done
+        A dead entry must not stay behind: it would hold queue backlog and
+        its shared-budget reservation until a batch happened to evaluate
+        it, and the engine would burn a batch slot computing answers nobody
+        reads.  Entries already flushed into a batch are out of reach here;
+        the batch releases them as always, and their sink drops the answer.
+        """
+        kept = [entry for entry in self._pending if not abandoned(entry.tag)]
+        if len(kept) == len(self._pending):
+            return
+        self._pending = kept
+        queued = 0
+        for entry in kept:
+            entry.lo = queued
+            queued += entry.n_samples
+        released = self._queued_samples - queued
+        self._queued_samples = queued
+        if self._budget is not None:
+            self._budget.release(released, self._budget_key)
+
+    def awaited(self, admit: Callable, *request) -> asyncio.Future:
+        """The awaitable face of the same core: ``admit(*request, complete,
+        tag)`` — an admission into this queue — with a sink that resolves
+        the returned future to the request's slice of the result."""
+        future = asyncio.get_running_loop().create_future()
+        admit(*request, _resolve_futures, future)
+        future.add_done_callback(self._discard_cancelled)
+        return future
+
+    def _discard_cancelled(self, future: asyncio.Future) -> None:
+        if future.cancelled():
+            self.discard(lambda tag: tag is future)
+
+    async def submit(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`admit` ``rows`` and await the per-request slice of the
+        coalesced result (raises what :meth:`admit` raises, and whatever
+        the batch's evaluation raised)."""
+        return await self.awaited(self.admit, rows)
+
+    async def submit_packed(
+        self, packed: np.ndarray, n_samples: int
+    ) -> np.ndarray:
+        """:meth:`admit_packed` a pre-packed request and await its slice of
+        the result.  Admission control, coalescing policy and stats are
+        identical to :meth:`submit`."""
+        return await self.awaited(self.admit_packed, packed, n_samples)
 
     # ------------------------------------------------------------- flushing
-    def _on_timer(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._timer = None
-        # A size-triggered flush may already have drained the queue between
-        # scheduling and firing; flushing an empty queue is a no-op.
-        self._flush_now(loop)
-
-    def _flush_now(self, loop: asyncio.AbstractEventLoop) -> None:
+    def _flush_now(self) -> None:
+        """Hand the pending entries to the executor as one batch.  Also the
+        timer's callback: a size-triggered flush may already have drained
+        the queue between scheduling and firing, and flushing an empty
+        queue is a no-op."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -513,75 +569,78 @@ class BatchingQueue:
             return
         entries = self._pending
         self._pending = []
-        self._inflight_samples += self._queued_samples
+        n_samples = self._queued_samples
+        self._inflight_samples += n_samples
         self._queued_samples = 0
-        task = loop.create_task(self._evaluate(entries))
+        self.stats.observe_queue_depth(self._depth_hwm)
+        task = asyncio.get_running_loop().create_task(
+            self._evaluate(entries, n_samples, self._pending_key[0])
+        )
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    def _evaluate_packed_batch(
-        self, entries: List[_Pending], n_samples: int
+    def _run_batch(
+        self, entries: List[_Pending], n_samples: int, packed: bool
     ) -> np.ndarray:
-        """Coalesce packed entries word-wise and evaluate (executor thread)."""
+        """Coalesce the entries and evaluate them once (executor thread)."""
+        payloads = [entry.payload for entry in entries]
+        if not packed:
+            return self._batch_fn(coalesce_batches(payloads)[0])
         if len(entries) == 1:
             # mask so a model's packed path never sees a client's padding
             # garbage (concat_packed masks internally for the multi case)
-            words = mask_padding(entries[0].payload, n_samples)
+            words = mask_padding(payloads[0], n_samples)
         else:
             words = concat_packed(
-                [entry.payload for entry in entries],
-                [entry.n_samples for entry in entries],
+                payloads, [entry.n_samples for entry in entries]
             )
         if self._packed_fn is not None:
             return self._packed_fn(words, n_samples)
         return self._batch_fn(unpack_bits(words, n_samples))
 
-    async def _evaluate(self, entries: List[_Pending]) -> None:
-        n_samples = sum(entry.n_samples for entry in entries)
-        loop = asyncio.get_running_loop()
-        # Everything — coalesce, evaluation, scatter — stays inside one
-        # try: any failure must resolve every caller's future (a hung
-        # future blocks a client until its socket timeout) and must release
-        # the admission backlog, or one bad batch wedges the queue forever.
+    async def _evaluate(
+        self, entries: List[_Pending], n_samples: int, packed: bool
+    ) -> None:
+        """One batch, start to finish: evaluate off the loop, then book it
+        and complete it — once, not once per request."""
+        result = error = None
+        # Any failure must still reach every entry's sink (a caller left
+        # unanswered blocks a client until its socket timeout) and must
+        # release the admission backlog, or one bad batch wedges the queue
+        # forever.
         try:
-            if entries[0].packed:
-                bounds = []
-                lo = 0
-                for entry in entries:
-                    bounds.append((lo, lo + entry.n_samples))
-                    lo += entry.n_samples
-                result = await loop.run_in_executor(
-                    self._executor, self._evaluate_packed_batch, entries,
-                    n_samples,
+            result = np.asarray(
+                await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._run_batch, entries, n_samples, packed
                 )
-            else:
-                X, bounds = coalesce_batches(
-                    [entry.payload for entry in entries]
+            )
+            if result.shape[:1] != (n_samples,):
+                raise ValueError(
+                    f"the batch function answered {n_samples} samples with "
+                    f"a result of shape {result.shape}"
                 )
-                result = await loop.run_in_executor(
-                    self._executor, self._batch_fn, X
-                )
-            parts = split_batches(np.asarray(result), bounds)
-        except Exception as error:  # noqa: BLE001 - forwarded to callers
+        except Exception as failure:  # noqa: BLE001 - forwarded to callers
+            result, error = None, failure
             self.stats.observe_error(len(entries))
-            for entry in entries:
-                if not entry.future.done():
-                    entry.future.set_exception(error)
-            return
         finally:
             self._inflight_samples -= n_samples
             if self._budget is not None:
                 self._budget.release(n_samples, self._budget_key)
-        finished = time.perf_counter()
-        for entry, part in zip(entries, parts):
-            if not entry.future.done():
-                entry.future.set_result(part)
-            self.stats.observe_latency((finished - entry.enqueued_at) * 1e6)
-        self.stats.observe_batch(len(entries), n_samples)
+        if error is None:
+            finished = time.perf_counter()
+            self.stats.observe_latencies(
+                [(finished - entry.enqueued_at) * 1e6 for entry in entries]
+            )
+            self.stats.observe_batch(len(entries), n_samples)
+        sinks: Dict[Callable, List[_Pending]] = {}
+        for entry in entries:
+            sinks.setdefault(entry.complete, []).append(entry)
+        for complete, group in sinks.items():
+            complete(group, result, error)
 
     async def flush(self) -> None:
         """Force-evaluate whatever is queued and wait for it to finish."""
-        self._flush_now(asyncio.get_running_loop())
+        self._flush_now()
         if self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
 

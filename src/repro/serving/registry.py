@@ -124,17 +124,21 @@ class RegisteredModel:
     #: after the engine is closed; exceptions are logged, never raised.
     on_retire: Optional[Callable[[], Any]] = None
 
-    def submit(self, request: Any):
-        """Admit one decoded predict into this version's queue; returns the
-        awaitable of its result slice.
+    def submit(self, request: Any, complete: Callable, tag: Any) -> None:
+        """Admit one decoded predict into this version's queue, in the
+        caller's own stack frame; its answer goes to the reply sink
+        ``complete`` / ``tag`` (see :meth:`BatchingQueue.admit`).
 
         The one place packed words and JSON rows part ways — a
         ``BinaryRequest``'s words go in as words, a ``JsonPredictRequest``'s
         rows as rows — shared by the primary path and the shadow mirror.
         """
         if request.packed is not None:
-            return self.queue.submit_packed(request.packed, request.n_samples)
-        return self.queue.submit(request.rows)
+            self.queue.admit_packed(
+                request.packed, request.n_samples, complete, tag
+            )
+        else:
+            self.queue.admit(request.rows, complete, tag)
 
     def describe(self) -> Dict[str, Any]:
         """The ``list_models`` wire entry for this model version."""
@@ -520,21 +524,13 @@ class ModelRegistry:
             family.log.record("shadow_cleared", version=cleared)
         return {"model": family.name, "version": cleared}
 
-    def spawn_shadow(
-        self,
-        entry: RegisteredModel,
-        request: Any,
-        primary_result: Any,
-        primary_latency_us: float,
-    ) -> Optional[asyncio.Task]:
-        """Mirror one answered request to the shadow candidate, maybe.
-
-        Called by the server *after* the primary result exists — the
-        mirrored evaluation runs as a fire-and-forget task, so the client
-        reply is never delayed.  Returns the task (tests await it) or
-        ``None`` when not sampled / no shadow / not primary traffic
-        (version-pinned requests are not mirrored).
-        """
+    def shadow_candidate(
+        self, entry: RegisteredModel
+    ) -> Optional[RegisteredModel]:
+        """The standby version ``entry``'s answered requests are mirrored
+        to — ``None`` without a shadow, or when ``entry`` is not its
+        family's primary (version-pinned requests are not mirrored).  The
+        server asks once per batch."""
         if entry.state != SERVING:
             return None
         family = self._families.get(entry.name)
@@ -543,6 +539,24 @@ class ModelRegistry:
         candidate = family.versions.get(family.shadow_version)
         if candidate is None or candidate.state != STANDBY:
             return None
+        return candidate
+
+    def spawn_shadow(
+        self,
+        candidate: RegisteredModel,
+        request: Any,
+        primary_result: Any,
+        primary_latency_us: float,
+    ) -> Optional[asyncio.Task]:
+        """Mirror one answered request to its :meth:`shadow_candidate`,
+        maybe.
+
+        Called by the server *after* the primary result exists — the
+        mirrored evaluation runs as a fire-and-forget task, so the client
+        reply is never delayed.  Returns the task (tests await it) or
+        ``None`` when the request was not sampled.
+        """
+        family = self._families[candidate.name]
         if (
             family.shadow_fraction < 1.0
             and self._rng.random() >= family.shadow_fraction
@@ -565,7 +579,7 @@ class ModelRegistry:
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         try:
-            out = await candidate.submit(request)
+            out = await candidate.queue.awaited(candidate.submit, request)
         except asyncio.CancelledError:
             raise
         except Exception as error:  # noqa: BLE001 - sheds, model failures

@@ -573,9 +573,10 @@ class RouterServer(FrameServer):
             )
 
     # ------------------------------------------------------------- dispatch
-    def _dispatch(self, request):
+    def _dispatch(self, request, reply_to):
         """The :class:`FrameServer` hook: predicts of either wire are
-        forwarded, every other JSON-bodied op is answered here."""
+        forwarded, every other JSON-bodied op is answered here — both wait
+        on a backend or a lock, so both run as the base's tasks."""
         if (
             isinstance(request, BinaryRequest)
             or request.get("op", "predict") == "predict"

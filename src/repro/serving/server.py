@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -63,8 +64,11 @@ from repro.serving.registry import ModelRegistry, RegisteredModel
 from repro.serving.stats import ServerStats, render_stats_text
 from repro.serving.transport import (
     BinaryRequest,
+    CorkedWriter,
     FrameServer,
     JsonPredictRequest,
+    _encode_response,
+    answer_batch,
     model_field,
 )
 
@@ -437,51 +441,99 @@ class InferenceServer(FrameServer):
         await self._registry.close()
 
     # ------------------------------------------------------------- dispatch
-    def _dispatch(self, request):
-        """The :class:`FrameServer` hook: a predict of either wire goes to
-        :meth:`_predict` — each wire contributes only its decode — and
-        every other JSON-bodied op to :meth:`_control`."""
+    def _dispatch(self, request, reply_to):
+        """The :class:`FrameServer` hook: a predict of either wire is
+        admitted on the spot by :meth:`_predict` — each wire contributes
+        only its decode — and every other JSON-bodied op runs as
+        :meth:`_control`'s task."""
         if isinstance(request, BinaryRequest):
-            return self._predict(request)
+            return self._predict(request, reply_to)
         if request.get("op", "predict") == "predict":
-            return self._predict(JsonPredictRequest.decode(request))
+            return self._predict(JsonPredictRequest.decode(request), reply_to)
         return self._control(request)
 
-    async def _predict(
-        self, request: Union[BinaryRequest, JsonPredictRequest]
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """One predict, whichever wire carried it: ``(labels, scores)``.
+    def _predict(
+        self,
+        request: Union[BinaryRequest, JsonPredictRequest],
+        reply_to: Tuple[CorkedWriter, Any],
+    ) -> None:
+        """Admit one predict, whichever wire carried it, in the connection
+        reader's stack frame: no task, no future — :meth:`_complete`
+        answers it with the rest of its batch.
 
         Packed words go straight into the model's queue, JSON rows through
         the queue's validation; failures are typed
         :class:`~repro.serving.queue.ServingError`\\ s the base encodes for
-        the requester's wire.
+        the requester's wire.  Nothing between resolving the model and
+        entering its queue can yield, which is what makes a promotion
+        atomic between batches.
         """
-        if self.state != self.SERVING:
+        if self._state != self.SERVING:
             raise ServerUnavailableError(
-                f"this server is {self.state} and admits no new work"
+                f"this server is {self._state} and admits no new work"
             )
         entry = self._registry.resolve(request.model)
         if request.return_scores and not entry.scores_mode:
             raise BadRequestError(f"model {entry.name!r} has no scores path")
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
         try:
-            result = await entry.submit(request)
+            entry.submit(request, self._complete, (*reply_to, request, entry))
         except ServingError:
             raise
-        except Exception as error:  # noqa: BLE001 - model failure
+        except Exception as error:  # noqa: BLE001 - e.g. a queue just closed
             raise ServingError(f"{type(error).__name__}: {error}") from error
+
+    def _complete(
+        self, entries: list, result: Optional[np.ndarray], error
+    ) -> None:
+        """One batch of admitted predicts is done (the queue's completion
+        call, see :meth:`BatchingQueue.admit`): ``argmax`` once, every
+        connection's replies in one block, the shadow question asked once.
+        """
+        model = entries[0].tag[3]  # a queue serves one model version
+        labels, scores = result, None
+        if error is None and model.scores_mode:
+            try:
+                labels, scores = np.argmax(result, axis=1), result
+            except ValueError as failure:  # scores without a class axis
+                error = failure
+        if error is not None:
+            if not isinstance(error, ServingError):  # model failure
+                error = ServingError(f"{type(error).__name__}: {error}")
+            for entry in entries:
+                connection, frame = entry.tag[:2]
+                connection.reply(_encode_response(frame, error))
+            return
+        replies = []
+        for entry in entries:
+            connection, frame, request, _ = entry.tag
+            replies.append(
+                (
+                    connection,
+                    frame,
+                    entry.lo,
+                    entry.lo + entry.n_samples,
+                    request.return_scores,
+                )
+            )
+        answer_batch(replies, labels, scores)
         # mirror to the shadow candidate (if any) *after* the primary
-        # result exists — fire-and-forget, the client reply is not delayed
-        self._registry.spawn_shadow(
-            entry, request, result, (loop.time() - t0) * 1e6
-        )
-        result = np.asarray(result)
-        if not entry.scores_mode:
-            return result, None
-        labels = np.argmax(result, axis=1)
-        return labels, result if request.return_scores else None
+        # replies are on their way — fire-and-forget, no client is delayed
+        candidate = self._registry.shadow_candidate(model)
+        if candidate is not None:
+            finished = time.perf_counter()
+            for entry in entries:
+                self._registry.spawn_shadow(
+                    candidate,
+                    entry.tag[2],
+                    result[entry.lo:entry.lo + entry.n_samples],
+                    (finished - entry.enqueued_at) * 1e6,
+                )
+
+    def _abandon(self, connection: CorkedWriter) -> None:
+        for entry in self._registry.all_records():
+            entry.queue.discard(  # a shadow mirror's tag is its future
+                lambda tag: isinstance(tag, tuple) and tag[0] is connection
+            )
 
     async def _control(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request["op"]

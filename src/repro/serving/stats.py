@@ -2,9 +2,10 @@
 
 :class:`ServerStats` is the single collector threaded through the batching
 queue and the socket server.  It is deliberately boring — plain counters, a
-bounded latency reservoir and an occupancy histogram — because it is read
-from the serving hot path: one :meth:`ServerStats.observe_batch` call per
-*batch* (not per request) plus one latency append per request.
+bounded latency reservoir and an occupancy histogram — because it is written
+from the serving hot path: one :meth:`ServerStats.observe_batch` and one
+:meth:`ServerStats.observe_latencies` call per *batch*, never one per
+request.
 
 What the numbers mean
 =====================
@@ -28,8 +29,9 @@ What the numbers mean
     with stable percentiles is the intended overload behaviour.
 
 ``queue depth``
-    Sampled at every admission; ``max_queue_depth`` is the high-water mark
-    of the *backlog* — samples admitted but not yet completed, queued and
+    Sampled at every admission (the queue keeps the running maximum as a
+    plain integer and reports it once per batch); ``max_queue_depth`` is the
+    high-water mark of the *backlog* — samples admitted but not yet completed, queued and
     evaluating alike (the same quantity the queue's ``max_queue`` bounds,
     so the ratio of the two is how close the server came to shedding).
 """
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter, deque
+from collections import Counter
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -61,7 +63,11 @@ class ServerStats:
             raise ValueError("max_samples must be positive")
         self.max_samples = max_samples
         self._lock = threading.Lock()
-        self._latencies_us: deque = deque(maxlen=max_samples)
+        # a ring: the newest ``_latency_count`` samples end just before
+        # ``_latency_next``; a batch lands in one or two slice assignments
+        self._latencies_us = np.empty(max_samples, dtype=np.float64)
+        self._latency_count = 0
+        self._latency_next = 0
         self._occupancy: Counter = Counter()
         self._requests_completed = 0
         self._samples_completed = 0
@@ -86,10 +92,27 @@ class ServerStats:
             self._requests_completed += n_requests
             self._samples_completed += n_samples
 
+    def observe_latencies(self, latencies_us) -> None:
+        """Record a batch of admission-to-result latencies, oldest first;
+        past ``max_samples`` the oldest recorded ones are dropped first."""
+        new = np.asarray(latencies_us, dtype=np.float64).ravel()
+        new = new[-self.max_samples:]
+        with self._lock:
+            head = min(new.size, self.max_samples - self._latency_next)
+            self._latencies_us[
+                self._latency_next:self._latency_next + head
+            ] = new[:head]
+            self._latencies_us[:new.size - head] = new[head:]
+            self._latency_next = (
+                self._latency_next + new.size
+            ) % self.max_samples
+            self._latency_count = min(
+                self._latency_count + new.size, self.max_samples
+            )
+
     def observe_latency(self, latency_us: float) -> None:
         """Record one request's admission-to-result latency."""
-        with self._lock:
-            self._latencies_us.append(float(latency_us))
+        self.observe_latencies((latency_us,))
 
     def observe_shed(self, n_requests: int = 1) -> None:
         """Record requests rejected by admission control."""
@@ -124,6 +147,11 @@ class ServerStats:
         values = np.percentile(samples, quantiles)
         return {f"p{q:g}": float(v) for q, v in zip(quantiles, values)}
 
+    def _latencies_locked(self) -> np.ndarray:
+        """A copy of the live reservoir (ring order: readers take
+        percentiles and a count, neither depends on it)."""
+        return self._latencies_us[:self._latency_count].copy()
+
     def percentiles(self, quantiles=(50.0, 95.0, 99.0)) -> Dict[str, float]:
         """Latency percentiles in microseconds over the current reservoir.
 
@@ -131,7 +159,7 @@ class ServerStats:
         reservoir yields ``0.0`` so snapshots stay JSON-clean).
         """
         with self._lock:
-            samples = np.fromiter(self._latencies_us, dtype=np.float64)
+            samples = self._latencies_locked()
         return self._percentiles_of(samples, quantiles)
 
     def _mean_occupancy_locked(self) -> float:
@@ -153,7 +181,7 @@ class ServerStats:
         math itself runs on a copy, after the lock is released.
         """
         with self._lock:
-            samples = np.fromiter(self._latencies_us, dtype=np.float64)
+            samples = self._latencies_locked()
             occupancy = {str(k): v for k, v in sorted(self._occupancy.items())}
             state = {
                 "requests_completed": self._requests_completed,

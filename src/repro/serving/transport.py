@@ -14,8 +14,10 @@ Layout:
   UTF-8 JSON object, capped at :data:`MAX_MESSAGE_BYTES`).  It asks a
   ``fetch(n)`` for bytes: the asyncio readers await it over
   ``readexactly``, a blocking socket and a frame held in memory step it
-  through :func:`_drive` — three views of one decoder, out of which every
-  failure reachable from bytes comes as a :class:`ProtocolError`.
+  through :func:`_drive`, a server connection steps it over the chunks its
+  socket delivers (:class:`_ChunkedWalk`) — four views of one decoder, out
+  of which every failure reachable from bytes comes as a
+  :class:`ProtocolError`.
 * **Readers** — each a byte-fetcher composed with a :class:`_Direction`
   (which frames may arrive): :func:`read_frame` (server side: requests of
   either protocol), :func:`read_reply_frame` (client side: replies of
@@ -33,13 +35,14 @@ Layout:
 * **Error mapping** — :data:`WIRE_ERROR_TYPES` (wire ``error.type`` string
   → typed exception) and :data:`ERROR_CODES` (binary error code → string),
   the one table both protocols and both directions share.
-* **Listener machinery** — :class:`CorkedWriter` and :class:`FrameServer`,
-  the dual-protocol asyncio front end with the explicit
-  ``starting → serving → draining → stopped`` lifecycle that
+* **Listener machinery** — :class:`CorkedWriter`, :func:`answer_batch` and
+  :class:`FrameServer`, the dual-protocol asyncio front end with the
+  explicit ``starting → serving → draining → stopped`` lifecycle that
   :class:`~repro.serving.server.InferenceServer` and
   :class:`~repro.serving.router.RouterServer` both subclass through one
-  ``_dispatch`` hook; the base encodes each wire-neutral result for the
-  wire its request arrived on.
+  ``_dispatch`` hook; the base decodes per chunk and encodes each
+  wire-neutral result — a whole batch's at once — for the wire its request
+  arrived on.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ import io
 import json
 import socket
 import struct
+import types
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -611,6 +616,86 @@ def _slice(frame: bytes, direction: _Direction):
     return _drive(io.BytesIO(frame).read, direction, "frame truncated")
 
 
+class _ChunkedWalk:
+    """The walk over a stream taken in whatever chunks arrive — the fourth
+    view, beside ``readexactly``, the blocking socket and the frame in
+    memory.
+
+    :meth:`frames` steps the same :func:`_walk` over the chunks fed so far:
+    its fetch answers from them while they last, *suspends* the walk where
+    they run short and resumes it on the next chunk.  A burst of pipelined
+    frames therefore costs its reader one ``await`` per chunk instead of
+    four per frame, under the one grammar and the one set of caps.
+
+    Every part comes out as ``bytes`` of its own — a slice of one chunk, or
+    one join of the pieces when it spans several — so payload words never
+    alias a receive buffer and sit at the alignment ``bytes`` guarantees,
+    exactly as ``readexactly`` hands them over.
+    """
+
+    def __init__(self, direction: _Direction, lost: str) -> None:
+        self._direction = direction
+        self._lost = lost
+        self._chunks: deque = deque()  # received, not yet consumed
+        self._offset = 0  # consumed bytes of ``_chunks[0]``
+        self._unread = 0
+        self._eof = False
+        self._walk = None  # the walk of a frame some chunk boundary cut
+
+    def _take(self, n_bytes: int) -> bytes:
+        self._unread -= n_bytes
+        chunks = self._chunks
+        if chunks:
+            end = self._offset + n_bytes
+            if end < len(chunks[0]):  # the usual case: inside one chunk
+                start, self._offset = self._offset, end
+                return chunks[0][start:end]
+        pieces = []
+        while n_bytes:
+            piece = memoryview(chunks[0])[self._offset:self._offset + n_bytes]
+            n_bytes -= len(piece)
+            self._offset += len(piece)
+            if self._offset == len(chunks[0]):
+                self._offset = 0
+                chunks.popleft()
+            pieces.append(piece)
+        return b"".join(pieces)
+
+    @types.coroutine
+    def _fetch(self, n_bytes: int):
+        while self._unread < n_bytes:
+            if self._eof:
+                raise asyncio.IncompleteReadError(
+                    self._take(self._unread), n_bytes
+                )
+            yield  # to :meth:`frames`, which returns; the next chunk resumes
+        return self._take(n_bytes)
+
+    def frames(self, chunk: bytes):
+        """Feed ``chunk`` and generate every frame it completes, decoded as
+        :func:`_walk` decodes them.  ``b""`` is the end of the stream: the
+        last item is then ``None`` (clean EOF between frames).  A malformed
+        frame raises its :class:`ProtocolError` after the good frames in
+        front of it were generated."""
+        if chunk:
+            self._chunks.append(chunk)
+            self._unread += len(chunk)
+        else:
+            self._eof = True
+        while self._unread or self._eof:
+            walk = self._walk or _walk(self._fetch, self._direction, self._lost)
+            self._walk = None
+            try:
+                walk.send(None)
+            except StopIteration as done:
+                yield done.value
+                if done.value is None:
+                    return
+            else:
+                self._walk = walk
+                return
+
+
 # -------------------------------------------------------------------- readers
 async def read_frame(
     reader: asyncio.StreamReader,
@@ -857,19 +942,25 @@ def replace_request_id(frame: bytes, request_id: int) -> bytes:
 
 
 # --------------------------------------------------------- listener machinery
+#: most bytes one ``await`` of a connection's read loop takes off its socket
+_CHUNK_BYTES = 1 << 16
+
+_REPLY_FRAME = struct.Struct(_COMMON.format + _REPLY_HEAD.format[1:])
+
+
 def _encode_response(request: Any, result: Any) -> bytes:
     """Encode a handler's wire-neutral ``result`` for the wire ``request``
     (a frame as :func:`read_frame` returned it) arrived on.
 
-    OP_PREDICT is answered by OP_REPLY or OP_ERROR carrying its request id;
-    the JSON-bodied wires get the same response ``dict`` — as a JSON frame
-    echoing the request's ``"id"`` when it sent one (how pipelining clients
-    re-associate out-of-order completions), or inside OP_CONTROL_REPLY.
+    OP_PREDICT is answered by OP_ERROR or a forwarded reply carrying its
+    request id (its own results are encoded per batch, by
+    :func:`answer_batch`); the JSON-bodied wires get the same response
+    ``dict`` — as a JSON frame echoing the request's ``"id"`` when it sent
+    one (how pipelining clients re-associate out-of-order completions), or
+    inside OP_CONTROL_REPLY.
     """
     if isinstance(request, BinaryRequest):
         rid = request.request_id
-        if isinstance(result, tuple):
-            return encode_reply(*result, request_id=rid)
         if isinstance(result, ServingError):
             return encode_error(result.error_type, str(result), request_id=rid)
         # zero-copy forward: splice the client's id into the raw frame
@@ -905,14 +996,16 @@ def _encode_response(request: Any, result: Any) -> bytes:
 
 
 class CorkedWriter:
-    """Per-connection response writer that coalesces same-tick writes.
+    """One connection's reply sink: it coalesces same-tick writes and counts
+    the answers still owed.
 
-    When a batch completes, every request of that batch resolves in the same
-    event-loop pass — so their responses can share one ``send`` syscall
-    instead of paying one each (under load, each small send costs a GIL
-    round trip on top of the syscall).  ``send`` appends the encoded frame
-    and schedules a single flush with ``call_soon``; the flush runs after
-    all same-tick completions and writes the concatenation.  Loop-confined,
+    A batch's completion answers every request it carried in one event-loop
+    pass, and whatever else resolves in that pass (another model's batch, a
+    shed, forwarded replies) joins them: ``send_raw`` appends and schedules
+    a single flush with ``call_soon``, the flush writes the concatenation —
+    one ``send`` syscall, frame-atomic.  ``pending`` counts the requests
+    admitted synchronously and not yet answered through :meth:`reply`,
+    which is what a clean EOF waits out (:meth:`settled`).  Loop-confined,
     so no lock is needed.
     """
 
@@ -920,17 +1013,35 @@ class CorkedWriter:
         self._writer = writer
         self._frames: list = []
         self._flush_scheduled = False
+        self.pending = 0
+        self._settled: Optional[asyncio.Future] = None
 
     def send(self, payload: Dict[str, Any]) -> None:
         self.send_raw(encode_message(payload))
 
-    def send_raw(self, frame: bytes) -> None:
-        """Queue an already-encoded frame (either protocol) for the next
-        corked flush — binary and JSON responses share one send."""
-        self._frames.append(frame)
+    def send_raw(self, *frames: bytes) -> None:
+        """Queue already-encoded frames (either protocol), or the parts of
+        one, for the next corked flush — binary and JSON responses share
+        one send."""
+        self._frames += frames
         if not self._flush_scheduled:
             self._flush_scheduled = True
             asyncio.get_running_loop().call_soon(self._flush)
+
+    def reply(self, *frames: bytes) -> None:
+        """:meth:`send_raw` the answer to one synchronously admitted
+        request."""
+        self.send_raw(*frames)
+        self.pending -= 1
+        if not self.pending and self._settled is not None:
+            self._settled.set_result(None)
+            self._settled = None
+
+    async def settled(self) -> None:
+        """Return once nothing admitted on this connection is unanswered."""
+        if self.pending:
+            self._settled = asyncio.get_running_loop().create_future()
+            await self._settled
 
     def _flush(self) -> None:
         self._flush_scheduled = False
@@ -941,8 +1052,68 @@ class CorkedWriter:
         self._frames.clear()
         self._writer.write(data)
 
-    async def drain(self) -> None:
-        await self._writer.drain()
+
+def answer_batch(
+    replies: List[Tuple[CorkedWriter, Any, int, int, bool]],
+    labels: np.ndarray,
+    scores: Optional[np.ndarray],
+) -> None:
+    """Answer the predicts of one evaluated batch.
+
+    ``replies`` lists ``(connection, request, lo, hi, return scores?)`` in
+    completion order — ``request`` the frame as :func:`read_frame` returned
+    it, ``labels[lo:hi]`` (and ``scores[lo:hi]``) its rows of the batch.
+    Each connection is handed exactly the bytes of one :func:`encode_reply`
+    frame per OP_PREDICT and of one JSON / OP_CONTROL_REPLY frame per
+    JSON-bodied predict, in that order.  The arrays become wire bytes once
+    for the whole batch — one :func:`encode_reply` frame, cut per request —
+    not once per request, the scores only when a reply carries them; a
+    result the binary wire cannot carry (labels that are not one integer
+    per sample) is the typed ``internal`` error for the binary requests
+    only.
+    """
+    body = None
+    if not any(reply[4] for reply in replies):
+        scores = None
+    for connection, request, lo, hi, return_scores in replies:
+        if not isinstance(request, BinaryRequest):
+            connection.reply(
+                _encode_response(
+                    request,
+                    (labels[lo:hi], scores[lo:hi] if return_scores else None),
+                )
+            )
+            continue
+        if body is None:
+            try:
+                body = encode_reply(labels, scores)
+                n_classes = 0 if scores is None else scores.shape[1]
+            except (ProtocolError, TypeError, ValueError) as error:
+                body = ServingError(
+                    f"result not representable in a binary reply: {error}"
+                )
+            labels_at = _REPLY_FRAME.size
+            scores_at = labels_at + 8 * len(labels)
+        if isinstance(body, ServingError):
+            connection.reply(_encode_response(request, body))
+        elif return_scores:
+            connection.reply(
+                _REPLY_FRAME.pack(
+                    BINARY_MAGIC, BINARY_VERSION, OP_REPLY, FLAG_SCORES,
+                    request.request_id, hi - lo, n_classes,
+                ),
+                body[labels_at + 8 * lo:labels_at + 8 * hi],
+                body[scores_at + 8 * n_classes * lo:
+                     scores_at + 8 * n_classes * hi],
+            )
+        else:
+            connection.reply(
+                _REPLY_FRAME.pack(
+                    BINARY_MAGIC, BINARY_VERSION, OP_REPLY, 0,
+                    request.request_id, hi - lo, 0,
+                ),
+                body[labels_at + 8 * lo:labels_at + 8 * hi],
+            )
 
 
 class FrameServer:
@@ -951,14 +1122,17 @@ class FrameServer:
     Subclasses (:class:`~repro.serving.server.InferenceServer`, the cluster
     :class:`~repro.serving.router.RouterServer`) implement request
     semantics through one hook, :meth:`_dispatch`, which takes a decoded
-    request of either wire and returns a wire-neutral result — while this
-    base owns everything transport-shaped: the listener, per-connection
-    pipelined dispatch, encoding each result for the wire its request
-    arrived on (:func:`_encode_response`: id echo, ``OP_ERROR`` vs error
-    dict), corked writes, protocol discrimination, and the connection
-    teardown rules (an abortive disconnect *cancels* that connection's
-    in-flight requests, so their queued work is discarded and their
-    admission reservations released; a clean EOF lets them finish).
+    request of either wire and either admits it on the spot or returns an
+    awaitable of a wire-neutral result — while this base owns everything
+    transport-shaped: the listener, per-connection pipelined dispatch (every
+    frame a chunk completes, decoded and handed over in the reader's own
+    stack frame), encoding each result for the wire its request arrived on
+    (:func:`_encode_response` / :func:`answer_batch`: id echo, ``OP_ERROR``
+    vs error dict), corked writes, read-side backpressure, protocol
+    discrimination, and the connection teardown rules (an abortive
+    disconnect *abandons* that connection's unanswered requests, so their
+    queued work is discarded and their admission reservations released; a
+    clean EOF lets them finish).
 
     Lifecycle states::
 
@@ -1075,19 +1249,34 @@ class FrameServer:
         """Runs last in :meth:`stop` (e.g. close queues and registries)."""
 
     def _dispatch(
-        self, request: Union[Dict[str, Any], BinaryRequest]
-    ) -> Awaitable[Any]:
-        """The one request hook: an awaitable of ``request``'s result.
+        self,
+        request: Union[Dict[str, Any], BinaryRequest],
+        reply_to: Tuple[CorkedWriter, Any],
+    ) -> Optional[Awaitable[Any]]:
+        """The one request hook, called in the connection reader's own stack
+        frame.
 
         ``request`` is a :class:`BinaryRequest` (OP_PREDICT) or the ``dict``
-        of a JSON-bodied op, whether a JSON frame or OP_CONTROL carried it.
-        The result is wire-neutral — a response ``dict``, a predict's
-        ``(labels, scores or None)``, a backend's :class:`RawBinaryReply`
-        to forward — and a raised :class:`~repro.serving.queue.ServingError`
-        is the typed failure.  Not a coroutine itself: it returns the
-        handler's, so the predict path pays for no frame in between.
+        of a JSON-bodied op, whether a JSON frame or OP_CONTROL carried it;
+        ``reply_to`` is ``(connection, frame)``, the frame as
+        :func:`read_frame` returned it.  Two ways to take a request:
+
+        * *admit* it and return ``None`` — no task is made for it, and the
+          subclass owes ``connection`` exactly one :meth:`CorkedWriter.reply`
+          (:func:`answer_batch` pays a whole batch of them);
+        * return an awaitable of its wire-neutral result — a response
+          ``dict``, a backend's :class:`RawBinaryReply` to forward — which
+          the base runs as a task and encodes for the frame's wire.  Control
+          ops and anything else that genuinely waits go this way.
+
+        A raised :class:`~repro.serving.queue.ServingError` (here, or out of
+        the awaitable) is the typed failure.
         """
         raise NotImplementedError
+
+    def _abandon(self, connection: CorkedWriter) -> None:
+        """``connection`` is gone with admitted requests unanswered: drop
+        the ones no batch has taken yet (nobody reads their answers)."""
 
     # ----------------------------------------------------------- connection
     async def _handle_connection(
@@ -1095,29 +1284,26 @@ class FrameServer:
     ) -> None:
         task = asyncio.current_task()
         self._connections.add(task)
-        # Pipelined dispatch: every request on this connection is handled in
-        # its own task, so a stream of requests from one client coalesces
-        # into shared batches exactly like requests from many clients —
-        # including requests for *different models* interleaved on one
-        # socket, each routed to its own queue.  A request carrying an
-        # ``"id"`` gets it echoed in the response, which is how pipelining
-        # clients re-associate out-of-order completions; the corked writer
-        # turns all completions of one batch into a single frame-atomic
-        # send.
+        # Pipelined dispatch without a task per request: the loop below takes
+        # whatever the socket delivered, decodes every frame the chunk
+        # completes and hands each to _dispatch right here, so a stream of
+        # requests from one client coalesces into shared batches exactly
+        # like requests from many clients — including requests for
+        # *different models* interleaved on one socket, each routed to its
+        # own queue.  A request carrying an ``"id"`` gets it echoed in the
+        # response, which is how pipelining clients re-associate
+        # out-of-order completions; the corked writer turns all completions
+        # of one batch into a single frame-atomic send.
         corked = CorkedWriter(writer)
+        walk = _ChunkedWalk(_REQUESTS, "connection closed")
         in_flight: set = set()
 
-        async def respond(request) -> None:
+        async def respond(frame, result) -> None:
             try:
-                result = await self._dispatch(
-                    request.payload
-                    if isinstance(request, BinaryControlRequest)
-                    else request
-                )
+                result = await result
             except ServingError as error:
                 result = error
-            corked.send_raw(_encode_response(request, result))
-            await corked.drain()
+            corked.send_raw(_encode_response(frame, result))
 
         try:
             if self._server is None or not self._server.is_serving():
@@ -1126,34 +1312,66 @@ class FrameServer:
                 # handler, so it hangs up by itself
                 return
             while True:
+                # b"" is EOF, and the walk has to hear of that too
+                chunk = await reader.read(_CHUNK_BYTES)
                 try:
-                    request = await read_frame(reader)
+                    for frame in walk.frames(chunk):
+                        if frame is None:  # client closed cleanly
+                            break
+                        try:
+                            result = self._dispatch(
+                                frame.payload
+                                if isinstance(frame, BinaryControlRequest)
+                                else frame,
+                                (corked, frame),
+                            )
+                        except ServingError as error:
+                            corked.send_raw(_encode_response(frame, error))
+                            continue
+                        if result is None:  # admitted: answered with its batch
+                            corked.pending += 1
+                            continue
+                        request_task = asyncio.create_task(
+                            respond(frame, result)
+                        )
+                        in_flight.add(request_task)
+                        request_task.add_done_callback(in_flight.discard)
                 except BinaryProtocolError as error:
                     corked.send_raw(encode_error("bad_request", str(error)))
                     break
                 except ProtocolError as error:
                     corked.send(error_response("bad_request", str(error)))
                     break
-                if request is None:  # client closed cleanly
+                if not chunk:
                     break
-                request_task = asyncio.create_task(respond(request))
-                in_flight.add(request_task)
-                request_task.add_done_callback(in_flight.discard)
+                # backpressure: a peer that does not read its replies stops
+                # being read from while its transport sits above the
+                # high-water mark, so neither buffer grows with its pipeline
+                await writer.drain()
+                if len(chunk) == _CHUNK_BYTES:
+                    # a full chunk: more is buffered and the next read would
+                    # not wait, so let completions (and other connections)
+                    # run first — they are what fills the transport
+                    await asyncio.sleep(0)
             # clean close: let in-flight requests finish (their replies may
             # still be deliverable on a half-open socket)
             if in_flight:
                 await asyncio.gather(*list(in_flight))
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+            await corked.settled()
+        except (ConnectionResetError, BrokenPipeError):
             # abortive disconnect: nobody is listening for these responses,
-            # so the finally below *cancels* the in-flight requests — the
-            # batching queue discards their still-queued entries and
-            # releases their admission reservations (see BatchingQueue)
+            # so the finally below cancels the in-flight tasks and abandons
+            # the admitted requests — the batching queue discards their
+            # still-queued entries and releases their admission
+            # reservations (see BatchingQueue.discard)
             pass
         except asyncio.CancelledError:
             pass  # server shutting down with the connection open
         finally:
             for request_task in list(in_flight):
                 request_task.cancel()
+            if corked.pending:
+                self._abandon(corked)
             corked._flush()  # anything still corked goes out before the FIN
             writer.close()
             try:

@@ -123,7 +123,7 @@ class TestEmptyBatchTimeout:
             await asyncio.gather(*(queue.submit(c) for c in chunks))
             # ...then the wait budget elapses and a stray timer callback
             # fires on an empty queue: must be a no-op, not an empty batch
-            queue._on_timer(asyncio.get_running_loop())
+            queue._flush_now()  # the timer's callback
             await asyncio.sleep(0.01)
             await queue.close()
 

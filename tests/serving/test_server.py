@@ -1063,3 +1063,320 @@ class TestTeardownLeavesNoTaskBehind:
         logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
         assert not logged, logged[:3]
         assert not unraisable, [str(u.exc_value) for u in unraisable[:3]]
+
+
+# ------------------------------------------------ the batch-shaped request path
+def _poll(handle, read, until, timeout=5.0):
+    """Poll ``read()`` on the server's loop until ``until(value)`` holds."""
+    import time
+
+    async def on_loop():
+        return read()
+
+    deadline = time.monotonic() + timeout
+    while True:
+        value = handle.run(on_loop())
+        if until(value) or time.monotonic() > deadline:
+            return value
+        time.sleep(0.005)
+
+
+def _binary_frames(rows, *, first_id=0, **kwargs):
+    from repro.engine import pack_bits
+    from repro.serving.transport import encode_predict_request
+
+    return [
+        encode_predict_request(
+            pack_bits(row[None, :]), 1, request_id=first_id + i, **kwargs
+        )
+        for i, row in enumerate(rows)
+    ]
+
+
+def _recv_replies(sock, n):
+    from repro.serving.transport import recv_reply
+
+    return {reply.request_id: reply for reply in (recv_reply(sock) for _ in range(n))}
+
+
+class TestDisconnectsOverARealSocket:
+    """The teardown rules of ``FrameServer``, reached through a socket —
+    the queue-level twins are ``TestBudgetLeakOnCancel`` in test_queue."""
+
+    @staticmethod
+    def _held_server(calls):
+        """Admitted requests stay queued until the test flushes them."""
+
+        def labels_fn(X):
+            calls.append(X.shape[0])
+            return X.sum(axis=1).astype(np.int64)
+
+        return InferenceServer(
+            batch_fn=labels_fn, max_batch=1000, max_wait_us=30e6,
+            max_queue=1000, max_total_queue=1000,
+        )
+
+    def test_reset_connection_discards_its_queued_requests(self):
+        import socket
+        import struct
+
+        calls = []
+        srv = self._held_server(calls)
+        queue = srv.registry.resolve(None).queue
+        budget = srv.registry.budget
+        rng = as_rng(21)
+        doomed = rng.integers(0, 2, size=(5, N_FEATURES)).astype(np.uint8)
+        survivor = rng.integers(0, 2, size=(1, N_FEATURES)).astype(np.uint8)
+        with BackgroundServer(srv) as handle:
+            a = socket.create_connection(handle.address, timeout=5)
+            b = socket.create_connection(handle.address, timeout=5)
+            try:
+                a.sendall(b"".join(_binary_frames(doomed)))
+                b.sendall(_binary_frames(survivor, first_id=77)[0])
+                assert _poll(
+                    handle, lambda: queue.queued_samples, lambda q: q == 6
+                ) == 6
+                assert budget.outstanding == 6
+                # SO_LINGER 0: close() sends an RST, not a FIN
+                a.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                a.close()
+                assert _poll(
+                    handle, lambda: queue.backlog_samples, lambda q: q == 1
+                ) == 1
+                assert budget.outstanding == 1
+                handle.run(queue.flush())
+                replies = _recv_replies(b, 1)
+            finally:
+                a.close()
+                b.close()
+            np.testing.assert_array_equal(
+                replies[77].labels, survivor.sum(axis=1)
+            )
+            assert calls == [1]  # the engine never saw the reset connection's 5
+            assert queue.backlog_samples == 0
+            assert budget.outstanding == 0
+
+    def test_half_close_after_pipelining_gets_every_reply_before_the_fin(self):
+        import socket
+
+        srv = InferenceServer(
+            scores_fn=_scores_fn, max_batch=8, max_wait_us=20_000, max_queue=256
+        )
+        rows = as_rng(22).integers(0, 2, size=(21, N_FEATURES)).astype(np.uint8)
+        with BackgroundServer(srv) as handle:
+            with socket.create_connection(handle.address, timeout=5) as sock:
+                sock.sendall(b"".join(_binary_frames(rows)))
+                sock.shutdown(socket.SHUT_WR)  # clean EOF, 21 answers owed
+                replies = _recv_replies(sock, len(rows))
+                assert sock.recv(1) == b""  # and only then the FIN
+        assert sorted(replies) == list(range(len(rows)))
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(
+                replies[i].labels, _expected_labels(row[None, :])
+            )
+
+    def test_stop_with_requests_still_queued_leaves_nothing_behind(self, caplog):
+        import logging
+        import socket
+
+        srv = self._held_server([])
+        queue = srv.registry.resolve(None).queue
+        rows = np.ones((4, N_FEATURES), dtype=np.uint8)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            handle = BackgroundServer(srv)
+            handle.start()
+            sock = socket.create_connection(handle.address, timeout=5)
+            try:
+                sock.sendall(b"".join(_binary_frames(rows)))
+                _poll(handle, lambda: queue.queued_samples, lambda q: q == 4)
+                handle.stop()
+            finally:
+                sock.close()
+        logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+        assert not logged, logged[:3]
+        assert queue.backlog_samples == 0
+
+
+class TestBackpressure:
+    def test_a_peer_that_never_reads_stops_being_read_from(self):
+        """Pipelining without reading must not grow the server's write
+        buffer with the pipeline: the connection loop stops taking chunks
+        while the transport is above its high-water mark."""
+        import socket
+        import time
+
+        n_classes, n_requests = 512, 100_000  # ~4 KB a reply, 150 B a shed
+        writers = []
+
+        class Recording(InferenceServer):
+            async def _handle_connection(self, reader, writer):
+                writers.append(writer)
+                await super()._handle_connection(reader, writer)
+
+        srv = Recording(
+            scores_fn=lambda X: np.zeros((X.shape[0], n_classes)),
+            max_batch=64, max_wait_us=500, max_queue=256,
+        )
+        queue = srv.registry.resolve(None).queue
+        frame = _binary_frames(
+            np.ones((1, N_FEATURES), dtype=np.uint8), return_scores=True
+        )[0]
+
+        def observe():
+            taken = (
+                srv.stats.requests_completed + srv.stats.shed
+                + queue.backlog_samples
+            )
+            return taken, writers[0].transport.get_write_buffer_size()
+
+        with BackgroundServer(srv) as handle:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(0.2)
+            sock.connect(handle.address)
+            try:
+                sent = 0
+                try:
+                    for _ in range(n_requests // 1000):
+                        sock.sendall(frame * 1000)
+                        sent += 1000
+                except socket.timeout:
+                    pass  # the server stopped reading: that is the point
+                seen = []
+                deadline = time.monotonic() + 0.5
+                while time.monotonic() < deadline:
+                    seen.append(_poll(handle, observe, lambda _: True))
+                    time.sleep(0.02)
+            finally:
+                sock.close()
+        taken, buffered = (max(column) for column in zip(*seen))
+        # a few chunks' worth of requests were taken off the socket, and
+        # their answers — not the pipeline's — are what waits to be written
+        assert taken <= sent // 2, (taken, sent)
+        assert buffered < 4 * 1024 * 1024, buffered
+
+
+class TestRequestsAreRowsNotTasks:
+    def test_queued_predicts_create_no_task(self):
+        """The architecture pin: 256 predicts queued from one connection
+        leave the loop with its connection task — not one task (or future)
+        per request."""
+        import asyncio
+        import socket
+
+        srv = InferenceServer(
+            scores_fn=_scores_fn, max_batch=1024, max_wait_us=30e6,
+            max_queue=4096,
+        )
+        queue = srv.registry.resolve(None).queue
+        rows = as_rng(23).integers(0, 2, size=(256, N_FEATURES)).astype(np.uint8)
+
+        async def count_tasks():
+            return len(asyncio.all_tasks())
+
+        with BackgroundServer(srv) as handle:
+            idle = handle.run(count_tasks())
+            with socket.create_connection(handle.address, timeout=5) as sock:
+                sock.sendall(b"".join(_binary_frames(rows)))
+                assert _poll(
+                    handle, lambda: queue.queued_samples, lambda q: q == 256
+                ) == 256
+                # connections + in-flight batches + a constant
+                assert handle.run(count_tasks()) <= idle + 1 + 0 + 1
+                handle.run(queue.flush())
+                replies = _recv_replies(sock, 256)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(
+                replies[i].labels, _expected_labels(row[None, :])
+            )
+
+
+class TestOneBadRequestFailsAlone:
+    def test_wrong_width_and_wrong_dtype_in_a_pipelined_burst(self):
+        """Interleaved on one socket with good requests of both wires: the
+        wrong-width words fail as their own batch, the non-binary rows at
+        admission, and every co-traveller is answered."""
+        import socket
+
+        from repro.serving.transport import (
+            encode_message,
+            recv_message,
+            recv_reply,
+        )
+
+        def strict(X):
+            if X.shape[1] != N_FEATURES:
+                raise ValueError(f"expected {N_FEATURES} features")
+            return _scores_fn(X)
+
+        srv = InferenceServer(
+            scores_fn=strict, max_batch=64, max_wait_us=20_000, max_queue=256
+        )
+        good = as_rng(24).integers(0, 2, size=(3, N_FEATURES)).astype(np.uint8)
+        wide = np.ones((1, N_FEATURES + 8), dtype=np.uint8)
+        with BackgroundServer(srv) as handle:
+            with socket.create_connection(handle.address, timeout=5) as sock:
+                sock.sendall(
+                    _binary_frames(good[0:1], first_id=0)[0]
+                    + _binary_frames(wide, first_id=1)[0]
+                    + _binary_frames(good[1:2], first_id=2)[0]
+                    + encode_message(
+                        {"op": "predict", "id": 3,
+                         "features": [[0.5] * N_FEATURES]}
+                    )
+                    + encode_message(
+                        {"op": "predict", "id": 4,
+                         "features": good[2:3].tolist()}
+                    )
+                )
+                binary, errors, json_replies = {}, {}, {}
+                for _ in range(5):
+                    first = sock.recv(1, socket.MSG_PEEK)
+                    if first == b"\xbf":
+                        try:
+                            reply = recv_reply(sock)
+                            binary[reply.request_id] = reply.labels
+                        except ServingError as error:
+                            errors[type(error)] = str(error)
+                    else:
+                        reply = recv_message(sock)
+                        json_replies[reply["id"]] = reply
+        np.testing.assert_array_equal(binary[0], _expected_labels(good[0:1]))
+        np.testing.assert_array_equal(binary[2], _expected_labels(good[1:2]))
+        assert list(errors) == [ServingError]  # typed internal, alone
+        assert "expected 16 features" in errors[ServingError]
+        assert json_replies[3]["error"]["type"] == "bad_request"
+        assert json_replies[4]["labels"] == _expected_labels(good[2:3]).tolist()
+
+    def test_evaluate_failure_answers_the_whole_batch_and_frees_the_backlog(self):
+        import socket
+
+        from repro.serving.transport import encode_message, recv_message, recv_reply
+
+        def broken(X):
+            raise RuntimeError("weights fell out")
+
+        srv = InferenceServer(
+            batch_fn=broken, max_batch=4, max_wait_us=20_000, max_queue=64,
+            max_total_queue=64,
+        )
+        rows = np.ones((3, N_FEATURES), dtype=np.uint8)
+        with BackgroundServer(srv) as handle:
+            with socket.create_connection(handle.address, timeout=5) as sock:
+                sock.sendall(b"".join(_binary_frames(rows)))
+                for _ in range(3):
+                    with pytest.raises(ServingError, match="weights fell out") as e:
+                        recv_reply(sock)
+                    assert type(e.value) is ServingError
+            with socket.create_connection(handle.address, timeout=5) as sock:
+                sock.sendall(
+                    encode_message({"op": "predict", "features": rows.tolist()})
+                )
+                reply = recv_message(sock)
+                assert reply["error"]["type"] == "internal"
+            queue = srv.registry.resolve(None).queue
+            assert queue.backlog_samples == 0
+            assert srv.registry.budget.outstanding == 0
+            assert srv.stats.errors == 4

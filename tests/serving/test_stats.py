@@ -35,6 +35,49 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             ServerStats(max_samples=0)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [3, 4, 3],  # lands exactly on the ring's end
+            [7, 7, 7, 7],  # every batch but the first wraps
+            [10],  # exactly the ring
+            [4, 25, 2],  # one batch larger than the ring
+            [1] * 23,  # the scalar case, around twice
+            [0, 6, 0, 6],  # empty batches change nothing
+        ],
+    )
+    def test_ring_keeps_the_newest_samples_across_wrap_around(self, sizes):
+        """The reservoir after any sequence of batches is the last
+        ``max_samples`` values observed — oldest dropped first — whether
+        they arrived as batches or one by one."""
+        batched, scalar = ServerStats(max_samples=10), ServerStats(max_samples=10)
+        values = np.arange(float(sum(sizes))) * 1.5
+        start = 0
+        for size in sizes:
+            batch = values[start:start + size]
+            start += size
+            batched.observe_latencies(batch)
+            for value in batch:
+                scalar.observe_latency(value)
+            newest = values[max(start - 10, 0):start]
+            for stats in (batched, scalar):
+                snap = stats.snapshot()
+                assert snap["latency_samples"] == newest.size
+                kept = stats._latencies_locked()
+                np.testing.assert_array_equal(np.sort(kept), newest)
+            assert batched.snapshot() == scalar.snapshot()
+            assert batched.percentiles() == scalar.percentiles()
+
+    def test_batch_of_any_array_like_equals_the_scalar_sequence(self):
+        values = [812.5, 3.25, 99.0, 1e6, 0.0]
+        scalar = ServerStats()
+        for value in values:
+            scalar.observe_latency(value)
+        for batch in (values, tuple(values), np.array(values, dtype=np.float32)):
+            batched = ServerStats()
+            batched.observe_latencies(batch)
+            assert batched.snapshot() == scalar.snapshot()
+
 
 class TestCountersAndOccupancy:
     def test_batch_occupancy_histogram(self):

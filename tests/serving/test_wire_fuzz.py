@@ -1,13 +1,17 @@
 """The wire grammar against generated data, and the crashes it rules out.
 
 ``transport._walk`` is the one walk over the frame grammar; a
-``StreamReader``, a blocking socket and a frame held in memory are three
-views of it (the first awaits it, the other two step it through
-``transport._drive``).  The fuzz feeds arbitrary bytes, every proper prefix and
-single-byte mutations of valid frames to every direction through all three
-views and allows exactly three outcomes — a decoded object, ``None`` on
-clean EOF, or a typed ``ProtocolError``/``ServingError`` — identical across
-the views, with no read requested beyond the announced, capped size.
+``StreamReader``, a blocking socket, a frame held in memory and a stream
+taken in whatever chunks arrive are four views of it (the first awaits it,
+the next two step it through ``transport._drive``, the last suspends and
+resumes it in ``transport._ChunkedWalk``).  The fuzz feeds arbitrary bytes,
+every proper prefix and single-byte mutations of valid frames to every
+direction through all four views and allows exactly three outcomes — a
+decoded object, ``None`` on clean EOF, or a typed
+``ProtocolError``/``ServingError`` — identical across the views, with no
+read requested beyond the announced, capped size.  The chunked view is then
+cut at ``hypothesis``-chosen boundaries, and the block a batch completion
+writes is compared with the per-frame encoders it replaces.
 
 The regression tests below it replay, over a real socket, the byte strings
 that used to kill a connection handler with an untyped exception, and the
@@ -145,7 +149,42 @@ def _through_socketpair(data: bytes, direction):
         b.close()
 
 
-VIEWS = [_through_memory, _through_stream_reader, _through_socketpair]
+class _CappedChunkedWalk(transport._ChunkedWalk):
+    """The chunked view, checking the size of every fetch the walk makes."""
+
+    def _fetch(self, n_bytes: int):
+        assert 0 < n_bytes <= MAX_READ, f"a read of {n_bytes} bytes"
+        return super()._fetch(n_bytes)
+
+
+def _chunked(chunks, direction):
+    """Every outcome of ``chunks`` then EOF through the chunked view: the
+    decoded frames, closed by ``None`` or by the typed error that ended it."""
+    walk = _CappedChunkedWalk(direction, "connection closed")
+    outcomes = []
+    try:
+        for chunk in (*(c for c in chunks if c), b""):
+            for frame in walk.frames(chunk):
+                outcomes.append(("decoded", _canonical(frame)))
+    except (ProtocolError, ServingError) as error:
+        outcomes.append((type(error).__name__, str(error)))
+    return outcomes
+
+
+def _through_chunks(data: bytes, direction):
+    """The chunked view's first frame, for comparison with the one-frame
+    views: ``frames`` is a generator, so nothing past it is decoded."""
+    walk = _CappedChunkedWalk(direction, "connection closed")
+    for chunk in (data, b"") if data else (b"",):
+        for frame in walk.frames(chunk):
+            return frame
+    raise AssertionError("EOF produced neither a frame, None nor an error")
+
+
+VIEWS = [
+    _through_memory, _through_stream_reader, _through_socketpair,
+    _through_chunks,
+]
 
 
 def _canonical(value):
@@ -179,7 +218,7 @@ def _check(data: bytes):
     ), mock.patch.object(transport, "MAX_PAYLOAD_BYTES", CAP):
         for direction in DIRECTIONS:
             outcomes = [_outcome(view, data, direction) for view in VIEWS]
-            assert outcomes[0] == outcomes[1] == outcomes[2], (
+            assert all(outcome == outcomes[0] for outcome in outcomes), (
                 direction,
                 outcomes,
             )
@@ -256,6 +295,229 @@ def test_undecodable_json_bodies_are_typed_on_either_wire(body):
         assert str(framed.value) == str(plain.value)
 
 
+# ------------------------------------------- the chunked view, cut anywhere
+REQUEST_STREAM = b"".join(
+    [
+        encode_predict_request(PACKED, 3, model="m", return_scores=True),
+        encode_message({"op": "predict", "id": 1, "features": [[0, 1]]}),
+        encode_control_request({"op": "lifecycle", "model": "m"}, request_id=3),
+        encode_predict_request(PACKED, 3, request_id=7),
+    ]
+)
+BAD_VERSION = b"\xbf\x2a" + encode_predict_request(PACKED, 3)[2:]
+
+
+def _frame_by_frame(data: bytes, direction):
+    """The reference for :func:`_chunked`: ``read_frame``'s walk over a
+    ``StreamReader``, frame after frame, to the ``None`` or the error."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        outcomes = []
+        try:
+            while not outcomes or outcomes[-1][1] is not None:
+                frame = await transport._walk(
+                    reader.readexactly, direction, "connection closed"
+                )
+                outcomes.append(("decoded", _canonical(frame)))
+        except (ProtocolError, ServingError) as error:
+            outcomes.append((type(error).__name__, str(error)))
+        return outcomes
+
+    return _LOOP.run_until_complete(main())
+
+
+def _cut(data: bytes, cuts):
+    edges = [0, *sorted(cuts), len(data)]
+    return [data[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+def _streams():
+    """A few valid frames end to end, sometimes damaged, sometimes cut off."""
+    return st.tuples(
+        st.lists(st.sampled_from(VALID_FRAMES + [BAD_VERSION]), max_size=4).map(
+            b"".join
+        ),
+        st.binary(max_size=12),
+    ).map(b"".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.one_of(_streams(), _mutations()).flatmap(
+        lambda data: st.tuples(
+            st.just(data),
+            st.lists(st.integers(0, len(data)), max_size=6),
+        )
+    ),
+    st.sampled_from(DIRECTIONS),
+)
+def test_chunk_boundaries_never_change_what_a_stream_decodes_to(cut_stream, direction):
+    data, cuts = cut_stream
+    with mock.patch.object(
+        transport, "MAX_MESSAGE_BYTES", CAP
+    ), mock.patch.object(transport, "MAX_PAYLOAD_BYTES", CAP):
+        assert _chunked(_cut(data, cuts), direction) == _frame_by_frame(
+            data, direction
+        )
+
+
+def test_every_single_byte_split_of_a_multi_frame_stream():
+    expected = _frame_by_frame(REQUEST_STREAM, transport._REQUESTS)
+    assert [kind for kind, _ in expected] == ["decoded"] * 5  # 4 frames, None
+    for cut in range(len(REQUEST_STREAM) + 1):
+        assert _chunked(_cut(REQUEST_STREAM, [cut]), transport._REQUESTS) == expected
+    one_byte_at_a_time = [bytes([byte]) for byte in REQUEST_STREAM]
+    assert _chunked(one_byte_at_a_time, transport._REQUESTS) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.lists(st.integers(0, len(REQUEST_STREAM) + len(BAD_VERSION)), max_size=5))
+def test_a_malformed_frame_still_yields_the_good_ones_before_it(cuts):
+    outcomes = _chunked(
+        _cut(REQUEST_STREAM + BAD_VERSION + REQUEST_STREAM, cuts),
+        transport._REQUESTS,
+    )
+    assert [kind for kind, _ in outcomes] == ["decoded"] * 4 + [
+        "BinaryProtocolError"
+    ]
+    assert "version 42" in outcomes[-1][1]
+
+
+# ------------------------------- one batch, one block: the bytes are unchanged
+class _FakeWriter:
+    def __init__(self):
+        self.writes = []
+
+    def is_closing(self):
+        return False
+
+    def write(self, data):
+        self.writes.append(data)
+
+
+def _reply_requests(draw, scores_mode):
+    """Requests of one batch: ``(connection, frame, decoded predict)``."""
+    requests = []
+    for index in range(draw(st.integers(1, 6))):
+        connection = draw(st.integers(0, 1))
+        n_samples = draw(st.integers(1, 5))
+        return_scores = scores_mode and draw(st.booleans())
+        kind = draw(st.sampled_from(["binary", "json", "json-no-id", "control"]))
+        if kind == "binary":
+            frame = predict = transport.BinaryRequest(
+                draw(st.integers(0, 2**32 - 1)), None, None, n_samples,
+                return_scores,
+            )
+        else:
+            predict = transport.JsonPredictRequest(
+                None, None, n_samples, return_scores
+            )
+            frame = {"op": "predict"}
+            if kind == "json":
+                frame["id"] = index
+            elif kind == "control":
+                frame = transport.BinaryControlRequest(index, frame)
+        requests.append((connection, frame, predict))
+    return requests
+
+
+def _per_frame(frame, predict, labels, scores, error):
+    """What the per-request path sent: one public encoder call per reply."""
+    if isinstance(frame, transport.BinaryRequest):
+        if error is not None:
+            return encode_error("internal", error, request_id=frame.request_id)
+        return encode_reply(
+            labels, scores if predict.return_scores else None,
+            request_id=frame.request_id,
+        )
+    if error is not None:
+        response = transport.error_response("internal", error)
+    else:
+        response = {"ok": True, "labels": labels.tolist()}
+        if predict.return_scores:
+            response["scores"] = scores.tolist()
+    if isinstance(frame, transport.BinaryControlRequest):
+        return encode_control_reply(response, request_id=frame.request_id)
+    if "id" in frame:
+        response["id"] = frame["id"]
+    return encode_message(response)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_a_batch_is_answered_with_the_bytes_of_its_per_frame_replies(data):
+    """Batches completing in one loop pass — good ones and failed ones,
+    both wires, with and without scores — reach each connection as one
+    ``write`` of exactly the concatenated per-frame encodings."""
+    from repro.serving.queue import _Pending
+
+    scores_mode = data.draw(st.booleans())
+    n_classes = data.draw(st.integers(1, 4))
+    if scores_mode:
+        server = InferenceServer(scores_fn=lambda X: X)
+    else:
+        server = InferenceServer(batch_fn=lambda X: X)
+    model = server.registry.resolve(None)
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+    async def main():
+        connections = [transport.CorkedWriter(_FakeWriter()) for _ in range(2)]
+        expected = [b"", b""]
+        for _ in range(data.draw(st.integers(1, 3))):
+            requests = data.draw(st.composite(_reply_requests)(scores_mode))
+            entries, lo = [], 0
+            for connection, frame, predict in requests:
+                entries.append(
+                    _Pending(
+                        None, predict.n_samples, lo, server._complete,
+                        (connections[connection], frame, predict, model),
+                    )
+                )
+                lo += predict.n_samples
+                connections[connection].pending += 1
+            if data.draw(st.integers(0, 3)) == 0:  # the evaluation failed
+                result, error, message = None, ValueError("boom"), "ValueError: boom"
+                labels = scores = None
+            elif scores_mode:
+                result = np.array(
+                    data.draw(
+                        st.lists(
+                            st.lists(finite, min_size=n_classes, max_size=n_classes),
+                            min_size=lo, max_size=lo,
+                        )
+                    )
+                )
+                error = message = None
+                labels, scores = np.argmax(result, axis=1), result
+            else:
+                result = np.array(
+                    data.draw(
+                        st.lists(st.integers(-2**40, 2**40), min_size=lo, max_size=lo)
+                    )
+                )
+                error = message = scores = None
+                labels = result
+            server._complete(entries, result, error)
+            for entry, (connection, frame, predict) in zip(entries, requests):
+                rows = slice(entry.lo, entry.lo + entry.n_samples)
+                expected[connection] += _per_frame(
+                    frame, predict,
+                    None if labels is None else labels[rows],
+                    None if scores is None else scores[rows],
+                    message,
+                )
+        await asyncio.sleep(0)  # the corked flush
+        for connection, block in zip(connections, expected):
+            assert connection.pending == 0
+            assert b"".join(connection._writer.writes) == block
+            assert len(connection._writer.writes) == (1 if block else 0)
+
+    _LOOP.run_until_complete(main())
+
+
 # ------------------------------------------------- over a real socket: crashers
 def _labels_fn(X):
     return np.asarray(X).sum(axis=1).astype(np.int64)
@@ -307,6 +569,28 @@ class TestSocketCrashersGetATypedBadRequest:
             with pytest.raises(BadRequestError, match="invalid JSON payload"):
                 recv_control_reply(sock)
             assert _closed_cleanly(sock)
+
+    def test_good_frames_in_front_of_a_malformed_one_are_answered(self, served):
+        """One ``send``: three predicts, then a frame of version 42 — the
+        three are admitted from the same chunk and answered, the fourth
+        gets the typed error, and only then the connection closes."""
+        rows = np.eye(3, N_FEATURES, dtype=np.uint8)
+        good = b"".join(
+            encode_predict_request(pack_bits(rows[i : i + 1]), 1, request_id=i + 1)
+            for i in range(3)
+        )
+        with socket.create_connection(served.address, timeout=5) as sock:
+            sock.sendall(good + BAD_VERSION)
+            answered, refused = {}, []
+            for _ in range(4):
+                try:
+                    reply = recv_reply(sock)
+                    answered[reply.request_id] = reply.labels.tolist()
+                except BadRequestError as error:
+                    refused.append(str(error))
+            assert _closed_cleanly(sock)
+        assert answered == {1: [1], 2: [1], 3: [1]}
+        assert len(refused) == 1 and "version 42" in refused[0]
 
     def test_the_server_keeps_serving_afterwards(self, served):
         for frame in (BAD_NAME, _json_frame(DEEP_JSON)):
