@@ -8,7 +8,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace profile-compile profile-predict profile-serve serve-demo serve-stats serve-cluster
+.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace profile-compile profile-predict profile-serve profile-kernel serve-demo serve-stats serve-cluster
 
 # Tier-1 verification: the full test suite (tests/ and benchmarks/).
 test:
@@ -94,6 +94,15 @@ profile-predict:
 # thread.  Report only, like profile-compile.
 profile-serve:
 	PYTHONPATH=src:. python examples/profile_serve.py
+
+# Where the native kernel goes (needs cc): the four benchmark fixtures as the
+# base build and the fast build at the host's vector width (and at 4 lanes
+# for contrast) — emitted statements, units, cold cc s, .so bytes,
+# run_range us and ns per statement at 1024 words on one thread, 1/3/7/9/33
+# words, and vector ops per statement from objdump -d.  Report only, like
+# profile-compile; builds into temp dirs (~30 s).
+profile-kernel:
+	PYTHONPATH=src:. python examples/profile_kernel.py
 
 # End-to-end serving demo: train two PoET-BiN variants on the
 # synthetic-digits dataset, serve both from one server over a shared

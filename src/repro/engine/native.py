@@ -47,16 +47,15 @@ Tier 2: SIMD width and in-process threads
 
 The statements are generated against an abstract word type ``W``.  With
 ``unroll=1`` that is plain ``uint64_t`` (the PR-8 program).  With
-``unroll=K`` the same statement stream is *additionally* instantiated
-against a GCC/Clang vector type of ``K`` lanes
-(``__attribute__((vector_size(K*8))))``), so each emitted statement
-processes ``K`` packed words — ``64*K`` samples — per operation and the
-host compiler maps the Shannon-mux cascade onto SIMD registers.
-``run_range`` runs the vector body over the aligned span and the scalar
-body over the ragged tail, so results stay bit-exact for every word count.
-The ``"fast"`` optimisation tier (``-O2 -march=native``) exists for exactly
-this instantiation; the ``"base"`` tier keeps PR-8's fast-compiling
-``-O1``.
+``unroll=K`` it is instantiated once, at K lanes of a GCC/Clang vector type
+(``vector_size(K*8)``): each statement processes ``64*K`` samples per
+operation on SIMD registers.  No scalar twin: a ragged range ends in one
+*padded block* — the live words in a zeroed K-word stack block, through the
+same program, only words below ``hi`` written back — so every word count is
+bit-exact.  The tuner's K is the host's widest register
+(:func:`vector_lanes`: 8 on AVX-512, else 4).  The ``"fast"`` tier
+(``-O2 -march=native``) exists for exactly this instantiation; the
+``"base"`` tier keeps PR-8's fast-compiling ``-O1``.
 
 Because the generated code keeps no global state (the word loop's state
 lives on the C stack) a loaded program is thread-safe, and ``ctypes``
@@ -152,11 +151,6 @@ _OPT_TIERS: Dict[str, Tuple[str, ...]] = {
 
 _COMMON_CFLAGS = ("-fPIC", "-shared")
 
-#: vector width (words per statement) the autotuner tries; 4 lanes = 256
-#: bits, the sweet spot for AVX2-class hosts and harmless (the compiler
-#: splits the vector) elsewhere
-DEFAULT_UNROLL = 4
-
 #: a thread shard below this many packed words (64 samples each) is not
 #: worth the submit/wake cost — batches under ``threads * grain`` words
 #: run on fewer shards, and under ``2 * grain`` words stay single-threaded
@@ -169,8 +163,7 @@ DEFAULT_MIN_WORDS_PER_THREAD = 32
 _SEGMENT_STATEMENTS = 250
 
 #: consecutive segments are grouped into translation units of at most this
-#: many statements, summed over the widths instantiated, which
-#: :func:`build_shared_object` compiles concurrently
+#: many statements, which :func:`build_shared_object` compiles concurrently
 _UNIT_STATEMENTS = 4000
 
 #: the line between two translation units in a generated source — a comment,
@@ -191,8 +184,9 @@ _UNIT_PRELUDE = (
     "",
 )
 
-#: autotune persistence format version (bump to invalidate stale records)
-_TUNE_VERSION = 1
+#: autotune persistence format version (bump to invalidate stale records;
+#: version 1 pinned the 4-lane width of every host)
+_TUNE_VERSION = 2
 
 #: words in the autotuner's calibration batch (256 words = 16384 samples —
 #: large enough that threading wins show, small enough to measure at attach)
@@ -204,6 +198,9 @@ _ENV_CC = "CC"
 _UNSET = object()
 _compiler_cache: object = _UNSET
 _compiler_lock = threading.Lock()
+
+#: compiler command -> vector lanes, what :func:`vector_lanes` learned
+_lanes_by_compiler: Dict[Tuple[str, ...], int] = {}
 
 #: digest -> loaded (CDLL, run_range, run_scores_range) so every instance
 #: of the same program in one process shares a single dlopen handle
@@ -257,6 +254,28 @@ def _discover_compiler() -> Optional[List[str]]:
 def toolchain_available() -> bool:
     """Whether the native backend can build on this host."""
     return find_compiler() is not None
+
+
+def vector_lanes() -> int:
+    """Words per statement of the autotuner's vector build: the host's
+    widest register as the ``fast`` tier's target reports it — 8 (512 bits)
+    when ``cc -O2 -march=native`` predefines ``__AVX512F__``, else 4.  One
+    ``-dM -E`` query per process and compiler; a failed query means 4."""
+    compiler = find_compiler()
+    if compiler is None:
+        return 4
+    command = (*compiler, *_OPT_TIERS["fast"], "-dM", "-E", "-x", "c", os.devnull)
+    with _compiler_lock:
+        if command not in _lanes_by_compiler:
+            try:
+                macros = subprocess.run(
+                    command, stdin=subprocess.DEVNULL, capture_output=True,
+                    text=True, timeout=60, check=True,
+                ).stdout.split()
+            except (OSError, subprocess.SubprocessError):
+                macros = []
+            _lanes_by_compiler[command] = 8 if "__AVX512F__" in macros else 4
+        return _lanes_by_compiler[command]
 
 
 def default_thread_count() -> int:
@@ -435,13 +454,13 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
     process and every forked worker regenerate the same bytes and share
     one build.
 
-    ``unroll=1`` emits only the scalar (``uint64_t``) instantiation.
-    ``unroll=K`` (K > 1) additionally instantiates the same statement
-    stream against a K-lane GCC/Clang vector type; both exports
-    (``run_range`` and the fused read-out ``run_scores_range``, see the
-    module docstring) run the vector body over the K-aligned span of the
-    range and the scalar body over the tail, so the result is bit-exact
-    for every word count.
+    The statement stream is instantiated once: over ``uint64_t`` at
+    ``unroll=1``, over a K-lane GCC/Clang vector type at ``unroll=K``.
+    Both exports (``run_range`` and the fused read-out
+    ``run_scores_range``, see the module docstring) run whole K-word blocks
+    and end a ragged range in one zero-padded block that writes nothing at
+    or past ``hi`` — bit-exact for every word count, and adjacent ranges
+    may run in any order.
 
     A program of more than ``_UNIT_STATEMENTS`` statements comes back as
     several translation units in the one string, joined by
@@ -451,17 +470,15 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
     """
     if unroll < 1:
         raise ValueError("unroll must be >= 1")
+    k = unroll
     blocks = _node_blocks(program)
     counts = [count for _, count in blocks]
-    widths = [1] if unroll == 1 else [1, unroll]
     segments = _pack(counts, _SEGMENT_STATEMENTS)
-    # every width instantiates every segment, so that is what a unit costs
     units = _pack(
-        [len(widths) * sum(counts[i] for i in segment) for segment in segments],
-        _UNIT_STATEMENTS,
+        [sum(counts[i] for i in segment) for segment in segments], _UNIT_STATEMENTS
     ) or [range(0)]  # a program of no nodes is still a driver
 
-    def open_width(k: int, own: range, linkage: str) -> List[str]:
+    def open_width(own: range, linkage: str) -> List[str]:
         """The word type ``W`` at ``k`` lanes and segment functions ``own``."""
         if k == 1:
             lines = ["typedef uint64_t w1;"]
@@ -481,39 +498,58 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
             lines.append("")
         return lines
 
-    n_slots = max(program.n_slots, 1)
+    n_slots, n_in = max(program.n_slots, 1), max(program.n_primary_inputs, 1) * k
+    n_out = max(program.n_outputs, 1) * k
+    stack_blocks = (f"uint64_t bin[{n_in}];", f"uint64_t bout[{n_out}];")
+
+    def run_block(words: str) -> List[str]:
+        """Run ``words`` words from ``w`` on as one ``k``-word stack block,
+        gathered compactly (the outputs then land compact too) and, in a
+        padded block, over zeroed padding lanes: no lane reads stale stack."""
+        zero = f"if ({words} < {k}) for (size_t i = 0; i < {n_in}; ++i) bin[i] = 0;"
+        return ([zero] if k > 1 else []) + [
+            f"for (size_t i = 0; i < {program.n_primary_inputs}; ++i)"
+            f" for (size_t j = 0; j < {words}; ++j)"
+            f" bin[i * {k} + j] = in[i * n_words + w + j];",
+            f"run_word_w{k}(bin, bout, 0, {k});",
+        ]
+
     parts = list(_UNIT_PRELUDE)
-    for k in widths:
-        parts.extend(open_width(k, units[0], "static"))
-        for index in range(units[0].stop, len(segments)):
-            parts.append(f"{_HIDDEN} void seg{index}_w{k}(W* restrict s);")
-        parts.append(
-            f"static void run_word_w{k}(const uint64_t* restrict in,"
-            " uint64_t* restrict out, size_t w, size_t n_words) {"
-        )
-        parts.append(f"W s[{n_slots}];")
-        for i in range(program.n_primary_inputs):
-            parts.append(f"s[{i}] = *(const W*)(in + (size_t){i} * n_words + w);")
-        for index in range(len(segments)):
-            parts.append(f"seg{index}_w{k}(s);")
-        for j, slot in enumerate(program._output_slots):
-            parts.append(
-                f"*(W*)(out + (size_t){j} * n_words + w) = s[{int(slot)}];"
-            )
-        parts.append("}")
-        parts.append("#undef W")
-        parts.append("")
+    parts.extend(open_width(units[0], "static"))
+    for index in range(units[0].stop, len(segments)):
+        parts.append(f"{_HIDDEN} void seg{index}_w{k}(W* restrict s);")
+    parts.append(
+        f"static void run_word_w{k}(const uint64_t* restrict in,"
+        " uint64_t* restrict out, size_t w, size_t n_words) {"
+    )
+    parts.append(f"W s[{n_slots}];")
+    for i in range(program.n_primary_inputs):
+        parts.append(f"s[{i}] = *(const W*)(in + (size_t){i} * n_words + w);")
+    for index in range(len(segments)):
+        parts.append(f"seg{index}_w{k}(s);")
+    for j, slot in enumerate(program._output_slots):
+        parts.append(f"*(W*)(out + (size_t){j} * n_words + w) = s[{int(slot)}];")
+    parts.append("}")
+    parts.append("#undef W")
+    parts.append("")
     parts.append(
         "void run_range(const uint64_t* in, uint64_t* out,"
         " size_t lo, size_t hi, size_t n_words) {"
     )
     parts.append("size_t w = lo;")
-    if unroll > 1:
+    if k == 1:
+        parts.append("for (; w < hi; ++w) run_word_w1(in, out, w, n_words);")
+    else:
         parts.append(
-            f"for (; w + {unroll} <= hi; w += {unroll}) "
-            f"run_word_w{unroll}(in, out, w, n_words);"
+            f"for (; w + {k} <= hi; w += {k}) run_word_w{k}(in, out, w, n_words);"
         )
-    parts.append("for (; w < hi; ++w) run_word_w1(in, out, w, n_words);")
+        parts += ["if (w == hi) return;", *stack_blocks, "size_t live = hi - w;"]
+        parts += run_block("live")
+        parts.append(
+            f"for (size_t i = 0; i < {program.n_outputs}; ++i)"
+            f" for (size_t j = 0; j < live; ++j)"
+            f" out[i * n_words + w + j] = bout[i * {k} + j];"
+        )
     parts.append("}")
     parts.append("")
     parts.append(_SCORES_EPILOGUE)
@@ -522,31 +558,27 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
         " uint64_t* scores, size_t lo, size_t hi, size_t n_words,"
         " size_t n_samples, size_t n_groups, size_t p) {"
     )
-    parts.append(f"uint64_t bin[{max(program.n_primary_inputs, 1) * unroll}];")
-    parts.append(f"uint64_t bout[{max(program.n_outputs, 1) * unroll}];")
+    parts.extend(stack_blocks)
     parts.append("size_t w = lo;")
-    for k in reversed(widths):
-        # k-word blocks: gather the inputs compactly so the word program's
-        # outputs land in the compact stack block too (one shared stride)
-        parts.append(f"for (; w + {k} <= hi; w += {k}) {{")
-        parts.append(
-            f"for (size_t i = 0; i < {program.n_primary_inputs}; ++i)"
-            f" for (size_t j = 0; j < {k}; ++j)"
-            f" bin[i * {k} + j] = in[i * n_words + w + j];"
-        )
-        parts.append(f"run_word_w{k}(bin, bout, 0, {k});")
-        parts.append(
-            f"copy_scores(bout, {k}, w, table, scores, n_samples, n_groups, p);"
-        )
-        parts.append("}")
+    if k == 1:
+        parts.append("for (; w + 1 <= hi; w += 1) {")
+        parts += run_block("1")
+    else:
+        # copy_scores stops at the sample bound only: lower it to hi so a
+        # padded block never writes the rows of the next shard's words
+        parts.append("if (n_samples > hi * 64) n_samples = hi * 64;")
+        parts.append(f"for (; w < hi; w += {k}) {{")
+        parts.append(f"size_t live = hi - w < {k} ? hi - w : {k};")
+        parts += run_block("live")
+    parts.append(f"copy_scores(bout, {k}, w, table, scores, n_samples, n_groups, p);")
+    parts.append("}")
     parts.append("}")
     sources = ["\n".join(parts) + "\n"]
     for own in units[1:]:
         parts = list(_UNIT_PRELUDE)
-        for k in widths:
-            parts.extend(open_width(k, own, _HIDDEN))
-            parts.append("#undef W")
-            parts.append("")
+        parts.extend(open_width(own, _HIDDEN))
+        parts.append("#undef W")
+        parts.append("")
         sources.append("\n".join(parts))
     return _UNIT_MARKER.join(sources)
 
@@ -758,15 +790,15 @@ def _candidate_builds(n_cpus: int) -> List[Tuple[int, str, List[int]]]:
     thread counts)`` per build.
 
     The baseline is PR-8's engine exactly; the second build isolates the
-    SIMD win (vector code, fast tier, still one thread) and, on multi-core
-    hosts, is measured again with the thread fan-out — a second ``threads``
+    SIMD win (:func:`vector_lanes` lanes, fast tier, one thread) and, on
+    multi-core hosts, is measured again with the thread fan-out — a second ``threads``
     value on the same engine, not a third build.  Keeping the list this
     small bounds attach-time cost at two builds and a few dozen
     calibration runs.
     """
     return [
         (1, "base", [1]),
-        (DEFAULT_UNROLL, "fast", [1, n_cpus] if n_cpus > 1 else [1]),
+        (vector_lanes(), "fast", [1, n_cpus] if n_cpus > 1 else [1]),
     ]
 
 
@@ -1061,7 +1093,8 @@ class NativeCompiledNetlist(PackedEngine):
         """``call(lo, hi)`` over the word range ``[0, words)``: whole on the
         calling thread, or — with ``threads > 1`` and at least
         ``min_words_per_thread`` words per shard — as contiguous shards run
-        concurrently on the shared executor."""
+        concurrently on the shared executor — cut on multiples of ``unroll``,
+        so only the last shard can end in a padded block."""
         n_shards = 1
         if self.threads > 1:
             n_shards = min(self.threads, words // self.min_words_per_thread)
@@ -1069,7 +1102,8 @@ class NativeCompiledNetlist(PackedEngine):
             call(0, words)
             return
         executor = _shared_executor()
-        edges = [(i * words) // n_shards for i in range(n_shards + 1)]
+        k = self.unroll
+        edges = [(i * words) // n_shards // k * k for i in range(n_shards)] + [words]
         futures = [
             executor.submit(call, lo, hi)
             for lo, hi in zip(edges, edges[1:])

@@ -14,6 +14,8 @@ formula gives, on every engine.
 import ctypes
 import os
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -462,20 +464,23 @@ class TestSegmentAndUnitBoundaries:
         assert len(units) >= 3
         assert "void run_range(" in units[0]
         assert all("run_range" not in unit for unit in units[1:])
-        segments = [body for unit in units for body in _segment_bodies(unit)]
+        segments = [
+            body for unit in units for body in _segment_bodies(unit, built.unroll)
+        ]
         assert len(segments) >= 20
         sizes = [sum(block.count(";") for block in body) for body in segments]
         # a segment is over budget only when one node block alone is
         over = [body for body, size in zip(segments, sizes) if size > SEGMENT_BUDGET]
         assert over and all(len(body) == 1 for body in over)
         # and some unit starts on a constant, some unit on a mux
-        first_blocks = [_segment_bodies(unit)[0][0] for unit in units[1:]]
+        first_blocks = [
+            _segment_bodies(unit, built.unroll)[0][0] for unit in units[1:]
+        ]
         assert any(re.fullmatch(r"s\[\d+\] = C[01];", b) for b in first_blocks)
         assert any(re.fullmatch(r"s\[\d+\] = s\[\d+\] \^ .*", b) for b in first_blocks)
-        if built.unroll > 1:  # every width is cut at the same places
-            assert [
-                len(_segment_bodies(unit, built.unroll)) for unit in units
-            ] == [len(_segment_bodies(unit)) for unit in units]
+        # one width per source: a vector build carries no scalar twin
+        widths = set(re.findall(r"\bw(\d+)\b|_w(\d+)\b", built.c_source))
+        assert {a or b for a, b in widths} == {str(built.unroll)}
 
     @pytest.mark.parametrize("n_samples", [0, 1, 63, 64, 65, 1000])
     def test_bit_exact_across_the_cuts(self, built, netlist, n_samples):
@@ -500,11 +505,22 @@ class TestSegmentAndUnitBoundaries:
     def test_object_exports_the_entry_points_only(self, built):
         lib = ctypes.CDLL(built.shared_object)
         assert lib.run_range and lib.run_scores_range
-        last = len(re.findall(r"^seg\d+_w1\(s\);$", built.c_source, re.M)) - 1
-        for hidden in ("seg0_w1", f"seg{last}_w1", f"run_word_w{built.unroll}"):
+        k = built.unroll
+        last = len(re.findall(rf"^seg\d+_w{k}\(s\);$", built.c_source, re.M)) - 1
+        for hidden in (f"seg0_w{k}", f"seg{last}_w{k}", f"run_word_w{k}"):
             assert f"{hidden}(" in built.c_source
             with pytest.raises(AttributeError):
                 getattr(lib, hidden)
+        if shutil.which("nm"):
+            listing = subprocess.run(
+                ["nm", "-D", "--defined-only", built.shared_object],
+                capture_output=True, text=True, check=True,
+            ).stdout
+            functions = {
+                line.split()[-1] for line in listing.splitlines()
+                if line.split()[-2:-1] == ["T"]
+            }
+            assert functions == {"run_range", "run_scores_range"}
 
     def test_kept_source_is_the_whole_source(self, built):
         kept = os.path.join(
@@ -516,6 +532,113 @@ class TestSegmentAndUnitBoundaries:
             f"{built.digest}.c", f"{built.digest}.so", f"{built.digest}.lock",
         }
         assert leftovers == set()
+
+
+def _ragged_words(n_words, seed):
+    """``(X, packed)`` filling ``n_words`` words, the last one 51 samples
+    long with all-random garbage in its 13 padding lanes."""
+    rng = as_rng(seed)
+    n_samples = max(64 * n_words - 13, 0)
+    X = rng.integers(0, 2, size=(n_samples, N_INPUTS), dtype=np.uint8)
+    packed = pack_bits(X)
+    if n_words:
+        packed[:, -1] |= rng.integers(
+            0, 2**64, size=N_INPUTS, dtype=np.uint64
+        ) << np.uint64(51)
+    return X, packed
+
+
+def _ptr(array):
+    return array.ctypes.data_as(native_mod._WORD_PTR)
+
+
+#: word counts around a vector build's K lanes
+WORD_COUNTS = {
+    "0": lambda k: 0,
+    "1": lambda k: 1,
+    "K-1": lambda k: k - 1,
+    "K": lambda k: k,
+    "K+1": lambda k: k + 1,
+    "2K+3": lambda k: 2 * k + 3,
+    "1000": lambda k: 1000,
+}
+
+
+@needs_cc
+class TestVectorTail:
+    """A vector build runs whole K-word blocks and ends a ragged range in one
+    zero-padded K-word block that writes nothing at or past ``hi`` — no
+    scalar twin.  Every word count around K, either export, one or two
+    shards, and adjacent ranges run in either order give the same bits."""
+
+    N_GROUPS, P = 3, 4  # the read-out over the twelve outputs
+
+    @pytest.fixture(scope="class")
+    def netlist(self):
+        return random_netlist(N_INPUTS, 60, seed=23, n_outputs=self.N_GROUPS * self.P)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return as_rng(24).normal(size=(self.N_GROUPS, 1 << self.P))
+
+    @pytest.fixture(scope="class", params=[2, 4, 8], ids=lambda k: f"w{k}")
+    def built(self, request, netlist, tmp_path_factory):
+        return NativeCompiledNetlist(
+            CompiledNetlist.from_netlist(netlist),
+            cache_dir=str(tmp_path_factory.mktemp("lanes")),
+            unroll=request.param,
+            opt_tier="fast",
+            min_words_per_thread=1,
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("words", list(WORD_COUNTS))
+    def test_every_word_count(self, built, netlist, table, words, threads):
+        n_words = WORD_COUNTS[words](built.unroll)
+        X, packed = _ragged_words(n_words, seed=n_words)
+        n = X.shape[0]
+        built.threads = threads
+        expected = netlist.evaluate_outputs(X)
+        out = built.run_packed(packed)
+        np.testing.assert_array_equal(unpack_bits(out, n), expected)
+        scores = built.run_scores(packed, n, table)
+        np.testing.assert_array_equal(scores, lookup_scores(out, n, table))
+        np.testing.assert_array_equal(
+            scores, lookup_scores(pack_bits(expected), n, table)
+        )
+
+    @pytest.mark.parametrize("cut", ["K-1", "K+1", "2K+3"])
+    @pytest.mark.parametrize(
+        "high_first", [False, True], ids=["low-first", "high-first"]
+    )
+    def test_adjacent_ranges_in_either_order(
+        self, built, netlist, table, cut, high_first
+    ):
+        """``[0, c)`` and ``[c, n)`` through the raw exports on shared
+        buffers: the padded block of ``[0, c)`` computes lanes past ``c`` but
+        must not write them over the output words or score rows the other
+        range wrote first."""
+        n_words = 4 * built.unroll + 3
+        cut = WORD_COUNTS[cut](built.unroll)
+        X, packed = _ragged_words(n_words, seed=cut)
+        n = X.shape[0]
+        out = np.zeros((built.n_outputs, n_words), dtype=np.uint64)
+        scores = np.zeros((n, self.N_GROUPS))
+        ranges = [(0, cut), (cut, n_words)]
+        for lo, hi in reversed(ranges) if high_first else ranges:
+            built._run_range(_ptr(packed), _ptr(out), lo, hi, n_words)
+            built._run_scores_range(
+                _ptr(packed), _ptr(table), _ptr(scores),
+                lo, hi, n_words, n, self.N_GROUPS, self.P,
+            )
+        expected = netlist.evaluate_outputs(X)
+        np.testing.assert_array_equal(unpack_bits(out, n), expected)
+        np.testing.assert_array_equal(
+            scores, lookup_scores(built.run_packed(packed), n, table)
+        )
+        np.testing.assert_array_equal(
+            scores, lookup_scores(pack_bits(expected), n, table)
+        )
 
 
 class TestHandleLifecycle:

@@ -14,6 +14,7 @@ executor, and bit-exactness must hold all the same.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,40 @@ class TestWordShardMath:
                 engine.run_packed(packed), numpy_engine.run_packed(packed)
             )
 
+    @pytest.mark.parametrize("threads", [1, 2, 7])
+    def test_interior_shard_edges_fall_on_lane_multiples(self, threads):
+        """Every shard but the last starts and ends on a multiple of
+        ``unroll``, so at most one padded block runs per call — and the
+        ragged shapes stay bit-exact."""
+        _, program = _program(seed=31)
+        engine = NativeCompiledNetlist(
+            program, threads=threads, unroll=4, opt_tier="fast",
+            min_words_per_thread=1,
+        )
+        calls = []
+        real = engine._run_range
+
+        def recording(*args):
+            calls.append(args[2:4])
+            return real(*args)
+
+        engine._run_range = recording
+        rng = as_rng(32)
+        for n_samples in (1, 63, 64, 65, 7 * 64 + 13, 23 * 64 + 5, 1024):
+            X = rng.integers(0, 2, size=(n_samples, 24), dtype=np.uint8)
+            packed = pack_bits(X)
+            calls.clear()
+            np.testing.assert_array_equal(
+                engine.run_packed(packed), program.run_packed(packed)
+            )
+            words = packed.shape[1]
+            edges = sorted(calls)
+            assert edges[0][0] == 0 and edges[-1][1] == words
+            assert all(hi == lo for (_, hi), (lo, _) in zip(edges, edges[1:]))
+            assert all(hi % 4 == 0 for _, hi in edges[:-1])
+            assert all(hi > lo for lo, hi in edges)
+            assert len(edges) <= threads
+
     def test_more_threads_than_words(self):
         """threads > n_words: empty shards are skipped, not submitted."""
         _, program = _program(seed=33, n_primary=12, n_nodes=20)
@@ -119,16 +154,17 @@ class TestWordShardMath:
 class TestVectorCodegen:
     def test_unrolled_source_structure(self):
         _, program = _program(seed=41, n_primary=10, n_nodes=20)
-        source = generate_c_source(program, unroll=4)
-        # a 4-lane width next to the scalar tail driver, both restrict-ed
-        assert "vector_size(32)" in source
-        assert "typedef uint64_t w4" in source
-        assert "typedef uint64_t w1;" in source
-        assert "run_word_w4" in source
-        assert "run_word_w1" in source
-        assert "restrict" in source
-        # the exported range entry point the thread shards call
-        assert "void run_range(" in source
+        for unroll in (2, 4, 8):
+            source = generate_c_source(program, unroll=unroll)
+            # one width, the vector one: no scalar twin, no scalar driver
+            assert f"vector_size({unroll * 8})" in source
+            assert f"typedef uint64_t w{unroll} " in source
+            assert f"run_word_w{unroll}" in source
+            assert re.search(r"\bw1\b|_w1\b", source) is None
+            assert "restrict" in source
+            # the exported entry points the thread shards call
+            assert "void run_range(" in source
+            assert "void run_scores_range(" in source
 
     def test_scalar_source_has_no_vector_types(self):
         _, program = _program(seed=41, n_primary=10, n_nodes=20)
@@ -154,6 +190,34 @@ class TestVectorCodegen:
             np.testing.assert_array_equal(
                 engine.predict_batch(X), netlist.evaluate_outputs(X)
             )
+
+    @pytest.mark.parametrize(
+        "macros, lanes",
+        [
+            ("#define __AVX2__ 1\n#define __AVX512F__ 1\n", 8),
+            ("#define __AVX__ 1\n#define __AVX2__ 1\n", 4),
+            (None, 4),
+        ],
+        ids=["avx512", "avx2-only", "failing-query"],
+    )
+    def test_vector_lanes_from_the_fast_targets_macros(
+        self, tmp_path, monkeypatch, macros, lanes
+    ):
+        """The lane count is what ``cc <fast flags> -dM -E`` predefines,
+        asked once per process and compiler; a failed query means 4."""
+        log = tmp_path / "queries.log"
+        fake_cc = tmp_path / "fake-cc"
+        answer = f"printf '{macros}'" if macros else "echo 'no' >&2; exit 1"
+        fake_cc.write_text(f'#!/bin/sh\necho "$@" >> {log}\n{answer}\n')
+        fake_cc.chmod(0o755)
+        monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(fake_cc)])
+        monkeypatch.setattr(native_mod, "_lanes_by_compiler", {})
+        assert native_mod.vector_lanes() == lanes
+        assert native_mod.vector_lanes() == lanes
+        (query,) = log.read_text().splitlines()
+        assert query.split()[:4] == [*native_mod._OPT_TIERS["fast"], "-dM", "-E"]
+        monkeypatch.setattr(native_mod, "find_compiler", lambda: None)
+        assert native_mod.vector_lanes() == 4
 
     @needs_cc
     def test_unknown_opt_tier_rejected(self):
@@ -186,17 +250,20 @@ class TestAutotune:
         assert records[0].stat().st_mtime_ns != mtime
 
     def test_stale_record_re_measured(self, tmp_path):
-        """A record pinned on a different core count is not trusted."""
+        """A record pinned on a different core count is not trusted, nor is
+        a version-1 record (it pinned 4 lanes on every host)."""
         _, program = _program(seed=52, n_primary=12, n_nodes=25)
         autotune_config(program, cache_dir=str(tmp_path))
         record_path = next(tmp_path.glob("*.tune.json"))
-        record = json.loads(record_path.read_text())
-        record["n_cpus"] = 9999
-        record["threads"] = 9999
-        record_path.write_text(json.dumps(record))
-        config = autotune_config(program, cache_dir=str(tmp_path))
-        assert config.threads != 9999
-        assert json.loads(record_path.read_text())["n_cpus"] != 9999
+        fresh = json.loads(record_path.read_text())
+        assert fresh["version"] == native_mod._TUNE_VERSION == 2
+        for stale in ({"n_cpus": 9999}, {"version": 1, "unroll": 4}):
+            record_path.write_text(json.dumps({**fresh, **stale, "threads": 9999}))
+            config = autotune_config(program, cache_dir=str(tmp_path))
+            assert config.threads != 9999
+            record = json.loads(record_path.read_text())
+            assert (record["version"], record["n_cpus"]) == (2, default_thread_count())
+            assert record["threads"] == config.threads
 
     def test_corrupt_record_re_measured(self, tmp_path):
         _, program = _program(seed=53, n_primary=12, n_nodes=25)
@@ -242,8 +309,8 @@ class TestAutotune:
     def test_one_codegen_per_program_and_unroll(self, tmp_path, monkeypatch):
         """An attach generates each ``(program, unroll)`` source once: the
         tune digest and the baseline share the scalar one, both thread
-        counts are measured on one 4-lane engine, and the winner is built
-        from the source the tuner already holds."""
+        counts are measured on one engine at the host's vector width, and
+        the winner is built from the source the tuner already holds."""
         _, program = _program(seed=60)
         generated = []
         real = native_mod.generate_c_source
@@ -254,7 +321,7 @@ class TestAutotune:
 
         monkeypatch.setattr(native_mod, "generate_c_source", spy)
         cold = NativeCompiledNetlist.tuned(program, cache_dir=str(tmp_path))
-        assert sorted(generated) == [1, native_mod.DEFAULT_UNROLL]
+        assert sorted(generated) == [1, native_mod.vector_lanes()]
         record = json.loads(next(tmp_path.glob("*.tune.json")).read_text())
         # one timing per (build, thread count): three candidates, two builds
         assert len(record["timings_s"]) == (3 if default_thread_count() > 1 else 2)
