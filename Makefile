@@ -8,7 +8,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-lifecycle check check-san bench bench-perf bench-perf-trace profile-compile profile-predict profile-serve profile-kernel serve-demo serve-stats serve-cluster
+.PHONY: test test-lifecycle check check-san loc bench bench-perf bench-perf-trace profile-compile profile-predict profile-serve profile-kernel serve-demo serve-stats serve-cluster
 
 # Tier-1 verification: the full test suite (tests/ and benchmarks/).
 test:
@@ -49,6 +49,16 @@ check-san:
 	REPRO_NATIVE_CACHE=$$cache \
 	$(PYTEST) tests/engine/test_engine_conformance.py tests/engine/test_native_backend.py -x -q; \
 	status=$$?; rm -rf $$cache; exit $$status
+
+# Source size, report only: lines of Python per src/repro package (the
+# package's own __init__.py as src/repro/) and in total, counted the way the
+# ROADMAP counts them: find src -name '*.py' | xargs cat | wc -l.
+loc:
+	@printf '%7d  %s\n' $$(cat src/repro/*.py | wc -l) src/repro/; \
+	for package in src/repro/*/; do \
+		printf '%7d  %s\n' $$(find $$package -name '*.py' | xargs cat | wc -l) $$package; \
+	done; \
+	printf '%7d  %s\n' $$(find src -name '*.py' | xargs cat | wc -l) total
 
 # The one wall-clock target that is not benchmarks/perf: eight report-only
 # A-vs-B comparisons (chain fusion, P=8 pipeline, structured bank, pool

@@ -116,11 +116,10 @@ Runtime
     The shared ``predict_batch(X, batch_size=None)`` entry point.
     :class:`~repro.engine.batching.BatchedPredictorMixin` gives any
     vectorised ``predict`` a chunked batched counterpart; the PoET-BiN and
-    RINC classifiers override it with the compiled fast path.  The
-    :func:`~repro.engine.batching.coalesce_batches` /
-    :func:`~repro.engine.batching.split_batches` pair goes the other way —
-    many small requests stacked into one evaluation and scattered back —
-    and is the substrate of the :mod:`repro.serving` batching server.
+    RINC classifiers override it with the compiled fast path.  The other
+    direction — many small requests merged into one evaluation — stays
+    packed: the :mod:`repro.serving` queue merges request words with
+    :func:`~repro.engine.bitpack.concat_packed`.
 
 ``random_netlists``
     Adversarially random LUT DAGs used by the equivalence property tests and
@@ -141,12 +140,7 @@ feature bits through the RINC bank into the table-lookup read-out
 caller made).
 """
 
-from repro.engine.batching import (
-    BatchedPredictorMixin,
-    coalesce_batches,
-    predict_in_batches,
-    split_batches,
-)
+from repro.engine.batching import BatchedPredictorMixin, predict_in_batches
 from repro.engine.bitpack import (
     WORD_BITS,
     concat_packed,
@@ -214,7 +208,6 @@ __all__ = [
     "WorkerPool",
     "autotune_config",
     "build_engine",
-    "coalesce_batches",
     "concat_packed",
     "compile_netlist",
     "default_passes",
@@ -229,7 +222,6 @@ __all__ = [
     "random_netlist",
     "rinc_bank_netlist",
     "shard_bounds",
-    "split_batches",
     "statement_cost",
     "structured_bank_netlist",
     "table_cost",

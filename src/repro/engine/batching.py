@@ -1,26 +1,15 @@
-"""Shared batched-prediction API and request coalescing primitives.
+"""Shared batched-prediction API.
 
 Every classifier in the library exposes the same batched entry point,
 ``predict_batch(X, batch_size=None)``.  Models with a bit-packed fast path
 (PoET-BiN, RINC) override it to run the compiled engine; arithmetic models
 (the output layer, the baselines) inherit :class:`BatchedPredictorMixin`,
 which chunks the batch so memory stays bounded under serving-sized inputs.
-
-The inverse direction — many *small* requests sharing one *large* packed
-evaluation — is served by the pack/scatter pair
-:func:`coalesce_batches` / :func:`split_batches`: the serving layer
-(:mod:`repro.serving`) stacks concurrent requests into a single matrix, runs
-the engine once, and scatters per-request slices of the result back to the
-callers.  In the multi-model server each hosted model runs its own
-coalesce/scatter queue over this pair while sharing one
-:class:`~repro.engine.parallel.WorkerPool` underneath.  The pair itself is
-pure array bookkeeping, usable by any batching front end (asyncio server,
-thread pool, offline scheduler).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,51 +34,6 @@ def predict_in_batches(
         for start in range(0, X.shape[0], batch_size)
     ]
     return np.concatenate(chunks, axis=0)
-
-
-def coalesce_batches(
-    chunks: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
-    """Stack row chunks into one matrix, remembering each chunk's row span.
-
-    Returns ``(X, bounds)`` where ``X`` is the vertical concatenation of
-    ``chunks`` and ``bounds[i] = (lo, hi)`` is the half-open row range of
-    chunk ``i`` inside ``X``.  All chunks must be 2-D with the same column
-    count; zero-row chunks are allowed and keep their (empty) span so the
-    scatter side stays positional.
-    """
-    if not chunks:
-        raise ValueError("coalesce_batches needs at least one chunk")
-    arrays = [np.asarray(c) for c in chunks]
-    widths = {a.shape[1] for a in arrays if a.ndim == 2}
-    if any(a.ndim != 2 for a in arrays) or len(widths) > 1:
-        shapes = [a.shape for a in arrays]
-        raise ValueError(f"chunks must be 2-D with equal widths, got {shapes}")
-    bounds: List[Tuple[int, int]] = []
-    offset = 0
-    for a in arrays:
-        bounds.append((offset, offset + a.shape[0]))
-        offset += a.shape[0]
-    return np.concatenate(arrays, axis=0), bounds
-
-
-def split_batches(
-    result: np.ndarray, bounds: Sequence[Tuple[int, int]]
-) -> List[np.ndarray]:
-    """Scatter a coalesced result back into per-chunk slices.
-
-    ``result`` is any array whose first axis is the coalesced sample axis
-    (labels ``(n,)``, scores ``(n, nc)``, bit matrices ``(n, F)`` — the
-    trailing shape is preserved).  ``bounds`` is the span list produced by
-    :func:`coalesce_batches`; the returned views are in the same order.
-    """
-    result = np.asarray(result)
-    if bounds and result.shape[0] != bounds[-1][1]:
-        raise ValueError(
-            f"result has {result.shape[0]} rows but bounds cover "
-            f"{bounds[-1][1]}"
-        )
-    return [result[lo:hi] for lo, hi in bounds]
 
 
 class BatchedPredictorMixin:

@@ -1,12 +1,12 @@
 """Request coalescing: many small requests, one packed evaluation.
 
 :class:`BatchingQueue` is the asyncio heart of the serving layer.  A
-request is a row range in a batch, not a task: :meth:`BatchingQueue.admit`
-/ :meth:`BatchingQueue.admit_packed` validate and admit it synchronously,
+request is a row range in a batch, not a task:
+:meth:`BatchingQueue.admit_packed` validates and admits it synchronously,
 in the caller's own stack frame, with a *reply sink* where a future used to
 be; the queue holds requests for at most ``max_wait_us`` microseconds,
-stacks whatever has accumulated into a single matrix
-(:func:`~repro.engine.batching.coalesce_batches`), runs the model's batch
+merges whatever has accumulated into a single word matrix
+(:func:`~repro.engine.bitpack.concat_packed`), runs the model's batch
 function **once** on its executor thread, and completes the batch **once**:
 one stats record, then one call per distinct sink with the whole result, in
 which every entry knows its row range.  The awaitable ``submit(rows)`` /
@@ -62,35 +62,36 @@ executor persists across batches — together with the (optional)
 :class:`~repro.engine.parallel.WorkerPool` underneath the batch function's
 engine, the whole worker stack outlives any one call.
 
-Packed submissions
-==================
+One payload: packed words
+=========================
 
-:meth:`BatchingQueue.submit_packed` is the binary wire protocol's entry:
-the request arrives as the engine's own ``(F, n_words(k))`` uint64
-bit-plane matrix.  Packed co-travellers coalesce *in the packed domain* —
-:func:`~repro.engine.bitpack.concat_packed` merges their words with a few
-shifts per request — and the batch evaluates through the model's
-``packed_fn`` as words, so nothing on the whole path unpacks, re-packs, or
-touches JSON.  Rows and packed requests never share a batch (a
-representation change flushes the pending batch, exactly like a width
-change); models without a ``packed_fn`` still accept packed submissions
-via one ``unpack_bits`` on the coalesced words.
+Everything a queue holds is the engine's own ``(F, n_words(k))`` uint64
+bit-plane matrix.  The binary wire protocol carries it as is; JSON rows
+(and :meth:`BatchingQueue.submit`'s) are validated and packed once, at
+admission, by :func:`pack_rows`.  Co-travellers from either wire coalesce
+*in the packed domain* — :func:`~repro.engine.bitpack.concat_packed`
+merges their words with a few shifts per request — and the batch evaluates
+through the model's ``packed_fn`` as words.  A request of another feature
+width flushes the pending batch and starts its own; a model without a
+``packed_fn`` gets one ``unpack_bits`` of the coalesced words per batch and
+its ``batch_fn`` sees ``(n, F)`` uint8 rows.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.batching import coalesce_batches
 from repro.engine.bitpack import (
     concat_packed,
     mask_padding,
     n_words,
+    pack_bits,
     unpack_bits,
 )
 from repro.serving.stats import ServerStats
@@ -103,6 +104,7 @@ __all__ = [
     "ServerOverloadedError",
     "ServerUnavailableError",
     "ServingError",
+    "pack_rows",
 ]
 
 
@@ -200,27 +202,36 @@ class AdmissionBudget:
         ``max(1, round(max_samples * w / sum(w)))``.  Takes effect at the
         next reservation — samples already reserved are never clawed back,
         an over-share key simply sheds until it drains below its new
-        share.  An empty mapping removes all per-key bounds.
+        share.  An empty mapping removes all per-key bounds.  The mapping is
+        validated whole before anything changes: a rejected call leaves the
+        weights and shares exactly as they were.
         """
         cleaned = {}
         for key, weight in weights.items():
             if not isinstance(key, str):
                 raise ValueError("weight keys must be model-name strings")
-            weight = float(weight)
-            if weight < 0 or weight != weight:  # negative or NaN
+            try:
+                weight = float(weight)
+            except (TypeError, ValueError, OverflowError):
+                weight = math.nan  # not a number: rejected just below
+            if not 0 <= weight < math.inf:  # negative, NaN or infinite
                 raise ValueError(
-                    f"weight for {key!r} must be a non-negative number"
+                    f"weight for {key!r} must be a finite non-negative number"
                 )
             cleaned[key] = weight
         total = sum(cleaned.values())
+        if total == math.inf:
+            raise ValueError(
+                "weights must have a finite sum (these overflow a float)"
+            )
+        shares = {}
+        if total > 0:
+            shares = {
+                key: max(1, round(self.max_samples * (weight / total)))
+                for key, weight in cleaned.items()
+            }
         self._weights = cleaned
-        if total <= 0:
-            self._shares = {}
-            return
-        self._shares = {
-            key: max(1, round(self.max_samples * weight / total))
-            for key, weight in cleaned.items()
-        }
+        self._shares = shares
 
     def share_of(self, key: Optional[str]) -> int:
         """The sample bound ``key`` reserves under (the whole budget for
@@ -255,6 +266,19 @@ class AdmissionBudget:
                 self._per_key[key] = held
 
 
+def pack_rows(rows) -> Tuple[np.ndarray, int]:
+    """Validate a request's ``(k, F)`` 0/1 rows (``k >= 1``) and pack them:
+    ``(words, k)``, the queue's one payload.  Malformed rows are the typed
+    :class:`BadRequestError`."""
+    try:
+        rows = check_binary_matrix(rows, "rows")
+    except ValueError as error:
+        raise BadRequestError(str(error)) from error
+    if rows.shape[0] == 0:
+        raise BadRequestError("a request must carry at least one sample")
+    return pack_bits(rows), rows.shape[0]
+
+
 class _Pending:
     """One admitted request waiting for (or riding in) a batch.
 
@@ -271,7 +295,7 @@ class _Pending:
     )
 
     def __init__(self, payload, n_samples, lo, complete, tag) -> None:
-        self.payload = payload  # (k, F) rows, or (F, n_words(k)) packed words
+        self.payload = payload  # (F, n_words(k)) packed words
         self.n_samples = n_samples
         self.lo = lo  # its first row in the batch (and in the batch's result)
         self.complete = complete
@@ -299,8 +323,9 @@ class BatchingQueue:
     ----------
     batch_fn:
         ``(n, F) -> array with first axis n`` — labels, scores, anything
-        sliceable along the sample axis.  Runs on the queue's executor
-        thread, never on the event loop.
+        sliceable along the sample axis — over uint8 rows, used when there
+        is no ``packed_fn``.  Runs on the queue's executor thread, never on
+        the event loop.
     max_batch:
         Flush as soon as this many samples are queued.
     max_wait_us:
@@ -323,12 +348,11 @@ class BatchingQueue:
         individually.  ``None`` reserves against only the total bound.
     packed_fn:
         Optional ``(packed_words, n_samples) -> array with first axis
-        n_samples`` fast path for :meth:`submit_packed`: the coalesced
-        ``(F, n_words(n))`` uint64 matrix goes to the model *as words* —
-        no unpack, no re-pack.  Its output must mean the same thing as
-        ``batch_fn``'s (labels with labels, scores with scores).  Without
-        it, packed submissions fall back to one ``unpack_bits`` plus
-        ``batch_fn`` — still no JSON anywhere on the path.
+        n_samples`` fast path: the coalesced ``(F, n_words(n))`` uint64
+        matrix goes to the model *as words* — no unpack, no re-pack.  Its
+        output must mean the same thing as ``batch_fn``'s (labels with
+        labels, scores with scores).  Without it, every batch falls back
+        to one ``unpack_bits`` plus ``batch_fn``.
     """
 
     def __init__(
@@ -358,8 +382,8 @@ class BatchingQueue:
         self._budget = budget
         self._budget_key = budget_key
         self._pending: List[_Pending] = []
-        #: what the pending entries agree on: (packed words?, feature width)
-        self._pending_key: Tuple[bool, int] = (False, 0)
+        #: the feature width every pending entry shares
+        self._pending_width = 0
         self._queued_samples = 0
         self._inflight_samples = 0
         self._depth_hwm = 0  # loop-confined; reaches the stats once per batch
@@ -373,8 +397,8 @@ class BatchingQueue:
     # ------------------------------------------------------------ admission
     @property
     def packed_path(self) -> bool:
-        """Whether packed submissions evaluate as words (a ``packed_fn``
-        was given) rather than through the unpack fallback."""
+        """Whether batches evaluate as words (a ``packed_fn`` was given)
+        rather than through the unpack fallback."""
         return self._packed_fn is not None
 
     @property
@@ -388,7 +412,7 @@ class BatchingQueue:
         return self._queued_samples + self._inflight_samples
 
     def _admit(self, k: int) -> None:
-        """Admission control for ``k`` samples (shared by both submit paths)."""
+        """Admission control for ``k`` samples."""
         backlog = self._queued_samples + self._inflight_samples
         if backlog + k > self.max_queue and backlog > 0:
             self.stats.observe_shed()
@@ -418,70 +442,23 @@ class BatchingQueue:
                 f"{self._budget.max_samples}"
             )
 
-    def _enqueue(
-        self,
-        payload: np.ndarray,
-        k: int,
-        key: Tuple[bool, int],
-        complete: Callable,
-        tag: Any,
+    def admit_packed(
+        self, packed: np.ndarray, n_samples: int, complete: Callable, tag: Any
     ) -> None:
-        self._admit(k)
-        # Requests that can never share the pending batch's coalesced matrix
-        # (different feature width, or rows vs packed words) flush what is
-        # queued and start a fresh batch, so a client with the wrong shape
-        # fails alone instead of wedging co-travellers.
-        if self._pending and key != self._pending_key:
-            self._flush_now()
-        self._pending_key = key
-        self._pending.append(
-            _Pending(payload, k, self._queued_samples, complete, tag)
-        )
-        self._queued_samples = queued = self._queued_samples + k
-        if queued + self._inflight_samples > self._depth_hwm:
-            self._depth_hwm = queued + self._inflight_samples
-        if queued >= self.max_batch:
-            self._flush_now()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                self.max_wait_us / 1e6, self._flush_now
-            )
+        """Validate and admit one request in the caller's own stack frame;
+        the answer goes to the reply sink ``complete`` / ``tag`` (see
+        :class:`_Pending`) when its batch is done.
 
-    def admit(self, rows: np.ndarray, complete: Callable, tag: Any) -> None:
-        """Validate and admit ``rows`` (a ``(k, F)`` 0/1 matrix, ``k >= 1``)
-        in the caller's own stack frame; the answer goes to the reply sink
-        ``complete`` / ``tag`` (see :class:`_Pending`) when its batch is done.
+        ``packed`` is the ``(F, n_words(n_samples))`` uint64 bit-plane
+        matrix of :func:`~repro.engine.bitpack.pack_bits` — what the binary
+        wire protocol carries, and what :func:`pack_rows` makes of rows.
+        The queue keeps ``packed`` until the batch evaluates, so it must be
+        a buffer the caller will not write to again.
 
         Raises :class:`BadRequestError` for malformed input and
         :class:`ServerOverloadedError` when admission control sheds the
         request — in both cases nothing was queued and ``complete`` will
         not be called for it.
-        """
-        if self._closed:
-            raise RuntimeError("this BatchingQueue has been closed")
-        try:
-            rows = check_binary_matrix(rows, "rows")
-        except ValueError as error:
-            raise BadRequestError(str(error)) from error
-        if rows.shape[0] == 0:
-            raise BadRequestError("a request must carry at least one sample")
-        self._enqueue(
-            rows, rows.shape[0], (False, rows.shape[1]), complete, tag
-        )
-
-    def admit_packed(
-        self, packed: np.ndarray, n_samples: int, complete: Callable, tag: Any
-    ) -> None:
-        """:meth:`admit` for a *pre-packed* request.
-
-        ``packed`` is the ``(F, n_words(n_samples))`` uint64 bit-plane
-        matrix of :func:`~repro.engine.bitpack.pack_bits` — what the binary
-        wire protocol carries.  Packed co-travellers are concatenated in
-        the packed domain (:func:`~repro.engine.bitpack.concat_packed`)
-        and fed to ``packed_fn`` as words; without a ``packed_fn`` the
-        coalesced words are unpacked once and ``batch_fn`` runs as usual.
-        The queue keeps ``packed`` until the batch evaluates, so it must be
-        a buffer the caller will not write to again.
         """
         if self._closed:
             raise RuntimeError("this BatchingQueue has been closed")
@@ -501,9 +478,26 @@ class BatchingQueue:
                 f"{n_samples} samples need {n_words(n_samples)} words per "
                 f"signal, got {words.shape[1]}"
             )
-        self._enqueue(
-            words, n_samples, (True, words.shape[0]), complete, tag
+        self._admit(n_samples)
+        # A request that can never share the pending batch's word matrix (a
+        # different feature width) flushes what is queued and starts a fresh
+        # batch, so a client with the wrong shape fails alone instead of
+        # wedging co-travellers.
+        if self._pending and words.shape[0] != self._pending_width:
+            self._flush_now()
+        self._pending_width = words.shape[0]
+        self._pending.append(
+            _Pending(words, n_samples, self._queued_samples, complete, tag)
         )
+        self._queued_samples = queued = self._queued_samples + n_samples
+        if queued + self._inflight_samples > self._depth_hwm:
+            self._depth_hwm = queued + self._inflight_samples
+        if queued >= self.max_batch:
+            self._flush_now()
+        elif self._timer is None:
+            self._timer = asyncio.get_running_loop().call_later(
+                self.max_wait_us / 1e6, self._flush_now
+            )
 
     def discard(self, abandoned: Callable[[Any], bool]) -> None:
         """Drop every still-queued entry whose ``tag`` satisfies
@@ -543,17 +537,16 @@ class BatchingQueue:
             self.discard(lambda tag: tag is future)
 
     async def submit(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`admit` ``rows`` and await the per-request slice of the
-        coalesced result (raises what :meth:`admit` raises, and whatever
-        the batch's evaluation raised)."""
-        return await self.awaited(self.admit, rows)
+        """:func:`pack_rows` ``rows`` (a ``(k, F)`` 0/1 matrix) and
+        :meth:`submit_packed` the words."""
+        return await self.submit_packed(*pack_rows(rows))
 
     async def submit_packed(
         self, packed: np.ndarray, n_samples: int
     ) -> np.ndarray:
         """:meth:`admit_packed` a pre-packed request and await its slice of
-        the result.  Admission control, coalescing policy and stats are
-        identical to :meth:`submit`."""
+        the result (raises what :meth:`admit_packed` raises, and whatever
+        the batch's evaluation raised)."""
         return await self.awaited(self.admit_packed, packed, n_samples)
 
     # ------------------------------------------------------------- flushing
@@ -574,18 +567,16 @@ class BatchingQueue:
         self._queued_samples = 0
         self.stats.observe_queue_depth(self._depth_hwm)
         task = asyncio.get_running_loop().create_task(
-            self._evaluate(entries, n_samples, self._pending_key[0])
+            self._evaluate(entries, n_samples)
         )
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
     def _run_batch(
-        self, entries: List[_Pending], n_samples: int, packed: bool
+        self, entries: List[_Pending], n_samples: int
     ) -> np.ndarray:
         """Coalesce the entries and evaluate them once (executor thread)."""
         payloads = [entry.payload for entry in entries]
-        if not packed:
-            return self._batch_fn(coalesce_batches(payloads)[0])
         if len(entries) == 1:
             # mask so a model's packed path never sees a client's padding
             # garbage (concat_packed masks internally for the multi case)
@@ -598,9 +589,7 @@ class BatchingQueue:
             return self._packed_fn(words, n_samples)
         return self._batch_fn(unpack_bits(words, n_samples))
 
-    async def _evaluate(
-        self, entries: List[_Pending], n_samples: int, packed: bool
-    ) -> None:
+    async def _evaluate(self, entries: List[_Pending], n_samples: int) -> None:
         """One batch, start to finish: evaluate off the loop, then book it
         and complete it — once, not once per request."""
         result = error = None
@@ -611,7 +600,7 @@ class BatchingQueue:
         try:
             result = np.asarray(
                 await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._run_batch, entries, n_samples, packed
+                    self._executor, self._run_batch, entries, n_samples
                 )
             )
             if result.shape[:1] != (n_samples,):

@@ -125,20 +125,14 @@ class RegisteredModel:
     on_retire: Optional[Callable[[], Any]] = None
 
     def submit(self, request: Any, complete: Callable, tag: Any) -> None:
-        """Admit one decoded predict into this version's queue, in the
-        caller's own stack frame; its answer goes to the reply sink
-        ``complete`` / ``tag`` (see :meth:`BatchingQueue.admit`).
-
-        The one place packed words and JSON rows part ways — a
-        ``BinaryRequest``'s words go in as words, a ``JsonPredictRequest``'s
-        rows as rows — shared by the primary path and the shadow mirror.
-        """
-        if request.packed is not None:
-            self.queue.admit_packed(
-                request.packed, request.n_samples, complete, tag
-            )
-        else:
-            self.queue.admit(request.rows, complete, tag)
+        """Admit one decoded predict of either wire into this version's
+        queue, in the caller's own stack frame; its answer goes to the
+        reply sink ``complete`` / ``tag`` (see
+        :meth:`BatchingQueue.admit_packed`).  Shared by the primary path
+        and the shadow mirror."""
+        self.queue.admit_packed(
+            request.packed, request.n_samples, complete, tag
+        )
 
     def describe(self) -> Dict[str, Any]:
         """The ``list_models`` wire entry for this model version."""

@@ -461,8 +461,8 @@ class InferenceServer(FrameServer):
         reader's stack frame: no task, no future — :meth:`_complete`
         answers it with the rest of its batch.
 
-        Packed words go straight into the model's queue, JSON rows through
-        the queue's validation; failures are typed
+        Either wire's packed words go into the model's queue (a JSON
+        request's rows are packed on that first read); failures are typed
         :class:`~repro.serving.queue.ServingError`\\ s the base encodes for
         the requester's wire.  Nothing between resolving the model and
         entering its queue can yield, which is what makes a promotion
@@ -486,7 +486,7 @@ class InferenceServer(FrameServer):
         self, entries: list, result: Optional[np.ndarray], error
     ) -> None:
         """One batch of admitted predicts is done (the queue's completion
-        call, see :meth:`BatchingQueue.admit`): ``argmax`` once, every
+        call, see :meth:`BatchingQueue.admit_packed`): ``argmax`` once, every
         connection's replies in one block, the shadow question asked once.
         """
         model = entries[0].tag[3]  # a queue serves one model version

@@ -55,7 +55,7 @@ import struct
 import types
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import (
     Any,
     Awaitable,
@@ -76,6 +76,7 @@ from repro.serving.queue import (
     ServerOverloadedError,
     ServerUnavailableError,
     ServingError,
+    pack_rows,
 )
 from repro.serving.registry import ModelNotFoundError
 
@@ -239,23 +240,26 @@ def model_field(payload: Dict[str, Any]) -> Optional[str]:
 @dataclass
 class JsonPredictRequest:
     """The JSON protocol's ``predict`` op, decoded to :class:`BinaryRequest`'s
-    shape — ``rows`` where that has ``packed`` — so a server's one predict
-    routine takes either, and
-    :meth:`~repro.serving.registry.RegisteredModel.submit` picks the queue's
-    entry point from whichever payload is there."""
+    shape, so a server's one predict routine takes either.  ``packed`` is
+    the rows validated and packed (:func:`~repro.serving.queue.pack_rows`)
+    on first read — at admission, after the model resolved, so the error
+    a malformed matrix earns comes after the model's own."""
 
     model: Optional[str]
     rows: np.ndarray  # (n_samples, n_features), values as the client sent them
     n_samples: int
     return_scores: bool
-    packed = None  # not a field: a JSON predict never carries words
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        return pack_rows(self.rows)[0]
 
     @classmethod
     def decode(cls, payload: Dict[str, Any]) -> "JsonPredictRequest":
         model = model_field(payload)
         try:
-            # no dtype coercion here: check_binary_matrix inside the queue
-            # must see the raw values so 0.5 is rejected, not truncated to 0
+            # no dtype coercion here: pack_rows must see the raw values so
+            # 0.5 is rejected, not truncated to 0
             rows = np.asarray(payload.get("features"))
         except (TypeError, ValueError):
             raise BadRequestError(

@@ -309,3 +309,49 @@ class TestSetAdmissionWeights:
         not_a_dict, negative = asyncio.run(drive())
         assert not_a_dict["error"]["type"] == "bad_request"
         assert negative["error"]["type"] == "bad_request"
+
+    def test_non_finite_weights_are_rejected_and_change_nothing(self):
+        """``Infinity`` (which the client encoder refuses to write, so the
+        frame is built by hand) and an overflowing sum are typed
+        ``bad_request`` naming the problem; the live shares stay."""
+        async def drive():
+            srv = InferenceServer(
+                max_batch=8, max_wait_us=500, max_queue=256,
+                max_total_queue=100,
+            )
+            srv.register_model("a", _popcount_fn)
+            srv.register_model("b", _popcount_fn)
+            address = await srv.start()
+            budget = srv._registry.budget
+            try:
+                await _request(
+                    address,
+                    {
+                        "op": "set_admission_weights",
+                        "weights": {"a": 3.0, "b": 1.0},
+                    },
+                )
+                before = budget.weights, budget.share_of("a")
+                replies = []
+                for body in (
+                    b'{"op":"set_admission_weights",'
+                    b'"weights":{"a":Infinity,"b":1}}',
+                    b'{"op":"set_admission_weights",'
+                    b'"weights":{"a":1e308,"b":1e308}}',
+                ):
+                    reader, writer = await asyncio.open_connection(*address)
+                    writer.write(len(body).to_bytes(4, "big") + body)
+                    replies.append(await read_message(reader))
+                    writer.close()
+                    await writer.wait_closed()
+                after = budget.weights, budget.share_of("a")
+                return replies, before, after
+            finally:
+                await srv.stop()
+
+        (infinite, overflow), before, after = asyncio.run(drive())
+        assert infinite["error"]["type"] == "bad_request"
+        assert "finite non-negative" in infinite["error"]["message"]
+        assert overflow["error"]["type"] == "bad_request"
+        assert "finite sum" in overflow["error"]["message"]
+        assert before == after == ({"a": 3.0, "b": 1.0}, 75)

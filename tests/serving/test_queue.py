@@ -542,8 +542,8 @@ class TestPackedSubmissions:
                 result, chunk.astype(np.int64) @ weights
             )
 
-    def test_rows_and_packed_never_share_a_batch(self):
-        """A representation change flushes, like a width change does."""
+    def test_rows_and_packed_share_a_batch(self):
+        """Rows are packed at admission: one payload, one batch."""
         from repro.engine import pack_bits, unpack_bits
 
         batch_calls = []
@@ -571,17 +571,55 @@ class TestPackedSubmissions:
             b = asyncio.ensure_future(
                 queue.submit_packed(pack_bits(rows), 2)
             )
-            await asyncio.sleep(0)  # packed flushed the row batch
+            await asyncio.sleep(0)  # packed joined the pending batch
             c = asyncio.ensure_future(queue.submit(rows))
             results = await asyncio.gather(a, b, c)
             await queue.close()
             return results
 
         results = asyncio.run(main())
-        assert batch_calls == [2, 2]  # rows before, rows after
-        assert packed_calls == [2]  # the packed singleton in between
+        assert packed_calls == [6]  # rows, packed, rows: one batch
+        assert batch_calls == []
         for r in results:
             np.testing.assert_array_equal(r, [N_FEATURES, N_FEATURES])
+
+    def test_without_packed_fn_batch_fn_sees_the_submitted_rows(self):
+        """One unpack per batch: uint8, C-contiguous, equal to what came in."""
+        from repro.engine import pack_bits
+
+        rng = np.random.default_rng(3)
+        chunks = [
+            rng.integers(0, 2, size=(k, N_FEATURES)) for k in (3, 1, 70, 2)
+        ]
+        seen = []
+
+        def batch_fn(X):
+            seen.append(X)
+            return X.astype(np.int64).sum(axis=1)
+
+        async def main():
+            queue = BatchingQueue(
+                batch_fn, max_batch=4096, max_wait_us=50_000, max_queue=4096
+            )
+            futures = [
+                asyncio.ensure_future(
+                    queue.submit(chunk.astype(bool))
+                    if index % 2
+                    else queue.submit_packed(pack_bits(chunk), len(chunk))
+                )
+                for index, chunk in enumerate(chunks)
+            ]
+            results = await asyncio.gather(*futures)
+            await queue.close()
+            return results
+
+        results = asyncio.run(main())
+        assert len(seen) == 1
+        X = seen[0]
+        assert X.dtype == np.uint8 and X.flags.c_contiguous
+        np.testing.assert_array_equal(X, np.concatenate(chunks))
+        for chunk, result in zip(chunks, results):
+            np.testing.assert_array_equal(result, chunk.sum(axis=1))
 
     def test_packed_validation_is_typed(self):
         from repro.engine import pack_bits
@@ -708,6 +746,32 @@ class TestWeightedBudget:
             budget.set_weights({"a": float("nan")})
         with pytest.raises(ValueError, match="strings"):
             budget.set_weights({3: 1.0})
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ({"a": float("inf"), "b": 1.0}, "finite non-negative"),
+            ({"a": 1.0, "b": float("-inf")}, "finite non-negative"),
+            ({"a": 1e308, "b": 1e308}, "finite sum"),
+            ({"a": 1.0, "b": None}, "finite non-negative"),
+            ({"a": 1.0, "b": 10**400}, "finite non-negative"),
+            ({"a": 2.0, 3: 1.0}, "strings"),
+        ],
+    )
+    def test_rejected_weights_change_nothing(self, weights, match):
+        budget = AdmissionBudget(100, weights={"a": 3.0, "b": 1.0})
+        before = budget.weights
+        shares = {key: budget.share_of(key) for key in ("a", "b", "c")}
+        with pytest.raises(ValueError, match=match):
+            budget.set_weights(weights)
+        assert budget.weights == before
+        assert {key: budget.share_of(key) for key in ("a", "b", "c")} == shares
+
+    def test_huge_finite_weight_gets_the_whole_share(self):
+        budget = AdmissionBudget(100)
+        budget.set_weights({"a": 1e308, "b": 0.0})
+        assert budget.share_of("a") == 100
+        assert budget.share_of("b") == 1
 
     def test_queue_sheds_at_its_share_while_box_is_idle(self):
         """The hard direction: reserved headroom stays reserved."""
