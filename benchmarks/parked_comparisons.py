@@ -11,7 +11,7 @@ comparison                      what it is waiting for in benchmarks/perf
 chain fusion, P=8 pipeline,     trained-bank rows per pass pipeline
 structured-bank pruning         (``passes.cost_after``, ``*.ns_per_lutword``)
 WorkerPool sharding             a pool workload (ROADMAP item 3)
-native-mt one-word latency      a one-word row for the tuned engine
+native-mt one-word latency      a one-word row for the native-mt engine
 multi-model serving             a two-model ``serve_small_closed`` mix
 binary vs JSON wire             a JSON-wire serving workload
 2-replica router                a routed serving workload
@@ -157,18 +157,18 @@ def test_sharded_vs_serial():
 
 
 def test_native_mt_one_word_vs_scalar():
-    """A sub-grain batch should stay on the calling thread, so the tuned
-    engine's one-word latency should be within noise of the scalar one."""
+    """A sub-grain batch stays on the calling thread, so ``native-mt``'s
+    one-word latency is its vector build's, beside a scalar build's."""
     require_toolchain()
     _, scalar, tuned = native_mt_bench.native_engines()
     packed = pack_bits(random_rows(64, seed=1))
     best = _interleaved_best(
-        _packed_paths({"scalar": scalar, "tuned mt": tuned}, packed),
+        _packed_paths({"scalar": scalar, "native-mt": tuned}, packed),
         rounds=12,
         inner=64,
     )
     emit(
-        f"Tier-2 one-word latency (64 samples, tuned {tuned.tuned_config})",
+        f"native-mt one-word latency (64 samples, {tuned.threads}x{tuned.unroll})",
         _table(best, "scalar"),
     )
 

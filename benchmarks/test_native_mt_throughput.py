@@ -1,19 +1,19 @@
-"""Tier-2 native runtime (threads + SIMD) on the P=6 bank: bit-exactness.
+"""Threaded native runtime (threads + SIMD) on the P=6 bank: bit-exactness.
 
-The tier-2 runtime emits C that processes ``unroll`` words per statement
-(GCC/Clang vector extensions, ``-O2 -march=native``) and splits the word
-range of ``run_packed`` across a persistent in-process thread pool, with
-the autotuner pinning the winning (threads, unroll, tier) per netlist.
-Whatever it pins must compute the same bits:
+Every native engine runs one build: C that processes the host's
+``vector_lanes()`` words per statement (GCC/Clang vector extensions,
+``-O1 -march=native``); ``native-mt`` splits the word range of
+``run_packed`` across a persistent in-process thread pool, up to the core
+count.  Every thread count must compute the same bits:
 
-* at a 4096-sample batch, NumPy == single-thread scalar native == the
-  autotuned engine == the tuned build forced to 1, 2 and 4 threads;
-* a one-word batch (below any shard grain) is identical on the tuned and
-  scalar engines.
+* at a 4096-sample batch, NumPy == a one-lane scalar native build == the
+  ``native-mt`` engine == its build forced to 1, 2 and 4 threads;
+* a one-word batch (below any shard grain) is identical on the
+  ``native-mt`` and scalar engines.
 
 These run on any host with a C toolchain, whatever its core count.  How
-fast the tuned engine is is ``benchmarks/perf``'s ``bank_packed_mt``
-workload; the tuned-vs-scalar one-word latency ratio is report-only in
+fast ``native-mt`` is is ``benchmarks/perf``'s ``bank_packed_mt``
+workload; its one-word latency against the scalar build is report-only in
 ``parked_comparisons.py`` (``make bench``).
 """
 
@@ -26,12 +26,12 @@ from bench_utils import random_rows, require_toolchain, rinc_bank
 
 
 def native_engines():
-    """The P=6 bank's NumPy program, the PR-8 scalar native engine
-    (1 thread, -O1) and the autotuned tier-2 engine."""
+    """The P=6 bank's NumPy program, a scalar native build (1 thread,
+    one lane per statement) and the ``native-mt`` engine."""
     program = compile_netlist(rinc_bank(6))
     return (
         program,
-        NativeCompiledNetlist(program),
+        NativeCompiledNetlist(program, unroll=1),
         NativeCompiledNetlist.tuned(program),
     )
 

@@ -49,7 +49,7 @@ def test_p6_bank_is_cut_by_statement_budget_and_exports_two_symbols():
     units = engine.c_source.split(native_mod._UNIT_MARKER)
     assert len(units) >= 2
     bodies = re.findall(
-        r"void (seg\d+_w1)\(W\* restrict s\) \{\n(.*?)\n\}\n", engine.c_source, re.S
+        r"void (seg\d+_w\d+)\(W\* restrict s\) \{\n(.*?)\n\}\n", engine.c_source, re.S
     )
     assert len(bodies) > 20
     for _name, body in bodies:

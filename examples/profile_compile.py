@@ -4,7 +4,9 @@ Report only.  Compiles the three synthetic benchmark netlists on the NumPy
 backend (no toolchain, no cache) stage by stage, the way ``compile_netlist``
 composes them, and prints per-stage milliseconds, what the fold passes did,
 both cost models and a ``cProfile`` of the whole compile — the numbers to
-budget a new pass against.
+budget a new pass against.  ``codegen`` is ``generate_c_source(program)`` at
+its default unroll, the host's ``vector_lanes()``: the source every native
+engine builds.
 """
 
 import cProfile
@@ -17,7 +19,7 @@ from repro.engine import (
     random_netlist, rinc_bank_netlist, statement_cost, structured_bank_netlist,
     table_cost,
 )
-from repro.engine.native import generate_c_source
+from repro.engine.native import generate_c_source, vector_lanes
 
 REPEATS = 5
 NETLISTS = {
@@ -27,6 +29,8 @@ NETLISTS = {
 }
 
 def main() -> None:
+    print(f"codegen = generate_c_source(program) at unroll = vector_lanes() = "
+          f"{vector_lanes()}")
     for name, netlist in NETLISTS.items():
         ms, fold = Counter(), Counter()
 

@@ -1,13 +1,14 @@
 """Where the native kernel's time goes (``make profile-kernel``).
 
 Report only.  The four ``benchmarks/perf`` fixtures after the default passes
-at ``max_lut_inputs=6``, as the base build and the fast build at the host's
-vector width (and at 4 lanes for contrast): emitted statements, units, one
-cold ``cc``, ``.so`` bytes; ``run_range`` on one thread at 1 024 words, with
-ns per executed statement (one op on K words), and at 1 / 3 / 7 / 9 / 33
-words; where ``objdump`` exists, instructions and vector instructions per
-statement in the word program and the vector ops per ns they achieve —
-over two per cycle times the clock, the achieved fraction of the bound.
+at ``max_lut_inputs=6``, as the one build every engine runs (the host's
+vector width and flags) and, for contrast, the same flags at one lane:
+emitted statements, units, one cold ``cc``, ``.so`` bytes; ``run_range`` on
+one thread at 1 024 words, with ns per executed statement (one op on K
+words), and at 1 / 3 / 7 / 9 / 33 words; where ``objdump`` exists,
+instructions and vector instructions per statement in the word program and
+the vector ops per ns they achieve — over two per cycle times the clock,
+the achieved fraction of the bound.
 """
 
 import os
@@ -43,17 +44,15 @@ def seg_instructions(so_path):
     return total, vector
 
 
-def build(program, unroll, tier):
+def build(program, unroll):
     """``(engine, statements, units, cc s, .so bytes, seg* instructions)``."""
     source = native.generate_c_source(program, unroll)
     statements = sum(body.count(";") for body in re.findall(SEGMENT, source, re.S))
     with tempfile.TemporaryDirectory() as cache:
         start = time.perf_counter()
-        _, so_path = native.build_shared_object(source, cache_dir=cache, opt_tier=tier)
+        _, so_path = native.build_shared_object(source, cache_dir=cache)
         cc_s = time.perf_counter() - start
-        engine = native.NativeCompiledNetlist(
-            program, cache_dir=cache, unroll=unroll, opt_tier=tier, _source=source
-        )
+        engine = native.NativeCompiledNetlist(program, cache_dir=cache, unroll=unroll)
         insns = seg_instructions(so_path) if shutil.which("objdump") else None
         units = source.count(native._UNIT_MARKER) + 1
         return engine, statements, units, cc_s, os.path.getsize(so_path), insns
@@ -70,19 +69,18 @@ def run_range_us(engine, x, words, reps):
 def main() -> None:
     lanes = native.vector_lanes()
     print(f"vector_lanes() = {lanes}")
-    builds = [(1, "base"), (lanes, "fast")] + ([(4, "fast")] if lanes != 4 else [])
     for name, netlist in fixtures.build().programs.items():
         optimized = optimize_netlist(netlist, max_lut_inputs=6)
         program = CompiledNetlist.from_netlist(optimized)
         x = fixtures.packed_batch(7, program.n_primary_inputs, 1024)
-        for unroll, tier in builds:
-            engine, stmts, units, cc_s, so_bytes, insns = build(program, unroll, tier)
+        for unroll in (lanes, 1):
+            engine, stmts, units, cc_s, so_bytes, insns = build(program, unroll)
             big_us = run_range_us(engine, x, 1024, 60)
             ns = 1e3 * big_us / (stmts * 1024 / unroll)
             small = " ".join(
                 f"{w}w {run_range_us(engine, x, w, 300):.1f}" for w in (1, 3, 7, 9, 33)
             )
-            line = (f"{name} {tier} x{unroll}: {stmts} statements, {units} units,"
+            line = (f"{name} {engine.opt_tier} x{unroll}: {stmts} statements, {units} units,"
                     f" cc {cc_s:.2f} s, .so {so_bytes} B; 1024 words {big_us:.0f} us"
                     f" = {ns:.2f} ns/statement; {small} us")
             if insns:

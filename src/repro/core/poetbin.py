@@ -175,7 +175,7 @@ class PoETBiNClassifier:
         ``engine_backend`` names the evaluation engine (see
         :func:`~repro.engine.compiled_netlist.build_engine`): the NumPy
         word-op interpreter (default), the generated-C native engine
-        (``"native"``), its autotuned multithreaded/SIMD tier
+        (``"native"``), the same build threaded up to the core count
         (``"native-mt"``, which shards large batches across word ranges
         in-process), or ``"auto"`` (native when the host has a C
         toolchain, else NumPy) — cached per name.
@@ -215,8 +215,8 @@ class PoETBiNClassifier:
         """Intermediate bits via the bit-packed engine; matches
         :meth:`predict_intermediate` bit for bit.  ``engine_backend`` names
         this classifier's cached evaluator — ``"numpy"`` (default),
-        ``"native"`` (generated C), ``"native-mt"`` (autotuned
-        multithreaded native) or ``"auto"``; ``engine`` instead runs on an
+        ``"native"`` (generated C), ``"native-mt"`` (threaded
+        native) or ``"auto"``; ``engine`` instead runs on an
         engine the caller built (see :meth:`_engine`)."""
         from repro.engine import predict_in_batches
 

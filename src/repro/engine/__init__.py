@@ -76,15 +76,12 @@ Compiler
     an order of magnitude faster — and a ``run_scores`` whose read-out is
     an epilogue of the same generated unit (table entries copied for the
     live lanes, no floating-point arithmetic in C).  ``backend="auto"``
-    falls back to the NumPy engine on hosts without a C compiler.
-    ``backend="native-mt"`` is tier 2: the same statements are also
-    instantiated against a K-lane GCC/Clang vector type (so the compiler
-    autovectorises the mux cascades across words), ``run_packed`` shards
-    large batches across word ranges on an in-process thread pool (ctypes
-    releases the GIL), and a per-netlist autotuner
-    (:func:`~repro.engine.native.autotune_config`) measures threads ×
-    unroll × opt-tier candidates on a calibration batch and persists the
-    winner next to the ``.so`` cache.
+    falls back to the NumPy engine on hosts without a C compiler.  Every
+    program is built once, at the host's vector width (a K-lane GCC/Clang
+    vector type, so each statement runs K words) with ``-O1
+    -march=native``; ``backend="native-mt"`` is that same build with
+    ``run_packed`` sharding large batches across word ranges on an
+    in-process thread pool (ctypes releases the GIL), up to the core count.
 
 Runtime
 =======
@@ -159,12 +156,7 @@ from repro.engine.compiled_netlist import (
     compile_netlist,
 )
 from repro.engine.ir import IRGraph, IRNode
-from repro.engine.native import (
-    MTConfig,
-    NativeCompiledNetlist,
-    NativeUnavailableError,
-    autotune_config,
-)
+from repro.engine.native import NativeCompiledNetlist, NativeUnavailableError
 from repro.engine.parallel import ShardedEngine, WorkerPool, shard_bounds
 from repro.engine.passes import (
     MUX_TABLE,
@@ -196,7 +188,6 @@ __all__ = [
     "FuseChainsPass",
     "IRGraph",
     "IRNode",
-    "MTConfig",
     "MUX_TABLE",
     "NativeCompiledNetlist",
     "NativeUnavailableError",
@@ -206,7 +197,6 @@ __all__ = [
     "ShardedEngine",
     "WORD_BITS",
     "WorkerPool",
-    "autotune_config",
     "build_engine",
     "concat_packed",
     "compile_netlist",

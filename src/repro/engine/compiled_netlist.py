@@ -526,9 +526,9 @@ def build_engine(
 
     ``"numpy"`` is the word-op interpreter; ``"native"`` lowers further to
     generated C in a cached shared object (:mod:`repro.engine.native`);
-    ``"native-mt"`` is its autotuned multithreaded/SIMD tier, with the
-    tuner's thread count capped at ``max_threads`` when given (how a
-    multi-worker pool divides the host between processes and threads).
+    ``"native-mt"`` is the same build threaded up to the core count,
+    capped at ``max_threads`` when given (how a multi-worker pool divides
+    the host between processes and threads).
     ``"native"``/``"native-mt"`` raise
     :class:`~repro.engine.native.NativeUnavailableError` when the host
     cannot build; ``"auto"`` tries native and falls back to NumPy — with

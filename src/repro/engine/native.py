@@ -42,8 +42,8 @@ straight-line word statements:
   scores are moved as 64-bit patterns, so bit-exactness cannot depend on
   compiler flags.
 
-Tier 2: SIMD width and in-process threads
-=========================================
+One build per program: the host's vector width and flags
+========================================================
 
 The statements are generated against an abstract word type ``W``.  With
 ``unroll=1`` that is plain ``uint64_t`` (the PR-8 program).  With
@@ -52,34 +52,35 @@ The statements are generated against an abstract word type ``W``.  With
 operation on SIMD registers.  No scalar twin: a ragged range ends in one
 *padded block* — the live words in a zeroed K-word stack block, through the
 same program, only words below ``hi`` written back — so every word count is
-bit-exact.  The tuner's K is the host's widest register
-(:func:`vector_lanes`: 8 on AVX-512, else 4).  The ``"fast"`` tier
-(``-O2 -march=native``) exists for exactly this instantiation; the
-``"base"`` tier keeps PR-8's fast-compiling ``-O1``.
+bit-exact.
+
+Every engine runs one build, decided by one ``cc -O1 -march=native -dM -E``
+probe per process and compiler: K is 8 when the target predefines
+``__AVX512F__``, else 4 (:func:`vector_lanes`), and the flags are
+``-O1 -march=native`` — or ``-O1`` alone, still at 4 lanes through GCC's
+generic vector lowering, when the compiler rejects the probe.  ``-O1``
+builds the straight-line program as fast as the old scalar build and runs
+within a few per cent of ``-O2`` (docs/architecture.md has the sweep).
 
 Because the generated code keeps no global state (the word loop's state
 lives on the C stack) a loaded program is thread-safe, and ``ctypes``
-releases the GIL for the duration of every call.  The multithreaded mode
-exploits that with a *Python* ``ThreadPoolExecutor`` over ``run_range``
-calls on disjoint word ranges — chosen over a pthread pool compiled into
-each ``.so`` because (a) the GIL is already released, so Python threads
-reach the same parallelism, (b) one process-wide executor is shared by
-every engine instead of one pthread pool per generated object, and (c) the
-generated C stays dependency-free and trivially portable.  Batches smaller
-than ``min_words_per_thread`` words per shard never split, so small-batch
-latency is identical to the single-threaded engine.
-
-The autotuner (:func:`autotune_config`) measures 2–3 candidate configs —
-threads × unroll × opt tier — on a calibration batch and pins the winner
-per netlist, persisting the choice in a ``<digest>.tune.json`` file next to
-the ``.so`` cache; :meth:`NativeCompiledNetlist.tuned` (what
-``compile_netlist(backend="native-mt")`` calls) applies it, and
-``tune(force=True)`` re-measures on demand.
+releases the GIL for the duration of every call.  ``"native-mt"`` is the
+same build with ``threads`` up to the core count: a *Python*
+``ThreadPoolExecutor`` runs ``run_range`` calls on disjoint word ranges —
+chosen over a pthread pool compiled into each ``.so`` because (a) the GIL
+is already released, so Python threads reach the same parallelism, (b) one
+process-wide executor is shared by every engine instead of one pthread pool
+per generated object, and (c) the generated C stays dependency-free and
+trivially portable.  Each call picks its own shard count from the batch:
+shards below ``min_words_per_thread`` words are never cut, so small-batch
+latency is identical to the single-threaded engine and nothing is measured
+at attach.
 
 The source is compiled at attach time with the host toolchain (``$CC``,
 else ``cc``/``gcc``/``clang``) into a shared object cached under a digest of
-the generated source + build command, so recompiling the same netlist — in
-this process, a forked worker, or tomorrow's process — reuses one build.
+the generated source, build command and target CPU, so recompiling the same
+netlist — in this process, a forked worker, or tomorrow's process — reuses
+one build.
 Concurrent builders of the same digest serialise on a ``<digest>.lock``
 file, so exactly one build runs per digest per host and the losers reuse
 the winner's atomically-published object.
@@ -96,18 +97,16 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import json
 import os
 import shlex
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,27 +126,20 @@ except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
 __all__ = [
-    "MTConfig",
     "NativeCompiledNetlist",
     "NativeUnavailableError",
-    "autotune_config",
     "default_thread_count",
     "find_compiler",
     "generate_c_source",
     "shared_object_cache_dir",
 ]
 
-#: optimisation tiers for the generated source.  Straight-line bitwise code
-#: gains ~3x going -O0 -> -O1 (register allocation of the slot array) and
-#: little beyond at unroll=1; the vector instantiation wants -O2 plus the
-#: host ISA (-march=native) so the compiler picks the widest SIMD register.
-#: A tier whose flags the host compiler rejects (e.g. -march=native on some
-#: cross toolchains) simply fails the candidate build and the autotuner
-#: falls back to "base".
-_OPT_TIERS: Dict[str, Tuple[str, ...]] = {
-    "base": ("-O1",),
-    "fast": ("-O2", "-march=native"),
-}
+#: the flags of every build.  Straight-line bitwise code gains ~3x going
+#: -O0 -> -O1 (register allocation of the slot array) and a few per cent
+#: more at -O2, for a third more compile time; -march=native lets the
+#: vector type use the host's widest register.  A compiler that rejects
+#: -march=native builds with -O1 alone (see _host_build)
+_CFLAGS = ("-O1", "-march=native")
 
 _COMMON_CFLAGS = ("-fPIC", "-shared")
 
@@ -184,14 +176,6 @@ _UNIT_PRELUDE = (
     "",
 )
 
-#: autotune persistence format version (bump to invalidate stale records;
-#: version 1 pinned the 4-lane width of every host)
-_TUNE_VERSION = 2
-
-#: words in the autotuner's calibration batch (256 words = 16384 samples —
-#: large enough that threading wins show, small enough to measure at attach)
-_CALIBRATION_WORDS = 256
-
 _ENV_CACHE_DIR = "REPRO_NATIVE_CACHE"
 _ENV_CC = "CC"
 
@@ -199,8 +183,9 @@ _UNSET = object()
 _compiler_cache: object = _UNSET
 _compiler_lock = threading.Lock()
 
-#: compiler command -> vector lanes, what :func:`vector_lanes` learned
-_lanes_by_compiler: Dict[Tuple[str, ...], int] = {}
+#: compiler command -> (flags, vector lanes, target), what :func:`_host_build`
+#: learned
+_host_builds: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], int, str]] = {}
 
 #: digest -> loaded (CDLL, run_range, run_scores_range) so every instance
 #: of the same program in one process shares a single dlopen handle
@@ -256,30 +241,42 @@ def toolchain_available() -> bool:
     return find_compiler() is not None
 
 
-def vector_lanes() -> int:
-    """Words per statement of the autotuner's vector build: the host's
-    widest register as the ``fast`` tier's target reports it — 8 (512 bits)
-    when ``cc -O2 -march=native`` predefines ``__AVX512F__``, else 4.  One
-    ``-dM -E`` query per process and compiler; a failed query means 4."""
-    compiler = find_compiler()
-    if compiler is None:
-        return 4
-    command = (*compiler, *_OPT_TIERS["fast"], "-dM", "-E", "-x", "c", os.devnull)
+def _host_build(compiler: Sequence[str]) -> Tuple[Tuple[str, ...], int, str]:
+    """``(flags, lanes, target)`` of every build with ``compiler``, from one
+    ``cc -O1 -march=native -dM -E`` query per process and compiler: the
+    query's flags, at 8 lanes (512 bits) when it predefines ``__AVX512F__``
+    and 4 otherwise — or, when the compiler rejects it, ``-O1`` alone at 4
+    lanes (GCC's generic vector lowering, still bit-exact).  ``target``
+    digests the query's macros — the compiler version and the CPU features
+    ``-march=native`` resolved to — and keys every build, so hosts sharing
+    a cache directory never load each other's objects."""
+    key = tuple(compiler)
     with _compiler_lock:
-        if command not in _lanes_by_compiler:
+        if key not in _host_builds:
             try:
                 macros = subprocess.run(
-                    command, stdin=subprocess.DEVNULL, capture_output=True,
+                    [*key, *_CFLAGS, "-dM", "-E", "-x", "c", os.devnull],
+                    stdin=subprocess.DEVNULL, capture_output=True,
                     text=True, timeout=60, check=True,
-                ).stdout.split()
+                ).stdout
+                target = hashlib.sha256(macros.encode()).hexdigest()[:16]
+                lanes = 8 if "__AVX512F__" in macros.split() else 4
+                build = (_CFLAGS, lanes, target)
             except (OSError, subprocess.SubprocessError):
-                macros = []
-            _lanes_by_compiler[command] = 8 if "__AVX512F__" in macros else 4
-        return _lanes_by_compiler[command]
+                build = (_CFLAGS[:1], 4, "generic")
+            _host_builds[key] = build
+        return _host_builds[key]
+
+
+def vector_lanes() -> int:
+    """Words per statement of every build on this host: 8 where the
+    compiler targets AVX-512, else 4 (see :func:`_host_build`)."""
+    compiler = find_compiler()
+    return 4 if compiler is None else _host_build(compiler)[1]
 
 
 def default_thread_count() -> int:
-    """The thread count the autotuner offers as its parallel candidate."""
+    """The thread count of ``"native-mt"`` before its cap: the core count."""
     return os.cpu_count() or 1
 
 
@@ -289,14 +286,14 @@ def shared_object_cache_dir() -> str:
     ``$REPRO_NATIVE_CACHE`` when set, else a per-user directory under the
     system temp root.  Forked workers inherit the same path, so a model the
     parent compiled at attach time is a file-cache hit in every worker.
-    Autotune records (``*.tune.json``) live here too, next to the objects
-    they describe.
+    The per-user default is trusted only as a private directory (see
+    :func:`_cache_directory`); the variable is the operator's own choice.
     """
     override = os.environ.get(_ENV_CACHE_DIR)
     if override:
         return override
     try:
-        user = f"-{os.getuid()}"
+        user = f"-{os.geteuid()}"
     except AttributeError:  # pragma: no cover - non-POSIX
         user = ""
     return os.path.join(tempfile.gettempdir(), f"repro-native{user}")
@@ -444,9 +441,10 @@ for (size_t t = 0; t < live; ++t)
 _MAX_FUSED_FAN_IN = 16
 
 
-def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
+def generate_c_source(program: CompiledNetlist, unroll: Optional[int] = None) -> str:
     """The C source evaluating ``program``, ready for
-    :func:`build_shared_object`.
+    :func:`build_shared_object`; ``unroll`` defaults to the host's
+    :func:`vector_lanes`, the build every engine runs.
 
     Deterministic for a given ``(program, unroll)`` — segment and unit
     boundaries follow from the emitted statement counts alone, never from
@@ -468,9 +466,9 @@ def generate_c_source(program: CompiledNetlist, unroll: int = 1) -> str:
     declares the segments of the others, which hold nothing but ``seg*``
     functions of hidden visibility.
     """
-    if unroll < 1:
+    k = vector_lanes() if unroll is None else unroll
+    if k < 1:
         raise ValueError("unroll must be >= 1")
-    k = unroll
     blocks = _node_blocks(program)
     counts = [count for _, count in blocks]
     segments = _pack(counts, _SEGMENT_STATEMENTS)
@@ -663,13 +661,58 @@ def _run_compilers(commands: List[List[str]]) -> None:
         raise NativeUnavailableError(failures[0])
 
 
+def _cache_directory(cache_dir: Optional[str]) -> str:
+    """``cache_dir`` or else :func:`shared_object_cache_dir`, created if
+    missing.
+
+    The per-user default sits in the shared temp root under a name anyone
+    can compute, and an object found there is loaded into this process: it
+    is created private (``0o700``) and refused — as unavailable, so
+    ``"auto"`` falls back to NumPy — unless it is a directory of the
+    effective user that nobody else can write.  Nothing in a refused
+    directory can be trusted, so it is not repaired: the error asks for it
+    to be removed (an older release created it ``0o775`` under umask 002).
+    An explicit ``cache_dir`` or ``$REPRO_NATIVE_CACHE`` is taken as it is.
+    """
+    directory = cache_dir or shared_object_cache_dir()
+    if cache_dir or os.environ.get(_ENV_CACHE_DIR):
+        os.makedirs(directory, exist_ok=True)
+        return directory
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    info = os.lstat(directory)
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.geteuid()
+        or info.st_mode & 0o022
+    ):
+        raise NativeUnavailableError(
+            f"refusing the native cache {directory}: not a directory of uid "
+            f"{os.geteuid()} closed to group and other writes; remove it to "
+            f"have it recreated private, or set ${_ENV_CACHE_DIR} to use "
+            f"another"
+        )
+    return directory
+
+
+def _required_compiler() -> List[str]:
+    """:func:`find_compiler`, or :class:`NativeUnavailableError`."""
+    compiler = find_compiler()
+    if compiler is None:
+        raise NativeUnavailableError(
+            "no C toolchain on this host (set $CC or install cc/gcc/clang); "
+            "use backend='numpy' or backend='auto'"
+        )
+    return compiler
+
+
 def build_shared_object(
-    source: str, *, cache_dir: Optional[str] = None, opt_tier: str = "base"
+    source: str, *, cache_dir: Optional[str] = None
 ) -> Tuple[str, str]:
     """Compile ``source`` into a cached shared object; ``(digest, path)``.
 
-    The cache key digests the whole source *and* the build command (so a
-    compiler, flag, or ``opt_tier`` change never serves a stale object).
+    The cache key digests the whole source, the build command and the
+    compiler's target (see :func:`_host_build`), so a compiler, flag or
+    CPU change never serves a stale or foreign object.
     A source of several translation units (see :func:`generate_c_source`)
     is compiled unit by unit with ``cc -c``, concurrently, and the objects
     linked by the same command; a source of one unit — every small
@@ -678,24 +721,15 @@ def build_shared_object(
     rename; concurrent builders of the same digest additionally serialise
     on a ``<digest>.lock`` file so only one build runs per digest.
 
-    Raises :class:`NativeUnavailableError` when the host has no C toolchain
-    or the build fails (including an ``opt_tier`` whose flags the host
-    compiler rejects); a failed build leaves nothing behind.
+    Raises :class:`NativeUnavailableError` when the host has no C
+    toolchain, the default cache directory is not private, or the build
+    fails; a failed build leaves nothing behind.
     """
-    compiler = find_compiler()
-    if compiler is None:
-        raise NativeUnavailableError(
-            "no C toolchain on this host (set $CC or install cc/gcc/clang); "
-            "use backend='numpy' or backend='auto'"
-        )
-    if opt_tier not in _OPT_TIERS:
-        raise ValueError(
-            f"unknown opt_tier {opt_tier!r} (choose from {sorted(_OPT_TIERS)})"
-        )
-    command = list(compiler) + list(_OPT_TIERS[opt_tier]) + list(_COMMON_CFLAGS)
-    digest = _source_digest(source, command)
-    directory = cache_dir or shared_object_cache_dir()
-    os.makedirs(directory, exist_ok=True)
+    compiler = _required_compiler()
+    flags, _, target = _host_build(compiler)
+    command = [*compiler, *flags, *_COMMON_CFLAGS]
+    digest = _source_digest(source, [*command, target])
+    directory = _cache_directory(cache_dir)
     so_path = os.path.join(directory, f"{digest}.so")
     if os.path.exists(so_path):
         return digest, so_path
@@ -770,156 +804,6 @@ def _shared_executor() -> ThreadPoolExecutor:
         return _executor
 
 
-# ---------------------------------------------------------------- autotuner
-@dataclass(frozen=True)
-class MTConfig:
-    """One native-runtime configuration the autotuner can pin.
-
-    ``threads`` is the word-shard fan-out of :meth:`NativeCompiledNetlist.
-    run_packed`, ``unroll`` the vector lane count of the generated code,
-    ``opt_tier`` the compiler flag set (see ``_OPT_TIERS``).
-    """
-
-    threads: int
-    unroll: int
-    opt_tier: str
-
-
-def _candidate_builds(n_cpus: int) -> List[Tuple[int, str, List[int]]]:
-    """What the autotuner measures, baseline first: ``(unroll, opt_tier,
-    thread counts)`` per build.
-
-    The baseline is PR-8's engine exactly; the second build isolates the
-    SIMD win (:func:`vector_lanes` lanes, fast tier, one thread) and, on
-    multi-core hosts, is measured again with the thread fan-out — a second ``threads``
-    value on the same engine, not a third build.  Keeping the list this
-    small bounds attach-time cost at two builds and a few dozen
-    calibration runs.
-    """
-    return [
-        (1, "base", [1]),
-        (vector_lanes(), "fast", [1, n_cpus] if n_cpus > 1 else [1]),
-    ]
-
-
-def autotune_config(
-    program: CompiledNetlist,
-    *,
-    cache_dir: Optional[str] = None,
-    force: bool = False,
-    calibration_words: int = _CALIBRATION_WORDS,
-) -> MTConfig:
-    """Measure the candidate configs for ``program`` and pin the winner.
-
-    The winner is persisted as ``<digest>.tune.json`` next to the ``.so``
-    cache, keyed by the program's scalar source digest and the host core
-    count — a later attach of the same netlist on the same host is a file
-    read, not a re-measurement (``force=True`` re-measures).  Candidates
-    whose build fails (e.g. the ``fast`` tier's ``-march=native`` on an
-    unsupporting toolchain) are skipped; the baseline build failing raises
-    :class:`NativeUnavailableError` like any native attach.
-    """
-    config, _ = _autotune(
-        program, cache_dir=cache_dir, force=force, calibration_words=calibration_words
-    )
-    return config
-
-
-def _autotune(
-    program: CompiledNetlist,
-    *,
-    cache_dir: Optional[str],
-    force: bool,
-    calibration_words: int,
-) -> Tuple[MTConfig, Dict[int, str]]:
-    """:func:`autotune_config`, also handing back every source it generated
-    (``unroll -> source``) so the attach that tunes builds the winner
-    without generating it again."""
-    if calibration_words < 1:
-        raise ValueError("calibration_words must be positive")
-    directory = cache_dir or shared_object_cache_dir()
-    sources = {1: generate_c_source(program, unroll=1)}
-    # the record is keyed by the canonical scalar source only — *not* the
-    # flags — so it covers every (unroll, tier) variant of the same program
-    digest = hashlib.sha256(sources[1].encode()).hexdigest()[:24]
-    record_path = os.path.join(directory, f"{digest}.tune.json")
-    n_cpus = default_thread_count()
-    if not force:
-        try:
-            with open(record_path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-            if (
-                record.get("version") == _TUNE_VERSION
-                and record.get("n_cpus") == n_cpus
-            ):
-                config = MTConfig(
-                    threads=int(record["threads"]),
-                    unroll=int(record["unroll"]),
-                    opt_tier=str(record["opt_tier"]),
-                )
-                return config, sources
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # missing/stale/corrupt record: re-measure below
-    rng = np.random.default_rng(0xB17AC5)
-    calibration = rng.integers(
-        0,
-        np.iinfo(np.uint64).max,
-        size=(max(program.n_primary_inputs, 1), calibration_words),
-        dtype=np.uint64,
-        endpoint=True,
-    )
-    best: Optional[MTConfig] = None
-    best_time = float("inf")
-    timings: Dict[str, float] = {}
-    for unroll, opt_tier, thread_counts in _candidate_builds(n_cpus):
-        try:
-            engine = NativeCompiledNetlist(
-                program,
-                cache_dir=cache_dir,
-                unroll=unroll,
-                opt_tier=opt_tier,
-                _source=sources.get(unroll),
-            )
-        except NativeUnavailableError:
-            if best is None:
-                raise  # no toolchain / broken base tier: not tunable at all
-            continue
-        sources[unroll] = engine.c_source
-        for threads in thread_counts:
-            engine.threads = threads
-            engine.run_packed(calibration)  # warm: page in code, spin up threads
-            elapsed = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                engine.run_packed(calibration)
-                elapsed = min(elapsed, time.perf_counter() - start)
-            timings[f"{threads}x{unroll}:{opt_tier}"] = elapsed
-            if elapsed < best_time:
-                best = MTConfig(threads=threads, unroll=unroll, opt_tier=opt_tier)
-                best_time = elapsed
-    assert best is not None  # the baseline either measured or raised
-    record = {
-        "version": _TUNE_VERSION,
-        "n_cpus": n_cpus,
-        "calibration_words": calibration_words,
-        "timings_s": {k: round(v, 9) for k, v in timings.items()},
-        **asdict(best),
-    }
-    os.makedirs(directory, exist_ok=True)
-    tmp = f"{record_path}.{os.getpid()}-{threading.get_ident()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp, record_path)
-    except OSError:  # pragma: no cover - read-only cache dir: tune anyway
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-    return best, sources
-
-
 # ------------------------------------------------------------------- engine
 class NativeCompiledNetlist(PackedEngine):
     """A :class:`CompiledNetlist` lowered to a compiled shared object.
@@ -930,8 +814,6 @@ class NativeCompiledNetlist(PackedEngine):
     thread-safe: the generated code's state lives on the C stack and
     ``ctypes`` releases the GIL around every call.
 
-    Tier-2 knobs (all default to PR-8 behaviour):
-
     ``threads``
         Word-shard fan-out of :meth:`run_packed`.  ``> 1`` splits the batch
         into contiguous word ranges evaluated concurrently on the shared
@@ -939,14 +821,16 @@ class NativeCompiledNetlist(PackedEngine):
         packed words are independent.  Batches below
         ``2 * min_words_per_thread`` words never split.
     ``unroll``
-        Vector lane count of the generated code (words per statement).
+        Vector lane count of the generated code (words per statement);
+        the host's :func:`vector_lanes` by default.
     ``opt_tier``
-        Compiler flag tier: ``"base"`` (``-O1``) or ``"fast"``
-        (``-O2 -march=native``).
+        The build's compiler flags as one string (``"-O1 -march=native"``,
+        or ``"-O1"`` where the compiler rejects ``-march=native``); passing
+        it back is accepted, any other value raises ``ValueError``.
 
     Build one with ``compile_netlist(netlist, backend="native")`` (or
-    ``"auto"``), or :meth:`tuned` / ``backend="native-mt"`` for the
-    autotuned multithreaded configuration; constructing directly from an
+    ``"auto"``), or :meth:`tuned` / ``backend="native-mt"`` for the same
+    build threaded up to the core count; constructing directly from an
     already-lowered program is what
     :func:`~repro.engine.compiled_netlist.build_engine` does.  Raises
     :class:`NativeUnavailableError` when the host cannot build.
@@ -960,42 +844,36 @@ class NativeCompiledNetlist(PackedEngine):
         *,
         cache_dir: Optional[str] = None,
         threads: int = 1,
-        unroll: int = 1,
-        opt_tier: str = "base",
+        unroll: Optional[int] = None,
+        opt_tier: Optional[str] = None,
         min_words_per_thread: int = DEFAULT_MIN_WORDS_PER_THREAD,
-        _source: Optional[str] = None,
     ) -> None:
-        # _source: this (program, unroll)'s generated source, when the
-        # autotuner already holds it — an attach generates each only once
         if threads < 1:
             raise ValueError("threads must be >= 1")
         if min_words_per_thread < 1:
             raise ValueError("min_words_per_thread must be >= 1")
+        self.opt_tier = " ".join(_host_build(_required_compiler())[0])
+        if opt_tier not in (None, self.opt_tier):
+            raise ValueError(
+                f"opt_tier {opt_tier!r} is not this host's build {self.opt_tier!r}"
+            )
         self.program = program
         self.n_primary_inputs = program.n_primary_inputs
         self.n_slots = program.n_slots
         self.n_nodes = program.n_nodes
         self.threads = threads
         self.min_words_per_thread = min_words_per_thread
-        self._cache_dir = cache_dir
-        self._apply_build(unroll=unroll, opt_tier=opt_tier, source=_source)
-        if threads > 1:
-            self.backend = "native-mt"
-
-    def _apply_build(
-        self, *, unroll: int, opt_tier: str, source: Optional[str] = None
-    ) -> None:
-        self.unroll = unroll
-        self.opt_tier = opt_tier
-        self.c_source = source or generate_c_source(self.program, unroll=unroll)
+        self.unroll = vector_lanes() if unroll is None else unroll
+        self.c_source = generate_c_source(program, unroll=self.unroll)
         self.digest, self.shared_object = build_shared_object(
-            self.c_source, cache_dir=self._cache_dir, opt_tier=opt_tier
+            self.c_source, cache_dir=cache_dir
         )
         self._run_range, self._run_scores_range = _load_entry_points(
             self.digest, self.shared_object
         )
+        if threads > 1:
+            self.backend = "native-mt"
 
-    # ------------------------------------------------------------ autotuning
     @classmethod
     def tuned(
         cls,
@@ -1005,59 +883,21 @@ class NativeCompiledNetlist(PackedEngine):
         max_threads: Optional[int] = None,
         min_words_per_thread: int = DEFAULT_MIN_WORDS_PER_THREAD,
     ) -> "NativeCompiledNetlist":
-        """The autotuned engine for ``program`` (backend ``"native-mt"``).
-
-        Runs :func:`autotune_config` (a cache-file read after the first
-        attach of a netlist on a host) and builds the winner.
-        ``max_threads`` caps the pinned thread count without re-tuning —
-        the worker pool uses it to divide the host between processes and
-        threads instead of oversubscribing.
-        """
-        config, sources = _autotune(
-            program,
-            cache_dir=cache_dir,
-            force=False,
-            calibration_words=_CALIBRATION_WORDS,
-        )
-        threads = config.threads
+        """The ``"native-mt"`` engine for ``program``: the one build, with
+        ``threads`` at the core count capped by ``max_threads`` — how the
+        worker pool divides the host between processes and threads.  Each
+        call's batch picks how many of them it uses."""
+        threads = default_thread_count()
         if max_threads is not None:
             threads = max(1, min(threads, max_threads))
         instance = cls(
             program,
             cache_dir=cache_dir,
             threads=threads,
-            unroll=config.unroll,
-            opt_tier=config.opt_tier,
             min_words_per_thread=min_words_per_thread,
-            _source=sources.get(config.unroll),
         )
         instance.backend = "native-mt"
-        instance.tuned_config = config
         return instance
-
-    def tune(self, *, force: bool = True) -> MTConfig:
-        """Re-run the autotuner for this program and adopt the winner.
-
-        ``force=True`` (default) re-measures even when a persisted record
-        exists — the explicit knob for hosts whose load profile changed.
-        Returns the adopted config; the instance's ``threads``/``unroll``/
-        ``opt_tier`` and loaded code are switched in place.
-        """
-        config, sources = _autotune(
-            self.program,
-            cache_dir=self._cache_dir,
-            force=force,
-            calibration_words=_CALIBRATION_WORDS,
-        )
-        self._apply_build(
-            unroll=config.unroll,
-            opt_tier=config.opt_tier,
-            source=sources.get(config.unroll),
-        )
-        self.threads = config.threads
-        self.backend = "native-mt"
-        self.tuned_config = config
-        return config
 
     # ---------------------------------------------------------- statistics
     @property

@@ -67,8 +67,8 @@ without this module's fork+shm machinery.  Two rules keep the layers from
 fighting over the same cores:
 
 * **The pool does not fork for a model whose engine already threads.**
-  When an attached model's serial engine is multithreaded (autotuned
-  ``threads > 1``), :meth:`WorkerPool.run_packed` routes every batch down
+  When an attached model's serial engine is multithreaded
+  (``native-mt`` with ``threads > 1``), :meth:`WorkerPool.run_packed` routes every batch down
   the serial path — the engine's own thread shards replace the pool's
   process shards.  Pass ``prefer_threads=False`` to the pool to override
   the heuristic and force process sharding anyway.
@@ -380,8 +380,8 @@ class WorkerPool:
         dominates any parallel win.
     prefer_threads:
         ``None`` (default) applies the oversubscription heuristic: a model
-        whose serial engine already threads in-process (autotuned
-        ``native-mt`` with ``threads > 1``) is served on the serial path
+        whose serial engine already threads in-process (``native-mt``
+        with ``threads > 1``) is served on the serial path
         instead of being forked across workers — its own thread shards
         saturate the host without the fork+shm tax.  ``True`` states the
         same preference explicitly; ``False`` disables it, forcing such

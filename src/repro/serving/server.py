@@ -308,8 +308,8 @@ class InferenceServer(FrameServer):
         ``model=`` to pick the object's best entry point (see
         :func:`_bind_model`).  With ``model=``, the engine is resolved
         *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
-        generated C, ``"native-mt"`` for the autotuned multithreaded native
-        runtime, ``"auto"`` for native-if-toolchain) and ``pool`` attaches
+        generated C, ``"native-mt"`` for the same build threaded up to the
+        core count, ``"auto"`` for native-if-toolchain) and ``pool`` attaches
         it to a shared :class:`~repro.engine.parallel.WorkerPool` — pass
         the same pool to every model so they share one set of worker
         processes, attached before ``warm_up=pool.warm_up`` forks them.  A

@@ -1,7 +1,7 @@
 """One conformance suite for every engine: same bits, same surface.
 
 Whatever runs the words — the NumPy interpreter, the generated-C engine,
-its autotuned multithreaded tier, or a :class:`ShardedEngine` handle over a
+the same build threaded (``native-mt``), or a :class:`ShardedEngine` handle over a
 process / thread / serial :class:`WorkerPool` — an engine must reproduce
 ``LUTNetlist.evaluate_outputs`` bit for bit on ragged batches and expose
 the shared :class:`PackedEngine` surface, because the classifiers and the
@@ -145,8 +145,10 @@ class TestConformance:
         assert built.backend == backend
         assert isinstance(built.threads, int) and built.threads >= 1
         assert isinstance(built.unroll, int) and built.unroll >= 1
-        if backend != "native-mt":
+        if backend == "numpy":
             assert (built.threads, built.unroll) == (1, 1)
+        elif backend == "native":
+            assert (built.threads, built.unroll) == (1, native_mod.vector_lanes())
         for method in (
             "run_packed",
             "run_scores",
@@ -270,12 +272,14 @@ class TestNativeRunScoresIsFused:
         monkeypatch.setattr(engine, "_run_scores_range", counting)
         monkeypatch.setattr(engine, "run_packed", banned)
         monkeypatch.setattr(engine, "_run_range", banned)
-        X = as_rng(1).integers(0, 2, size=(130, N_INPUTS), dtype=np.uint8)
-        scores = engine.run_scores(pack_bits(X), 130, table)  # 3 words, 2 shards
-        assert sorted(calls) == [(0, 1), (1, 3)]
+        k = engine.unroll
+        n = 64 * (3 * k - 1) + 2  # 3K words: 2 shards, cut on a lane multiple
+        X = as_rng(1).integers(0, 2, size=(n, N_INPUTS), dtype=np.uint8)
+        scores = engine.run_scores(pack_bits(X), n, table)
+        assert sorted(calls) == [(0, k), (k, 3 * k)]
         reference = CompiledNetlist.from_netlist(sub)
         np.testing.assert_array_equal(
-            scores, reference.run_scores(pack_bits(X), 130, table)
+            scores, reference.run_scores(pack_bits(X), n, table)
         )
         calls.clear()
         engine.run_scores(pack_bits(X[:1]), 1, table)  # sub-grain: one call
@@ -449,14 +453,12 @@ class TestSegmentAndUnitBoundaries:
     def netlist(self):
         return _boundary_netlist()
 
-    @pytest.fixture(scope="class", params=[(1, "base"), (4, "fast")], ids=["w1", "w4"])
+    @pytest.fixture(scope="class", params=[1, 4], ids=["w1", "w4"])
     def built(self, request, netlist, tiny_budgets, tmp_path_factory):
-        unroll, opt_tier = request.param
         return NativeCompiledNetlist(
             CompiledNetlist.from_netlist(netlist),
             cache_dir=str(tmp_path_factory.mktemp("units")),
-            unroll=unroll,
-            opt_tier=opt_tier,
+            unroll=request.param,
         )
 
     def test_the_source_really_is_cut_everywhere(self, built):
@@ -587,7 +589,6 @@ class TestVectorTail:
             CompiledNetlist.from_netlist(netlist),
             cache_dir=str(tmp_path_factory.mktemp("lanes")),
             unroll=request.param,
-            opt_tier="fast",
             min_words_per_thread=1,
         )
 

@@ -8,6 +8,8 @@ batch tails included.  The fallback half forces the no-toolchain path:
 ``backend="native"`` must raise the typed error.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,36 @@ class TestNativeEquivalence:
         db, _ = build_shared_object(b, cache_dir=str(tmp_path))
         assert da != db
 
+    def test_digest_covers_the_target(self, tmp_path, monkeypatch):
+        """Two CPUs with one lane count and one command line — a compiler
+        whose probe reports other macros — get different objects, so a
+        shared cache never hands one host the other's instructions."""
+        macros = tmp_path / "macros"
+        fake_cc = tmp_path / "fake-cc"
+        fake_cc.write_text(
+            "#!/bin/sh\n"
+            f'case " $* " in *" -dM "*) cat {macros}; exit 0;; esac\n'
+            f'exec {" ".join(find_compiler())} "$@"\n'
+        )
+        fake_cc.chmod(0o755)
+        monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(fake_cc)])
+        source = generate_c_source(
+            compile_netlist(random_netlist(8, 9, seed=3)), unroll=8
+        )
+        digests = []
+        for features in ("__AVX512F__ __AVX512VL__", "__AVX512F__ __AVX512FP16__",
+                         "__AVX512F__ __AVX512VL__"):
+            macros.write_text(
+                "".join(f"#define {name} 1\n" for name in features.split())
+            )
+            monkeypatch.setattr(native_mod, "_host_builds", {})
+            assert native_mod.vector_lanes() == 8
+            digest, _ = build_shared_object(source, cache_dir=str(tmp_path / "c"))
+            digests.append(digest)
+        assert digests[0] != digests[1]
+        assert digests[0] == digests[2]  # the same target: a cache hit
+        assert len(list((tmp_path / "c").glob("*.so"))) == 2
+
 
 def _cc_wrapper(directory, fail_on=None, hang_on=None):
     """A ``$CC`` wrapper that logs each invocation and delegates to the real
@@ -149,7 +181,9 @@ def _cc_wrapper(directory, fail_on=None, hang_on=None):
 
     Invocations take their number by ``mkdir`` (atomic, so concurrent
     compilers never share one) and log it with their pid through
-    ``O_APPEND``; ``exec`` keeps that pid for the compiler itself.
+    ``O_APPEND``; ``exec`` keeps that pid for the compiler itself.  The
+    host probe (``-dM -E``, once per process and compiler) builds nothing:
+    it goes straight to the real compiler, unnumbered.
     Returns ``(wrapper path, log path)``.
     """
     import stat
@@ -158,8 +192,10 @@ def _cc_wrapper(directory, fail_on=None, hang_on=None):
     tickets = directory / "cc_tickets"
     tickets.mkdir()
     wrapper = directory / "cc_wrapper.sh"
+    real = " ".join(find_compiler())
     wrapper.write_text(
         "#!/bin/sh\n"
+        f'case " $* " in *" -dM "*) exec {real} "$@";; esac\n'
         "n=1\n"
         f'while ! mkdir "{tickets}/$n" 2>/dev/null; do n=$((n+1)); done\n'
         f'echo "$n $$" >> {log}\n'
@@ -170,7 +206,7 @@ def _cc_wrapper(directory, fail_on=None, hang_on=None):
         " i=0; while [ $i -lt 1000 ]; do sleep 0.01; i=$((i+1)); done\n"
         f' echo "$n survived" >> {log}\n'
         "fi\n"
-        f'exec {" ".join(find_compiler())} "$@"\n'
+        f'exec {real} "$@"\n'
     )
     wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
     return wrapper, log
@@ -195,7 +231,6 @@ def _race_two_builders(tmp_path, source):
     ``<digest>.lock`` serialisation both would invoke the compiler.
     """
     import multiprocessing as mp
-    import os
 
     wrapper, log = _cc_wrapper(tmp_path)
     cache = tmp_path / "cache"
@@ -274,8 +309,6 @@ class TestConcurrentBuilders:
         it is terminated and waited for, no temp and no object survives,
         nothing is published, the error names the failed command — and the
         same build then succeeds."""
-        import os
-
         source, n_units = _multi_unit_source(monkeypatch)
         fail_on, hang_on = {
             "first unit": (1, 2),
@@ -305,6 +338,129 @@ class TestConcurrentBuilders:
             f"{digest}.c", f"{digest}.so",
         ]
         assert native_mod._load_entry_points(digest, so_path)[0] is not None
+
+
+@pytest.fixture
+def default_cache(tmp_path, monkeypatch):
+    """The per-user default cache path, moved under ``tmp_path``."""
+    import tempfile
+
+    monkeypatch.delenv("REPRO_NATIVE_CACHE", raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    return tmp_path / "tmp" / f"repro-native-{os.geteuid()}"
+
+
+@needs_cc
+class TestDefaultCacheDirectory:
+    """The default cache sits in the shared temp root under a name anyone
+    can compute: only a private directory of this user is trusted."""
+
+    def _planted(self, tmp_path, cache):
+        """A fake ``.so`` at the digest this netlist's build would use."""
+        netlist = random_netlist(8, 10, seed=81)
+        source = generate_c_source(compile_netlist(netlist))
+        digest, _ = build_shared_object(source, cache_dir=str(tmp_path / "own"))
+        planted = cache / f"{digest}.so"
+        planted.write_bytes(b"not an object: loading this would fail")
+        return netlist, planted
+
+    def _assert_refused(self, tmp_path, cache, monkeypatch):
+        import re
+
+        netlist, planted = self._planted(tmp_path, cache)
+
+        def no_load(*args):
+            raise AssertionError("an object in a refused cache was loaded")
+
+        monkeypatch.setattr(native_mod, "_load_entry_points", no_load)
+        with pytest.raises(NativeUnavailableError, match=re.escape(str(cache))):
+            compile_netlist(netlist, backend="native")
+        with pytest.warns(RuntimeWarning, match="refusing"):
+            engine = compile_netlist(netlist, backend="auto")
+        assert engine.backend == "numpy"
+        assert sorted(p.name for p in cache.iterdir()) == [planted.name]
+
+    def test_world_writable_directory_refused(
+        self, tmp_path, default_cache, monkeypatch
+    ):
+        default_cache.mkdir()
+        default_cache.chmod(0o777)
+        self._assert_refused(tmp_path, default_cache, monkeypatch)
+
+    def test_group_writable_directory_refused_until_removed(
+        self, tmp_path, default_cache, monkeypatch
+    ):
+        """Our own directory left ``0o775`` (what ``os.makedirs`` gives
+        under umask 002) is refused too, with the remedy in the message;
+        once removed it comes back private and serves native again."""
+        import shutil
+        import stat
+
+        default_cache.mkdir()
+        default_cache.chmod(0o775)
+        load = native_mod._load_entry_points
+        self._assert_refused(tmp_path, default_cache, monkeypatch)
+        monkeypatch.setattr(native_mod, "_load_entry_points", load)
+        netlist = random_netlist(8, 10, seed=86)
+        with pytest.raises(NativeUnavailableError, match="remove it"):
+            compile_netlist(netlist, backend="native")
+        shutil.rmtree(default_cache)
+        engine = compile_netlist(netlist, backend="native")
+        assert stat.S_IMODE(default_cache.stat().st_mode) == 0o700
+        X = as_rng(87).integers(0, 2, size=(70, 8), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            engine.predict_batch(X), netlist.evaluate_outputs(X)
+        )
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() != 0,
+        reason="chown to another uid needs root",
+    )
+    def test_directory_of_another_user_refused(
+        self, tmp_path, default_cache, monkeypatch
+    ):
+        default_cache.mkdir(mode=0o700)
+        os.chown(default_cache, 12345, -1)
+        self._assert_refused(tmp_path, default_cache, monkeypatch)
+
+    def test_symlinked_directory_refused(
+        self, tmp_path, default_cache, monkeypatch
+    ):
+        """A link planted at the default name is refused even when it
+        points at a private directory: the path itself is checked."""
+        target = tmp_path / "elsewhere"
+        target.mkdir(mode=0o700)
+        default_cache.symlink_to(target, target_is_directory=True)
+        self._assert_refused(tmp_path, default_cache, monkeypatch)
+
+    def test_explicit_directory_taken_as_is(
+        self, tmp_path, default_cache, monkeypatch
+    ):
+        """``$REPRO_NATIVE_CACHE`` is the operator's choice: a directory
+        others may write is used, not refused, and the default is unused."""
+        chosen = tmp_path / "shared"
+        chosen.mkdir()
+        chosen.chmod(0o777)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(chosen))
+        netlist = random_netlist(8, 10, seed=83)
+        engine = compile_netlist(netlist, backend="native")
+        assert engine.shared_object == str(chosen / f"{engine.digest}.so")
+        assert not default_cache.exists()
+        X = as_rng(84).integers(0, 2, size=(70, 8), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            engine.predict_batch(X), netlist.evaluate_outputs(X)
+        )
+
+    def test_fresh_directory_created_private(self, default_cache):
+        import stat
+
+        netlist = random_netlist(8, 10, seed=82)
+        engine = compile_netlist(netlist, backend="native")
+        assert stat.S_IMODE(default_cache.stat().st_mode) == 0o700
+        assert engine.shared_object == str(default_cache / f"{engine.digest}.so")
+        # and the private directory is trusted on the next attach
+        assert compile_netlist(netlist, backend="native").digest == engine.digest
 
 
 class TestToolchainFallback:

@@ -1,18 +1,18 @@
-"""The tier-2 native runtime: word-shard threading, vector codegen, autotune.
+"""The native runtime's threads and vector width: one build per program.
 
-Splits from ``test_native_backend`` (which covers the tier-1 scalar
-engine): everything here exercises the multithreaded/SIMD surface added
-on top of it — ragged shard math across thread counts, the unrolled
-source structure, the per-netlist autotune records, the ``native-mt``
-backend through ``build_engine``/``compile_netlist`` and the worker pool,
-and the oversubscription rules between pool processes and engine threads.
+Splits from ``test_native_backend`` (which covers codegen, the build cache
+and the toolchain fallback): everything here exercises the multithreaded/
+SIMD surface — ragged shard math across thread counts, the unrolled source
+structure, the host probe that picks the one build's flags and lanes, the
+``native-mt`` backend (the same build with more threads) through
+``build_engine``/``compile_netlist`` and the worker pool, and the
+oversubscription rules between pool processes and engine threads.
 
 The correctness tests run on any host with a C toolchain regardless of
 core count — with one core the shards simply queue on the shared
 executor, and bit-exactness must hold all the same.
 """
 
-import json
 import os
 import re
 
@@ -20,11 +20,8 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    CompiledNetlist,
-    MTConfig,
     NativeCompiledNetlist,
     WorkerPool,
-    autotune_config,
     build_engine,
     compile_netlist,
     pack_bits,
@@ -33,8 +30,10 @@ from repro.engine import (
 from repro.engine import native as native_mod
 from repro.engine.native import (
     default_thread_count,
+    find_compiler,
     generate_c_source,
     toolchain_available,
+    vector_lanes,
 )
 from repro.utils.rng import as_rng
 
@@ -77,8 +76,7 @@ class TestWordShardMath:
         ragged shapes stay bit-exact."""
         _, program = _program(seed=31)
         engine = NativeCompiledNetlist(
-            program, threads=threads, unroll=4, opt_tier="fast",
-            min_words_per_thread=1,
+            program, threads=threads, unroll=4, min_words_per_thread=1,
         )
         calls = []
         real = engine._run_range
@@ -181,9 +179,7 @@ class TestVectorCodegen:
     @pytest.mark.parametrize("unroll", [2, 4, 8])
     def test_unrolled_builds_are_bit_exact(self, unroll):
         netlist, program = _program(seed=42)
-        engine = NativeCompiledNetlist(
-            program, unroll=unroll, opt_tier="fast"
-        )
+        engine = NativeCompiledNetlist(program, unroll=unroll)
         rng = as_rng(43)
         for n_samples in (1, 65, 64 * unroll + 7, 512):
             X = rng.integers(0, 2, size=(n_samples, 24), dtype=np.uint8)
@@ -203,19 +199,22 @@ class TestVectorCodegen:
     def test_vector_lanes_from_the_fast_targets_macros(
         self, tmp_path, monkeypatch, macros, lanes
     ):
-        """The lane count is what ``cc <fast flags> -dM -E`` predefines,
-        asked once per process and compiler; a failed query means 4."""
+        """The lane count is what ``cc -O1 -march=native -dM -E``
+        predefines, asked once per process and compiler; a failed query
+        means 4 lanes and flags without ``-march=native``."""
         log = tmp_path / "queries.log"
         fake_cc = tmp_path / "fake-cc"
         answer = f"printf '{macros}'" if macros else "echo 'no' >&2; exit 1"
         fake_cc.write_text(f'#!/bin/sh\necho "$@" >> {log}\n{answer}\n')
         fake_cc.chmod(0o755)
         monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(fake_cc)])
-        monkeypatch.setattr(native_mod, "_lanes_by_compiler", {})
+        monkeypatch.setattr(native_mod, "_host_builds", {})
         assert native_mod.vector_lanes() == lanes
         assert native_mod.vector_lanes() == lanes
         (query,) = log.read_text().splitlines()
-        assert query.split()[:4] == [*native_mod._OPT_TIERS["fast"], "-dM", "-E"]
+        assert query.split()[:4] == [*native_mod._CFLAGS, "-dM", "-E"]
+        flags = native_mod._host_build([str(fake_cc)])[0]
+        assert flags == (native_mod._CFLAGS if macros else ("-O1",))
         monkeypatch.setattr(native_mod, "find_compiler", lambda: None)
         assert native_mod.vector_lanes() == 4
 
@@ -224,127 +223,111 @@ class TestVectorCodegen:
         _, program = _program(seed=44, n_primary=8, n_nodes=10)
         with pytest.raises(ValueError, match="opt_tier"):
             NativeCompiledNetlist(program, opt_tier="ludicrous")
+        # the instance's own value is the one accepted
+        engine = NativeCompiledNetlist(program)
+        again = NativeCompiledNetlist(program, opt_tier=engine.opt_tier)
+        assert again.digest == engine.digest
 
 
-# -------------------------------------------------------------- autotuner
+# ---------------------------------------------------------- one build
 @needs_cc
-class TestAutotune:
-    def test_record_persisted_and_reused(self, tmp_path):
-        _, program = _program(seed=51, n_primary=12, n_nodes=25)
-        config = autotune_config(program, cache_dir=str(tmp_path))
-        assert isinstance(config, MTConfig)
-        records = list(tmp_path.glob("*.tune.json"))
-        assert len(records) == 1
-        record = json.loads(records[0].read_text())
-        assert record["threads"] == config.threads
-        assert record["unroll"] == config.unroll
-        assert record["opt_tier"] == config.opt_tier
-        assert record["n_cpus"] == default_thread_count()
-        assert record["timings_s"]  # the measurements that picked it
-        # second call is a file read: the record is not rewritten
-        mtime = records[0].stat().st_mtime_ns
-        assert autotune_config(program, cache_dir=str(tmp_path)) == config
-        assert records[0].stat().st_mtime_ns == mtime
-        # force=True re-measures and rewrites
-        autotune_config(program, cache_dir=str(tmp_path), force=True)
-        assert records[0].stat().st_mtime_ns != mtime
+class TestOneBuild:
+    """``"native"`` and ``"native-mt"`` run one build of a program: the
+    host's flags at the host's lane count, differing only in threads."""
 
-    def test_stale_record_re_measured(self, tmp_path):
-        """A record pinned on a different core count is not trusted, nor is
-        a version-1 record (it pinned 4 lanes on every host)."""
-        _, program = _program(seed=52, n_primary=12, n_nodes=25)
-        autotune_config(program, cache_dir=str(tmp_path))
-        record_path = next(tmp_path.glob("*.tune.json"))
-        fresh = json.loads(record_path.read_text())
-        assert fresh["version"] == native_mod._TUNE_VERSION == 2
-        for stale in ({"n_cpus": 9999}, {"version": 1, "unroll": 4}):
-            record_path.write_text(json.dumps({**fresh, **stale, "threads": 9999}))
-            config = autotune_config(program, cache_dir=str(tmp_path))
-            assert config.threads != 9999
-            record = json.loads(record_path.read_text())
-            assert (record["version"], record["n_cpus"]) == (2, default_thread_count())
-            assert record["threads"] == config.threads
+    def test_one_build_per_program(self, tmp_path, monkeypatch):
+        netlist, _ = _program(seed=51, n_primary=24, n_nodes=50)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        compiles = []
+        real = native_mod._run_compilers
 
-    def test_corrupt_record_re_measured(self, tmp_path):
-        _, program = _program(seed=53, n_primary=12, n_nodes=25)
-        autotune_config(program, cache_dir=str(tmp_path))
-        record_path = next(tmp_path.glob("*.tune.json"))
-        record_path.write_text("not json{{")
-        config = autotune_config(program, cache_dir=str(tmp_path))
-        assert isinstance(config, MTConfig)
+        def spy(commands):
+            compiles.extend(commands)
+            return real(commands)
 
-    def test_failed_fast_tier_falls_back_to_baseline(
-        self, tmp_path, monkeypatch
-    ):
-        """A tier the host compiler rejects is skipped, not fatal."""
-        monkeypatch.setitem(
-            native_mod._OPT_TIERS, "fast", ("-this-flag-does-not-exist",)
+        monkeypatch.setattr(native_mod, "_run_compilers", spy)
+        single = compile_netlist(netlist, backend="native")
+        assert len(compiles) == 1  # one unit: the link command is the build
+        threaded = compile_netlist(netlist, backend="native-mt")
+        assert len(compiles) == 1  # the second attach is a cache hit
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert [n for n in names if n.endswith(".so")] == [f"{single.digest}.so"]
+        assert not [n for n in names if n.endswith(".json")]
+        assert single.digest == threaded.digest
+        assert single.unroll == threaded.unroll == vector_lanes()
+        assert single.opt_tier == threaded.opt_tier
+        assert (single.backend, single.threads) == ("native", 1)
+        assert (threaded.backend, threaded.threads) == (
+            "native-mt", default_thread_count(),
         )
-        _, program = _program(seed=54, n_primary=10, n_nodes=15)
-        config = autotune_config(program, cache_dir=str(tmp_path))
-        assert config == MTConfig(threads=1, unroll=1, opt_tier="base")
+        rng = as_rng(52)
+        k = vector_lanes()
+        # ragged word counts around K, and one wide enough to shard
+        for n_words in (1, k - 1, k + 1, 2 * k + 3, 70):
+            n_samples = 64 * n_words - 13
+            X = rng.integers(0, 2, size=(n_samples, 24), dtype=np.uint8)
+            expected = netlist.evaluate_outputs(X)
+            np.testing.assert_array_equal(single.predict_batch(X), expected)
+            np.testing.assert_array_equal(threaded.predict_batch(X), expected)
 
-    def test_calibration_words_validated(self, tmp_path):
-        _, program = _program(seed=55, n_primary=8, n_nodes=10)
-        with pytest.raises(ValueError, match="calibration_words"):
-            autotune_config(
-                program, cache_dir=str(tmp_path), calibration_words=0
-            )
+    def test_host_without_march_native(self, tmp_path, monkeypatch):
+        """A compiler that rejects ``-march=native``: the probe yields
+        ``-O1`` alone at 4 lanes, and that build runs bit-exact."""
+        fake_cc = tmp_path / "fake-cc"
+        fake_cc.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do\n'
+            ' if [ "$arg" = "-march=native" ]; then\n'
+            "  echo 'unrecognized -march=native' >&2; exit 1\n"
+            " fi\n"
+            "done\n"
+            f'exec {" ".join(find_compiler())} "$@"\n'
+        )
+        fake_cc.chmod(0o755)
+        monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(fake_cc)])
+        monkeypatch.setattr(native_mod, "_host_builds", {})
+        assert vector_lanes() == 4
+        netlist, program = _program(seed=54, n_primary=10, n_nodes=15)
+        engine = NativeCompiledNetlist(program, cache_dir=str(tmp_path / "cache"))
+        assert (engine.opt_tier, engine.unroll) == ("-O1", 4)
+        X = as_rng(55).integers(0, 2, size=(333, 10), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            engine.predict_batch(X), netlist.evaluate_outputs(X)
+        )
 
     def test_tuned_classmethod_and_caps(self, tmp_path):
         netlist, program = _program(seed=56)
         engine = NativeCompiledNetlist.tuned(program, cache_dir=str(tmp_path))
         assert engine.backend == "native-mt"
-        assert engine.tuned_config.threads >= 1
+        assert engine.threads == default_thread_count()
         capped = NativeCompiledNetlist.tuned(
             program, cache_dir=str(tmp_path), max_threads=1
         )
         assert capped.threads == 1
-        assert capped.backend == "native-mt"  # the tier-2 label, capped or not
+        assert capped.backend == "native-mt"  # the label, capped or not
+        assert capped.digest == engine.digest
         X = as_rng(57).integers(0, 2, size=(200, 24), dtype=np.uint8)
         np.testing.assert_array_equal(
             engine.predict_batch(X), netlist.evaluate_outputs(X)
         )
 
     def test_one_codegen_per_program_and_unroll(self, tmp_path, monkeypatch):
-        """An attach generates each ``(program, unroll)`` source once: the
-        tune digest and the baseline share the scalar one, both thread
-        counts are measured on one engine at the host's vector width, and
-        the winner is built from the source the tuner already holds."""
+        """An attach generates its source once, at the host's lanes, and
+        a second attach of the same program generates the same bytes."""
         _, program = _program(seed=60)
         generated = []
         real = native_mod.generate_c_source
 
-        def spy(program, unroll=1):
+        def spy(program, unroll=None):
             generated.append(unroll)
             return real(program, unroll)
 
         monkeypatch.setattr(native_mod, "generate_c_source", spy)
         cold = NativeCompiledNetlist.tuned(program, cache_dir=str(tmp_path))
-        assert sorted(generated) == [1, native_mod.vector_lanes()]
-        record = json.loads(next(tmp_path.glob("*.tune.json")).read_text())
-        # one timing per (build, thread count): three candidates, two builds
-        assert len(record["timings_s"]) == (3 if default_thread_count() > 1 else 2)
-        generated.clear()
+        assert generated == [vector_lanes()]
         warm = NativeCompiledNetlist.tuned(program, cache_dir=str(tmp_path))
-        assert len(generated) <= 2 and len(set(generated)) == len(generated)
-        assert warm.tuned_config == cold.tuned_config
+        assert generated == [vector_lanes()] * 2
         assert warm.digest == cold.digest
-
-    def test_tune_instance_method_adopts_winner(self, tmp_path):
-        netlist, program = _program(seed=58)
-        engine = NativeCompiledNetlist(program, cache_dir=str(tmp_path))
-        assert engine.backend == "native"
-        config = engine.tune()
-        assert engine.backend == "native-mt"
-        assert engine.tuned_config == config
-        assert (engine.threads, engine.unroll, engine.opt_tier) == (
-            config.threads, config.unroll, config.opt_tier,
-        )
-        X = as_rng(59).integers(0, 2, size=(130, 24), dtype=np.uint8)
-        np.testing.assert_array_equal(
-            engine.predict_batch(X), netlist.evaluate_outputs(X)
-        )
 
 
 # ------------------------------------------------------- backend plumbing
@@ -355,7 +338,9 @@ class TestNativeMTBackend:
         engine = compile_netlist(netlist, backend="native-mt")
         assert isinstance(engine, NativeCompiledNetlist)
         assert engine.backend == "native-mt"
-        assert isinstance(engine.tuned_config, MTConfig)
+        assert (engine.threads, engine.unroll) == (
+            default_thread_count(), vector_lanes(),
+        )
         X = as_rng(62).integers(0, 2, size=(300, 16), dtype=np.uint8)
         np.testing.assert_array_equal(
             engine.predict_batch(X), netlist.evaluate_outputs(X)

@@ -7,6 +7,7 @@ unknown names failing with the typed ``model_not_found`` error, and
 per-model stats.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -673,32 +674,28 @@ class TestEngineOwnership:
     def test_advertises_what_the_engine_runs_with(
         self, trained, tmp_path, monkeypatch
     ):
-        """A ``native-mt`` model whose tuner pinned ``threads=1`` must not
-        be advertised with the host core count."""
-        import json
-
-        from repro.engine import autotune_config
-        from repro.engine.native import default_thread_count, toolchain_available
+        """A ``native-mt`` model is advertised with the threads and lanes
+        its engine runs, not the host's core count: the engine's thread
+        count is made to differ from it here."""
+        from repro.engine import native as native_mod
+        from repro.engine.native import toolchain_available, vector_lanes
 
         if not toolchain_available():
             pytest.skip("no C compiler on this host")
-        if default_thread_count() < 2:
-            pytest.skip("needs a >=2-core host to tell 1 from the core count")
         clf, X, expected = trained
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        autotune_config(compile_netlist(clf.to_netlist()))
-        (record_path,) = tmp_path.glob("*.tune.json")
-        record = json.loads(record_path.read_text())
-        record.update(threads=1, unroll=4, opt_tier="fast")
-        record_path.write_text(json.dumps(record))
+        threads, lanes = (os.cpu_count() or 1) + 1, vector_lanes()
+        monkeypatch.setattr(native_mod, "default_thread_count", lambda: threads)
 
         srv = InferenceServer.for_model(
             clf, backend="native-mt", max_batch=64, max_wait_us=1_000
         )
         entry = srv.registry.resolve(None)
-        assert (entry.backend, entry.threads, entry.unroll) == ("native-mt", 1, 4)
+        assert (entry.backend, entry.threads, entry.unroll) == (
+            "native-mt", threads, lanes,
+        )
         assert entry.engine is clf.compiled_netlist("native-mt")
-        assert 'repro_serving_model_threads{model="default"} 1' in (
+        assert f'repro_serving_model_threads{{model="default"}} {threads}' in (
             srv.render_metrics()
         )
         with BackgroundServer(srv) as handle:
@@ -706,7 +703,7 @@ class TestEngineOwnership:
                 np.testing.assert_array_equal(client.predict(X), expected)
                 (listed,) = client.list_models()["models"]
         assert (listed["backend"], listed["threads"], listed["unroll"]) == (
-            "native-mt", 1, 4,
+            "native-mt", threads, lanes,
         )
 
     def test_backend_selection_reaches_the_engine(self, trained):
