@@ -88,11 +88,13 @@ Runtime
 
 ``parallel``
     :class:`~repro.engine.parallel.WorkerPool`, a persistent, model-agnostic
-    process (or thread) pool: netlists attach/detach by model id, workers
-    hold a per-model engine registry, and every task is a
-    ``(model_id, word_range)`` shard — so one pool serves many netlists and
-    multiple in-flight requests concurrently (shared-memory IPC, per-worker
-    compiled programs, serial fallback for small batches).
+    process pool: netlists attach/detach by model id, workers hold a
+    per-model engine registry, and every task is a ``(model_id,
+    word_range)`` shard — so one pool serves many netlists and multiple
+    in-flight requests concurrently (shared-memory IPC, per-worker compiled
+    programs, the model's own engine for small batches and after a failed
+    fork).  In-process threads are the engine's (``native-mt``), processes
+    the pool's.
     :class:`~repro.engine.parallel.ShardedEngine` is the engine handle
     binding ``(pool, model_id)``: ``ShardedEngine(netlist, pool=pool)``
     attaches, ``close()`` detaches, and the caller owns both.  Packed

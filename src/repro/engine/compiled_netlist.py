@@ -513,7 +513,6 @@ def build_engine(
     netlist: LUTNetlist,
     backend: str,
     *,
-    max_threads: Optional[int] = None,
     strict: bool = True,
 ) -> PackedEngine:
     """Lower an already-optimised ``netlist`` and pick its executor.
@@ -526,9 +525,7 @@ def build_engine(
 
     ``"numpy"`` is the word-op interpreter; ``"native"`` lowers further to
     generated C in a cached shared object (:mod:`repro.engine.native`);
-    ``"native-mt"`` is the same build threaded up to the core count,
-    capped at ``max_threads`` when given (how a multi-worker pool divides
-    the host between processes and threads).
+    ``"native-mt"`` is the same build threaded up to the core count.
     ``"native"``/``"native-mt"`` raise
     :class:`~repro.engine.native.NativeUnavailableError` when the host
     cannot build; ``"auto"`` tries native and falls back to NumPy — with
@@ -549,9 +546,7 @@ def build_engine(
 
     try:
         if backend == "native-mt":
-            return native.NativeCompiledNetlist.tuned(
-                program, max_threads=max_threads
-            )
+            return native.NativeCompiledNetlist.tuned(program)
         return native.NativeCompiledNetlist(program)
     except Exception as error:
         unavailable = isinstance(error, native.NativeUnavailableError)

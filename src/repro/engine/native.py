@@ -880,20 +880,15 @@ class NativeCompiledNetlist(PackedEngine):
         program: CompiledNetlist,
         *,
         cache_dir: Optional[str] = None,
-        max_threads: Optional[int] = None,
         min_words_per_thread: int = DEFAULT_MIN_WORDS_PER_THREAD,
     ) -> "NativeCompiledNetlist":
         """The ``"native-mt"`` engine for ``program``: the one build, with
-        ``threads`` at the core count capped by ``max_threads`` — how the
-        worker pool divides the host between processes and threads.  Each
-        call's batch picks how many of them it uses."""
-        threads = default_thread_count()
-        if max_threads is not None:
-            threads = max(1, min(threads, max_threads))
+        ``threads`` at the core count.  Each call's batch picks how many of
+        them it uses."""
         instance = cls(
             program,
             cache_dir=cache_dir,
-            threads=threads,
+            threads=default_thread_count(),
             min_words_per_thread=min_words_per_thread,
         )
         instance.backend = "native-mt"

@@ -7,8 +7,8 @@ and the per-range outputs concatenated — bit for bit what the serial engine
 produces.
 
 :class:`WorkerPool`
-    A standalone pool of worker processes (or threads) that is **not** bound
-    to any netlist.  Models are *attached* by id — each worker holds a
+    A standalone pool of worker processes that is **not** bound to any
+    netlist.  Models are *attached* by id — each worker holds a
     registry of compiled engines, built lazily per model — and every task is
     a ``(model_id, word_range)`` shard, so one pool serves many netlists and
     multiple in-flight requests concurrently.  This is the substrate of the
@@ -27,44 +27,37 @@ Backends
 ========
 
 ``"process"`` (default where ``fork`` is available)
-    A ``multiprocessing`` pool.  Workers compile their own
-    :class:`~repro.engine.compiled_netlist.CompiledNetlist` per attached
+    A ``multiprocessing`` pool.  Workers build their own engine per attached
     model (netlists attached before the fork are inherited, not pickled) and
     exchange batches through ``multiprocessing.shared_memory`` buffers, so
     per-call IPC is a handful of integers — no pickling of sample data.
     CPython's GIL never serialises the workers.
 
-``"thread"``
-    A ``ThreadPoolExecutor`` over per-shard engine instances (the compiled
-    engine's scratch reuse makes a single instance thread-unsafe).  NumPy
-    releases the GIL inside large bitwise kernels, but the many small
-    dispatches of the mux cascade still contend; this backend is the
-    portable fallback, not the fast path.
-
-``"serial"``
-    No pool at all — each model's serial engine, for debugging and tiny
-    batches.
+``"serial"`` (default elsewhere)
+    No pool at all — each model's own engine, the one :meth:`WorkerPool.attach`
+    built.  It is also where a failed process pool lands.
 
 Batches too small to be worth splitting (fewer than
 ``min_words_per_worker`` packed words per worker) run serially whatever the
-backend, so the executor is safe to leave enabled for ragged traffic.
+backend, so the pool is safe to leave enabled for ragged traffic.
 
 Orthogonal to the pool flavour, each attached model picks its *evaluation
 engine* via ``engine_backend`` — a name
 :func:`~repro.engine.compiled_netlist.build_engine` resolves once, in the
-parent, at attach time.  The parent builds the shared object then; workers —
-forked or threaded — are told the *resolved* backend, regenerate the same
-source and reuse the digest-keyed cache, so a native model costs one C
-build per host, total.
+parent, at attach time.  The parent builds the shared object then; forked
+workers are told the *resolved* backend, regenerate the same source and
+reuse the digest-keyed cache, so a native model costs one C build per
+host, total.
 
 Pool processes × engine threads
 ===============================
 
-The ``native-mt`` engine shards ``run_packed`` across word ranges on an
-in-process thread pool (ctypes releases the GIL, so the threads genuinely
-run in parallel) — which means it can saturate the host on its own,
-without this module's fork+shm machinery.  Two rules keep the layers from
-fighting over the same cores:
+In-process threads belong to the engine, processes to the pool.  The
+``native-mt`` engine shards ``run_packed`` across word ranges on its own
+thread pool (ctypes releases the GIL, so the threads genuinely run in
+parallel) — which means it can saturate the host on its own, without this
+module's fork+shm machinery.  Two rules keep the layers from fighting over
+the same cores:
 
 * **The pool does not fork for a model whose engine already threads.**
   When an attached model's serial engine is multithreaded
@@ -72,11 +65,9 @@ fighting over the same cores:
   the serial path — the engine's own thread shards replace the pool's
   process shards.  Pass ``prefer_threads=False`` to the pool to override
   the heuristic and force process sharding anyway.
-* **When processes *are* used, worker-side threads are capped.**  A
-  ``native-mt`` model on a multi-worker pool ships every task the integer
-  cap ``cpu_count // n_workers`` (min 1), which the worker hands to
-  ``build_engine(max_threads=)``, so processes × threads never
-  oversubscribes the host by default.
+* **A worker process runs one thread.**  A worker builds a ``native-mt``
+  model as ``"native"`` — the same build and the same cached shared
+  object, at one thread — so processes × threads is the worker count.
 
 The fork + shared-memory contract
 =================================
@@ -117,9 +108,9 @@ not break:
    ``weakref.finalize`` on a plain resource dict so abandoned pools are
    reclaimed without keeping the pool alive.
 5. **Failure degrades, it does not crash.**  If ``/dev/shm`` is missing or
-   the pool dies mid-flight, the pool permanently falls back to the thread
-   backend and re-runs the batch; worker-side model errors propagate
-   unchanged.
+   the pool dies mid-flight, the pool permanently falls back to the serial
+   backend and re-runs the batch on the model's own engine; worker-side
+   model errors propagate unchanged.
 
 Usage
 =====
@@ -145,7 +136,6 @@ import pickle
 import threading
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -192,19 +182,16 @@ def _worker_init(netlists: Dict[str, LUTNetlist]) -> None:
     _WORKER["shm"] = {}
 
 
-def _worker_engine(
-    key: str,
-    payload: Optional[bytes],
-    engine_backend: str,
-    max_threads: Optional[int],
-):
+def _worker_engine(key: str, payload: Optional[bytes], engine_backend: str):
     """This worker's compiled engine for attach key ``key`` (lazy).
 
     Fork-inherited netlists compile on first contact; models attached after
     the fork arrive pickled in ``payload`` and re-attach lazily.  A native
     model is a shared-object *cache hit* here, not a rebuild: the parent
     compiled the digest-keyed .so at attach time, the worker regenerates
-    the same source, hashes it, and ``dlopen``\\ s the cached build.
+    the same source, hashes it, and ``dlopen``\\ s the cached build.  A
+    ``"native-mt"`` model is built as ``"native"``: the same object, run
+    at one thread, since the pool's processes are the parallelism here.
     """
     engine = _WORKER["engines"].get(key)
     if engine is None:
@@ -216,9 +203,9 @@ def _worker_engine(
                 )
             netlist = pickle.loads(payload)
             _WORKER["netlists"][key] = netlist
-        engine = build_engine(
-            netlist, engine_backend, max_threads=max_threads, strict=False
-        )
+        if engine_backend == "native-mt":
+            engine_backend = "native"
+        engine = build_engine(netlist, engine_backend, strict=False)
         _WORKER["engines"][key] = engine
     return engine
 
@@ -250,7 +237,6 @@ def _worker_run(
         str,
         Optional[bytes],
         str,
-        Optional[int],
         str,
         str,
         int,
@@ -269,7 +255,6 @@ def _worker_run(
         key,
         payload,
         engine_backend,
-        max_threads,
         in_name,
         out_name,
         n_inputs,
@@ -280,7 +265,7 @@ def _worker_run(
         retired,
     ) = task
     _worker_evict(retired)
-    engine = _worker_engine(key, payload, engine_backend, max_threads)
+    engine = _worker_engine(key, payload, engine_backend)
     shm_in = _worker_attach_shm(in_name)
     shm_out = _worker_attach_shm(out_name)
     # buffers are grow-only, so they may be larger than this batch needs
@@ -322,9 +307,6 @@ def _release_resources(resources: dict) -> None:
     if pool is not None:
         pool.terminate()
         pool.join()
-    threads = resources.pop("thread_pool", None)
-    if threads is not None:
-        threads.shutdown(wait=True)
     for shm in resources.pop("shm_all", []):
         try:
             shm.close()
@@ -332,7 +314,6 @@ def _release_resources(resources: dict) -> None:
         except OSError:  # pragma: no cover - already gone
             pass
     resources["pool"] = None
-    resources["thread_pool"] = None
     resources["shm_all"] = []
     resources["shm_free"] = []
 
@@ -348,9 +329,6 @@ class _PoolModel:
     #: the engine every shard is bit-identical to; its ``backend`` is the
     #: resolved name workers are told to build
     serial: PackedEngine
-    #: per-worker thread cap shipped with each task (native-mt on a
-    #: multi-worker pool), ``None`` for no cap
-    worker_threads: Optional[int] = None
     #: pickled optimised netlist for lazy re-attach; ``None`` when the
     #: netlist is (or will be, at the fork) fork-inherited, and cleared
     #: again once every worker has confirmed compiling its copy
@@ -358,9 +336,6 @@ class _PoolModel:
     #: pids of workers that have executed a shard for this model while the
     #: payload was live — at ``n_workers`` distinct pids the payload drops
     confirmed_pids: set = field(default_factory=set)
-    #: free-list of thread-backend engine instances (the NumPy engine's
-    #: scratch is not thread-safe, so concurrent shards each lease their own)
-    thread_engines: List[object] = field(default_factory=list)
 
 
 class WorkerPool:
@@ -372,8 +347,8 @@ class WorkerPool:
         Shard count; defaults to the CPU count.  ``1`` degenerates to the
         serial engine for every model.
     backend:
-        ``"process"``, ``"thread"`` or ``"serial"``; ``None`` picks
-        ``"process"`` where ``fork`` is available, else ``"thread"``.
+        ``"process"`` or ``"serial"``; ``None`` picks ``"process"`` where
+        ``fork`` is available, else ``"serial"``.
     min_words_per_worker:
         Batches with fewer packed words than ``n_workers *
         min_words_per_worker`` run serially — below that, pool latency
@@ -385,8 +360,8 @@ class WorkerPool:
         instead of being forked across workers — its own thread shards
         saturate the host without the fork+shm tax.  ``True`` states the
         same preference explicitly; ``False`` disables it, forcing such
-        models through the process/thread pool (whose workers then run
-        with capped thread counts — see the module docstring).
+        models through the process pool (whose workers then run them at
+        one thread each — see the module docstring).
 
     Models are attached with :meth:`attach` (the optimisation pipeline runs
     once, in the parent) and evaluated with :meth:`run_packed`; concurrent
@@ -404,8 +379,10 @@ class WorkerPool:
         min_words_per_worker: int = 4,
         prefer_threads: Optional[bool] = None,
     ) -> None:
-        if backend not in (None, "process", "thread", "serial"):
-            raise ValueError(f"unknown backend {backend!r}")
+        if backend not in (None, "process", "serial"):
+            raise ValueError(
+                f"unknown backend {backend!r} (choose from 'process', 'serial')"
+            )
         if n_workers is not None and n_workers <= 0:
             raise ValueError("n_workers must be positive")
         if min_words_per_worker <= 0:
@@ -415,7 +392,7 @@ class WorkerPool:
             backend = (
                 "process"
                 if "fork" in mp.get_all_start_methods()
-                else "thread"
+                else "serial"
             )
         if self.n_workers == 1:
             backend = "serial"
@@ -430,15 +407,14 @@ class WorkerPool:
         self._retired: Dict[str, set] = {}
         self._attach_seq = itertools.count()
         # One lock guards pool creation, the shm free-list and the model
-        # registry; evaluation itself (pool.map / executor.submit) runs
-        # outside it, so concurrent multi-model calls overlap fully.
+        # registry; evaluation itself (pool.map) runs outside it, so
+        # concurrent multi-model calls overlap fully.
         self._lock = threading.Lock()
         # The lazily created pool and shared-memory segments live in a plain
         # dict so the finalizer below can release them without referencing
         # (and thereby immortalising) the pool object itself.
         self._resources: dict = {
             "pool": None,
-            "thread_pool": None,
             "shm_all": [],
             "shm_free": [],
         }
@@ -481,17 +457,11 @@ class WorkerPool:
         optimized = optimize_netlist(
             netlist, passes=passes, max_lut_inputs=max_lut_inputs
         )
-        serial = build_engine(optimized, engine_backend)
-        worker_threads = None
-        if serial.backend == "native-mt" and self.n_workers > 1:
-            # divide the host between pool processes and in-process threads
-            worker_threads = max(1, (os.cpu_count() or 1) // self.n_workers)
         entry = _PoolModel(
             model_id="",  # assigned under the lock below
             key=f"#{next(self._attach_seq)}",
             netlist=optimized,
-            serial=serial,
-            worker_threads=worker_threads,
+            serial=build_engine(optimized, engine_backend),
         )
 
         def insert() -> bool:
@@ -563,7 +533,7 @@ class WorkerPool:
         every worker, but a fast worker can still absorb a slow worker's
         probe — treat the result as a sample of the worker set, not a
         guaranteed full census.  Returns ``{}`` when no process pool is
-        live (serial/thread backends keep no worker-side registries).
+        live (the serial backend keeps no worker-side registries).
         """
         self._check_open()
         if rounds <= 0:
@@ -618,14 +588,15 @@ class WorkerPool:
         models) so the fork cost is paid before traffic arrives rather than
         inside the first request's latency budget — and so every model
         attached so far is fork-inherited instead of lazily re-shipped.
-        No-op for the serial backend and after fallback to threads.
+        No-op for the serial backend, which a failed process pool falls
+        back to.
         """
         self._check_open()
         if self.backend == "process":
             try:
                 self._ensure_process_pool()
             except (OSError, mp.ProcessError) as error:
-                self._fall_back_to_threads(error, stacklevel=3)
+                self._fall_back_to_serial(error, stacklevel=3)
         return self
 
     def close(self) -> None:
@@ -633,9 +604,6 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 return
-            # flagged under the lock: an in-flight fallback checks it there
-            # before creating an executor, so nothing can repopulate the
-            # resources dict after the finalizer below has released it
             self._closed = True
         self._finalizer()
         with self._lock:
@@ -666,8 +634,9 @@ class WorkerPool:
 
         Thread-safe: the serving layer calls this concurrently from one
         executor thread per model queue.  (Per *model*, callers must
-        serialise their own calls on the serial path — each model's serial
-        engine reuses scratch buffers, which is exactly the discipline the
+        serialise their own calls: small batches, the serial backend and a
+        failed process pool all run the model's one engine, and the NumPy
+        engine reuses scratch buffers — exactly the discipline the
         per-model batching queue already enforces.)
         """
         self._check_open()
@@ -688,9 +657,7 @@ class WorkerPool:
             or self._prefer_in_process(entry)
         ):
             return entry.serial.run_packed(packed_inputs)
-        if self.backend == "process":
-            return self._run_process(entry, packed_inputs, bounds)
-        return self._run_thread(entry, packed_inputs, bounds)
+        return self._run_process(entry, packed_inputs, bounds)
 
     def _prefer_in_process(self, entry: _PoolModel) -> bool:
         """Whether this model should skip the pool and thread in-process.
@@ -743,7 +710,6 @@ class WorkerPool:
                         entry.key,
                         entry.payload,
                         entry.serial.backend,
-                        entry.worker_threads,
                         shm_in.name,
                         shm_out.name,
                         n_inputs,
@@ -774,10 +740,11 @@ class WorkerPool:
                 self._return_shm(pair)
         except (OSError, mp.ProcessError) as error:
             # no /dev/shm, fork refused, pool died mid-flight: degrade to
-            # threads permanently rather than failing the prediction.
-            # Worker-side model errors (ValueError etc.) propagate as-is.
-            self._fall_back_to_threads(error, stacklevel=4)
-            return self._run_thread(entry, packed, bounds)
+            # the model's own engine permanently rather than failing the
+            # prediction.  Worker-side model errors (ValueError etc.)
+            # propagate as-is.
+            self._fall_back_to_serial(error, stacklevel=4)
+            return entry.serial.run_packed(packed)
         except ValueError:
             # a concurrent call's fallback may have terminated the pool
             # under us, which surfaces as ValueError("Pool not running");
@@ -788,22 +755,22 @@ class WorkerPool:
                 pool_gone = self._resources["pool"] is None
             if not pool_gone:
                 raise
-            return self._run_thread(entry, packed, bounds)
+            return entry.serial.run_packed(packed)
 
-    def _fall_back_to_threads(self, error: BaseException, stacklevel: int) -> None:
+    def _fall_back_to_serial(self, error: BaseException, stacklevel: int) -> None:
         warnings.warn(
             f"WorkerPool process backend failed ({error!r}); "
-            "falling back to the thread backend",
+            "falling back to the serial backend",
             RuntimeWarning,
             stacklevel=stacklevel,
         )
         with self._lock:
-            self.backend = "thread"
+            self.backend = "serial"
             pool = self._resources["pool"]
             self._resources["pool"] = None
             # worker registries die with the pool — nothing left to evict
             self._retired.clear()
-            # the thread backend never leases shared memory again: unlink
+            # the serial backend never leases shared memory again: unlink
             # the free pairs now; pairs still leased by concurrent calls
             # are unlinked when returned (see _return_shm)
             stale = self._resources["shm_free"]
@@ -907,59 +874,6 @@ class WorkerPool:
                 shm.unlink()
             except OSError:  # pragma: no cover - already gone
                 pass
-
-    # -------------------------------------------------------- thread backend
-    def _run_thread(
-        self,
-        entry: _PoolModel,
-        packed: np.ndarray,
-        bounds: List[Tuple[int, int]],
-    ) -> np.ndarray:
-        with self._lock:
-            # checked under the lock so a close() racing an in-flight
-            # fallback cannot have its released resources repopulated with
-            # an executor nothing would ever shut down
-            if self._closed:
-                raise RuntimeError("this WorkerPool has been closed")
-            if self._resources["thread_pool"] is None:
-                self._resources["thread_pool"] = ThreadPoolExecutor(
-                    max_workers=self.n_workers
-                )
-            executor = self._resources["thread_pool"]
-            engines = []
-            for _ in bounds:
-                if entry.thread_engines:
-                    engines.append(entry.thread_engines.pop())
-                else:
-                    engines.append(None)
-        for index, engine in enumerate(engines):
-            if engine is None:  # compile outside the lock
-                engines[index] = build_engine(
-                    entry.netlist,
-                    entry.serial.backend,
-                    max_threads=entry.worker_threads,
-                    strict=False,
-                )
-        futures = [
-            executor.submit(engines[i].run_packed, packed[:, lo:hi])
-            for i, (lo, hi) in enumerate(bounds)
-        ]
-        # every future must be consumed before the engines go back on the
-        # free-list: returning them while a sibling shard still runs would
-        # let a concurrent call lease an engine mid-execution and share its
-        # scratch buffers (silently wrong output)
-        results, first_error = [], None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = error
-        with self._lock:
-            entry.thread_engines.extend(engines)
-        if first_error is not None:
-            raise first_error
-        return np.concatenate(results, axis=1)
 
 
 class ShardedEngine(PackedEngine):

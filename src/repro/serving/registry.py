@@ -366,12 +366,7 @@ class ModelRegistry:
         """
         family = self._require_family(name)
         name = family.name
-        entry = family.versions.get(int(version))
-        if entry is None or entry.state in (DRAINING, RETIRED):
-            raise ModelNotFoundError(
-                f"model {name!r} has no live version {version} "
-                f"(live: {sorted(family.versions)})"
-            )
+        entry = self._live_version(family, version)
         if entry.version == family.serving_version:
             raise ValueError(
                 f"version {version} is serving {name!r}; promote another "
@@ -395,6 +390,18 @@ class ModelRegistry:
             )
         return family
 
+    @staticmethod
+    def _live_version(family: _ModelFamily, version: int) -> RegisteredModel:
+        """``family``'s record for ``version``, unless it is missing,
+        draining or retired (then :class:`ModelNotFoundError`)."""
+        entry = family.versions.get(int(version))
+        if entry is None or entry.state in (DRAINING, RETIRED):
+            raise ModelNotFoundError(
+                f"model {family.name!r} has no live version {version} "
+                f"(live: {sorted(family.versions)})"
+            )
+        return entry
+
     def promote(self, name: str, version: int) -> Dict[str, Any]:
         """Atomically point ``name``'s serving pointer at ``version``.
 
@@ -410,12 +417,7 @@ class ModelRegistry:
         family = self._require_family(name)
         name = family.name
         version = int(version)
-        entry = family.versions.get(version)
-        if entry is None or entry.state in (DRAINING, RETIRED):
-            raise ModelNotFoundError(
-                f"model {name!r} has no live version {version} "
-                f"(live: {sorted(family.versions)})"
-            )
+        entry = self._live_version(family, version)
         if version == family.serving_version:
             return {
                 "model": name,
@@ -490,12 +492,7 @@ class ModelRegistry:
         family = self._require_family(name)
         name = family.name
         version = int(version)
-        entry = family.versions.get(version)
-        if entry is None or entry.state in (DRAINING, RETIRED):
-            raise ModelNotFoundError(
-                f"model {name!r} has no live version {version} "
-                f"(live: {sorted(family.versions)})"
-            )
+        entry = self._live_version(family, version)
         if version == family.serving_version:
             raise ValueError(
                 f"version {version} is already serving {name!r}; a shadow "
@@ -637,12 +634,7 @@ class ModelRegistry:
         family = self._require_family(name)
         name = family.name
         version = int(version)
-        entry = family.versions.get(version)
-        if entry is None or entry.state in (DRAINING, RETIRED):
-            raise ModelNotFoundError(
-                f"model {name!r} has no live version {version} "
-                f"(live: {sorted(family.versions)})"
-            )
+        entry = self._live_version(family, version)
         if version == family.serving_version:
             raise ValueError(
                 f"version {version} is already serving {name!r}"
@@ -829,13 +821,7 @@ class ModelRegistry:
             )
         if version is None:
             return family.serving_entry()
-        entry = family.versions.get(version)
-        if entry is None or entry.state in (DRAINING, RETIRED):
-            raise ModelNotFoundError(
-                f"model {base!r} has no live version {version} "
-                f"(live: {sorted(family.versions)})"
-            )
-        return entry
+        return self._live_version(family, version)
 
     def entries(self) -> List[RegisteredModel]:
         """One record per family — the *serving* version (the back-compat

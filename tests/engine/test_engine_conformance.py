@@ -2,7 +2,8 @@
 
 Whatever runs the words — the NumPy interpreter, the generated-C engine,
 the same build threaded (``native-mt``), or a :class:`ShardedEngine` handle over a
-process / thread / serial :class:`WorkerPool` — an engine must reproduce
+process / serial :class:`WorkerPool` (or a process pool fallen back to
+serial) — an engine must reproduce
 ``LUTNetlist.evaluate_outputs`` bit for bit on ragged batches and expose
 the shared :class:`PackedEngine` surface, because the classifiers and the
 serving layer hold engines as objects and know nothing else about them.
@@ -55,15 +56,37 @@ def _in_process(backend):
     return lambda netlist: (compile_netlist(netlist, backend=backend), None)
 
 
-def _pool_bound(pool_backend, n_workers, engine_backend="numpy"):
+def _pool_bound(pool_backend, n_workers, engine_backend="numpy", **options):
     def build(netlist):
         pool = WorkerPool(
-            n_workers=n_workers, backend=pool_backend, min_words_per_worker=1
+            n_workers=n_workers,
+            backend=pool_backend,
+            min_words_per_worker=1,
+            **options,
         )
         handle = ShardedEngine(netlist, pool=pool, engine_backend=engine_backend)
         return handle, pool
 
     return build
+
+
+def _fallen_back(engine_backend="numpy"):
+    """A process pool that forked and served, then lost its workers: every
+    batch after that runs on the model's own engine."""
+    build = _pool_bound("process", 2, engine_backend, prefer_threads=False)
+
+    def fall_back(netlist):
+        handle, pool = build(netlist)
+        handle.run_packed(
+            np.zeros((netlist.n_primary_inputs, 4), dtype=np.uint64)
+        )
+        assert pool._resources["pool"] is not None
+        with pytest.warns(RuntimeWarning, match="falling back to the serial"):
+            pool._fall_back_to_serial(OSError("injected"), stacklevel=2)
+        assert pool.backend == "serial" and pool._resources["pool"] is None
+        return handle, pool
+
+    return fall_back
 
 
 def _sharded_native(netlist):
@@ -87,8 +110,6 @@ ENGINES = [
     _engine_param(_sharded_native, "native-mt", "native-mt-2x1word", True),
     _engine_param(_pool_bound("process", 2), "numpy", "pool-process"),
     _engine_param(_pool_bound("process", 5), "numpy", "pool-process-x5"),
-    _engine_param(_pool_bound("thread", 2), "numpy", "pool-thread"),
-    _engine_param(_pool_bound("thread", 5), "numpy", "pool-thread-x5"),
     _engine_param(_pool_bound("serial", 2), "numpy", "pool-serial"),
     _engine_param(
         _pool_bound("serial", 2, "native"), "native", "pool-serial-native", True
@@ -97,13 +118,25 @@ ENGINES = [
         _pool_bound("process", 2, "native"), "native", "pool-process-native", True
     ),
     _engine_param(
-        _pool_bound("thread", 2, "native"), "native", "pool-thread-native", True
+        # forked workers run the threaded model at one thread each
+        _pool_bound("process", 2, "native-mt", prefer_threads=False),
+        "native-mt",
+        "pool-process-native-mt",
+        True,
     ),
     _engine_param(
-        _pool_bound("thread", 2, "native-mt"),
+        # the pool stands aside: the engine's own threads shard the batch
+        _pool_bound("process", 2, "native-mt"),
         "native-mt",
-        "pool-thread-native-mt",
+        "pool-process-native-mt-aside",
         True,
+    ),
+    _engine_param(
+        _pool_bound("process", 5, "native"), "native", "pool-process-x5-native", True
+    ),
+    _engine_param(_fallen_back(), "numpy", "pool-fallback"),
+    _engine_param(
+        _fallen_back("native-mt"), "native-mt", "pool-fallback-native-mt", True
     ),
 ]
 

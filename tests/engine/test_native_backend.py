@@ -498,7 +498,7 @@ class TestToolchainFallback:
                 build_engine(netlist, backend)
             # worker-side: degrade to the bit-exact NumPy engine instead
             assert build_engine(netlist, backend, strict=False).backend == "numpy"
-        with WorkerPool(n_workers=2, backend="thread") as pool:
+        with WorkerPool(n_workers=2, backend="serial") as pool:
             with pytest.raises(NativeUnavailableError):
                 pool.attach("m", netlist, engine_backend="native")
             pool.attach("m", netlist, engine_backend="auto")

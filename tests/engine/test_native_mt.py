@@ -13,7 +13,6 @@ core count — with one core the shards simply queue on the shared
 executor, and bit-exactness must hold all the same.
 """
 
-import os
 import re
 
 import numpy as np
@@ -22,7 +21,6 @@ import pytest
 from repro.engine import (
     NativeCompiledNetlist,
     WorkerPool,
-    build_engine,
     compile_netlist,
     pack_bits,
     random_netlist,
@@ -295,17 +293,11 @@ class TestOneBuild:
             engine.predict_batch(X), netlist.evaluate_outputs(X)
         )
 
-    def test_tuned_classmethod_and_caps(self, tmp_path):
+    def test_tuned_classmethod(self, tmp_path):
         netlist, program = _program(seed=56)
         engine = NativeCompiledNetlist.tuned(program, cache_dir=str(tmp_path))
         assert engine.backend == "native-mt"
         assert engine.threads == default_thread_count()
-        capped = NativeCompiledNetlist.tuned(
-            program, cache_dir=str(tmp_path), max_threads=1
-        )
-        assert capped.threads == 1
-        assert capped.backend == "native-mt"  # the label, capped or not
-        assert capped.digest == engine.digest
         X = as_rng(57).integers(0, 2, size=(200, 24), dtype=np.uint8)
         np.testing.assert_array_equal(
             engine.predict_batch(X), netlist.evaluate_outputs(X)
@@ -346,13 +338,6 @@ class TestNativeMTBackend:
             engine.predict_batch(X), netlist.evaluate_outputs(X)
         )
 
-    def test_build_engine_takes_the_thread_cap_as_an_integer(self):
-        netlist = random_netlist(12, 20, seed=63)
-        engine = build_engine(netlist, "native-mt", max_threads=2)
-        assert isinstance(engine, NativeCompiledNetlist)
-        assert engine.backend == "native-mt"
-        assert engine.threads <= 2
-
     def test_native_mt_without_toolchain_raises(self, monkeypatch):
         from repro.engine import NativeUnavailableError
 
@@ -367,24 +352,77 @@ class TestNativeMTBackend:
 class TestPoolComposition:
     """Processes x threads must compose without oversubscription."""
 
-    def test_multi_worker_pool_caps_worker_threads(self):
+    def test_workers_run_a_threaded_model_at_one_thread(self):
+        """A worker builds a ``native-mt`` model as ``"native"``: the
+        parent's build (same digest, same cached object) at one thread, so
+        processes x threads is the worker count."""
+        from multiprocessing import shared_memory
+
+        from repro.engine.parallel import _WORKER, _worker_init, _worker_run
+
         netlist = random_netlist(12, 25, seed=71)
-        with WorkerPool(n_workers=2, backend="thread") as pool:
+        X = as_rng(72).integers(0, 2, size=(400, 12), dtype=np.uint8)
+        packed = pack_bits(X)
+        words = packed.shape[1]
+        with WorkerPool(
+            n_workers=2,
+            backend="process",
+            prefer_threads=False,
+            min_words_per_worker=1,
+        ) as pool:
             model = pool.attach(None, netlist, engine_backend="native-mt")
-            cap = max(1, (os.cpu_count() or 1) // 2)
             entry = pool._entry(model)
-            assert entry.worker_threads == cap
             assert entry.serial.backend == "native-mt"
-            assert entry.serial.threads >= 1
-            X = as_rng(72).integers(0, 2, size=(400, 12), dtype=np.uint8)
+            assert entry.serial.threads == default_thread_count()
             np.testing.assert_array_equal(
                 pool.evaluate_outputs(model, X), netlist.evaluate_outputs(X)
             )
+            n_outputs = entry.serial.n_outputs
+            shm_in = shared_memory.SharedMemory(create=True, size=packed.nbytes)
+            shm_out = shared_memory.SharedMemory(
+                create=True, size=n_outputs * words * 8
+            )
+            try:
+                np.ndarray(
+                    packed.shape, dtype=np.uint64, buffer=shm_in.buf
+                )[:] = packed
+                _worker_init({entry.key: entry.netlist})
+                _worker_run(
+                    (
+                        entry.key,
+                        None,
+                        entry.serial.backend,
+                        shm_in.name,
+                        shm_out.name,
+                        12,
+                        n_outputs,
+                        words,
+                        0,
+                        words,
+                        (),
+                    )
+                )
+                worker = _WORKER["engines"][entry.key]
+                assert (worker.backend, worker.threads) == ("native", 1)
+                assert worker.digest == entry.serial.digest
+                out = np.ndarray(
+                    (n_outputs, words), dtype=np.uint64, buffer=shm_out.buf
+                )
+                np.testing.assert_array_equal(
+                    out, entry.serial.run_packed(packed)
+                )
+            finally:
+                for shm in _WORKER.get("shm", {}).values():
+                    shm.close()
+                _WORKER.clear()
+                for shm in (shm_in, shm_out):
+                    shm.close()
+                    shm.unlink()
 
     def test_threaded_engine_skips_the_pool(self):
         """An engine that threads in-process runs on the serial path."""
         netlist = random_netlist(10, 20, seed=73)
-        with WorkerPool(n_workers=2, backend="thread") as pool:
+        with WorkerPool(n_workers=2, backend="process") as pool:
             model = pool.attach(None, netlist, engine_backend="native-mt")
             entry = pool._entry(model)
             entry.serial.threads = 4  # force the heuristic regardless of host
@@ -395,7 +433,7 @@ class TestPoolComposition:
     def test_prefer_threads_false_forces_pool_sharding(self):
         netlist = random_netlist(10, 20, seed=74)
         with WorkerPool(
-            n_workers=2, backend="thread", prefer_threads=False
+            n_workers=2, backend="process", prefer_threads=False
         ) as pool:
             model = pool.attach(None, netlist, engine_backend="native-mt")
             entry = pool._entry(model)
@@ -410,8 +448,7 @@ class TestPoolComposition:
     def test_numpy_models_unaffected_by_heuristic(self):
         """The heuristic only triggers on engines that expose threads > 1."""
         netlist = random_netlist(10, 18, seed=78)
-        with WorkerPool(n_workers=2, backend="thread") as pool:
+        with WorkerPool(n_workers=2, backend="process") as pool:
             model = pool.attach(None, netlist, engine_backend="numpy")
             assert not pool._prefer_in_process(pool._entry(model))
-            assert pool._entry(model).worker_threads is None
             assert pool.serial_engine(model).threads == 1

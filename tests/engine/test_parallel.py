@@ -5,7 +5,7 @@ serial engine bit for bit — that, for the :class:`ShardedEngine` handle on
 every pool flavour, is ``test_engine_conformance``'s job.  Here: several
 netlists attached to one pool (before and after the fork), shard
 interleaving under concurrent per-model load, detach/eviction semantics,
-fallback, and cleanup.
+fallback, cleanup, and the exact calls of the benchmark's pool row.
 """
 
 import threading
@@ -16,11 +16,18 @@ import pytest
 from repro.engine import (
     WorkerPool,
     compile_netlist,
+    pack_bits,
     random_netlist,
     shard_bounds,
+    unpack_bits,
 )
+from repro.engine.native import toolchain_available
 from repro.engine.parallel import _worker_init, _worker_run
 from repro.utils.rng import as_rng
+
+needs_cc = pytest.mark.skipif(
+    not toolchain_available(), reason="no C compiler on this host"
+)
 
 
 class TestShardBounds:
@@ -51,7 +58,6 @@ class TestLifecycle:
             # never sharded: the OS pool is not even created
             pool.evaluate_outputs("m", X)
             assert pool._resources["pool"] is None
-            assert pool._resources["thread_pool"] is None
 
     def test_abandoned_pool_is_reclaimed_by_gc(self):
         """Dropping a pool without close() must still release its workers."""
@@ -89,7 +95,7 @@ class TestWorkerPool:
             "b": (netlist_b, compile_netlist(netlist_b)),
         }
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_two_models_bit_exact(self, models, backend):
         rng = as_rng(12)
         with WorkerPool(
@@ -236,15 +242,16 @@ class TestWorkerPool:
 
     def test_worker_registry_sizes_needs_a_process_pool(self, models):
         netlist_b, _ = models["b"]
-        with WorkerPool(n_workers=2, backend="thread") as pool:
+        with WorkerPool(n_workers=2, backend="serial") as pool:
             pool.attach("b", netlist_b)
             assert pool.worker_registry_sizes() == {}
             with pytest.raises(ValueError, match="rounds"):
                 pool.worker_registry_sizes(rounds=0)
 
-    def test_fallback_to_threads_releases_shared_memory(self, models):
-        """The thread backend never leases shm again: fallback must unlink
-        the free pairs instead of hoarding them for the process lifetime."""
+    def test_fallback_to_serial_releases_shared_memory(self, models):
+        """The serial backend never leases shm again: fallback must unlink
+        the free pairs instead of hoarding them for the process lifetime,
+        and serve every later batch on the model's own engine."""
         netlist_a, serial_a = models["a"]
         rng = as_rng(17)
         X = rng.integers(0, 2, size=(700, 24), dtype=np.uint8)
@@ -260,14 +267,20 @@ class TestWorkerPool:
                 pytest.skip("process backend unavailable on this host")
             assert pool._resources["shm_free"]
             with pytest.warns(RuntimeWarning, match="falling back"):
-                pool._fall_back_to_threads(OSError("injected"), stacklevel=2)
-            assert pool.backend == "thread"
+                pool._fall_back_to_serial(OSError("injected"), stacklevel=2)
+            assert pool.backend == "serial"
+            assert pool._resources["pool"] is None
             assert pool._resources["shm_free"] == []
             assert pool._resources["shm_all"] == []
-            # and the pool still serves, bit-exactly, on threads
+            # the pool still serves, bit-exactly, on the model's own engine
             np.testing.assert_array_equal(
                 pool.evaluate_outputs("a", X), expected
             )
+            assert pool._resources["shm_all"] == []
+            # and never forks again
+            pool.warm_up()
+            assert pool._resources["pool"] is None
+            assert pool.worker_registry_sizes() == {}
 
     def test_attach_validation(self):
         with WorkerPool(n_workers=2) as pool:
@@ -281,6 +294,9 @@ class TestWorkerPool:
             WorkerPool(n_workers=0)
         with pytest.raises(ValueError):
             WorkerPool(backend="gpu")
+        # the thread backend is gone: in-process threads are the engine's
+        with pytest.raises(ValueError, match="'process', 'serial'"):
+            WorkerPool(backend="thread")
         with pytest.raises(ValueError):
             WorkerPool(min_words_per_worker=0)
 
@@ -302,8 +318,6 @@ class TestWorkerHelpers:
 
         from multiprocessing import shared_memory
 
-        from repro.engine import pack_bits
-
         netlist = random_netlist(12, 20, seed=27, n_outputs=3)
         other = random_netlist(10, 15, seed=29, n_outputs=2)
         serial = compile_netlist(netlist)
@@ -323,7 +337,6 @@ class TestWorkerHelpers:
                         "m#0",
                         None,
                         "numpy",
-                        None,
                         shm_in.name,
                         shm_out.name,
                         12,
@@ -345,7 +358,6 @@ class TestWorkerHelpers:
                         "late#1",
                         None,
                         "numpy",
-                        None,
                         shm_in.name,
                         shm_out.name,
                         12,
@@ -367,7 +379,6 @@ class TestWorkerHelpers:
                     "late#1",
                     pickle.dumps(other),
                     "numpy",
-                    None,
                     shm_in.name,
                     shm_out.name,
                     10,
@@ -394,3 +405,26 @@ class TestWorkerHelpers:
             shm_in.unlink()
             shm_out.close()
             shm_out.unlink()
+
+
+@needs_cc
+class TestBenchmarkPoolRow:
+    def test_the_pool_rows_calls_stay_bit_exact(self):
+        """The calls the benchmark's ``pool.*`` trace row makes, in its
+        order: a forced process pool serving a native model."""
+        netlist = random_netlist(24, 60, seed=41, n_outputs=8)
+        X = as_rng(42).integers(0, 2, size=(700, 24), dtype=np.uint8)
+        packed = pack_bits(X)
+        with WorkerPool(
+            n_workers=2, backend="process", prefer_threads=False
+        ) as pool:
+            pool.attach("rinc", netlist, engine_backend="native")
+            pool.warm_up()
+            assert pool.backend == "process"
+            assert pool.serial_engine("rinc").n_nodes > 0
+            for words in (packed, packed[:, :1]):
+                n = min(len(X), 64 * words.shape[1])
+                np.testing.assert_array_equal(
+                    unpack_bits(pool.run_packed("rinc", words), n),
+                    netlist.evaluate_outputs(X[:n]),
+                )
