@@ -81,8 +81,9 @@ class MATModule:
 
         An input whose weight is too small relative to the margin of the other
         inputs can never flip the thresholded output; the Xilinx synthesizer
-        prunes the corresponding upstream logic (§4.3 of the paper), and the
-        resource model reproduces that behaviour with this method.
+        prunes the corresponding upstream logic (§4.3 of the paper).  This is
+        the reference the resource model's pruning is tested against: the
+        pruned netlist reads none of the inputs it drops.
         """
         keep = []
         combos = enumerate_binary_inputs(self.n_inputs)

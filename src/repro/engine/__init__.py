@@ -22,7 +22,8 @@ Compiler
 ``passes``
     Ordered, individually testable optimisation passes:
     :class:`~repro.engine.passes.ConstantFoldPass` (constant propagation,
-    support reduction, dead-node pruning),
+    support reduction, dead-node pruning; shared with
+    ``repro.hardware.resources.prune_netlist``),
     :class:`~repro.engine.passes.FuseChainsPass` (single-fanout LUT chains
     fused into wider tables under the packed cost model — fewer levels,
     fewer Shannon mux steps),

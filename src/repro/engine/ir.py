@@ -5,7 +5,7 @@ ideal for classifiers emitting their LUTs, hostile to a compiler that wants
 to fold, fuse, split and delete nodes.  :class:`IRGraph` is the engine's
 intermediate representation: the same DAG-of-LUTs semantics, but with nodes
 held in a name-indexed topological list that passes may freely rewrite, plus
-the analyses passes need (fanout counts, level structure, reachability).
+the analyses passes need (fanout counts, reachability).
 
 The IR round-trips losslessly: ``IRGraph.from_netlist(n).to_netlist()``
 reproduces the netlist node for node, so every pass can be equivalence-checked
@@ -25,10 +25,10 @@ A pass receives the graph, mutates it and returns it.  The workflow that
 keeps passes honest:
 
 * query the analyses (:meth:`IRGraph.fanout_counts`,
-  :meth:`IRGraph.live_nodes`, :meth:`IRGraph.node_levels`) *before*
-  rewriting — they are computed fresh per call, not cached, so a pass that
-  interleaves queries and mutations must keep its own bookkeeping (see
-  ``FuseChainsPass`` updating its local fanout dict);
+  :meth:`IRGraph.live_nodes`) *before* rewriting — they are computed
+  fresh per call, not cached, so a pass that interleaves queries and
+  mutations must keep its own bookkeeping (see ``FuseChainsPass`` updating
+  its local fanout dict);
 * nodes may pass through transiently inconsistent states (wrong table size
   for the input count) mid-rewrite; call :meth:`IRGraph.validate` at the end
   of the pass in tests to prove the invariants were restored;
@@ -390,23 +390,6 @@ class IRGraph:
             if node.name in live:
                 live.update(node.inputs)
         return live & self._by_name.keys()
-
-    def node_levels(self) -> Dict[str, int]:
-        """Longest-chain level of every node (primary inputs sit at level 0)."""
-        level: Dict[str, int] = {}
-        for node in self._nodes:
-            input_levels = [
-                level[sig] if sig in level else 0 for sig in node.inputs
-            ]
-            level[node.name] = (max(input_levels) if input_levels else 0) + 1
-        return level
-
-    def logic_depth(self) -> int:
-        """Longest LUT chain from any primary input to any declared output."""
-        level = self.node_levels()
-        if not self.outputs:
-            return max(level.values(), default=0)
-        return max((level.get(sig, 0) for sig in self.outputs), default=0)
 
     # ------------------------------------------------------------ validation
     def validate(self) -> None:

@@ -8,7 +8,8 @@ a sequence of ordered, individually testable passes over
 ``ConstantFoldPass``
     Propagates constants through truth tables, drops don't-care inputs
     (support reduction), eliminates identity buffers, and prunes every node
-    unreachable from the declared outputs.
+    unreachable from the declared outputs.  The synthesizer-style pruning
+    of Table 7 (``repro.hardware.resources.prune_netlist``) is this pass.
 
 ``FuseChainsPass``
     Fuses single-fanout LUT chains into wider tables.  Fusion is driven by
@@ -408,10 +409,10 @@ class DecomposePass(Pass):
     input into two cofactor tables combined by a mux node (kind ``"mux"``,
     table :data:`MUX_TABLE`) — the software mirror of Xilinx F7/F8 muxes.
     The final mux inherits the original node's name, so downstream output
-    declarations and consumers are untouched.  Naming (``<n>_c0``,
-    ``<n>_c1``, ``<n>_mux``) and metadata (``decomposed_from``) match what
-    ``repro.hardware.lut_decompose`` historically produced; that module now
-    delegates here.
+    declarations and consumers are untouched.  Cofactors are named
+    ``<n>_c0`` / ``<n>_c1`` and intermediate muxes ``<n>_mux``; every mux
+    records ``decomposed_from``.  ``repro.hardware.lut_decompose`` delegates
+    here.
     """
 
     name = "decompose"

@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence
 from repro.core.poetbin import PoETBiNClassifier
 from repro.experiments.architectures import get_architecture
 from repro.hardware.latency import LatencyModel
-from repro.hardware.lut_decompose import luts6_required
-from repro.hardware.resources import resource_report
+from repro.hardware.lut_decompose import decompose_netlist, luts6_required
+from repro.hardware.resources import prune_netlist, resource_report
 
 
 @dataclass
@@ -103,22 +103,25 @@ def measured_row(
     latency_model: Optional[LatencyModel] = None,
     prune: bool = True,
 ) -> Table7Row:
-    """Table 7 entry measured from a trained (reduced-scale) classifier."""
+    """Table 7 entry measured from a trained (reduced-scale) classifier.
+
+    The netlist is pruned once and decomposed once, so the LUT count, the
+    logic depth and the latency all describe the same netlist.
+    """
     latency_model = latency_model or LatencyModel()
     netlist = classifier.to_netlist()
+    if prune:
+        netlist = prune_netlist(netlist)
     report = resource_report(
         netlist,
-        prune=prune,
+        prune=False,
         n_classes=classifier.n_classes,
         output_bits=classifier.output_bits,
     )
-    latency = latency_model.netlist_latency(netlist, include_output_layer=True)
-    from repro.hardware.lut_decompose import decompose_netlist
-
-    depth = decompose_netlist(netlist).logic_depth() + 1
+    depth = decompose_netlist(netlist).logic_depth() + 1  # + the output layer
     return Table7Row(
         dataset=dataset,
-        latency_ns=latency * 1e9,
+        latency_ns=latency_model.path_latency(depth) * 1e9,
         luts=report.total_physical_luts,
         paper_latency_ns=float("nan"),
         paper_luts=0,

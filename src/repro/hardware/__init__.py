@@ -4,10 +4,11 @@ The original paper synthesises the generated VHDL for a Xilinx Spartan-6 and
 reads power/latency/LUT counts from the vendor tools.  Offline, this package
 provides the analytical equivalents:
 
-* :mod:`repro.hardware.lut_decompose` — Shannon decomposition of wide LUTs
-  into 6-input LUTs (what the synthesizer does with ``P = 8`` designs).
-* :mod:`repro.hardware.resources` — LUT counting and synthesizer-style pruning
-  (Table 7).
+* :mod:`repro.hardware.lut_decompose` — the physical LUT count of a wide LUT,
+  and ``decompose_netlist``: the engine's ``DecomposePass`` splitting wide
+  LUTs onto 6-input LUTs (what the synthesizer does with ``P = 8`` designs).
+* :mod:`repro.hardware.resources` — LUT counting (Table 7) after
+  synthesizer-style pruning, which *is* the engine's ``ConstantFoldPass``.
 * :mod:`repro.hardware.power_model` / :mod:`repro.hardware.energy_model` — the
   per-operation power library of Table 4, the operation counts of Table 5, and
   the bottom-up energy estimation of Tables 3 and 6.
@@ -18,7 +19,7 @@ provides the analytical equivalents:
 
 from repro.hardware.energy_model import EnergyBreakdown, EnergyModel
 from repro.hardware.latency import LatencyModel
-from repro.hardware.lut_decompose import decompose_lut, decompose_netlist, luts6_required
+from repro.hardware.lut_decompose import decompose_netlist, luts6_required
 from repro.hardware.memory_image import (
     MemoryImage,
     netlist_memory_images,
@@ -52,7 +53,6 @@ __all__ = [
     "total_memory_bits",
     "write_memory_files",
     "count_classifier_operations",
-    "decompose_lut",
     "decompose_netlist",
     "generate_testbench",
     "generate_verilog",

@@ -5,14 +5,12 @@ Xilinx devices provide 6-input LUTs plus dedicated F7/F8 multiplexers.  A
 an 8-input function occupies four (plus free F7/F8 muxes) — which is why the
 paper's P=8 designs for MNIST/CIFAR-10 use four physical LUTs per logical LUT
 and run at a lower clock.  This module provides both the closed-form count and
-an actual functional Shannon decomposition that can be simulated and verified.
+an actual functional Shannon decomposition that can be simulated and verified
+(the engine compiler's ``DecomposePass``).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from repro.core.lut import LUT
 from repro.core.netlist import LUTNetlist
 
 
@@ -31,37 +29,6 @@ def luts6_required(n_inputs: int, max_inputs: int = 6) -> int:
     return 2 ** (n_inputs - max_inputs)
 
 
-def decompose_lut(lut: LUT, max_inputs: int = 6) -> Tuple[List[LUT], List[dict]]:
-    """Shannon-decompose ``lut`` into cofactor LUTs plus mux selections.
-
-    Returns ``(cofactor_luts, muxes)`` where each cofactor LUT has at most
-    ``max_inputs`` inputs and each mux record describes how two signals are
-    selected by one of the removed (most significant) inputs.  The original
-    function equals the final mux output; :func:`decompose_netlist` uses this
-    to build an equivalent 6-input netlist that can be simulated.
-    """
-    if max_inputs < 2:
-        raise ValueError("max_inputs must be at least 2")
-    if lut.n_inputs <= max_inputs:
-        return [lut], []
-
-    # Split on the most significant input: table = [f0 | f1] halves.
-    half = lut.table.size // 2
-    msb_index = int(lut.input_indices[0])
-    rest_indices = lut.input_indices[1:]
-    f0 = LUT(input_indices=rest_indices, table=lut.table[:half], name=f"{lut.name}_c0")
-    f1 = LUT(input_indices=rest_indices, table=lut.table[half:], name=f"{lut.name}_c1")
-    luts0, muxes0 = decompose_lut(f0, max_inputs)
-    luts1, muxes1 = decompose_lut(f1, max_inputs)
-    mux = {
-        "select_input": msb_index,
-        "when_zero": f0.name if not muxes0 else muxes0[-1]["name"],
-        "when_one": f1.name if not muxes1 else muxes1[-1]["name"],
-        "name": f"{lut.name}_mux",
-    }
-    return luts0 + luts1, muxes0 + muxes1 + [mux]
-
-
 def decompose_netlist(netlist: LUTNetlist, max_inputs: int = 6) -> LUTNetlist:
     """Rebuild ``netlist`` so no node exceeds ``max_inputs`` inputs.
 
@@ -72,8 +39,7 @@ def decompose_netlist(netlist: LUTNetlist, max_inputs: int = 6) -> LUTNetlist:
 
     This is a thin wrapper over the engine compiler's
     :class:`~repro.engine.passes.DecomposePass`, so hardware codegen and the
-    bit-packed engine share a single decomposition implementation (naming,
-    node kinds and metadata are identical between the two).
+    bit-packed engine share a single decomposition implementation.
     """
     from repro.engine.ir import IRGraph
     from repro.engine.passes import DecomposePass

@@ -4,20 +4,19 @@ Two effects determine the physical LUT count of a PoET-BiN design:
 
 * **decomposition**: logical LUTs wider than the device's 6 inputs are split
   into several physical LUTs (``P = 8`` costs four 6-input LUTs each);
-* **pruning**: MAT inputs whose AdaBoost weight is too small to ever flip the
-  thresholded decision are dead logic; the synthesizer removes them together
-  with the sub-tree that feeds them (the paper observes ~36% of the CIFAR-10
-  LUTs removed this way).
+* **pruning**: logic that cannot affect an output is removed, as the Xilinx
+  synthesizer does (the paper observes ~36% of the CIFAR-10 LUTs removed this
+  way).  A MAT input whose AdaBoost weight never flips the thresholded
+  decision is a don't-care of the MAT's table, so the tree feeding it dies
+  with it.  :func:`prune_netlist` is the engine compiler's
+  ``ConstantFoldPass``: one pruner serves the CPU program and Table 7.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.core.mat import MATModule
 from repro.core.netlist import LUTNetlist
 from repro.hardware.lut_decompose import luts6_required
 
@@ -51,63 +50,19 @@ def output_layer_luts(n_classes: int, n_bits: int) -> int:
     return n_classes * n_bits
 
 
-def prune_netlist(netlist: LUTNetlist, tolerance: float = 1e-12) -> LUTNetlist:
-    """Remove MAT inputs that cannot affect the output, then dead logic.
+def prune_netlist(netlist: LUTNetlist) -> LUTNetlist:
+    """Remove the logic that cannot affect the outputs, as the synthesizer does.
 
-    A MAT node whose metadata carries its AdaBoost weights is re-examined: any
-    input whose weight never changes the thresholded decision is disconnected
-    (the MAT LUT is rebuilt over the surviving inputs).  Nodes whose output is
-    no longer read by anything — recursively — are dropped, reproducing what
-    the Xilinx synthesizer does to low-weight decision trees (§4.3).
+    A thin wrapper over the engine compiler's
+    :class:`~repro.engine.passes.ConstantFoldPass`: support reduction,
+    constant and buffer folding, dead-node removal.  Names are kept and
+    metadata is copied unchanged (a MAT's ``weights`` still list every
+    original input); a declared output may become a primary input.
     """
-    # First pass: rebuild MAT nodes over their effective inputs only.
-    rebuilt: Dict[str, tuple] = {}
-    for node in netlist.nodes:
-        if node.kind == "mat" and "weights" in node.metadata:
-            weights = np.asarray(node.metadata["weights"], dtype=np.float64)
-            threshold = float(node.metadata.get("threshold", 0.0))
-            mat = MATModule(weights=weights, threshold=threshold)
-            keep = mat.effective_inputs(tolerance=tolerance)
-            if len(keep) == 0:
-                # constant output: keep a single input so the node stays a LUT
-                keep = np.array([int(np.argmax(np.abs(weights)))])
-            if len(keep) < node.n_inputs:
-                sub_mat = MATModule(weights=weights[keep], threshold=threshold)
-                sub_lut = sub_mat.to_lut()
-                signals = [node.input_signals[i] for i in keep]
-                rebuilt[node.name] = (signals, sub_lut.table, weights[keep])
-            else:
-                rebuilt[node.name] = (
-                    list(node.input_signals),
-                    node.table,
-                    weights,
-                )
-        else:
-            rebuilt[node.name] = (list(node.input_signals), node.table, None)
+    from repro.engine.ir import IRGraph
+    from repro.engine.passes import ConstantFoldPass
 
-    # Second pass: keep only nodes reachable from the declared outputs.
-    reachable: Set[str] = set()
-    stack = [sig for sig in netlist.output_signals if not netlist.is_primary_input(sig)]
-    while stack:
-        name = stack.pop()
-        if name in reachable:
-            continue
-        reachable.add(name)
-        signals, _, _ = rebuilt[name]
-        stack.extend(sig for sig in signals if not netlist.is_primary_input(sig))
-
-    pruned = LUTNetlist(n_primary_inputs=netlist.n_primary_inputs)
-    for node in netlist.nodes:
-        if node.name not in reachable and netlist.output_signals:
-            continue
-        signals, table, weights = rebuilt[node.name]
-        metadata = dict(node.metadata)
-        if weights is not None:
-            metadata["weights"] = weights
-        pruned.add_node(node.name, node.kind, signals, table, metadata)
-    for sig in netlist.output_signals:
-        pruned.mark_output(sig)
-    return pruned
+    return ConstantFoldPass().run(IRGraph.from_netlist(netlist)).to_netlist()
 
 
 def resource_report(
@@ -116,7 +71,6 @@ def resource_report(
     prune: bool = True,
     n_classes: Optional[int] = None,
     output_bits: int = 8,
-    prune_tolerance: float = 1e-12,
 ) -> ResourceReport:
     """Full Table 7-style resource report for a netlist.
 
@@ -133,9 +87,14 @@ def resource_report(
         to the report.
     """
     original_count = netlist.n_luts
-    work = prune_netlist(netlist, tolerance=prune_tolerance) if prune else netlist
+    work = prune_netlist(netlist) if prune else netlist
     logical = work.n_luts
-    physical = sum(luts6_required(node.n_inputs, physical_lut_inputs) for node in work.nodes)
+    # a constant (0-input) node is a tie-off, not a LUT
+    physical = sum(
+        luts6_required(node.n_inputs, physical_lut_inputs)
+        for node in work.nodes
+        if node.n_inputs
+    )
     out_luts = output_layer_luts(n_classes, output_bits) if n_classes else 0
     return ResourceReport(
         logical_luts=logical,

@@ -8,9 +8,10 @@ resources — the same strategy as the VHDL backend.
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import Dict, List
 
 from repro.core.netlist import LUTNetlist, primary_input_index
+from repro.hardware.hdl_names import unique_identifiers
 
 
 def verilog_identifier(name: str) -> str:
@@ -21,10 +22,18 @@ def verilog_identifier(name: str) -> str:
     return cleaned.lower()
 
 
-def _signal_expr(netlist: LUTNetlist, signal: str) -> str:
-    if netlist.is_primary_input(signal):
-        return f"features[{primary_input_index(signal)}]"
-    return verilog_identifier(signal)
+def _signal_expr(names: Dict[str, str], signal: str) -> str:
+    if signal in names:
+        return names[signal]
+    return f"features[{primary_input_index(signal)}]"
+
+
+def _lookup(node, names: Dict[str, str]) -> str:
+    """The right-hand side that drives ``node``."""
+    if not node.n_inputs:  # a constant: there is nothing to index with
+        return f"1'b{int(node.table[0])}"
+    concat = ", ".join(_signal_expr(names, sig) for sig in node.input_signals)
+    return f"TABLE_{names[node.name].upper()}[{{{concat}}}]"
 
 
 def _table_literal(table) -> str:
@@ -56,24 +65,23 @@ def generate_verilog(netlist: LUTNetlist, module_name: str = "poetbin_classifier
     lines.append(");")
     lines.append("")
 
+    names = unique_identifiers((node.name for node in netlist.nodes), verilog_identifier)
     for node in netlist.nodes:
-        ident = verilog_identifier(node.name)
+        ident = names[node.name]
         lines.append(
             f"  localparam [{len(node.table) - 1}:0] TABLE_{ident.upper()} = "
             f"{_table_literal(node.table)};"
         )
     lines.append("")
     for node in netlist.nodes:
-        lines.append(f"  wire {verilog_identifier(node.name)};")
+        lines.append(f"  wire {names[node.name]};")
     lines.append("")
     for node in netlist.nodes:
-        ident = verilog_identifier(node.name)
-        concat = ", ".join(_signal_expr(netlist, sig) for sig in node.input_signals)
         lines.append(f"  // {node.kind} LUT, {node.n_inputs} inputs")
-        lines.append(f"  assign {ident} = TABLE_{ident.upper()}[{{{concat}}}];")
+        lines.append(f"  assign {names[node.name]} = {_lookup(node, names)};")
     lines.append("")
     for position, signal in enumerate(netlist.output_signals):
-        lines.append(f"  assign outputs[{position}] = {_signal_expr(netlist, signal)};")
+        lines.append(f"  assign outputs[{position}] = {_signal_expr(names, signal)};")
     lines.append("")
     lines.append("endmodule")
     lines.append("")

@@ -10,9 +10,10 @@ arithmetic resources.
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import Dict, List
 
 from repro.core.netlist import LUTNetlist, primary_input_index
+from repro.hardware.hdl_names import unique_identifiers
 
 
 def _vhdl_identifier(name: str) -> str:
@@ -23,11 +24,22 @@ def _vhdl_identifier(name: str) -> str:
     return cleaned.lower()
 
 
-def _signal_expr(netlist: LUTNetlist, signal: str) -> str:
+def _signal_expr(names: Dict[str, str], signal: str) -> str:
     """VHDL expression for a netlist signal (primary input or node output)."""
-    if netlist.is_primary_input(signal):
-        return f"features({primary_input_index(signal)})"
-    return _vhdl_identifier(signal)
+    if signal in names:
+        return names[signal]
+    return f"features({primary_input_index(signal)})"
+
+
+def _lookup(node, names: Dict[str, str]) -> str:
+    """The right-hand side that drives ``node``."""
+    if not node.n_inputs:  # a constant: there is nothing to index with
+        return f"'{int(node.table[0])}'"
+    if node.n_inputs == 1:  # a one-element aggregate, not a qualified scalar
+        index = f"(0 => {_signal_expr(names, node.input_signals[0])})"
+    else:
+        index = "(" + " & ".join(_signal_expr(names, sig) for sig in node.input_signals) + ")"
+    return f"table_{names[node.name]}(to_integer(unsigned(std_logic_vector'{index})))"
 
 
 def _table_literal(table) -> str:
@@ -67,28 +79,25 @@ def generate_vhdl(netlist: LUTNetlist, entity_name: str = "poetbin_classifier") 
     lines.append("")
     lines.append(f"architecture lut_network of {entity_name} is")
 
+    names = unique_identifiers((node.name for node in netlist.nodes), _vhdl_identifier)
     # constants + internal signals
     for node in netlist.nodes:
-        ident = _vhdl_identifier(node.name)
+        ident = names[node.name]
         lines.append(
             f"  constant table_{ident} : std_logic_vector(0 to {len(node.table) - 1}) := "
             f"{_table_literal(node.table)};"
         )
     for node in netlist.nodes:
-        lines.append(f"  signal {_vhdl_identifier(node.name)} : std_logic;")
+        lines.append(f"  signal {names[node.name]} : std_logic;")
     lines.append("begin")
 
     # one concurrent lookup per node
     for node in netlist.nodes:
-        ident = _vhdl_identifier(node.name)
-        concat = " & ".join(_signal_expr(netlist, sig) for sig in node.input_signals)
         lines.append(f"  -- {node.kind} LUT, {node.n_inputs} inputs")
-        lines.append(
-            f"  {ident} <= table_{ident}(to_integer(unsigned(std_logic_vector'({concat}))));"
-        )
+        lines.append(f"  {names[node.name]} <= {_lookup(node, names)};")
 
     for position, signal in enumerate(netlist.output_signals):
-        lines.append(f"  outputs({position}) <= {_signal_expr(netlist, signal)};")
+        lines.append(f"  outputs({position}) <= {_signal_expr(names, signal)};")
     lines.append(f"end architecture lut_network;")
     lines.append("")
     return "\n".join(lines)

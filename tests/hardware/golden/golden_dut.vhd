@@ -29,7 +29,7 @@ begin
   -- mat LUT, 3 inputs
   n2_mat_out <= table_n2_mat_out(to_integer(unsigned(std_logic_vector'(t0 & t1 & features(1)))));
   -- rinc0 LUT, 1 inputs
-  stage2 <= table_stage2(to_integer(unsigned(std_logic_vector'(n2_mat_out))));
+  stage2 <= table_stage2(to_integer(unsigned(std_logic_vector'(0 => n2_mat_out))));
   outputs(0) <= stage2;
   outputs(1) <= features(3);
 end architecture lut_network;

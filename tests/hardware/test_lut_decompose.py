@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import LUT, LUTNetlist
-from repro.hardware import decompose_lut, decompose_netlist, luts6_required
+from repro.core import LUTNetlist
+from repro.hardware import decompose_netlist, luts6_required
 from repro.utils.bitops import enumerate_binary_inputs
 
 
@@ -27,30 +27,6 @@ class TestLuts6Required:
             luts6_required(4, max_inputs=1)
 
 
-class TestDecomposeLut:
-    def test_narrow_lut_untouched(self, rng):
-        lut = LUT(input_indices=np.arange(4), table=(rng.random(16) < 0.5).astype(np.uint8))
-        cofactors, muxes = decompose_lut(lut, max_inputs=6)
-        assert cofactors == [lut]
-        assert muxes == []
-
-    def test_wide_lut_cofactor_count(self, rng):
-        lut = LUT(input_indices=np.arange(8), table=(rng.random(256) < 0.5).astype(np.uint8))
-        cofactors, muxes = decompose_lut(lut, max_inputs=6)
-        assert len(cofactors) == 4
-        assert len(muxes) == 3  # a binary tree of muxes over 4 cofactors
-
-    def test_cofactor_width_bounded(self, rng):
-        lut = LUT(input_indices=np.arange(9), table=(rng.random(512) < 0.5).astype(np.uint8))
-        cofactors, _ = decompose_lut(lut, max_inputs=6)
-        assert all(c.n_inputs <= 6 for c in cofactors)
-
-    def test_invalid_max_inputs(self, rng):
-        lut = LUT(input_indices=np.arange(3), table=np.zeros(8, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            decompose_lut(lut, max_inputs=1)
-
-
 class TestDecomposeNetlist:
     def _random_wide_netlist(self, rng, n_inputs=8):
         netlist = LUTNetlist(n_primary_inputs=n_inputs)
@@ -59,30 +35,37 @@ class TestDecomposeNetlist:
         netlist.mark_output("wide")
         return netlist
 
-    def test_functional_equivalence(self, rng):
-        netlist = self._random_wide_netlist(rng)
+    @pytest.mark.parametrize("n_inputs", [4, 8, 9])
+    def test_functional_equivalence(self, rng, n_inputs):
+        netlist = self._random_wide_netlist(rng, n_inputs)
         decomposed = decompose_netlist(netlist, max_inputs=6)
-        X = enumerate_binary_inputs(8)
+        X = enumerate_binary_inputs(n_inputs)
         np.testing.assert_array_equal(
             netlist.evaluate_outputs(X), decomposed.evaluate_outputs(X)
         )
 
-    def test_all_nodes_within_width(self, rng):
-        decomposed = decompose_netlist(self._random_wide_netlist(rng), max_inputs=6)
+    def test_narrow_lut_untouched(self, rng):
+        netlist = self._random_wide_netlist(rng, n_inputs=4)
+        decomposed = decompose_netlist(netlist, max_inputs=6)
+        (node,) = decomposed.nodes
+        assert node.name == "wide" and node.input_signals == netlist.nodes[0].input_signals
+        np.testing.assert_array_equal(node.table, netlist.nodes[0].table)
+
+    @pytest.mark.parametrize("n_inputs", [8, 9])
+    def test_all_nodes_within_width(self, rng, n_inputs):
+        decomposed = decompose_netlist(self._random_wide_netlist(rng, n_inputs), max_inputs=6)
         assert all(node.n_inputs <= 6 for node in decomposed.nodes)
 
-    def test_mux_nodes_created(self, rng):
-        decomposed = decompose_netlist(self._random_wide_netlist(rng), max_inputs=6)
+    @pytest.mark.parametrize("n_inputs,cofactors", [(7, 2), (8, 4), (9, 8)])
+    def test_cofactor_count(self, rng, n_inputs, cofactors):
+        """2**(P-6) cofactor LUTs under a binary tree of one fewer muxes."""
+        decomposed = decompose_netlist(self._random_wide_netlist(rng, n_inputs), max_inputs=6)
         kinds = decomposed.count_by_kind()
-        assert kinds.get("mux", 0) == 3
-        assert kinds.get("rinc0", 0) == 4
+        assert kinds == {"rinc0": cofactors, "mux": cofactors - 1}
 
-    def test_narrow_netlist_unchanged(self, rng):
-        netlist = LUTNetlist(n_primary_inputs=4)
-        netlist.add_node("a", "rinc0", ["in0", "in1"], np.array([0, 1, 1, 0]))
-        netlist.mark_output("a")
-        decomposed = decompose_netlist(netlist, max_inputs=6)
-        assert decomposed.n_luts == 1
+    def test_invalid_max_inputs(self, rng):
+        with pytest.raises(ValueError):
+            decompose_netlist(self._random_wide_netlist(rng, n_inputs=3), max_inputs=1)
 
     def test_rinc_netlist_equivalence(self, wide_rinc_netlist, small_teacher_task):
         """Decomposing a trained P=8 RINC netlist preserves its predictions."""

@@ -6,6 +6,7 @@ import pytest
 from repro.core import LUTNetlist, MATModule, RINCClassifier
 from repro.hardware import prune_netlist, resource_report
 from repro.hardware.resources import output_layer_luts
+from repro.utils.bitops import enumerate_binary_inputs
 
 
 class TestOutputLayerLuts:
@@ -62,39 +63,32 @@ def _netlist_with_weak_mat(weights):
 
 
 class TestPruneNetlist:
-    def test_no_pruning_with_balanced_weights(self):
+    # t2's table [0, 1, 0, 1] is a wire from in5: pruning absorbs it into
+    # its consumer whatever the MAT weights are.
+
+    def test_balanced_weights_prune_only_the_wire(self):
         netlist = _netlist_with_weak_mat([1.0, 1.0, 1.0])
         pruned = prune_netlist(netlist)
-        assert pruned.n_luts == netlist.n_luts
+        assert pruned.n_luts == 3
+        assert [node.name for node in pruned.nodes] == ["t0", "t1", "mat"]
+        assert pruned.nodes[-1].input_signals == ["t0", "t1", "in5"]
 
     def test_dominant_weight_prunes_all_others(self):
         # a weight of 2.0 outvotes the other two regardless of their outputs,
         # so both of their trees are dead logic
         netlist = _netlist_with_weak_mat([2.0, 1.0, 1e-9])
         pruned = prune_netlist(netlist)
-        assert pruned.n_luts == 2  # surviving tree + MAT
-        remaining = [node.name for node in pruned.nodes]
-        assert "t1" not in remaining and "t2" not in remaining
+        # the MAT reduces to a wire from t0, so t0 itself is the output
+        assert pruned.n_luts == 1
+        assert [node.name for node in pruned.nodes] == ["t0"]
+        assert pruned.output_signals == ["t0"]
 
     def test_negligible_weight_tree_removed(self):
         # weights 1.0/1.0/0.9 all interact, only the 1e-9 tree is dead logic
         netlist = _netlist_with_weak_mat([1.0, 1.0, 0.9, 1e-9])
         pruned = prune_netlist(netlist)
-        assert pruned.n_luts == netlist.n_luts - 1
-        assert "t3" not in [node.name for node in pruned.nodes]
-
-    @pytest.mark.parametrize(
-        "weights", [[2.0, 1.0, 1e-9], [1.0, 1.0, 0.9, 1e-9], [1.0, 1.0, 1.0]]
-    )
-    def test_pruned_netlist_equivalent(self, weights):
-        netlist = _netlist_with_weak_mat(weights)
-        pruned = prune_netlist(netlist)
-        from repro.utils.bitops import enumerate_binary_inputs
-
-        X = enumerate_binary_inputs(netlist.n_primary_inputs)
-        np.testing.assert_array_equal(
-            netlist.evaluate_outputs(X), pruned.evaluate_outputs(X)
-        )
+        assert pruned.n_luts == 3  # t3 is dead logic, t2 a wire
+        assert [node.name for node in pruned.nodes] == ["t0", "t1", "mat"]
 
     def test_unreferenced_node_removed(self):
         netlist = LUTNetlist(n_primary_inputs=2)
@@ -102,15 +96,70 @@ class TestPruneNetlist:
         netlist.add_node("dead", "rinc0", ["in1"], np.array([0, 1]))
         netlist.mark_output("used")
         pruned = prune_netlist(netlist)
-        assert [node.name for node in pruned.nodes] == ["used"]
+        # "used" is a wire from in0 too, so no node is left at all
+        assert [node.name for node in pruned.nodes] == []
+        assert pruned.output_signals == ["in0"]
 
-    def test_trained_rinc_netlist_survives_pruning(self, rinc2_netlist, small_teacher_task):
-        pruned = prune_netlist(rinc2_netlist)
-        X = small_teacher_task.X_test
+
+def _mat_weight_reference(netlist):
+    """What pruning by AdaBoost weight alone keeps, and what it drops.
+
+    Returns the names of the nodes the outputs still reach once every MAT
+    input :meth:`MATModule.effective_inputs` drops is cut, and the dropped
+    ``(mat, signal)`` pairs.
+    """
+    reads, dropped = {}, []
+    for node in netlist.nodes:
+        signals = list(node.input_signals)
+        if node.kind == "mat" and "weights" in node.metadata:
+            mat = MATModule(
+                weights=np.asarray(node.metadata["weights"], dtype=float),
+                threshold=float(node.metadata.get("threshold", 0.0)),
+            )
+            keep = set(mat.effective_inputs().tolist())
+            dropped += [(node.name, sig) for i, sig in enumerate(signals) if i not in keep]
+            signals = [sig for i, sig in enumerate(signals) if i in keep]
+        reads[node.name] = signals
+    kept, stack = set(), list(netlist.output_signals)
+    while stack:
+        signal = stack.pop()
+        if signal in reads and signal not in kept:
+            kept.add(signal)
+            stack.extend(reads[signal])
+    return kept, dropped
+
+
+class TestPruneCoversMatWeightReference:
+    """Pruning removes everything the MAT-weight reference removes, bit-exactly."""
+
+    def _check(self, netlist, X):
+        kept, dropped = _mat_weight_reference(netlist)
+        pruned = prune_netlist(netlist)
+        by_name = {node.name: node for node in pruned.nodes}
+        assert by_name.keys() <= kept
+        for mat_name, signal in dropped:
+            if mat_name in by_name:
+                assert signal not in by_name[mat_name].input_signals
         np.testing.assert_array_equal(
-            rinc2_netlist.evaluate_outputs(X), pruned.evaluate_outputs(X)
+            netlist.evaluate_outputs(X), pruned.evaluate_outputs(X)
         )
-        assert pruned.n_luts <= rinc2_netlist.n_luts
+        return dropped
+
+    @pytest.mark.parametrize(
+        "weights,n_dropped",
+        [([2.0, 1.0, 1e-9], 2), ([1.0, 1.0, 0.9, 1e-9], 1), ([1.0, 1.0, 1.0], 0)],
+    )
+    def test_weak_mat(self, weights, n_dropped):
+        netlist = _netlist_with_weak_mat(weights)
+        X = enumerate_binary_inputs(netlist.n_primary_inputs)
+        assert len(self._check(netlist, X)) == n_dropped
+
+    def test_rinc2_netlist(self, rinc2_netlist, small_teacher_task):
+        assert len(self._check(rinc2_netlist, small_teacher_task.X_test)) == 2
+
+    def test_trained_poetbin(self, trained_poetbin):
+        clf, X, _, _ = trained_poetbin
+        self._check(clf.to_netlist(), X)
 
 
 class TestResourceReport:
@@ -136,8 +185,15 @@ class TestResourceReport:
     def test_pruning_reported(self):
         netlist = _netlist_with_weak_mat([1.0, 1.0, 0.9, 1e-9])
         report = resource_report(netlist)
-        assert report.pruned_luts == 1
-        assert report.pruned_fraction == pytest.approx(1 / 5)
+        assert report.pruned_luts == 2  # t3 (dead) and t2 (a wire)
+        assert report.pruned_fraction == pytest.approx(2 / 5)
+
+    def test_constant_node_is_not_a_physical_lut(self):
+        netlist = LUTNetlist(n_primary_inputs=1)
+        netlist.add_node("k", "rinc0", ["in0"], np.array([1, 1]))
+        netlist.mark_output("k")
+        report = resource_report(netlist)
+        assert (report.logical_luts, report.physical_luts) == (1, 0)
 
     def test_kind_counts(self, rinc2_netlist):
         report = resource_report(rinc2_netlist, prune=False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import LUTNetlist
-from repro.hardware import generate_verilog, generate_verilog_testbench
+from repro.hardware import generate_verilog, generate_verilog_testbench, prune_netlist
 from repro.hardware.verilog.codegen import verilog_identifier
 
 
@@ -71,6 +71,35 @@ class TestGenerateVerilog:
             )
             assert vhdl_literal in vhdl
             assert verilog_literal in verilog
+
+
+class TestEmittedForms:
+    def test_constant_node_emits_its_literal(self):
+        # a table that ignores its input folds to a 0-input node
+        netlist = LUTNetlist(n_primary_inputs=1)
+        netlist.add_node("k", "rinc0", ["in0"], np.array([1, 1]))
+        netlist.mark_output("k")
+        pruned = prune_netlist(netlist)
+        assert [node.n_inputs for node in pruned.nodes] == [0]
+        code = generate_verilog(pruned)
+        assert "  assign k = 1'b1;" in code
+        assert "[{}]" not in code
+
+    def test_colliding_names_made_unique(self):
+        netlist = LUTNetlist(n_primary_inputs=2)
+        netlist.add_node("Node", "rinc0", ["in0", "in1"], np.array([0, 1, 1, 0]))
+        netlist.add_node("node", "rinc0", ["in0", "in1"], np.array([0, 0, 0, 1]))
+        netlist.add_node("features", "mat", ["Node", "node"], np.array([0, 1, 1, 1]))
+        for name in ("Node", "node", "features"):
+            netlist.mark_output(name)
+        code = generate_verilog(netlist)
+        for ident in ("node", "node_1", "features_1"):
+            assert code.count(f"  wire {ident};") == 1
+            assert code.count(f"TABLE_{ident.upper()} =") == 1
+        assert "assign features_1 = TABLE_FEATURES_1[{node, node_1}];" in code
+        assert "assign outputs[0] = node;" in code
+        assert "assign outputs[1] = node_1;" in code
+        assert "assign outputs[2] = features_1;" in code
 
 
 class TestGenerateVerilogTestbench:

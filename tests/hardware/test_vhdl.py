@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import LUTNetlist
-from repro.hardware import generate_testbench, generate_vhdl
+from repro.hardware import generate_testbench, generate_vhdl, prune_netlist
 from repro.hardware.vhdl.codegen import _vhdl_identifier
 
 
@@ -63,6 +63,42 @@ class TestGenerateVhdl:
         # one lookup assignment per node plus the output assignment
         assert code.count("<=") == rinc2_netlist.n_luts + len(rinc2_netlist.output_signals)
         assert f"std_logic_vector({rinc2_netlist.n_primary_inputs - 1} downto 0)" in code
+
+
+class TestEmittedForms:
+    def test_constant_node_emits_its_literal(self):
+        # a table that ignores its input folds to a 0-input node
+        netlist = LUTNetlist(n_primary_inputs=1)
+        netlist.add_node("k", "rinc0", ["in0"], np.array([1, 1]))
+        netlist.mark_output("k")
+        pruned = prune_netlist(netlist)
+        assert [node.n_inputs for node in pruned.nodes] == [0]
+        code = generate_vhdl(pruned)
+        assert "  k <= '1';" in code
+        assert "std_logic_vector'()" not in code
+
+    def test_one_input_index_is_an_aggregate(self):
+        netlist = LUTNetlist(n_primary_inputs=3)
+        netlist.add_node("inv", "rinc0", ["in2"], np.array([1, 0]))
+        netlist.mark_output("inv")
+        code = generate_vhdl(netlist)
+        assert "inv <= table_inv(to_integer(unsigned(std_logic_vector'(0 => features(2)))));" in code
+
+    def test_colliding_names_made_unique(self):
+        netlist = LUTNetlist(n_primary_inputs=2)
+        netlist.add_node("Node", "rinc0", ["in0", "in1"], np.array([0, 1, 1, 0]))
+        netlist.add_node("node", "rinc0", ["in0", "in1"], np.array([0, 0, 0, 1]))
+        netlist.add_node("outputs", "mat", ["Node", "node"], np.array([0, 1, 1, 1]))
+        for name in ("Node", "node", "outputs"):
+            netlist.mark_output(name)
+        code = generate_vhdl(netlist)
+        for ident in ("node", "node_1", "outputs_1"):
+            assert code.count(f"  signal {ident} : std_logic;") == 1
+            assert code.count(f"  constant table_{ident} :") == 1
+        assert "outputs_1 <= table_outputs_1(to_integer(unsigned(std_logic_vector'(node & node_1))));" in code
+        assert "outputs(0) <= node;" in code
+        assert "outputs(1) <= node_1;" in code
+        assert "outputs(2) <= outputs_1;" in code
 
 
 class TestGenerateTestbench:
