@@ -6,8 +6,8 @@ request is a row range in a batch, not a task:
 in the caller's own stack frame, with a *reply sink* where a future used to
 be; the queue holds requests for at most ``max_wait_us`` microseconds,
 merges whatever has accumulated into a single word matrix
-(:func:`~repro.engine.bitpack.concat_packed`), runs the model's batch
-function **once** on its executor thread, and completes the batch **once**:
+(:func:`~repro.engine.bitpack.concat_packed`), evaluates it **once** (see
+*Where evaluation runs*), and completes the batch **once**:
 one stats record, then one call per distinct sink with the whole result, in
 which every entry knows its row range.  The awaitable ``submit(rows)`` /
 ``submit_packed(words, n)`` are that same core with a sink that resolves a
@@ -35,9 +35,9 @@ Admission control
 
 The queue is bounded at ``max_queue`` *samples*, counting everything
 admitted but not yet completed — both requests waiting for a flush and
-batches already evaluating on the executor.  (Counting only the pre-flush
+batches flushed but not yet answered.  (Counting only the pre-flush
 backlog would make the bound unreachable: every flush would reset it while
-unfinished batches piled up behind the single evaluation thread.)  A
+unfinished batches piled up behind the evaluation.)  A
 request that would push that backlog past the bound is shed at admission
 with :class:`ServerOverloadedError` — a typed, cheap rejection that never
 touches the engine — so overload degrades into explicit client-visible
@@ -55,12 +55,30 @@ them at completion, so total in-flight work is capped however traffic is
 distributed across models (with the same idle-oversized exception, applied
 to the budget as a whole).
 
-Evaluation runs on a dedicated single-thread executor, which serialises
-engine calls (the compiled engine's scratch buffers are not thread-safe)
-and keeps the event loop free to admit requests while NumPy works.  The
-executor persists across batches — together with the (optional)
-:class:`~repro.engine.parallel.WorkerPool` underneath the batch function's
-engine, the whole worker stack outlives any one call.
+Where evaluation runs
+=====================
+
+A queue with a ``packed_fn`` — a compiled engine's word program —
+evaluates each batch **on the event-loop thread**, in a loop callback
+scheduled at flush: no executor, no task, no thread.  One batch costs
+tens of microseconds of engine work, and a round trip to a thread and
+back under the GIL costs more than that.  The callback never runs inside
+:meth:`BatchingQueue.admit_packed`'s own stack, not even when that
+admission fills the batch: a caller that admits a request and only then
+counts the answer it owes (a server connection does, after its dispatch
+returns) is never answered first.  This has two costs.  While a batch
+evaluates, the loop reads no socket, so a ``packed_fn`` must be bounded
+engine work; anything that may block (sleep, I/O, a lock) belongs in
+``batch_fn``.  And batches of two models on one process
+:class:`~repro.engine.parallel.WorkerPool` no longer overlap: each waits
+for its shards on the one loop thread.
+
+A queue with only a ``batch_fn`` keeps one executor thread, created on
+first use, because a plain callable may block.  Either way a model's
+calls are serialised (the compiled engine's scratch buffers are not
+thread-safe), and the worker stack — the executor, the (optional)
+:class:`~repro.engine.parallel.WorkerPool` under the engine — outlives
+any one call.
 
 One payload: packed words
 =========================
@@ -82,6 +100,7 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -324,8 +343,8 @@ class BatchingQueue:
     batch_fn:
         ``(n, F) -> array with first axis n`` — labels, scores, anything
         sliceable along the sample axis — over uint8 rows, used when there
-        is no ``packed_fn``.  Runs on the queue's executor thread, never on
-        the event loop.
+        is no ``packed_fn``.  Runs on the queue's one executor thread, never
+        on the event loop, so it may block.
     max_batch:
         Flush as soon as this many samples are queued.
     max_wait_us:
@@ -351,8 +370,10 @@ class BatchingQueue:
         n_samples`` fast path: the coalesced ``(F, n_words(n))`` uint64
         matrix goes to the model *as words* — no unpack, no re-pack.  Its
         output must mean the same thing as ``batch_fn``'s (labels with
-        labels, scores with scores).  Without it, every batch falls back
-        to one ``unpack_bits`` plus ``batch_fn``.
+        labels, scores with scores).  It runs **on the event loop**, so it
+        must be bounded engine work: while it runs no socket is read.
+        Anything that may block belongs in ``batch_fn``.  Without it, every
+        batch falls back to one ``unpack_bits`` plus ``batch_fn``.
     """
 
     def __init__(
@@ -388,10 +409,11 @@ class BatchingQueue:
         self._inflight_samples = 0
         self._depth_hwm = 0  # loop-confined; reaches the stats once per batch
         self._timer: Optional[asyncio.TimerHandle] = None
+        #: flushed batches whose loop callback has not run yet (packed_fn)
+        self._scheduled: deque = deque()
+        #: batches evaluating on the executor thread (batch_fn)
         self._inflight: set = set()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serving"
-        )
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
 
     # ------------------------------------------------------------ admission
@@ -551,7 +573,8 @@ class BatchingQueue:
 
     # ------------------------------------------------------------- flushing
     def _flush_now(self) -> None:
-        """Hand the pending entries to the executor as one batch.  Also the
+        """Hand the pending entries on as one batch: to a loop callback
+        with a ``packed_fn``, to the executor thread without.  Also the
         timer's callback: a size-triggered flush may already have drained
         the queue between scheduling and firing, and flushing an empty
         queue is a no-op."""
@@ -566,16 +589,29 @@ class BatchingQueue:
         self._inflight_samples += n_samples
         self._queued_samples = 0
         self.stats.observe_queue_depth(self._depth_hwm)
-        task = asyncio.get_running_loop().create_task(
-            self._evaluate(entries, n_samples)
+        loop = asyncio.get_running_loop()
+        if self._packed_fn is not None:
+            # never now: this may be admit_packed's own stack
+            self._scheduled.append((entries, n_samples))
+            loop.call_soon(self._evaluate_scheduled)
+            return
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serving"
+            )
+        future = loop.run_in_executor(
+            self._executor, self._run_batch, entries, n_samples
         )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        self._inflight.add(future)
+        future.add_done_callback(
+            lambda done: self._finish(entries, n_samples, done.result)
+        )
+        future.add_done_callback(self._inflight.discard)
 
     def _run_batch(
         self, entries: List[_Pending], n_samples: int
     ) -> np.ndarray:
-        """Coalesce the entries and evaluate them once (executor thread)."""
+        """Coalesce the entries and evaluate them once."""
         payloads = [entry.payload for entry in entries]
         if len(entries) == 1:
             # mask so a model's packed path never sees a client's padding
@@ -589,20 +625,33 @@ class BatchingQueue:
             return self._packed_fn(words, n_samples)
         return self._batch_fn(unpack_bits(words, n_samples))
 
-    async def _evaluate(self, entries: List[_Pending], n_samples: int) -> None:
-        """One batch, start to finish: evaluate off the loop, then book it
-        and complete it — once, not once per request."""
+    def _evaluate_scheduled(self) -> None:
+        """The loop callback of a ``packed_fn`` batch: evaluate the oldest
+        scheduled batch right here and complete it.  A no-op when
+        :meth:`flush` already ran it."""
+        if self._scheduled:
+            entries, n_samples = self._scheduled.popleft()
+            self._finish(
+                entries,
+                n_samples,
+                lambda: self._run_batch(entries, n_samples),
+            )
+
+    def _finish(
+        self,
+        entries: List[_Pending],
+        n_samples: int,
+        outcome: Callable[[], np.ndarray],
+    ) -> None:
+        """Book one batch and complete it — once, not once per request.
+        ``outcome()`` returns the batch's result or raises its failure."""
         result = error = None
         # Any failure must still reach every entry's sink (a caller left
         # unanswered blocks a client until its socket timeout) and must
         # release the admission backlog, or one bad batch wedges the queue
         # forever.
         try:
-            result = np.asarray(
-                await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._run_batch, entries, n_samples
-                )
-            )
+            result = np.asarray(outcome())
             if result.shape[:1] != (n_samples,):
                 raise ValueError(
                     f"the batch function answered {n_samples} samples with "
@@ -628,10 +677,14 @@ class BatchingQueue:
             complete(group, result, error)
 
     async def flush(self) -> None:
-        """Force-evaluate whatever is queued and wait for it to finish."""
+        """Force-evaluate whatever is queued and wait for it to finish —
+        including batches flushed earlier whose loop callback has not run
+        yet: they evaluate here, and their callbacks find nothing left."""
         self._flush_now()
+        while self._scheduled:
+            self._evaluate_scheduled()
         if self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+            await asyncio.wait(list(self._inflight))
 
     # -------------------------------------------------------------- cleanup
     async def close(self) -> None:
@@ -640,4 +693,5 @@ class BatchingQueue:
             return
         self._closed = True
         await self.flush()
-        self._executor.shutdown(wait=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)

@@ -159,7 +159,10 @@ class InferenceServer(FrameServer):
         ``(F, n_words(n))`` uint64 bit-planes reach the model as words —
         no unpack, no re-pack.  Output semantics must match the given
         evaluation function's (scores with ``scores_fn``, labels with
-        ``batch_fn``).
+        ``batch_fn``).  It runs on the event loop (see
+        :mod:`repro.serving.queue`), so it must be bounded engine work —
+        no socket is read while it runs; ``batch_fn``/``scores_fn``
+        without it run on the queue's executor thread and may block.
     host, port:
         Listen address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
@@ -304,9 +307,10 @@ class InferenceServer(FrameServer):
         """Host another model under ``name``, with its own queue and knobs.
 
         Give either an evaluation function (``batch_fn``/``scores_fn``,
-        plus optionally the binary protocol's zero-copy ``packed_fn``) or
-        ``model=`` to pick the object's best entry point (see
-        :func:`_bind_model`).  With ``model=``, the engine is resolved
+        plus optionally the zero-copy ``packed_fn``, which then serves
+        every batch on the event loop and so must be bounded engine work,
+        never a call that may block) or ``model=`` to pick the object's
+        best entry point (see :func:`_bind_model`).  With ``model=``, the engine is resolved
         *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
         generated C, ``"native-mt"`` for the same build threaded up to the
         core count, ``"auto"`` for native-if-toolchain) and ``pool`` attaches

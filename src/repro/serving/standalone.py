@@ -26,11 +26,12 @@ exists for.
 The built-in model family is ``popcount:F:C[:SLEEP_MS]``: ``F`` binary
 features, labels ``popcount(row) % C`` — trivially bit-exact to recompute
 on the driver side — plus an optional *modeled service time* of SLEEP_MS
-milliseconds per batch.  The sleep happens on the queue's executor thread
-with the GIL released, exactly like a real engine's compute does, so
-replica scaling measured against it is honest even on a single-core CI
-box (two sleeping replicas genuinely overlap; two spinning ones would
-not).
+milliseconds per batch.  The model registers only a ``batch_fn``, so the
+sleep happens on the queue's executor thread with the GIL released, like
+a real engine's compute, and never on the event loop, where it would stall
+the health pings the router sends.  Replica scaling measured against it is
+honest even on a single-core CI box (two sleeping replicas genuinely
+overlap; two spinning ones would not).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.bitpack import unpack_bits
 from repro.serving.retry import RetryPolicy
 from repro.serving.router import RouterServer
 from repro.serving.server import InferenceServer
@@ -61,17 +61,15 @@ __all__ = [
 def make_popcount_model(
     n_features: int, n_classes: int, sleep_ms: float = 0.0
 ):
-    """``(batch_fn, packed_fn)`` for the standalone popcount model."""
+    """The standalone popcount model's ``batch_fn``: it may sleep, so it
+    evaluates on its queue's executor thread, off the event loop."""
 
     def batch_fn(X: np.ndarray) -> np.ndarray:
         if sleep_ms > 0:
             time.sleep(sleep_ms / 1e3)  # modeled service time, GIL released
         return X.astype(np.int64).sum(axis=1) % n_classes
 
-    def packed_fn(words: np.ndarray, n_samples: int) -> np.ndarray:
-        return batch_fn(unpack_bits(words, n_samples))
-
-    return batch_fn, packed_fn
+    return batch_fn
 
 
 def parse_model_spec(
@@ -166,11 +164,10 @@ async def _backend_main(args: argparse.Namespace) -> None:
         name, version, n_features, n_classes, sleep_ms = parse_model_spec(
             spec
         )
-        batch_fn, packed_fn = make_popcount_model(
-            n_features, n_classes, sleep_ms
-        )
         server.register_model(
-            name, batch_fn, packed_fn=packed_fn, version=version
+            name,
+            make_popcount_model(n_features, n_classes, sleep_ms),
+            version=version,
         )
     for spec in args.shadow or ():
         name, version, fraction = parse_shadow(spec)

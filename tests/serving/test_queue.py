@@ -6,11 +6,17 @@ scattered results against a direct ``predict_batch`` on the concatenation.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
-from repro.engine import compile_netlist, rinc_bank_netlist
+from repro.engine import (
+    compile_netlist,
+    pack_bits,
+    rinc_bank_netlist,
+    unpack_bits,
+)
 from repro.serving import (
     AdmissionBudget,
     BadRequestError,
@@ -669,6 +675,159 @@ class TestPackedSubmissions:
 
         result = asyncio.run(main())
         np.testing.assert_array_equal(result, [N_FEATURES] * 3)
+
+
+def _popcount_packed(calls):
+    """A ``packed_fn`` that records the thread of every batch it evaluates."""
+
+    def packed_fn(words, n_samples):
+        calls.append(threading.get_ident())
+        return unpack_bits(words, n_samples).sum(axis=1).astype(np.int64)
+
+    return packed_fn
+
+
+def _recording_sink(answers):
+    """A reply sink that records each call's tags, result and error."""
+
+    def complete(entries, result, error):
+        answers.append(([entry.tag for entry in entries], result, error))
+
+    return complete
+
+
+class TestWhereEvaluationRuns:
+    """A ``packed_fn`` evaluates on the event loop, a ``batch_fn`` on the
+    queue's own executor thread."""
+
+    def test_packed_fn_runs_on_the_loop_thread_and_starts_no_thread(self):
+        calls = []
+        before = set(threading.enumerate())
+
+        async def main():
+            queue = BatchingQueue(
+                lambda X: X.sum(axis=1), max_batch=4, max_wait_us=1_000,
+                max_queue=64, packed_fn=_popcount_packed(calls),
+            )
+            rows = np.ones((1, N_FEATURES), dtype=np.uint8)
+            results = await asyncio.gather(
+                *(queue.submit(rows) for _ in range(6))
+            )
+            started = set(threading.enumerate()) - before
+            await queue.close()
+            return threading.get_ident(), started, results
+
+        loop_thread, started, results = asyncio.run(main())
+        # one size-triggered batch of 4, one timer-triggered batch of 2
+        assert calls == [loop_thread, loop_thread]
+        assert not [t for t in started if t.name.startswith("repro-serving")]
+        for result in results:
+            np.testing.assert_array_equal(result, [N_FEATURES])
+
+    def test_batch_fn_runs_off_the_loop_thread(self):
+        seen = []
+
+        def batch_fn(X):
+            seen.append(threading.current_thread())
+            return X.sum(axis=1).astype(np.int64)
+
+        async def main():
+            queue = BatchingQueue(
+                batch_fn, max_batch=4, max_wait_us=1_000, max_queue=64
+            )
+            rows = np.ones((2, N_FEATURES), dtype=np.uint8)
+            await asyncio.gather(*(queue.submit(rows) for _ in range(3)))
+            await queue.close()
+            return threading.current_thread()
+
+        loop_thread = asyncio.run(main())
+        assert len(seen) == 2
+        assert all(thread is not loop_thread for thread in seen)
+        assert all(thread.name.startswith("repro-serving") for thread in seen)
+
+    def test_size_flush_answers_only_after_admit_packed_returns(self):
+        """A connection counts the answer it owes after its admission
+        returns, so the batch that admission fills must not be answered
+        (or even evaluated) inside it."""
+        calls, answers = [], []
+        sink = _recording_sink(answers)
+
+        async def main():
+            queue = BatchingQueue(
+                lambda X: X.sum(axis=1), max_batch=2, max_wait_us=50_000,
+                max_queue=64, packed_fn=_popcount_packed(calls),
+            )
+            words = pack_bits(np.ones((1, N_FEATURES), dtype=np.uint8))
+            queue.admit_packed(words, 1, sink, "a")
+            queue.admit_packed(words, 1, sink, "b")  # fills the batch
+            inside = (list(calls), list(answers), queue.backlog_samples)
+            await asyncio.sleep(0)  # one loop pass: the scheduled batch runs
+            after = (len(calls), queue.backlog_samples)
+            await queue.close()
+            return inside, after
+
+        (evaluated, answered, backlog), after = asyncio.run(main())
+        assert evaluated == [] and answered == [] and backlog == 2
+        assert after == (1, 0)
+        [(tags, result, error)] = answers
+        assert tags == ["a", "b"] and error is None
+        np.testing.assert_array_equal(result, [N_FEATURES, N_FEATURES])
+
+    @pytest.mark.parametrize("finish", ["flush", "close"])
+    def test_flush_and_close_finish_a_scheduled_batch(self, finish):
+        calls, answers = [], []
+
+        async def main():
+            queue = BatchingQueue(
+                lambda X: X.sum(axis=1), max_batch=2, max_wait_us=50_000,
+                max_queue=64, packed_fn=_popcount_packed(calls),
+            )
+            words = pack_bits(np.ones((2, N_FEATURES), dtype=np.uint8))
+            queue.admit_packed(words, 2, _recording_sink(answers), "a")
+            assert answers == []  # scheduled, not yet run
+            await getattr(queue, finish)()
+            finished = (list(answers), queue.backlog_samples)
+            await asyncio.sleep(0)  # the batch's own callback: nothing left
+            return finished
+
+        (answered, backlog) = asyncio.run(main())
+        assert backlog == 0
+        assert [tags for tags, _, _ in answered] == [["a"]]
+        assert len(calls) == 1  # evaluated once, by the finishing call
+
+    def test_packed_fn_failure_answers_everyone_and_releases(self):
+        answers = []
+
+        def broken(words, n_samples):
+            raise ValueError("engine exploded")
+
+        async def main():
+            budget = AdmissionBudget(64, weights={"m": 1.0, "other": 1.0})
+            queue = BatchingQueue(
+                lambda X: X.sum(axis=1), max_batch=8, max_wait_us=1_000,
+                max_queue=64, budget=budget, budget_key="m", packed_fn=broken,
+            )
+            words = pack_bits(np.ones((2, N_FEATURES), dtype=np.uint8))
+            queue.admit_packed(words, 2, _recording_sink(answers), "sink")
+            awaited = await asyncio.gather(
+                *(queue.submit_packed(words, 2) for _ in range(3)),
+                return_exceptions=True,
+            )
+            released = (
+                queue.backlog_samples,
+                budget.outstanding,
+                budget.outstanding_for("m"),
+                queue.stats.errors,
+            )
+            await queue.close()
+            return awaited, released
+
+        awaited, released = asyncio.run(main())
+        assert all(isinstance(r, ValueError) for r in awaited)
+        [(tags, result, error)] = answers
+        assert tags == ["sink"] and result is None
+        assert isinstance(error, ValueError)
+        assert released == (0, 0, 0, 4)
 
 
 class TestWeightedBudget:
