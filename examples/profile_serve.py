@@ -6,9 +6,9 @@ it) behind an in-process ``InferenceServer`` with ``serve_host``'s settings,
 under the benchmark's own closed loop — 2 connections, 256 one-sample binary
 requests always in flight — run from a child process, so the server's loop
 thread shares its interpreter with nobody.  First pass: CPU µs per request by
-stage and per thread — the loop thread, which also evaluates the engine's
-batches, and an executor thread only where the queue has one (a plain
-``batch_fn``) — the timers' own cost included, frames per chunk, replies per
+stage and per thread — the loop thread, which also evaluates the native
+engine's batches, and an executor thread only where the queue started one —
+the timers' own cost included, frames per chunk, replies per
 ``write``, and the tasks and loop handles
 (``call_soon`` / ``call_soon_threadsafe`` / ``call_at``) the loop created per
 request.  Second pass: a ``cProfile`` top 15 of the loop thread.
@@ -175,10 +175,10 @@ def main() -> None:
         run_load(handle.address, load, 0.5)  # warm: caches, allocator, sockets
 
         stages = Stages()
-        # an engine's batches evaluate on the loop; only a queue serving a
-        # plain batch_fn has an executor thread of its own
+        # a single-thread native engine's batches evaluate on the loop; a
+        # queue that evaluates on its executor has started its thread by now
         threads = {"loop thread": handle._thread}
-        if entry.queue._executor is not None:
+        if entry.queue._executor._threads:
             threads["executor thread"] = next(
                 iter(entry.queue._executor._threads)
             )

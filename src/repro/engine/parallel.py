@@ -632,14 +632,12 @@ class WorkerPool:
     ) -> np.ndarray:
         """Sharded ``CompiledNetlist.run_packed`` for one attached model.
 
-        Thread-safe across models.  The serving layer calls it from one
-        thread: a served engine's batches evaluate on the event loop, so
-        two models' batches on this pool run one after the other, never
-        overlapping.  (Per *model*, callers must serialise
-        their own calls: small batches, the serial backend and a failed
-        process pool all run the model's one engine, and the NumPy engine
-        reuses scratch buffers — exactly the discipline the per-model
-        batching queue already enforces.)
+        Thread-safe: the serving layer calls this concurrently from one
+        executor thread per model queue.  (Per *model*, callers must
+        serialise their own calls: small batches, the serial backend and a
+        failed process pool all run the model's one engine, and the NumPy
+        engine reuses scratch buffers — exactly the discipline the
+        per-model batching queue already enforces.)
         """
         self._check_open()
         entry = self._entry(model_id)

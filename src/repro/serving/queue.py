@@ -58,27 +58,32 @@ to the budget as a whole).
 Where evaluation runs
 =====================
 
-A queue with a ``packed_fn`` — a compiled engine's word program —
-evaluates each batch **on the event-loop thread**, in a loop callback
-scheduled at flush: no executor, no task, no thread.  One batch costs
-tens of microseconds of engine work, and a round trip to a thread and
-back under the GIL costs more than that.  The callback never runs inside
-:meth:`BatchingQueue.admit_packed`'s own stack, not even when that
-admission fills the batch: a caller that admits a request and only then
-counts the answer it owes (a server connection does, after its dispatch
-returns) is never answered first.  This has two costs.  While a batch
-evaluates, the loop reads no socket, so a ``packed_fn`` must be bounded
-engine work; anything that may block (sleep, I/O, a lock) belongs in
-``batch_fn``.  And batches of two models on one process
-:class:`~repro.engine.parallel.WorkerPool` no longer overlap: each waits
-for its shards on the one loop thread.
+By default a queue evaluates its batches on one executor thread of its
+own, started by the first batch.  The event loop meanwhile keeps
+admitting, shedding and answering every other model, the health checks
+and the control ops, however long an evaluation takes, so ``batch_fn``
+and ``packed_fn`` may block: sleep, do I/O, or wait on the worker
+processes of a :class:`~repro.engine.parallel.WorkerPool`.  Two models'
+batches evaluate on two threads and overlap.
 
-A queue with only a ``batch_fn`` keeps one executor thread, created on
-first use, because a plain callable may block.  Either way a model's
-calls are serialised (the compiled engine's scratch buffers are not
-thread-safe), and the worker stack — the executor, the (optional)
-:class:`~repro.engine.parallel.WorkerPool` under the engine — outlives
-any one call.
+With ``on_loop=True`` each batch instead evaluates **on the event-loop
+thread**, in a loop callback scheduled at flush: no executor hop, no task,
+no thread.  It is meant for engine work known to take microseconds and
+never to wait: the registry sets it only for an in-process single-thread
+native engine (:class:`~repro.engine.native.NativeCompiledNetlist` with
+``threads == 1``), whose 64-sample batch costs tens of microseconds of C —
+less than a round trip to a thread and back under the GIL.  The callback
+never runs inside :meth:`BatchingQueue.admit_packed`'s own stack, not even
+when that admission fills the batch: a caller that admits a request and
+only then counts the answer it owes (a server connection does, after its
+dispatch returns) is never answered first.  This has two costs.  While a
+batch evaluates, the loop reads no socket.  And two such models' batches
+run one after the other, never overlapping.
+
+Either way a model's calls are serialised (the compiled engine's scratch
+buffers are not thread-safe), and the worker stack — the executor, the
+(optional) :class:`~repro.engine.parallel.WorkerPool` under the engine —
+outlives any one call.
 
 One payload: packed words
 =========================
@@ -100,8 +105,8 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -343,8 +348,8 @@ class BatchingQueue:
     batch_fn:
         ``(n, F) -> array with first axis n`` — labels, scores, anything
         sliceable along the sample axis — over uint8 rows, used when there
-        is no ``packed_fn``.  Runs on the queue's one executor thread, never
-        on the event loop, so it may block.
+        is no ``packed_fn``.  Runs on the queue's executor thread unless
+        ``on_loop`` is set.
     max_batch:
         Flush as soon as this many samples are queued.
     max_wait_us:
@@ -370,10 +375,13 @@ class BatchingQueue:
         n_samples`` fast path: the coalesced ``(F, n_words(n))`` uint64
         matrix goes to the model *as words* — no unpack, no re-pack.  Its
         output must mean the same thing as ``batch_fn``'s (labels with
-        labels, scores with scores).  It runs **on the event loop**, so it
-        must be bounded engine work: while it runs no socket is read.
-        Anything that may block belongs in ``batch_fn``.  Without it, every
-        batch falls back to one ``unpack_bits`` plus ``batch_fn``.
+        labels, scores with scores).  Without it, every batch falls back
+        to one ``unpack_bits`` plus ``batch_fn``.
+    on_loop:
+        Evaluate each batch on the event-loop thread instead of the
+        executor thread (see *Where evaluation runs*).  Only for work that
+        takes microseconds and never waits: while it runs no socket is
+        read.
     """
 
     def __init__(
@@ -387,6 +395,7 @@ class BatchingQueue:
         budget: Optional[AdmissionBudget] = None,
         budget_key: Optional[str] = None,
         packed_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+        on_loop: bool = False,
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
@@ -396,6 +405,7 @@ class BatchingQueue:
             raise ValueError("max_queue must be positive")
         self._batch_fn = batch_fn
         self._packed_fn = packed_fn
+        self.on_loop = on_loop
         self.max_batch = max_batch
         self.max_wait_us = max_wait_us
         self.max_queue = max_queue
@@ -409,11 +419,12 @@ class BatchingQueue:
         self._inflight_samples = 0
         self._depth_hwm = 0  # loop-confined; reaches the stats once per batch
         self._timer: Optional[asyncio.TimerHandle] = None
-        #: flushed batches whose loop callback has not run yet (packed_fn)
-        self._scheduled: deque = deque()
-        #: batches evaluating on the executor thread (batch_fn)
+        #: batches evaluating on the executor thread
         self._inflight: set = set()
-        self._executor: Optional[ThreadPoolExecutor] = None
+        # starts no thread until the first submit
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serving"
+        )
         self._closed = False
 
     # ------------------------------------------------------------ admission
@@ -574,7 +585,7 @@ class BatchingQueue:
     # ------------------------------------------------------------- flushing
     def _flush_now(self) -> None:
         """Hand the pending entries on as one batch: to a loop callback
-        with a ``packed_fn``, to the executor thread without.  Also the
+        with ``on_loop``, to the executor thread without.  Also the
         timer's callback: a size-triggered flush may already have drained
         the queue between scheduling and firing, and flushing an empty
         queue is a no-op."""
@@ -590,15 +601,15 @@ class BatchingQueue:
         self._queued_samples = 0
         self.stats.observe_queue_depth(self._depth_hwm)
         loop = asyncio.get_running_loop()
-        if self._packed_fn is not None:
+        if self.on_loop:
             # never now: this may be admit_packed's own stack
-            self._scheduled.append((entries, n_samples))
-            loop.call_soon(self._evaluate_scheduled)
-            return
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serving"
+            loop.call_soon(
+                self._finish,
+                entries,
+                n_samples,
+                partial(self._run_batch, entries, n_samples),
             )
+            return
         future = loop.run_in_executor(
             self._executor, self._run_batch, entries, n_samples
         )
@@ -624,18 +635,6 @@ class BatchingQueue:
         if self._packed_fn is not None:
             return self._packed_fn(words, n_samples)
         return self._batch_fn(unpack_bits(words, n_samples))
-
-    def _evaluate_scheduled(self) -> None:
-        """The loop callback of a ``packed_fn`` batch: evaluate the oldest
-        scheduled batch right here and complete it.  A no-op when
-        :meth:`flush` already ran it."""
-        if self._scheduled:
-            entries, n_samples = self._scheduled.popleft()
-            self._finish(
-                entries,
-                n_samples,
-                lambda: self._run_batch(entries, n_samples),
-            )
 
     def _finish(
         self,
@@ -677,12 +676,11 @@ class BatchingQueue:
             complete(group, result, error)
 
     async def flush(self) -> None:
-        """Force-evaluate whatever is queued and wait for it to finish —
-        including batches flushed earlier whose loop callback has not run
-        yet: they evaluate here, and their callbacks find nothing left."""
+        """Force-evaluate whatever is queued and wait for it to finish."""
         self._flush_now()
-        while self._scheduled:
-            self._evaluate_scheduled()
+        # one loop pass: ready callbacks run in FIFO order, so every batch
+        # already scheduled on the loop finishes before this resumes
+        await asyncio.sleep(0)
         if self._inflight:
             await asyncio.wait(list(self._inflight))
 
@@ -693,5 +691,4 @@ class BatchingQueue:
             return
         self._closed = True
         await self.flush()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)

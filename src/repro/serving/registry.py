@@ -63,6 +63,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.compiled_netlist import ENGINE_BACKENDS
+from repro.engine.native import NativeCompiledNetlist
 from repro.serving.lifecycle import (
     CanaryPolicy,
     DivergenceStore,
@@ -249,9 +250,12 @@ class ModelRegistry:
         ``engine`` is the engine the functions evaluate on: the version
         owns it, advertises its ``backend``/``threads``/``unroll`` and
         closes it on retire; without one, ``backend`` is a descriptive
-        label (default ``"numpy"``).  ``on_retire`` runs once when the
-        version drains out.  Per-model knobs fall back to the registry
-        defaults.
+        label (default ``"numpy"``).  Only an in-process single-thread
+        native engine evaluates its batches on the event loop; every other
+        version, and every explicit function, gets its queue's executor
+        thread (see :mod:`repro.serving.queue`).  ``on_retire`` runs once
+        when the version drains out.  Per-model knobs fall back to the
+        registry defaults.
         """
         if not isinstance(name, str) or not name:
             raise ValueError("model name must be a non-empty string")
@@ -311,6 +315,11 @@ class ModelRegistry:
                 budget=self.budget,
                 budget_key=name,
                 packed_fn=packed_fn,
+                # measured at tens of µs a batch, and it never waits
+                on_loop=(
+                    isinstance(engine, NativeCompiledNetlist)
+                    and engine.threads == 1
+                ),
             ),
             scores_mode=scores_mode,
             stats=stats,

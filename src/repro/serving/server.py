@@ -159,10 +159,8 @@ class InferenceServer(FrameServer):
         ``(F, n_words(n))`` uint64 bit-planes reach the model as words —
         no unpack, no re-pack.  Output semantics must match the given
         evaluation function's (scores with ``scores_fn``, labels with
-        ``batch_fn``).  It runs on the event loop (see
-        :mod:`repro.serving.queue`), so it must be bounded engine work —
-        no socket is read while it runs; ``batch_fn``/``scores_fn``
-        without it run on the queue's executor thread and may block.
+        ``batch_fn``).  Like them it runs on the queue's executor thread,
+        so it may block.
     host, port:
         Listen address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
@@ -307,10 +305,9 @@ class InferenceServer(FrameServer):
         """Host another model under ``name``, with its own queue and knobs.
 
         Give either an evaluation function (``batch_fn``/``scores_fn``,
-        plus optionally the zero-copy ``packed_fn``, which then serves
-        every batch on the event loop and so must be bounded engine work,
-        never a call that may block) or ``model=`` to pick the object's
-        best entry point (see :func:`_bind_model`).  With ``model=``, the engine is resolved
+        plus optionally the binary protocol's zero-copy ``packed_fn``) or
+        ``model=`` to pick the object's best entry point (see
+        :func:`_bind_model`).  With ``model=``, the engine is resolved
         *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
         generated C, ``"native-mt"`` for the same build threaded up to the
         core count, ``"auto"`` for native-if-toolchain) and ``pool`` attaches
@@ -323,7 +320,10 @@ class InferenceServer(FrameServer):
         ``list_models``, ``repro_serving_model_backend`` and
         ``repro_serving_model_threads`` report what it actually runs with,
         and it is closed — detached from the pool — exactly once, when this
-        version retires.  With explicit functions ``backend`` is a
+        version retires.  An unpooled single-thread ``"native"`` engine
+        evaluates its batches on the event loop; every other engine, and
+        every explicit function, on the queue's executor thread (see
+        :mod:`repro.serving.queue`).  With explicit functions ``backend`` is a
         descriptive label only and ``pool`` does not apply.  Knobs left
         ``None`` inherit the server-level defaults.  Safe while serving:
         requests naming ``name`` route to the new queue from the next

@@ -26,12 +26,12 @@ exists for.
 The built-in model family is ``popcount:F:C[:SLEEP_MS]``: ``F`` binary
 features, labels ``popcount(row) % C`` — trivially bit-exact to recompute
 on the driver side — plus an optional *modeled service time* of SLEEP_MS
-milliseconds per batch.  The model registers only a ``batch_fn``, so the
+milliseconds per batch.  The model registers only a ``batch_fn``: the
 sleep happens on the queue's executor thread with the GIL released, like
-a real engine's compute, and never on the event loop, where it would stall
-the health pings the router sends.  Replica scaling measured against it is
-honest even on a single-core CI box (two sleeping replicas genuinely
-overlap; two spinning ones would not).
+a real engine's compute, and never stalls the event loop that answers the
+router's health pings.  Replica scaling measured against it is honest even
+on a single-core CI box (two sleeping replicas genuinely overlap; two
+spinning ones would not).
 """
 
 from __future__ import annotations

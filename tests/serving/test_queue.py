@@ -697,17 +697,17 @@ def _recording_sink(answers):
 
 
 class TestWhereEvaluationRuns:
-    """A ``packed_fn`` evaluates on the event loop, a ``batch_fn`` on the
-    queue's own executor thread."""
+    """With ``on_loop`` a batch evaluates on the event loop; without it, on
+    the queue's own executor thread, whichever function serves it."""
 
-    def test_packed_fn_runs_on_the_loop_thread_and_starts_no_thread(self):
+    def test_on_loop_runs_on_the_loop_thread_and_starts_no_thread(self):
         calls = []
         before = set(threading.enumerate())
 
         async def main():
             queue = BatchingQueue(
                 lambda X: X.sum(axis=1), max_batch=4, max_wait_us=1_000,
-                max_queue=64, packed_fn=_popcount_packed(calls),
+                max_queue=64, packed_fn=_popcount_packed(calls), on_loop=True,
             )
             rows = np.ones((1, N_FEATURES), dtype=np.uint8)
             results = await asyncio.gather(
@@ -724,16 +724,21 @@ class TestWhereEvaluationRuns:
         for result in results:
             np.testing.assert_array_equal(result, [N_FEATURES])
 
-    def test_batch_fn_runs_off_the_loop_thread(self):
+    @pytest.mark.parametrize("path", ["batch_fn", "packed_fn"])
+    def test_without_on_loop_both_paths_run_off_the_loop_thread(self, path):
         seen = []
 
         def batch_fn(X):
             seen.append(threading.current_thread())
             return X.sum(axis=1).astype(np.int64)
 
+        def packed_fn(words, n_samples):
+            return batch_fn(unpack_bits(words, n_samples))
+
         async def main():
             queue = BatchingQueue(
-                batch_fn, max_batch=4, max_wait_us=1_000, max_queue=64
+                batch_fn, max_batch=4, max_wait_us=1_000, max_queue=64,
+                packed_fn=packed_fn if path == "packed_fn" else None,
             )
             rows = np.ones((2, N_FEATURES), dtype=np.uint8)
             await asyncio.gather(*(queue.submit(rows) for _ in range(3)))
@@ -755,7 +760,7 @@ class TestWhereEvaluationRuns:
         async def main():
             queue = BatchingQueue(
                 lambda X: X.sum(axis=1), max_batch=2, max_wait_us=50_000,
-                max_queue=64, packed_fn=_popcount_packed(calls),
+                max_queue=64, packed_fn=_popcount_packed(calls), on_loop=True,
             )
             words = pack_bits(np.ones((1, N_FEATURES), dtype=np.uint8))
             queue.admit_packed(words, 1, sink, "a")
@@ -780,7 +785,7 @@ class TestWhereEvaluationRuns:
         async def main():
             queue = BatchingQueue(
                 lambda X: X.sum(axis=1), max_batch=2, max_wait_us=50_000,
-                max_queue=64, packed_fn=_popcount_packed(calls),
+                max_queue=64, packed_fn=_popcount_packed(calls), on_loop=True,
             )
             words = pack_bits(np.ones((2, N_FEATURES), dtype=np.uint8))
             queue.admit_packed(words, 2, _recording_sink(answers), "a")
@@ -795,7 +800,8 @@ class TestWhereEvaluationRuns:
         assert [tags for tags, _, _ in answered] == [["a"]]
         assert len(calls) == 1  # evaluated once, by the finishing call
 
-    def test_packed_fn_failure_answers_everyone_and_releases(self):
+    @pytest.mark.parametrize("on_loop", [True, False])
+    def test_packed_fn_failure_answers_everyone_and_releases(self, on_loop):
         answers = []
 
         def broken(words, n_samples):
@@ -806,6 +812,7 @@ class TestWhereEvaluationRuns:
             queue = BatchingQueue(
                 lambda X: X.sum(axis=1), max_batch=8, max_wait_us=1_000,
                 max_queue=64, budget=budget, budget_key="m", packed_fn=broken,
+                on_loop=on_loop,
             )
             words = pack_bits(np.ones((2, N_FEATURES), dtype=np.uint8))
             queue.admit_packed(words, 2, _recording_sink(answers), "sink")

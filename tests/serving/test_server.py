@@ -736,6 +736,109 @@ class TestEngineOwnership:
                     )
 
 
+class TestWhereEvaluationRuns:
+    """Only an unpooled single-thread native engine evaluates on the event
+    loop; anything that may take milliseconds or wait on another process
+    keeps its queue's executor thread, so it stalls only its own model."""
+
+    @pytest.fixture()
+    def trained(self, trained_poetbin):
+        import copy
+
+        clf, X, _targets, _y = trained_poetbin
+        clf = copy.copy(clf)
+        clf._compiled_ = {}  # this test's own engine cache
+        return clf, X[:40], clf.predict(X[:40])
+
+    def test_only_the_single_thread_native_engine_is_on_the_loop(
+        self, trained, tmp_path, monkeypatch
+    ):
+        from repro.engine import native as native_mod
+
+        clf, _X, _expected = trained
+        srv = InferenceServer(max_batch=64, max_wait_us=1_000)
+        on_loop = {
+            "numpy": srv.register_model("numpy", model=clf),
+            "explicit": srv.register_model(
+                "explicit", scores_fn=_scores_fn, packed_fn=lambda w, n: w
+            ),
+            "labels": srv.register_model("labels", _expected_labels),
+        }
+        with WorkerPool(n_workers=2) as pool:
+            on_loop["pool"] = srv.register_model("pool", model=clf, pool=pool)
+            if native_mod.toolchain_available():
+                monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+                monkeypatch.setattr(
+                    native_mod, "default_thread_count", lambda: 2
+                )
+                on_loop["native"] = srv.register_model(
+                    "native", model=clf, backend="native"
+                )
+                on_loop["native-mt"] = srv.register_model(
+                    "native-mt", model=clf, backend="native-mt"
+                )
+                on_loop["native-pool"] = srv.register_model(
+                    "native-pool", model=clf, pool=pool, backend="native"
+                )
+            on_loop = {name: e.queue.on_loop for name, e in on_loop.items()}
+        assert on_loop.pop("native", True) is True
+        assert not any(on_loop.values()), on_loop
+
+    def test_a_stuck_pool_evaluation_stalls_only_its_own_model(
+        self, trained, monkeypatch
+    ):
+        """A pool evaluation waiting on its workers must leave the loop free:
+        another model's predicts, ping and ``/healthz`` answer meanwhile."""
+        import urllib.request
+
+        clf, X, expected = trained
+        release, entered = threading.Event(), threading.Event()
+        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
+            run_packed = pool.run_packed
+
+            def stuck_run_packed(model_id, words):
+                entered.set()
+                release.wait(timeout=10)
+                return run_packed(model_id, words)
+
+            monkeypatch.setattr(pool, "run_packed", stuck_run_packed)
+            srv = InferenceServer(max_batch=64, max_wait_us=1_000, http_port=0)
+            srv.register_model("stuck", model=clf, pool=pool)
+            srv.register_model("free", scores_fn=_scores_fn)
+            with BackgroundServer(srv) as handle:
+                stuck_reply = []
+
+                def predict_stuck():
+                    with ServingClient(*handle.address, binary=True) as client:
+                        stuck_reply.append(client.predict(X, model="stuck"))
+
+                waiter = threading.Thread(target=predict_stuck)
+                waiter.start()
+                try:
+                    assert entered.wait(timeout=10)
+                    free_X = np.ones((3, N_FEATURES), dtype=np.uint8)
+                    for binary in (False, True):
+                        with ServingClient(
+                            *handle.address, timeout=5, binary=binary
+                        ) as client:
+                            np.testing.assert_array_equal(
+                                client.predict(free_X, model="free"),
+                                _expected_labels(free_X),
+                            )
+                            assert client.ping()
+                    host, port = srv.http_address
+                    with urllib.request.urlopen(
+                        f"http://{host}:{port}/healthz", timeout=5
+                    ) as response:
+                        assert response.status == 200
+                    assert not stuck_reply  # still waiting on its workers
+                finally:
+                    release.set()
+                    waiter.join(timeout=10)
+        [labels] = stuck_reply
+        np.testing.assert_array_equal(labels, expected)
+
+
 # --------------------------------------------------------------------- PR 6
 # Binary wire protocol end-to-end, mixed-protocol pipelining, the JSON
 # non-finite regression, and the plain-HTTP /metrics listener.
