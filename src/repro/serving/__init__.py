@@ -34,7 +34,9 @@ replicated boxes behind one router.  The pieces, bottom-up:
 
 ``queue``
     :class:`~repro.serving.queue.BatchingQueue` — the coalescing core.
-    Concurrent ``submit`` calls are held up to ``max_wait_us``, stacked into
+    Concurrent ``submit`` calls are held until the batch fills or its
+    timer fires — after ``max_wait_us`` on an executor-evaluated queue, at
+    the end of the next loop pass on an ``on_loop`` one — stacked into
     one matrix, evaluated once, and scattered back; admission control sheds
     past ``max_queue`` with the typed
     :class:`~repro.serving.queue.ServerOverloadedError`.

@@ -4,7 +4,7 @@
 request is a row range in a batch, not a task:
 :meth:`BatchingQueue.admit_packed` validates and admits it synchronously,
 in the caller's own stack frame, with a *reply sink* where a future used to
-be; the queue holds requests for at most ``max_wait_us`` microseconds,
+be; the queue holds requests until a flush (see *Flush policy*),
 merges whatever has accumulated into a single word matrix
 (:func:`~repro.engine.bitpack.concat_packed`), evaluates it **once** (see
 *Where evaluation runs*), and completes the batch **once**:
@@ -21,8 +21,21 @@ A batch is evaluated when the first of these happens:
 
 * the queued sample count reaches ``max_batch`` (flush immediately — the
   batch is as good as it gets), or
-* ``max_wait_us`` elapses since the queue went non-empty (latency bound:
-  a lone request never waits longer than the wait budget).
+* the partial-batch timer armed when the queue went non-empty fires.
+
+Where the timer fires depends on where the batch will evaluate.  A queue
+that evaluates on its executor thread waits out ``max_wait_us`` (latency
+bound: a lone request never waits longer than the wait budget).  An
+``on_loop`` queue ignores ``max_wait_us`` and arms the timer at zero: the
+flush runs at the end of the next loop pass, never inside
+:meth:`BatchingQueue.admit_packed`'s stack.  The loop runs a due timer
+only after the callbacks already queued for that pass, so a connection
+reader that yielded between two chunks of requests admits its next chunk
+first, and batches still fill under load; a ``call_soon`` flush would run
+before it and cut them in two.  An idle request thus waits one loop pass
+instead of the wait budget.  The price is more, smaller batches at low
+load (a batch per pass rather than per budget), so more per-batch work —
+coalesce, evaluate, complete — per request.
 
 A single request larger than ``max_batch`` is *not* split: it is admitted
 whole and triggers an immediate flush, forming its own oversized batch (the
@@ -68,9 +81,10 @@ batches evaluate on two threads and overlap.
 
 With ``on_loop=True`` each batch instead evaluates **on the event-loop
 thread**, in a loop callback scheduled at flush: no executor hop, no task,
-no thread.  It is meant for engine work known to take microseconds and
-never to wait: the registry sets it only for an in-process single-thread
-native engine (:class:`~repro.engine.native.NativeCompiledNetlist` with
+no thread, and no wait budget (see *Flush policy*).  It is meant for
+engine work known to take microseconds and never to wait: the registry
+sets it only for an in-process single-thread native engine
+(:class:`~repro.engine.native.NativeCompiledNetlist` with
 ``threads == 1``), whose 64-sample batch costs tens of microseconds of C —
 less than a round trip to a thread and back under the GIL.  The callback
 never runs inside :meth:`BatchingQueue.admit_packed`'s own stack, not even
@@ -353,7 +367,10 @@ class BatchingQueue:
     max_batch:
         Flush as soon as this many samples are queued.
     max_wait_us:
-        Longest time (microseconds) a request waits for co-travellers.
+        Longest time (microseconds) a request waits for co-travellers on
+        a queue that evaluates on its executor thread; finite and
+        non-negative.  An ``on_loop`` queue does not wait it out (see
+        *Flush policy*).
     max_queue:
         Admission bound in admitted-but-uncompleted samples (queued plus
         evaluating); beyond it requests are shed with
@@ -379,9 +396,11 @@ class BatchingQueue:
         to one ``unpack_bits`` plus ``batch_fn``.
     on_loop:
         Evaluate each batch on the event-loop thread instead of the
-        executor thread (see *Where evaluation runs*).  Only for work that
-        takes microseconds and never waits: while it runs no socket is
-        read.
+        executor thread (see *Where evaluation runs*), and flush a
+        partial batch at the end of the next loop pass instead of after
+        ``max_wait_us`` (see *Flush policy*): lower latency at low load,
+        for more, smaller batches.  Only for work that takes microseconds
+        and never waits: while it runs no socket is read.
     """
 
     def __init__(
@@ -399,8 +418,8 @@ class BatchingQueue:
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if max_wait_us < 0:
-            raise ValueError("max_wait_us must be non-negative")
+        if not 0 <= max_wait_us < math.inf:  # negative, NaN or infinite
+            raise ValueError("max_wait_us must be finite and non-negative")
         if max_queue <= 0:
             raise ValueError("max_queue must be positive")
         self._batch_fn = batch_fn
@@ -528,8 +547,11 @@ class BatchingQueue:
         if queued >= self.max_batch:
             self._flush_now()
         elif self._timer is None:
+            # on the loop: flush at the end of the next pass, after the
+            # callbacks already queued for it (see *Flush policy*)
+            wait_s = 0 if self.on_loop else self.max_wait_us / 1e6
             self._timer = asyncio.get_running_loop().call_later(
-                self.max_wait_us / 1e6, self._flush_now
+                wait_s, self._flush_now
             )
 
     def discard(self, abandoned: Callable[[Any], bool]) -> None:

@@ -149,6 +149,7 @@ class RegisteredModel:
             "max_batch": self.queue.max_batch,
             "max_wait_us": self.queue.max_wait_us,
             "max_queue": self.queue.max_queue,
+            "on_loop": self.queue.on_loop,
         }
 
 
@@ -185,7 +186,10 @@ class ModelRegistry:
         (versions of one family share one admission share).
     max_batch, max_wait_us, max_queue:
         Registry-level defaults applied when :meth:`register` is not given
-        per-model values.
+        per-model values.  ``max_wait_us`` governs only versions whose
+        queue evaluates on its executor thread: an ``on_loop`` version
+        flushes a partial batch at the end of the next loop pass (see
+        :mod:`repro.serving.queue`).
 
     The first registered family becomes the default; ``default=True`` on a
     later :meth:`register` re-points it.  All lifecycle mutators are meant
@@ -251,9 +255,11 @@ class ModelRegistry:
         owns it, advertises its ``backend``/``threads``/``unroll`` and
         closes it on retire; without one, ``backend`` is a descriptive
         label (default ``"numpy"``).  Only an in-process single-thread
-        native engine evaluates its batches on the event loop; every other
-        version, and every explicit function, gets its queue's executor
-        thread (see :mod:`repro.serving.queue`).  ``on_retire`` runs once
+        native engine evaluates its batches on the event loop (and so
+        ignores ``max_wait_us``); every other version, and every explicit
+        function, gets its queue's executor thread (see
+        :mod:`repro.serving.queue`).  ``list_models`` reports which as
+        ``on_loop``.  ``on_retire`` runs once
         when the version drains out.  Per-model knobs fall back to the
         registry defaults.
         """

@@ -173,7 +173,10 @@ class InferenceServer(FrameServer):
     max_batch, max_wait_us, max_queue:
         Default per-model coalescing and admission-control policy — see
         :class:`~repro.serving.queue.BatchingQueue`.  :meth:`register_model`
-        can override any of them per model.
+        can override any of them per model.  ``max_wait_us`` bounds only
+        the models that evaluate on their queue's executor thread; an
+        unpooled single-thread ``"native"`` model evaluates on the loop and
+        flushes a partial batch at the end of the next loop pass instead.
     max_total_queue:
         Optional *shared* admission bound in samples across every hosted
         model (see :class:`~repro.serving.queue.AdmissionBudget`); ``None``
@@ -321,9 +324,12 @@ class InferenceServer(FrameServer):
         ``repro_serving_model_threads`` report what it actually runs with,
         and it is closed — detached from the pool — exactly once, when this
         version retires.  An unpooled single-thread ``"native"`` engine
-        evaluates its batches on the event loop; every other engine, and
-        every explicit function, on the queue's executor thread (see
-        :mod:`repro.serving.queue`).  With explicit functions ``backend`` is a
+        evaluates its batches on the event loop, flushing a partial batch
+        at the end of the next loop pass rather than after ``max_wait_us``;
+        every other engine, and every explicit function, on the queue's
+        executor thread, under the wait budget (see
+        :mod:`repro.serving.queue`; ``list_models`` reports which as
+        ``on_loop``).  With explicit functions ``backend`` is a
         descriptive label only and ``pool`` does not apply.  Knobs left
         ``None`` inherit the server-level defaults.  Safe while serving:
         requests naming ``name`` route to the new queue from the next

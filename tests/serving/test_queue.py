@@ -433,6 +433,9 @@ class TestConstruction:
             BatchingQueue(fn, max_batch=0)
         with pytest.raises(ValueError):
             BatchingQueue(fn, max_wait_us=-1.0)
+        for non_finite in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                BatchingQueue(fn, max_wait_us=non_finite)
         with pytest.raises(ValueError):
             BatchingQueue(fn, max_queue=0)
 
@@ -835,6 +838,67 @@ class TestWhereEvaluationRuns:
         assert tags == ["sink"] and result is None
         assert isinstance(error, ValueError)
         assert released == (0, 0, 0, 4)
+
+
+def _sizes_packed(sizes):
+    """A ``packed_fn`` that records the sample count of every batch."""
+
+    def packed_fn(words, n_samples):
+        sizes.append(n_samples)
+        return unpack_bits(words, n_samples).sum(axis=1).astype(np.int64)
+
+    return packed_fn
+
+
+class TestFlushPolicy:
+    """An ``on_loop`` queue flushes a partial batch at the end of the next
+    loop pass, whatever its ``max_wait_us``.  A queue that evaluates on its
+    executor thread waits the budget out instead; that path is
+    ``TestCoalescing.test_timeout_flushes_partial_batch``."""
+
+    def test_on_loop_lone_request_does_not_wait_out_max_wait_us(self):
+        sizes = []
+
+        async def main():
+            queue = BatchingQueue(
+                lambda X: X.sum(axis=1), max_batch=64, max_wait_us=10**9,
+                max_queue=1024, packed_fn=_sizes_packed(sizes), on_loop=True,
+            )
+            rows = np.ones((1, N_FEATURES), dtype=np.uint8)
+            try:
+                return await asyncio.wait_for(queue.submit(rows), 30)
+            finally:
+                await queue.close()
+
+        result = asyncio.run(main())
+        assert sizes == [1]
+        np.testing.assert_array_equal(result, [N_FEATURES])
+
+    def test_a_reader_that_yielded_admits_its_next_chunk_first(self):
+        """A connection reader yields one loop pass after a full chunk, then
+        reads the next without waiting: the loop runs the partial-batch
+        flush after that resumption, so both chunks share one batch."""
+        sizes, answers = [], []
+
+        async def main():
+            queue = BatchingQueue(
+                lambda X: X.sum(axis=1), max_batch=64, max_wait_us=10**9,
+                max_queue=1024, packed_fn=_sizes_packed(sizes), on_loop=True,
+            )
+            words = pack_bits(np.ones((1, N_FEATURES), dtype=np.uint8))
+            sink = _recording_sink(answers)
+            for tag in range(40):
+                queue.admit_packed(words, 1, sink, tag)
+            await asyncio.sleep(0)  # the reader's yield after a full chunk
+            for tag in range(40, 64):
+                queue.admit_packed(words, 1, sink, tag)
+            await queue.close()
+
+        asyncio.run(main())
+        assert sizes == [64]
+        [(tags, result, error)] = answers
+        assert tags == list(range(64)) and error is None
+        np.testing.assert_array_equal(result, [N_FEATURES] * 64)
 
 
 class TestWeightedBudget:

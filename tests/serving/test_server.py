@@ -757,32 +757,54 @@ class TestWhereEvaluationRuns:
 
         clf, _X, _expected = trained
         srv = InferenceServer(max_batch=64, max_wait_us=1_000)
-        on_loop = {
-            "numpy": srv.register_model("numpy", model=clf),
-            "explicit": srv.register_model(
-                "explicit", scores_fn=_scores_fn, packed_fn=lambda w, n: w
-            ),
-            "labels": srv.register_model("labels", _expected_labels),
-        }
+        srv.register_model("numpy", model=clf)
+        srv.register_model(
+            "explicit", scores_fn=_scores_fn, packed_fn=lambda w, n: w
+        )
+        srv.register_model("labels", _expected_labels)
         with WorkerPool(n_workers=2) as pool:
-            on_loop["pool"] = srv.register_model("pool", model=clf, pool=pool)
+            srv.register_model("pool", model=clf, pool=pool)
             if native_mod.toolchain_available():
                 monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
                 monkeypatch.setattr(
                     native_mod, "default_thread_count", lambda: 2
                 )
-                on_loop["native"] = srv.register_model(
-                    "native", model=clf, backend="native"
-                )
-                on_loop["native-mt"] = srv.register_model(
-                    "native-mt", model=clf, backend="native-mt"
-                )
-                on_loop["native-pool"] = srv.register_model(
+                srv.register_model("native", model=clf, backend="native")
+                srv.register_model("native-mt", model=clf, backend="native-mt")
+                srv.register_model(
                     "native-pool", model=clf, pool=pool, backend="native"
                 )
-            on_loop = {name: e.queue.on_loop for name, e in on_loop.items()}
+            with BackgroundServer(srv) as handle:
+                with ServingClient(*handle.address) as client:
+                    listed = client.list_models()["models"]
+        on_loop = {entry["name"]: entry["on_loop"] for entry in listed}
         assert on_loop.pop("native", True) is True
-        assert not any(on_loop.values()), on_loop
+        assert on_loop and not any(on_loop.values()), on_loop
+
+    def test_on_loop_native_model_does_not_wait_out_max_wait_us(
+        self, trained, tmp_path, monkeypatch
+    ):
+        """An on-loop model flushes a lone request at the end of the next
+        loop pass: with a wait budget of ~17 minutes, both wires still
+        answer well inside the client's timeout."""
+        from repro.engine.native import toolchain_available
+
+        if not toolchain_available():
+            pytest.skip("no C compiler on this host")
+        clf, X, expected = trained
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        srv = InferenceServer(max_batch=64, max_wait_us=10**9)
+        entry = srv.register_model("m", model=clf, backend="native")
+        assert entry.queue.on_loop
+        with BackgroundServer(srv) as handle:
+            for binary in (True, False):
+                with ServingClient(
+                    *handle.address, timeout=30, binary=binary
+                ) as client:
+                    np.testing.assert_array_equal(
+                        client.predict(X[:1], model="m"), expected[:1]
+                    )
+        assert entry.stats.snapshot()["batch_occupancy"] == {"1": 2}
 
     def test_a_stuck_pool_evaluation_stalls_only_its_own_model(
         self, trained, monkeypatch
