@@ -115,9 +115,10 @@ profile-kernel:
 	PYTHONPATH=src:. python examples/profile_kernel.py
 
 # End-to-end serving demo: train two PoET-BiN variants on the
-# synthetic-digits dataset, serve both from one server over a shared
-# WorkerPool, fire concurrent clients at them and print per-model latency
-# percentiles + batch occupancy.
+# synthetic-digits dataset, serve both from one server on backend="auto"
+# engines, fire concurrent clients at them, print per-model latency
+# percentiles + batch occupancy, then roll a retrain out live (shadow,
+# canary promote, canary rollback).
 serve-demo:
 	PYTHONPATH=src python examples/serving_demo.py
 

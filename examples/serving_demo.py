@@ -8,9 +8,9 @@ The end-to-end tour of the multi-tenant serving story:
    "fast" variant (fewer intermediate bits per class), the classic A/B
    deployment,
 3. start the asyncio batching server on a background thread with **both**
-   models registered over **one shared WorkerPool**: each model gets its
-   own coalescing queue, all sharded evaluation lands on the same worker
-   processes, and a shared admission budget bounds the box,
+   models registered on ``backend="auto"`` engines (generated C where the
+   host has a compiler, NumPy otherwise): each model gets its own engine
+   and coalescing queue, and a shared admission budget bounds the box,
 4. fire a burst of concurrent single-image requests from client threads,
    alternating models (the worst-case traffic the batcher exists for), and
    print per-model latency percentiles and batch occupancy,
@@ -23,9 +23,7 @@ The end-to-end tour of the multi-tenant serving story:
    ``promote_canary`` flip the serving pointer automatically once the
    evidence is clean — then do the same with a deliberately different
    retrain (new seed) and watch the canary roll it back while version 2
-   keeps serving; the displaced versions detach from the shared
-   WorkerPool (the worker-registry census before/after shows the
-   eviction),
+   keeps serving,
 7. with ``--stats-text``, finish by printing the full Prometheus-style
    scrape (the ``stats_text`` protocol op carries the same text over the
    serving socket).
@@ -47,7 +45,6 @@ import numpy as np
 
 from repro.core import PoETBiNClassifier
 from repro.datasets import make_synthetic_mnist
-from repro.engine import WorkerPool
 from repro.serving import BackgroundServer, InferenceServer, ServingClient
 
 N_CLASSES = 10
@@ -109,28 +106,27 @@ def main(print_stats_text: bool = False) -> None:
             f"{clf.lut_count()} LUTs"
         )
 
-    # 3. serve both: one shared WorkerPool under every model, one queue and
-    #    one stats collector per model, a shared admission budget over all;
-    #    register_model compiles and attaches each engine, so pool.warm_up
-    #    forks workers that inherit both before traffic arrives
-    pool = WorkerPool(n_workers=2)
+    # 3. serve both: one engine, one queue and one stats collector per
+    #    model, a shared admission budget over all; register_model compiles
+    #    each engine before the server starts
     server = InferenceServer(
         max_batch=64,
         max_wait_us=2000,
         max_queue=4096,
         max_total_queue=8192,
-        warm_up=pool.warm_up,
         http_port=0,  # any free port; serves GET /metrics and /healthz
     )
     for name, clf in models.items():
-        server.register_model(name, model=clf, pool=pool)
+        server.register_model(name, model=clf, backend="auto")
     with BackgroundServer(server) as handle:
         host, port = handle.address
         with ServingClient(host, port) as client:
             listing = client.list_models()
         print(
             f"serving on {host}:{port}: "
-            + ", ".join(m["name"] for m in listing["models"])
+            + ", ".join(
+                f"{m['name']} [{m['backend']}]" for m in listing["models"]
+            )
             + f" (default {listing['default']!r})"
         )
 
@@ -213,9 +209,11 @@ def main(print_stats_text: bool = False) -> None:
             )
 
         def register_version(version: int, clf: PoETBiNClassifier) -> None:
+            clf.compiled_netlist("auto")  # build off the loop: it pays a cache hit
+
             async def _do():
                 server.register_model(
-                    "fast", model=clf, pool=pool, version=version
+                    "fast", model=clf, backend="auto", version=version
                 )
 
             handle.run(_do())
@@ -279,15 +277,6 @@ def main(print_stats_text: bool = False) -> None:
                     if k not in ("seq", "ts", "policy")
                 }
                 print(f"  {fields}")
-            census = pool.worker_registry_sizes()
-            if census:
-                print(
-                    "worker registries after retires: "
-                    + ", ".join(
-                        f"pid {pid}: {n} netlists"
-                        for pid, (n, _) in sorted(census.items())
-                    )
-                )
 
         if stats_text is not None:
             print("\n--- stats_text scrape (Prometheus exposition format) ---")

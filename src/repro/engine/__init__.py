@@ -89,9 +89,9 @@ Runtime
 
 ``parallel``
     :class:`~repro.engine.parallel.WorkerPool`, a persistent, model-agnostic
-    process pool: netlists attach/detach by model id, workers hold a
-    per-model engine registry, and every task is a ``(model_id,
-    word_range)`` shard — so one pool serves many netlists and multiple
+    process pool: netlists attach by model id before it forks (the fork
+    fixes the set), workers hold a per-model engine registry, and every
+    task is a ``(model_id, word_range)`` shard — so one pool serves many netlists and multiple
     in-flight requests concurrently (shared-memory IPC, per-worker compiled
     programs, the model's own engine for small batches and after a failed
     fork).  In-process threads are the engine's (``native-mt``), processes

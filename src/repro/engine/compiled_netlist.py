@@ -153,6 +153,9 @@ class PackedEngine:
     threads = 1
     #: vector lane count of the generated code (words per statement)
     unroll = 1
+    #: whether a server may evaluate this engine's batches on its event
+    #: loop: only an engine that never waits and takes microseconds a batch
+    on_loop = False
 
     def evaluate_outputs(self, X_bits: np.ndarray) -> np.ndarray:
         """Bit-exact packed counterpart of ``LUTNetlist.evaluate_outputs``."""

@@ -894,6 +894,12 @@ class NativeCompiledNetlist(PackedEngine):
         instance.backend = "native-mt"
         return instance
 
+    @property
+    def on_loop(self) -> bool:
+        """One thread evaluates a 64-sample batch in tens of microseconds of
+        C and never waits, so a server may run it on its event loop."""
+        return self.threads == 1
+
     # ---------------------------------------------------------- statistics
     @property
     def n_outputs(self) -> int:

@@ -8,27 +8,26 @@ produces.
 
 :class:`WorkerPool`
     A standalone pool of worker processes that is **not** bound to any
-    netlist.  Models are *attached* by id — each worker holds a
-    registry of compiled engines, built lazily per model — and every task is
-    a ``(model_id, word_range)`` shard, so one pool serves many netlists and
-    multiple in-flight requests concurrently.  This is the substrate of the
-    multi-model serving layer: one box, one pool, N models — and the one
-    multi-process path: nothing else in the package creates a pool.
+    netlist.  Models are *attached* by id before the pool forks — each
+    worker holds a registry of compiled engines, built lazily per model —
+    and every task is a ``(model_id, word_range)`` shard, so one pool serves
+    many netlists and multiple in-flight requests concurrently.  It is the
+    one multi-process path: nothing else in the package creates a pool.
 
 :class:`ShardedEngine`
     The engine handle binding ``(pool, model_id)``: constructing it attaches
     a netlist to a pool the caller made, closing it detaches exactly that
     attachment, and in between it has the surface of every other engine
     (:class:`~repro.engine.compiled_netlist.PackedEngine`), so whoever
-    holds it — a classifier's ``engine=`` argument, a serving registration —
-    need not know a pool is behind it.
+    holds it — a classifier's ``engine=`` argument, a function a server
+    serves — need not know a pool is behind it.
 
 Backends
 ========
 
 ``"process"`` (default where ``fork`` is available)
     A ``multiprocessing`` pool.  Workers build their own engine per attached
-    model (netlists attached before the fork are inherited, not pickled) and
+    model (the netlists are inherited at the fork, never pickled) and
     exchange batches through ``multiprocessing.shared_memory`` buffers, so
     per-call IPC is a handful of integers — no pickling of sample data.
     CPython's GIL never serialises the workers.
@@ -76,22 +75,17 @@ The process backend relies on five invariants that new contributors should
 not break:
 
 1. **Netlists cross the fork, samples never do.**  The pool is forked with
-   the *optimised* netlists of every model attached so far as the
-   initializer argument; workers compile each model's program lazily on its
-   first shard.  Per-call messages are a model key, two segment names and a
-   word range.  Sample data never goes through a pipe.
-2. **Models attached after the fork re-attach lazily.**  A model registered
-   once the pool is already running cannot be fork-inherited, so its
-   optimised netlist is pickled once in the parent and shipped inside each
-   task; a worker that has not seen the model unpickles and compiles it on
-   first contact, then serves from its local registry (the payload is
-   ignored thereafter).  Each shard reports its worker's pid back, and the
-   parent stops shipping the payload as soon as every worker has confirmed
-   a copy — so the per-task cost decays to the usual handful of integers
-   after the first call or two.  Detaching frees the parent's references
-   immediately; worker-side copies are reclaimed when the pool closes
-   (attach keys are unique per attach, so a stale worker copy can never
-   serve a new model).
+   the *optimised* netlists of every attached model as the initializer
+   argument; workers compile each model's program lazily on its first
+   shard.  Per-call messages are a model id, two segment names and a word
+   range.  Sample data never goes through a pipe.
+2. **The model set is fixed at the fork.**  :meth:`WorkerPool.attach` on a
+   forked pool raises: attach every model, then fork (the first sharded
+   call, or :meth:`WorkerPool.warm_up`).  Detaching after the fork drops
+   the parent's record only; the workers' copies live until the pool
+   closes, which is bounded because nothing can be attached in their
+   place.  A pool that fell back to serial never forks again and accepts
+   attaches.
 3. **Batches travel through named shared memory.**  The parent owns a
    free-list of segment pairs (``in``/``out``) — one pair per concurrently
    in-flight evaluation, leased per call under a lock — and workers attach
@@ -101,10 +95,9 @@ not break:
 4. **The pool is persistent and thread-safe.**  It is created lazily on the
    first sharded call and then *outlives the call*: a serving layer issuing
    thousands of small evaluations for many models pays the fork cost once
-   (:meth:`WorkerPool.warm_up` lets a server pay it at startup instead of
-   on the first request).  Concurrent :meth:`WorkerPool.run_packed` calls
-   from different threads — one per model queue in the multi-model server —
-   interleave their shards on the same workers.  Cleanup is owned by a
+   (:meth:`WorkerPool.warm_up` pays it up front instead of on the first
+   sharded call).  Concurrent :meth:`WorkerPool.run_packed` calls from
+   different threads interleave their shards on the same workers.  Cleanup is owned by a
    ``weakref.finalize`` on a plain resource dict so abandoned pools are
    reclaimed without keeping the pool alive.
 5. **Failure degrades, it does not crash.**  If ``/dev/shm`` is missing or
@@ -117,10 +110,10 @@ Usage
 
 >>> with WorkerPool(n_workers=4) as pool:
 ...     a = ShardedEngine(netlist_a, pool=pool)    # many models, one pool
-...     b = ShardedEngine(netlist_b, pool=pool)
+...     b = ShardedEngine(clf.to_netlist(), pool=pool)
+...     pool.warm_up()                             # the fork fixes the set
 ...     bits = a.predict_batch(X_a)                # == serial, bit for bit
-...     with ShardedEngine(clf.to_netlist(), pool=pool) as engine:
-...         labels = clf.predict_batch(X, engine=engine)
+...     labels = clf.predict_batch(X, engine=b)
 
 The pool owns OS resources (worker processes, shared memory); close it or
 use it as a context manager.  Closing a :class:`ShardedEngine` detaches its
@@ -132,11 +125,10 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 import os
-import pickle
 import threading
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -166,7 +158,7 @@ def shard_bounds(n_words: int, n_shards: int) -> List[Tuple[int, int]]:
 # --------------------------------------------------------------------------
 # process-pool worker side.  Module-level state: each worker process holds
 # its model registry (optimised netlists and the engines compiled from
-# them, keyed by attach key) and its current shared-memory attachments.
+# them, keyed by model id) and its current shared-memory attachments.
 # --------------------------------------------------------------------------
 _WORKER: dict = {}
 
@@ -182,31 +174,25 @@ def _worker_init(netlists: Dict[str, LUTNetlist]) -> None:
     _WORKER["shm"] = {}
 
 
-def _worker_engine(key: str, payload: Optional[bytes], engine_backend: str):
-    """This worker's compiled engine for attach key ``key`` (lazy).
+def _worker_engine(model_id: str, engine_backend: str):
+    """This worker's compiled engine for ``model_id`` (lazy).
 
-    Fork-inherited netlists compile on first contact; models attached after
-    the fork arrive pickled in ``payload`` and re-attach lazily.  A native
-    model is a shared-object *cache hit* here, not a rebuild: the parent
-    compiled the digest-keyed .so at attach time, the worker regenerates
-    the same source, hashes it, and ``dlopen``\\ s the cached build.  A
+    Fork-inherited netlists compile on first contact.  A native model is a
+    shared-object *cache hit* here, not a rebuild: the parent compiled the
+    digest-keyed .so at attach time, the worker regenerates the same
+    source, hashes it, and ``dlopen``\\ s the cached build.  A
     ``"native-mt"`` model is built as ``"native"``: the same object, run
     at one thread, since the pool's processes are the parallelism here.
     """
-    engine = _WORKER["engines"].get(key)
+    engine = _WORKER["engines"].get(model_id)
     if engine is None:
-        netlist = _WORKER["netlists"].get(key)
+        netlist = _WORKER["netlists"].get(model_id)
         if netlist is None:
-            if payload is None:
-                raise RuntimeError(
-                    f"worker holds no netlist for model key {key!r}"
-                )
-            netlist = pickle.loads(payload)
-            _WORKER["netlists"][key] = netlist
+            raise RuntimeError(f"worker holds no netlist for model {model_id!r}")
         if engine_backend == "native-mt":
             engine_backend = "native"
         engine = build_engine(netlist, engine_backend, strict=False)
-        _WORKER["engines"][key] = engine
+        _WORKER["engines"][model_id] = engine
     return engine
 
 
@@ -218,42 +204,12 @@ def _worker_attach_shm(name: str) -> shared_memory.SharedMemory:
     return shm
 
 
-def _worker_evict(retired: Tuple[str, ...]) -> None:
-    """Drop detached models from this worker's registries.
-
-    Without this, a model attached after the fork (netlist shipped in the
-    task payload) would live in ``_WORKER["netlists"]``/``["engines"]``
-    forever after the parent detached it — version churn through a
-    long-lived pool would grow worker memory without bound.  Attach keys
-    are unique per attach, so a retired key can never name a live model.
-    """
-    for key in retired:
-        _WORKER["netlists"].pop(key, None)
-        _WORKER["engines"].pop(key, None)
-
-
 def _worker_run(
-    task: Tuple[
-        str,
-        Optional[bytes],
-        str,
-        str,
-        str,
-        int,
-        int,
-        int,
-        int,
-        int,
-        Tuple[str, ...],
-    ],
-) -> int:
-    """Evaluate one shard; returns this worker's pid (the parent uses the
-    pid set to decide when a lazily-attached model's payload has reached
-    every worker and can stop being shipped — and, symmetrically, when a
-    detached model's eviction notice has reached every worker)."""
+    task: Tuple[str, str, str, str, int, int, int, int, int],
+) -> None:
+    """Evaluate one shard into the shared output segment."""
     (
-        key,
-        payload,
+        model_id,
         engine_backend,
         in_name,
         out_name,
@@ -262,10 +218,8 @@ def _worker_run(
         words,
         lo,
         hi,
-        retired,
     ) = task
-    _worker_evict(retired)
-    engine = _worker_engine(key, payload, engine_backend)
+    engine = _worker_engine(model_id, engine_backend)
     shm_in = _worker_attach_shm(in_name)
     shm_out = _worker_attach_shm(out_name)
     # buffers are grow-only, so they may be larger than this batch needs
@@ -281,17 +235,6 @@ def _worker_run(
             n for n in _WORKER["shm"] if n not in (in_name, out_name)
         ]:
             _WORKER["shm"].pop(name).close()
-    return os.getpid()
-
-
-def _worker_census(retired: Tuple[str, ...]) -> Tuple[int, int, int]:
-    """``(pid, n_netlists, n_engines)`` for this worker's registries.
-
-    Applies pending evictions first, so the census doubles as an eviction
-    pump for pools with no traffic (see :meth:`WorkerPool.worker_registry_sizes`).
-    """
-    _worker_evict(retired)
-    return os.getpid(), len(_WORKER["netlists"]), len(_WORKER["engines"])
 
 
 def _release_resources(resources: dict) -> None:
@@ -323,19 +266,10 @@ class _PoolModel:
     """Parent-side record of one attached model."""
 
     model_id: str
-    #: unique per attach — a re-attached id never aliases a stale worker copy
-    key: str
     netlist: LUTNetlist
     #: the engine every shard is bit-identical to; its ``backend`` is the
     #: resolved name workers are told to build
     serial: PackedEngine
-    #: pickled optimised netlist for lazy re-attach; ``None`` when the
-    #: netlist is (or will be, at the fork) fork-inherited, and cleared
-    #: again once every worker has confirmed compiling its copy
-    payload: Optional[bytes] = None
-    #: pids of workers that have executed a shard for this model while the
-    #: payload was live — at ``n_workers`` distinct pids the payload drops
-    confirmed_pids: set = field(default_factory=set)
 
 
 class WorkerPool:
@@ -354,19 +288,18 @@ class WorkerPool:
         min_words_per_worker`` run serially — below that, pool latency
         dominates any parallel win.
     prefer_threads:
-        ``None`` (default) applies the oversubscription heuristic: a model
+        ``True`` (default) applies the oversubscription heuristic: a model
         whose serial engine already threads in-process (``native-mt``
         with ``threads > 1``) is served on the serial path
         instead of being forked across workers — its own thread shards
-        saturate the host without the fork+shm tax.  ``True`` states the
-        same preference explicitly; ``False`` disables it, forcing such
+        saturate the host without the fork+shm tax.  ``False`` forces such
         models through the process pool (whose workers then run them at
         one thread each — see the module docstring).
 
     Models are attached with :meth:`attach` (the optimisation pipeline runs
-    once, in the parent) and evaluated with :meth:`run_packed`; concurrent
-    calls for different models are allowed and interleave their shards on
-    the same workers.
+    once, in the parent) before the pool forks, and evaluated with
+    :meth:`run_packed`; concurrent calls for different models are allowed
+    and interleave their shards on the same workers.
     """
 
     _auto_ids = itertools.count()
@@ -377,7 +310,7 @@ class WorkerPool:
         backend: Optional[str] = None,
         *,
         min_words_per_worker: int = 4,
-        prefer_threads: Optional[bool] = None,
+        prefer_threads: bool = True,
     ) -> None:
         if backend not in (None, "process", "serial"):
             raise ValueError(
@@ -400,12 +333,6 @@ class WorkerPool:
         self.min_words_per_worker = min_words_per_worker
         self.prefer_threads = prefer_threads
         self._models: Dict[str, _PoolModel] = {}
-        # worker-side eviction ledger: attach-key of each detached model →
-        # set of worker pids confirmed to have dropped it.  Keys ride along
-        # with every task (and every census probe) until all n_workers pids
-        # have confirmed, then the ledger entry is deleted.
-        self._retired: Dict[str, set] = {}
-        self._attach_seq = itertools.count()
         # One lock guards pool creation, the shm free-list and the model
         # registry; evaluation itself (pool.map) runs outside it, so
         # concurrent multi-model calls overlap fully.
@@ -439,8 +366,9 @@ class WorkerPool:
         :func:`~repro.engine.passes.optimize_netlist`) runs once here; all
         workers execute the same optimised program.  ``model_id=None``
         generates a unique one.  Attaching an id that is already attached
-        raises — detach first (re-attaching then gets a fresh worker-side
-        key, so stale worker copies can never serve the new model).
+        raises — detach first.  So does attaching to a forked pool: the workers hold the
+        models attached before the fork and no others, so attach every
+        model before :meth:`warm_up` or the first sharded call.
 
         ``engine_backend`` names the evaluation engine
         (:func:`~repro.engine.compiled_netlist.build_engine` resolves it
@@ -457,110 +385,37 @@ class WorkerPool:
         optimized = optimize_netlist(
             netlist, passes=passes, max_lut_inputs=max_lut_inputs
         )
-        entry = _PoolModel(
-            model_id="",  # assigned under the lock below
-            key=f"#{next(self._attach_seq)}",
-            netlist=optimized,
-            serial=build_engine(optimized, engine_backend),
-        )
-
-        def insert() -> bool:
-            """Register under the lock; False when the forked pool needs a
-            payload first (pickled *outside* the lock — it can be large,
-            and this lock also gates every other model's evaluations)."""
-            if entry.model_id != model_id and model_id is not None:
-                entry.model_id = model_id
+        serial = build_engine(optimized, engine_backend)
+        with self._lock:
+            if self._resources["pool"] is not None:
+                raise RuntimeError(
+                    "this WorkerPool has forked and its workers hold only "
+                    "the models attached before; attach every model before "
+                    "warm_up() or the first sharded call"
+                )
             if model_id is None:
                 while True:
-                    entry.model_id = f"model-{next(self._auto_ids)}"
-                    if entry.model_id not in self._models:
+                    model_id = f"model-{next(self._auto_ids)}"
+                    if model_id not in self._models:
                         break
             elif model_id in self._models:
                 raise ValueError(f"model {model_id!r} is already attached")
-            if self._resources["pool"] is not None and entry.payload is None:
-                return False  # forked: lazy re-attach, payload required
-            self._models[entry.model_id] = entry
-            return True
-
-        with self._lock:
-            inserted = insert()
-        if not inserted:
-            entry.payload = pickle.dumps(optimized)
-            with self._lock:
-                insert()
-        return entry.model_id
+            self._models[model_id] = _PoolModel(model_id, optimized, serial)
+        return model_id
 
     def detach(self, model_id: str) -> None:
         """Drop a model from the registry (its in-flight calls complete).
 
-        With a live process pool the model's worker-side copies (netlist +
-        compiled engine, keyed by the unique attach key) are evicted too:
-        the key is recorded in a retirement ledger that piggybacks on every
-        subsequent task, and each worker drops its copy before its next
-        evaluation.  Serving stacks that hot-swap model versions through a
-        long-lived pool would otherwise grow worker memory monotonically.
+        On a forked pool this drops the parent's record only; the workers'
+        copies live until :meth:`close`, and no attach can add more.
         """
         with self._lock:
-            entry = self._models.pop(model_id, None)
-            if entry is not None and self._resources["pool"] is not None:
-                self._retired[entry.key] = set()
+            self._models.pop(model_id, None)
 
     @property
     def model_ids(self) -> List[str]:
         with self._lock:
             return list(self._models)
-
-    def _confirm_retired_locked(
-        self, retired: Tuple[str, ...], worker_pids
-    ) -> None:
-        """Record which workers have seen the eviction notices in
-        ``retired``; a key confirmed by every worker leaves the ledger
-        (callers hold ``self._lock``)."""
-        for key in retired:
-            pids = self._retired.get(key)
-            if pids is not None:
-                pids.update(worker_pids)
-                if len(pids) >= self.n_workers:
-                    del self._retired[key]
-
-    def worker_registry_sizes(self, rounds: int = 4) -> Dict[int, Tuple[int, int]]:
-        """Sample each worker's registry sizes: pid → (n_netlists, n_engines).
-
-        Sends eviction-only probe tasks through the process pool, so this
-        doubles as an eviction pump: pending retirements are applied in
-        every sampled worker even on an idle pool.  Probes are mapped with
-        ``chunksize=1`` over ``rounds`` passes so each pass tends to touch
-        every worker, but a fast worker can still absorb a slow worker's
-        probe — treat the result as a sample of the worker set, not a
-        guaranteed full census.  Returns ``{}`` when no process pool is
-        live (the serial backend keeps no worker-side registries).
-        """
-        self._check_open()
-        if rounds <= 0:
-            raise ValueError("rounds must be positive")
-        with self._lock:
-            pool = self._resources["pool"]
-            retired = tuple(self._retired)
-        if pool is None:
-            return {}
-        sizes: Dict[int, Tuple[int, int]] = {}
-        try:
-            for _ in range(rounds):
-                results = pool.map(
-                    _worker_census, [retired] * self.n_workers, chunksize=1
-                )
-                pids = [pid for pid, _, _ in results]
-                for pid, n_netlists, n_engines in results:
-                    sizes[pid] = (n_netlists, n_engines)
-                with self._lock:
-                    self._confirm_retired_locked(retired, pids)
-                if len(sizes) >= self.n_workers:
-                    break
-        except (OSError, mp.ProcessError, ValueError):
-            # pool died or was torn down by a concurrent fallback: return
-            # what was sampled — callers use this for observability only
-            pass
-        return sizes
 
     def _entry(self, model_id: str) -> _PoolModel:
         with self._lock:
@@ -584,12 +439,10 @@ class WorkerPool:
     def warm_up(self) -> "WorkerPool":
         """Start the worker pool now instead of on the first sharded call.
 
-        Long-lived servers call this once at startup (after attaching their
-        models) so the fork cost is paid before traffic arrives rather than
-        inside the first request's latency budget — and so every model
-        attached so far is fork-inherited instead of lazily re-shipped.
-        No-op for the serial backend, which a failed process pool falls
-        back to.
+        Call it once every model is attached (the fork fixes the model
+        set) so the fork cost is paid before traffic arrives rather than
+        inside the first sharded call.  No-op for the serial backend,
+        which a failed process pool falls back to.
         """
         self._check_open()
         if self.backend == "process":
@@ -608,7 +461,6 @@ class WorkerPool:
         self._finalizer()
         with self._lock:
             self._models = {}
-            self._retired = {}
 
     def _check_open(self) -> None:
         if self._closed:
@@ -632,12 +484,12 @@ class WorkerPool:
     ) -> np.ndarray:
         """Sharded ``CompiledNetlist.run_packed`` for one attached model.
 
-        Thread-safe: the serving layer calls this concurrently from one
-        executor thread per model queue.  (Per *model*, callers must
+        Thread-safe across models: calls from different threads interleave
+        their shards on the same workers.  (Per *model*, callers must
         serialise their own calls: small batches, the serial backend and a
         failed process pool all run the model's one engine, and the NumPy
-        engine reuses scratch buffers — exactly the discipline the
-        per-model batching queue already enforces.)
+        engine reuses scratch buffers — the discipline a serving queue
+        already enforces.)
         """
         self._check_open()
         entry = self._entry(model_id)
@@ -667,9 +519,7 @@ class WorkerPool:
         host without forking, so the pool stands aside unless
         ``prefer_threads=False`` explicitly forces process sharding.
         """
-        if self.prefer_threads is False:
-            return False
-        return entry.serial.threads > 1
+        return self.prefer_threads and entry.serial.threads > 1
 
     def evaluate_outputs(self, model_id: str, X_bits: np.ndarray) -> np.ndarray:
         """Bit-exact sharded ``LUTNetlist.evaluate_outputs`` for one model."""
@@ -703,12 +553,9 @@ class WorkerPool:
                     packed.shape, dtype=np.uint64, buffer=shm_in.buf
                 )
                 view_in[:] = packed
-                with self._lock:
-                    retired = tuple(self._retired)
                 tasks = [
                     (
-                        entry.key,
-                        entry.payload,
+                        entry.model_id,
                         entry.serial.backend,
                         shm_in.name,
                         shm_out.name,
@@ -717,21 +564,10 @@ class WorkerPool:
                         words,
                         lo,
                         hi,
-                        retired,
                     )
                     for lo, hi in bounds
                 ]
-                worker_pids = pool.map(_worker_run, tasks)
-                if entry.payload is not None or retired:
-                    with self._lock:
-                        if entry.payload is not None:
-                            # lazy re-attach bookkeeping: once every worker
-                            # has compiled this model, stop shipping the
-                            # payload
-                            entry.confirmed_pids.update(worker_pids)
-                            if len(entry.confirmed_pids) >= self.n_workers:
-                                entry.payload = None
-                        self._confirm_retired_locked(retired, worker_pids)
+                pool.map(_worker_run, tasks)
                 view_out = np.ndarray(
                     (n_outputs, words), dtype=np.uint64, buffer=shm_out.buf
                 )
@@ -768,8 +604,6 @@ class WorkerPool:
             self.backend = "serial"
             pool = self._resources["pool"]
             self._resources["pool"] = None
-            # worker registries die with the pool — nothing left to evict
-            self._retired.clear()
             # the serial backend never leases shared memory again: unlink
             # the free pairs now; pairs still leased by concurrent calls
             # are unlinked when returned (see _return_shm)
@@ -804,7 +638,7 @@ class WorkerPool:
                 except Exception:
                     pass
                 inherited = {
-                    entry.key: entry.netlist
+                    entry.model_id: entry.netlist
                     for entry in self._models.values()
                 }
                 ctx = mp.get_context("fork")
@@ -813,11 +647,6 @@ class WorkerPool:
                     initializer=_worker_init,
                     initargs=(inherited,),
                 )
-                # everything in the snapshot is now fork-inherited
-                for entry in self._models.values():
-                    entry.payload = None
-                # fresh workers inherited only live models — nothing to evict
-                self._retired.clear()
             return self._resources["pool"]
 
     def _lease_shm(

@@ -2,8 +2,8 @@
 
 The engine (:mod:`repro.engine`) answers "how fast can one big batch go";
 this package answers the serving question: *many small concurrent requests,
-for many hosted models*, sharing one worker pool — and, one level up, many
-replicated boxes behind one router.  The pieces, bottom-up:
+for many hosted models*, each on an engine of its own — and, one level up,
+many replicated boxes behind one router.  The pieces, bottom-up:
 
 ``transport``
     One wire grammar, one request path.  Both wire formats — length-prefixed
@@ -51,10 +51,9 @@ replicated boxes behind one router.  The pieces, bottom-up:
 ``server``
     :class:`~repro.serving.server.InferenceServer` — the TCP front end; each
     connection's requests route to their model's queue, so socket
-    concurrency becomes per-model batch occupancy while one shared
-    :class:`~repro.engine.parallel.WorkerPool` (pass ``pool=``) carries
-    every model's sharded evaluation.  Registration resolves each model's
-    engine once and owns it until the version retires.
+    concurrency becomes per-model batch occupancy.  Registration resolves
+    each model's in-process engine once and owns it until the version
+    retires; the engine says whether its batches may run on the event loop.
     :class:`~repro.serving.server.BackgroundServer` hosts it on a dedicated
     event-loop thread for blocking callers.  ``drain()`` stops admissions
     (typed ``unavailable`` rejections, 503 on ``/healthz``) and flushes
@@ -80,16 +79,14 @@ replicated boxes behind one router.  The pieces, bottom-up:
     error) refuses reuse with
     :class:`~repro.serving.client.StaleConnectionError`.
 
-Quickstart (blocking side, two models on one pool)::
+Quickstart (blocking side, two models)::
 
-    from repro.engine import WorkerPool
     from repro.serving import BackgroundServer, InferenceServer, ServingClient
 
-    pool = WorkerPool(n_workers=4)
-    server = InferenceServer(max_batch=64, max_total_queue=4096,
-                             warm_up=pool.warm_up)
-    server.register_model("digits", model=digits_clf, pool=pool)
-    server.register_model("svhn", model=svhn_clf, pool=pool, max_batch=128)
+    server = InferenceServer(max_batch=64, max_total_queue=4096)
+    server.register_model("digits", model=digits_clf, backend="auto")
+    server.register_model("svhn", model=svhn_clf, backend="auto",
+                          max_batch=128)
     with BackgroundServer(server) as handle:
         with ServingClient(*handle.address) as client:
             labels = client.predict(rows)                    # default model

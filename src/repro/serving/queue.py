@@ -75,18 +75,16 @@ By default a queue evaluates its batches on one executor thread of its
 own, started by the first batch.  The event loop meanwhile keeps
 admitting, shedding and answering every other model, the health checks
 and the control ops, however long an evaluation takes, so ``batch_fn``
-and ``packed_fn`` may block: sleep, do I/O, or wait on the worker
-processes of a :class:`~repro.engine.parallel.WorkerPool`.  Two models'
-batches evaluate on two threads and overlap.
+and ``packed_fn`` may block: sleep, do I/O, or wait on another process.
+Two models' batches evaluate on two threads and overlap.
 
 With ``on_loop=True`` each batch instead evaluates **on the event-loop
 thread**, in a loop callback scheduled at flush: no executor hop, no task,
 no thread, and no wait budget (see *Flush policy*).  It is meant for
 engine work known to take microseconds and never to wait: the registry
-sets it only for an in-process single-thread native engine
-(:class:`~repro.engine.native.NativeCompiledNetlist` with
-``threads == 1``), whose 64-sample batch costs tens of microseconds of C —
-less than a round trip to a thread and back under the GIL.  The callback
+sets it from the engine's own ``on_loop``, which only a single-thread
+native engine reports — its 64-sample batch costs tens of microseconds of
+C, less than a round trip to a thread and back under the GIL.  The callback
 never runs inside :meth:`BatchingQueue.admit_packed`'s own stack, not even
 when that admission fills the batch: a caller that admits a request and
 only then counts the answer it owes (a server connection does, after its
@@ -95,9 +93,7 @@ batch evaluates, the loop reads no socket.  And two such models' batches
 run one after the other, never overlapping.
 
 Either way a model's calls are serialised (the compiled engine's scratch
-buffers are not thread-safe), and the worker stack — the executor, the
-(optional) :class:`~repro.engine.parallel.WorkerPool` under the engine —
-outlives any one call.
+buffers are not thread-safe), and the executor outlives any one call.
 
 One payload: packed words
 =========================

@@ -21,10 +21,8 @@ the serving record and entering the queue's admission — so every request
 either fully admitted to the old version (and completes there) or resolves
 the new one.  The displaced version drains (its queue closes, completing
 everything admitted) and then *retires*: the engine the registration owns
-is closed — which, for a pool-bound
-:class:`~repro.engine.parallel.ShardedEngine`, detaches exactly that
-version from the shared :class:`~repro.engine.parallel.WorkerPool` — its
-``on_retire`` callback runs, and the version leaves the chain.
+is closed, its ``on_retire`` callback runs, and the version leaves the
+chain.
 
 :meth:`set_shadow` mirrors a sampled fraction of a family's traffic to a
 standby candidate *after* the primary reply is on the wire (no client
@@ -46,11 +44,9 @@ default family's serving version, unknown → the typed
 *live* version — the debugging door for comparing a standby against the
 primary by hand; draining/retired versions resolve as not-found.
 
-Model *evaluation* sharing happens one layer down: every version's
-engine is typically a :class:`~repro.engine.parallel.ShardedEngine`
-attached to one shared :class:`~repro.engine.parallel.WorkerPool`, so N
-families × V versions share one set of worker processes while keeping
-independent queues — and independent attachments — up here.
+Every version evaluates on an engine of its own, in this process: where
+its batches run (on the event loop or on its queue's executor thread) is
+the engine's ``on_loop`` to say.
 """
 
 from __future__ import annotations
@@ -63,7 +59,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.compiled_netlist import ENGINE_BACKENDS
-from repro.engine.native import NativeCompiledNetlist
 from repro.serving.lifecycle import (
     CanaryPolicy,
     DivergenceStore,
@@ -254,12 +249,12 @@ class ModelRegistry:
         ``engine`` is the engine the functions evaluate on: the version
         owns it, advertises its ``backend``/``threads``/``unroll`` and
         closes it on retire; without one, ``backend`` is a descriptive
-        label (default ``"numpy"``).  Only an in-process single-thread
-        native engine evaluates its batches on the event loop (and so
-        ignores ``max_wait_us``); every other version, and every explicit
-        function, gets its queue's executor thread (see
-        :mod:`repro.serving.queue`).  ``list_models`` reports which as
-        ``on_loop``.  ``on_retire`` runs once
+        label (default ``"numpy"``).  A version whose engine reports
+        ``on_loop`` (a single-thread native engine) evaluates its batches
+        on the event loop, and so ignores ``max_wait_us``; every other
+        version, and every explicit function, gets its queue's executor
+        thread (see :mod:`repro.serving.queue`).  ``list_models`` reports
+        which as ``on_loop``.  ``on_retire`` runs once
         when the version drains out.  Per-model knobs fall back to the
         registry defaults.
         """
@@ -321,11 +316,7 @@ class ModelRegistry:
                 budget=self.budget,
                 budget_key=name,
                 packed_fn=packed_fn,
-                # measured at tens of µs a batch, and it never waits
-                on_loop=(
-                    isinstance(engine, NativeCompiledNetlist)
-                    and engine.threads == 1
-                ),
+                on_loop=engine is not None and engine.on_loop,
             ),
             scores_mode=scores_mode,
             stats=stats,

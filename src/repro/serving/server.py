@@ -31,11 +31,9 @@ offers — for :class:`~repro.core.poetbin.PoETBiNClassifier` that is
 ``decision_scores_batch``, the path that serves straight from the
 engine's ``run_scores`` — RINC bank and table-lookup read-out in one call,
 nothing unpacked in between.  Registration resolves the model's *engine*
-once — built for ``backend=``, or attached to a shared
-:class:`~repro.engine.parallel.WorkerPool` with ``pool=`` so every hosted
-model's big batches fan out over one set of worker processes — and the
-registration owns that engine: it serves from it, advertises its
-``backend``/``threads``/``unroll``, and closes it on retire.
+once, in this process, for ``backend=``, and the registration owns that
+engine: it serves from it, advertises its ``backend``/``threads``/
+``unroll``, and closes it on retire.
 
 :class:`BackgroundServer` runs the whole thing on a dedicated event-loop
 thread, which is how the tests, the benchmark and the demo drive it from
@@ -51,7 +49,6 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.engine.parallel import ShardedEngine
 from repro.serving.lifecycle import CanaryPolicy
 from repro.serving.metrics_http import HttpMetricsListener
 from repro.serving.queue import (
@@ -76,31 +73,24 @@ __all__ = ["BackgroundServer", "InferenceServer"]
 
 
 def _bind_model(
-    model: Any, backend: Optional[str], pool: Optional[Any]
+    model: Any, backend: Optional[str]
 ) -> Tuple[Any, Optional[Callable], Optional[Callable], Optional[Callable]]:
     """``(engine, batch_fn, scores_fn, packed_fn)`` for serving ``model``.
 
     A model that serves from a compiled LUT netlist — it offers
     ``to_netlist()``, ``compiled_netlist(backend)`` and batch methods taking
     ``engine=``, like :class:`~repro.core.poetbin.PoETBiNClassifier` — gets
-    its engine resolved here, once: attached to ``pool`` as a
-    :class:`~repro.engine.parallel.ShardedEngine` the registration owns, or
-    the model's own engine for ``backend``.  Its scores and zero-copy packed
-    entry points are bound to that engine object.
+    its own engine for ``backend`` resolved here, once.  Its scores and
+    zero-copy packed entry points are bound to that engine object.
 
     Anything else is served as it is — ``decision_scores_batch`` (with
     ``decision_scores_packed_batch`` as the binary protocol's packed path
     when offered), then ``predict_batch``, then the model as a plain
-    callable — with no engine the server could select: ``backend``/``pool``
-    raise instead of being dropped.
+    callable — with no engine the server could select: ``backend`` raises
+    instead of being dropped.
     """
     if hasattr(model, "compiled_netlist"):
-        if pool is not None:
-            engine = ShardedEngine(
-                model.to_netlist(), pool=pool, engine_backend=backend or "numpy"
-            )
-        else:
-            engine = model.compiled_netlist(backend or "numpy")
+        engine = model.compiled_netlist(backend or "numpy")
         return (
             engine,
             None,
@@ -109,10 +99,10 @@ def _bind_model(
                 words, n, engine=engine
             ),
         )
-    if backend is not None or pool is not None:
+    if backend is not None:
         raise ValueError(
             f"{type(model).__name__} has no compiled_netlist() to select an "
-            "engine for, so it cannot honour backend=/pool=; build the "
+            "engine for, so it cannot honour backend=; build the "
             "engine yourself and register its function"
         )
     if hasattr(model, "decision_scores_batch"):
@@ -174,9 +164,9 @@ class InferenceServer(FrameServer):
         Default per-model coalescing and admission-control policy — see
         :class:`~repro.serving.queue.BatchingQueue`.  :meth:`register_model`
         can override any of them per model.  ``max_wait_us`` bounds only
-        the models that evaluate on their queue's executor thread; an
-        unpooled single-thread ``"native"`` model evaluates on the loop and
-        flushes a partial batch at the end of the next loop pass instead.
+        the models that evaluate on their queue's executor thread; a
+        single-thread ``"native"`` model evaluates on the loop and flushes
+        a partial batch at the end of the next loop pass instead.
     max_total_queue:
         Optional *shared* admission bound in samples across every hosted
         model (see :class:`~repro.serving.queue.AdmissionBudget`); ``None``
@@ -185,10 +175,9 @@ class InferenceServer(FrameServer):
         Optional collector for the constructor-registered default model; a
         private one per model is created otherwise.
     warm_up:
-        Optional zero-argument callable run once at :meth:`start` (e.g.
-        ``pool.warm_up`` to pre-fork the shared worker pool, or a one-sample
-        evaluation per model to populate caches) so the cost lands at
-        startup, not in the first request's latency.
+        Optional zero-argument callable run once at :meth:`start` (e.g. a
+        one-sample evaluation per model to populate caches) so the cost
+        lands at startup, not in the first request's latency.
     backlog:
         Listen-queue depth; sized for hundreds of simultaneous connects
         (the whole point of a coalescing server is bursty many-client
@@ -255,17 +244,16 @@ class InferenceServer(FrameServer):
         cls,
         model: Any,
         *,
-        pool: Optional[Any] = None,
         backend: Optional[str] = None,
         stats: Optional[ServerStats] = None,
         **kwargs,
     ):
         """A single-model server: construct, then
-        ``register_model("default", model=model, pool=pool, backend=backend,
+        ``register_model("default", model=model, backend=backend,
         stats=stats)`` (which see); ``kwargs`` go to the constructor."""
         server = cls(**kwargs)
         server.register_model(
-            "default", model=model, pool=pool, backend=backend, stats=stats
+            "default", model=model, backend=backend, stats=stats
         )
         return server
 
@@ -295,7 +283,6 @@ class InferenceServer(FrameServer):
         scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         packed_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
         model: Any = None,
-        pool: Optional[Any] = None,
         max_batch: Optional[int] = None,
         max_wait_us: Optional[float] = None,
         max_queue: Optional[int] = None,
@@ -313,24 +300,22 @@ class InferenceServer(FrameServer):
         :func:`_bind_model`).  With ``model=``, the engine is resolved
         *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
         generated C, ``"native-mt"`` for the same build threaded up to the
-        core count, ``"auto"`` for native-if-toolchain) and ``pool`` attaches
-        it to a shared :class:`~repro.engine.parallel.WorkerPool` — pass
-        the same pool to every model so they share one set of worker
-        processes, attached before ``warm_up=pool.warm_up`` forks them.  A
-        native build happens in this call; on a live server build it
-        off-loop first (``clf.compiled_netlist("native")`` caches it) so
-        the loop pays a cache hit.  The registration owns the engine:
-        ``list_models``, ``repro_serving_model_backend`` and
-        ``repro_serving_model_threads`` report what it actually runs with,
-        and it is closed — detached from the pool — exactly once, when this
-        version retires.  An unpooled single-thread ``"native"`` engine
-        evaluates its batches on the event loop, flushing a partial batch
-        at the end of the next loop pass rather than after ``max_wait_us``;
-        every other engine, and every explicit function, on the queue's
-        executor thread, under the wait budget (see
-        :mod:`repro.serving.queue`; ``list_models`` reports which as
-        ``on_loop``).  With explicit functions ``backend`` is a
-        descriptive label only and ``pool`` does not apply.  Knobs left
+        core count, ``"auto"`` for native-if-toolchain), and the engine is
+        this version's own, in this process.  A native build happens in
+        this call; on a live server build it off-loop first
+        (``clf.compiled_netlist("native")`` caches it) so the loop pays a
+        cache hit.  The registration owns the engine: ``list_models``,
+        ``repro_serving_model_backend`` and ``repro_serving_model_threads``
+        report what it actually runs with, and it is closed exactly once,
+        when this version retires.  An engine that reports ``on_loop`` (a
+        single-thread ``"native"`` one) evaluates its batches on the event
+        loop, flushing a partial batch at the end of the next loop pass
+        rather than after ``max_wait_us``; every other engine, and every
+        explicit function, on the queue's executor thread, under the wait
+        budget (see :mod:`repro.serving.queue`; ``list_models`` reports
+        which as ``on_loop``).  An explicit function may close over any
+        engine, a pool-bound ``ShardedEngine`` included; ``backend`` is
+        then a descriptive label only.  Knobs left
         ``None`` inherit the server-level defaults.  Safe while serving:
         requests naming ``name`` route to the new queue from the next
         dispatch.
@@ -346,14 +331,7 @@ class InferenceServer(FrameServer):
         if model is not None:
             if batch_fn is not None or scores_fn is not None or packed_fn is not None:
                 raise ValueError("provide model= or an evaluation fn, not both")
-            engine, batch_fn, scores_fn, packed_fn = _bind_model(
-                model, backend, pool
-            )
-        elif pool is not None:
-            raise ValueError(
-                "pool applies to model=; with an explicit "
-                "batch_fn/scores_fn, bind the engine into the function"
-            )
+            engine, batch_fn, scores_fn, packed_fn = _bind_model(model, backend)
         try:
             return self._registry.register(
                 name,
@@ -372,7 +350,7 @@ class InferenceServer(FrameServer):
             )
         except BaseException:
             if engine is not None:
-                engine.close()  # a rejected registration must not leak an attach
+                engine.close()  # a rejected registration must not leak its engine
             raise
 
     async def unregister_model(self, name: str) -> None:

@@ -4,9 +4,6 @@ from repro.utils.bitops import (
     binary_to_index,
     enumerate_binary_inputs,
     index_to_binary,
-    pack_bits,
-    popcount,
-    unpack_bits,
 )
 from repro.utils.metrics import (
     accuracy,
@@ -41,9 +38,6 @@ __all__ = [
     "error_rate",
     "format_table",
     "index_to_binary",
-    "pack_bits",
-    "popcount",
     "render_markdown_table",
     "spawn_rngs",
-    "unpack_bits",
 ]

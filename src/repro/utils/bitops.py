@@ -2,10 +2,11 @@
 
 A Look-Up Table over ``P`` binary inputs is addressed by the integer formed
 from those input bits.  The functions here convert between bit matrices and
-LUT addresses, enumerate all addresses, and pack/unpack bit vectors.  The most
-significant bit corresponds to the *first* input (index 0), matching how the
-level-wise decision tree assigns features to levels: the feature chosen at
-level 0 is the top of the tree and therefore the most significant address bit.
+LUT addresses and enumerate all addresses; packing samples into words is
+:mod:`repro.engine.bitpack`'s.  The most significant bit corresponds to the
+*first* input (index 0), matching how the level-wise decision tree assigns
+features to levels: the feature chosen at level 0 is the top of the tree
+and therefore the most significant address bit.
 """
 
 from __future__ import annotations
@@ -65,36 +66,3 @@ def enumerate_binary_inputs(n_bits: int) -> np.ndarray:
             "LUTs wider than 24 inputs are not representable explicitly"
         )
     return index_to_binary(np.arange(1 << n_bits), n_bits)
-
-
-def popcount(values: np.ndarray) -> np.ndarray:
-    """Vectorised population count (number of set bits) of integer values."""
-    vals = np.asarray(values, dtype=np.uint64)
-    counts = np.zeros(vals.shape, dtype=np.int64)
-    work = vals.copy()
-    while np.any(work):
-        counts += (work & 1).astype(np.int64)
-        work >>= np.uint64(1)
-    return counts
-
-
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a binary matrix ``(n, F)`` into bytes along the feature axis."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ValueError(f"bits must be 2-D, got shape {arr.shape}")
-    return np.packbits(arr, axis=1)
-
-
-def unpack_bits(packed: np.ndarray, n_features: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`, truncated to ``n_features`` columns."""
-    arr = np.asarray(packed, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ValueError(f"packed must be 2-D, got shape {arr.shape}")
-    unpacked = np.unpackbits(arr, axis=1)
-    if unpacked.shape[1] < n_features:
-        raise ValueError(
-            f"packed data holds {unpacked.shape[1]} bits per row, "
-            f"cannot recover {n_features} features"
-        )
-    return unpacked[:, :n_features]

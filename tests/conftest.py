@@ -17,7 +17,7 @@ def trained_poetbin():
     """A small fitted PoET-BiN classifier: ``(clf, X, targets, y)``.
 
     Shared by the engine equivalence tests and the serving tests that need
-    a real classifier (engine selection, pool attachment); tests that need
+    a real classifier (engine selection and ownership); tests that need
     pristine engine caches take ``copy.copy(clf)`` and reset ``_compiled_``.
     """
     from repro.core import PoETBiNClassifier

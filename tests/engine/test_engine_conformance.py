@@ -182,6 +182,14 @@ class TestConformance:
             assert (built.threads, built.unroll) == (1, 1)
         elif backend == "native":
             assert (built.threads, built.unroll) == (1, native_mod.vector_lanes())
+        # only an in-process single-thread native engine may evaluate on a
+        # server's event loop; a pool-bound handle never does, even when
+        # its serial engine runs one thread
+        assert built.on_loop is (
+            backend.startswith("native")
+            and built.threads == 1
+            and not isinstance(built, ShardedEngine)
+        )
         for method in (
             "run_packed",
             "run_scores",
@@ -715,7 +723,9 @@ class TestHandleLifecycle:
             assert pool.model_ids == []
 
     def test_attach_options_reach_the_pool(self):
-        """``max_lut_inputs`` and ``engine_backend`` are attach options."""
+        """``max_lut_inputs`` and ``engine_backend`` are attach options.
+        One pool per handle: the first one's batch forks its pool, which
+        then takes no further attach."""
         wide = random_netlist(16, 30, seed=22, lut_widths=(8,), n_outputs=4)
         X = as_rng(8).integers(0, 2, size=(300, 16), dtype=np.uint8)
         with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
@@ -725,6 +735,8 @@ class TestHandleLifecycle:
                 np.testing.assert_array_equal(
                     handle.predict_batch(X), wide.evaluate_outputs(X)
                 )
+            assert pool.model_ids == []
+        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
             with ShardedEngine(wide, pool=pool, engine_backend="auto") as handle:
                 expected = "native" if toolchain_available() else "numpy"
                 assert handle.backend == expected

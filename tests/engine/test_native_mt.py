@@ -338,6 +338,16 @@ class TestNativeMTBackend:
             engine.predict_batch(X), netlist.evaluate_outputs(X)
         )
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_on_loop_means_one_thread(self, threads):
+        """Where a server may evaluate the engine is the engine's to say:
+        on its event loop only at one thread, read from ``threads`` live."""
+        _netlist, program = _program(seed=65)
+        engine = NativeCompiledNetlist(program, threads=threads)
+        assert engine.on_loop is (threads == 1)
+        engine.threads = 3 - threads
+        assert engine.on_loop is (threads == 2)
+
     def test_native_mt_without_toolchain_raises(self, monkeypatch):
         from repro.engine import NativeUnavailableError
 
@@ -386,11 +396,10 @@ class TestPoolComposition:
                 np.ndarray(
                     packed.shape, dtype=np.uint64, buffer=shm_in.buf
                 )[:] = packed
-                _worker_init({entry.key: entry.netlist})
+                _worker_init({entry.model_id: entry.netlist})
                 _worker_run(
                     (
-                        entry.key,
-                        None,
+                        entry.model_id,
                         entry.serial.backend,
                         shm_in.name,
                         shm_out.name,
@@ -399,10 +408,9 @@ class TestPoolComposition:
                         words,
                         0,
                         words,
-                        (),
                     )
                 )
-                worker = _WORKER["engines"][entry.key]
+                worker = _WORKER["engines"][entry.model_id]
                 assert (worker.backend, worker.threads) == ("native", 1)
                 assert worker.digest == entry.serial.digest
                 out = np.ndarray(

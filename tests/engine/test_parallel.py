@@ -3,9 +3,9 @@
 Word blocks of a packed batch are independent, so a pool must reproduce the
 serial engine bit for bit — that, for the :class:`ShardedEngine` handle on
 every pool flavour, is ``test_engine_conformance``'s job.  Here: several
-netlists attached to one pool (before and after the fork), shard
-interleaving under concurrent per-model load, detach/eviction semantics,
-fallback, cleanup, and the exact calls of the benchmark's pool row.
+netlists attached to one pool, the model set fixed at the fork, shard
+interleaving under concurrent per-model load, detach semantics, fallback,
+cleanup, and the exact calls of the benchmark's pool row.
 """
 
 import threading
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    ShardedEngine,
     WorkerPool,
     compile_netlist,
     pack_bits,
@@ -115,34 +116,55 @@ class TestWorkerPool:
                         err_msg=f"{backend}, model {name}, {n_samples} samples",
                     )
 
-    def test_attach_after_fork_reattaches_lazily(self, models):
-        """A model registered once the pool is running must still serve."""
+    def test_attach_after_fork_raises(self, models):
+        """The fork fixes the model set: a later attach names ``warm_up``,
+        registers nothing, and the attached models keep serving."""
         netlist_a, serial_a = models["a"]
-        netlist_b, serial_b = models["b"]
-        rng = as_rng(13)
+        netlist_b, _ = models["b"]
+        X = as_rng(13).integers(0, 2, size=(700, 24), dtype=np.uint8)
         with WorkerPool(
             n_workers=2, backend="process", min_words_per_worker=1
         ) as pool:
             pool.attach("a", netlist_a)
-            pool.warm_up()  # the pool forks with only model "a" inherited
+            pool.warm_up()
             if pool.backend != "process":  # pragma: no cover - no fork host
                 pytest.skip("process backend unavailable on this host")
-            pool.attach("b", netlist_b)  # post-fork: lazy re-attach path
-            assert pool._entry("b").payload is not None
-            X_b = rng.integers(0, 2, size=(700, 16), dtype=np.uint8)
-            for _ in range(10):
+            with pytest.raises(RuntimeError, match="warm_up"):
+                pool.attach("b", netlist_b)
+            with pytest.raises(RuntimeError, match="warm_up"):
+                pool.attach(None, netlist_b)
+            with pytest.raises(RuntimeError, match="warm_up"):
+                ShardedEngine(netlist_b, pool=pool)
+            assert pool.model_ids == ["a"]
+            for _ in range(3):
                 np.testing.assert_array_equal(
-                    pool.evaluate_outputs("b", X_b),
-                    serial_b.predict_batch(X_b),
+                    pool.evaluate_outputs("a", X), serial_a.predict_batch(X)
                 )
-                if pool._entry("b").payload is None:
-                    break
-            # once every worker confirmed a copy, the payload stops shipping
-            assert pool._entry("b").payload is None
-            X_a = rng.integers(0, 2, size=(700, 24), dtype=np.uint8)
+            assert pool.backend == "process"
+
+    def test_detach_after_fork_leaves_the_other_model_bit_exact(self, models):
+        """Detaching on a forked pool drops the parent's record only: the
+        detached id stops resolving, the other model keeps its shards."""
+        rng = as_rng(18)
+        with WorkerPool(
+            n_workers=2, backend="process", min_words_per_worker=1
+        ) as pool:
+            for name, (netlist, _) in models.items():
+                pool.attach(name, netlist)
+            pool.warm_up()
+            if pool.backend != "process":  # pragma: no cover - no fork host
+                pytest.skip("process backend unavailable on this host")
+            pool.detach("a")
+            pool.detach("a")  # idempotent
+            assert pool.model_ids == ["b"]
+            with pytest.raises(KeyError, match="not attached"):
+                pool.run_packed("a", np.zeros((24, 4), dtype=np.uint64))
+            _, serial_b = models["b"]
+            X = rng.integers(0, 2, size=(700, 16), dtype=np.uint8)
             np.testing.assert_array_equal(
-                pool.evaluate_outputs("a", X_a), serial_a.predict_batch(X_a)
+                pool.evaluate_outputs("b", X), serial_b.predict_batch(X)
             )
+            assert pool.backend == "process"
 
     def test_concurrent_per_model_load_interleaves_shards(self, models):
         """Threads hammering different models concurrently stay bit-exact."""
@@ -199,55 +221,6 @@ class TestWorkerPool:
                 pool.evaluate_outputs("a", X), serial_a.predict_batch(X)
             )
 
-    def test_detach_evicts_worker_side_copies(self, models):
-        """Cycling many versions through a live pool keeps worker registries
-        flat: ``detach`` ships eviction notices with later tasks, so the
-        serving layer's hot-swap loop (attach v2, drain v1, detach v1,
-        repeat) cannot grow worker memory without bound."""
-        netlist_b, _ = models["b"]
-        rng = as_rng(18)
-        variants = [
-            random_netlist(16, 30, seed=100 + i, n_outputs=2)
-            for i in range(6)
-        ]
-        serials = [compile_netlist(n) for n in variants]
-        X = rng.integers(0, 2, size=(700, 16), dtype=np.uint8)
-        with WorkerPool(
-            n_workers=2, backend="process", min_words_per_worker=1
-        ) as pool:
-            pool.attach("base", netlist_b)
-            pool.warm_up()
-            if pool.backend != "process":  # pragma: no cover - no fork host
-                pytest.skip("process backend unavailable on this host")
-            assert pool.worker_registry_sizes() != {}
-            for cycle in range(50):
-                i = cycle % len(variants)
-                vid = f"v{cycle}"
-                pool.attach(vid, variants[i])
-                np.testing.assert_array_equal(
-                    pool.evaluate_outputs(vid, X),
-                    serials[i].predict_batch(X),
-                )
-                pool.detach(vid)
-            sizes = pool.worker_registry_sizes()
-            assert sizes, "census sampled no workers"
-            for pid, (n_netlists, n_engines) in sizes.items():
-                # only the fork-inherited base model may remain — without
-                # eviction each worker would hold ~25 stale versions here
-                assert n_netlists == 1, (pid, n_netlists)
-                assert n_engines <= 1, (pid, n_engines)
-            if len(sizes) == pool.n_workers:
-                # every worker confirmed every eviction: ledger drained
-                assert pool._retired == {}
-
-    def test_worker_registry_sizes_needs_a_process_pool(self, models):
-        netlist_b, _ = models["b"]
-        with WorkerPool(n_workers=2, backend="serial") as pool:
-            pool.attach("b", netlist_b)
-            assert pool.worker_registry_sizes() == {}
-            with pytest.raises(ValueError, match="rounds"):
-                pool.worker_registry_sizes(rounds=0)
-
     def test_fallback_to_serial_releases_shared_memory(self, models):
         """The serial backend never leases shm again: fallback must unlink
         the free pairs instead of hoarding them for the process lifetime,
@@ -280,7 +253,27 @@ class TestWorkerPool:
             # and never forks again
             pool.warm_up()
             assert pool._resources["pool"] is None
-            assert pool.worker_registry_sizes() == {}
+
+    def test_a_fallen_back_pool_accepts_attaches(self, models):
+        """A pool that fell back to serial never forks again, so the fixed
+        model set no longer applies: a later attach serves bit-exactly."""
+        netlist_a, _ = models["a"]
+        netlist_b, serial_b = models["b"]
+        X = as_rng(19).integers(0, 2, size=(700, 16), dtype=np.uint8)
+        with WorkerPool(
+            n_workers=2, backend="process", min_words_per_worker=1
+        ) as pool:
+            pool.attach("a", netlist_a)
+            pool.warm_up()
+            if pool.backend != "process":  # pragma: no cover - no fork host
+                pytest.skip("process backend unavailable on this host")
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                pool._fall_back_to_serial(OSError("injected"), stacklevel=2)
+            pool.attach("b", netlist_b)
+            assert sorted(pool.model_ids) == ["a", "b"]
+            np.testing.assert_array_equal(
+                pool.evaluate_outputs("b", X), serial_b.predict_batch(X)
+            )
 
     def test_attach_validation(self):
         with WorkerPool(n_workers=2) as pool:
@@ -314,12 +307,9 @@ class TestWorkerPool:
 class TestWorkerHelpers:
     def test_worker_roundtrip_inline(self):
         """Drive the process-backend worker functions in this process."""
-        import pickle
-
         from multiprocessing import shared_memory
 
         netlist = random_netlist(12, 20, seed=27, n_outputs=3)
-        other = random_netlist(10, 15, seed=29, n_outputs=2)
         serial = compile_netlist(netlist)
         rng = as_rng(10)
         X = rng.integers(0, 2, size=(500, 12), dtype=np.uint8)
@@ -329,72 +319,18 @@ class TestWorkerHelpers:
         shm_out = shared_memory.SharedMemory(create=True, size=3 * words * 8)
         try:
             np.ndarray(packed.shape, dtype=np.uint64, buffer=shm_in.buf)[:] = packed
-            # "m#0" is fork-inherited; "late#1" arrives pickled in the task
-            _worker_init({"m#0": netlist})
+            _worker_init({"m": netlist})
             for lo, hi in shard_bounds(words, 3):
                 _worker_run(
-                    (
-                        "m#0",
-                        None,
-                        "numpy",
-                        shm_in.name,
-                        shm_out.name,
-                        12,
-                        3,
-                        words,
-                        lo,
-                        hi,
-                        (),
-                    )
+                    ("m", "numpy", shm_in.name, shm_out.name, 12, 3, words, lo, hi)
                 )
             out = np.ndarray((3, words), dtype=np.uint64, buffer=shm_out.buf)
             np.testing.assert_array_equal(out, serial.run_packed(packed))
-
-            # lazy re-attach: an unknown key without a payload must fail
-            # loudly, and with a payload must compile and serve
+            # a key the fork did not hand over fails loudly
             with pytest.raises(RuntimeError, match="no netlist"):
                 _worker_run(
-                    (
-                        "late#1",
-                        None,
-                        "numpy",
-                        shm_in.name,
-                        shm_out.name,
-                        12,
-                        3,
-                        words,
-                        0,
-                        1,
-                        (),
-                    )
+                    ("late", "numpy", shm_in.name, shm_out.name, 12, 3, words, 0, 1)
                 )
-            other_serial = compile_netlist(other)
-            X_other = rng.integers(0, 2, size=(64, 10), dtype=np.uint8)
-            packed_other = pack_bits(X_other)
-            np.ndarray(
-                packed_other.shape, dtype=np.uint64, buffer=shm_in.buf
-            )[:] = packed_other
-            _worker_run(
-                (
-                    "late#1",
-                    pickle.dumps(other),
-                    "numpy",
-                    shm_in.name,
-                    shm_out.name,
-                    10,
-                    2,
-                    1,
-                    0,
-                    1,
-                    (),
-                )
-            )
-            out_other = np.ndarray(
-                (2, 1), dtype=np.uint64, buffer=shm_out.buf
-            )
-            np.testing.assert_array_equal(
-                out_other, other_serial.run_packed(packed_other)
-            )
         finally:
             from repro.engine.parallel import _WORKER
 

@@ -9,8 +9,8 @@ every checkpoint:
   in the ``serving`` state whose version matches the exported gauge;
 * **retire accounting exact** — after quiescing, the set of versions whose
   ``on_retire`` hook has *not* fired is exactly the set of live versions
-  (the WorkerPool-detach contract: a retired version never leaves a
-  worker-side attachment behind, a live one is never detached early);
+  (a retired version never leaves its engine open, a live one is never
+  closed early);
 * **stats monotonic and budget drained** — completed-request counters
   never step backwards and the shared admission budget returns to zero.
 

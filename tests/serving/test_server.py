@@ -1,10 +1,9 @@
 """End-to-end socket tests: InferenceServer + ServingClient.
 
-The multi-model suite covers the PR-5 contract: several models — different
-feature widths, different engines — hosted behind one listener and one
-shared WorkerPool, requests routed by the wire protocol's ``model`` field,
-unknown names failing with the typed ``model_not_found`` error, and
-per-model stats.
+The multi-model suite covers several models — different feature widths,
+different engines — hosted behind one listener, requests routed by the
+wire protocol's ``model`` field, unknown names failing with the typed
+``model_not_found`` error, and per-model stats.
 """
 
 import os
@@ -452,6 +451,30 @@ class TestMultiModel:
                         )
 
 
+def test_serving_imports_no_engine_implementation():
+    """The serving layer holds engines as objects: no module of it imports
+    the native backend or the worker pool."""
+    import ast
+    import pathlib
+
+    import repro.serving
+
+    banned_modules = {"repro.engine.native", "repro.engine.parallel"}
+    banned_names = {"NativeCompiledNetlist", "ShardedEngine", "WorkerPool"}
+    for path in pathlib.Path(repro.serving.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+                names = set()
+            elif isinstance(node, ast.ImportFrom):
+                modules = {node.module}
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not modules & banned_modules, (path.name, modules)
+            assert not names & banned_names, (path.name, names)
+
+
 class TestConstruction:
     def test_at_most_one_evaluation_fn(self):
         with pytest.raises(ValueError):
@@ -503,7 +526,7 @@ class TestConstruction:
 
     def test_engine_selection_a_model_cannot_honour_raises(self):
         """A bare ``predict_batch(X)`` object has no engine the server could
-        select: ``backend=``/``pool=`` must raise at registration, not be
+        select: ``backend=`` must raise at registration, not be
         dropped and then advertised anyway."""
 
         class BareEngine:
@@ -513,12 +536,8 @@ class TestConstruction:
         srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
         with pytest.raises(ValueError, match="cannot honour"):
             srv.register_model("m", model=BareEngine(), backend="native")
-        with WorkerPool(n_workers=2) as pool:
-            with pytest.raises(ValueError, match="cannot honour"):
-                srv.register_model("m", model=BareEngine(), pool=pool)
-            with pytest.raises(ValueError, match="cannot honour"):
-                InferenceServer.for_model(BareEngine(), pool=pool)
-            assert pool.model_ids == []
+        with pytest.raises(ValueError, match="cannot honour"):
+            InferenceServer.for_model(BareEngine(), backend="numpy")
         assert srv.registry.names == []
         # without a selection it serves as it is, labelled numpy
         entry = srv.register_model("m", model=BareEngine())
@@ -527,11 +546,6 @@ class TestConstruction:
     def test_empty_server_stats_property_is_inert(self):
         srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
         assert srv.stats.snapshot()["requests_completed"] == 0
-
-    def test_register_model_rejects_sharding_kwargs_without_model(self):
-        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
-        with pytest.raises(ValueError, match="applies to model="):
-            srv.register_model("m", _scores_fn, pool=object())
 
     def test_unregistering_the_default_clears_it(self):
         """Model-less requests must not silently re-route to a survivor."""
@@ -573,7 +587,7 @@ class TestConstruction:
 
 
 class TestEngineOwnership:
-    """Registration resolves the engine once and owns it: attached when
+    """Registration resolves the engine once and owns it: built when
     ``register_model`` returns, advertised as what it actually runs with,
     closed exactly once — and only it — when the version retires."""
 
@@ -586,90 +600,120 @@ class TestEngineOwnership:
         clf._compiled_ = {}  # this test's own engine cache
         return clf, X[:100], clf.predict(X[:100])
 
-    def test_pool_registration_attaches_before_start(self, trained):
-        """``warm_up=pool.warm_up`` must fork-inherit every registered
-        model instead of forking an empty pool."""
+    @pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
+    def test_explicit_functions_serve_a_pool_bound_engine(self, trained, binary):
+        """Serving through a WorkerPool is the caller's: functions closing
+        over a ``ShardedEngine`` serve bit-exactly on either wire, and run
+        on the queue's executor thread."""
+        from repro.engine import ShardedEngine
+
         clf, X, expected = trained
         with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            srv = InferenceServer(
-                max_batch=64, max_wait_us=1_000, warm_up=pool.warm_up
-            )
-            first = srv.register_model("first", model=clf, pool=pool)
-            second = srv.register_model(
-                "second", model=clf, pool=pool, backend="auto"
-            )
-            assert len(pool.model_ids) == 2  # attached now, not lazily
-            attached = [first.engine.model_id, second.engine.model_id]
-            assert sorted(pool.model_ids) == sorted(attached)
-            with BackgroundServer(srv) as handle:
-                if pool.backend == "process":
-                    assert pool._resources["pool"] is not None
-                    for model_id in attached:
-                        # fork-inherited: nothing left to ship by pickle
-                        assert pool._entry(model_id).payload is None
-                with ServingClient(*handle.address, binary=True) as client:
-                    for name in ("first", "second"):
-                        np.testing.assert_array_equal(
-                            client.predict(X, model=name), expected
+            with ShardedEngine(clf.to_netlist(), pool=pool) as engine:
+                srv = InferenceServer(
+                    max_batch=256, max_wait_us=1_000, warm_up=pool.warm_up
+                )
+                srv.register_model(
+                    "m",
+                    scores_fn=lambda X: clf.decision_scores_batch(
+                        X, engine=engine
+                    ),
+                    packed_fn=lambda words, n: clf.decision_scores_packed_batch(
+                        words, n, engine=engine
+                    ),
+                )
+                with BackgroundServer(srv) as handle:
+                    with ServingClient(*handle.address, binary=binary) as client:
+                        labels, scores = client.predict(
+                            X, model="m", return_scores=True
                         )
-                assert sorted(pool.model_ids) == sorted(attached)
-            assert pool.model_ids == []  # stop() retired both
+                        np.testing.assert_array_equal(labels, expected)
+                        np.testing.assert_allclose(
+                            scores, clf.decision_scores_batch(X)
+                        )
+                        (listed,) = client.list_models()["models"]
+                    assert listed["on_loop"] is False
+                    assert listed["packed"] is True
+                assert pool.model_ids == [engine.model_id]  # the caller's
+            assert pool.model_ids == []
 
-    def test_retiring_one_registration_keeps_the_others_attached(self, trained):
-        """One fitted classifier under two names and as two versions on one
-        pool: each registration owns its own attachment."""
+    def test_retiring_one_registration_keeps_the_others_serving(self, trained):
+        """One fitted classifier under two names and as two versions: each
+        registration retires alone, after what it admitted completes."""
         import asyncio
 
         clf, X, expected = trained
-        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            # a long coalescing window parks a small request in its queue
-            srv = InferenceServer(max_batch=64, max_wait_us=500_000)
-            gone = srv.register_model("gone", model=clf, pool=pool)
-            kept_v1 = srv.register_model("kept", model=clf, pool=pool)
-            kept_v2 = srv.register_model(
-                "kept", model=clf, pool=pool, version=2
+        retired = []
+        # a long coalescing window parks a small request in its queue
+        srv = InferenceServer(max_batch=64, max_wait_us=500_000)
+        gone = srv.register_model(
+            "gone", model=clf, on_retire=lambda: retired.append("gone")
+        )
+        srv.register_model(
+            "kept", model=clf, on_retire=lambda: retired.append("kept@1")
+        )
+        srv.register_model(
+            "kept",
+            model=clf,
+            version=2,
+            on_retire=lambda: retired.append("kept@2"),
+        )
+        with BackgroundServer(srv) as handle:
+
+            async def retire_with_a_request_in_flight():
+                in_flight = asyncio.ensure_future(gone.queue.submit(X[:5]))
+                await asyncio.sleep(0)  # admitted, waiting to coalesce
+                await srv.unregister_model("gone")
+                return await in_flight
+
+            scores = handle.run(retire_with_a_request_in_flight())
+            np.testing.assert_array_equal(
+                np.argmax(scores, axis=1), expected[:5]
             )
-            assert len(pool.model_ids) == 3  # one attachment each
-            ids = [e.engine.model_id for e in (gone, kept_v1, kept_v2)]
-            assert sorted(pool.model_ids) == sorted(ids)
-            with BackgroundServer(srv) as handle:
-
-                async def retire_with_a_request_in_flight():
-                    in_flight = asyncio.ensure_future(gone.queue.submit(X[:5]))
-                    await asyncio.sleep(0)  # admitted, waiting to coalesce
-                    await srv.unregister_model("gone")
-                    return await in_flight
-
-                scores = handle.run(retire_with_a_request_in_flight())
+            assert retired == ["gone"]
+            with ServingClient(*handle.address) as client:
                 np.testing.assert_array_equal(
-                    np.argmax(scores, axis=1), expected[:5]
+                    client.predict(X, model="kept"), expected
                 )
-                assert sorted(pool.model_ids) == sorted(ids[1:])
-                with ServingClient(*handle.address) as client:
-                    np.testing.assert_array_equal(
-                        client.predict(X, model="kept"), expected
-                    )
 
-                    async def promote():
-                        srv.registry.promote("kept", 2)
-                        await srv.registry.wait_idle()
+                async def promote():
+                    srv.registry.promote("kept", 2)
+                    await srv.registry.wait_idle()
 
-                    handle.run(promote())
-                    assert pool.model_ids == [ids[2]]
-                    np.testing.assert_array_equal(
-                        client.predict(X, model="kept"), expected
-                    )
-                    with pytest.raises(ModelNotFoundError):
-                        client.predict(X, model="gone")
+                handle.run(promote())
+                assert retired == ["gone", "kept@1"]
+                np.testing.assert_array_equal(
+                    client.predict(X, model="kept"), expected
+                )
+                with pytest.raises(ModelNotFoundError):
+                    client.predict(X, model="gone")
 
-    def test_rejected_registration_leaks_no_attachment(self, trained):
-        clf, _X, _expected = trained
-        with WorkerPool(n_workers=2) as pool:
-            srv = InferenceServer(max_batch=4, max_wait_us=1_000)
-            entry = srv.register_model("m", model=clf, pool=pool)
-            with pytest.raises(ValueError, match="already registered"):
-                srv.register_model("m", model=clf, pool=pool)
-            assert pool.model_ids == [entry.engine.model_id]
+    def test_rejected_registration_closes_its_engine(self):
+        """An engine resolved for a registration that then fails is closed
+        there, not leaked."""
+        from repro.engine import PackedEngine
+
+        closed = []
+
+        class Engine(PackedEngine):
+            def close(self):
+                closed.append(self)
+
+        class Model:
+            def compiled_netlist(self, backend):
+                return Engine()
+
+            def decision_scores_batch(self, X, engine):  # pragma: no cover
+                return _scores_fn(X)
+
+            def decision_scores_packed_batch(self, words, n, engine):  # pragma: no cover
+                raise AssertionError("never evaluated")
+
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000)
+        entry = srv.register_model("m", model=Model())
+        with pytest.raises(ValueError, match="already registered"):
+            srv.register_model("m", model=Model())
+        assert len(closed) == 1 and closed[0] is not entry.engine
 
     def test_advertises_what_the_engine_runs_with(
         self, trained, tmp_path, monkeypatch
@@ -737,9 +781,10 @@ class TestEngineOwnership:
 
 
 class TestWhereEvaluationRuns:
-    """Only an unpooled single-thread native engine evaluates on the event
-    loop; anything that may take milliseconds or wait on another process
-    keeps its queue's executor thread, so it stalls only its own model."""
+    """Only an engine that reports ``on_loop`` — a single-thread native
+    one — evaluates on the event loop; anything that may take milliseconds
+    or wait on another process keeps its queue's executor thread, so it
+    stalls only its own model."""
 
     @pytest.fixture()
     def trained(self, trained_poetbin):
@@ -762,24 +807,32 @@ class TestWhereEvaluationRuns:
             "explicit", scores_fn=_scores_fn, packed_fn=lambda w, n: w
         )
         srv.register_model("labels", _expected_labels)
-        with WorkerPool(n_workers=2) as pool:
-            srv.register_model("pool", model=clf, pool=pool)
-            if native_mod.toolchain_available():
-                monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-                monkeypatch.setattr(
-                    native_mod, "default_thread_count", lambda: 2
-                )
-                srv.register_model("native", model=clf, backend="native")
-                srv.register_model("native-mt", model=clf, backend="native-mt")
-                srv.register_model(
-                    "native-pool", model=clf, pool=pool, backend="native"
-                )
-            with BackgroundServer(srv) as handle:
-                with ServingClient(*handle.address) as client:
-                    listed = client.list_models()["models"]
+        if native_mod.toolchain_available():
+            monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+            monkeypatch.setattr(native_mod, "default_thread_count", lambda: 2)
+            srv.register_model("native", model=clf, backend="native")
+            srv.register_model("native-mt", model=clf, backend="native-mt")
+        with BackgroundServer(srv) as handle:
+            with ServingClient(*handle.address) as client:
+                listed = client.list_models()["models"]
         on_loop = {entry["name"]: entry["on_loop"] for entry in listed}
         assert on_loop.pop("native", True) is True
         assert on_loop and not any(on_loop.values()), on_loop
+
+    @pytest.mark.parametrize("on_loop", [None, False, True])
+    def test_the_registry_asks_the_engine(self, on_loop):
+        """A version's queue runs on the loop exactly when its engine says
+        so, whatever the engine's type; one without an engine never does."""
+        from repro.engine import PackedEngine
+
+        engine = None
+        if on_loop is not None:
+            engine = PackedEngine()
+            engine.on_loop = on_loop
+        srv = InferenceServer(max_batch=64, max_wait_us=1_000)
+        entry = srv.registry.register("m", scores_fn=_scores_fn, engine=engine)
+        assert entry.queue.on_loop is bool(on_loop)
+        assert entry.describe()["on_loop"] is bool(on_loop)
 
     def test_on_loop_native_model_does_not_wait_out_max_wait_us(
         self, trained, tmp_path, monkeypatch
@@ -806,57 +859,56 @@ class TestWhereEvaluationRuns:
                     )
         assert entry.stats.snapshot()["batch_occupancy"] == {"1": 2}
 
-    def test_a_stuck_pool_evaluation_stalls_only_its_own_model(
-        self, trained, monkeypatch
-    ):
-        """A pool evaluation waiting on its workers must leave the loop free:
+    def test_a_stuck_executor_batch_stalls_only_its_own_model(self, trained):
+        """A batch blocked in its ``packed_fn`` must leave the loop free:
         another model's predicts, ping and ``/healthz`` answer meanwhile."""
         import urllib.request
 
         clf, X, expected = trained
         release, entered = threading.Event(), threading.Event()
-        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            run_packed = pool.run_packed
 
-            def stuck_run_packed(model_id, words):
-                entered.set()
-                release.wait(timeout=10)
-                return run_packed(model_id, words)
+        def stuck_packed_fn(words, n_samples):
+            entered.set()
+            release.wait(timeout=10)
+            return clf.decision_scores_packed_batch(words, n_samples)
 
-            monkeypatch.setattr(pool, "run_packed", stuck_run_packed)
-            srv = InferenceServer(max_batch=64, max_wait_us=1_000, http_port=0)
-            srv.register_model("stuck", model=clf, pool=pool)
-            srv.register_model("free", scores_fn=_scores_fn)
-            with BackgroundServer(srv) as handle:
-                stuck_reply = []
+        srv = InferenceServer(max_batch=64, max_wait_us=1_000, http_port=0)
+        srv.register_model(
+            "stuck",
+            scores_fn=clf.decision_scores_batch,
+            packed_fn=stuck_packed_fn,
+        )
+        srv.register_model("free", scores_fn=_scores_fn)
+        with BackgroundServer(srv) as handle:
+            stuck_reply = []
 
-                def predict_stuck():
-                    with ServingClient(*handle.address, binary=True) as client:
-                        stuck_reply.append(client.predict(X, model="stuck"))
+            def predict_stuck():
+                with ServingClient(*handle.address, binary=True) as client:
+                    stuck_reply.append(client.predict(X, model="stuck"))
 
-                waiter = threading.Thread(target=predict_stuck)
-                waiter.start()
-                try:
-                    assert entered.wait(timeout=10)
-                    free_X = np.ones((3, N_FEATURES), dtype=np.uint8)
-                    for binary in (False, True):
-                        with ServingClient(
-                            *handle.address, timeout=5, binary=binary
-                        ) as client:
-                            np.testing.assert_array_equal(
-                                client.predict(free_X, model="free"),
-                                _expected_labels(free_X),
-                            )
-                            assert client.ping()
-                    host, port = srv.http_address
-                    with urllib.request.urlopen(
-                        f"http://{host}:{port}/healthz", timeout=5
-                    ) as response:
-                        assert response.status == 200
-                    assert not stuck_reply  # still waiting on its workers
-                finally:
-                    release.set()
-                    waiter.join(timeout=10)
+            waiter = threading.Thread(target=predict_stuck)
+            waiter.start()
+            try:
+                assert entered.wait(timeout=10)
+                free_X = np.ones((3, N_FEATURES), dtype=np.uint8)
+                for binary in (False, True):
+                    with ServingClient(
+                        *handle.address, timeout=5, binary=binary
+                    ) as client:
+                        np.testing.assert_array_equal(
+                            client.predict(free_X, model="free"),
+                            _expected_labels(free_X),
+                        )
+                        assert client.ping()
+                host, port = srv.http_address
+                with urllib.request.urlopen(
+                    f"http://{host}:{port}/healthz", timeout=5
+                ) as response:
+                    assert response.status == 200
+                assert not stuck_reply  # still blocked in its packed_fn
+            finally:
+                release.set()
+                waiter.join(timeout=10)
         [labels] = stuck_reply
         np.testing.assert_array_equal(labels, expected)
 

@@ -9,9 +9,6 @@ from repro.utils.bitops import (
     binary_to_index,
     enumerate_binary_inputs,
     index_to_binary,
-    pack_bits,
-    popcount,
-    unpack_bits,
 )
 
 
@@ -75,30 +72,6 @@ class TestEnumerateBinaryInputs:
     def test_width_limit(self):
         with pytest.raises(ValueError):
             enumerate_binary_inputs(30)
-
-
-class TestPopcount:
-    def test_known_values(self):
-        np.testing.assert_array_equal(popcount(np.array([0, 1, 2, 3, 255])), [0, 1, 1, 2, 8])
-
-    def test_large_value(self):
-        assert popcount(np.array([2**40 - 1]))[0] == 40
-
-
-class TestPackUnpack:
-    def test_round_trip(self, rng):
-        bits = (rng.random((17, 37)) < 0.5).astype(np.uint8)
-        packed = pack_bits(bits)
-        np.testing.assert_array_equal(unpack_bits(packed, 37), bits)
-
-    def test_pack_rejects_1d(self):
-        with pytest.raises(ValueError):
-            pack_bits(np.array([1, 0, 1], dtype=np.uint8))
-
-    def test_unpack_rejects_too_many_features(self):
-        packed = pack_bits(np.zeros((2, 8), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            unpack_bits(packed, 64)
 
 
 @settings(max_examples=50, deadline=None)
