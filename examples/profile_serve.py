@@ -171,6 +171,7 @@ def main() -> None:
         max_queue=serve_host.MAX_QUEUE,
     )
     entry = server.register_model(serve_host.MODEL_NAME, model=clf, backend="native")
+    entry.engine.wait()  # the steady state: a cold build answers on NumPy until then
     with BackgroundServer(server) as handle:
         run_load(handle.address, load, 0.5)  # warm: caches, allocator, sockets
 

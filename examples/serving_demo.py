@@ -209,8 +209,6 @@ def main(print_stats_text: bool = False) -> None:
             )
 
         def register_version(version: int, clf: PoETBiNClassifier) -> None:
-            clf.compiled_netlist("auto")  # build off the loop: it pays a cache hit
-
             async def _do():
                 server.register_model(
                     "fast", model=clf, backend="auto", version=version

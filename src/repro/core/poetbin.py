@@ -178,16 +178,18 @@ class PoETBiNClassifier:
         (``"native"``), the same build threaded up to the core count
         (``"native-mt"``, which shards large batches across word ranges
         in-process), or ``"auto"`` (native when the host has a C
-        toolchain, else NumPy) — cached per name.
+        toolchain, else NumPy) — cached per name.  A native engine comes
+        back before its C build has run and answers on the NumPy program
+        until the build lands (see
+        :meth:`~repro.engine.native.NativeCompiledNetlist.attach`;
+        ``engine.wait()`` blocks until then).
         """
         self._check_fitted()
         engine = self._compiled_.get(engine_backend)
         if engine is None:
-            from repro.engine import compile_netlist
+            from repro.engine.compiled_netlist import attach_engine
 
-            engine = compile_netlist(
-                self.to_netlist(), backend=engine_backend
-            )
+            engine = attach_engine(self.to_netlist(), engine_backend)
             self._compiled_[engine_backend] = engine
         return engine
 

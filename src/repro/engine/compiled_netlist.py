@@ -36,12 +36,14 @@ operations:
 
 Padding bits past the last sample hold unspecified values during evaluation
 (constants and inverted signals set them); they are discarded when results
-are unpacked.  The scratch belongs to the instance, so an instance is not
-thread-safe.
+are unpacked.  The scratch belongs to the instance, and a lock of the
+instance serialises the calls that use it: threads sharing one instance
+take turns.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -204,9 +206,9 @@ class CompiledNetlist(PackedEngine):
     Build one with :func:`compile_netlist` (or :meth:`from_netlist`); the
     compiled program is reusable across batches of any size.  Evaluation
     reuses an internal grow-only scratch (the slot matrix and one chunk's
-    working set, sized for the largest batch seen and never pickled), so a
-    ``CompiledNetlist`` instance is **not thread-safe**; share the netlist
-    and compile one instance per worker instead.
+    working set, sized for the largest batch seen and never pickled) under
+    a per-instance lock, so threads sharing an instance are served one at a
+    time; compile one instance per thread to run them in parallel.
 
     Attributes
     ----------
@@ -238,10 +240,13 @@ class CompiledNetlist(PackedEngine):
         # batch sizes reuse one grow-only allocation through views instead
         # of reallocating on every call.  (capacity, state words, chunk words)
         self._scratch: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._lock = threading.Lock()  # guards _scratch; not pickled
         self._node_index = np.arange(max((g.n_nodes for g in groups), default=0))
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_scratch": None}
+        state = {**self.__dict__, "_scratch": None}
+        del state["_lock"]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         # a pickle carries the program; the working set is rebuilt on first
@@ -393,6 +398,12 @@ class CompiledNetlist(PackedEngine):
                 f"packed_inputs must have shape ({self.n_primary_inputs}, n_words), "
                 f"got {packed_inputs.shape}"
             )
+        with self._lock:
+            return self._run(packed_inputs)
+
+    def _run(self, packed_inputs: np.ndarray) -> np.ndarray:
+        """:meth:`run_packed` on validated inputs, in the instance's scratch
+        (the caller holds ``_lock``)."""
         words = packed_inputs.shape[1]
         if self._scratch is None or self._scratch[0] < words:
             self._scratch = self._allocate(words)
@@ -522,7 +533,7 @@ def build_engine(
 
     The one place a backend *name* becomes an engine, and so the one place
     ``"auto"`` and the no-toolchain fallback are decided:
-    :func:`compile_netlist`, :meth:`WorkerPool.attach
+    :func:`compile_netlist`, :func:`attach_engine`, :meth:`WorkerPool.attach
     <repro.engine.parallel.WorkerPool.attach>` and the pool's workers all
     come through here and carry the returned object from then on.
 
@@ -538,6 +549,43 @@ def build_engine(
     bit-exact NumPy engine, so a worker that lost the toolchain or the
     cache the parent had still serves its shards.
     """
+    return _select_engine(
+        netlist,
+        backend,
+        strict,
+        lambda native, program: (
+            native.NativeCompiledNetlist.tuned(program)
+            if backend == "native-mt"
+            else native.NativeCompiledNetlist(program)
+        ),
+    )
+
+
+def attach_engine(netlist: LUTNetlist, backend: str) -> PackedEngine:
+    """:func:`compile_netlist` with the default passes, for an engine cache
+    that must not wait for a C compiler.
+
+    A native backend comes back as a
+    :meth:`~repro.engine.native.NativeCompiledNetlist.attach` engine, which
+    answers on the NumPy program until its build lands; a missing
+    toolchain or a refused cache directory is decided here and now, as in
+    :func:`build_engine`.  ``"numpy"`` is :func:`compile_netlist`'s engine.
+    """
+    if not netlist.output_signals:
+        raise ValueError("netlist must declare at least one output signal")
+    return _select_engine(
+        optimize_netlist(netlist),
+        backend,
+        True,
+        lambda native, program: native.NativeCompiledNetlist.attach(
+            program, "native-mt" if backend == "native-mt" else "native"
+        ),
+    )
+
+
+def _select_engine(netlist: LUTNetlist, backend: str, strict: bool, make_native):
+    """The NumPy program for ``netlist``, or ``make_native(native module,
+    program)`` with :func:`build_engine`'s fallback rule."""
     if backend not in ENGINE_BACKENDS:
         raise ValueError(
             f"unknown engine backend {backend!r} (choose from {ENGINE_BACKENDS})"
@@ -548,9 +596,7 @@ def build_engine(
     from repro.engine import native  # deferred: native imports this module
 
     try:
-        if backend == "native-mt":
-            return native.NativeCompiledNetlist.tuned(program)
-        return native.NativeCompiledNetlist(program)
+        return make_native(native, program)
     except Exception as error:
         unavailable = isinstance(error, native.NativeUnavailableError)
         if strict and not (backend == "auto" and unavailable):
@@ -560,7 +606,7 @@ def build_engine(
                 f"native backend unavailable ({error}); "
                 "falling back to the NumPy engine",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         return program
 

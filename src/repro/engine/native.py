@@ -87,6 +87,9 @@ the winner's atomically-published object.
 :class:`NativeCompiledNetlist` wraps the loaded object behind the exact
 ``run_packed``/``evaluate_outputs``/``predict_batch`` surface of the NumPy
 engine and is bit-exact against it (the equivalence suite is the gate).
+:meth:`NativeCompiledNetlist.attach` — a classifier's engine cache —
+returns before the compiler runs and answers on the NumPy program it
+wraps until one background thread's build lands.
 
 When no C toolchain is present every entry point raises
 :class:`NativeUnavailableError`; ``compile_netlist(backend="auto")`` and
@@ -103,8 +106,10 @@ import shutil
 import signal
 import stat
 import subprocess
+import sys
 import tempfile
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -174,6 +179,13 @@ _UNIT_PRELUDE = (
     "#define C0 ((W){0})",
     "#define C1 (~(W){0})",
     "",
+)
+
+#: how a compiler is started: leading a process group of its own (see
+#: :func:`_run_compilers`) in the caller's session; before Python 3.11 only
+#: a session of its own gives it a group
+_OWN_PROCESS_GROUP = (
+    {"process_group": 0} if sys.version_info >= (3, 11) else {"start_new_session": True}
 )
 
 _ENV_CACHE_DIR = "REPRO_NATIVE_CACHE"
@@ -616,47 +628,70 @@ def _build_lock(directory: str, digest: str):
 def _run_compilers(commands: List[List[str]]) -> None:
     """Run compiler ``commands`` concurrently, one per core at most.
 
-    A short-lived pool of its own hands each free slot the next command —
-    never the engines' shared executor, whose threads serve live inference
-    while a hot swap compiles.  On the first failure nothing further is
-    started and the compilers still running are terminated — each leads a
-    process group, so the ``cc1``/``as`` children a driver would orphan go
-    with it — and once every one of them has been waited for,
+    Threads of its own hand each free slot the next command: never the
+    engines' shared executor, whose threads serve live inference while a
+    hot swap compiles, and no executor at all, since a build on an engine's
+    background thread (see :meth:`NativeCompiledNetlist.attach`) may still
+    be running while the interpreter shuts down, when executors take no new
+    work.  Each compiler leads a process group of its own inside the
+    caller's session: on the first failure nothing further is started and
+    the compilers still running are terminated, group and all, so the
+    ``cc1``/``as`` children a driver would orphan go with it; and whatever
+    supervises the caller's session still sees, signals and waits for every
+    compiler.  Once every one of them has been waited for,
     :class:`NativeUnavailableError` names the failed command with the tail
     of its output.
     """
+    pending = list(reversed(commands))  # popped from the end: in order
     running: List[subprocess.Popen] = []
     failures: List[str] = []
     lock = threading.Lock()
 
-    def run(command: List[str]) -> None:
-        with lock:
-            if failures:
-                return
-            process = subprocess.Popen(
-                command,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                start_new_session=True,
-            )
-            running.append(process)
-        stdout, stderr = process.communicate()
-        with lock:
-            running.remove(process)
-            if process.returncode != 0 and not failures:
-                tail = (stderr or stdout or "").strip()[-2000:]
-                failures.append(f"C build failed ({' '.join(command)}): {tail}")
-                for other in running:
-                    if other.returncode is None:  # unreaped: the pid is its own
-                        try:
-                            os.killpg(other.pid, signal.SIGTERM)
-                        except ProcessLookupError:
-                            pass  # just exited; its thread is reaping it
+    def fail(command: List[str], why: str) -> None:
+        # under the lock: the first failure terminates the others
+        if failures:
+            return
+        failures.append(f"C build failed ({' '.join(command)}): {why}")
+        for other in running:
+            if other.returncode is None:  # unreaped: the pid is its own
+                try:
+                    os.killpg(other.pid, signal.SIGTERM)
+                except ProcessLookupError:
+                    pass  # just exited; its thread is reaping it
 
-    jobs = max(1, min(len(commands), default_thread_count()))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(run, commands))
+    def work() -> None:
+        while True:
+            with lock:
+                if failures or not pending:
+                    return
+                command = pending.pop()
+                try:
+                    process = subprocess.Popen(
+                        command,
+                        stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE,
+                        text=True,
+                        **_OWN_PROCESS_GROUP,
+                    )
+                except OSError as error:
+                    fail(command, str(error))
+                    return
+                running.append(process)
+            stdout, stderr = process.communicate()
+            with lock:
+                running.remove(process)
+                if process.returncode != 0:
+                    fail(command, (stderr or stdout or "").strip()[-2000:])
+
+    helpers = [
+        threading.Thread(target=work)
+        for _ in range(min(len(commands), default_thread_count()) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
     if failures:
         raise NativeUnavailableError(failures[0])
 
@@ -705,38 +740,30 @@ def _required_compiler() -> List[str]:
     return compiler
 
 
-def build_shared_object(
-    source: str, *, cache_dir: Optional[str] = None
-) -> Tuple[str, str]:
-    """Compile ``source`` into a cached shared object; ``(digest, path)``.
-
-    The cache key digests the whole source, the build command and the
-    compiler's target (see :func:`_host_build`), so a compiler, flag or
-    CPU change never serves a stale or foreign object.
-    A source of several translation units (see :func:`generate_c_source`)
-    is compiled unit by unit with ``cc -c``, concurrently, and the objects
-    linked by the same command; a source of one unit — every small
-    netlist — goes to that link command as it is, a single compiler run.
-    Builds land under unique temp names and are published with an atomic
-    rename; concurrent builders of the same digest additionally serialise
-    on a ``<digest>.lock`` file so only one build runs per digest.
-
-    Raises :class:`NativeUnavailableError` when the host has no C
-    toolchain, the default cache directory is not private, or the build
-    fails; a failed build leaves nothing behind.
-    """
+def _plan_build(source: str, cache_dir: Optional[str]) -> Tuple[List[str], str, str]:
+    """``(command, digest, so_path)`` of the build of ``source``: all that
+    :func:`build_shared_object` resolves before it compiles — the compiler,
+    the host's flags and target, the digest and the cache directory, the
+    last two read from the environment now.  Raises
+    :class:`NativeUnavailableError` when there is no toolchain or the
+    default cache directory is refused."""
     compiler = _required_compiler()
     flags, _, target = _host_build(compiler)
     command = [*compiler, *flags, *_COMMON_CFLAGS]
     digest = _source_digest(source, [*command, target])
-    directory = _cache_directory(cache_dir)
-    so_path = os.path.join(directory, f"{digest}.so")
-    if os.path.exists(so_path):
-        return digest, so_path
+    so_path = os.path.join(_cache_directory(cache_dir), f"{digest}.so")
+    return command, digest, so_path
+
+
+def _compile(source: str, command: List[str], digest: str, so_path: str) -> None:
+    """Compile ``source`` by :func:`_plan_build`'s plan and publish it at
+    ``so_path``, unless a builder holding the digest's lock before us
+    already did."""
+    directory = os.path.dirname(so_path)
     with _build_lock(directory, digest):
         # the lock's previous holder may have published while we waited
         if os.path.exists(so_path):
-            return digest, so_path
+            return
         c_path = os.path.join(directory, f"{digest}.c")
         unique = f".{os.getpid()}-{threading.get_ident()}.tmp"
         c_tmp = c_path + unique + ".c"  # cc needs the suffix to see C source
@@ -767,6 +794,31 @@ def build_shared_object(
                     os.unlink(leftover)
                 except OSError:
                     pass
+
+
+def build_shared_object(
+    source: str, *, cache_dir: Optional[str] = None
+) -> Tuple[str, str]:
+    """Compile ``source`` into a cached shared object; ``(digest, path)``.
+
+    The cache key digests the whole source, the build command and the
+    compiler's target (see :func:`_host_build`), so a compiler, flag or
+    CPU change never serves a stale or foreign object.
+    A source of several translation units (see :func:`generate_c_source`)
+    is compiled unit by unit with ``cc -c``, concurrently, and the objects
+    linked by the same command; a source of one unit — every small
+    netlist — goes to that link command as it is, a single compiler run.
+    Builds land under unique temp names and are published with an atomic
+    rename; concurrent builders of the same digest additionally serialise
+    on a ``<digest>.lock`` file so only one build runs per digest.
+
+    Raises :class:`NativeUnavailableError` when the host has no C
+    toolchain, the default cache directory is not private, or the build
+    fails; a failed build leaves nothing behind.
+    """
+    command, digest, so_path = _plan_build(source, cache_dir)
+    if not os.path.exists(so_path):
+        _compile(source, command, digest, so_path)
     return digest, so_path
 
 
@@ -810,9 +862,9 @@ class NativeCompiledNetlist(PackedEngine):
 
     Same evaluation surface as the NumPy engine — ``run_packed`` on packed
     words, ``evaluate_outputs``/``predict_batch`` on 0/1 matrices — and
-    bit-exact against it.  Unlike the NumPy engine an instance is
-    thread-safe: the generated code's state lives on the C stack and
-    ``ctypes`` releases the GIL around every call.
+    bit-exact against it.  An instance is thread-safe: the generated code's
+    state lives on the C stack and ``ctypes`` releases the GIL around every
+    call.
 
     ``threads``
         Word-shard fan-out of :meth:`run_packed`.  ``> 1`` splits the batch
@@ -832,11 +884,12 @@ class NativeCompiledNetlist(PackedEngine):
     ``"auto"``), or :meth:`tuned` / ``backend="native-mt"`` for the same
     build threaded up to the core count; constructing directly from an
     already-lowered program is what
-    :func:`~repro.engine.compiled_netlist.build_engine` does.  Raises
+    :func:`~repro.engine.compiled_netlist.build_engine` does.  Each of
+    these returns once the shared object is loaded, and raises
     :class:`NativeUnavailableError` when the host cannot build.
+    :meth:`attach` instead returns before the compiler runs: until the
+    build lands the engine answers on ``program``, bit for bit the same.
     """
-
-    backend = "native"
 
     def __init__(
         self,
@@ -848,6 +901,20 @@ class NativeCompiledNetlist(PackedEngine):
         opt_tier: Optional[str] = None,
         min_words_per_thread: int = DEFAULT_MIN_WORDS_PER_THREAD,
     ) -> None:
+        self._plan(program, cache_dir, threads, unroll, opt_tier, min_words_per_thread)
+        self._build()
+
+    def _plan(
+        self,
+        program: CompiledNetlist,
+        cache_dir: Optional[str],
+        threads: int,
+        unroll: Optional[int],
+        opt_tier: Optional[str],
+        min_words_per_thread: int,
+    ) -> None:
+        """Everything up to the compiler run: the C source and, from the
+        host and the environment as they are now, the build's plan."""
         if threads < 1:
             raise ValueError("threads must be >= 1")
         if min_words_per_thread < 1:
@@ -865,14 +932,65 @@ class NativeCompiledNetlist(PackedEngine):
         self.min_words_per_thread = min_words_per_thread
         self.unroll = vector_lanes() if unroll is None else unroll
         self.c_source = generate_c_source(program, unroll=self.unroll)
-        self.digest, self.shared_object = build_shared_object(
-            self.c_source, cache_dir=cache_dir
+        self._command, self.digest, self.shared_object = _plan_build(
+            self.c_source, cache_dir
         )
-        self._run_range, self._run_scores_range = _load_entry_points(
-            self.digest, self.shared_object
-        )
-        if threads > 1:
-            self.backend = "native-mt"
+        self._native_backend = "native-mt" if threads > 1 else "native"
+        #: ``(run_range, run_scores_range)`` once the shared object is
+        #: loaded, else ``None``: assigned once, read once per call
+        self._entry: Optional[Tuple[object, object]] = None
+        self._built = threading.Event()
+
+    def _build(self) -> None:
+        """Compile the planned build unless it is cached, load it, and
+        answer on it from the next call."""
+        if not os.path.exists(self.shared_object):
+            _compile(self.c_source, self._command, self.digest, self.shared_object)
+        self._entry = _load_entry_points(self.digest, self.shared_object)
+        self._built.set()
+
+    def _build_in_background(self) -> None:
+        try:
+            self._build()
+        except Exception as error:  # noqa: BLE001 - reported, the program serves
+            warnings.warn(
+                f"native build failed ({error}); the NumPy engine keeps serving",
+                RuntimeWarning,
+            )
+            self._built.set()
+
+    @classmethod
+    def attach(
+        cls, program: CompiledNetlist, backend: str = "native"
+    ) -> "NativeCompiledNetlist":
+        """The ``backend`` (``"native"`` or ``"native-mt"``) engine for
+        ``program``, returned before the compiler runs.
+
+        Everything but the compiler run happens here: code generation,
+        compiler discovery, the host's flags, the cache directory and the
+        digest, so a missing toolchain or a refused cache raises
+        :class:`NativeUnavailableError` now, and a later change of
+        ``$REPRO_NATIVE_CACHE`` does not move the build.  A cached object
+        is loaded at once.  Otherwise one non-daemon thread,
+        ``repro-native-build``, compiles and links while the engine answers
+        on ``program`` — one call at a time, under the program's lock — and
+        the loaded object takes over from the next call; the interpreter
+        does not exit before that thread.  A failed build warns, naming the
+        command, and leaves ``program`` answering.  :meth:`wait` blocks
+        until the build has landed or failed; ``backend`` and ``on_loop``
+        describe the tier that answers now.
+        """
+        engine = cls.__new__(cls)
+        threads = default_thread_count() if backend == "native-mt" else 1
+        engine._plan(program, None, threads, None, None, DEFAULT_MIN_WORDS_PER_THREAD)
+        engine._native_backend = backend
+        if os.path.exists(engine.shared_object):
+            engine._build()
+        else:
+            threading.Thread(
+                target=engine._build_in_background, name="repro-native-build"
+            ).start()
+        return engine
 
     @classmethod
     def tuned(
@@ -891,14 +1009,29 @@ class NativeCompiledNetlist(PackedEngine):
             threads=default_thread_count(),
             min_words_per_thread=min_words_per_thread,
         )
-        instance.backend = "native-mt"
+        instance._native_backend = "native-mt"
         return instance
 
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until this engine's build has landed or failed, for at most
+        ``timeout`` seconds; whether the shared object answers now.  Returns
+        at once for every engine but a cold :meth:`attach`."""
+        self._built.wait(timeout)
+        return self._entry is not None
+
     @property
-    def on_loop(self) -> bool:
+    def backend(self) -> str:  # type: ignore[override]
+        """``"native"`` or ``"native-mt"`` once the shared object answers;
+        ``"numpy"`` while ``program`` does (see :meth:`attach`)."""
+        return "numpy" if self._entry is None else self._native_backend
+
+    @property
+    def on_loop(self) -> bool:  # type: ignore[override]
         """One thread evaluates a 64-sample batch in tens of microseconds of
-        C and never waits, so a server may run it on its event loop."""
-        return self.threads == 1
+        C and never waits, so a server may run it on its event loop — once
+        the shared object answers: ``program``'s NumPy batches take
+        hundreds."""
+        return self.threads == 1 and self._entry is not None
 
     # ---------------------------------------------------------- statistics
     @property
@@ -968,8 +1101,13 @@ class NativeCompiledNetlist(PackedEngine):
         unspecified in the result.  With ``threads > 1`` the word axis is
         split into contiguous shards evaluated concurrently — the shards
         write disjoint ``[lo, hi)`` column ranges of the same output
-        planes, so the result is bit-identical to the serial call.
+        planes, so the result is bit-identical to the serial call.  Before
+        the build lands, ``program`` answers.
         """
+        entry = self._entry
+        if entry is None:
+            return self.program.run_packed(packed_inputs)
+        run_range = entry[0]
         packed_inputs = self._check_inputs(packed_inputs)
         words = packed_inputs.shape[1]
         out = np.empty((self.n_outputs, words), dtype=np.uint64)
@@ -977,9 +1115,7 @@ class NativeCompiledNetlist(PackedEngine):
             return out
         in_ptr = packed_inputs.ctypes.data_as(_WORD_PTR)
         out_ptr = out.ctypes.data_as(_WORD_PTR)
-        self._sharded(
-            words, lambda lo, hi: self._run_range(in_ptr, out_ptr, lo, hi, words)
-        )
+        self._sharded(words, lambda lo, hi: run_range(in_ptr, out_ptr, lo, hi, words))
         return out
 
     def run_scores(
@@ -993,8 +1129,13 @@ class NativeCompiledNetlist(PackedEngine):
         shard writes the score rows of its own word range, by the same
         split as :meth:`run_packed`.  Everything is validated here, before
         any pointer reaches C; a table wider than the epilogue indexes
-        (``p > 16``) takes the base ``run_packed`` + look-up route.
+        (``p > 16``) takes the base ``run_packed`` + look-up route, and so
+        does every call before the build lands, on ``program``.
         """
+        entry = self._entry
+        if entry is None:
+            return self.program.run_scores(packed_inputs, n_samples, table)
+        run_scores_range = entry[1]
         packed_inputs = self._check_inputs(packed_inputs)
         words = packed_inputs.shape[1]
         n_samples = int(n_samples)
@@ -1010,7 +1151,7 @@ class NativeCompiledNetlist(PackedEngine):
         scores_ptr = scores.ctypes.data_as(_WORD_PTR)
         self._sharded(
             n_words(n_samples),  # words past the last sample score nothing
-            lambda lo, hi: self._run_scores_range(
+            lambda lo, hi: run_scores_range(
                 in_ptr, table_ptr, scores_ptr, lo, hi, words, n_samples, n_groups, p
             ),
         )

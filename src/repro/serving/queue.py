@@ -82,9 +82,12 @@ With ``on_loop=True`` each batch instead evaluates **on the event-loop
 thread**, in a loop callback scheduled at flush: no executor hop, no task,
 no thread, and no wait budget (see *Flush policy*).  It is meant for
 engine work known to take microseconds and never to wait: the registry
-sets it from the engine's own ``on_loop``, which only a single-thread
-native engine reports — its 64-sample batch costs tens of microseconds of
-C, less than a round trip to a thread and back under the GIL.  The callback
+passes the engine's own ``on_loop``, asked again at each flush and each
+timer arm, which only a single-thread native engine whose build has
+landed reports — its 64-sample batch costs tens of microseconds of C,
+less than a round trip to a thread and back under the GIL.  Until the
+build lands the same queue evaluates on its executor thread under
+``max_wait_us``.  The callback
 never runs inside :meth:`BatchingQueue.admit_packed`'s own stack, not even
 when that admission fills the batch: a caller that admits a request and
 only then counts the answer it owes (a server connection does, after its
@@ -92,8 +95,10 @@ dispatch returns) is never answered first.  This has two costs.  While a
 batch evaluates, the loop reads no socket.  And two such models' batches
 run one after the other, never overlapping.
 
-Either way a model's calls are serialised (the compiled engine's scratch
-buffers are not thread-safe), and the executor outlives any one call.
+Either way a model's calls run one at a time, except across a swap: a
+batch still evaluating on the executor thread can overlap the first ones
+on the loop (the engine's lock serialises its NumPy program), and the
+executor outlives any one call.
 
 One payload: packed words
 =========================
@@ -117,7 +122,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -396,7 +401,9 @@ class BatchingQueue:
         partial batch at the end of the next loop pass instead of after
         ``max_wait_us`` (see *Flush policy*): lower latency at low load,
         for more, smaller batches.  Only for work that takes microseconds
-        and never waits: while it runs no socket is read.
+        and never waits: while it runs no socket is read.  A callable
+        returning that flag is asked at each flush and each timer arm, so
+        a batch goes where the answer says at the time.
     """
 
     def __init__(
@@ -410,7 +417,7 @@ class BatchingQueue:
         budget: Optional[AdmissionBudget] = None,
         budget_key: Optional[str] = None,
         packed_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
-        on_loop: bool = False,
+        on_loop: Union[bool, Callable[[], bool]] = False,
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
@@ -420,7 +427,7 @@ class BatchingQueue:
             raise ValueError("max_queue must be positive")
         self._batch_fn = batch_fn
         self._packed_fn = packed_fn
-        self.on_loop = on_loop
+        self._on_loop = on_loop if callable(on_loop) else lambda: on_loop
         self.max_batch = max_batch
         self.max_wait_us = max_wait_us
         self.max_queue = max_queue
@@ -443,6 +450,11 @@ class BatchingQueue:
         self._closed = False
 
     # ------------------------------------------------------------ admission
+    @property
+    def on_loop(self) -> bool:
+        """Whether a batch flushed now evaluates on the event loop."""
+        return bool(self._on_loop())
+
     @property
     def packed_path(self) -> bool:
         """Whether batches evaluate as words (a ``packed_fn`` was given)

@@ -46,7 +46,7 @@ primary by hand; draining/retired versions resolve as not-found.
 
 Every version evaluates on an engine of its own, in this process: where
 its batches run (on the event loop or on its queue's executor thread) is
-the engine's ``on_loop`` to say.
+the engine's ``on_loop`` to say, batch by batch.
 """
 
 from __future__ import annotations
@@ -106,9 +106,11 @@ class RegisteredModel:
     queue: BatchingQueue
     scores_mode: bool
     stats: ServerStats
+    #: the caller's backend label for explicit functions; a version with an
+    #: engine reports the engine's own (see :attr:`backend`)
+    label: str = "numpy"
     #: what the evaluation engine runs with — read off ``engine`` at
-    #: registration, or the caller's label for explicit functions
-    backend: str = "numpy"
+    #: registration
     threads: int = 1
     unroll: int = 1
     version: int = 1
@@ -119,6 +121,13 @@ class RegisteredModel:
     #: runs exactly once when this version retires (drained and removed),
     #: after the engine is closed; exceptions are logged, never raised.
     on_retire: Optional[Callable[[], Any]] = None
+
+    @property
+    def backend(self) -> str:
+        """The evaluator answering now: the engine's, which a native
+        engine changes from ``"numpy"`` when its build lands, or the
+        label."""
+        return self.label if self.engine is None else self.engine.backend
 
     def submit(self, request: Any, complete: Callable, tag: Any) -> None:
         """Admit one decoded predict of either wire into this version's
@@ -249,12 +258,14 @@ class ModelRegistry:
         ``engine`` is the engine the functions evaluate on: the version
         owns it, advertises its ``backend``/``threads``/``unroll`` and
         closes it on retire; without one, ``backend`` is a descriptive
-        label (default ``"numpy"``).  A version whose engine reports
-        ``on_loop`` (a single-thread native engine) evaluates its batches
-        on the event loop, and so ignores ``max_wait_us``; every other
-        version, and every explicit function, gets its queue's executor
-        thread (see :mod:`repro.serving.queue`).  ``list_models`` reports
-        which as ``on_loop``.  ``on_retire`` runs once
+        label (default ``"numpy"``).  While its engine reports ``on_loop``
+        (a single-thread native engine whose build has landed) a version
+        evaluates its batches on the event loop, and so ignores
+        ``max_wait_us``; otherwise, and for every explicit function, on its
+        queue's executor thread (see :mod:`repro.serving.queue`).  The
+        queue asks the engine at each flush, so a native build landing
+        moves it onto the loop; ``list_models`` reports ``backend`` and
+        ``on_loop`` as they are now.  ``on_retire`` runs once
         when the version drains out.  Per-model knobs fall back to the
         registry defaults.
         """
@@ -316,11 +327,11 @@ class ModelRegistry:
                 budget=self.budget,
                 budget_key=name,
                 packed_fn=packed_fn,
-                on_loop=engine is not None and engine.on_loop,
+                on_loop=(lambda: engine.on_loop) if engine is not None else False,
             ),
             scores_mode=scores_mode,
             stats=stats,
-            backend=backend,
+            label=backend,
             threads=getattr(engine, "threads", 1),
             unroll=getattr(engine, "unroll", 1),
             version=version,

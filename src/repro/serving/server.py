@@ -301,19 +301,21 @@ class InferenceServer(FrameServer):
         *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
         generated C, ``"native-mt"`` for the same build threaded up to the
         core count, ``"auto"`` for native-if-toolchain), and the engine is
-        this version's own, in this process.  A native build happens in
-        this call; on a live server build it off-loop first
-        (``clf.compiled_netlist("native")`` caches it) so the loop pays a
-        cache hit.  The registration owns the engine: ``list_models``,
+        this version's own, in this process.  This call runs the passes
+        and the code generation; a native engine's C compiler runs on a
+        thread of its own, and until it lands the NumPy program answers
+        (see :meth:`~repro.engine.native.NativeCompiledNetlist.attach`).
+        The registration owns the engine: ``list_models``,
         ``repro_serving_model_backend`` and ``repro_serving_model_threads``
-        report what it actually runs with, and it is closed exactly once,
-        when this version retires.  An engine that reports ``on_loop`` (a
-        single-thread ``"native"`` one) evaluates its batches on the event
-        loop, flushing a partial batch at the end of the next loop pass
-        rather than after ``max_wait_us``; every other engine, and every
-        explicit function, on the queue's executor thread, under the wait
-        budget (see :mod:`repro.serving.queue`; ``list_models`` reports
-        which as ``on_loop``).  An explicit function may close over any
+        report what it runs with now, and it is closed exactly once, when
+        this version retires.  While the engine reports ``on_loop`` (a
+        single-thread ``"native"`` one whose build has landed) batches
+        evaluate on the event loop, flushing a partial batch at the end of
+        the next loop pass rather than after ``max_wait_us``; before that,
+        for every other engine, and for every explicit function, on the
+        queue's executor thread, under the wait budget (see
+        :mod:`repro.serving.queue`; ``list_models`` reports which as
+        ``on_loop``).  An explicit function may close over any
         engine, a pool-bound ``ShardedEngine`` included; ``backend`` is
         then a descriptive label only.  Knobs left
         ``None`` inherit the server-level defaults.  Safe while serving:

@@ -44,3 +44,77 @@ def trained_poetbin():
         seed=0,
     ).fit(X, targets, y)
     return clf, X, targets, y
+
+
+@pytest.fixture
+def cc_wrapper(tmp_path):
+    """``make(fail_on=None, hang_on=None) -> (wrapper path, log path)``: a
+    ``$CC`` wrapper that logs each invocation and delegates to the real
+    compiler — except its ``fail_on``-th invocation, which fails at once,
+    and its ``hang_on``-th, which (when it starts before that failure)
+    first waits ~10 s to be terminated and logs ``survived`` if nobody did.
+    The wait also ends when the directory ``make.release`` is created: a
+    build held mid-flight, let go.
+
+    Invocations take their number by ``mkdir`` (atomic, so concurrent
+    compilers never share one) and log it with their pid through
+    ``O_APPEND``; ``exec`` keeps that pid for the compiler itself.  The
+    host probe (``-dM -E``, once per process and compiler) builds nothing:
+    it goes straight to the real compiler, unnumbered.
+    """
+    import stat
+
+    from repro.engine.native import find_compiler
+
+    release = tmp_path / "cc_release"
+
+    def make(fail_on=None, hang_on=None):
+        log = tmp_path / "cc_invocations.log"
+        tickets = tmp_path / "cc_tickets"
+        tickets.mkdir()
+        wrapper = tmp_path / "cc_wrapper.sh"
+        real = " ".join(find_compiler())
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f'case " $* " in *" -dM "*) exec {real} "$@";; esac\n'
+            "n=1\n"
+            f'while ! mkdir "{tickets}/$n" 2>/dev/null; do n=$((n+1)); done\n'
+            f'echo "$n $$" >> {log}\n'
+            f'if [ "$n" = "{fail_on}" ]; then\n'
+            f' mkdir "{tickets}/failed"; echo "injected failure" >&2; exit 1\n'
+            "fi\n"
+            f'if [ "$n" = "{hang_on}" ] && [ ! -e "{tickets}/failed" ]; then\n'
+            " i=0\n"
+            f' while [ $i -lt 1000 ] && [ ! -e "{release}" ]; do\n'
+            "  sleep 0.01; i=$((i+1))\n"
+            " done\n"
+            f' [ -e "{release}" ] || echo "$n survived" >> {log}\n'
+            "fi\n"
+            f'exec {real} "$@"\n'
+        )
+        wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
+        return wrapper, log
+
+    make.release = release
+    return make
+
+
+@pytest.fixture
+def held_build(tmp_path, monkeypatch, cc_wrapper):
+    """A fresh ``$REPRO_NATIVE_CACHE`` and a compiler whose first build
+    waits for ``cc_wrapper.release`` (~10 s at most); yields that path.
+    Every build thread is let go and joined on the way out."""
+    import threading
+
+    from repro.engine import native as native_mod
+
+    if not native_mod.toolchain_available():
+        pytest.skip("no C compiler on this host")
+    wrapper, _log = cc_wrapper(hang_on=1)
+    monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(wrapper)])
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+    yield cc_wrapper.release
+    cc_wrapper.release.mkdir(exist_ok=True)
+    for thread in threading.enumerate():
+        if thread.name == "repro-native-build":
+            thread.join(60)

@@ -205,3 +205,58 @@ class TestEvaluation:
             compiled.run_packed(packed), reference.run_packed(packed)
         )
         assert compiled._scratch[0] > capacity
+
+
+class TestSharedInstance:
+    def test_two_threads_mixed_widths_bit_exact(self):
+        """Two threads on one instance, batches of 1/3/16/64 words in turn:
+        every result equals the serial one.  Without the instance's lock the
+        threads' calls share (and regrow) one scratch, and rows come back
+        wrong."""
+        import sys
+        import threading
+
+        from repro.engine import rinc_bank_netlist
+
+        compiled = compile_netlist(rinc_bank_netlist(256, 120, 20, 10, seed=3))
+        rng = np.random.default_rng(41)
+        batches = [
+            rng.integers(0, 1 << 63, size=(256, words), dtype=np.uint64)
+            for words in (1, 3, 16, 64)
+        ]
+        expected = [compiled.run_packed(batch) for batch in batches]
+        wrong = []
+        start = threading.Barrier(2)
+
+        def hammer(offset):
+            start.wait()
+            for i in range(150):
+                k = (i + offset) % len(batches)
+                if not np.array_equal(compiled.run_packed(batches[k]), expected[k]):
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=hammer, args=(o,)) for o in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_pickle_round_trip_recreates_the_lock(self):
+        import pickle
+
+        netlist = random_netlist(16, 40, seed=31)
+        compiled = compile_netlist(netlist)
+        X = np.random.default_rng(2).integers(0, 2, size=(70, 16), dtype=np.uint8)
+        compiled.predict_batch(X)
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert clone._scratch is None and clone._lock is not compiled._lock
+        np.testing.assert_array_equal(
+            clone.predict_batch(X), netlist.evaluate_outputs(X)
+        )

@@ -301,7 +301,7 @@ class TestNativeRunScoresIsFused:
             CompiledNetlist.from_netlist(sub), threads=2, min_words_per_thread=1
         )
         calls = []
-        real = engine._run_scores_range
+        real = engine._entry[1]  # (run_range, run_scores_range)
 
         def counting(*args):
             calls.append(args[3:5])
@@ -310,9 +310,8 @@ class TestNativeRunScoresIsFused:
         def banned(*_args, **_kwargs):
             raise AssertionError("native run_scores went through run_packed")
 
-        monkeypatch.setattr(engine, "_run_scores_range", counting)
+        monkeypatch.setattr(engine, "_entry", (banned, counting))
         monkeypatch.setattr(engine, "run_packed", banned)
-        monkeypatch.setattr(engine, "_run_range", banned)
         k = engine.unroll
         n = 64 * (3 * k - 1) + 2  # 3K words: 2 shards, cut on a lane multiple
         X = as_rng(1).integers(0, 2, size=(n, N_INPUTS), dtype=np.uint8)
@@ -333,7 +332,7 @@ class TestNativeRunScoresIsFused:
         def banned(*_args):
             raise AssertionError("unvalidated arguments reached C")
 
-        monkeypatch.setattr(engine, "_run_scores_range", banned)
+        monkeypatch.setattr(engine, "_entry", (engine._entry[0], banned))
         packed = np.zeros((N_INPUTS, 1), dtype=np.uint64)
         for bad in (table[:, :32], table[:3], table.astype(np.float32), table.T):
             with pytest.raises(ValueError):
@@ -351,7 +350,7 @@ class TestNativeRunScoresIsFused:
         def banned(*_args):
             raise AssertionError("a 17-bit table reached the 16-bit epilogue")
 
-        monkeypatch.setattr(engine, "_run_scores_range", banned)
+        monkeypatch.setattr(engine, "_entry", (engine._entry[0], banned))
         X = as_rng(3).integers(0, 2, size=(200, N_INPUTS), dtype=np.uint8)
         np.testing.assert_array_equal(
             engine.run_scores(pack_bits(X), 200, table),
@@ -667,9 +666,10 @@ class TestVectorTail:
         out = np.zeros((built.n_outputs, n_words), dtype=np.uint64)
         scores = np.zeros((n, self.N_GROUPS))
         ranges = [(0, cut), (cut, n_words)]
+        run_range, run_scores_range = built._entry
         for lo, hi in reversed(ranges) if high_first else ranges:
-            built._run_range(_ptr(packed), _ptr(out), lo, hi, n_words)
-            built._run_scores_range(
+            run_range(_ptr(packed), _ptr(out), lo, hi, n_words)
+            run_scores_range(
                 _ptr(packed), _ptr(table), _ptr(scores),
                 lo, hi, n_words, n, self.N_GROUPS, self.P,
             )

@@ -173,45 +173,6 @@ class TestNativeEquivalence:
         assert len(list((tmp_path / "c").glob("*.so"))) == 2
 
 
-def _cc_wrapper(directory, fail_on=None, hang_on=None):
-    """A ``$CC`` wrapper that logs each invocation and delegates to the real
-    compiler — except its ``fail_on``-th invocation, which fails at once,
-    and its ``hang_on``-th, which (when it starts before that failure)
-    first waits ~10 s to be terminated and logs ``survived`` if nobody did.
-
-    Invocations take their number by ``mkdir`` (atomic, so concurrent
-    compilers never share one) and log it with their pid through
-    ``O_APPEND``; ``exec`` keeps that pid for the compiler itself.  The
-    host probe (``-dM -E``, once per process and compiler) builds nothing:
-    it goes straight to the real compiler, unnumbered.
-    Returns ``(wrapper path, log path)``.
-    """
-    import stat
-
-    log = directory / "cc_invocations.log"
-    tickets = directory / "cc_tickets"
-    tickets.mkdir()
-    wrapper = directory / "cc_wrapper.sh"
-    real = " ".join(find_compiler())
-    wrapper.write_text(
-        "#!/bin/sh\n"
-        f'case " $* " in *" -dM "*) exec {real} "$@";; esac\n'
-        "n=1\n"
-        f'while ! mkdir "{tickets}/$n" 2>/dev/null; do n=$((n+1)); done\n'
-        f'echo "$n $$" >> {log}\n'
-        f'if [ "$n" = "{fail_on}" ]; then\n'
-        f' mkdir "{tickets}/failed"; echo "injected failure" >&2; exit 1\n'
-        "fi\n"
-        f'if [ "$n" = "{hang_on}" ] && [ ! -e "{tickets}/failed" ]; then\n'
-        " i=0; while [ $i -lt 1000 ]; do sleep 0.01; i=$((i+1)); done\n"
-        f' echo "$n survived" >> {log}\n'
-        "fi\n"
-        f'exec {real} "$@"\n'
-    )
-    wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
-    return wrapper, log
-
-
 def _multi_unit_source(monkeypatch):
     """``(source, n_units)`` of a small netlist cut into several units."""
     monkeypatch.setattr(native_mod, "_SEGMENT_STATEMENTS", 10)
@@ -222,7 +183,7 @@ def _multi_unit_source(monkeypatch):
     return source, n_units
 
 
-def _race_two_builders(tmp_path, source):
+def _race_two_builders(tmp_path, source, cc_wrapper):
     """Two processes building ``source`` at once through a logging ``$CC``
     wrapper; returns ``(compiler invocations, cache dir, digest)``.
 
@@ -232,7 +193,7 @@ def _race_two_builders(tmp_path, source):
     """
     import multiprocessing as mp
 
-    wrapper, log = _cc_wrapper(tmp_path)
+    wrapper, log = cc_wrapper()
     cache = tmp_path / "cache"
     ctx = mp.get_context("fork")
     barrier = ctx.Barrier(2)
@@ -258,7 +219,7 @@ def _race_two_builders(tmp_path, source):
 
 @needs_cc
 class TestConcurrentBuilders:
-    def test_racing_processes_compile_once(self, tmp_path):
+    def test_racing_processes_compile_once(self, tmp_path, cc_wrapper):
         """Two processes building the same digest: exactly one compiler
         run, both get a working object, no corruption."""
         source = generate_c_source(
@@ -266,18 +227,20 @@ class TestConcurrentBuilders:
         )
         # one compile total across both processes (the loser waited on the
         # lock file and reused the winner's atomically-published object)
-        invocations, cache, digest = _race_two_builders(tmp_path, source)
+        invocations, cache, digest = _race_two_builders(tmp_path, source, cc_wrapper)
         assert invocations == 1
         # the published object is loadable and correct in this process
         so_path = str(cache / f"{digest}.so")
         run, _ = native_mod._load_entry_points(digest, so_path)
         assert run is not None
 
-    def test_racing_processes_build_the_units_once(self, tmp_path, monkeypatch):
+    def test_racing_processes_build_the_units_once(
+        self, tmp_path, monkeypatch, cc_wrapper
+    ):
         """The multi-unit twin: one compile per unit and one link across
         both racers — one build per digest per host."""
         source, n_units = _multi_unit_source(monkeypatch)
-        invocations, cache, digest = _race_two_builders(tmp_path, source)
+        invocations, cache, digest = _race_two_builders(tmp_path, source, cc_wrapper)
         assert invocations == n_units + 1
         run, _ = native_mod._load_entry_points(digest, str(cache / f"{digest}.so"))
         assert run is not None
@@ -303,7 +266,7 @@ class TestConcurrentBuilders:
 
     @pytest.mark.parametrize("failing", ["first unit", "second unit", "link"])
     def test_failed_compiler_run_leaves_nothing_behind(
-        self, tmp_path, monkeypatch, failing
+        self, tmp_path, monkeypatch, failing, cc_wrapper
     ):
         """The k-th compiler invocation fails: the compiler running beside
         it is terminated and waited for, no temp and no object survives,
@@ -317,7 +280,7 @@ class TestConcurrentBuilders:
         }[failing]
         if os.cpu_count() == 1:
             hang_on = None  # one compiler at a time: nothing runs beside it
-        wrapper, log = _cc_wrapper(tmp_path, fail_on=fail_on, hang_on=hang_on)
+        wrapper, log = cc_wrapper(fail_on=fail_on, hang_on=hang_on)
         monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(wrapper)])
         cache = tmp_path / "cache"
         with pytest.raises(NativeUnavailableError, match="injected failure") as info:
@@ -527,3 +490,175 @@ class TestNativeValidation:
         monkeypatch.setenv("CC", "/nonexistent/compiler-xyz")
         # an unusable $CC falls through to PATH discovery, not a crash
         assert native_mod._discover_compiler() is not None
+
+
+def _build_threads():
+    import threading
+
+    return [t for t in threading.enumerate() if t.name == "repro-native-build"]
+
+
+#: (n_samples, seed) of the batches every tier must answer bit for bit
+_SWAP_BATCHES = [(n, 90 + n) for n in (0, 1, 63, 64, 65, 1000)]
+
+
+def _swap_case():
+    """A netlist of 8 outputs and a 2 x 16 read-out table over them."""
+    netlist = random_netlist(24, 40, seed=88, n_outputs=8)
+    table = as_rng(89).normal(size=(2, 16))
+    return netlist, table
+
+
+def _check_tier(engine, netlist, table):
+    """``run_packed`` and ``run_scores`` on ragged batches whose padding
+    lanes hold garbage: bit-exact against ``evaluate_outputs``."""
+    from repro.engine import lookup_scores, unpack_bits
+
+    for n, seed in _SWAP_BATCHES:
+        rng = as_rng(seed)
+        X = rng.integers(0, 2, size=(n, 24), dtype=np.uint8)
+        packed = pack_bits(X)
+        if packed.shape[1] and n % 64:
+            packed[:, -1] |= rng.integers(0, 2**63, size=24, dtype=np.uint64) << np.uint64(n % 64)
+        expected = netlist.evaluate_outputs(X)
+        np.testing.assert_array_equal(unpack_bits(engine.run_packed(packed), n), expected)
+        np.testing.assert_array_equal(
+            engine.run_scores(packed, n, table),
+            lookup_scores(pack_bits(expected), n, table),
+        )
+
+
+@needs_cc
+class TestTieredAttach:
+    """``NativeCompiledNetlist.attach`` — what a classifier's engine cache
+    builds — answers on the NumPy program until its C build lands, then on
+    the shared object; every blocking entry point still returns a built
+    engine and starts no thread."""
+
+    def test_bit_exact_before_across_and_after_the_swap(self, held_build):
+        import threading
+
+        from repro.engine.compiled_netlist import attach_engine
+
+        netlist, table = _swap_case()
+        engine = attach_engine(netlist, "native")
+        assert [t.daemon for t in _build_threads()] == [False]
+        assert engine.wait(0) is False
+        assert (engine.backend, engine.on_loop) == ("numpy", False)
+        _check_tier(engine, netlist, table)
+        stop, failures = threading.Event(), []
+
+        def across():
+            while not stop.is_set():
+                try:
+                    _check_tier(engine, netlist, table)
+                except AssertionError as error:  # pragma: no cover - reported below
+                    failures.append(error)
+                    return
+
+        evaluator = threading.Thread(target=across)
+        evaluator.start()
+        held_build.mkdir()
+        try:
+            assert engine.wait(60) is True
+        finally:
+            stop.set()
+            evaluator.join(120)
+        assert not evaluator.is_alive()
+        assert failures == []
+        assert (engine.backend, engine.on_loop) == ("native", True)
+        assert _build_threads() == []
+        _check_tier(engine, netlist, table)
+
+    def test_native_mt_tier_reports_its_backend_after_the_swap(
+        self, held_build, monkeypatch
+    ):
+        from repro.engine.compiled_netlist import attach_engine
+
+        monkeypatch.setattr(native_mod, "default_thread_count", lambda: 2)
+        netlist, table = _swap_case()
+        engine = attach_engine(netlist, "native-mt")
+        assert (engine.backend, engine.threads, engine.on_loop) == ("numpy", 2, False)
+        _check_tier(engine, netlist, table)
+        held_build.mkdir()
+        assert engine.wait(60)
+        assert (engine.backend, engine.on_loop) == ("native-mt", False)
+        _check_tier(engine, netlist, table)
+
+    def test_failed_build_leaves_numpy_serving_and_warns(
+        self, tmp_path, monkeypatch, cc_wrapper
+    ):
+        import re
+
+        from repro.engine.compiled_netlist import attach_engine
+
+        wrapper, _log = cc_wrapper(fail_on=1)
+        monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(wrapper)])
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        netlist, table = _swap_case()
+        with pytest.warns(RuntimeWarning, match=re.escape(str(wrapper))):
+            engine = attach_engine(netlist, "native")
+            assert engine.wait(60) is False
+        assert (engine.backend, engine.on_loop) == ("numpy", False)
+        assert _build_threads() == []
+        _check_tier(engine, netlist, table)
+        assert not (tmp_path / "cache" / f"{engine.digest}.so").exists()
+
+    def test_a_cached_object_attaches_with_no_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        from repro.engine.compiled_netlist import attach_engine
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        netlist, table = _swap_case()
+        built = compile_netlist(netlist, backend="native")
+        before = threading.enumerate()
+        engine = attach_engine(netlist, "native")
+        assert threading.enumerate() == before
+        assert engine.digest == built.digest
+        assert (engine.backend, engine.wait(0)) == ("native", True)
+        _check_tier(engine, netlist, table)
+
+    def test_blocking_entry_points_start_no_thread(self, tmp_path, monkeypatch):
+        """Cold cache each time: ``compile_netlist``, the constructor and
+        :meth:`tuned` return built engines with no thread left behind."""
+        import threading
+
+        netlist, table = _swap_case()
+        program = CompiledNetlist.from_netlist(netlist)
+        builds = [
+            lambda: compile_netlist(netlist, backend="native"),
+            lambda: NativeCompiledNetlist(program),
+            lambda: NativeCompiledNetlist.tuned(program),
+        ]
+        for index, build in enumerate(builds):
+            monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / str(index)))
+            before = threading.enumerate()
+            engine = build()
+            assert threading.enumerate() == before
+            assert engine.wait(0) and engine.backend.startswith("native")
+            _check_tier(engine, netlist, table)
+
+    def test_no_toolchain_is_decided_at_attach(self, monkeypatch):
+        from repro.engine.compiled_netlist import attach_engine
+
+        monkeypatch.setattr(native_mod, "find_compiler", lambda: None)
+        netlist, _table = _swap_case()
+        with pytest.raises(NativeUnavailableError, match="toolchain"):
+            attach_engine(netlist, "native")
+        assert isinstance(attach_engine(netlist, "auto"), CompiledNetlist)
+        assert _build_threads() == []
+
+    def test_the_cache_directory_is_read_at_attach(self, held_build, tmp_path, monkeypatch):
+        """``$REPRO_NATIVE_CACHE`` changed while the build runs does not
+        move it: the object lands where the attach said."""
+        from repro.engine.compiled_netlist import attach_engine
+
+        netlist, _table = _swap_case()
+        engine = attach_engine(netlist, "native")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "elsewhere"))
+        held_build.mkdir()
+        assert engine.wait(60)
+        assert engine.shared_object == str(tmp_path / "cache" / f"{engine.digest}.so")
+        assert os.path.exists(engine.shared_object)
+        assert not (tmp_path / "elsewhere").exists()

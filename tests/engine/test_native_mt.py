@@ -77,13 +77,13 @@ class TestWordShardMath:
             program, threads=threads, unroll=4, min_words_per_thread=1,
         )
         calls = []
-        real = engine._run_range
+        real, run_scores_range = engine._entry
 
         def recording(*args):
             calls.append(args[2:4])
             return real(*args)
 
-        engine._run_range = recording
+        engine._entry = (recording, run_scores_range)
         rng = as_rng(32)
         for n_samples in (1, 63, 64, 65, 7 * 64 + 13, 23 * 64 + 5, 1024):
             X = rng.integers(0, 2, size=(n_samples, 24), dtype=np.uint8)

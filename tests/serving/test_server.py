@@ -735,6 +735,7 @@ class TestEngineOwnership:
             clf, backend="native-mt", max_batch=64, max_wait_us=1_000
         )
         entry = srv.registry.resolve(None)
+        assert entry.engine.wait()  # a cold build answers on NumPy until then
         assert (entry.backend, entry.threads, entry.unroll) == (
             "native-mt", threads, lanes,
         )
@@ -760,6 +761,8 @@ class TestEngineOwnership:
         assert plain.engine is clf.compiled_netlist("numpy")
         assert (plain.backend, plain.threads, plain.unroll) == ("numpy", 1, 1)
         auto = srv.register_model("auto", model=clf, backend="auto")
+        if toolchain_available():
+            assert auto.engine.wait()  # a cold build answers on NumPy until then
         assert auto.backend == ("native" if toolchain_available() else "numpy")
         with pytest.raises(ValueError, match="unknown engine backend"):
             srv.register_model("bad", model=clf, backend="fortran")
@@ -810,8 +813,9 @@ class TestWhereEvaluationRuns:
         if native_mod.toolchain_available():
             monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
             monkeypatch.setattr(native_mod, "default_thread_count", lambda: 2)
-            srv.register_model("native", model=clf, backend="native")
-            srv.register_model("native-mt", model=clf, backend="native-mt")
+            for backend in ("native", "native-mt"):
+                entry = srv.register_model(backend, model=clf, backend=backend)
+                assert entry.engine.wait()  # on the loop once the build lands
         with BackgroundServer(srv) as handle:
             with ServingClient(*handle.address) as client:
                 listed = client.list_models()["models"]
@@ -848,6 +852,7 @@ class TestWhereEvaluationRuns:
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
         srv = InferenceServer(max_batch=64, max_wait_us=10**9)
         entry = srv.register_model("m", model=clf, backend="native")
+        assert entry.engine.wait()  # on the loop once the build lands
         assert entry.queue.on_loop
         with BackgroundServer(srv) as handle:
             for binary in (True, False):
@@ -858,6 +863,87 @@ class TestWhereEvaluationRuns:
                         client.predict(X[:1], model="m"), expected[:1]
                     )
         assert entry.stats.snapshot()["batch_occupancy"] == {"1": 2}
+
+    def test_cold_native_model_answers_both_wires_while_its_build_is_held(
+        self, trained, held_build
+    ):
+        """A native registration on a cold cache returns before its build
+        and answers on the NumPy program, bit-exact over both wires; once
+        the build lands the same version answers natively and says so."""
+        clf, X, expected = trained
+        srv = InferenceServer(max_batch=64, max_wait_us=1_000)
+        entry = srv.register_model("m", model=clf, backend="native")
+        with BackgroundServer(srv) as handle:
+            for tier in ("numpy", "native"):
+                if tier == "native":
+                    held_build.mkdir()
+                    assert entry.engine.wait(60)
+                for binary in (True, False):
+                    with ServingClient(*handle.address, binary=binary) as client:
+                        labels, scores = client.predict(
+                            X, model="m", return_scores=True
+                        )
+                        np.testing.assert_array_equal(labels, expected)
+                        np.testing.assert_allclose(
+                            scores, clf.decision_scores_batch(X)
+                        )
+                        (listed,) = client.list_models()["models"]
+                assert listed["backend"] == tier
+                assert f'model_backend{{model="m",backend="{tier}"}} 1' in (
+                    srv.render_metrics()
+                )
+
+    def test_batches_leave_the_executor_for_the_loop_at_the_swap(
+        self, trained, held_build, monkeypatch
+    ):
+        clf, X, expected = trained
+        srv = InferenceServer(max_batch=64, max_wait_us=1_000)
+        entry = srv.register_model("m", model=clf, backend="native")
+        threads = []
+        run_scores = entry.engine.run_scores
+
+        def recording(*args):
+            threads.append(threading.current_thread().name)
+            return run_scores(*args)
+
+        monkeypatch.setattr(entry.engine, "run_scores", recording)
+        with BackgroundServer(srv) as handle:
+            with ServingClient(*handle.address, binary=True) as client:
+                np.testing.assert_array_equal(client.predict(X, model="m"), expected)
+                assert threads and all(
+                    name.startswith("repro-serving_") for name in threads
+                ), threads
+                threads.clear()
+                held_build.mkdir()
+                assert entry.engine.wait(60)
+                np.testing.assert_array_equal(client.predict(X, model="m"), expected)
+        assert threads == ["repro-serving-loop"]
+
+    def test_list_models_and_the_lone_request_follow_the_swap(
+        self, trained, held_build
+    ):
+        """``numpy``/off the loop while the build is held, ``native``/on
+        the loop after it; and after the swap a lone request under a wait
+        budget of ~17 minutes is answered at once on both wires (the
+        on-loop flush), so the queue read the engine anew."""
+        clf, X, expected = trained
+        srv = InferenceServer(max_batch=64, max_wait_us=10**9)
+        entry = srv.register_model("m", model=clf, backend="native")
+        with BackgroundServer(srv) as handle:
+            with ServingClient(*handle.address) as client:
+                (listed,) = client.list_models()["models"]
+            assert (listed["backend"], listed["on_loop"]) == ("numpy", False)
+            held_build.mkdir()
+            assert entry.engine.wait(60)
+            for binary in (True, False):
+                with ServingClient(
+                    *handle.address, timeout=30, binary=binary
+                ) as client:
+                    np.testing.assert_array_equal(
+                        client.predict(X[:1], model="m"), expected[:1]
+                    )
+                    (listed,) = client.list_models()["models"]
+            assert (listed["backend"], listed["on_loop"]) == ("native", True)
 
     def test_a_stuck_executor_batch_stalls_only_its_own_model(self, trained):
         """A batch blocked in its ``packed_fn`` must leave the loop free:
@@ -1554,3 +1640,90 @@ class TestOneBadRequestFailsAlone:
             assert queue.backlog_samples == 0
             assert srv.registry.budget.outstanding == 0
             assert srv.stats.errors == 4
+
+
+_HYGIENE_CHILD = """
+import json, os, pickle, sys
+from repro.serving import BackgroundServer, InferenceServer, ServingClient
+
+def main():
+    with open(sys.argv[1], "rb") as handle:
+        clf, X = pickle.load(handle)
+    srv = InferenceServer(max_batch=64, max_wait_us=1000)
+    engine = srv.register_model("m", model=clf, backend="native").engine
+    with BackgroundServer(srv) as handle:
+        with ServingClient(*handle.address, binary=True) as client:
+            labels = client.predict(X, model="m")
+    print(json.dumps({
+        "labels": labels.tolist(),
+        "built": engine.wait(0),
+        "so": engine.shared_object,
+    }), flush=True)
+    os.mkdir(sys.argv[2])  # lets the held compiler go as main returns
+
+main()
+"""
+
+
+def _live_group_members(groups):
+    """Live, non-zombie pids whose process group is one of ``groups``."""
+    from pathlib import Path
+
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        fields = stat[stat.rindex(")") + 2:].split()  # state, ppid, pgrp, ...
+        if fields[0] != "Z" and int(fields[2]) in groups:
+            members.append(int(entry))
+    return members
+
+
+class TestBuildThreadHygiene:
+    def test_a_process_exits_after_its_build_and_leaves_no_compiler(
+        self, trained_poetbin, tmp_path, cc_wrapper
+    ):
+        """A process registers a native model on a cold cache, answers one
+        request and returns from ``main`` while its compiler is held: it
+        exits only once the build has landed, and no compiler process —
+        ``cc`` or anything it started — outlives it."""
+        import copy
+        import json
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.engine.native import toolchain_available
+
+        if not toolchain_available() or not os.path.isdir("/proc"):
+            pytest.skip("needs a C compiler and /proc")
+        clf, X, _targets, _y = trained_poetbin
+        clf = copy.copy(clf)
+        clf._compiled_ = {}
+        payload = tmp_path / "model.pkl"
+        payload.write_bytes(pickle.dumps((clf, X[:40])))
+        wrapper, log = cc_wrapper(hang_on=1)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(
+            os.environ,
+            CC=str(wrapper),
+            REPRO_NATIVE_CACHE=str(tmp_path / "cache"),
+            PYTHONPATH=str(src),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", _HYGIENE_CHILD, str(payload), str(cc_wrapper.release)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout.splitlines()[-1])
+        assert report["labels"] == clf.predict(X[:40]).tolist()
+        assert report["built"] is False  # main returned mid-build ...
+        assert os.path.exists(report["so"])  # ... and the exit waited for it
+        started = [line.split() for line in log.read_text().splitlines()]
+        assert started and all(what.isdigit() for _, what in started), started
+        assert _live_group_members({int(pid) for _, pid in started}) == []
