@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.utils.bitops import binary_to_index, enumerate_binary_inputs
-from repro.utils.validation import check_binary_matrix
+from repro.utils.validation import check_binary_matrix, is_binary
 
 
 @dataclass
@@ -38,22 +38,28 @@ class LUT:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.input_indices = np.asarray(self.input_indices, dtype=np.int64)
-        self.table = np.asarray(self.table, dtype=np.uint8)
-        if self.input_indices.ndim != 1:
+        # checked before the casts, which would turn 0.7 or 0.5 into 0
+        indices = np.asarray(self.input_indices)
+        table = np.asarray(self.table)
+        if indices.ndim != 1:
             raise ValueError("input_indices must be 1-D")
-        if np.any(self.input_indices < 0):
+        values = indices.tolist()
+        if indices.dtype.kind not in "biu" and not all(float(v).is_integer() for v in values):
+            raise ValueError("input_indices must be integers")
+        if values and min(values) < 0:
             raise ValueError("input_indices must be non-negative")
-        if len(np.unique(self.input_indices)) != len(self.input_indices):
+        if len(set(values)) != len(values):
             raise ValueError("input_indices must be distinct")
-        expected = 1 << len(self.input_indices)
-        if self.table.shape != (expected,):
+        expected = 1 << len(values)
+        if table.shape != (expected,):
             raise ValueError(
-                f"table must have {expected} entries for {len(self.input_indices)} "
-                f"inputs, got shape {self.table.shape}"
+                f"table must have {expected} entries for {len(values)} "
+                f"inputs, got shape {table.shape}"
             )
-        if self.table.size and not np.all((self.table == 0) | (self.table == 1)):
+        if not is_binary(table):
             raise ValueError("table entries must be 0/1")
+        self.input_indices = indices.astype(np.int64, copy=False)
+        self.table = table.astype(np.uint8, copy=False)
 
     @property
     def n_inputs(self) -> int:
@@ -92,7 +98,6 @@ class LUT:
         ``func`` receives the enumerated local input matrix of shape
         ``(2**P, P)`` and must return the corresponding binary outputs.
         """
-        input_indices = np.asarray(input_indices, dtype=np.int64)
         combos = enumerate_binary_inputs(len(input_indices))
-        outputs = np.asarray(func(combos)).astype(np.uint8).ravel()
+        outputs = np.asarray(func(combos)).ravel()
         return cls(input_indices=input_indices, table=outputs, name=name)

@@ -72,9 +72,11 @@ class MATModule:
         input_indices = np.asarray(input_indices, dtype=np.int64)
         if input_indices.shape != (self.n_inputs,):
             raise ValueError("input_indices must provide one index per MAT input")
-        combos = enumerate_binary_inputs(self.n_inputs)
-        table = self.evaluate(combos)
-        return LUT(input_indices=input_indices, table=table, name=name)
+        return LUT(input_indices=input_indices, table=self.table(), name=name)
+
+    def table(self) -> np.ndarray:
+        """The MAT decision for every input combination, in LUT address order."""
+        return self.evaluate(enumerate_binary_inputs(self.n_inputs))
 
     def effective_inputs(self, tolerance: float = 1e-12) -> np.ndarray:
         """Indices of inputs that can actually change the MAT decision.

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.utils.bitops import binary_to_index
-from repro.utils.validation import check_binary_matrix
+from repro.utils.validation import check_binary_matrix, is_binary
 
 
 def primary_input(index: int) -> str:
@@ -43,6 +43,11 @@ def primary_input_index(signal: str) -> int:
     return int(signal[2:])
 
 
+def is_declared_input(signal: str, n_primary_inputs: int) -> bool:
+    """True when ``signal`` is one of ``in0 .. in<n_primary_inputs - 1>``."""
+    return is_primary_input(signal) and int(signal[2:]) < n_primary_inputs
+
+
 @dataclass
 class NetlistNode:
     """One LUT in the netlist."""
@@ -54,15 +59,18 @@ class NetlistNode:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.table = np.asarray(self.table, dtype=np.uint8)
+        table = np.asarray(self.table)
         expected = 1 << len(self.input_signals)
-        if self.table.shape != (expected,):
+        if table.shape != (expected,):
             raise ValueError(
                 f"node {self.name!r}: table must have {expected} entries, "
-                f"got {self.table.shape}"
+                f"got {table.shape}"
             )
+        if not is_binary(table):  # before the cast, which would turn 0.5 into 0
+            raise ValueError(f"node {self.name!r}: table entries must be 0/1")
         if len(set(self.input_signals)) != len(self.input_signals):
             raise ValueError(f"node {self.name!r}: duplicate input signals")
+        self.table = table.astype(np.uint8, copy=False)
 
     @property
     def n_inputs(self) -> int:
@@ -101,10 +109,7 @@ class LUTNetlist:
         a real primary input because the in-range ``in<i>`` namespace is
         reserved by :meth:`add_node`.
         """
-        return (
-            is_primary_input(signal)
-            and primary_input_index(signal) < self.n_primary_inputs
-        )
+        return is_declared_input(signal, self.n_primary_inputs)
 
     # ------------------------------------------------------------- building
     def add_node(

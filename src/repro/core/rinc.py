@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.boosting.adaboost import AdaBoost
-from repro.core.lut import LUT
 from repro.core.mat import MATModule
 from repro.core.netlist import LUTNetlist, primary_input
 from repro.core.rinc0 import RINC0
@@ -220,12 +219,12 @@ class RINCClassifier:
             netlist = LUTNetlist(n_primary_inputs=n_primary_inputs)
 
         if self.n_levels == 0:
-            lut = self._leaf.to_lut(name=f"{prefix}_t")
+            features, table = self._leaf.tree.to_lut()
             signal = netlist.add_node(
                 name=f"{prefix}_t",
                 kind="rinc0",
-                input_signals=[primary_input(int(i)) for i in lut.input_indices],
-                table=lut.table,
+                input_signals=[primary_input(i) for i in features.tolist()],
+                table=table,
             )
             return netlist, signal
 
@@ -233,12 +232,11 @@ class RINCClassifier:
         for idx, child in enumerate(self.children_):
             _, signal = child.to_netlist(netlist=netlist, prefix=f"{prefix}_{idx}")
             child_signals.append(signal)
-        mat_lut: LUT = self.mat_.to_lut(name=f"{prefix}_mat")
         signal = netlist.add_node(
             name=f"{prefix}_mat",
             kind="mat",
             input_signals=child_signals,
-            table=mat_lut.table,
+            table=self.mat_.table(),
             metadata={"weights": self.mat_.weights.copy(), "threshold": self.mat_.threshold},
         )
         return netlist, signal

@@ -64,11 +64,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.core.netlist import (
-    LUTNetlist,
-    is_primary_input,
-    primary_input_index,
-)
+from repro.core.netlist import LUTNetlist, is_declared_input
 
 
 # --------------------------------------------------------------------------
@@ -327,12 +323,6 @@ class IRGraph:
     def node(self, name: str) -> IRNode:
         return self._by_name[name]
 
-    def is_primary_input(self, signal: str) -> bool:
-        return (
-            is_primary_input(signal)
-            and primary_input_index(signal) < self.n_primary_inputs
-        )
-
     # -------------------------------------------------------------- building
     def add_node(
         self,
@@ -346,7 +336,7 @@ class IRGraph:
         the array, or the integer a pass already holds (:attr:`IRNode.bits`)."""
         if name in self._by_name:
             raise ValueError(f"duplicate node name {name!r}")
-        if self.is_primary_input(name):
+        if is_declared_input(name, self.n_primary_inputs):
             raise ValueError(f"node name {name!r} shadows a primary input")
         node = IRNode(name, kind, list(inputs), 0, metadata or {})
         if isinstance(table, int):
@@ -407,14 +397,14 @@ class IRGraph:
             if len(set(node.inputs)) != len(node.inputs):
                 raise ValueError(f"node {node.name!r}: duplicate input signals")
             for sig in node.inputs:
-                if self.is_primary_input(sig) or sig in seen:
+                if is_declared_input(sig, self.n_primary_inputs) or sig in seen:
                     continue
                 raise ValueError(
                     f"node {node.name!r} reads {sig!r} before it is defined"
                 )
             seen.add(node.name)
         for sig in self.outputs:
-            if sig not in seen and not self.is_primary_input(sig):
+            if sig not in seen and not is_declared_input(sig, self.n_primary_inputs):
                 raise ValueError(f"output {sig!r} is not produced by the graph")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.utils.bitops import binary_to_index
 from repro.utils.validation import (
@@ -90,6 +89,7 @@ class LevelWiseDecisionTree:
         sample_weight: Optional[np.ndarray] = None,
     ) -> "LevelWiseDecisionTree":
         """Select features level-by-level and fill the leaf table."""
+        from scipy import sparse  # here, so that serving never imports SciPy
         X = check_binary_matrix(X, "X")
         y = check_binary_vector(y, "y")
         check_consistent_lengths(X=X, y=y)

@@ -13,21 +13,7 @@ class TestConstruction:
         lut = LUT(input_indices=[3, 1], table=[0, 1, 1, 0])
         assert lut.n_inputs == 2
 
-    def test_table_size_checked(self):
-        with pytest.raises(ValueError):
-            LUT(input_indices=[0, 1], table=[0, 1])
-
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(ValueError):
-            LUT(input_indices=[2, 2], table=[0, 1, 1, 0])
-
-    def test_negative_indices_rejected(self):
-        with pytest.raises(ValueError):
-            LUT(input_indices=[-1], table=[0, 1])
-
-    def test_non_binary_table_rejected(self):
-        with pytest.raises(ValueError):
-            LUT(input_indices=[0], table=[0, 2])
+    # every rejection, with its message: test_table_validation.py
 
 
 class TestEvaluate:

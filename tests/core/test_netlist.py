@@ -84,37 +84,8 @@ def _xor_netlist():
 
 
 class TestBuilding:
-    def test_duplicate_name_rejected(self):
-        netlist = LUTNetlist(n_primary_inputs=2)
-        netlist.add_node("a", "rinc0", ["in0"], np.array([0, 1]))
-        with pytest.raises(ValueError):
-            netlist.add_node("a", "rinc0", ["in1"], np.array([0, 1]))
-
-    def test_unknown_signal_rejected(self):
-        netlist = LUTNetlist(n_primary_inputs=2)
-        with pytest.raises(ValueError):
-            netlist.add_node("a", "mat", ["ghost"], np.array([0, 1]))
-
-    def test_primary_input_out_of_range(self):
-        netlist = LUTNetlist(n_primary_inputs=2)
-        with pytest.raises(ValueError):
-            netlist.add_node("a", "rinc0", ["in5"], np.array([0, 1]))
-
-    def test_table_size_validated(self):
-        netlist = LUTNetlist(n_primary_inputs=2)
-        with pytest.raises(ValueError):
-            netlist.add_node("a", "rinc0", ["in0", "in1"], np.array([0, 1]))
-
-    def test_duplicate_input_signals_rejected(self):
-        netlist = LUTNetlist(n_primary_inputs=2)
-        with pytest.raises(ValueError):
-            netlist.add_node("a", "rinc0", ["in0", "in0"], np.array([0, 1, 1, 0]))
-
-    def test_mark_unknown_output_rejected(self):
-        netlist = LUTNetlist(n_primary_inputs=2)
-        with pytest.raises(ValueError):
-            netlist.mark_output("nope")
-
+    # every rejection of add_node / mark_output, with its message:
+    # test_table_validation.py
     def test_invalid_primary_input_count(self):
         with pytest.raises(ValueError):
             LUTNetlist(n_primary_inputs=0)
