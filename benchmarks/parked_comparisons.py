@@ -32,7 +32,7 @@ import sys
 import time
 
 from repro.engine import ShardedEngine, WorkerPool, compile_netlist, pack_bits
-from repro.serving import BackgroundServer, ServerStats
+from repro.serving import BackgroundServer
 from repro.serving.transport import encode_message, encode_predict_request
 
 import test_engine_throughput as engine_bench
@@ -221,8 +221,8 @@ def test_binary_wire_vs_json_wire():
     the time is framing, the wire, server-side decode + dispatch, and reply
     parsing."""
     _, json_payloads, packed_payloads = wire_bench.wire_workload()
-    stats = ServerStats()
-    server = wire_bench.wire_server(stats, packed_payloads[0])
+    server = wire_bench.wire_server(packed_payloads[0])
+    stats = server.registry.resolve(None).stats
     with _short_switch_interval(), BackgroundServer(server) as handle:
         best = _interleaved_best(
             {

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.output_layer import SparseQuantizedOutputLayer, quantize_symmetric
 from repro.engine import ShardedEngine, WorkerPool, pack_bits, rinc_bank_netlist
-from repro.serving import BackgroundServer, InferenceServer, ServerStats
+from repro.serving import BackgroundServer, InferenceServer
 from repro.serving.transport import encode_message, read_message, write_message
 from repro.utils.rng import as_rng
 
@@ -163,15 +163,13 @@ def test_coalesced_serving_bit_exact():
     """256 concurrent 1-sample requests: direct-call labels, no shed, coalesced."""
     scores_fn, predict_fn = _build_model()
     rows = as_rng(0).integers(0, 2, size=(N_REQUESTS, N_FEATURES), dtype=np.uint8)
-    stats = ServerStats()
     server = InferenceServer(
-        scores_fn=scores_fn,
         max_batch=64,
         max_wait_us=10_000,
         max_queue=4096,
-        stats=stats,
         warm_up=lambda: predict_fn(rows[:1]),
     )
+    stats = server.register_model("default", scores_fn=scores_fn).stats
     plan = [(None, rows[i : i + 1]) for i in range(N_REQUESTS)]
     with BackgroundServer(server) as handle:
         labels = asyncio.run(drive(handle.address, plan))
@@ -219,9 +217,8 @@ def test_served_results_bit_exact_under_concurrency():
         rng.integers(0, 2, size=(k, N_FEATURES), dtype=np.uint8) for k in sizes
     ]
     expected = [predict_fn(chunk) for chunk in chunks]
-    server = InferenceServer(
-        scores_fn=scores_fn, max_batch=32, max_wait_us=1500, max_queue=4096
-    )
+    server = InferenceServer(max_batch=32, max_wait_us=1500, max_queue=4096)
+    server.register_model("default", scores_fn=scores_fn)
     with BackgroundServer(server) as handle:
 
         async def drive_chunks():

@@ -24,12 +24,7 @@ import asyncio
 import numpy as np
 
 from repro.engine import pack_bits, unpack_bits
-from repro.serving import (
-    BackgroundServer,
-    InferenceServer,
-    ServerStats,
-    ServingClient,
-)
+from repro.serving import BackgroundServer, InferenceServer, ServingClient
 from repro.serving.transport import encode_message, encode_predict_request
 from repro.utils.rng import as_rng
 
@@ -69,16 +64,17 @@ def wire_workload():
     return _batch_fn(rows), json_payloads, packed_payloads
 
 
-def wire_server(stats: ServerStats, warm_payload) -> InferenceServer:
-    return InferenceServer(
-        batch_fn=_batch_fn,
-        packed_fn=_packed_fn,
+def wire_server(warm_payload) -> InferenceServer:
+    """The popcount model served as ``"default"``; its stats are
+    ``server.registry.resolve(None).stats``."""
+    server = InferenceServer(
         max_batch=64,
         max_wait_us=10_000,
         max_queue=4096,
-        stats=stats,
         warm_up=lambda: _packed_fn(warm_payload, 1),
     )
+    server.register_model("default", batch_fn=_batch_fn, packed_fn=_packed_fn)
+    return server
 
 
 def drive_json(address, payloads):
@@ -109,8 +105,9 @@ def drive_binary(address, packed_payloads):
 def test_both_wires_bit_exact_under_concurrency():
     """256 concurrent 1-sample requests, popcount model, JSON then binary."""
     expected, json_payloads, packed_payloads = wire_workload()
-    stats = ServerStats()
-    with BackgroundServer(wire_server(stats, packed_payloads[0])) as handle:
+    server = wire_server(packed_payloads[0])
+    stats = server.registry.resolve(None).stats
+    with BackgroundServer(server) as handle:
         labels_json = asyncio.run(drive_json(handle.address, json_payloads))
         labels_bin = asyncio.run(drive_binary(handle.address, packed_payloads))
         snapshot = stats.snapshot()
@@ -129,13 +126,8 @@ def test_binary_labels_bit_exact_vs_predict_batch():
     chunks = [
         rng.integers(0, 2, size=(k, N_FEATURES), dtype=np.uint8) for k in sizes
     ]
-    server = InferenceServer(
-        batch_fn=_batch_fn,
-        packed_fn=_packed_fn,
-        max_batch=128,
-        max_wait_us=1_500,
-        max_queue=4096,
-    )
+    server = InferenceServer(max_batch=128, max_wait_us=1_500, max_queue=4096)
+    server.register_model("default", batch_fn=_batch_fn, packed_fn=_packed_fn)
     with BackgroundServer(server) as handle:
         with ServingClient(*handle.address, binary=True) as client:
             for chunk in chunks:

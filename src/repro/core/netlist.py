@@ -235,8 +235,8 @@ class LUTNetlist:
         """Values of the declared output signals, one column per output."""
         if not self.output_signals:
             raise RuntimeError("netlist has no declared outputs")
-        signals = self.evaluate(X_bits)
-        X_bits = check_binary_matrix(X_bits, "X_bits")
+        signals = self.evaluate(X_bits)  # checks X_bits
+        X_bits = np.asarray(X_bits).astype(np.uint8, copy=False)
         columns = []
         for sig in self.output_signals:
             if self.is_primary_input(sig):

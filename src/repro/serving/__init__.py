@@ -51,9 +51,12 @@ many replicated boxes behind one router.  The pieces, bottom-up:
 ``server``
     :class:`~repro.serving.server.InferenceServer` — the TCP front end; each
     connection's requests route to their model's queue, so socket
-    concurrency becomes per-model batch occupancy.  Registration resolves
-    each model's in-process engine once and owns it until the version
-    retires; the engine says whether its batches may run on the event loop.
+    concurrency becomes per-model batch occupancy.  The constructor takes
+    server knobs only; ``register_model`` hosts every model, either as
+    explicit ``scores_fn`` / ``batch_fn`` (+ ``packed_fn``) functions or as
+    ``model=`` an object with ``compiled_netlist()``, whose in-process
+    engine registration resolves once and owns until the version retires;
+    the engine says whether its batches may run on the event loop.
     :class:`~repro.serving.server.BackgroundServer` hosts it on a dedicated
     event-loop thread for blocking callers.  ``drain()`` stops admissions
     (typed ``unavailable`` rejections, 503 on ``/healthz``) and flushes

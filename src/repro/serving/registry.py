@@ -235,7 +235,6 @@ class ModelRegistry:
         max_batch: Optional[int] = None,
         max_wait_us: Optional[float] = None,
         max_queue: Optional[int] = None,
-        stats: Optional[ServerStats] = None,
         default: bool = False,
         engine: Optional[Any] = None,
         backend: Optional[str] = None,
@@ -253,8 +252,8 @@ class ModelRegistry:
         only moves on :meth:`promote` / :meth:`promote_canary`.  Standby
         versions must match the family's scores mode (shadow comparison
         would be meaningless otherwise) and share the family's
-        :class:`~repro.serving.stats.ServerStats` unless given their own —
-        shared stats keep the family's counters monotonic across flips.
+        :class:`~repro.serving.stats.ServerStats` — shared stats keep the
+        family's counters monotonic across flips.
         ``engine`` is the engine the functions evaluate on: the version
         owns it, advertises its ``backend``/``threads``/``unroll`` and
         closes it on retire; without one, ``backend`` is a descriptive
@@ -306,31 +305,31 @@ class ModelRegistry:
                     f"model {name!r} versions must share one output mode "
                     f"({'scores' if family.scores_mode else 'labels'})"
                 )
-            if stats is None:
-                stats = family.stats
+        queue = BatchingQueue(
+            scores_fn if scores_mode else batch_fn,
+            max_batch=(
+                self._defaults["max_batch"] if max_batch is None else max_batch
+            ),
+            max_wait_us=(
+                self._defaults["max_wait_us"]
+                if max_wait_us is None
+                else max_wait_us
+            ),
+            max_queue=(
+                self._defaults["max_queue"] if max_queue is None else max_queue
+            ),
+            # a standby shares its family's collector; None makes a new one
+            stats=None if family is None else family.stats,
+            budget=self.budget,
+            budget_key=name,
+            packed_fn=packed_fn,
+            on_loop=(lambda: engine.on_loop) if engine is not None else False,
+        )
         entry = RegisteredModel(
             name=name,
-            queue=BatchingQueue(
-                scores_fn if scores_mode else batch_fn,
-                max_batch=(
-                    self._defaults["max_batch"] if max_batch is None else max_batch
-                ),
-                max_wait_us=(
-                    self._defaults["max_wait_us"]
-                    if max_wait_us is None
-                    else max_wait_us
-                ),
-                max_queue=(
-                    self._defaults["max_queue"] if max_queue is None else max_queue
-                ),
-                stats=stats,
-                budget=self.budget,
-                budget_key=name,
-                packed_fn=packed_fn,
-                on_loop=(lambda: engine.on_loop) if engine is not None else False,
-            ),
+            queue=queue,
             scores_mode=scores_mode,
-            stats=stats,
+            stats=queue.stats,
             label=backend,
             threads=getattr(engine, "threads", 1),
             unroll=getattr(engine, "unroll", 1),
@@ -339,7 +338,6 @@ class ModelRegistry:
             engine=engine,
             on_retire=on_retire,
         )
-        entry.stats = entry.queue.stats  # the queue created one if None
         if family is None:
             family = _ModelFamily(name, scores_mode)
             family.serving_version = version

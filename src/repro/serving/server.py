@@ -21,19 +21,17 @@ requests route to their model's queue by the protocol's ``model`` field
 occupancy inside each model's engine.
 
 Multi-tenancy is a config knob, not an architecture change: a single-model
-server is just a registry of one.  The constructor's ``batch_fn``/
-``scores_fn`` shortcut registers that one model under the name
-``"default"`` — the PR-4 API unchanged — while :meth:`register_model`
-adds more, each evaluating either a *labels* function or a *scores*
-function (per-class decision scores, labels derived by ``argmax``).
-:meth:`InferenceServer.for_model` picks the best entry point a model
-offers — for :class:`~repro.core.poetbin.PoETBiNClassifier` that is
-``decision_scores_batch``, the path that serves straight from the
-engine's ``run_scores`` — RINC bank and table-lookup read-out in one call,
-nothing unpacked in between.  Registration resolves the model's *engine*
-once, in this process, for ``backend=``, and the registration owns that
-engine: it serves from it, advertises its ``backend``/``threads``/
-``unroll``, and closes it on retire.
+server is just a registry of one.  The constructor takes server knobs
+only; :meth:`InferenceServer.register_model` hosts every model, each
+evaluating either a *labels* function or a *scores* function (per-class
+decision scores, labels derived by ``argmax``).  A model with
+``compiled_netlist()`` — :class:`~repro.core.poetbin.PoETBiNClassifier` —
+is registered with ``model=`` and serves straight from its engine's
+``run_scores``: RINC bank and table-lookup read-out in one call, nothing
+unpacked in between.  Registration resolves that *engine* once, in this
+process, for ``backend=``, and the registration owns it: it serves from
+it, advertises its ``backend``/``threads``/``unroll``, and closes it on
+retire.
 
 :class:`BackgroundServer` runs the whole thing on a dedicated event-loop
 thread, which is how the tests, the benchmark and the demo drive it from
@@ -58,7 +56,7 @@ from repro.serving.queue import (
     ServingError,
 )
 from repro.serving.registry import ModelRegistry, RegisteredModel
-from repro.serving.stats import ServerStats, render_stats_text
+from repro.serving.stats import render_stats_text
 from repro.serving.transport import (
     BinaryRequest,
     CorkedWriter,
@@ -74,51 +72,29 @@ __all__ = ["BackgroundServer", "InferenceServer"]
 
 def _bind_model(
     model: Any, backend: Optional[str]
-) -> Tuple[Any, Optional[Callable], Optional[Callable], Optional[Callable]]:
-    """``(engine, batch_fn, scores_fn, packed_fn)`` for serving ``model``.
+) -> Tuple[Any, Callable, Callable]:
+    """``(engine, scores_fn, packed_fn)`` for serving ``model``.
 
-    A model that serves from a compiled LUT netlist — it offers
-    ``to_netlist()``, ``compiled_netlist(backend)`` and batch methods taking
-    ``engine=``, like :class:`~repro.core.poetbin.PoETBiNClassifier` — gets
-    its own engine for ``backend`` resolved here, once.  Its scores and
-    zero-copy packed entry points are bound to that engine object.
-
-    Anything else is served as it is — ``decision_scores_batch`` (with
-    ``decision_scores_packed_batch`` as the binary protocol's packed path
-    when offered), then ``predict_batch``, then the model as a plain
-    callable — with no engine the server could select: ``backend`` raises
-    instead of being dropped.
+    ``model`` serves from a compiled LUT netlist — it offers
+    ``compiled_netlist(backend)`` and batch methods taking ``engine=``, like
+    :class:`~repro.core.poetbin.PoETBiNClassifier` — and gets its own engine
+    for ``backend``, resolved here, once.  Its scores and zero-copy packed
+    entry points are bound to that engine object.  Anything else is
+    refused: register its evaluation functions explicitly.
     """
-    if hasattr(model, "compiled_netlist"):
-        engine = model.compiled_netlist(backend or "numpy")
-        return (
-            engine,
-            None,
-            lambda X: model.decision_scores_batch(X, engine=engine),
-            lambda words, n: model.decision_scores_packed_batch(
-                words, n, engine=engine
-            ),
+    if not hasattr(model, "compiled_netlist"):
+        raise TypeError(
+            f"{type(model).__name__} has no compiled_netlist(); register its "
+            "evaluation functions with scores_fn= / batch_fn= / packed_fn= "
+            "instead of model="
         )
-    if backend is not None:
-        raise ValueError(
-            f"{type(model).__name__} has no compiled_netlist() to select an "
-            "engine for, so it cannot honour backend=; build the "
-            "engine yourself and register its function"
-        )
-    if hasattr(model, "decision_scores_batch"):
-        return (
-            None,
-            None,
-            model.decision_scores_batch,
-            getattr(model, "decision_scores_packed_batch", None),
-        )
-    if hasattr(model, "predict_batch"):
-        return None, model.predict_batch, None, None
-    if callable(model):
-        return None, model, None, None
-    raise TypeError(
-        f"{type(model).__name__} offers neither decision_scores_batch, "
-        "predict_batch nor __call__"
+    engine = model.compiled_netlist(backend or "numpy")
+    return (
+        engine,
+        lambda X: model.decision_scores_batch(X, engine=engine),
+        lambda words, n: model.decision_scores_packed_batch(
+            words, n, engine=engine
+        ),
     )
 
 
@@ -136,21 +112,6 @@ class InferenceServer(FrameServer):
 
     Parameters
     ----------
-    batch_fn:
-        ``(n, F) -> (n,)`` label function, registered as the model named
-        ``"default"``.  Mutually exclusive with ``scores_fn``; omit both to
-        start an empty server and populate it with :meth:`register_model`.
-    scores_fn:
-        ``(n, F) -> (n, n_classes)`` decision-score function; labels are
-        derived by ``argmax`` so one evaluation yields both.
-    packed_fn:
-        Optional ``(packed_words, n_samples) -> array`` zero-copy path for
-        binary-protocol requests on the default model: the coalesced
-        ``(F, n_words(n))`` uint64 bit-planes reach the model as words —
-        no unpack, no re-pack.  Output semantics must match the given
-        evaluation function's (scores with ``scores_fn``, labels with
-        ``batch_fn``).  Like them it runs on the queue's executor thread,
-        so it may block.
     host, port:
         Listen address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
@@ -171,9 +132,6 @@ class InferenceServer(FrameServer):
         Optional *shared* admission bound in samples across every hosted
         model (see :class:`~repro.serving.queue.AdmissionBudget`); ``None``
         leaves only the per-model bounds.
-    stats:
-        Optional collector for the constructor-registered default model; a
-        private one per model is created otherwise.
     warm_up:
         Optional zero-argument callable run once at :meth:`start` (e.g. a
         one-sample evaluation per model to populate caches) so the cost
@@ -186,10 +144,7 @@ class InferenceServer(FrameServer):
 
     def __init__(
         self,
-        batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         *,
-        scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        packed_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         http_port: Optional[int] = None,
@@ -197,12 +152,9 @@ class InferenceServer(FrameServer):
         max_wait_us: float = 2000.0,
         max_queue: int = 1024,
         max_total_queue: Optional[int] = None,
-        stats: Optional[ServerStats] = None,
         warm_up: Optional[Callable[[], Any]] = None,
         backlog: int = 512,
     ) -> None:
-        if batch_fn is not None and scores_fn is not None:
-            raise ValueError("provide at most one of batch_fn and scores_fn")
         budget = (
             AdmissionBudget(max_total_queue)
             if max_total_queue is not None
@@ -214,66 +166,15 @@ class InferenceServer(FrameServer):
             max_wait_us=max_wait_us,
             max_queue=max_queue,
         )
-        if batch_fn is not None or scores_fn is not None:
-            self._registry.register(
-                "default",
-                batch_fn,
-                scores_fn=scores_fn,
-                packed_fn=packed_fn,
-                stats=stats,
-            )
-        else:
-            if stats is not None:
-                raise ValueError(
-                    "stats= applies to the constructor-registered default "
-                    "model; pass it to register_model instead"
-                )
-            if packed_fn is not None:
-                raise ValueError(
-                    "packed_fn= applies to the constructor-registered "
-                    "default model; pass it to register_model instead"
-                )
         super().__init__(host=host, port=port, backlog=backlog)
         self._warm_up = warm_up
-        self._empty_stats: Optional[ServerStats] = None
         self.http_port = http_port
         self._http: Optional[HttpMetricsListener] = None
-
-    @classmethod
-    def for_model(
-        cls,
-        model: Any,
-        *,
-        backend: Optional[str] = None,
-        stats: Optional[ServerStats] = None,
-        **kwargs,
-    ):
-        """A single-model server: construct, then
-        ``register_model("default", model=model, backend=backend,
-        stats=stats)`` (which see); ``kwargs`` go to the constructor."""
-        server = cls(**kwargs)
-        server.register_model(
-            "default", model=model, backend=backend, stats=stats
-        )
-        return server
 
     # ------------------------------------------------------- model hosting
     @property
     def registry(self) -> ModelRegistry:
         return self._registry
-
-    @property
-    def stats(self) -> ServerStats:
-        """The default model's stats collector (single-model back-compat).
-
-        An empty server returns an inert placeholder collector rather than
-        raising — pre-PR callers could always read this attribute.
-        """
-        if len(self._registry) == 0:
-            if self._empty_stats is None:
-                self._empty_stats = ServerStats()
-            return self._empty_stats
-        return self._registry.resolve(None).stats
 
     def register_model(
         self,
@@ -286,18 +187,23 @@ class InferenceServer(FrameServer):
         max_batch: Optional[int] = None,
         max_wait_us: Optional[float] = None,
         max_queue: Optional[int] = None,
-        stats: Optional[ServerStats] = None,
         default: bool = False,
         backend: Optional[str] = None,
         version: Optional[int] = None,
         on_retire: Optional[Callable[[], Any]] = None,
     ) -> RegisteredModel:
-        """Host another model under ``name``, with its own queue and knobs.
+        """Host a model under ``name``, with its own queue and knobs; the
+        returned record carries its ``stats`` collector.
 
-        Give either an evaluation function (``batch_fn``/``scores_fn``,
-        plus optionally the binary protocol's zero-copy ``packed_fn``) or
-        ``model=`` to pick the object's best entry point (see
-        :func:`_bind_model`).  With ``model=``, the engine is resolved
+        Give either an evaluation function — ``batch_fn`` (``(n, F) ->
+        (n,)`` labels) or ``scores_fn`` (``(n, F) -> (n, n_classes)``
+        decision scores, labels by ``argmax``), plus optionally the binary
+        protocol's zero-copy ``packed_fn`` (``(packed_words, n_samples) ->
+        array`` with the same output) — or ``model=``, an object with
+        ``compiled_netlist()`` such as
+        :class:`~repro.core.poetbin.PoETBiNClassifier`, served from its
+        engine's ``run_scores`` (see :func:`_bind_model`; any other object
+        raises :class:`TypeError`).  With ``model=``, the engine is resolved
         *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
         generated C, ``"native-mt"`` for the same build threaded up to the
         core count, ``"auto"`` for native-if-toolchain), and the engine is
@@ -333,7 +239,7 @@ class InferenceServer(FrameServer):
         if model is not None:
             if batch_fn is not None or scores_fn is not None or packed_fn is not None:
                 raise ValueError("provide model= or an evaluation fn, not both")
-            engine, batch_fn, scores_fn, packed_fn = _bind_model(model, backend)
+            engine, scores_fn, packed_fn = _bind_model(model, backend)
         try:
             return self._registry.register(
                 name,
@@ -343,7 +249,6 @@ class InferenceServer(FrameServer):
                 max_batch=max_batch,
                 max_wait_us=max_wait_us,
                 max_queue=max_queue,
-                stats=stats,
                 default=default,
                 engine=engine,
                 backend=backend,
@@ -643,7 +548,9 @@ class BackgroundServer:
 
     Blocking code (tests, benchmarks, the demo) starts the server with::
 
-        with BackgroundServer(InferenceServer.for_model(clf)) as handle:
+        server = InferenceServer()
+        server.register_model("default", model=clf)
+        with BackgroundServer(server) as handle:
             with ServingClient(*handle.address) as client:
                 labels = client.predict(rows)
 

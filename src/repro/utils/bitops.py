@@ -56,8 +56,20 @@ def index_to_binary(index: np.ndarray, n_bits: int) -> np.ndarray:
     return ((idx[:, np.newaxis] >> shifts) & 1).astype(np.uint8)
 
 
+#: widths whose enumeration is kept (2**16 rows x 16 columns is 1 MiB)
+_CACHED_WIDTH = 16
+_ENUMERATIONS: dict = {}
+
+
 def enumerate_binary_inputs(n_bits: int) -> np.ndarray:
-    """Return all ``2**n_bits`` binary input combinations, in address order."""
+    """Return all ``2**n_bits`` binary input combinations, in address order.
+
+    The array is read-only: for widths up to 16 every caller shares one
+    array per width (copy it to write).
+    """
+    combos = _ENUMERATIONS.get(n_bits)
+    if combos is not None:
+        return combos
     if n_bits < 0:
         raise ValueError(f"n_bits must be non-negative, got {n_bits}")
     if n_bits > 24:
@@ -65,4 +77,8 @@ def enumerate_binary_inputs(n_bits: int) -> np.ndarray:
             f"refusing to enumerate 2**{n_bits} combinations; "
             "LUTs wider than 24 inputs are not representable explicitly"
         )
-    return index_to_binary(np.arange(1 << n_bits), n_bits)
+    combos = index_to_binary(np.arange(1 << n_bits), n_bits)
+    combos.setflags(write=False)
+    if n_bits <= _CACHED_WIDTH:
+        _ENUMERATIONS[n_bits] = combos
+    return combos

@@ -93,6 +93,19 @@ class TestEffectiveInputs:
         np.testing.assert_array_equal(mat.effective_inputs(), [0])
 
 
+def test_table_to_lut_and_effective_inputs_reuse_one_enumeration(monkeypatch):
+    """Once a width is enumerated, the MAT's table, LUT and pruning read
+    the shared array: nothing is enumerated again."""
+    from repro.utils import bitops
+
+    mat = MATModule(weights=[2.0, 1.0, 1e-6, -1.5, 0.5, 0.25])
+    table = mat.table()
+    monkeypatch.setattr(bitops, "index_to_binary", None)  # a rebuild fails
+    np.testing.assert_array_equal(mat.table(), table)
+    np.testing.assert_array_equal(mat.to_lut().table, table)
+    assert 2 not in mat.effective_inputs()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=6),

@@ -124,6 +124,26 @@ class TestEvaluation:
         X = np.array([[0, 1], [1, 0]], dtype=np.uint8)
         np.testing.assert_array_equal(netlist.evaluate_outputs(X)[:, 0], [1, 0])
 
+    def test_evaluate_outputs_checks_its_inputs_once(self, monkeypatch):
+        from repro.core import netlist as netlist_mod
+
+        checks = []
+        check = netlist_mod.check_binary_matrix
+        monkeypatch.setattr(
+            netlist_mod,
+            "check_binary_matrix",
+            lambda X, name: checks.append(name) or check(X, name),
+        )
+        netlist = _xor_netlist()
+        netlist.mark_output("in0")  # a primary-input output reads X itself
+        X = np.array([[0, 0, 1], [1, 1, 1]], dtype=bool)
+        out = netlist.evaluate_outputs(X)
+        assert checks == ["X_bits"]
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, [[0, 0], [0, 1]])
+        with pytest.raises(ValueError, match="^X_bits must contain only 0/1"):
+            netlist.evaluate_outputs(np.full((1, 3), 2))
+
 
 class TestStatistics:
     def test_n_luts_and_kinds(self):

@@ -151,9 +151,8 @@ class TestMidFrameDeath:
 class TestTypedErrorsDoNotKillTheConnection:
     def test_server_side_errors_leave_the_client_usable(self):
         """Complete error frames are consumed whole — no desync, no staleness."""
-        server = InferenceServer(
-            scores_fn=_scores_fn, max_batch=8, max_wait_us=500, max_queue=64
-        )
+        server = InferenceServer(max_batch=8, max_wait_us=500, max_queue=64)
+        server.register_model("default", scores_fn=_scores_fn)
         with BackgroundServer(server) as handle:
             with ServingClient(*handle.address) as client:
                 with pytest.raises(ServingError):
@@ -164,9 +163,8 @@ class TestTypedErrorsDoNotKillTheConnection:
                 )
 
     def test_binary_typed_error_leaves_the_client_usable(self):
-        server = InferenceServer(
-            scores_fn=_scores_fn, max_batch=8, max_wait_us=500, max_queue=64
-        )
+        server = InferenceServer(max_batch=8, max_wait_us=500, max_queue=64)
+        server.register_model("default", scores_fn=_scores_fn)
         with BackgroundServer(server) as handle:
             with ServingClient(*handle.address, binary=True) as client:
                 with pytest.raises(ServingError):
@@ -185,9 +183,8 @@ class TestIdempotentClose:
 
     @pytest.fixture()
     def server(self):
-        srv = InferenceServer(
-            scores_fn=_scores_fn, max_batch=8, max_wait_us=500, max_queue=64
-        )
+        srv = InferenceServer(max_batch=8, max_wait_us=500, max_queue=64)
+        srv.register_model("default", scores_fn=_scores_fn)
         with BackgroundServer(srv) as handle:
             yield handle
 

@@ -41,9 +41,8 @@ def _expected_labels(X):
 
 @pytest.fixture()
 def server():
-    srv = InferenceServer(
-        scores_fn=_scores_fn, max_batch=16, max_wait_us=2_000, max_queue=256
-    )
+    srv = InferenceServer(max_batch=16, max_wait_us=2_000, max_queue=256)
+    srv.register_model("default", scores_fn=_scores_fn)
     with BackgroundServer(srv) as handle:
         yield handle
 
@@ -195,9 +194,8 @@ class TestTypedErrors:
         def broken(X):
             raise RuntimeError("weights fell out")
 
-        srv = InferenceServer(
-            batch_fn=broken, max_batch=4, max_wait_us=1_000, max_queue=64
-        )
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
+        srv.register_model("default", batch_fn=broken)
         with BackgroundServer(srv) as handle:
             with ServingClient(*handle.address) as client:
                 with pytest.raises(ServingError, match="weights fell out"):
@@ -205,11 +203,11 @@ class TestTypedErrors:
 
     def test_shed_surfaces_as_overloaded_error_over_the_wire(self):
         srv = InferenceServer(
-            scores_fn=_scores_fn,
             max_batch=1000,  # never flush by size
             max_wait_us=250_000,  # hold admitted requests for 250 ms
             max_queue=4,
         )
+        srv.register_model("default", scores_fn=_scores_fn)
         outcomes = []
         lock = threading.Lock()
 
@@ -477,21 +475,24 @@ def test_serving_imports_no_engine_implementation():
 
 class TestConstruction:
     def test_at_most_one_evaluation_fn(self):
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
         with pytest.raises(ValueError):
-            InferenceServer(batch_fn=_scores_fn, scores_fn=_scores_fn)
-        # no functions at all is legal now: an empty multi-model server,
+            srv.register_model(
+                "default", batch_fn=_scores_fn, scores_fn=_scores_fn
+            )
+        # the constructor takes server knobs only: a server starts empty,
         # populated later with register_model (requests meanwhile get the
         # typed model_not_found error)
-        empty = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
-        assert empty.registry.names == []
+        with pytest.raises(TypeError):
+            InferenceServer(scores_fn=_scores_fn)
+        assert srv.registry.names == []
 
     def test_scores_request_without_scores_path(self):
         def labels_only(X):
             return np.zeros(np.asarray(X).shape[0], dtype=np.int64)
 
-        srv = InferenceServer(
-            batch_fn=labels_only, max_batch=4, max_wait_us=1_000, max_queue=64
-        )
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
+        srv.register_model("default", batch_fn=labels_only)
         with BackgroundServer(srv) as handle:
             with ServingClient(*handle.address) as client:
                 labels = client.predict(np.ones((2, N_FEATURES), dtype=np.uint8))
@@ -502,17 +503,13 @@ class TestConstruction:
                         return_scores=True,
                     )
 
-    def test_for_model_prefers_scores_path(self):
+    def test_explicit_scores_fn_serves_scores(self):
         class Model:
             def decision_scores_batch(self, X):
                 return _scores_fn(X)
 
-            def predict_batch(self, X):  # pragma: no cover - must not win
-                raise AssertionError("scores path should be preferred")
-
-        srv = InferenceServer.for_model(
-            Model(), max_batch=8, max_wait_us=1_000, max_queue=64
-        )
+        srv = InferenceServer(max_batch=8, max_wait_us=1_000, max_queue=64)
+        srv.register_model("default", scores_fn=Model().decision_scores_batch)
         rng = as_rng(4)
         X = rng.integers(0, 2, size=(3, N_FEATURES)).astype(np.uint8)
         with BackgroundServer(srv) as handle:
@@ -520,32 +517,57 @@ class TestConstruction:
                 labels, scores = client.predict(X, return_scores=True)
         np.testing.assert_allclose(scores, _scores_fn(X))
 
-    def test_for_model_rejects_inert_objects(self):
-        with pytest.raises(TypeError):
-            InferenceServer.for_model(object())
+    def test_model_without_compiled_netlist_raises_type_error(self):
+        """``model=`` takes only an engine-backed model; anything else is
+        refused with a pointer to the explicit functions."""
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
+        for model in (object(), lambda X: X):
+            with pytest.raises(TypeError) as raised:
+                srv.register_model("m", model=model)
+            for knob in ("scores_fn=", "batch_fn=", "packed_fn="):
+                assert knob in str(raised.value)
+        assert srv.registry.names == []
 
     def test_engine_selection_a_model_cannot_honour_raises(self):
         """A bare ``predict_batch(X)`` object has no engine the server could
-        select: ``backend=`` must raise at registration, not be
-        dropped and then advertised anyway."""
+        select: ``model=`` refuses it, with or without ``backend=``,
+        rather than dropping the selection and advertising it anyway."""
 
         class BareEngine:
             def predict_batch(self, X):
                 return np.zeros(np.asarray(X).shape[0], dtype=np.int64)
 
         srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
-        with pytest.raises(ValueError, match="cannot honour"):
-            srv.register_model("m", model=BareEngine(), backend="native")
-        with pytest.raises(ValueError, match="cannot honour"):
-            InferenceServer.for_model(BareEngine(), backend="numpy")
+        for backend in ("native", "numpy", None):
+            with pytest.raises(TypeError, match="compiled_netlist"):
+                srv.register_model("m", model=BareEngine(), backend=backend)
         assert srv.registry.names == []
-        # without a selection it serves as it is, labelled numpy
-        entry = srv.register_model("m", model=BareEngine())
+        # its function, registered explicitly, serves labelled numpy
+        entry = srv.register_model("m", batch_fn=BareEngine().predict_batch)
         assert (entry.backend, entry.threads, entry.unroll) == ("numpy", 1, 1)
 
-    def test_empty_server_stats_property_is_inert(self):
+    def test_stats_live_on_the_registered_record(self):
         srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
-        assert srv.stats.snapshot()["requests_completed"] == 0
+        assert not hasattr(srv, "stats")
+        entry = srv.register_model("m", _scores_fn)
+        assert entry.stats.snapshot()["requests_completed"] == 0
+        assert srv.registry.resolve("m").stats is entry.stats
+
+    def test_standby_version_shares_its_familys_stats(self):
+        """With no collector to pass, a family's versions count into one:
+        a pinned request to the standby shows on the serving record."""
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
+        serving = srv.register_model("m", _scores_fn)
+        standby = srv.register_model("m", _scores_fn, version=2)
+        other = srv.register_model("n", _scores_fn)
+        assert standby.state == "standby"
+        assert standby.stats is serving.stats
+        assert other.stats is not serving.stats
+        with BackgroundServer(srv) as handle:
+            with ServingClient(*handle.address) as client:
+                client.predict(np.ones((2, N_FEATURES), dtype=np.uint8), model="m@2")
+        assert serving.stats.snapshot()["requests_completed"] == 1
+        assert other.stats.snapshot()["requests_completed"] == 0
 
     def test_unregistering_the_default_clears_it(self):
         """Model-less requests must not silently re-route to a survivor."""
@@ -576,12 +598,12 @@ class TestConstruction:
     def test_warm_up_runs_before_first_request(self):
         ran = []
         srv = InferenceServer(
-            scores_fn=_scores_fn,
             warm_up=lambda: ran.append(True),
             max_batch=4,
             max_wait_us=1_000,
             max_queue=64,
         )
+        srv.register_model("default", scores_fn=_scores_fn)
         with BackgroundServer(srv):
             assert ran == [True]
 
@@ -731,10 +753,8 @@ class TestEngineOwnership:
         threads, lanes = (os.cpu_count() or 1) + 1, vector_lanes()
         monkeypatch.setattr(native_mod, "default_thread_count", lambda: threads)
 
-        srv = InferenceServer.for_model(
-            clf, backend="native-mt", max_batch=64, max_wait_us=1_000
-        )
-        entry = srv.registry.resolve(None)
+        srv = InferenceServer(max_batch=64, max_wait_us=1_000)
+        entry = srv.register_model("default", model=clf, backend="native-mt")
         assert entry.engine.wait()  # a cold build answers on NumPy until then
         assert (entry.backend, entry.threads, entry.unroll) == (
             "native-mt", threads, lanes,
@@ -1041,13 +1061,8 @@ class TestBinaryEndToEnd:
                 axis=1,
             ).astype(np.float64)
 
-        srv = InferenceServer(
-            scores_fn=scores_fn,
-            packed_fn=packed_fn,
-            max_batch=32,
-            max_wait_us=1_000,
-            max_queue=256,
-        )
+        srv = InferenceServer(max_batch=32, max_wait_us=1_000, max_queue=256)
+        srv.register_model("default", scores_fn=scores_fn, packed_fn=packed_fn)
         with BackgroundServer(srv) as handle:
             X = rng.integers(0, 2, size=(77, N_FEATURES)).astype(np.uint8)
             with ServingClient(*handle.address, binary=True) as client:
@@ -1055,8 +1070,9 @@ class TestBinaryEndToEnd:
         assert sum(packed_calls) == 77  # every sample went the packed route
         np.testing.assert_array_equal(labels, np.argmax(scores_fn(X), axis=1))
 
-    def test_for_model_wires_decision_scores_packed_batch(self):
-        """A model object exposing the packed entry point gets it used."""
+    def test_explicit_packed_fn_wires_decision_scores_packed_batch(self):
+        """A model's packed entry point, registered as ``packed_fn``, gets
+        it used."""
         from repro.engine import unpack_bits
 
         calls = []
@@ -1069,8 +1085,12 @@ class TestBinaryEndToEnd:
                 calls.append(n_samples)
                 return unpack_bits(words, n_samples).astype(np.float64)
 
-        srv = InferenceServer.for_model(
-            PackedModel(), max_batch=16, max_wait_us=500, max_queue=64
+        model = PackedModel()
+        srv = InferenceServer(max_batch=16, max_wait_us=500, max_queue=64)
+        srv.register_model(
+            "default",
+            scores_fn=model.decision_scores_batch,
+            packed_fn=model.decision_scores_packed_batch,
         )
         X = np.eye(N_FEATURES, dtype=np.uint8)
         with BackgroundServer(srv) as handle:
@@ -1184,9 +1204,9 @@ class TestNonFiniteScores:
             scores[:, 1] = 1.0
             return scores
 
-        return InferenceServer(
-            scores_fn=scores_fn, max_batch=8, max_wait_us=500, max_queue=64
-        )
+        srv = InferenceServer(max_batch=8, max_wait_us=500, max_queue=64)
+        srv.register_model("default", scores_fn=scores_fn)
+        return srv
 
     def test_nan_score_over_json_is_typed_internal_not_desync(self):
         with BackgroundServer(self._nan_server()) as handle:
@@ -1215,12 +1235,9 @@ class TestHttpMetrics:
     @pytest.fixture()
     def http_server(self):
         srv = InferenceServer(
-            scores_fn=_scores_fn,
-            max_batch=16,
-            max_wait_us=1_000,
-            max_queue=256,
-            http_port=0,
+            max_batch=16, max_wait_us=1_000, max_queue=256, http_port=0
         )
+        srv.register_model("default", scores_fn=_scores_fn)
         with BackgroundServer(srv) as handle:
             yield srv, handle
 
@@ -1277,9 +1294,8 @@ class TestHttpMetrics:
         assert excinfo.value.code == 405
 
     def test_http_address_none_without_http_port(self):
-        srv = InferenceServer(
-            scores_fn=_scores_fn, max_batch=4, max_wait_us=500, max_queue=16
-        )
+        srv = InferenceServer(max_batch=4, max_wait_us=500, max_queue=16)
+        srv.register_model("default", scores_fn=_scores_fn)
         assert srv.http_address is None
 
 
@@ -1301,9 +1317,8 @@ class TestTeardownLeavesNoTaskBehind:
         try:
             with caplog.at_level(logging.ERROR, logger="asyncio"):
                 for _ in range(30):
-                    srv = InferenceServer(
-                        scores_fn=_scores_fn, max_batch=4, max_queue=16
-                    )
+                    srv = InferenceServer(max_batch=4, max_queue=16)
+                    srv.register_model("default", scores_fn=_scores_fn)
                     handle = BackgroundServer(srv)
                     handle.start()
                     # debug mode also reports accepts cancelled in flight
@@ -1371,10 +1386,12 @@ class TestDisconnectsOverARealSocket:
             calls.append(X.shape[0])
             return X.sum(axis=1).astype(np.int64)
 
-        return InferenceServer(
-            batch_fn=labels_fn, max_batch=1000, max_wait_us=30e6,
-            max_queue=1000, max_total_queue=1000,
+        srv = InferenceServer(
+            max_batch=1000, max_wait_us=30e6, max_queue=1000,
+            max_total_queue=1000,
         )
+        srv.register_model("default", batch_fn=labels_fn)
+        return srv
 
     def test_reset_connection_discards_its_queued_requests(self):
         import socket
@@ -1421,9 +1438,8 @@ class TestDisconnectsOverARealSocket:
     def test_half_close_after_pipelining_gets_every_reply_before_the_fin(self):
         import socket
 
-        srv = InferenceServer(
-            scores_fn=_scores_fn, max_batch=8, max_wait_us=20_000, max_queue=256
-        )
+        srv = InferenceServer(max_batch=8, max_wait_us=20_000, max_queue=256)
+        srv.register_model("default", scores_fn=_scores_fn)
         rows = as_rng(22).integers(0, 2, size=(21, N_FEATURES)).astype(np.uint8)
         with BackgroundServer(srv) as handle:
             with socket.create_connection(handle.address, timeout=5) as sock:
@@ -1475,18 +1491,18 @@ class TestBackpressure:
                 writers.append(writer)
                 await super()._handle_connection(reader, writer)
 
-        srv = Recording(
-            scores_fn=lambda X: np.zeros((X.shape[0], n_classes)),
-            max_batch=64, max_wait_us=500, max_queue=256,
+        srv = Recording(max_batch=64, max_wait_us=500, max_queue=256)
+        entry = srv.register_model(
+            "default", scores_fn=lambda X: np.zeros((X.shape[0], n_classes))
         )
-        queue = srv.registry.resolve(None).queue
+        queue = entry.queue
         frame = _binary_frames(
             np.ones((1, N_FEATURES), dtype=np.uint8), return_scores=True
         )[0]
 
         def observe():
             taken = (
-                srv.stats.requests_completed + srv.stats.shed
+                entry.stats.requests_completed + entry.stats.shed
                 + queue.backlog_samples
             )
             return taken, writers[0].transport.get_write_buffer_size()
@@ -1526,11 +1542,8 @@ class TestRequestsAreRowsNotTasks:
         import asyncio
         import socket
 
-        srv = InferenceServer(
-            scores_fn=_scores_fn, max_batch=1024, max_wait_us=30e6,
-            max_queue=4096,
-        )
-        queue = srv.registry.resolve(None).queue
+        srv = InferenceServer(max_batch=1024, max_wait_us=30e6, max_queue=4096)
+        queue = srv.register_model("default", scores_fn=_scores_fn).queue
         rows = as_rng(23).integers(0, 2, size=(256, N_FEATURES)).astype(np.uint8)
 
         async def count_tasks():
@@ -1571,9 +1584,8 @@ class TestOneBadRequestFailsAlone:
                 raise ValueError(f"expected {N_FEATURES} features")
             return _scores_fn(X)
 
-        srv = InferenceServer(
-            scores_fn=strict, max_batch=64, max_wait_us=20_000, max_queue=256
-        )
+        srv = InferenceServer(max_batch=64, max_wait_us=20_000, max_queue=256)
+        srv.register_model("default", scores_fn=strict)
         good = as_rng(24).integers(0, 2, size=(3, N_FEATURES)).astype(np.uint8)
         wide = np.ones((1, N_FEATURES + 8), dtype=np.uint8)
         with BackgroundServer(srv) as handle:
@@ -1619,9 +1631,9 @@ class TestOneBadRequestFailsAlone:
             raise RuntimeError("weights fell out")
 
         srv = InferenceServer(
-            batch_fn=broken, max_batch=4, max_wait_us=20_000, max_queue=64,
-            max_total_queue=64,
+            max_batch=4, max_wait_us=20_000, max_queue=64, max_total_queue=64
         )
+        entry = srv.register_model("default", batch_fn=broken)
         rows = np.ones((3, N_FEATURES), dtype=np.uint8)
         with BackgroundServer(srv) as handle:
             with socket.create_connection(handle.address, timeout=5) as sock:
@@ -1636,10 +1648,9 @@ class TestOneBadRequestFailsAlone:
                 )
                 reply = recv_message(sock)
                 assert reply["error"]["type"] == "internal"
-            queue = srv.registry.resolve(None).queue
-            assert queue.backlog_samples == 0
+            assert entry.queue.backlog_samples == 0
             assert srv.registry.budget.outstanding == 0
-            assert srv.stats.errors == 4
+            assert entry.stats.errors == 4
 
 
 _HYGIENE_CHILD = """

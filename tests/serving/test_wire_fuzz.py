@@ -456,11 +456,11 @@ def test_a_batch_is_answered_with_the_bytes_of_its_per_frame_replies(data):
 
     scores_mode = data.draw(st.booleans())
     n_classes = data.draw(st.integers(1, 4))
+    server = InferenceServer()
     if scores_mode:
-        server = InferenceServer(scores_fn=lambda X: X)
+        model = server.register_model("default", scores_fn=lambda X: X)
     else:
-        server = InferenceServer(batch_fn=lambda X: X)
-    model = server.registry.resolve(None)
+        model = server.register_model("default", batch_fn=lambda X: X)
     finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
     async def main():
@@ -526,9 +526,8 @@ def _labels_fn(X):
 @pytest.fixture()
 def served(caplog):
     """A live server, and the guarantee that no connection handler died."""
-    srv = InferenceServer(
-        batch_fn=_labels_fn, max_batch=8, max_wait_us=500, max_queue=64
-    )
+    srv = InferenceServer(max_batch=8, max_wait_us=500, max_queue=64)
+    srv.register_model("default", batch_fn=_labels_fn)
     with caplog.at_level(logging.ERROR, logger="asyncio"):
         with BackgroundServer(srv) as handle:
             yield handle

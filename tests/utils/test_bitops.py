@@ -73,6 +73,14 @@ class TestEnumerateBinaryInputs:
         with pytest.raises(ValueError):
             enumerate_binary_inputs(30)
 
+    def test_one_read_only_array_per_width(self):
+        table = enumerate_binary_inputs(6)
+        assert enumerate_binary_inputs(6) is table
+        assert enumerate_binary_inputs(5) is not table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        np.testing.assert_array_equal(binary_to_index(table), np.arange(64))
+
 
 @settings(max_examples=50, deadline=None)
 @given(
