@@ -16,21 +16,23 @@ many replicated boxes behind one router.  The pieces, bottom-up:
     anything undecodable is a typed protocol error).  On top sit the shared
     typed-error mapping and :class:`~repro.serving.transport.FrameServer`:
     the dual-protocol asyncio listener with the explicit ``starting →
-    serving → draining → stopped`` lifecycle that both the backend server
-    and the cluster router subclass through a single dispatch hook — the
-    base encodes each wire-neutral result for the wire its request arrived
-    on.  ``docs/serving.md`` carries the wire formats.
+    serving → draining → stopped`` lifecycle, the shared control ops and
+    the HTTP listener, which the backend server and the cluster router
+    subclass with their predict, their own ops and their metrics text.
+    ``docs/serving.md`` carries the wire formats.
 
 ``metrics_http``
     :class:`~repro.serving.metrics_http.HttpMetricsListener` — a native
     HTTP listener for ``GET /metrics`` (Prometheus exposition) and
-    ``GET /healthz``, enabled with ``InferenceServer(http_port=...)``.
+    ``GET /healthz`` (200 while ``serving``, else 503), run by either
+    server given ``http_port=``.
 
 ``stats``
     :class:`~repro.serving.stats.ServerStats` — p50/p95/p99 latency,
     batch-occupancy histogram, queue depth high-water mark, shed counts —
     one per model, plus :func:`~repro.serving.stats.render_stats_text`,
-    the Prometheus-style scrape rendering behind the ``stats_text`` op.
+    the Prometheus-style scrape rendering behind the ``stats_text`` op
+    (:func:`~repro.serving.stats.render_exposition` writes it).
 
 ``queue``
     :class:`~repro.serving.queue.BatchingQueue` — the coalescing core.

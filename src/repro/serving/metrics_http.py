@@ -12,21 +12,24 @@ Routes:
 
 ``GET /metrics``
     The Prometheus exposition text (``text/plain; version=0.0.4``) from the
-    ``render`` callable — for :class:`~repro.serving.server.InferenceServer`
-    that is every hosted model's stats snapshot.
+    ``render`` callable — the owning server's ``render_metrics``: every
+    hosted model's stats snapshot on an
+    :class:`~repro.serving.server.InferenceServer`, the per-backend
+    counters on a :class:`~repro.serving.router.RouterServer`.
 
 ``GET /healthz``
     ``ok`` (200) while the owning server reports the ``serving`` state; any
     other state — ``draining`` above all — answers 503 with the state name
     as the body.  Load balancers and the cluster router key off exactly
     this flip to stop sending a draining box new work while its admitted
-    requests finish.  A listener built without a ``state`` callable always
-    answers 200 (a bare liveness probe).
+    requests finish.
 
 Anything else is ``404``; non-GET/HEAD methods are ``405``; a malformed
 request line is ``400``.  ``HEAD`` is honoured (headers only) since probes
-sometimes use it.  The reader is bounded (:data:`MAX_REQUEST_BYTES`) so a
-hostile peer cannot feed an unbounded header section.
+sometimes use it.  The reader is bounded (:data:`MAX_REQUEST_BYTES`, also
+the stream's line limit) so a hostile peer can feed neither an unbounded
+request line (it is hung up on) nor an unbounded header section (the rest
+is not read).
 """
 
 from __future__ import annotations
@@ -79,23 +82,22 @@ class HttpMetricsListener:
         Zero-argument callable returning the exposition text; called per
         scrape on the event loop (snapshotting is a few lock-guarded
         copies, cheap enough to stay inline).
+    state:
+        Zero-argument callable returning the owning server's lifecycle
+        state; ``/healthz`` answers 200 only while it returns
+        ``"serving"``, 503 otherwise.
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from the
         :meth:`start` return value).
-    state:
-        Optional zero-argument callable returning the owning server's
-        lifecycle state; ``/healthz`` answers 200 only while it returns
-        ``"serving"``, 503 otherwise.  ``None`` keeps the pre-lifecycle
-        behaviour: always 200.
     """
 
     def __init__(
         self,
         render: Callable[[], str],
+        state: Callable[[], str],
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        state: Optional[Callable[[], str]] = None,
     ) -> None:
         self._render = render
         self._state = state
@@ -107,7 +109,7 @@ class HttpMetricsListener:
         if self._server is not None:
             raise RuntimeError("HTTP listener already started")
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=MAX_REQUEST_BYTES
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
@@ -135,7 +137,7 @@ class HttpMetricsListener:
                 200, text, METRICS_CONTENT_TYPE, head_only=head_only
             )
         if path == "/healthz":
-            state = "serving" if self._state is None else self._state()
+            state = self._state()
             if state == "serving":
                 return _response(200, "ok\n", head_only=head_only)
             return _response(503, f"{state}\n", head_only=head_only)

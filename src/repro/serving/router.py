@@ -3,8 +3,10 @@
 :class:`RouterServer` is a :class:`~repro.serving.transport.FrameServer`
 like the backends it fronts — it speaks both wire protocols *unchanged*, so
 any existing :class:`~repro.serving.client.ServingClient` (JSON or binary)
-points at the router instead of a backend and notices nothing.  What it
-adds is the cluster layer the ROADMAP's many-boxes story needs:
+points at the router instead of a backend and notices nothing, and it
+answers ``ping``, ``stats_text``, ``drain`` and the optional ``http_port=``
+``/metrics`` + ``/healthz`` listener through the same base.  What it adds
+is the cluster layer the ROADMAP's many-boxes story needs:
 
 Placement
     A static map ``model name → [(host, port), ...]`` of which backend
@@ -60,17 +62,13 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.serving.metrics_http import HttpMetricsListener
-from repro.serving.queue import (
-    BadRequestError,
-    ServerOverloadedError,
-    ServerUnavailableError,
-)
+from repro.serving.queue import ServerOverloadedError, ServerUnavailableError
 from repro.serving.registry import ModelNotFoundError, ModelRegistry
 from repro.serving.retry import RetryPolicy
-from repro.serving.stats import _escape_label, _format_value
+from repro.serving.stats import render_exposition
 from repro.serving.transport import (
     BinaryRequest,
     FrameServer,
@@ -282,7 +280,9 @@ class RouterServer(FrameServer):
         rebalance_interval: Optional[float] = None,
         backlog: int = 512,
     ) -> None:
-        super().__init__(host=host, port=port, backlog=backlog)
+        super().__init__(
+            host=host, port=port, http_port=http_port, backlog=backlog
+        )
         if not placement:
             raise ValueError("placement must map at least one model")
         self._links: Dict[Endpoint, _BackendLink] = {}
@@ -307,10 +307,7 @@ class RouterServer(FrameServer):
         self._reinstate_after = max(1, int(reinstate_after))
         self._rebalance_interval = rebalance_interval
         self._rebalancer = Rebalancer(self)
-        self.http_port = http_port
-        self._http: Optional[HttpMetricsListener] = None
-        self._health_task: Optional[asyncio.Task] = None
-        self._rebalance_task: Optional[asyncio.Task] = None
+        self._loops: List[asyncio.Task] = []  # health and rebalance
         self._ids = itertools.count(1)
         # router-level counters (per-link ones live on the links)
         self.routed = 0
@@ -320,41 +317,19 @@ class RouterServer(FrameServer):
     # ------------------------------------------------------------ lifecycle
     async def _post_bind(self) -> None:
         if self._health_interval > 0:
-            self._health_task = asyncio.get_running_loop().create_task(
-                self._health_loop()
-            )
+            self._loops.append(asyncio.create_task(
+                self._every(self._health_interval, self.check_health_once)
+            ))
         if self._rebalance_interval is not None:
-            self._rebalance_task = asyncio.get_running_loop().create_task(
-                self._rebalance_loop()
-            )
-        if self.http_port is not None:
-            self._http = HttpMetricsListener(
-                self.render_metrics,
-                host=self.host,
-                port=self.http_port,
-                state=lambda: self.state,
-            )
-            try:
-                _, self.http_port = await self._http.start()
-            except BaseException:
-                self._http = None
-                raise  # FrameServer.start runs full stop() and re-raises
-
-    async def _pre_stop(self) -> None:
-        for task in (self._health_task, self._rebalance_task):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                    pass
-        self._health_task = None
-        self._rebalance_task = None
-        if self._http is not None:
-            await self._http.stop()
-            self._http = None
+            self._loops.append(asyncio.create_task(
+                self._every(self._rebalance_interval, self.rebalance_once)
+            ))
 
     async def _on_stop(self) -> None:
+        for task in self._loops:
+            task.cancel()
+        await asyncio.gather(*self._loops, return_exceptions=True)
+        self._loops.clear()
         for link in self._links.values():
             link.close()
 
@@ -428,44 +403,31 @@ class RouterServer(FrameServer):
         }
 
     def render_metrics(self) -> str:
-        """Router counters in Prometheus exposition format."""
-        lines: List[str] = []
+        """Router counters in Prometheus exposition format, one sample per
+        backend link."""
+        links = self.links()
 
-        def section(name: str, kind: str, rows) -> None:
-            lines.append(f"# TYPE repro_router_{name} {kind}")
-            for labels, value in rows:
-                lines.append(
-                    f"repro_router_{name}{{{labels}}} {_format_value(value)}"
-                )
+        def per_link(metric, kind, read):
+            return (
+                metric,
+                kind,
+                [((("backend", link.name),), read(link)) for link in links],
+            )
 
-        by_link = [
-            (f'backend="{_escape_label(link.name)}"', link)
-            for link in self._links.values()
-        ]
-        section(
-            "forwarded_total", "counter",
-            ((labels, link.forwarded) for labels, link in by_link),
+        return render_exposition(
+            "repro_router",
+            [
+                per_link("forwarded_total", "counter", attrgetter("forwarded")),
+                per_link("failures_total", "counter", attrgetter("failures")),
+                per_link("ejections_total", "counter", attrgetter("ejections")),
+                per_link("outstanding", "gauge", attrgetter("outstanding")),
+                per_link(
+                    "healthy",
+                    "gauge",
+                    lambda link: int(link.state == _BackendLink.HEALTHY),
+                ),
+            ],
         )
-        section(
-            "failures_total", "counter",
-            ((labels, link.failures) for labels, link in by_link),
-        )
-        section(
-            "ejections_total", "counter",
-            ((labels, link.ejections) for labels, link in by_link),
-        )
-        section(
-            "outstanding", "gauge",
-            ((labels, link.outstanding) for labels, link in by_link),
-        )
-        section(
-            "healthy", "gauge",
-            (
-                (labels, 1 if link.state == _BackendLink.HEALTHY else 0)
-                for labels, link in by_link
-            ),
-        )
-        return "\n".join(lines) + "\n"
 
     # -------------------------------------------------------------- routing
     def _next_id(self) -> int:
@@ -573,25 +535,11 @@ class RouterServer(FrameServer):
             )
 
     # ------------------------------------------------------------- dispatch
-    def _dispatch(self, request, reply_to):
-        """The :class:`FrameServer` hook: predicts of either wire are
-        forwarded, every other JSON-bodied op is answered here — both wait
-        on a backend or a lock, so both run as the base's tasks."""
-        if (
-            isinstance(request, BinaryRequest)
-            or request.get("op", "predict") == "predict"
-        ):
-            return self._forward(request)
-        return self._control(request)
+    _PING_FIELDS = {"role": "router"}
 
-    async def _control(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request["op"]
-        if op == "ping":
-            return {"ok": True, "state": self.state, "role": "router"}
+    def _control_op(self, op: Any, request: Dict[str, Any]) -> Dict[str, Any]:
         if op == "stats":
             return {"ok": True, "router": self.snapshot()}
-        if op == "stats_text":
-            return {"ok": True, "text": self.render_metrics()}
         if op == "list_models":
             models = []
             for model, replicas in self._placement.items():
@@ -609,15 +557,13 @@ class RouterServer(FrameServer):
                 "default": self._default_model,
                 "models": models,
             }
-        if op == "drain":
-            await self.drain()
-            return {"ok": True, "state": self.state}
-        raise BadRequestError(f"unknown op {op!r}")
+        return super()._control_op(op, request)
 
-    async def _forward(
-        self, request: Union[Dict[str, Any], BinaryRequest]
+    async def _predict(
+        self, request: Union[Dict[str, Any], BinaryRequest], reply_to: Any
     ) -> Union[Dict[str, Any], RawBinaryReply]:
-        """One predict, whichever wire carried it, to the best replica.
+        """One predict, whichever wire carried it, to the best replica; it
+        waits on a backend, so it runs as the base's task.
 
         The wire contributes only how the forwarded request is framed and
         what comes back: a binary reply stays a raw frame (the base splices
@@ -701,23 +647,13 @@ class RouterServer(FrameServer):
                 link.state = _BackendLink.HEALTHY
                 link.probe_successes = 0
 
-    async def _health_loop(self) -> None:
+    @staticmethod
+    async def _every(interval: float, run) -> None:
+        """Await ``run()`` every ``interval`` seconds until cancelled."""
         while True:
-            await asyncio.sleep(self._health_interval)
+            await asyncio.sleep(interval)
             try:
-                await self.check_health_once()
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - the loop must survive
-                pass
-
-    async def _rebalance_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self._rebalance_interval)
-            try:
-                await self.rebalance_once()
-            except asyncio.CancelledError:
-                raise
+                await run()
             except Exception:  # noqa: BLE001 - the loop must survive
                 pass
 

@@ -5,10 +5,10 @@
 and the zero-copy binary protocol (both in
 :mod:`repro.serving.transport`), discriminated by each frame's
 first byte, with binary predict requests feeding their packed words
-straight into the model's queue — plus an optional plain-HTTP listener
-(``http_port=``) serving ``GET /metrics`` and ``GET /healthz``
-(:mod:`repro.serving.metrics_http`), a
-:class:`~repro.serving.registry.ModelRegistry` mapping model names to
+straight into the model's queue (the listener, the shared control ops and
+the optional ``http_port=`` listener serving ``GET /metrics`` and ``GET
+/healthz`` are the :class:`~repro.serving.transport.FrameServer` base's) —
+plus a :class:`~repro.serving.registry.ModelRegistry` mapping model names to
 per-model :class:`~repro.serving.queue.BatchingQueue`\\ s (each coalescing
 its model's concurrent requests into joint packed evaluations, under its
 own ``max_batch``/``max_wait_us``/``max_queue`` policy), an optional
@@ -48,7 +48,6 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.serving.lifecycle import CanaryPolicy
-from repro.serving.metrics_http import HttpMetricsListener
 from repro.serving.queue import (
     AdmissionBudget,
     BadRequestError,
@@ -102,11 +101,12 @@ class InferenceServer(FrameServer):
     """Serve one or many batch-evaluable models over TCP with coalescing.
 
     The transport half — dual-protocol listener, pipelined per-connection
-    dispatch, corked writes, and the explicit ``starting → serving →
-    draining → stopped`` lifecycle with :meth:`~FrameServer.drain` — lives
-    in the :class:`~repro.serving.transport.FrameServer` base; this class
-    owns the *model* half: the registry, the queues, and the request
-    semantics of both protocols.  While draining, new predicts are rejected
+    dispatch, corked writes, the shared control ops, the HTTP listener and
+    the explicit ``starting → serving → draining → stopped`` lifecycle with
+    :meth:`~FrameServer.drain` — lives in the
+    :class:`~repro.serving.transport.FrameServer` base; this class owns the
+    *model* half: the registry, the queues, and the request semantics of
+    both protocols.  While draining, new predicts are rejected
     with the typed ``unavailable`` error (control ops keep answering so the
     drain can be observed) and ``/healthz`` answers 503.
 
@@ -166,10 +166,10 @@ class InferenceServer(FrameServer):
             max_wait_us=max_wait_us,
             max_queue=max_queue,
         )
-        super().__init__(host=host, port=port, backlog=backlog)
+        super().__init__(
+            host=host, port=port, http_port=http_port, backlog=backlog
+        )
         self._warm_up = warm_up
-        self.http_port = http_port
-        self._http: Optional[HttpMetricsListener] = None
 
     # ------------------------------------------------------- model hosting
     @property
@@ -268,14 +268,6 @@ class InferenceServer(FrameServer):
             await entry.queue.close()
             self._registry.retire_record(entry)
 
-    @property
-    def http_address(self) -> Optional[Tuple[str, int]]:
-        """The HTTP listener's bound ``(host, port)``; ``None`` when the
-        server was built without ``http_port`` or has not started yet."""
-        if self._http is None:
-            return None
-        return self._http.host, self._http.port
-
     def render_metrics(self) -> str:
         """Every hosted model's stats in Prometheus exposition format —
         the payload behind both ``GET /metrics`` and the ``stats_text``
@@ -308,61 +300,35 @@ class InferenceServer(FrameServer):
                 None, self._warm_up
             )
 
-    async def _post_bind(self) -> None:
-        if self.http_port is not None:
-            self._http = HttpMetricsListener(
-                self.render_metrics,
-                host=self.host,
-                port=self.http_port,
-                state=lambda: self.state,
-            )
-            try:
-                _, self.http_port = await self._http.start()
-            except BaseException:
-                self._http = None
-                raise  # FrameServer.start runs full stop() and re-raises
-
     async def _on_drain(self) -> None:
         # admissions already stopped (state is draining, the predict paths
         # reject); everything admitted before the flip completes here
         await self._registry.flush_all()
 
-    async def _pre_stop(self) -> None:
-        if self._http is not None:
-            await self._http.stop()
-            self._http = None
-
     async def _on_stop(self) -> None:
         await self._registry.close()
 
     # ------------------------------------------------------------- dispatch
-    def _dispatch(self, request, reply_to):
-        """The :class:`FrameServer` hook: a predict of either wire is
-        admitted on the spot by :meth:`_predict` — each wire contributes
-        only its decode — and every other JSON-bodied op runs as
-        :meth:`_control`'s task."""
-        if isinstance(request, BinaryRequest):
-            return self._predict(request, reply_to)
-        if request.get("op", "predict") == "predict":
-            return self._predict(JsonPredictRequest.decode(request), reply_to)
-        return self._control(request)
-
     def _predict(
         self,
-        request: Union[BinaryRequest, JsonPredictRequest],
+        request: Union[BinaryRequest, Dict[str, Any]],
         reply_to: Tuple[CorkedWriter, Any],
     ) -> None:
         """Admit one predict, whichever wire carried it, in the connection
         reader's stack frame: no task, no future — :meth:`_complete`
         answers it with the rest of its batch.
 
-        Either wire's packed words go into the model's queue (a JSON
-        request's rows are packed on that first read); failures are typed
+        Each wire contributes only its decode (a JSON request becomes a
+        :class:`JsonPredictRequest`); either wire's packed words go into the
+        model's queue (a JSON request's rows are packed on that first
+        read); failures are typed
         :class:`~repro.serving.queue.ServingError`\\ s the base encodes for
         the requester's wire.  Nothing between resolving the model and
         entering its queue can yield, which is what makes a promotion
         atomic between batches.
         """
+        if isinstance(request, dict):
+            request = JsonPredictRequest.decode(request)
         if self._state != self.SERVING:
             raise ServerUnavailableError(
                 f"this server is {self._state} and admits no new work"
@@ -430,8 +396,7 @@ class InferenceServer(FrameServer):
                 lambda tag: isinstance(tag, tuple) and tag[0] is connection
             )
 
-    async def _control(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request["op"]
+    def _control_op(self, op: Any, request: Dict[str, Any]) -> Dict[str, Any]:
         if op == "stats":
             entry = self._registry.resolve(model_field(request))
             return {
@@ -442,8 +407,6 @@ class InferenceServer(FrameServer):
                 "backlog_samples": entry.queue.backlog_samples,
                 "stats": entry.stats.snapshot(),
             }
-        if op == "stats_text":
-            return {"ok": True, "text": self.render_metrics()}
         if op == "list_models":
             return {
                 "ok": True,
@@ -453,11 +416,6 @@ class InferenceServer(FrameServer):
                     for name in self._registry.names
                 ],
             }
-        if op == "ping":
-            return {"ok": True, "state": self.state}
-        if op == "drain":
-            await self.drain()
-            return {"ok": True, "state": self.state}
         if op == "set_admission_weights":
             return self._handle_set_weights(request)
         if op in (
@@ -469,7 +427,7 @@ class InferenceServer(FrameServer):
             "lifecycle",
         ):
             return self._handle_lifecycle(op, request)
-        raise BadRequestError(f"unknown op {op!r}")
+        return super()._control_op(op, request)
 
     def _handle_lifecycle(
         self, op: str, request: Dict[str, Any]

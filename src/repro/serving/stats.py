@@ -45,7 +45,7 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-__all__ = ["ServerStats", "render_stats_text"]
+__all__ = ["ServerStats", "render_exposition", "render_stats_text"]
 
 
 class ServerStats:
@@ -237,6 +237,28 @@ def _format_value(value: float) -> str:
     return f"{value:.10g}"
 
 
+def render_exposition(prefix: str, sections) -> str:
+    """Prometheus exposition text of ``sections``, each a ``(metric, kind,
+    rows)`` triple: one ``# TYPE {prefix}_{metric} {kind}`` header, then a
+    ``{prefix}_{metric}{labels} value`` line per ``(labels, value)`` row,
+    ``labels`` being ``(name, value)`` pairs.  A section without rows writes
+    nothing, not even its header."""
+    lines = []
+    for metric, kind, rows in sections:
+        header = f"# TYPE {prefix}_{metric} {kind}"
+        for labels, value in rows:
+            if header:
+                lines.append(header)
+                header = None
+            label_text = ",".join(
+                f'{k}="{_escape_label(str(v))}"' for k, v in labels
+            )
+            lines.append(
+                f"{prefix}_{metric}{{{label_text}}} {_format_value(value)}"
+            )
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def render_stats_text(
     snapshots: Mapping[str, Mapping[str, object]],
     *,
@@ -275,97 +297,40 @@ def render_stats_text(
     counters (cumulative across shadow re-targets, so ``rate()`` math
     survives a candidate change).
 
-    This is the payload behind the wire protocol's ``stats_text`` op — a
-    scrape endpoint for operational tooling without adding an HTTP server
-    to the serving process (point a sidecar/agent at a one-shot client
-    call; see docs/serving.md).
+    This is the payload behind the ``stats_text`` op and ``GET /metrics``
+    (see docs/serving.md).
     """
-    lines = []
+
+    def per_model(metric: str, kind: str, values: Mapping[str, float]):
+        return metric, kind, [
+            ((("model", name),), float(values[name])) for name in sorted(values)
+        ]
+
     models = sorted(snapshots)
-
-    def section(metric: str, kind: str, rows) -> None:
-        emitted_header = False
-        for labels, value in rows:
-            if not emitted_header:
-                lines.append(f"# TYPE {prefix}_{metric} {kind}")
-                emitted_header = True
-            label_text = ",".join(
-                f'{k}="{_escape_label(str(v))}"' for k, v in labels
-            )
-            lines.append(
-                f"{prefix}_{metric}{{{label_text}}} {_format_value(value)}"
-            )
-
-    for key in _COUNTER_KEYS:
-        section(
-            key,
-            "counter",
-            (
-                ((("model", name),), float(snapshots[name].get(key, 0)))
-                for name in models
-            ),
-        )
-    for key in _GAUGE_KEYS:
-        section(
-            key,
-            "gauge",
-            (
-                ((("model", name),), float(snapshots[name].get(key, 0)))
-                for name in models
-            ),
-        )
-    section(
-        "latency_us",
-        "gauge",
-        (
-            (
-                (("model", name), ("quantile", f"{float(q[1:]) / 100:g}")),
-                float(value),
-            )
-            for name in models
-            for q, value in sorted(
-                snapshots[name].get("latency_us", {}).items()
-            )
-        ),
-    )
-    if backends:
-        section(
-            "model_backend",
-            "gauge",
-            (
-                ((("model", name), ("backend", str(backends[name]))), 1.0)
-                for name in sorted(backends)
-            ),
-        )
-    if threads:
-        section(
-            "model_threads",
-            "gauge",
-            (
-                ((("model", name),), float(threads[name]))
-                for name in sorted(threads)
-            ),
-        )
-    if versions:
-        section(
-            "model_version",
-            "gauge",
-            (
-                ((("model", name),), float(versions[name]))
-                for name in sorted(versions)
-            ),
-        )
-    if shadows:
-        for metric, key in (
-            ("shadow_requests", "requests"),
-            ("shadow_divergences", "divergences"),
-        ):
-            section(
-                metric,
-                "counter",
-                (
-                    ((("model", name),), float(shadows[name].get(key, 0)))
-                    for name in sorted(shadows)
-                ),
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
+    sections = [
+        per_model(key, kind, {m: snapshots[m].get(key, 0) for m in models})
+        for keys, kind in ((_COUNTER_KEYS, "counter"), (_GAUGE_KEYS, "gauge"))
+        for key in keys
+    ]
+    latencies = [
+        ((("model", name), ("quantile", f"{float(q[1:]) / 100:g}")), float(v))
+        for name in models
+        for q, v in sorted(snapshots[name].get("latency_us", {}).items())
+    ]
+    backend_info = [
+        ((("model", name), ("backend", str(backends[name]))), 1.0)
+        for name in sorted(backends or {})
+    ]
+    sections += [
+        ("latency_us", "gauge", latencies),
+        ("model_backend", "gauge", backend_info),
+        per_model("model_threads", "gauge", threads or {}),
+        per_model("model_version", "gauge", versions or {}),
+    ]
+    for metric, key in (
+        ("shadow_requests", "requests"),
+        ("shadow_divergences", "divergences"),
+    ):
+        counts = {name: s.get(key, 0) for name, s in (shadows or {}).items()}
+        sections.append(per_model(metric, "counter", counts))
+    return render_exposition(prefix, sections)

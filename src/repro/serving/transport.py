@@ -39,10 +39,9 @@ Layout:
   :class:`FrameServer`, the dual-protocol asyncio front end with the
   explicit ``starting → serving → draining → stopped`` lifecycle that
   :class:`~repro.serving.server.InferenceServer` and
-  :class:`~repro.serving.router.RouterServer` both subclass through one
-  ``_dispatch`` hook; the base decodes per chunk and encodes each
-  wire-neutral result — a whole batch's at once — for the wire its request
-  arrived on.
+  :class:`~repro.serving.router.RouterServer` both subclass with their
+  ``_predict``; the base encodes each wire-neutral result — a whole batch's
+  at once — for the wire its request arrived on.
 """
 
 from __future__ import annotations
@@ -71,6 +70,7 @@ from typing import (
 import numpy as np
 
 from repro.engine.bitpack import n_words
+from repro.serving.metrics_http import HttpMetricsListener
 from repro.serving.queue import (
     BadRequestError,
     ServerOverloadedError,
@@ -1124,19 +1124,17 @@ class FrameServer:
     """The dual-protocol asyncio listener with an explicit lifecycle.
 
     Subclasses (:class:`~repro.serving.server.InferenceServer`, the cluster
-    :class:`~repro.serving.router.RouterServer`) implement request
-    semantics through one hook, :meth:`_dispatch`, which takes a decoded
-    request of either wire and either admits it on the spot or returns an
-    awaitable of a wire-neutral result — while this base owns everything
-    transport-shaped: the listener, per-connection pipelined dispatch (every
-    frame a chunk completes, decoded and handed over in the reader's own
-    stack frame), encoding each result for the wire its request arrived on
-    (:func:`_encode_response` / :func:`answer_batch`: id echo, ``OP_ERROR``
-    vs error dict), corked writes, read-side backpressure, protocol
-    discrimination, and the connection teardown rules (an abortive
-    disconnect *abandons* that connection's unanswered requests, so their
-    queued work is discarded and their admission reservations released; a
-    clean EOF lets them finish).
+    :class:`~repro.serving.router.RouterServer`) implement what differs —
+    :meth:`_predict`, :meth:`_control_op` and :meth:`render_metrics` — and
+    this base owns the rest: the listener, per-connection pipelined
+    dispatch, the ``ping`` / ``stats_text`` / ``drain`` ops, encoding each
+    result for the wire its request arrived on (:func:`_encode_response` /
+    :func:`answer_batch`), corked writes, read-side backpressure, the
+    connection teardown rules (an abortive disconnect *abandons* that
+    connection's unanswered requests, discarding their queued work and
+    releasing their admission reservations; a clean EOF lets them finish),
+    and the ``http_port=`` listener serving ``GET /metrics`` and ``GET
+    /healthz``.
 
     Lifecycle states::
 
@@ -1147,9 +1145,9 @@ class FrameServer:
     control ops keep answering (so orchestration can watch the drain), but
     admissions stop — subclasses reject new predicts with the typed
     ``unavailable`` error — and :meth:`_on_drain` flushes whatever is
-    already admitted.  ``/healthz`` (when a subclass serves HTTP) flips to
-    503 the moment the state leaves ``serving``, which is what load
-    balancers and the cluster router key off.
+    already admitted.  ``/healthz`` flips to 503 the moment the state
+    leaves ``serving``, which is what load balancers and the cluster router
+    key off.
     """
 
     STARTING = "starting"
@@ -1162,12 +1160,15 @@ class FrameServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
+        http_port: Optional[int] = None,
         backlog: int = 512,
     ) -> None:
         self.host = host
         self.port = port
+        self.http_port = http_port
         self._backlog = backlog
         self._server: Optional[asyncio.base_events.Server] = None
+        self._http: Optional[HttpMetricsListener] = None
         self._connections: set = set()
         self._state = self.STARTING
 
@@ -1177,9 +1178,18 @@ class FrameServer:
         """One of ``starting`` / ``serving`` / ``draining`` / ``stopped``."""
         return self._state
 
+    @property
+    def http_address(self) -> Optional[Tuple[str, int]]:
+        """The HTTP listener's bound ``(host, port)``; ``None`` when the
+        server was built without ``http_port`` or is not running."""
+        if self._http is None:
+            return None
+        return self._http.host, self._http.port
+
     async def start(self) -> Tuple[str, int]:
-        """Bind the listener (running :meth:`_on_start` first); returns the
-        bound address and flips the state to ``serving``."""
+        """Bind the listener (running :meth:`_on_start` first), then any
+        HTTP listener; returns the bound address and flips the state to
+        ``serving``."""
         if self._server is not None:
             raise RuntimeError("server already started")
         await self._on_start()
@@ -1193,6 +1203,14 @@ class FrameServer:
         self._state = self.SERVING
         try:
             await self._post_bind()
+            if self.http_port is not None:
+                self._http = HttpMetricsListener(
+                    self.render_metrics,
+                    lambda: self._state,
+                    host=self.host,
+                    port=self.http_port,
+                )
+                _, self.http_port = await self._http.start()
         except BaseException:
             await self.stop()
             raise
@@ -1221,7 +1239,9 @@ class FrameServer:
 
     async def stop(self) -> None:
         """Stop accepting, hang up open connections, release resources."""
-        await self._pre_stop()
+        if self._http is not None:
+            await self._http.stop()
+            self._http = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -1240,43 +1260,74 @@ class FrameServer:
         """Runs before the listener binds (warm-up work)."""
 
     async def _post_bind(self) -> None:
-        """Runs after the listener binds (e.g. start an HTTP sidecar
-        listener); raising here triggers a full :meth:`stop`."""
+        """Runs after the listener binds (e.g. start background loops);
+        raising here, or in the HTTP bind, triggers a full :meth:`stop`."""
 
     async def _on_drain(self) -> None:
         """Flush everything admitted before the state flipped."""
 
-    async def _pre_stop(self) -> None:
-        """Runs first in :meth:`stop` (e.g. stop sidecar listeners)."""
-
     async def _on_stop(self) -> None:
         """Runs last in :meth:`stop` (e.g. close queues and registries)."""
 
-    def _dispatch(
+    def render_metrics(self) -> str:
+        """The Prometheus exposition text behind ``GET /metrics`` and the
+        ``stats_text`` op."""
+        raise NotImplementedError
+
+    def _predict(
         self,
         request: Union[Dict[str, Any], BinaryRequest],
         reply_to: Tuple[CorkedWriter, Any],
     ) -> Optional[Awaitable[Any]]:
-        """The one request hook, called in the connection reader's own stack
+        """Take one predict, called in the connection reader's own stack
         frame.
 
         ``request`` is a :class:`BinaryRequest` (OP_PREDICT) or the ``dict``
-        of a JSON-bodied op, whether a JSON frame or OP_CONTROL carried it;
-        ``reply_to`` is ``(connection, frame)``, the frame as
-        :func:`read_frame` returned it.  Two ways to take a request:
+        of a JSON ``predict`` op; ``reply_to`` is ``(connection, frame)``,
+        the frame as :func:`read_frame` returned it.  Two ways to take it:
 
         * *admit* it and return ``None`` — no task is made for it, and the
           subclass owes ``connection`` exactly one :meth:`CorkedWriter.reply`
           (:func:`answer_batch` pays a whole batch of them);
         * return an awaitable of its wire-neutral result — a response
           ``dict``, a backend's :class:`RawBinaryReply` to forward — which
-          the base runs as a task and encodes for the frame's wire.  Control
-          ops and anything else that genuinely waits go this way.
+          the base runs as a task and encodes for the frame's wire.
 
         A raised :class:`~repro.serving.queue.ServingError` (here, or out of
         the awaitable) is the typed failure.
         """
         raise NotImplementedError
+
+    def _control_op(self, op: Any, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer a control op the base does not (``stats``, ...)."""
+        raise BadRequestError(f"unknown op {op!r}")
+
+    #: extra fields of the ``ping`` reply, after ``ok`` and ``state``
+    _PING_FIELDS: Dict[str, Any] = {}
+
+    def _dispatch(self, request, reply_to):
+        """Route one decoded request: a binary frame or a JSON ``predict``
+        goes to :meth:`_predict`; every other JSON-bodied op (a JSON frame
+        or OP_CONTROL carried it) runs as :meth:`_control`'s task."""
+        if (
+            isinstance(request, BinaryRequest)
+            or request.get("op", "predict") == "predict"
+        ):
+            return self._predict(request, reply_to)
+        return self._control(request)
+
+    async def _control(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """The control ops every server answers alike; the rest go to
+        :meth:`_control_op`."""
+        op = request["op"]
+        if op == "ping":
+            return {"ok": True, "state": self._state, **self._PING_FIELDS}
+        if op == "stats_text":
+            return {"ok": True, "text": self.render_metrics()}
+        if op == "drain":
+            await self.drain()
+            return {"ok": True, "state": self._state}
+        return self._control_op(op, request)
 
     def _abandon(self, connection: CorkedWriter) -> None:
         """``connection`` is gone with admitted requests unanswered: drop

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine import pack_bits
-from repro.serving import InferenceServer
+from repro.serving import InferenceServer, RouterServer
 from repro.serving.transport import decode_reply, encode_predict_request
 from repro.serving.transport import read_message, write_message
 from repro.serving.transport import read_reply_frame
@@ -229,17 +229,28 @@ class TestHealthz:
         head, _, body = raw.partition(b"\r\n\r\n")
         return int(head.split()[1]), body
 
-    def test_healthz_follows_the_state(self):
+    @pytest.mark.parametrize("role", ["inference", "router"])
+    def test_healthz_follows_the_state(self, role):
         async def drive():
-            srv = _server(http_port=0)
-            await srv.start()
+            backend = _server(http_port=0 if role == "inference" else None)
+            await backend.start()
+            srv = backend
+            if role == "router":
+                srv = RouterServer(
+                    {"m": [(backend.host, backend.port)]},
+                    http_port=0,
+                    health_interval=0,
+                )
+                await srv.start()
             try:
                 before = await self._healthz(srv.http_address)
                 await srv.drain()
                 after = await self._healthz(srv.http_address)
                 return before, after
             finally:
-                await srv.stop()
+                if srv is not backend:
+                    await srv.stop()
+                await backend.stop()
 
         before, after = asyncio.run(drive())
         assert before == (200, b"ok\n")

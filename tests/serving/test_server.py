@@ -6,7 +6,10 @@ wire protocol's ``model`` field, unknown names failing with the typed
 ``model_not_found`` error, and per-model stats.
 """
 
+import contextlib
+import gc
 import os
+import sys
 import threading
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.serving import (
     BadRequestError,
     InferenceServer,
     ModelNotFoundError,
+    RouterServer,
     ServerOverloadedError,
     ServingClient,
     ServingError,
@@ -1231,90 +1235,153 @@ class TestNonFiniteScores:
         np.testing.assert_array_equal(scores[:, 1], np.ones(3))
 
 
-class TestHttpMetrics:
-    @pytest.fixture()
-    def http_server(self):
-        srv = InferenceServer(
-            max_batch=16, max_wait_us=1_000, max_queue=256, http_port=0
+@contextlib.contextmanager
+def _nothing_unraisable():
+    """Fail if anything is finalised with an error inside the block or by
+    the collection at its end — under ``error::ResourceWarning`` that
+    includes every socket nobody closed."""
+    unraisable = []
+    previous_hook = sys.unraisablehook
+    sys.unraisablehook = unraisable.append
+    try:
+        yield
+        gc.collect()
+    finally:
+        sys.unraisablehook = previous_hook
+    assert not unraisable, [str(u.exc_value) for u in unraisable[:3]]
+
+
+@contextlib.contextmanager
+def _http_server(kind):
+    """``(server, handle)``: an ``InferenceServer`` or a ``RouterServer`` in
+    front of one, running with ``http_port=0``."""
+    router = kind == "router"
+    backend = InferenceServer(
+        max_batch=16,
+        max_wait_us=1_000,
+        max_queue=256,
+        http_port=None if router else 0,
+    )
+    backend.register_model("default", scores_fn=_scores_fn)
+    with BackgroundServer(backend) as backend_handle:
+        if not router:
+            yield backend, backend_handle
+            return
+        srv = RouterServer(
+            {"default": [backend_handle.address]},
+            http_port=0,
+            health_interval=0,
         )
-        srv.register_model("default", scores_fn=_scores_fn)
         with BackgroundServer(srv) as handle:
             yield srv, handle
 
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+class TestHttpMetrics:
+    """``http_port=`` on either server: the same listener, fed by its
+    ``render_metrics`` and its state."""
+
+    @pytest.fixture(autouse=True)
+    def _closes_every_socket(self):
+        with _nothing_unraisable():
+            yield
+
+    @pytest.fixture(params=["inference", "router"])
+    def http_server(self, request):
+        with _http_server(request.param) as served:
+            yield served
+
     @staticmethod
-    def _get(address, path):
+    def _http(address, path, method="GET"):
+        """``(status, content type, body)`` of one request, error statuses
+        included; every response is closed."""
+        import urllib.error
         import urllib.request
 
         host, port = address
-        return urllib.request.urlopen(
-            f"http://{host}:{port}{path}", timeout=5
+        request = urllib.request.Request(
+            f"http://{host}:{port}{path}",
+            data=b"x" if method == "POST" else None,
+            method=method,
         )
+        try:
+            with urllib.request.urlopen(request, timeout=5) as response:
+                return (
+                    response.status,
+                    response.headers["Content-Type"],
+                    response.read(),
+                )
+        except urllib.error.HTTPError as error:
+            with error:
+                return error.code, error.headers["Content-Type"], error.read()
 
     def test_metrics_over_plain_http(self, http_server):
         srv, handle = http_server
         with ServingClient(*handle.address) as client:
             client.predict(np.ones((5, N_FEATURES), dtype=np.uint8))
-        with self._get(srv.http_address, "/metrics") as response:
-            assert response.status == 200
-            assert response.headers["Content-Type"].startswith(
-                "text/plain; version=0.0.4"
-            )
-            body = response.read().decode("utf-8")
-        assert "repro_serving_requests_completed" in body
-        assert 'model="default"' in body
-        # the wire op and the HTTP endpoint render the same exposition
-        with ServingClient(*handle.address) as client:
-            assert "repro_serving_requests_completed" in client.stats_text()
+            status, content_type, body = self._http(srv.http_address, "/metrics")
+            # the wire op and the HTTP endpoint render the same exposition
+            assert body.decode("utf-8") == client.stats_text()
+        assert status == 200
+        assert content_type.startswith("text/plain; version=0.0.4")
+        if isinstance(srv, InferenceServer):
+            assert b"repro_serving_requests_completed" in body
+            assert b'model="default"' in body
+
+    def test_router_exposition_is_pinned(self):
+        with _http_server("router") as (srv, handle):
+            with ServingClient(*handle.address) as client:
+                client.predict(np.ones((5, N_FEATURES), dtype=np.uint8))
+                text = client.stats_text()
+            http_body = self._http(srv.http_address, "/metrics")[2]
+            backend = "{}:{}".format(*srv.links()[0].endpoint)
+        assert text == (
+            "# TYPE repro_router_forwarded_total counter\n"
+            f'repro_router_forwarded_total{{backend="{backend}"}} 1\n'
+            "# TYPE repro_router_failures_total counter\n"
+            f'repro_router_failures_total{{backend="{backend}"}} 0\n'
+            "# TYPE repro_router_ejections_total counter\n"
+            f'repro_router_ejections_total{{backend="{backend}"}} 0\n'
+            "# TYPE repro_router_outstanding gauge\n"
+            f'repro_router_outstanding{{backend="{backend}"}} 0\n'
+            "# TYPE repro_router_healthy gauge\n"
+            f'repro_router_healthy{{backend="{backend}"}} 1\n'
+        )
+        assert http_body == text.encode()
 
     def test_healthz(self, http_server):
         srv, _ = http_server
-        with self._get(srv.http_address, "/healthz") as response:
-            assert response.status == 200
-            assert response.read() == b"ok\n"
+        status, _, body = self._http(srv.http_address, "/healthz")
+        assert status == 200
+        assert body == b"ok\n"
 
     def test_unknown_path_is_404(self, http_server):
-        import urllib.error
-
         srv, _ = http_server
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(srv.http_address, "/nope")
-        assert excinfo.value.code == 404
+        assert self._http(srv.http_address, "/nope")[0] == 404
 
     def test_post_is_405(self, http_server):
-        import urllib.error
-        import urllib.request
-
         srv, _ = http_server
-        host, port = srv.http_address
-        request = urllib.request.Request(
-            f"http://{host}:{port}/metrics", data=b"x", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5)
-        assert excinfo.value.code == 405
+        assert self._http(srv.http_address, "/metrics", method="POST")[0] == 405
 
     def test_http_address_none_without_http_port(self):
         srv = InferenceServer(max_batch=4, max_wait_us=500, max_queue=16)
         srv.register_model("default", scores_fn=_scores_fn)
         assert srv.http_address is None
+        assert RouterServer({"default": [("127.0.0.1", 1)]}).http_address is None
 
 
 class TestTeardownLeavesNoTaskBehind:
+    @pytest.mark.filterwarnings("error::ResourceWarning")
     def test_stop_with_connections_the_server_never_served(self, caplog):
         """30 x (start, 20 bare connects, immediate stop): connections
         accepted in the listener's last moment used to be destroyed pending
         with the loop — "Task was destroyed but it is pending!", then
         "Event loop is closed" out of the orphaned handler's ``finally`` —
         the last run-to-run difference in tier-1's output."""
-        import gc
         import logging
         import socket
-        import sys
 
-        unraisable = []
-        previous_hook = sys.unraisablehook
-        sys.unraisablehook = unraisable.append
-        try:
+        with _nothing_unraisable():
             with caplog.at_level(logging.ERROR, logger="asyncio"):
                 for _ in range(30):
                     srv = InferenceServer(max_batch=4, max_queue=16)
@@ -1332,12 +1399,8 @@ class TestTeardownLeavesNoTaskBehind:
                     handle.stop()
                     for sock in socks:
                         sock.close()
-                gc.collect()
-        finally:
-            sys.unraisablehook = previous_hook
         logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
         assert not logged, logged[:3]
-        assert not unraisable, [str(u.exc_value) for u in unraisable[:3]]
 
 
 # ------------------------------------------------ the batch-shaped request path
