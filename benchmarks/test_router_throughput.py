@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import os
 import signal
 import socket
@@ -56,6 +57,9 @@ MODEL_SPEC = f"popcount:{N_FEATURES}:{N_CLASSES}:{SLEEP_MS}"
 
 _SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
+# a pipe or socket nobody closed fails the module (see _nothing_unraisable)
+pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
+
 
 def _expected(rows: np.ndarray) -> np.ndarray:
     return rows.astype(np.int64).sum(axis=1) % N_CLASSES
@@ -83,6 +87,8 @@ def _spawn(role_args):
     line = banner.get("line", "")
     if not line.startswith("SERVING "):
         proc.kill()
+        reader.join(timeout=10)  # the pipe ends with the process
+        _stop(proc)
         raise RuntimeError(f"standalone process never came up (got {line!r})")
     _, host, port, _http = line.split()
     return proc, (host, int(port))
@@ -96,6 +102,7 @@ def _stop(proc):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(timeout=10)
+    proc.stdout.close()
 
 
 @contextlib.contextmanager
@@ -126,10 +133,28 @@ def spawn_cluster():
             _stop(proc)
 
 
+@contextlib.contextmanager
+def _nothing_unraisable():
+    """Fail if anything is finalised with an error inside the block or by
+    the collection at its end — under ``error::ResourceWarning`` that
+    includes every pipe nobody closed."""
+    unraisable = []
+    previous_hook = sys.unraisablehook
+    sys.unraisablehook = unraisable.append
+    try:
+        yield
+        gc.collect()
+    finally:
+        sys.unraisablehook = previous_hook
+    assert not unraisable, [str(u.exc_value) for u in unraisable[:3]]
+
+
 @pytest.fixture(scope="module")
 def cluster():
-    with spawn_cluster() as processes:
-        yield processes
+    with _nothing_unraisable():
+        with spawn_cluster() as processes:
+            yield processes
+        processes.clear()  # the last references to the Popen objects
 
 
 def make_workload(seed=11):

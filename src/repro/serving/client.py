@@ -60,7 +60,6 @@ from repro.serving.queue import BadRequestError, ServerOverloadedError
 from repro.serving.retry import RetryPolicy
 from repro.serving.transport import (
     ProtocolError,
-    WIRE_ERROR_TYPES,
     encode_control_request,
     encode_message,
     encode_predict_request,
@@ -71,10 +70,6 @@ from repro.serving.transport import (
 )
 
 __all__ = ["ServingClient", "StaleConnectionError"]
-
-#: kept as a module name for back-compat; the table itself lives in
-#: :mod:`repro.serving.transport`, shared by both protocols and the router
-_ERROR_TYPES = WIRE_ERROR_TYPES
 
 
 class StaleConnectionError(ConnectionError):

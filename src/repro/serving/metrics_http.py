@@ -26,10 +26,12 @@ Routes:
 
 Anything else is ``404``; non-GET/HEAD methods are ``405``; a malformed
 request line is ``400``.  ``HEAD`` is honoured (headers only) since probes
-sometimes use it.  The reader is bounded (:data:`MAX_REQUEST_BYTES`, also
-the stream's line limit) so a hostile peer can feed neither an unbounded
-request line (it is hung up on) nor an unbounded header section (the rest
-is not read).
+sometimes use it.  The reader is bounded in size (:data:`MAX_REQUEST_BYTES`,
+also the stream's line limit) so a hostile peer can feed neither an
+unbounded request line (it is hung up on) nor an unbounded header section
+(the rest is not read), and in time (:data:`REQUEST_DEADLINE_S`): a peer
+that has not sent its request line and headers by then is hung up on, so
+an idle or dribbling connection pins no socket and no handler task.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Optional, Tuple
 
-__all__ = ["HttpMetricsListener", "MAX_REQUEST_BYTES"]
+__all__ = ["HttpMetricsListener", "MAX_REQUEST_BYTES", "REQUEST_DEADLINE_S"]
 
 #: Upper bound on one request's line + header section.
 MAX_REQUEST_BYTES = 16 * 1024
+#: Seconds a peer has, from its connect, to send its request line and
+#: headers.
+REQUEST_DEADLINE_S = 10.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -145,45 +150,47 @@ class HttpMetricsListener:
             404, "try /metrics or /healthz\n", head_only=head_only
         )
 
+    async def _read_request(self, reader: asyncio.StreamReader) -> bytes:
+        """Read one request — its line, then its (bounded) header section,
+        which the routes need none of — and return the response; an empty
+        one hangs up (the peer closed or flooded before a request line)."""
+        try:
+            request_line = await reader.readuntil(b"\r\n")
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            return b""
+        parts = request_line.decode("ascii", errors="replace").split()
+        if len(parts) < 2:
+            return _response(400, "malformed request line\n")
+        consumed = len(request_line)
+        while True:
+            try:
+                line = await reader.readuntil(b"\r\n")
+            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+                break
+            consumed += len(line)
+            if line == b"\r\n" or consumed > MAX_REQUEST_BYTES:
+                break
+        method = parts[0].upper()
+        return self._respond_to(method, parts[1], method == "HEAD")
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
             try:
-                request_line = await reader.readuntil(b"\r\n")
-            except (
-                asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError,
-            ):
-                return  # peer hung up or flooded before a request line
-            parts = request_line.decode("ascii", errors="replace").split()
-            if len(parts) < 2:
-                writer.write(_response(400, "malformed request line\n"))
-                return
-            method, path = parts[0].upper(), parts[1]
-            # drain the (bounded) header section; the routes need none of it
-            consumed = len(request_line)
-            while True:
-                try:
-                    line = await reader.readuntil(b"\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                ):
-                    break
-                consumed += len(line)
-                if line == b"\r\n" or consumed > MAX_REQUEST_BYTES:
-                    break
-            writer.write(self._respond_to(method, path, method == "HEAD"))
-            await writer.drain()
+                response = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_DEADLINE_S
+                )
+            except asyncio.TimeoutError:
+                return  # the request did not arrive in time: hang up
+            if response:
+                writer.write(response)
+                await writer.drain()
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-            ):  # pragma: no cover
+            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass

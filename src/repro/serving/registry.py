@@ -12,17 +12,22 @@ family name as their budget key), so one hot tenant cannot starve the box.
 Live lifecycle
 ==============
 
-``register(name, version=...)`` adds a *standby* version to an existing
-family (the first registration of a name creates the family with that
-version serving).  :meth:`promote` flips the serving pointer **atomically
-between batches**: the flip is a synchronous pointer swap on the event
-loop, and the server's predict path has no await point between resolving
-the serving record and entering the queue's admission — so every request
-either fully admitted to the old version (and completes there) or resolves
-the new one.  The displaced version drains (its queue closes, completing
-everything admitted) and then *retires*: the engine the registration owns
-is closed, its ``on_retire`` callback runs, and the version leaves the
-chain.
+A version has one way in and one way out.  :meth:`register` (the server's
+``register_model``) is the way in: a ``model=`` gets an engine of its own
+here; the first registration of a name creates the family with that
+version serving, ``register(name, version=...)`` adds a *standby*.
+:meth:`_retire` is the way out, awaited by every exit — a promotion's
+displaced version, :meth:`unregister_version`, a canary rollback,
+:meth:`unregister` (the server's ``unregister_model``) and :meth:`close`
+(server stop): the version stops resolving (``draining``), its queue
+closes, completing everything admitted, its engine is closed and its
+``on_retire`` callback runs, each exactly once, and it leaves the chain.
+
+:meth:`promote` flips the serving pointer **atomically between batches**:
+the flip is a synchronous pointer swap on the event loop, and the server's
+predict path has no await point between resolving the serving record and
+entering the queue's admission — so every request either fully admitted
+to the old version (and completes there) or resolves the new one.
 
 :meth:`set_shadow` mirrors a sampled fraction of a family's traffic to a
 standby candidate *after* the primary reply is on the wire (no client
@@ -33,6 +38,11 @@ turns that evidence into an automatic verdict under a
 candidate, roll back (shadow cleared, candidate retired, primary
 untouched) on a divergent one.  Every transition is recorded in the
 family's :class:`~repro.serving.lifecycle.LifecycleLog`.
+
+Registration needs no loop.  Every other mutator runs on the server's
+event loop, where it starts its drain as a task (with no loop running,
+asyncio's ``RuntimeError``); blocking code goes through
+:meth:`~repro.serving.server.BackgroundServer.run`.
 
 Resolution
 ==========
@@ -53,7 +63,8 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -121,6 +132,8 @@ class RegisteredModel:
     #: runs exactly once when this version retires (drained and removed),
     #: after the engine is closed; exceptions are logged, never raised.
     on_retire: Optional[Callable[[], Any]] = None
+    #: the one :meth:`ModelRegistry._retire` task, once the version drains
+    retirement: Optional[asyncio.Task] = field(default=None, init=False)
 
     @property
     def backend(self) -> str:
@@ -196,11 +209,9 @@ class ModelRegistry:
         :mod:`repro.serving.queue`).
 
     The first registered family becomes the default; ``default=True`` on a
-    later :meth:`register` re-points it.  All lifecycle mutators are meant
-    to run on the server's event loop (they are synchronous pointer flips
-    plus scheduled drain tasks); off-loop callers — registration before
-    ``start()``, direct test drivers — work too, with drain work deferred
-    to the next ``flush_all``/``close``.
+    later :meth:`register` re-points it.  Every mutator but
+    :meth:`register` runs on the server's event loop (see the module
+    docstring).
     """
 
     def __init__(
@@ -220,7 +231,6 @@ class ModelRegistry:
         self._families: Dict[str, _ModelFamily] = {}
         self._default_name: Optional[str] = None
         self._tasks: set = set()
-        self._deferred: List = []
         #: shadow sampling RNG — swap in a seeded one for deterministic tests
         self._rng = random.Random()
 
@@ -232,99 +242,154 @@ class ModelRegistry:
         *,
         scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         packed_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+        model: Any = None,
         max_batch: Optional[int] = None,
         max_wait_us: Optional[float] = None,
         max_queue: Optional[int] = None,
         default: bool = False,
-        engine: Optional[Any] = None,
         backend: Optional[str] = None,
         version: Optional[int] = None,
         on_retire: Optional[Callable[[], Any]] = None,
     ) -> RegisteredModel:
-        """Host a model version behind its own queue; returns the record.
+        """Host a model under ``name``, with its own queue and knobs; the
+        returned record carries its ``stats`` collector.
 
-        Exactly one of ``batch_fn`` (labels) and ``scores_fn`` (per-class
-        decision scores, labels by argmax) must be given.  ``packed_fn``
-        optionally adds the binary protocol's zero-copy path.  The first
-        registration of ``name`` creates the family with this version
-        (default 1) serving; registering an existing name **requires an
-        explicit new** ``version=`` and adds it as a *standby* — traffic
-        only moves on :meth:`promote` / :meth:`promote_canary`.  Standby
-        versions must match the family's scores mode (shadow comparison
-        would be meaningless otherwise) and share the family's
-        :class:`~repro.serving.stats.ServerStats` — shared stats keep the
-        family's counters monotonic across flips.
-        ``engine`` is the engine the functions evaluate on: the version
-        owns it, advertises its ``backend``/``threads``/``unroll`` and
-        closes it on retire; without one, ``backend`` is a descriptive
-        label (default ``"numpy"``).  While its engine reports ``on_loop``
-        (a single-thread native engine whose build has landed) a version
-        evaluates its batches on the event loop, and so ignores
-        ``max_wait_us``; otherwise, and for every explicit function, on its
-        queue's executor thread (see :mod:`repro.serving.queue`).  The
-        queue asks the engine at each flush, so a native build landing
-        moves it onto the loop; ``list_models`` reports ``backend`` and
-        ``on_loop`` as they are now.  ``on_retire`` runs once
-        when the version drains out.  Per-model knobs fall back to the
-        registry defaults.
+        Give either evaluation functions — ``batch_fn`` (``(n, F) -> (n,)``
+        labels) or ``scores_fn`` (``(n, F) -> (n, n_classes)`` decision
+        scores, labels by ``argmax``), plus optionally the binary
+        protocol's zero-copy ``packed_fn`` (``(packed_words, n_samples) ->
+        array`` with the same output); each must be callable — or
+        ``model=``, an object with ``compiled_netlist()`` such as
+        :class:`~repro.core.poetbin.PoETBiNClassifier`, served from its
+        engine's ``run_scores`` through its ``decision_scores_batch`` and
+        ``decision_scores_packed_batch`` (any other object raises
+        :class:`TypeError`).  With ``model=``, the engine is resolved
+        *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
+        generated C, ``"native-mt"`` for the same build threaded up to the
+        core count, ``"auto"`` for native-if-toolchain), and the engine is
+        this version's own, in this process.  This call runs the passes
+        and the code generation; a native engine's C compiler runs on a
+        thread of its own, and until it lands the NumPy program answers
+        (see :meth:`~repro.engine.native.NativeCompiledNetlist.attach`).
+        The version owns the engine: ``list_models``,
+        ``repro_serving_model_backend`` and ``repro_serving_model_threads``
+        report what it runs with now, and it is closed exactly once — when
+        the version retires, or here if the registration is refused.
+        While the engine reports ``on_loop`` (a single-thread ``"native"``
+        one whose build has landed) batches evaluate on the event loop,
+        flushing a partial batch at the end of the next loop pass rather
+        than after ``max_wait_us``; before that, for every other engine,
+        and for every explicit function, on the queue's executor thread,
+        under the wait budget (see :mod:`repro.serving.queue`;
+        ``list_models`` reports which as ``on_loop``).  An explicit
+        function may close over any engine, a pool-bound
+        ``ShardedEngine`` included; ``backend`` is then a descriptive
+        label only (default ``"numpy"``).  Knobs left ``None`` inherit the
+        registry defaults.  Safe while serving: requests naming ``name``
+        route to the new queue from the next dispatch.
+
+        The first registration of ``name`` creates the family with this
+        version (default 1) serving; registering an existing name
+        **requires an explicit new** ``version=`` and adds it as a
+        *standby* — traffic only moves on :meth:`promote` /
+        :meth:`promote_canary`.  Standby versions must match the family's
+        scores mode (shadow comparison would be meaningless otherwise) and
+        share the family's :class:`~repro.serving.stats.ServerStats` —
+        shared stats keep the family's counters monotonic across flips.
+        ``on_retire`` runs once when the version retires (see
+        :meth:`_retire`), after its engine is closed.
         """
-        if not isinstance(name, str) or not name:
-            raise ValueError("model name must be a non-empty string")
-        if "@" in name:
-            raise ValueError(
-                "model names must not contain '@' (reserved for "
-                "name@version pinning); pass version= instead"
-            )
-        family = self._families.get(name)
-        if family is not None and version is None:
-            raise ValueError(
-                f"model {name!r} is already registered; pass version= to "
-                "add a candidate version"
-            )
-        if (batch_fn is None) == (scores_fn is None):
-            raise ValueError("provide exactly one of batch_fn and scores_fn")
-        if engine is not None:
-            backend = engine.backend
-        elif backend is None:
-            backend = "numpy"
-        elif backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {ENGINE_BACKENDS}"
-            )
-        scores_mode = scores_fn is not None
-        version = 1 if version is None else int(version)
-        if version < 1:
-            raise ValueError("version must be a positive integer")
-        if family is not None:
-            if version in family.versions:
-                raise ValueError(
-                    f"model {name!r} already has a version {version}"
+        for arg, fn in (
+            ("batch_fn", batch_fn),
+            ("scores_fn", scores_fn),
+            ("packed_fn", packed_fn),
+        ):
+            if fn is not None and not callable(fn):
+                raise TypeError(
+                    f"{arg} must be callable, not {type(fn).__name__}; "
+                    "register a model with compiled_netlist() as model="
                 )
-            if scores_mode != family.scores_mode:
+        engine = None
+        if model is not None:
+            if any(fn is not None for fn in (batch_fn, scores_fn, packed_fn)):
                 raise ValueError(
-                    f"model {name!r} versions must share one output mode "
-                    f"({'scores' if family.scores_mode else 'labels'})"
+                    "provide model= or an evaluation fn, not both"
                 )
-        queue = BatchingQueue(
-            scores_fn if scores_mode else batch_fn,
-            max_batch=(
-                self._defaults["max_batch"] if max_batch is None else max_batch
-            ),
-            max_wait_us=(
-                self._defaults["max_wait_us"]
-                if max_wait_us is None
-                else max_wait_us
-            ),
-            max_queue=(
-                self._defaults["max_queue"] if max_queue is None else max_queue
-            ),
-            # a standby shares its family's collector; None makes a new one
-            stats=None if family is None else family.stats,
-            budget=self.budget,
-            budget_key=name,
-            packed_fn=packed_fn,
-            on_loop=(lambda: engine.on_loop) if engine is not None else False,
-        )
+            if not hasattr(model, "compiled_netlist"):
+                raise TypeError(
+                    f"{type(model).__name__} has no compiled_netlist(); "
+                    "register its evaluation functions with scores_fn= / "
+                    "batch_fn= / packed_fn= instead of model="
+                )
+            # its own engine, resolved once; both entry points bound to it
+            engine = model.compiled_netlist(backend or "numpy")
+            scores_fn = partial(model.decision_scores_batch, engine=engine)
+            packed_fn = partial(
+                model.decision_scores_packed_batch, engine=engine
+            )
+        try:
+            if not isinstance(name, str) or not name:
+                raise ValueError("model name must be a non-empty string")
+            if "@" in name:
+                raise ValueError(
+                    "model names must not contain '@' (reserved for "
+                    "name@version pinning); pass version= instead"
+                )
+            family = self._families.get(name)
+            if family is not None and version is None:
+                raise ValueError(
+                    f"model {name!r} is already registered; pass version= "
+                    "to add a candidate version"
+                )
+            if (batch_fn is None) == (scores_fn is None):
+                raise ValueError(
+                    "provide exactly one of batch_fn and scores_fn"
+                )
+            if engine is not None:
+                backend = engine.backend
+            elif backend is None:
+                backend = "numpy"
+            elif backend not in ENGINE_BACKENDS:
+                raise ValueError(
+                    f"unknown backend {backend!r}; expected one of "
+                    f"{ENGINE_BACKENDS}"
+                )
+            scores_mode = scores_fn is not None
+            version = 1 if version is None else int(version)
+            if version < 1:
+                raise ValueError("version must be a positive integer")
+            if family is not None:
+                if version in family.versions:
+                    raise ValueError(
+                        f"model {name!r} already has a version {version}"
+                    )
+                if scores_mode != family.scores_mode:
+                    mode = "scores" if family.scores_mode else "labels"
+                    raise ValueError(
+                        f"model {name!r} versions must share one output "
+                        f"mode ({mode})"
+                    )
+            queue = BatchingQueue(
+                scores_fn if scores_mode else batch_fn,
+                **{  # knobs left None inherit the registry defaults
+                    knob: self._defaults[knob] if value is None else value
+                    for knob, value in (
+                        ("max_batch", max_batch),
+                        ("max_wait_us", max_wait_us),
+                        ("max_queue", max_queue),
+                    )
+                },
+                # a standby shares its family's collector
+                stats=None if family is None else family.stats,
+                budget=self.budget,
+                budget_key=name,
+                packed_fn=packed_fn,
+                on_loop=False if engine is None else (lambda: engine.on_loop),
+            )
+        except BaseException:
+            if engine is not None:
+                engine.close()  # a refused registration must not leak it
+            raise
         entry = RegisteredModel(
             name=name,
             queue=queue,
@@ -351,9 +416,10 @@ class ModelRegistry:
             self._default_name = name
         return entry
 
-    def unregister(self, name: str) -> List[RegisteredModel]:
-        """Drop a whole family — every version; returns the records (the
-        caller closes their queues and fires their retire hooks).
+    async def unregister(self, name: str) -> None:
+        """Stop hosting ``name`` — every version: new requests get
+        ``model_not_found`` at once, and this returns once each version
+        has drained what it admitted and retired (see :meth:`_retire`).
 
         Unregistering the *default* family clears the default rather than
         silently re-pointing it: model-less requests would otherwise start
@@ -365,12 +431,15 @@ class ModelRegistry:
         if name == self._default_name:
             self._default_name = None
         if family is None:
-            return []
-        if family.canary_task is not None and not family.canary_task.done():
+            return
+        if family.canary_task is not None:
             family.canary_task.cancel()
-        records = list(family.versions.values())
-        family.versions = {}
-        return records
+        await asyncio.wait(
+            [
+                self._drain(family, entry)
+                for entry in list(family.versions.values())
+            ]
+        )
 
     def unregister_version(self, name: str, version: int) -> Dict[str, Any]:
         """Retire one *non-serving* version: it drains and leaves the chain.
@@ -389,9 +458,8 @@ class ModelRegistry:
             )
         if family.shadow_version == entry.version:
             self.clear_shadow(name)
-        entry.state = DRAINING
+        self._drain(family, entry)
         family.log.record("unregistered", version=entry.version)
-        self._schedule(self._retire(family, entry))
         return {"model": name, "version": entry.version}
 
     # -------------------------------------------------------------- lifecycle
@@ -425,9 +493,9 @@ class ModelRegistry:
         queue (the server's predict paths have no await there), so every
         in-flight request completes on the version that admitted it and
         every later request resolves the new one: no torn batches.  The
-        displaced version drains in the background and then retires
-        (queue closed, ``on_retire`` fired, version removed).  Promoting
-        the already-serving version is a no-op.
+        displaced version drains in the background and retires (see
+        :meth:`_retire`).  Promoting the already-serving version is a
+        no-op.
         """
         family = self._require_family(name)
         name = family.name
@@ -441,10 +509,10 @@ class ModelRegistry:
                 "changed": False,
             }
         old = family.serving_entry()
-        # --- the atomic flip: two assignments, no awaits -----------------
+        # --- the atomic flip: synchronous, no awaits ---------------------
+        self._drain(family, old)
         family.serving_version = version
         entry.state = SERVING
-        old.state = DRAINING
         # -----------------------------------------------------------------
         if family.shadow_version == version:
             # the candidate just became primary; mirroring it to itself
@@ -452,7 +520,6 @@ class ModelRegistry:
             self.clear_shadow(name)
         family.log.record("promoted", version=version, previous=old.version)
         family.log.record("draining", version=old.version)
-        self._schedule(self._retire(family, old))
         return {
             "model": name,
             "version": version,
@@ -460,20 +527,25 @@ class ModelRegistry:
             "changed": True,
         }
 
+    def _drain(
+        self, family: _ModelFamily, entry: RegisteredModel
+    ) -> asyncio.Task:
+        """Send ``entry`` out the one way: it stops resolving now
+        (``draining``) and :meth:`_retire` runs as a loop task.  A version
+        drains once; a second call returns the same task."""
+        if entry.retirement is None:
+            entry.retirement = self._schedule(self._retire, family, entry)
+            entry.state = DRAINING
+        return entry.retirement
+
     async def _retire(
         self, family: _ModelFamily, entry: RegisteredModel
     ) -> None:
-        """Drain one displaced version and remove it from the chain."""
-        await entry.queue.close()  # completes everything already admitted
-        self.retire_record(entry)
-        family.versions.pop(entry.version, None)
-        family.log.record("retired", version=entry.version)
-
-    def retire_record(self, entry: RegisteredModel) -> None:
-        """Mark a record retired; close its engine and fire its
-        ``on_retire`` hook, each exactly once."""
-        if entry.state == RETIRED:
-            return
+        """The one way out, awaited by every exit: close the queue
+        (everything already admitted completes), then close the engine
+        the version owns and fire its ``on_retire`` hook, each exactly
+        once, and remove the version from the chain."""
+        await entry.queue.close()
         entry.state = RETIRED
         hooks = (getattr(entry.engine, "close", None), entry.on_retire)
         entry.engine = entry.on_retire = None
@@ -483,13 +555,13 @@ class ModelRegistry:
             try:
                 hook()
             except Exception as error:  # noqa: BLE001 - never break serving
-                family = self._families.get(entry.name)
-                if family is not None:
-                    family.log.record(
-                        "retire_error",
-                        version=entry.version,
-                        error=f"{type(error).__name__}: {error}",
-                    )
+                family.log.record(
+                    "retire_error",
+                    version=entry.version,
+                    error=f"{type(error).__name__}: {error}",
+                )
+        family.versions.pop(entry.version, None)
+        family.log.record("retired", version=entry.version)
 
     # ----------------------------------------------------------- shadow mode
     def set_shadow(
@@ -569,9 +641,12 @@ class ModelRegistry:
         ):
             return None
         return self._schedule(
-            self._mirror(
-                family, candidate, request, primary_result, primary_latency_us
-            )
+            self._mirror,
+            family,
+            candidate,
+            request,
+            primary_result,
+            primary_latency_us,
         )
 
     async def _mirror(
@@ -664,7 +739,7 @@ class ModelRegistry:
         if family.canary_task is not None and not family.canary_task.done():
             family.canary_task.cancel()
         family.canary_task = self._schedule(
-            self._watch_canary(family, version, policy)
+            self._watch_canary, family, version, policy
         )
         return {
             "model": name,
@@ -728,8 +803,7 @@ class ModelRegistry:
             return verdict
         candidate = family.versions.get(version)
         if candidate is not None and candidate.state == STANDBY:
-            candidate.state = DRAINING
-            self._schedule(self._retire(family, candidate))
+            self._drain(family, candidate)
         family.log.record(
             "canary_rolled_back",
             version=version,
@@ -742,28 +816,14 @@ class ModelRegistry:
         return verdict
 
     # ------------------------------------------------------- task scheduling
-    def _schedule(self, coro) -> Optional[asyncio.Task]:
-        """Run ``coro`` as a tracked background task; off-loop callers get
-        it deferred to the next ``flush_all``/``close``."""
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            self._deferred.append(coro)
-            return None
-        task = loop.create_task(coro)
+    def _schedule(self, coroutine_fn: Callable, *args: Any) -> asyncio.Task:
+        """Run ``coroutine_fn(*args)`` as a tracked task on the running
+        loop (asyncio's ``RuntimeError`` off the loop, before any
+        coroutine exists)."""
+        task = asyncio.get_running_loop().create_task(coroutine_fn(*args))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return task
-
-    async def _run_deferred(self) -> None:
-        while self._deferred:
-            coro = self._deferred.pop(0)
-            try:
-                await coro
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - best-effort deferred drains
-                pass
 
     async def wait_idle(self) -> None:
         """Await every in-flight lifecycle task (drains, shadows, canary
@@ -771,7 +831,6 @@ class ModelRegistry:
         task can schedule another (a canary verdict schedules a drain);
         canary *watchers* waiting for future traffic are excluded so this
         never deadlocks on a quiet shadow."""
-        await self._run_deferred()
         while True:
             current = asyncio.current_task()
             watchers = {
@@ -892,21 +951,14 @@ class ModelRegistry:
         """Force-evaluate every version's queued work and wait for it — the
         drain step: everything admitted completes, nothing new is taken
         (the server stops admissions before calling this).  Pending
-        retirement drains complete here too."""
-        await self._run_deferred()
+        retirements complete here too."""
         for entry in self.all_records():
             await entry.queue.flush()
         await self.wait_idle()
 
     async def close(self) -> None:
-        """Drain and close every version's queue; cancel lifecycle tasks."""
-        await self._run_deferred()
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
-        for entry in self.all_records():
-            await entry.queue.close()
-            self.retire_record(entry)
-        self._families = {}
-        self._default_name = None
+        """Unregister every family — each version retires the one way
+        (:meth:`_retire`) — and await every lifecycle task left."""
+        await asyncio.gather(*map(self.unregister, list(self._families)))
+        while self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)

@@ -22,16 +22,18 @@ occupancy inside each model's engine.
 
 Multi-tenancy is a config knob, not an architecture change: a single-model
 server is just a registry of one.  The constructor takes server knobs
-only; :meth:`InferenceServer.register_model` hosts every model, each
-evaluating either a *labels* function or a *scores* function (per-class
-decision scores, labels derived by ``argmax``).  A model with
+only; ``InferenceServer.register_model`` — the registry's own
+:meth:`~repro.serving.registry.ModelRegistry.register`, bound — hosts every
+model, each evaluating either a *labels* function or a *scores* function
+(per-class decision scores, labels derived by ``argmax``).  A model with
 ``compiled_netlist()`` — :class:`~repro.core.poetbin.PoETBiNClassifier` —
 is registered with ``model=`` and serves straight from its engine's
 ``run_scores``: RINC bank and table-lookup read-out in one call, nothing
 unpacked in between.  Registration resolves that *engine* once, in this
 process, for ``backend=``, and the registration owns it: it serves from
 it, advertises its ``backend``/``threads``/``unroll``, and closes it on
-retire.
+retire.  ``unregister_model`` is the registry's ``unregister``; it, server
+stop and the lifecycle ops all retire a version the registry's one way.
 
 :class:`BackgroundServer` runs the whole thing on a dedicated event-loop
 thread, which is how the tests, the benchmark and the demo drive it from
@@ -54,7 +56,7 @@ from repro.serving.queue import (
     ServerUnavailableError,
     ServingError,
 )
-from repro.serving.registry import ModelRegistry, RegisteredModel
+from repro.serving.registry import ModelRegistry
 from repro.serving.stats import render_stats_text
 from repro.serving.transport import (
     BinaryRequest,
@@ -67,34 +69,6 @@ from repro.serving.transport import (
 )
 
 __all__ = ["BackgroundServer", "InferenceServer"]
-
-
-def _bind_model(
-    model: Any, backend: Optional[str]
-) -> Tuple[Any, Callable, Callable]:
-    """``(engine, scores_fn, packed_fn)`` for serving ``model``.
-
-    ``model`` serves from a compiled LUT netlist — it offers
-    ``compiled_netlist(backend)`` and batch methods taking ``engine=``, like
-    :class:`~repro.core.poetbin.PoETBiNClassifier` — and gets its own engine
-    for ``backend``, resolved here, once.  Its scores and zero-copy packed
-    entry points are bound to that engine object.  Anything else is
-    refused: register its evaluation functions explicitly.
-    """
-    if not hasattr(model, "compiled_netlist"):
-        raise TypeError(
-            f"{type(model).__name__} has no compiled_netlist(); register its "
-            "evaluation functions with scores_fn= / batch_fn= / packed_fn= "
-            "instead of model="
-        )
-    engine = model.compiled_netlist(backend or "numpy")
-    return (
-        engine,
-        lambda X: model.decision_scores_batch(X, engine=engine),
-        lambda words, n: model.decision_scores_packed_batch(
-            words, n, engine=engine
-        ),
-    )
 
 
 class InferenceServer(FrameServer):
@@ -123,7 +97,7 @@ class InferenceServer(FrameServer):
         address back from :attr:`http_address` after :meth:`start`.
     max_batch, max_wait_us, max_queue:
         Default per-model coalescing and admission-control policy — see
-        :class:`~repro.serving.queue.BatchingQueue`.  :meth:`register_model`
+        :class:`~repro.serving.queue.BatchingQueue`.  ``register_model``
         can override any of them per model.  ``max_wait_us`` bounds only
         the models that evaluate on their queue's executor thread; a
         single-thread ``"native"`` model evaluates on the loop and flushes
@@ -170,103 +144,15 @@ class InferenceServer(FrameServer):
             host=host, port=port, http_port=http_port, backlog=backlog
         )
         self._warm_up = warm_up
+        #: a version's one way in and its family's way out are the
+        #: registry's own (see :class:`~repro.serving.registry.ModelRegistry`)
+        self.register_model = self._registry.register
+        self.unregister_model = self._registry.unregister
 
     # ------------------------------------------------------- model hosting
     @property
     def registry(self) -> ModelRegistry:
         return self._registry
-
-    def register_model(
-        self,
-        name: str,
-        batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        *,
-        scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        packed_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
-        model: Any = None,
-        max_batch: Optional[int] = None,
-        max_wait_us: Optional[float] = None,
-        max_queue: Optional[int] = None,
-        default: bool = False,
-        backend: Optional[str] = None,
-        version: Optional[int] = None,
-        on_retire: Optional[Callable[[], Any]] = None,
-    ) -> RegisteredModel:
-        """Host a model under ``name``, with its own queue and knobs; the
-        returned record carries its ``stats`` collector.
-
-        Give either an evaluation function — ``batch_fn`` (``(n, F) ->
-        (n,)`` labels) or ``scores_fn`` (``(n, F) -> (n, n_classes)``
-        decision scores, labels by ``argmax``), plus optionally the binary
-        protocol's zero-copy ``packed_fn`` (``(packed_words, n_samples) ->
-        array`` with the same output) — or ``model=``, an object with
-        ``compiled_netlist()`` such as
-        :class:`~repro.core.poetbin.PoETBiNClassifier`, served from its
-        engine's ``run_scores`` (see :func:`_bind_model`; any other object
-        raises :class:`TypeError`).  With ``model=``, the engine is resolved
-        *here*: ``backend`` names it (``"numpy"``, ``"native"`` for
-        generated C, ``"native-mt"`` for the same build threaded up to the
-        core count, ``"auto"`` for native-if-toolchain), and the engine is
-        this version's own, in this process.  This call runs the passes
-        and the code generation; a native engine's C compiler runs on a
-        thread of its own, and until it lands the NumPy program answers
-        (see :meth:`~repro.engine.native.NativeCompiledNetlist.attach`).
-        The registration owns the engine: ``list_models``,
-        ``repro_serving_model_backend`` and ``repro_serving_model_threads``
-        report what it runs with now, and it is closed exactly once, when
-        this version retires.  While the engine reports ``on_loop`` (a
-        single-thread ``"native"`` one whose build has landed) batches
-        evaluate on the event loop, flushing a partial batch at the end of
-        the next loop pass rather than after ``max_wait_us``; before that,
-        for every other engine, and for every explicit function, on the
-        queue's executor thread, under the wait budget (see
-        :mod:`repro.serving.queue`; ``list_models`` reports which as
-        ``on_loop``).  An explicit function may close over any
-        engine, a pool-bound ``ShardedEngine`` included; ``backend`` is
-        then a descriptive label only.  Knobs left
-        ``None`` inherit the server-level defaults.  Safe while serving:
-        requests naming ``name`` route to the new queue from the next
-        dispatch.
-
-        ``version=`` on an already-hosted name adds a *standby* version to
-        the family — traffic moves only on ``promote``/``promote_canary``
-        (see :class:`~repro.serving.registry.ModelRegistry`).  When the
-        version eventually retires (displaced by a promotion, rolled back
-        by a canary, or unregistered), ``on_retire`` runs once, after the
-        engine is closed.
-        """
-        engine = None
-        if model is not None:
-            if batch_fn is not None or scores_fn is not None or packed_fn is not None:
-                raise ValueError("provide model= or an evaluation fn, not both")
-            engine, scores_fn, packed_fn = _bind_model(model, backend)
-        try:
-            return self._registry.register(
-                name,
-                batch_fn,
-                scores_fn=scores_fn,
-                packed_fn=packed_fn,
-                max_batch=max_batch,
-                max_wait_us=max_wait_us,
-                max_queue=max_queue,
-                default=default,
-                engine=engine,
-                backend=backend,
-                version=version,
-                on_retire=on_retire,
-            )
-        except BaseException:
-            if engine is not None:
-                engine.close()  # a rejected registration must not leak its engine
-            raise
-
-    async def unregister_model(self, name: str) -> None:
-        """Stop hosting ``name`` — every version: new requests get
-        ``model_not_found``, already-admitted ones drain through the
-        closing queues, and each version's retire hook fires."""
-        for entry in self._registry.unregister(name):
-            await entry.queue.close()
-            self._registry.retire_record(entry)
 
     def render_metrics(self) -> str:
         """Every hosted model's stats in Prometheus exposition format —
@@ -274,19 +160,11 @@ class InferenceServer(FrameServer):
         wire op.  Includes the serving-version gauge and the cumulative
         shadow-traffic counters (``repro_serving_shadow_requests`` /
         ``repro_serving_shadow_divergences``)."""
+        entries = self._registry.entries()
         return render_stats_text(
-            {
-                entry.name: entry.stats.snapshot()
-                for entry in self._registry.entries()
-            },
-            backends={
-                entry.name: entry.backend
-                for entry in self._registry.entries()
-            },
-            threads={
-                entry.name: entry.threads
-                for entry in self._registry.entries()
-            },
+            {entry.name: entry.stats.snapshot() for entry in entries},
+            backends={entry.name: entry.backend for entry in entries},
+            threads={entry.name: entry.threads for entry in entries},
             versions=self._registry.serving_versions(),
             shadows=self._registry.shadow_totals(),
         )
@@ -592,10 +470,11 @@ class BackgroundServer:
         """Run ``coro`` on the server's event loop and return its result.
 
         The blocking-side door to loop-confined state: lifecycle mutators
-        (``register_model`` on a live server, ``registry.promote``,
-        ``registry.wait_idle``) are synchronous-on-the-loop by design, so
-        off-thread callers route them through here instead of mutating the
-        registry from a foreign thread.
+        (``register_model`` on a live server, ``unregister_model``,
+        ``registry.promote``, ``registry.wait_idle``) run on the loop by
+        design — one that retires a version raises ``RuntimeError`` with
+        no loop running — so off-thread callers route them through here
+        instead of mutating the registry from a foreign thread.
         """
         if self._loop is None or self._thread is None:
             raise RuntimeError("server thread not started")

@@ -3,12 +3,16 @@
 Whatever a peer sends before half-closing, it gets one ``HTTP/1.0
 <status>`` response or a clean close: never a hang, never an error on the
 ``asyncio`` logger.  A request line longer than
-:data:`~repro.serving.metrics_http.MAX_REQUEST_BYTES` is hung up on.
+:data:`~repro.serving.metrics_http.MAX_REQUEST_BYTES` is hung up on, and so
+is a peer that has not sent its request by
+:data:`~repro.serving.metrics_http.REQUEST_DEADLINE_S`.
 """
 
+import asyncio
 import logging
 import re
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serving import BackgroundServer, InferenceServer
+from repro.serving import metrics_http
 from repro.serving.metrics_http import MAX_REQUEST_BYTES
 
 _STATUS_LINE = re.compile(rb"HTTP/1\.0 (200|400|404|405|503) [A-Za-z ]+\r\n")
@@ -111,3 +116,69 @@ def test_a_header_section_past_the_bound_is_still_answered(http_address):
     )
     assert response.startswith(b"HTTP/1.0 200 OK\r\n")
     assert response.endswith(b"\r\n\r\nok\n")
+
+
+@pytest.fixture()
+def deadline_listener(monkeypatch):
+    """``(http_address, handle, records)``: a listener whose request
+    deadline is patched to 0.5 s, with the ``asyncio`` logger recorded."""
+    monkeypatch.setattr(metrics_http, "REQUEST_DEADLINE_S", 0.5)
+    logger = logging.getLogger("asyncio")
+    records = _Records()
+    logger.addHandler(records)
+    srv = InferenceServer(http_port=0)
+    srv.register_model(
+        "default", lambda X: np.asarray(X).sum(axis=1).astype(np.int64)
+    )
+    try:
+        with BackgroundServer(srv) as handle:
+            yield srv.http_address, handle, records
+    finally:
+        logger.removeHandler(records)
+
+
+def _handlers(handle):
+    """The listener's live connection-handler tasks on the server loop."""
+
+    async def on_loop():
+        return [
+            task
+            for task in asyncio.all_tasks()
+            if task.get_coro().__qualname__ == "HttpMetricsListener._handle"
+        ]
+
+    return handle.run(on_loop())
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [b"GET /metr", b"GET /metrics HTTP/1.0\r\nHost: x\r\n", b""],
+    ids=["partial-request-line", "partial-headers", "nothing"],
+)
+def test_a_stalled_request_is_hung_up_on(deadline_listener, sent):
+    """A peer that stops short of a whole request, without half-closing,
+    is closed once the deadline passes: no answer, no handler task left,
+    nothing on the ``asyncio`` logger."""
+    address, handle, records = deadline_listener
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(sent)
+        assert sock.recv(65536) == b""  # closed, not answered
+    deadline = time.monotonic() + 5
+    while _handlers(handle) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _handlers(handle) == []
+    assert not records.messages, records.messages[:3]
+
+
+def test_a_slow_request_inside_the_deadline_is_answered(deadline_listener):
+    address, _handle, records = deadline_listener
+    with socket.create_connection(address, timeout=5) as sock:
+        for part in (b"GET /healthz HTTP/1.0\r\n", b"Host: x\r\n", b"\r\n"):
+            sock.sendall(part)
+            time.sleep(0.1)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    assert response.startswith(b"HTTP/1.0 200 OK\r\n")
+    assert response.endswith(b"\r\n\r\nok\n")
+    assert not records.messages, records.messages[:3]

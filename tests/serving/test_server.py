@@ -6,19 +6,29 @@ wire protocol's ``model`` field, unknown names failing with the typed
 ``model_not_found`` error, and per-model stats.
 """
 
+import asyncio
 import contextlib
 import gc
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.engine import WorkerPool, compile_netlist, rinc_bank_netlist
+from repro.engine import (
+    PackedEngine,
+    WorkerPool,
+    compile_netlist,
+    pack_bits,
+    rinc_bank_netlist,
+    unpack_bits,
+)
 from repro.serving import (
     BackgroundServer,
     BadRequestError,
+    CanaryPolicy,
     InferenceServer,
     ModelNotFoundError,
     RouterServer,
@@ -41,6 +51,36 @@ def _scores_fn(X):
 
 def _expected_labels(X):
     return np.argmax(_scores_fn(X), axis=1)
+
+
+class _CountingEngine(PackedEngine):
+    """An engine that counts its ``close()`` calls."""
+
+    def __init__(self, on_loop=False):
+        self.on_loop = on_loop
+        self.closes = 0
+
+    def close(self):
+        self.closes += 1
+
+
+class _StubModel:
+    """A ``model=`` whose ``compiled_netlist()`` is a counting engine;
+    it scores :func:`_scores_fn` plus ``offset`` on either wire's path."""
+
+    def __init__(self, offset=0.0, on_loop=False):
+        self.offset = offset
+        self.engine = _CountingEngine(on_loop)
+
+    def compiled_netlist(self, backend):
+        return self.engine
+
+    def decision_scores_batch(self, X, engine):
+        assert engine is self.engine
+        return _scores_fn(X) + self.offset
+
+    def decision_scores_packed_batch(self, words, n, engine):
+        return self.decision_scores_batch(unpack_bits(words, n), engine)
 
 
 @pytest.fixture()
@@ -491,6 +531,36 @@ class TestConstruction:
             InferenceServer(scores_fn=_scores_fn)
         assert srv.registry.names == []
 
+    @pytest.mark.parametrize("arg", ["batch_fn", "scores_fn", "packed_fn"])
+    def test_an_evaluation_fn_must_be_callable(self, arg):
+        """A classifier passed where a function goes is refused at
+        registration, pointing at ``model=``, not by every predict."""
+
+        class Clf:
+            def predict(self, X):  # pragma: no cover - never reached
+                return np.zeros(len(X))
+
+        fns = {"batch_fn": _expected_labels, arg: Clf()}
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000, max_queue=64)
+        with pytest.raises(TypeError, match=f"{arg} must be callable.*model="):
+            srv.register_model("latency", **fns)
+        with pytest.raises(TypeError, match="batch_fn must be callable"):
+            srv.register_model("latency", Clf())
+        assert srv.registry.names == []
+
+    def test_one_registration_signature(self):
+        """``register_model`` and ``unregister_model`` are the registry's
+        own methods: one signature, one way in, one way out."""
+        import inspect
+
+        srv = InferenceServer()
+        assert srv.register_model == srv.registry.register
+        assert srv.unregister_model == srv.registry.unregister
+        assert inspect.signature(srv.register_model) == inspect.signature(
+            srv.registry.register
+        )
+        assert "engine" not in inspect.signature(srv.registry.register).parameters
+
     def test_scores_request_without_scores_path(self):
         def labels_only(X):
             return np.zeros(np.asarray(X).shape[0], dtype=np.int64)
@@ -807,6 +877,111 @@ class TestEngineOwnership:
                     )
 
 
+class TestOneWayOut:
+    """Every exit a version has — displaced by a promotion,
+    ``unregister_version``, a canary rollback, ``unregister_model`` and
+    server stop — is the registry's one drain-and-retire path: what the
+    version admitted completes, then its engine is closed and its
+    ``on_retire`` fires, each exactly once, and it ends ``retired``."""
+
+    #: exit → the versions it retires (v1 serves, v2 is a standby)
+    EXITS = {
+        "promote": [1],
+        "unregister_version": [2],
+        "canary_rollback": [2],
+        "unregister_model": [1, 2],
+        "stop": [1, 2],
+    }
+
+    @staticmethod
+    async def _exit(how, srv):
+        registry = srv.registry
+        if how == "promote":
+            registry.promote("m", 2)
+        elif how == "unregister_version":
+            registry.unregister_version("m", 2)
+        elif how == "canary_rollback":
+            verdict = registry.promote_canary(
+                "m", 2, CanaryPolicy(min_requests=1)
+            )
+            assert verdict["status"] == "rolled_back"
+        elif how == "unregister_model":
+            await srv.unregister_model("m")
+        else:
+            await srv.stop()
+        await registry.wait_idle()
+
+    @pytest.mark.parametrize("how", list(EXITS))
+    def test_admitted_work_completes_then_the_version_retires_once(self, how):
+        rows = as_rng(31).integers(0, 2, size=(5, N_FEATURES)).astype(np.uint8)
+        models = {1: _StubModel(offset=0.0), 2: _StubModel(offset=1.0)}
+        retired = []
+        # a long coalescing window parks the admitted request in its queue
+        srv = InferenceServer(max_batch=64, max_wait_us=500_000)
+        entries = {
+            version: srv.register_model(
+                "m",
+                model=model,
+                version=version,
+                on_retire=lambda version=version: retired.append(version),
+            )
+            for version, model in models.items()
+        }
+        leaving = entries[self.EXITS[how][-1]]
+
+        async def scenario():
+            await srv.start()
+            try:
+                if how == "canary_rollback":  # divergent shadow evidence
+                    srv.registry.set_shadow("m", 2)
+                    mirror = srv.registry.spawn_shadow(
+                        entries[2],
+                        SimpleNamespace(packed=pack_bits(rows), n_samples=5),
+                        -_scores_fn(rows),
+                        1.0,
+                    )
+                    await asyncio.sleep(0)
+                    await entries[2].queue.flush()
+                    await mirror
+                in_flight = asyncio.ensure_future(leaving.queue.submit(rows))
+                await asyncio.sleep(0)
+                assert leaving.queue.queued_samples == 5  # parked
+                await self._exit(how, srv)
+                states = {v: entry.state for v, entry in entries.items()}
+                return await in_flight, list(retired), states
+            finally:
+                await srv.stop()
+
+        scores, retired_at_exit, states = asyncio.run(scenario())
+        np.testing.assert_array_equal(
+            scores, _scores_fn(rows) + models[leaving.version].offset
+        )
+        assert sorted(retired_at_exit) == self.EXITS[how]
+        for version in self.EXITS[how]:
+            assert states[version] == "retired"
+        # the stop that ends the scenario retires whatever was left, and
+        # nothing twice
+        assert sorted(retired) == [1, 2]
+        assert [models[v].engine.closes for v in (1, 2)] == [1, 1]
+        assert all(entry.state == "retired" for entry in entries.values())
+        assert all(entry.engine is None for entry in entries.values())
+
+    def test_a_retiring_mutator_needs_the_loop(self):
+        """Off the loop, an exit raises asyncio's ``RuntimeError`` before
+        it changes anything; nothing is left to run later."""
+        srv = InferenceServer(max_batch=4, max_wait_us=1_000)
+        srv.register_model("m", _scores_fn)
+        standby = srv.register_model("m", _scores_fn, version=2)
+        with pytest.raises(RuntimeError, match="no running event loop"):
+            srv.registry.unregister_version("m", 2)
+        with pytest.raises(RuntimeError, match="no running event loop"):
+            srv.registry.promote("m", 2)
+        assert standby.state == "standby"
+        assert srv.registry.resolve("m@2") is standby
+        assert srv.registry.serving_versions() == {"m": 1}
+        assert srv.registry.resolve("m").state == "serving"
+
+
 class TestWhereEvaluationRuns:
     """Only an engine that reports ``on_loop`` — a single-thread native
     one — evaluates on the event loop; anything that may take milliseconds
@@ -851,14 +1026,13 @@ class TestWhereEvaluationRuns:
     def test_the_registry_asks_the_engine(self, on_loop):
         """A version's queue runs on the loop exactly when its engine says
         so, whatever the engine's type; one without an engine never does."""
-        from repro.engine import PackedEngine
-
-        engine = None
-        if on_loop is not None:
-            engine = PackedEngine()
-            engine.on_loop = on_loop
         srv = InferenceServer(max_batch=64, max_wait_us=1_000)
-        entry = srv.registry.register("m", scores_fn=_scores_fn, engine=engine)
+        if on_loop is None:
+            entry = srv.registry.register("m", scores_fn=_scores_fn)
+        else:
+            entry = srv.registry.register(
+                "m", model=_StubModel(on_loop=on_loop)
+            )
         assert entry.queue.on_loop is bool(on_loop)
         assert entry.describe()["on_loop"] is bool(on_loop)
 

@@ -50,13 +50,6 @@ def _drive(*byte_chunks):
     return asyncio.run(main())
 
 
-class TestSingleImplementation:
-    def test_client_error_table_is_the_shared_one(self):
-        from repro.serving import client
-
-        assert client._ERROR_TYPES is WIRE_ERROR_TYPES
-
-
 class TestErrorMapping:
     def test_every_wire_type_maps_to_its_exception(self):
         assert WIRE_ERROR_TYPES["overloaded"] is ServerOverloadedError
