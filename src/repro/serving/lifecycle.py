@@ -40,6 +40,7 @@ pattern the roadmap names as the exemplar.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -53,6 +54,13 @@ __all__ = [
     "LifecycleLog",
     "compare_outputs",
 ]
+
+#: a :class:`DivergenceStore` keeps this many recent divergent (or errored)
+#: records, and its p99 reads this many recent latency ratios
+MAX_DIVERGENCE_RECORDS = 256
+MAX_LATENCY_RATIOS = 4096
+#: a :class:`LifecycleLog` keeps this many most recent events
+MAX_LIFECYCLE_EVENTS = 512
 
 
 def compare_outputs(
@@ -99,7 +107,8 @@ class CanaryPolicy:
     max_p99_ratio:
         Optional cap on the p99 of shadow/primary latency ratios; a
         candidate that answers correctly but 10x slower should not be
-        promoted.  ``None`` skips the latency gate.
+        promoted.  ``None`` skips the latency gate; otherwise positive and
+        finite (a NaN gate could never fire).
     """
 
     min_requests: int = 32
@@ -111,21 +120,22 @@ class CanaryPolicy:
             raise ValueError("min_requests must be >= 1")
         if not 0.0 <= self.max_divergence_rate <= 1.0:
             raise ValueError("max_divergence_rate must be in [0, 1]")
-        if self.max_p99_ratio is not None and self.max_p99_ratio <= 0:
-            raise ValueError("max_p99_ratio must be positive")
+        if self.max_p99_ratio is not None and not (
+            0 < self.max_p99_ratio < math.inf  # not NaN either
+        ):
+            raise ValueError("max_p99_ratio must be positive and finite")
 
     @classmethod
     def from_wire(cls, payload: Dict[str, Any]) -> "CanaryPolicy":
         """Build from a wire request's optional policy fields."""
         kwargs: Dict[str, Any] = {}
-        if payload.get("min_requests") is not None:
-            kwargs["min_requests"] = int(payload["min_requests"])
-        if payload.get("max_divergence_rate") is not None:
-            kwargs["max_divergence_rate"] = float(
-                payload["max_divergence_rate"]
-            )
-        if payload.get("max_p99_ratio") is not None:
-            kwargs["max_p99_ratio"] = float(payload["max_p99_ratio"])
+        for name, cast in (
+            ("min_requests", int),
+            ("max_divergence_rate", float),
+            ("max_p99_ratio", float),
+        ):
+            if payload.get(name) is not None:
+                kwargs[name] = cast(payload[name])
         return cls(**kwargs)
 
     def describe(self) -> Dict[str, Any]:
@@ -156,13 +166,7 @@ class DivergenceStore:
     separately but weigh as divergences in the canary's rate.
     """
 
-    def __init__(
-        self, max_records: int = 256, max_ratio_samples: int = 4096
-    ) -> None:
-        if max_records < 1 or max_ratio_samples < 1:
-            raise ValueError("store bounds must be >= 1")
-        self.max_records = max_records
-        self.max_ratio_samples = max_ratio_samples
+    def __init__(self) -> None:
         self.candidate_version: Optional[int] = None
         self.total_requests = 0
         self.total_divergences = 0
@@ -175,8 +179,8 @@ class DivergenceStore:
         self.samples = 0
         self.mismatched_samples = 0
         self.max_confidence_delta = 0.0
-        self._records: deque = deque(maxlen=self.max_records)
-        self._ratios: deque = deque(maxlen=self.max_ratio_samples)
+        self._records: deque = deque(maxlen=MAX_DIVERGENCE_RECORDS)
+        self._ratios: deque = deque(maxlen=MAX_LATENCY_RATIOS)
 
     # ------------------------------------------------------------- recording
     def retarget(self, version: Optional[int]) -> None:
@@ -278,8 +282,8 @@ class DivergenceStore:
 class LifecycleLog:
     """Bounded, sequenced event history for one model family."""
 
-    def __init__(self, max_events: int = 512) -> None:
-        self._events: deque = deque(maxlen=max_events)
+    def __init__(self) -> None:
+        self._events: deque = deque(maxlen=MAX_LIFECYCLE_EVENTS)
         self._seq = 0
 
     def record(self, event: str, **fields: Any) -> Dict[str, Any]:

@@ -586,19 +586,6 @@ class BatchingQueue:
         if self._budget is not None:
             self._budget.release(released, self._budget_key)
 
-    def awaited(self, admit: Callable, *request) -> asyncio.Future:
-        """The awaitable face of the same core: ``admit(*request, complete,
-        tag)`` — an admission into this queue — with a sink that resolves
-        the returned future to the request's slice of the result."""
-        future = asyncio.get_running_loop().create_future()
-        admit(*request, _resolve_futures, future)
-        future.add_done_callback(self._discard_cancelled)
-        return future
-
-    def _discard_cancelled(self, future: asyncio.Future) -> None:
-        if future.cancelled():
-            self.discard(lambda tag: tag is future)
-
     async def submit(self, rows: np.ndarray) -> np.ndarray:
         """:func:`pack_rows` ``rows`` (a ``(k, F)`` 0/1 matrix) and
         :meth:`submit_packed` the words."""
@@ -607,10 +594,17 @@ class BatchingQueue:
     async def submit_packed(
         self, packed: np.ndarray, n_samples: int
     ) -> np.ndarray:
-        """:meth:`admit_packed` a pre-packed request and await its slice of
-        the result (raises what :meth:`admit_packed` raises, and whatever
-        the batch's evaluation raised)."""
-        return await self.awaited(self.admit_packed, packed, n_samples)
+        """:meth:`admit_packed` a pre-packed request with a sink that
+        resolves a future, and await its slice of the result (raises what
+        :meth:`admit_packed` raises, and whatever the batch's evaluation
+        raised)."""
+        future = asyncio.get_running_loop().create_future()
+        self.admit_packed(packed, n_samples, _resolve_futures, future)
+        try:
+            return await future
+        except asyncio.CancelledError:  # its rows need no evaluation now
+            self.discard(lambda tag: tag is future)
+            raise
 
     # ------------------------------------------------------------- flushing
     def _flush_now(self) -> None:

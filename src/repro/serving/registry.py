@@ -31,16 +31,20 @@ to the old version (and completes there) or resolves the new one.
 
 :meth:`set_shadow` mirrors a sampled fraction of a family's traffic to a
 standby candidate *after* the primary reply is on the wire (no client
-latency added); outcomes land in the family's
+latency added): :meth:`mirror` admits each sampled request to the
+candidate's queue as a row, and its reply sink :meth:`_observe` records
+the outcome in the family's
 :class:`~repro.serving.lifecycle.DivergenceStore`.  :meth:`promote_canary`
 turns that evidence into an automatic verdict under a
 :class:`~repro.serving.lifecycle.CanaryPolicy` — promote on a clean
 candidate, roll back (shadow cleared, candidate retired, primary
-untouched) on a divergent one.  Every transition is recorded in the
-family's :class:`~repro.serving.lifecycle.LifecycleLog`.
+untouched) on a divergent one — at once, or in that sink once the
+evidence is in.  Every transition is recorded in the family's
+:class:`~repro.serving.lifecycle.LifecycleLog`.
 
-Registration needs no loop.  Every other mutator runs on the server's
-event loop, where it starts its drain as a task (with no loop running,
+A retirement is the only task the registry starts; :meth:`wait_idle` is
+its one quiesce.  Registration needs no loop.  Every other mutator runs on
+the server's event loop, where it starts its drain (with no loop running,
 asyncio's ``RuntimeError``); blocking code goes through
 :meth:`~repro.serving.server.BackgroundServer.run`.
 
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -142,16 +147,6 @@ class RegisteredModel:
         label."""
         return self.label if self.engine is None else self.engine.backend
 
-    def submit(self, request: Any, complete: Callable, tag: Any) -> None:
-        """Admit one decoded predict of either wire into this version's
-        queue, in the caller's own stack frame; its answer goes to the
-        reply sink ``complete`` / ``tag`` (see
-        :meth:`BatchingQueue.admit_packed`).  Shared by the primary path
-        and the shadow mirror."""
-        self.queue.admit_packed(
-            request.packed, request.n_samples, complete, tag
-        )
-
     def describe(self) -> Dict[str, Any]:
         """The ``list_models`` wire entry for this model version."""
         return {
@@ -183,10 +178,9 @@ class _ModelFamily:
         self.shadow_fraction: float = 1.0
         self.divergences = DivergenceStore()
         self.log = LifecycleLog()
-        self.canary_task: Optional[asyncio.Task] = None
-        #: pinged after every recorded shadow observation — what a pending
-        #: canary watcher sleeps on (event-driven, not polled)
-        self.shadow_seen = asyncio.Event()
+        #: a ``watching`` canary's ``(version, policy)``: no task, the
+        #: mirror's reply sink decides it once the evidence is in
+        self.canary: Optional[Tuple[int, CanaryPolicy]] = None
 
     def serving_entry(self) -> RegisteredModel:
         return self.versions[self.serving_version]
@@ -230,7 +224,8 @@ class ModelRegistry:
         }
         self._families: Dict[str, _ModelFamily] = {}
         self._default_name: Optional[str] = None
-        self._tasks: set = set()
+        #: every :meth:`_retire` task not yet done — the only tasks made here
+        self._retirements: set = set()
         #: shadow sampling RNG — swap in a seeded one for deterministic tests
         self._rng = random.Random()
 
@@ -432,8 +427,7 @@ class ModelRegistry:
             self._default_name = None
         if family is None:
             return
-        if family.canary_task is not None:
-            family.canary_task.cancel()
+        self._drop_canary(family)
         await asyncio.wait(
             [
                 self._drain(family, entry)
@@ -531,10 +525,15 @@ class ModelRegistry:
         self, family: _ModelFamily, entry: RegisteredModel
     ) -> asyncio.Task:
         """Send ``entry`` out the one way: it stops resolving now
-        (``draining``) and :meth:`_retire` runs as a loop task.  A version
-        drains once; a second call returns the same task."""
+        (``draining``) and :meth:`_retire` runs as a loop task — the only
+        task the registry makes (asyncio's ``RuntimeError`` off the loop,
+        before any coroutine exists).  A version drains once; a second
+        call returns the same task."""
         if entry.retirement is None:
-            entry.retirement = self._schedule(self._retire, family, entry)
+            loop = asyncio.get_running_loop()
+            entry.retirement = loop.create_task(self._retire(family, entry))
+            self._retirements.add(entry.retirement)
+            entry.retirement.add_done_callback(self._retirements.discard)
             entry.state = DRAINING
         return entry.retirement
 
@@ -571,10 +570,11 @@ class ModelRegistry:
         ``version`` (after each primary reply; divergences are recorded).
 
         Re-targeting a *different* version resets the candidate-scoped
-        divergence evidence; re-setting the same one keeps it (only the
-        fraction changes).  Mirrored work draws admission from the same
-        family budget share — a shed shadow counts as a shadow error, not
-        a client-visible failure.
+        divergence evidence and drops a canary waiting on the old one;
+        re-setting the same one keeps both (only the fraction changes).
+        Mirrored work draws admission from the same family budget share —
+        a shed shadow counts as a shadow error, not a client-visible
+        failure.
         """
         family = self._require_family(name)
         name = family.name
@@ -587,6 +587,8 @@ class ModelRegistry:
             )
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
+        if family.canary is not None and family.canary[0] != version:
+            self._drop_canary(family)
         family.shadow_version = version
         family.shadow_fraction = float(fraction)
         family.divergences.retarget(version)
@@ -594,91 +596,85 @@ class ModelRegistry:
         return {"model": name, "version": version, "fraction": fraction}
 
     def clear_shadow(self, name: str) -> Dict[str, Any]:
-        """Stop mirroring ``name``'s traffic (idempotent)."""
+        """Stop mirroring ``name``'s traffic (idempotent); a canary waiting
+        on the shadow is dropped."""
         family = self._require_family(name)
+        self._drop_canary(family)
         cleared = family.shadow_version
         if cleared is not None:
             family.shadow_version = None
             family.log.record("shadow_cleared", version=cleared)
         return {"model": family.name, "version": cleared}
 
-    def shadow_candidate(
-        self, entry: RegisteredModel
-    ) -> Optional[RegisteredModel]:
-        """The standby version ``entry``'s answered requests are mirrored
-        to — ``None`` without a shadow, or when ``entry`` is not its
-        family's primary (version-pinned requests are not mirrored).  The
-        server asks once per batch."""
-        if entry.state != SERVING:
-            return None
-        family = self._families.get(entry.name)
-        if family is None or family.shadow_version is None:
-            return None
-        candidate = family.versions.get(family.shadow_version)
-        if candidate is None or candidate.state != STANDBY:
-            return None
-        return candidate
-
-    def spawn_shadow(
-        self,
-        candidate: RegisteredModel,
-        request: Any,
-        primary_result: Any,
-        primary_latency_us: float,
-    ) -> Optional[asyncio.Task]:
-        """Mirror one answered request to its :meth:`shadow_candidate`,
-        maybe.
-
-        Called by the server *after* the primary result exists — the
-        mirrored evaluation runs as a fire-and-forget task, so the client
-        reply is never delayed.  Returns the task (tests await it) or
-        ``None`` when the request was not sampled.
-        """
-        family = self._families[candidate.name]
-        if (
-            family.shadow_fraction < 1.0
-            and self._rng.random() >= family.shadow_fraction
-        ):
-            return None
-        return self._schedule(
-            self._mirror,
-            family,
-            candidate,
-            request,
-            primary_result,
-            primary_latency_us,
-        )
-
-    async def _mirror(
-        self,
-        family: _ModelFamily,
-        candidate: RegisteredModel,
-        request: Any,
-        primary_result: Any,
-        primary_latency_us: float,
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        try:
-            out = await candidate.queue.awaited(candidate.submit, request)
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - sheds, model failures
-            family.divergences.observe_error(
-                f"{type(error).__name__}: {error}"
+    def mirror(self, primary: RegisteredModel, entries: list, result) -> None:
+        """Mirror one answered batch of ``primary`` to its family's shadow
+        candidate, if any — once per batch, after its replies are on their
+        way, so no client waits.  Each sampled request becomes a row in the
+        candidate's queue, with :meth:`_observe` as its reply sink and the
+        primary's answer in its tag: no task, no future.  Version-pinned
+        requests are not mirrored (``primary`` is then not serving); a
+        mirror the candidate sheds counts as a shadow error."""
+        if primary.state != SERVING:
+            return
+        family = self._families[primary.name]
+        if family.shadow_version is None:
+            return
+        # a live standby: every way out of that state clears the shadow
+        candidate = family.versions[family.shadow_version]
+        answered = time.perf_counter()
+        for entry in entries:
+            if (
+                family.shadow_fraction < 1.0
+                and self._rng.random() >= family.shadow_fraction
+            ):
+                continue
+            rows = slice(entry.lo, entry.lo + entry.n_samples)
+            tag = (
+                family,
+                candidate.version,
+                result[rows],
+                answered - entry.enqueued_at,  # the primary's latency
             )
-        else:
-            latency_us = (loop.time() - t0) * 1e6
-            mismatched, delta = compare_outputs(
-                family.scores_mode, primary_result, out
-            )
-            family.divergences.observe(
-                request.n_samples,
-                mismatched,
-                delta,
-                latency_us / max(primary_latency_us, 1e-9),
-            )
-        family.shadow_seen.set()
+            try:
+                candidate.queue.admit_packed(
+                    entry.payload, entry.n_samples, self._observe, tag
+                )
+            except Exception as error:  # noqa: BLE001 - sheds, closed queue
+                family.divergences.observe_error(
+                    f"{type(error).__name__}: {error}"
+                )
+        self._decide_if_due(family)
+
+    def _observe(self, entries: list, result, error) -> None:
+        """The mirror's reply sink: compare each mirrored request with the
+        primary's answer in its tag, record the outcome in the family's
+        :class:`~repro.serving.lifecycle.DivergenceStore`, then let a
+        waiting canary decide.  It shares the candidate batch's completion
+        with the batch's other sinks (pinned requests' replies), so it
+        never raises."""
+        family, version = entries[0].tag[:2]
+        store = family.divergences
+        if store.candidate_version != version:
+            return  # the shadow moved on: this evidence is another's
+        answered = time.perf_counter()
+        for entry in entries:
+            primary, primary_latency = entry.tag[2:]
+            try:
+                if error is not None:  # the candidate's batch failed
+                    raise error
+                store.observe(
+                    entry.n_samples,
+                    *compare_outputs(
+                        family.scores_mode,
+                        primary,
+                        result[entry.lo:entry.lo + entry.n_samples],
+                    ),
+                    (answered - entry.enqueued_at)
+                    / max(primary_latency, 1e-15),
+                )
+            except Exception as failure:  # noqa: BLE001 - never raises
+                store.observe_error(f"{type(failure).__name__}: {failure}")
+        self._decide_if_due(family)
 
     def shadow_report(self, name: Optional[str] = None) -> Dict[str, Any]:
         """The family's divergence evidence: store summary + recent records."""
@@ -715,16 +711,19 @@ class ModelRegistry:
           verdict is immediate: **promoted** (shadow cleared, serving
           pointer flipped, old version drains) or **rolled_back** (shadow
           cleared, candidate retired, primary untouched);
-        * otherwise a watcher task waits, event-driven, for the evidence
-          to accumulate and then applies the same verdict — returned
-          status is ``watching`` and the eventual decision lands in the
-          lifecycle log (and shows in :meth:`shadow_report`).
+        * otherwise the family keeps ``(version, policy)`` — no task —
+          and the returned status is ``watching``: the mirror's reply sink
+          applies the same verdict once the evidence is in, and the
+          decision lands in the lifecycle log (and shows in
+          :meth:`shadow_report`).  ``set_shadow`` to another version,
+          ``clear_shadow`` and ``unregister`` drop a watching canary at
+          once, logging ``canary_aborted``.
         """
         policy = CanaryPolicy() if policy is None else policy
         family = self._require_family(name)
         name = family.name
         version = int(version)
-        entry = self._live_version(family, version)
+        self._live_version(family, version)
         if version == family.serving_version:
             raise ValueError(
                 f"version {version} is already serving {name!r}"
@@ -734,13 +733,9 @@ class ModelRegistry:
         family.log.record(
             "canary_started", version=version, policy=policy.describe()
         )
+        family.canary = (version, policy)
         if family.divergences.requests >= policy.min_requests:
-            return self._decide_canary(family, version, policy)
-        if family.canary_task is not None and not family.canary_task.done():
-            family.canary_task.cancel()
-        family.canary_task = self._schedule(
-            self._watch_canary, family, version, policy
-        )
+            return self._decide_canary(family)
         return {
             "model": name,
             "version": version,
@@ -749,25 +744,24 @@ class ModelRegistry:
             "required": policy.min_requests,
         }
 
-    async def _watch_canary(
-        self, family: _ModelFamily, version: int, policy: CanaryPolicy
-    ) -> None:
-        while True:
-            await family.shadow_seen.wait()
-            family.shadow_seen.clear()
-            if (
-                family.shadow_version != version
-                or self._families.get(family.name) is not family
-            ):
-                family.log.record("canary_aborted", version=version)
-                return
-            if family.divergences.requests >= policy.min_requests:
-                self._decide_canary(family, version, policy)
-                return
+    def _drop_canary(self, family: _ModelFamily) -> None:
+        """Drop ``family``'s watching canary, if any: its shadow moved, was
+        cleared or the family went — which keeps the version a canary
+        decides on a live standby."""
+        if family.canary is not None:
+            family.log.record("canary_aborted", version=family.canary[0])
+            family.canary = None
 
-    def _decide_canary(
-        self, family: _ModelFamily, version: int, policy: CanaryPolicy
-    ) -> Dict[str, Any]:
+    def _decide_if_due(self, family: _ModelFamily) -> None:
+        """Decide a watching canary once its evidence is in."""
+        if (
+            family.canary is not None
+            and family.divergences.requests >= family.canary[1].min_requests
+        ):
+            self._decide_canary(family)
+
+    def _decide_canary(self, family: _ModelFamily) -> Dict[str, Any]:
+        (version, policy), family.canary = family.canary, None
         store = family.divergences
         rate = store.divergence_rate()
         p99 = store.p99_latency_ratio()
@@ -801,9 +795,7 @@ class ModelRegistry:
             )
             verdict["status"] = "promoted"
             return verdict
-        candidate = family.versions.get(version)
-        if candidate is not None and candidate.state == STANDBY:
-            self._drain(family, candidate)
+        self._drain(family, family.versions[version])
         family.log.record(
             "canary_rolled_back",
             version=version,
@@ -815,35 +807,25 @@ class ModelRegistry:
         verdict["reason"] = "; ".join(reasons)
         return verdict
 
-    # ------------------------------------------------------- task scheduling
-    def _schedule(self, coroutine_fn: Callable, *args: Any) -> asyncio.Task:
-        """Run ``coroutine_fn(*args)`` as a tracked task on the running
-        loop (asyncio's ``RuntimeError`` off the loop, before any
-        coroutine exists)."""
-        task = asyncio.get_running_loop().create_task(coroutine_fn(*args))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
-
+    # ----------------------------------------------------------------- quiesce
     async def wait_idle(self) -> None:
-        """Await every in-flight lifecycle task (drains, shadows, canary
-        decisions) — the tests' quiesce point.  Loops because a finishing
-        task can schedule another (a canary verdict schedules a drain);
-        canary *watchers* waiting for future traffic are excluded so this
-        never deadlocks on a quiet shadow."""
+        """The one quiesce point: flush every version's queue — standbys
+        and shadow candidates included — and await every retirement, until
+        nothing is queued or pending.  Loops because finishing work makes
+        more: a primary batch mirrors rows into its candidate's queue, a
+        canary verdict drains a version.  The server's drain step runs it
+        once admissions have stopped; the tests quiesce with it."""
         while True:
-            current = asyncio.current_task()
-            watchers = {
-                f.canary_task for f in self._families.values()
-            }
-            pending = [
-                t
-                for t in self._tasks
-                if not t.done() and t is not current and t not in watchers
-            ]
-            if not pending:
+            for entry in self.all_records():
+                await entry.queue.flush()
+            if self._retirements:
+                await asyncio.gather(
+                    *self._retirements, return_exceptions=True
+                )
+            elif not any(
+                entry.queue.backlog_samples for entry in self.all_records()
+            ):
                 return
-            await asyncio.gather(*pending, return_exceptions=True)
 
     # ------------------------------------------------------------ resolution
     @property
@@ -853,9 +835,6 @@ class ModelRegistry:
     @property
     def names(self) -> List[str]:
         return list(self._families)
-
-    def __len__(self) -> int:
-        return len(self._families)
 
     @staticmethod
     def split_versioned(name: str) -> Tuple[str, Optional[int]]:
@@ -947,18 +926,9 @@ class ModelRegistry:
         }
 
     # --------------------------------------------------------------- cleanup
-    async def flush_all(self) -> None:
-        """Force-evaluate every version's queued work and wait for it — the
-        drain step: everything admitted completes, nothing new is taken
-        (the server stops admissions before calling this).  Pending
-        retirements complete here too."""
-        for entry in self.all_records():
-            await entry.queue.flush()
-        await self.wait_idle()
-
     async def close(self) -> None:
         """Unregister every family — each version retires the one way
-        (:meth:`_retire`) — and await every lifecycle task left."""
-        await asyncio.gather(*map(self.unregister, list(self._families)))
-        while self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        (:meth:`_retire`) — and await every retirement left."""
+        for name in list(self._families):
+            await self.unregister(name)
+        await self.wait_idle()

@@ -65,13 +65,18 @@ import itertools
 from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.serving.queue import ServerOverloadedError, ServerUnavailableError
+from repro.serving.queue import (
+    BadRequestError,
+    ServerOverloadedError,
+    ServerUnavailableError,
+)
 from repro.serving.registry import ModelNotFoundError, ModelRegistry
 from repro.serving.retry import RetryPolicy
 from repro.serving.stats import render_exposition
 from repro.serving.transport import (
     BinaryRequest,
     FrameServer,
+    ProtocolError,
     RawBinaryReply,
     encode_message,
     encode_predict_request,
@@ -82,6 +87,11 @@ from repro.serving.transport import (
 __all__ = ["BackendFailedError", "Rebalancer", "RouterServer"]
 
 Endpoint = Tuple[str, int]
+
+#: the :class:`Rebalancer`'s EWMA weight of each pass's new demand
+#: observation, and the floor of any model's share of the total demand
+REBALANCE_SMOOTHING = 0.5
+REBALANCE_MIN_SHARE = 0.05
 
 
 class BackendFailedError(ConnectionError):
@@ -278,11 +288,8 @@ class RouterServer(FrameServer):
         health_timeout: float = 2.0,
         reinstate_after: int = 2,
         rebalance_interval: Optional[float] = None,
-        backlog: int = 512,
     ) -> None:
-        super().__init__(
-            host=host, port=port, http_port=http_port, backlog=backlog
-        )
+        super().__init__(host=host, port=port, http_port=http_port)
         if not placement:
             raise ValueError("placement must map at least one model")
         self._links: Dict[Endpoint, _BackendLink] = {}
@@ -590,9 +597,12 @@ class RouterServer(FrameServer):
                     request_id=rid,
                 )
             # the router's id, not the client's
-            return encode_message(
-                {**request, "id": rid, "model": forwarded_model}
-            )
+            try:
+                return encode_message(
+                    {**request, "id": rid, "model": forwarded_model}
+                )
+            except ProtocolError as error:  # e.g. a NaN feature
+                raise BadRequestError(str(error)) from error
 
         reply = await self._route(resolved, frame_for)
         if not binary:
@@ -675,28 +685,16 @@ class Rebalancer:
     extra capacity toward the model whose requests currently wait longest
     (the dynamically-partitioned sharing argument: give the squeezed
     tenant headroom *before* its queue melts down).  Demands are smoothed
-    with an EWMA (``smoothing`` is the weight of the new observation),
-    floored at ``min_share`` of the total so a quiet model is never
-    starved to zero, normalised, and pushed to every healthy backend's
-    ``set_admission_weights`` op — turning each box's shared
-    :class:`~repro.serving.queue.AdmissionBudget` into a live, traffic-
-    tracking partition.
+    with an EWMA (:data:`REBALANCE_SMOOTHING` is the weight of the new
+    observation), floored at :data:`REBALANCE_MIN_SHARE` of the total so a
+    quiet model is never starved to zero, normalised, and pushed to every
+    healthy backend's ``set_admission_weights`` op — turning each box's
+    shared :class:`~repro.serving.queue.AdmissionBudget` into a live,
+    traffic-tracking partition.
     """
 
-    def __init__(
-        self,
-        router: RouterServer,
-        *,
-        smoothing: float = 0.5,
-        min_share: float = 0.05,
-    ) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if not 0.0 <= min_share < 1.0:
-            raise ValueError("min_share must be in [0, 1)")
+    def __init__(self, router: RouterServer) -> None:
         self._router = router
-        self._smoothing = smoothing
-        self._min_share = min_share
         self._demand: Dict[str, float] = {}
         self._completed: Dict[Tuple[str, str], float] = {}
 
@@ -738,14 +736,14 @@ class Rebalancer:
                 self._demand[model] = demand
             else:
                 self._demand[model] = (
-                    self._smoothing * demand
-                    + (1.0 - self._smoothing) * previous
+                    REBALANCE_SMOOTHING * demand
+                    + (1.0 - REBALANCE_SMOOTHING) * previous
                 )
         total = sum(self._demand.values())
         if total <= 0:  # no traffic anywhere: even split
             weights = {model: 1.0 for model in self._demand}
         else:
-            floor = self._min_share * total
+            floor = REBALANCE_MIN_SHARE * total
             weights = {
                 model: max(floor, demand)
                 for model, demand in self._demand.items()

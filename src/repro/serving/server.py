@@ -34,6 +34,8 @@ process, for ``backend=``, and the registration owns it: it serves from
 it, advertises its ``backend``/``threads``/``unroll``, and closes it on
 retire.  ``unregister_model`` is the registry's ``unregister``; it, server
 stop and the lifecycle ops all retire a version the registry's one way.
+Each answered batch goes to the registry's ``mirror`` once, after its
+replies: shadow traffic is rows in the candidate's queue, not tasks.
 
 :class:`BackgroundServer` runs the whole thing on a dedicated event-loop
 thread, which is how the tests, the benchmark and the demo drive it from
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -110,10 +111,6 @@ class InferenceServer(FrameServer):
         Optional zero-argument callable run once at :meth:`start` (e.g. a
         one-sample evaluation per model to populate caches) so the cost
         lands at startup, not in the first request's latency.
-    backlog:
-        Listen-queue depth; sized for hundreds of simultaneous connects
-        (the whole point of a coalescing server is bursty many-client
-        traffic, and a dropped SYN costs a full retransmit timeout).
     """
 
     def __init__(
@@ -127,7 +124,6 @@ class InferenceServer(FrameServer):
         max_queue: int = 1024,
         max_total_queue: Optional[int] = None,
         warm_up: Optional[Callable[[], Any]] = None,
-        backlog: int = 512,
     ) -> None:
         budget = (
             AdmissionBudget(max_total_queue)
@@ -140,9 +136,7 @@ class InferenceServer(FrameServer):
             max_wait_us=max_wait_us,
             max_queue=max_queue,
         )
-        super().__init__(
-            host=host, port=port, http_port=http_port, backlog=backlog
-        )
+        super().__init__(host=host, port=port, http_port=http_port)
         self._warm_up = warm_up
         #: a version's one way in and its family's way out are the
         #: registry's own (see :class:`~repro.serving.registry.ModelRegistry`)
@@ -181,7 +175,7 @@ class InferenceServer(FrameServer):
     async def _on_drain(self) -> None:
         # admissions already stopped (state is draining, the predict paths
         # reject); everything admitted before the flip completes here
-        await self._registry.flush_all()
+        await self._registry.wait_idle()
 
     async def _on_stop(self) -> None:
         await self._registry.close()
@@ -215,7 +209,12 @@ class InferenceServer(FrameServer):
         if request.return_scores and not entry.scores_mode:
             raise BadRequestError(f"model {entry.name!r} has no scores path")
         try:
-            entry.submit(request, self._complete, (*reply_to, request, entry))
+            entry.queue.admit_packed(
+                request.packed,
+                request.n_samples,
+                self._complete,
+                (*reply_to, request, entry),
+            )
         except ServingError:
             raise
         except Exception as error:  # noqa: BLE001 - e.g. a queue just closed
@@ -226,7 +225,8 @@ class InferenceServer(FrameServer):
     ) -> None:
         """One batch of admitted predicts is done (the queue's completion
         call, see :meth:`BatchingQueue.admit_packed`): ``argmax`` once, every
-        connection's replies in one block, the shadow question asked once.
+        connection's replies in one block, then one
+        :meth:`~repro.serving.registry.ModelRegistry.mirror` call.
         """
         model = entries[0].tag[3]  # a queue serves one model version
         labels, scores = result, None
@@ -255,22 +255,11 @@ class InferenceServer(FrameServer):
                 )
             )
         answer_batch(replies, labels, scores)
-        # mirror to the shadow candidate (if any) *after* the primary
-        # replies are on their way — fire-and-forget, no client is delayed
-        candidate = self._registry.shadow_candidate(model)
-        if candidate is not None:
-            finished = time.perf_counter()
-            for entry in entries:
-                self._registry.spawn_shadow(
-                    candidate,
-                    entry.tag[2],
-                    result[entry.lo:entry.lo + entry.n_samples],
-                    (finished - entry.enqueued_at) * 1e6,
-                )
+        self._registry.mirror(model, entries, result)
 
     def _abandon(self, connection: CorkedWriter) -> None:
         for entry in self._registry.all_records():
-            entry.queue.discard(  # a shadow mirror's tag is its future
+            entry.queue.discard(  # submit's futures, mirrors' tags: no socket
                 lambda tag: isinstance(tag, tuple) and tag[0] is connection
             )
 
@@ -353,7 +342,7 @@ class InferenceServer(FrameServer):
                 "ok": True,
                 **self._registry.promote_canary(model, version, policy),
             }
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise BadRequestError(str(error)) from error
 
     def _handle_set_weights(self, request: Dict[str, Any]) -> Dict[str, Any]:

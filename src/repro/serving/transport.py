@@ -948,6 +948,10 @@ def replace_request_id(frame: bytes, request_id: int) -> bytes:
 # --------------------------------------------------------- listener machinery
 #: most bytes one ``await`` of a connection's read loop takes off its socket
 _CHUNK_BYTES = 1 << 16
+#: listen-queue depth, sized for hundreds of simultaneous connects (the
+#: point of a coalescing server is bursty many-client traffic, and a dropped
+#: SYN costs a full retransmit timeout)
+LISTEN_BACKLOG = 512
 
 _REPLY_FRAME = struct.Struct(_COMMON.format + _REPLY_HEAD.format[1:])
 
@@ -1161,12 +1165,10 @@ class FrameServer:
         host: str = "127.0.0.1",
         port: int = 0,
         http_port: Optional[int] = None,
-        backlog: int = 512,
     ) -> None:
         self.host = host
         self.port = port
         self.http_port = http_port
-        self._backlog = backlog
         self._server: Optional[asyncio.base_events.Server] = None
         self._http: Optional[HttpMetricsListener] = None
         self._connections: set = set()
@@ -1197,7 +1199,7 @@ class FrameServer:
             self._handle_connection,
             self.host,
             self.port,
-            backlog=self._backlog,
+            backlog=LISTEN_BACKLOG,
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         self._state = self.SERVING
@@ -1294,7 +1296,8 @@ class FrameServer:
           the base runs as a task and encodes for the frame's wire.
 
         A raised :class:`~repro.serving.queue.ServingError` (here, or out of
-        the awaitable) is the typed failure.
+        the awaitable) is the typed failure; any other exception out of the
+        awaitable is answered as the typed ``internal`` error.
         """
         raise NotImplementedError
 
@@ -1358,6 +1361,8 @@ class FrameServer:
                 result = await result
             except ServingError as error:
                 result = error
+            except Exception as error:  # noqa: BLE001 - answered, not lost
+                result = ServingError(f"{type(error).__name__}: {error}")
             corked.send_raw(_encode_response(frame, result))
 
         try:

@@ -76,8 +76,8 @@ class Fuzzer:
 
     def on_loop(self, fn):
         """Run a plain callable on the server loop — registry state is
-        loop-confined, and background tasks (canary watchers, drains)
-        mutate it at any moment; reading it from the test thread would
+        loop-confined, and loop callbacks (a mirror's sink deciding a
+        canary, drains) mutate it at any moment; reading it from the test thread would
         race a half-applied flip."""
 
         async def _do():

@@ -12,6 +12,7 @@ import gc
 import os
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -934,15 +935,18 @@ class TestOneWayOut:
             try:
                 if how == "canary_rollback":  # divergent shadow evidence
                     srv.registry.set_shadow("m", 2)
-                    mirror = srv.registry.spawn_shadow(
-                        entries[2],
-                        SimpleNamespace(packed=pack_bits(rows), n_samples=5),
-                        -_scores_fn(rows),
-                        1.0,
+                    answered = SimpleNamespace(
+                        payload=pack_bits(rows),
+                        n_samples=5,
+                        lo=0,
+                        enqueued_at=time.perf_counter(),
                     )
-                    await asyncio.sleep(0)
+                    srv.registry.mirror(
+                        entries[1], [answered], -_scores_fn(rows)
+                    )
                     await entries[2].queue.flush()
-                    await mirror
+                    report = srv.registry.shadow_report("m")
+                    assert report["shadow_divergences"] == 1
                 in_flight = asyncio.ensure_future(leaving.queue.submit(rows))
                 await asyncio.sleep(0)
                 assert leaving.queue.queued_samples == 5  # parked
@@ -1801,6 +1805,163 @@ class TestRequestsAreRowsNotTasks:
             np.testing.assert_array_equal(
                 replies[i].labels, _expected_labels(row[None, :])
             )
+
+
+class TestMirrorsAreRowsNotTasks:
+    def test_mirrored_predicts_create_no_task(self):
+        """Beside the pin above: 256 answered predicts mirrored to a shadow
+        candidate that parks them (a long ``max_wait_us``) are 256 rows in
+        its queue — not a task (or future) per mirrored request."""
+        import asyncio
+        import socket
+
+        srv = InferenceServer(max_batch=1024, max_queue=4096)
+        srv.register_model("m", scores_fn=_scores_fn, max_wait_us=1_000)
+        candidate = srv.register_model(
+            "m", scores_fn=_scores_fn, version=2, max_wait_us=30e6
+        )
+        rows = as_rng(25).integers(0, 2, size=(256, N_FEATURES)).astype(np.uint8)
+
+        async def count_tasks():
+            return len(asyncio.all_tasks())
+
+        with BackgroundServer(srv) as handle:
+            handle.run(_on_loop(lambda: srv.registry.set_shadow("m", 2)))
+            idle = handle.run(count_tasks())
+            with socket.create_connection(handle.address, timeout=5) as sock:
+                sock.sendall(b"".join(_binary_frames(rows, model="m")))
+                replies = _recv_replies(sock, 256)  # the primary answered
+                assert _poll(
+                    handle, lambda: candidate.queue.queued_samples,
+                    lambda q: q == 256,
+                ) == 256
+                # the connection + a constant
+                assert handle.run(count_tasks()) <= idle + 1 + 1
+                handle.run(srv.registry.wait_idle())
+            report = handle.run(_on_loop(lambda: srv.registry.shadow_report("m")))
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(
+                replies[i].labels, _expected_labels(row[None, :])
+            )
+        assert report["shadow_requests"] == 256
+        assert report["shadow_divergences"] == 0
+
+
+async def _on_loop(call):
+    return call()
+
+
+def _raw_json_exchange(address, body: str):
+    """Send one JSON frame whose body is ``body`` verbatim (it may hold
+    tokens no strict encoder emits: ``NaN``, ``Infinity``, ``1e400``),
+    half-close, and return every reply up to EOF."""
+    import socket
+    import struct
+
+    from repro.serving.transport import recv_message
+
+    data = body.encode()
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(struct.pack(">I", len(data)) + data)
+        sock.shutdown(socket.SHUT_WR)
+        replies = []
+        while (reply := recv_message(sock)) is not None:
+            replies.append(reply)
+    return replies
+
+
+class TestEveryRequestGetsOneTypedReply:
+    """Whatever a control op or a forwarded predict raises, its requester
+    gets exactly one typed reply: an argument that overflows a number is
+    ``bad_request``, a JSON request the router cannot re-encode is
+    ``bad_request``, any other failure ``internal`` — never silence and a
+    "Task exception was never retrieved" on the ``asyncio`` logger."""
+
+    BIG = "1" + "0" * 400  # 10**400: a JSON integer no float holds
+
+    ROWS = {
+        "canary_min_requests_inf": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"min_requests":Infinity', "bad_request",
+        ),
+        "canary_min_requests_minus_inf": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"min_requests":-Infinity', "bad_request",
+        ),
+        "canary_min_requests_1e400": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"min_requests":1e400', "bad_request",
+        ),
+        "canary_max_divergence_rate_huge": (
+            "backend", '"op":"promote_canary","version":2,'
+            f'"max_divergence_rate":{BIG}', "bad_request",
+        ),
+        "canary_max_p99_ratio_huge": (
+            "backend", '"op":"promote_canary","version":2,'
+            f'"max_p99_ratio":{BIG}', "bad_request",
+        ),
+        "set_shadow_fraction_huge": (
+            "backend", f'"op":"set_shadow","version":2,"fraction":{BIG}',
+            "bad_request",
+        ),
+        "router_json_predict_nan": (
+            "router", '"op":"predict","features":[[NaN' + ",0" * 15 + "]]",
+            "bad_request",
+        ),
+        "op_raising_untyped": ("backend", '"op":"explode"', "internal"),
+    }
+
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_exactly_one_typed_reply(self, row, caplog):
+        import logging
+
+        class Exploding(InferenceServer):
+            def _control_op(self, op, request):
+                if op == "explode":
+                    raise KeyError("not a ServingError")
+                return super()._control_op(op, request)
+
+        target, fields, error_type = self.ROWS[row]
+        srv = Exploding(max_batch=8, max_wait_us=1_000)
+        srv.register_model("m", _scores_fn)
+        srv.register_model("m", _scores_fn, version=2)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with BackgroundServer(srv) as backend:
+                router = RouterServer({"m": [backend.address]}, health_interval=0)
+                with BackgroundServer(router) as front:
+                    address = (front if target == "router" else backend).address
+                    replies = _raw_json_exchange(
+                        address, '{"model":"m",' + fields + "}"
+                    )
+                    shadow = backend.run(
+                        _on_loop(lambda: srv.registry.shadow_report("m"))
+                    )
+        assert len(replies) == 1, replies
+        assert replies[0]["ok"] is False
+        assert replies[0]["error"]["type"] == error_type, replies[0]
+        assert shadow["shadow_version"] is None  # nothing half-applied
+        logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+        assert not logged, logged[:3]
+
+    def test_a_nan_canary_bound_is_refused_and_the_log_stays_readable(self):
+        """``max_p99_ratio: NaN`` would be a latency gate that never fires,
+        and a ``canary_started`` event no JSON reply can carry."""
+        srv = InferenceServer(max_batch=8, max_wait_us=1_000)
+        srv.register_model("m", _scores_fn)
+        srv.register_model("m", _scores_fn, version=2)
+        with BackgroundServer(srv) as handle:
+            (refused,) = _raw_json_exchange(
+                handle.address,
+                '{"op":"promote_canary","model":"m","version":2,'
+                '"max_p99_ratio":NaN}',
+            )
+            (log,) = _raw_json_exchange(
+                handle.address, '{"op":"lifecycle","model":"m"}'
+            )
+        assert refused["error"]["type"] == "bad_request", refused
+        assert "max_p99_ratio" in refused["error"]["message"]
+        assert log["ok"] is True, log
+        assert "canary_started" not in [e["event"] for e in log["events"]]
 
 
 class TestOneBadRequestFailsAlone:

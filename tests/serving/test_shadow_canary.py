@@ -304,6 +304,68 @@ class TestCanary:
         assert "canary_started" in events
         assert "canary_promoted" in events
 
+    def test_a_watching_canary_holds_no_task(self, server, client):
+        """``watching`` leaves the loop's task count as it was; the verdict
+        lands in the lifecycle log once the evidence arrives and
+        ``wait_idle`` returns — no polling."""
+        import asyncio
+
+        async def count_tasks():
+            return len(asyncio.all_tasks())
+
+        register(server, "m", version_fn(1), version=2)
+        before = server.run(count_tasks())
+        pending = client.promote_canary("m", 2, min_requests=5)
+        assert pending["status"] == "watching"
+        assert server.run(count_tasks()) == before
+        self.drive(client, 5)
+        quiesce(server)
+        events = [e["event"] for e in client.lifecycle("m")]
+        assert events[events.index("canary_started"):] == [
+            "canary_started",
+            "shadow_cleared",
+            "promoted",
+            "draining",
+            "canary_promoted",
+            "retired",
+        ]
+        assert server.server.registry.serving_versions()["m"] == 2
+
+    @pytest.mark.parametrize(
+        "drop", ["set_shadow_elsewhere", "clear_shadow", "unregister_version"]
+    )
+    def test_a_dropped_canary_aborts_at_once_and_never_decides(
+        self, server, client, drop
+    ):
+        register(server, "m", version_fn(1), version=2)  # would promote
+        register(server, "m", version_fn(1), version=3)
+        assert client.promote_canary("m", 2, min_requests=3)["status"] == (
+            "watching"
+        )
+        if drop == "set_shadow_elsewhere":
+            client.set_shadow("m", 3)
+        elif drop == "clear_shadow":
+            client.clear_shadow("m")
+        else:
+
+            async def unregister():
+                server.server.registry.unregister_version("m", 2)
+
+            server.run(unregister())
+        aborted = [
+            e for e in client.lifecycle("m") if e["event"] == "canary_aborted"
+        ]
+        assert [e["version"] for e in aborted] == [2]  # before any traffic
+        if drop == "clear_shadow":
+            client.set_shadow("m", 2)  # the same candidate, mirrored again
+        self.drive(client, 6)
+        quiesce(server)
+        events = [e["event"] for e in client.lifecycle("m")]
+        assert events.count("canary_aborted") == 1
+        assert "canary_promoted" not in events
+        assert "canary_rolled_back" not in events
+        assert server.server.registry.serving_versions()["m"] == 1
+
     def test_policy_validation_crosses_the_wire(self, server, client):
         register(server, "m", version_fn(2), version=2)
         with pytest.raises(Exception, match="min_requests"):
