@@ -30,8 +30,9 @@ import asyncio
 import contextlib
 import sys
 import time
+from functools import partial
 
-from repro.engine import ShardedEngine, WorkerPool, compile_netlist, pack_bits
+from repro.engine import WorkerPool, compile_netlist, pack_bits
 from repro.serving import BackgroundServer
 from repro.serving.transport import encode_message, encode_predict_request
 
@@ -136,20 +137,18 @@ def test_sharded_vs_serial():
     netlist = engine_bench.sharding_bank()
     n_samples = 10_000
     packed = pack_bits(random_rows(n_samples))
-    engines = {"serial": compile_netlist(netlist)}
-    pools = []
-    try:
+    serial = compile_netlist(netlist)
+    paths = {"serial": lambda: serial.run_packed(packed)}
+    with contextlib.ExitStack() as stack:
         for n_workers in engine_bench.SHARD_WORKERS:
-            pools.append(WorkerPool(n_workers=n_workers, backend="process"))
-            engines[f"{n_workers} workers"] = ShardedEngine(
-                netlist, pool=pools[-1]
+            pool = stack.enter_context(
+                WorkerPool(n_workers=n_workers, backend="process")
             )
-        best = _interleaved_best(
-            _packed_paths(engines, packed), rounds=4, inner=1
-        )
-    finally:
-        for pool in pools:
-            pool.close()
+            pool.attach("bank", netlist)
+            paths[f"{n_workers} workers"] = partial(
+                pool.run_packed, "bank", packed
+            )
+        best = _interleaved_best(paths, rounds=4, inner=1)
     emit(
         f"Sharded serving ({netlist.n_luts}-LUT bank, {n_samples}-sample batch)",
         _table(best, "serial"),
@@ -174,8 +173,8 @@ def test_native_mt_one_word_vs_scalar():
 
 
 def test_multi_model_served_vs_sequential():
-    """256 mixed-model 1-sample requests: coalesced through one server on a
-    shared pool vs each model's direct packed path called per request."""
+    """256 mixed-model 1-sample requests: coalesced through one server vs
+    each model's direct packed path called per request."""
     models = serving_bench.build_multi_models()
     plan = serving_bench.mixed_plan(models)
     server = serving_bench.multi_model_server(models)
@@ -201,7 +200,7 @@ def test_multi_model_served_vs_sequential():
         }
     emit(
         f"Multi-model coalesced serving ({len(plan)} mixed concurrent "
-        f"1-sample requests, 2 banks on one shared WorkerPool)",
+        f"1-sample requests, 2 banks behind one server)",
         "\n".join(
             [_table(best, "sequential")]
             + [

@@ -31,7 +31,6 @@ import pytest
 
 from repro.core.netlist import LUTNetlist
 from repro.engine import (
-    ShardedEngine,
     WorkerPool,
     compile_netlist,
     optimize_netlist,
@@ -206,10 +205,8 @@ def test_sharded_engine_bit_exact():
     packed = pack_bits(random_rows(10_000))
     reference = compile_netlist(netlist).run_packed(packed)
     for n_workers in SHARD_WORKERS:
-        engine = ShardedEngine(
-            netlist, pool=WorkerPool(n_workers=n_workers, backend="process")
-        )
-        try:
-            np.testing.assert_array_equal(engine.run_packed(packed), reference)
-        finally:
-            engine.pool.close()
+        with WorkerPool(n_workers=n_workers, backend="process") as pool:
+            pool.attach("bank", netlist)
+            np.testing.assert_array_equal(
+                pool.run_packed("bank", packed), reference
+            )

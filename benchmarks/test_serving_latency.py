@@ -10,8 +10,8 @@ benchmark's P=6 topology) feeding a quantised output layer via
 What tier-1 pins is what does not depend on the host's speed: every label
 equals the direct call's, nothing is shed, and requests really coalesce
 (mean batch occupancy > 1) — single-model, and with two distinct compiled
-netlists (different feature widths) on one shared WorkerPool routed by the
-wire protocol's ``model`` field.
+netlists (different feature widths) behind one server, routed by the wire
+protocol's ``model`` field.
 
 How fast that is is ``benchmarks/perf``'s ``serve_small_closed`` workload
 (256 one-sample requests always in flight, absolute req/s and µs).  The
@@ -28,7 +28,7 @@ import functools
 import numpy as np
 
 from repro.core.output_layer import SparseQuantizedOutputLayer, quantize_symmetric
-from repro.engine import ShardedEngine, WorkerPool, pack_bits, rinc_bank_netlist
+from repro.engine import compile_netlist, pack_bits, rinc_bank_netlist
 from repro.serving import BackgroundServer, InferenceServer
 from repro.serving.transport import encode_message, read_message, write_message
 from repro.utils.rng import as_rng
@@ -66,8 +66,8 @@ def _build_model():
     """A serving-sized PoET-BiN stack without the training cost.
 
     The RINC bank is the engine benchmark's serving-scale P=6 topology with
-    random tables (the optimiser's adversarial case).  Built once; the pool
-    stays open for the process lifetime (its finalizer reclaims it at exit).
+    random tables (the optimiser's adversarial case).  Built once, on the
+    in-process NumPy engine.
     """
     fan_in = 6  # intermediate bits per class
     netlist = rinc_bank_netlist(
@@ -78,34 +78,28 @@ def _build_model():
         lut_width=6,
         seed=2,
     )
-    engine = ShardedEngine(netlist, pool=WorkerPool(n_workers=2))
-    return _make_scores_stack(engine, fan_in, seed=9)
+    return _make_scores_stack(compile_netlist(netlist), fan_in, seed=9)
 
 
 @functools.lru_cache(maxsize=None)
 def build_multi_models():
-    """Two serving-sized banks with different widths over one WorkerPool.
+    """Two serving-sized banks with different widths, each on its own
+    in-process NumPy engine.
 
     Model "a" is a 256-feature P=6 bank, model "b" a 128-feature one —
-    distinct shapes so any cross-model shard routing fails loudly.  Both
-    attach to a single shared pool (the multi-tenant configuration under
-    test); the pool stays open for the process lifetime, reclaimed by its
-    finalizer at exit.
+    distinct shapes so any cross-model routing fails loudly.
     """
-    pool = WorkerPool(n_workers=2)
     specs = {
         "a": dict(n_primary_inputs=256, n_trees=480, n_mats=80,
                   n_outputs=N_CLASSES * 6, lut_width=6, seed=2, fan_in=6),
         "b": dict(n_primary_inputs=128, n_trees=320, n_mats=60,
                   n_outputs=N_CLASSES * 4, lut_width=6, seed=3, fan_in=4),
     }
-    models = {"pool": pool}
-    for name, spec in specs.items():
+    models = {}
+    for layer_seed, (name, spec) in enumerate(specs.items(), start=21):
         fan_in = spec.pop("fan_in")
-        netlist = rinc_bank_netlist(**spec)
-        engine = ShardedEngine(netlist, pool=pool, model_id=name)
         scores_fn, predict_fn = _make_scores_stack(
-            engine, fan_in, seed=20 + len(models)
+            compile_netlist(rinc_bank_netlist(**spec)), fan_in, seed=layer_seed
         )
         models[name] = {
             "width": spec["n_primary_inputs"],
@@ -138,7 +132,6 @@ def multi_model_server(models) -> InferenceServer:
         max_wait_us=10_000,
         max_queue=4096,
         max_total_queue=8192,
-        warm_up=models["pool"].warm_up,
     )
     for name in ("a", "b"):
         server.register_model(name, scores_fn=models[name]["scores_fn"])
@@ -182,10 +175,10 @@ def test_coalesced_serving_bit_exact():
 
 
 def test_multi_model_serving_bit_exact():
-    """Mixed-model concurrent 1-sample load on one shared pool.
+    """Mixed-model concurrent 1-sample load on one server.
 
     The server must answer bit-exactly per model and coalesce per model —
-    while both queues share one WorkerPool and one admission budget.
+    while both queues share one admission budget.
     """
     models = build_multi_models()
     plan = mixed_plan(models)

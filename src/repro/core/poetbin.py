@@ -198,9 +198,7 @@ class PoETBiNClassifier:
     ) -> "PackedEngine":
         """The engine a batch method runs on: the one the caller built
         (``engine``) or this classifier's cached one for ``engine_backend``
-        (default ``"numpy"``).  The classifier holds no pool: to shard over
-        processes, pass ``engine=ShardedEngine(clf.to_netlist(), pool=...)``
-        — the caller made that attachment and closes it."""
+        (default ``"numpy"``; ``"native-mt"`` uses the host's cores)."""
         if engine is None:
             return self.compiled_netlist(engine_backend or "numpy")
         if engine_backend is not None:
@@ -237,8 +235,7 @@ class PoETBiNClassifier:
 
         The whole serving path stays in packed words: the RINC bank is
         evaluated by the compiled netlist (this classifier's cached engine
-        for ``engine_backend``, or the caller's ``engine`` — e.g. a
-        pool-bound :class:`~repro.engine.parallel.ShardedEngine`), and its
+        for ``engine_backend``, or the caller's ``engine``), and its
         packed outputs index the output layer's score table directly —
         nothing is unpacked between the RINC bank and the final scores.
         The intermediate bits are bit-identical to

@@ -53,7 +53,7 @@ Compiler
     every pipeline configuration.
     :func:`~repro.engine.compiled_netlist.build_engine` is the one place a
     backend *name* (``"numpy"``, ``"native"``, ``"native-mt"``, ``"auto"``)
-    becomes an engine object, and every engine — NumPy, native, pool-bound —
+    becomes an engine object, and every engine — NumPy, native, native-mt —
     shares the :class:`~repro.engine.compiled_netlist.PackedEngine` surface
     (``run_packed``, ``run_scores``, ``evaluate_outputs``/
     ``predict_batch``, ``n_primary_inputs``, ``n_outputs``, ``backend``,
@@ -94,13 +94,10 @@ Runtime
     task is a ``(model_id, word_range)`` shard — so one pool serves many netlists and multiple
     in-flight requests concurrently (shared-memory IPC, per-worker compiled
     programs, the model's own engine for small batches and after a failed
-    fork).  In-process threads are the engine's (``native-mt``), processes
-    the pool's.
-    :class:`~repro.engine.parallel.ShardedEngine` is the engine handle
-    binding ``(pool, model_id)``: ``ShardedEngine(netlist, pool=pool)``
-    attaches, ``close()`` detaches, and the caller owns both.  Packed
-    64-sample word blocks are independent, so sharded results are
-    bit-identical to serial.
+    fork).  Packed 64-sample word blocks are independent, so sharded
+    results are bit-identical to serial.  The pool is not an engine: more
+    than one core behind an ``engine=`` or a served model is
+    ``backend="native-mt"``, whose threads stay in-process.
 
 ``bitpack``
     Packs an ``(n_samples, n_signals)`` 0/1 matrix into an
@@ -136,8 +133,7 @@ or simply ``classifier.predict_batch(X_bits)``, which compiles and caches
 the engine on first use — and keeps PoET-BiN serving packed from the
 feature bits through the RINC bank into the table-lookup read-out
 (``engine_backend="native"`` picks the generated-C engine,
-``engine=ShardedEngine(classifier.to_netlist(), pool=pool)`` a pool the
-caller made).
+``"native-mt"`` the same build threaded across the host's cores).
 """
 
 from repro.engine.batching import BatchedPredictorMixin, predict_in_batches
@@ -160,7 +156,7 @@ from repro.engine.compiled_netlist import (
 )
 from repro.engine.ir import IRGraph, IRNode
 from repro.engine.native import NativeCompiledNetlist, NativeUnavailableError
-from repro.engine.parallel import ShardedEngine, WorkerPool, shard_bounds
+from repro.engine.parallel import WorkerPool, shard_bounds
 from repro.engine.passes import (
     MUX_TABLE,
     ConstantFoldPass,
@@ -197,7 +193,6 @@ __all__ = [
     "Pass",
     "PackedEngine",
     "PassManager",
-    "ShardedEngine",
     "WORD_BITS",
     "WorkerPool",
     "build_engine",

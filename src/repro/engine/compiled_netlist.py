@@ -191,7 +191,7 @@ class PackedEngine:
 
     def close(self) -> None:
         """Release what the engine holds outside this object (idempotent);
-        nothing for the in-process engines."""
+        nothing for the engines of this package."""
 
     def __enter__(self) -> "PackedEngine":
         return self

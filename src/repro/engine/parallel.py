@@ -6,21 +6,16 @@ any contiguous word range of the packed batch can be evaluated independently
 and the per-range outputs concatenated — bit for bit what the serial engine
 produces.
 
-:class:`WorkerPool`
-    A standalone pool of worker processes that is **not** bound to any
-    netlist.  Models are *attached* by id before the pool forks — each
-    worker holds a registry of compiled engines, built lazily per model —
-    and every task is a ``(model_id, word_range)`` shard, so one pool serves
-    many netlists and multiple in-flight requests concurrently.  It is the
-    one multi-process path: nothing else in the package creates a pool.
-
-:class:`ShardedEngine`
-    The engine handle binding ``(pool, model_id)``: constructing it attaches
-    a netlist to a pool the caller made, closing it detaches exactly that
-    attachment, and in between it has the surface of every other engine
-    (:class:`~repro.engine.compiled_netlist.PackedEngine`), so whoever
-    holds it — a classifier's ``engine=`` argument, a function a server
-    serves — need not know a pool is behind it.
+:class:`WorkerPool` is a standalone pool of worker processes that is **not**
+bound to any netlist.  Models are *attached* by id before the pool forks —
+each worker holds a registry of compiled engines, built lazily per model —
+and every task is a ``(model_id, word_range)`` shard, so one pool serves
+many netlists and multiple in-flight requests concurrently.  It is the one
+multi-process path: nothing else in the package creates a pool.  It is not
+an engine: a classifier's ``engine=`` and a served model take a
+:class:`~repro.engine.compiled_netlist.PackedEngine`, and the way to use
+more than one core there is ``backend="native-mt"``, the in-process threaded
+build.
 
 Backends
 ========
@@ -81,11 +76,8 @@ not break:
    range.  Sample data never goes through a pipe.
 2. **The model set is fixed at the fork.**  :meth:`WorkerPool.attach` on a
    forked pool raises: attach every model, then fork (the first sharded
-   call, or :meth:`WorkerPool.warm_up`).  Detaching after the fork drops
-   the parent's record only; the workers' copies live until the pool
-   closes, which is bounded because nothing can be attached in their
-   place.  A pool that fell back to serial never forks again and accepts
-   attaches.
+   call, or :meth:`WorkerPool.warm_up`).  A pool that fell back to serial
+   never forks again and accepts attaches.
 3. **Batches travel through named shared memory.**  The parent owns a
    free-list of segment pairs (``in``/``out``) — one pair per concurrently
    in-flight evaluation, leased per call under a lock — and workers attach
@@ -109,15 +101,14 @@ Usage
 =====
 
 >>> with WorkerPool(n_workers=4) as pool:
-...     a = ShardedEngine(netlist_a, pool=pool)    # many models, one pool
-...     b = ShardedEngine(clf.to_netlist(), pool=pool)
+...     pool.attach("a", netlist_a)                # many models, one pool
+...     pool.attach("b", netlist_b, engine_backend="native")
 ...     pool.warm_up()                             # the fork fixes the set
-...     bits = a.predict_batch(X_a)                # == serial, bit for bit
-...     labels = clf.predict_batch(X, engine=b)
+...     bits = pool.evaluate_outputs("a", X_a)     # == serial, bit for bit
+...     words = pool.run_packed("b", pack_bits(X_b))
 
 The pool owns OS resources (worker processes, shared memory); close it or
-use it as a context manager.  Closing a :class:`ShardedEngine` detaches its
-model and leaves the pool running.
+use it as a context manager.
 """
 
 from __future__ import annotations
@@ -140,7 +131,7 @@ from repro.engine.compiled_netlist import PackedEngine, build_engine
 from repro.engine.passes import optimize_netlist
 from repro.utils.validation import check_binary_matrix
 
-__all__ = ["ShardedEngine", "WorkerPool", "shard_bounds"]
+__all__ = ["WorkerPool", "shard_bounds"]
 
 
 def shard_bounds(n_words: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -366,7 +357,7 @@ class WorkerPool:
         :func:`~repro.engine.passes.optimize_netlist`) runs once here; all
         workers execute the same optimised program.  ``model_id=None``
         generates a unique one.  Attaching an id that is already attached
-        raises — detach first.  So does attaching to a forked pool: the workers hold the
+        raises.  So does attaching to a forked pool: the workers hold the
         models attached before the fork and no others, so attach every
         model before :meth:`warm_up` or the first sharded call.
 
@@ -403,37 +394,19 @@ class WorkerPool:
             self._models[model_id] = _PoolModel(model_id, optimized, serial)
         return model_id
 
-    def detach(self, model_id: str) -> None:
-        """Drop a model from the registry (its in-flight calls complete).
-
-        On a forked pool this drops the parent's record only; the workers'
-        copies live until :meth:`close`, and no attach can add more.
-        """
-        with self._lock:
-            self._models.pop(model_id, None)
-
-    @property
-    def model_ids(self) -> List[str]:
-        with self._lock:
-            return list(self._models)
-
     def _entry(self, model_id: str) -> _PoolModel:
         with self._lock:
             entry = self._models.get(model_id)
-        if entry is None:
-            raise KeyError(
-                f"model {model_id!r} is not attached to this WorkerPool "
-                f"(attached: {sorted(self.model_ids)})"
-            )
+            if entry is None:
+                raise KeyError(
+                    f"model {model_id!r} is not attached to this WorkerPool "
+                    f"(attached: {sorted(self._models)})"
+                )
         return entry
 
     def serial_engine(self, model_id: str):
         """The single-threaded engine all of a model's shards match."""
         return self._entry(model_id).serial
-
-    def optimized_netlist(self, model_id: str) -> LUTNetlist:
-        """The post-pipeline netlist the pool serves for ``model_id``."""
-        return self._entry(model_id).netlist
 
     # ------------------------------------------------------------- lifecycle
     def warm_up(self) -> "WorkerPool":
@@ -471,12 +444,6 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WorkerPool({self.n_workers} x {self.backend}, "
-            f"{len(self._models)} models)"
-        )
 
     # ------------------------------------------------------------ evaluation
     def run_packed(
@@ -704,52 +671,3 @@ class WorkerPool:
             except OSError:  # pragma: no cover - already gone
                 pass
 
-
-class ShardedEngine(PackedEngine):
-    """The engine handle binding ``(pool, model_id)`` — bit-exact vs serial.
-
-    Constructing it attaches ``netlist`` to ``pool`` (``passes``,
-    ``max_lut_inputs``, ``engine_backend`` and ``model_id`` as in
-    :meth:`WorkerPool.attach`); :meth:`close` detaches exactly this
-    attachment and leaves the pool — which the caller made and owns —
-    running.  ``backend``/``threads``/``unroll`` are the attached serial
-    engine's.
-    """
-
-    def __init__(
-        self,
-        netlist: LUTNetlist,
-        *,
-        pool: WorkerPool,
-        passes: Optional[Sequence] = None,
-        max_lut_inputs: Optional[int] = None,
-        engine_backend: str = "numpy",
-        model_id: Optional[str] = None,
-    ) -> None:
-        self.pool = pool
-        self.model_id = pool.attach(
-            model_id,
-            netlist,
-            passes=passes,
-            max_lut_inputs=max_lut_inputs,
-            engine_backend=engine_backend,
-        )
-        serial = pool.serial_engine(self.model_id)
-        self.n_primary_inputs = serial.n_primary_inputs
-        self.n_outputs = serial.n_outputs
-        self.backend = serial.backend
-        self.threads = serial.threads
-        self.unroll = serial.unroll
-        self._closed = False
-
-    def run_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Sharded counterpart of ``CompiledNetlist.run_packed``."""
-        if self._closed:
-            raise RuntimeError("this ShardedEngine has been closed")
-        return self.pool.run_packed(self.model_id, packed_inputs)
-
-    def close(self) -> None:
-        """Detach this attachment (idempotent); the pool keeps running."""
-        if not self._closed:
-            self._closed = True
-            self.pool.detach(self.model_id)

@@ -127,15 +127,25 @@ class CanaryPolicy:
 
     @classmethod
     def from_wire(cls, payload: Dict[str, Any]) -> "CanaryPolicy":
-        """Build from a wire request's optional policy fields."""
+        """Build from a wire request's optional policy fields, typed as
+        sent: ``min_requests`` an integer, the bounds numbers — a string,
+        a bool or a fractional count raises :class:`TypeError` rather than
+        being cast (a JSON ``true`` is not a divergence rate of 1.0)."""
         kwargs: Dict[str, Any] = {}
-        for name, cast in (
-            ("min_requests", int),
-            ("max_divergence_rate", float),
-            ("max_p99_ratio", float),
+        for name, kind, cast in (
+            ("min_requests", int, int),
+            ("max_divergence_rate", (int, float), float),
+            ("max_p99_ratio", (int, float), float),
         ):
-            if payload.get(name) is not None:
-                kwargs[name] = cast(payload[name])
+            value = payload.get(name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(
+                    f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                    f"got {value!r}"
+                )
+            kwargs[name] = cast(value)
         return cls(**kwargs)
 
     def describe(self) -> Dict[str, Any]:

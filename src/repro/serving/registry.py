@@ -276,10 +276,9 @@ class ModelRegistry:
         than after ``max_wait_us``; before that, for every other engine,
         and for every explicit function, on the queue's executor thread,
         under the wait budget (see :mod:`repro.serving.queue`;
-        ``list_models`` reports which as ``on_loop``).  An explicit
-        function may close over any engine, a pool-bound
-        ``ShardedEngine`` included; ``backend`` is then a descriptive
-        label only (default ``"numpy"``).  Knobs left ``None`` inherit the
+        ``list_models`` reports which as ``on_loop``).  For an explicit
+        function ``backend`` is a descriptive label only (default
+        ``"numpy"``).  Knobs left ``None`` inherit the
         registry defaults.  Safe while serving: requests naming ``name``
         route to the new queue from the next dispatch.
 

@@ -89,7 +89,9 @@ __all__ = [
     "BinaryRequest",
     "CorkedWriter",
     "ERROR_CODES",
+    "FRAME_READ_TIMEOUT_S",
     "FrameServer",
+    "IDLE_TIMEOUT_S",
     "JsonPredictRequest",
     "MAX_MESSAGE_BYTES",
     "MAX_MODEL_NAME_BYTES",
@@ -129,6 +131,14 @@ _HEADER = struct.Struct(">I")
 #: Upper bound on one message's JSON payload (64 MiB ≈ a 250k-sample
 #: request of 256 features — far beyond anything the batcher admits).
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
+
+#: Seconds a server connection may sit with a frame only part-way in before
+#: it is closed: a peer that stalls mid-frame holds no handler for ever.
+FRAME_READ_TIMEOUT_S = 30.0
+#: Seconds a server connection may sit idle — nothing part-way in, no
+#: answer owed — before it is closed.  One whose request is still
+#: evaluating is never cut.
+IDLE_TIMEOUT_S = 300.0
 
 
 class ProtocolError(RuntimeError):
@@ -675,6 +685,11 @@ class _ChunkedWalk:
             yield  # to :meth:`frames`, which returns; the next chunk resumes
         return self._take(n_bytes)
 
+    @property
+    def part_way(self) -> bool:
+        """Whether a frame has arrived in part and not yet whole."""
+        return self._walk is not None or self._unread > 0
+
     def frames(self, chunk: bytes):
         """Feed ``chunk`` and generate every frame it completes, decoded as
         :func:`_walk` decodes them.  ``b""`` is the end of the stream: the
@@ -1013,16 +1028,22 @@ class CorkedWriter:
     a single flush with ``call_soon``, the flush writes the concatenation —
     one ``send`` syscall, frame-atomic.  ``pending`` counts the requests
     admitted synchronously and not yet answered through :meth:`reply`,
-    which is what a clean EOF waits out (:meth:`settled`).  Loop-confined,
-    so no lock is needed.
+    which is what a clean EOF waits out (:meth:`settled`); ``on_settled``
+    runs each time the last of them is answered.  Loop-confined, so no lock
+    is needed.
     """
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
+    def __init__(
+        self,
+        writer: asyncio.StreamWriter,
+        on_settled: Callable[[], None] = lambda: None,
+    ) -> None:
         self._writer = writer
         self._frames: list = []
         self._flush_scheduled = False
         self.pending = 0
         self._settled: Optional[asyncio.Future] = None
+        self._on_settled = on_settled
 
     def send(self, payload: Dict[str, Any]) -> None:
         self.send_raw(encode_message(payload))
@@ -1041,9 +1062,11 @@ class CorkedWriter:
         request."""
         self.send_raw(*frames)
         self.pending -= 1
-        if not self.pending and self._settled is not None:
-            self._settled.set_result(None)
-            self._settled = None
+        if not self.pending:
+            self._on_settled()
+            if self._settled is not None:
+                self._settled.set_result(None)
+                self._settled = None
 
     async def settled(self) -> None:
         """Return once nothing admitted on this connection is unanswered."""
@@ -1059,6 +1082,48 @@ class CorkedWriter:
         data = b"".join(self._frames)
         self._frames.clear()
         self._writer.write(data)
+
+
+class _ReadDeadline:
+    """The one timer of a server connection's read side.
+
+    A connection is *busy* while a request it sent is owed an answer, and
+    is then never cut; otherwise it is *part-way* while a frame has arrived
+    only in part, and *idle* when nothing has.  A part-way connection is
+    closed (``expire``) after :data:`FRAME_READ_TIMEOUT_S` in that state,
+    an idle one after :data:`IDLE_TIMEOUT_S`.  :meth:`update` re-arms the
+    timer only when the state changes or another frame starts part-way in,
+    so a connection streaming requests pays a comparison per chunk, not a
+    timer.
+    """
+
+    def __init__(self, expire: Callable[[], None]) -> None:
+        self._expire = expire
+        self._state = ""
+        self._timer: Optional[asyncio.TimerHandle] = None
+
+    def update(
+        self, busy: bool, part_way: bool, new_frame: bool = False
+    ) -> None:
+        state = "busy" if busy else "part-way" if part_way else "idle"
+        if state != self._state or (new_frame and state == "part-way"):
+            if self._state != "closed":
+                self._set(state)
+
+    def close(self) -> None:
+        """Disarm for good: the connection is past its read loop."""
+        self._set("closed")
+
+    def _set(self, state: str) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._state = state
+        if state in ("part-way", "idle"):
+            self._timer = asyncio.get_running_loop().call_later(
+                FRAME_READ_TIMEOUT_S if state == "part-way" else IDLE_TIMEOUT_S,
+                self._expire,
+            )
 
 
 def answer_batch(
@@ -1351,10 +1416,22 @@ class FrameServer:
         # own queue.  A request carrying an ``"id"`` gets it echoed in the
         # response, which is how pipelining clients re-associate
         # out-of-order completions; the corked writer turns all completions
-        # of one batch into a single frame-atomic send.
-        corked = CorkedWriter(writer)
+        # of one batch into a single frame-atomic send.  A stalled or idle
+        # peer is hung up on by the read deadline, which cancels this task.
+        deadline = _ReadDeadline(task.cancel)
         walk = _ChunkedWalk(_REQUESTS, "connection closed")
         in_flight: set = set()
+
+        def settle(new_frame: bool = False) -> None:
+            deadline.update(
+                corked.pending or in_flight, walk.part_way, new_frame
+            )
+
+        def finished(request_task: asyncio.Task) -> None:
+            in_flight.discard(request_task)
+            settle()
+
+        corked = CorkedWriter(writer, settle)
 
         async def respond(frame, result) -> None:
             try:
@@ -1371,13 +1448,16 @@ class FrameServer:
                 # stop() swept _connections: nobody would ever cancel this
                 # handler, so it hangs up by itself
                 return
+            settle()
             while True:
                 # b"" is EOF, and the walk has to hear of that too
                 chunk = await reader.read(_CHUNK_BYTES)
+                new_frame = False
                 try:
                     for frame in walk.frames(chunk):
                         if frame is None:  # client closed cleanly
                             break
+                        new_frame = True
                         try:
                             result = self._dispatch(
                                 frame.payload
@@ -1395,7 +1475,7 @@ class FrameServer:
                             respond(frame, result)
                         )
                         in_flight.add(request_task)
-                        request_task.add_done_callback(in_flight.discard)
+                        request_task.add_done_callback(finished)
                 except BinaryProtocolError as error:
                     corked.send_raw(encode_error("bad_request", str(error)))
                     break
@@ -1404,6 +1484,7 @@ class FrameServer:
                     break
                 if not chunk:
                     break
+                settle(new_frame)
                 # backpressure: a peer that does not read its replies stops
                 # being read from while its transport sits above the
                 # high-water mark, so neither buffer grows with its pipeline
@@ -1415,6 +1496,7 @@ class FrameServer:
                     await asyncio.sleep(0)
             # clean close: let in-flight requests finish (their replies may
             # still be deliverable on a half-open socket)
+            deadline.close()
             if in_flight:
                 await asyncio.gather(*list(in_flight))
             await corked.settled()
@@ -1426,8 +1508,9 @@ class FrameServer:
             # reservations (see BatchingQueue.discard)
             pass
         except asyncio.CancelledError:
-            pass  # server shutting down with the connection open
+            pass  # server shutting down, or the read deadline passed
         finally:
+            deadline.close()
             for request_task in list(in_flight):
                 request_task.cancel()
             if corked.pending:

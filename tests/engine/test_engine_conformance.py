@@ -1,15 +1,18 @@
 """One conformance suite for every engine: same bits, same surface.
 
-Whatever runs the words — the NumPy interpreter, the generated-C engine,
-the same build threaded (``native-mt``), or a :class:`ShardedEngine` handle over a
-process / serial :class:`WorkerPool` (or a process pool fallen back to
-serial) — an engine must reproduce
+Whatever runs the words — the NumPy interpreter, the generated-C engine or
+the same build threaded (``native-mt``) — an engine must reproduce
 ``LUTNetlist.evaluate_outputs`` bit for bit on ragged batches and expose
 the shared :class:`PackedEngine` surface, because the classifiers and the
 serving layer hold engines as objects and know nothing else about them.
 That surface includes ``run_scores``, the bank and the table-lookup
 read-out in one call, which must return the very doubles the read-out
 formula gives, on every engine.
+
+A process / serial :class:`WorkerPool` (or a process pool fallen back to
+serial) is not an engine, but every configuration of it answers the same
+oracle on the same ragged batches through ``pool.run_packed(model_id,
+...)``.
 """
 
 import ctypes
@@ -26,7 +29,6 @@ from hypothesis import strategies as st
 from repro.core.netlist import LUTNetlist, primary_input
 from repro.engine import (
     PackedEngine,
-    ShardedEngine,
     WorkerPool,
     compile_netlist,
     pack_bits,
@@ -53,10 +55,20 @@ needs_cc = pytest.mark.skipif(
 
 
 def _in_process(backend):
-    return lambda netlist: (compile_netlist(netlist, backend=backend), None)
+    return lambda netlist: compile_netlist(netlist, backend=backend)
 
 
-def _pool_bound(pool_backend, n_workers, engine_backend="numpy", **options):
+def _sharded_native(netlist):
+    """native-mt with a one-word grain: a 3-word batch runs as 2 shards."""
+    return NativeCompiledNetlist(
+        CompiledNetlist.from_netlist(netlist), threads=2, min_words_per_thread=1
+    )
+
+
+def _pool(pool_backend, n_workers, engine_backend="numpy", **options):
+    """A pool serving the netlist as model ``"m"``, split down to one word
+    per worker so that ragged batches really shard."""
+
     def build(netlist):
         pool = WorkerPool(
             n_workers=n_workers,
@@ -64,8 +76,8 @@ def _pool_bound(pool_backend, n_workers, engine_backend="numpy", **options):
             min_words_per_worker=1,
             **options,
         )
-        handle = ShardedEngine(netlist, pool=pool, engine_backend=engine_backend)
-        return handle, pool
+        pool.attach("m", netlist, engine_backend=engine_backend)
+        return pool
 
     return build
 
@@ -73,28 +85,20 @@ def _pool_bound(pool_backend, n_workers, engine_backend="numpy", **options):
 def _fallen_back(engine_backend="numpy"):
     """A process pool that forked and served, then lost its workers: every
     batch after that runs on the model's own engine."""
-    build = _pool_bound("process", 2, engine_backend, prefer_threads=False)
+    build = _pool("process", 2, engine_backend, prefer_threads=False)
 
     def fall_back(netlist):
-        handle, pool = build(netlist)
-        handle.run_packed(
-            np.zeros((netlist.n_primary_inputs, 4), dtype=np.uint64)
+        pool = build(netlist)
+        pool.run_packed(
+            "m", np.zeros((netlist.n_primary_inputs, 4), dtype=np.uint64)
         )
         assert pool._resources["pool"] is not None
         with pytest.warns(RuntimeWarning, match="falling back to the serial"):
             pool._fall_back_to_serial(OSError("injected"), stacklevel=2)
         assert pool.backend == "serial" and pool._resources["pool"] is None
-        return handle, pool
+        return pool
 
     return fall_back
-
-
-def _sharded_native(netlist):
-    """native-mt with a one-word grain: a 3-word batch runs as 2 shards."""
-    engine = NativeCompiledNetlist(
-        CompiledNetlist.from_netlist(netlist), threads=2, min_words_per_thread=1
-    )
-    return engine, None
 
 
 def _engine_param(build, backend, id, needs_toolchain=False):
@@ -108,31 +112,34 @@ ENGINES = [
     _engine_param(_in_process("native"), "native", "native", True),
     _engine_param(_in_process("native-mt"), "native-mt", "native-mt", True),
     _engine_param(_sharded_native, "native-mt", "native-mt-2x1word", True),
-    _engine_param(_pool_bound("process", 2), "numpy", "pool-process"),
-    _engine_param(_pool_bound("process", 5), "numpy", "pool-process-x5"),
-    _engine_param(_pool_bound("serial", 2), "numpy", "pool-serial"),
+]
+
+POOLS = [
+    _engine_param(_pool("process", 2), "numpy", "pool-process"),
+    _engine_param(_pool("process", 5), "numpy", "pool-process-x5"),
+    _engine_param(_pool("serial", 2), "numpy", "pool-serial"),
     _engine_param(
-        _pool_bound("serial", 2, "native"), "native", "pool-serial-native", True
+        _pool("serial", 2, "native"), "native", "pool-serial-native", True
     ),
     _engine_param(
-        _pool_bound("process", 2, "native"), "native", "pool-process-native", True
+        _pool("process", 2, "native"), "native", "pool-process-native", True
     ),
     _engine_param(
         # forked workers run the threaded model at one thread each
-        _pool_bound("process", 2, "native-mt", prefer_threads=False),
+        _pool("process", 2, "native-mt", prefer_threads=False),
         "native-mt",
         "pool-process-native-mt",
         True,
     ),
     _engine_param(
         # the pool stands aside: the engine's own threads shard the batch
-        _pool_bound("process", 2, "native-mt"),
+        _pool("process", 2, "native-mt"),
         "native-mt",
         "pool-process-native-mt-aside",
         True,
     ),
     _engine_param(
-        _pool_bound("process", 5, "native"), "native", "pool-process-x5-native", True
+        _pool("process", 5, "native"), "native", "pool-process-x5-native", True
     ),
     _engine_param(_fallen_back(), "numpy", "pool-fallback"),
     _engine_param(
@@ -149,11 +156,15 @@ def netlist():
 @pytest.fixture(scope="module", params=ENGINES)
 def engine(request, netlist):
     build, backend = request.param
-    built, pool = build(netlist)
-    yield built, backend
-    built.close()
-    if pool is not None:
-        pool.close()
+    with build(netlist) as built:
+        yield built, backend
+
+
+@pytest.fixture(scope="module", params=POOLS)
+def pool(request, netlist):
+    build, backend = request.param
+    with build(netlist) as built:
+        yield built, backend
 
 
 class TestConformance:
@@ -182,13 +193,10 @@ class TestConformance:
             assert (built.threads, built.unroll) == (1, 1)
         elif backend == "native":
             assert (built.threads, built.unroll) == (1, native_mod.vector_lanes())
-        # only an in-process single-thread native engine may evaluate on a
-        # server's event loop; a pool-bound handle never does, even when
-        # its serial engine runs one thread
+        # only a single-thread native engine may evaluate on a server's
+        # event loop
         assert built.on_loop is (
-            backend.startswith("native")
-            and built.threads == 1
-            and not isinstance(built, ShardedEngine)
+            backend.startswith("native") and built.threads == 1
         )
         for method in (
             "run_packed",
@@ -205,6 +213,57 @@ class TestConformance:
             built.run_packed(np.zeros((3, 4), dtype=np.uint64))
         with pytest.raises(ValueError):
             built.predict_batch(np.zeros((5, N_INPUTS + 1), dtype=np.uint8))
+
+
+class TestPoolConformance:
+    @pytest.mark.parametrize("n_samples", [0, 1, 63, 64, 65, 1000])
+    def test_bit_exact_on_ragged_batches(self, pool, netlist, n_samples):
+        built, _ = pool
+        X = as_rng(5 + n_samples).integers(
+            0, 2, size=(n_samples, N_INPUTS), dtype=np.uint8
+        )
+        expected = netlist.evaluate_outputs(X)
+        packed = pack_bits(X)
+        packed_out = built.run_packed("m", packed)
+        assert packed_out.dtype == np.uint64
+        assert packed_out.shape == (len(netlist.output_signals), packed.shape[1])
+        np.testing.assert_array_equal(unpack_bits(packed_out, n_samples), expected)
+        np.testing.assert_array_equal(built.evaluate_outputs("m", X), expected)
+
+    def test_the_serial_engine_is_the_named_backend(self, pool):
+        built, backend = pool
+        assert built.serial_engine("m").backend == backend
+
+    def test_wrong_shapes_rejected(self, pool):
+        built, _ = pool
+        with pytest.raises(ValueError):
+            built.run_packed("m", np.zeros((3, 4), dtype=np.uint64))
+        with pytest.raises(ValueError):
+            built.evaluate_outputs(
+                "m", np.zeros((5, N_INPUTS + 1), dtype=np.uint8)
+            )
+
+    def test_attach_options_reach_the_pool(self):
+        """``max_lut_inputs`` and ``engine_backend`` are attach options.
+        One pool per option: the first pool's batch forks it, which then
+        takes no further attach."""
+        wide = random_netlist(16, 30, seed=22, lut_widths=(8,), n_outputs=4)
+        X = as_rng(8).integers(0, 2, size=(300, 16), dtype=np.uint8)
+        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
+            pool.attach("m", wide, max_lut_inputs=6)
+            optimized = pool._entry("m").netlist
+            assert all(node.n_inputs <= 6 for node in optimized.nodes)
+            np.testing.assert_array_equal(
+                pool.evaluate_outputs("m", X), wide.evaluate_outputs(X)
+            )
+        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
+            pool.attach("m", wide, engine_backend="auto")
+            expected = "native" if toolchain_available() else "numpy"
+            assert pool.serial_engine("m").backend == expected
+            with pytest.raises(ValueError, match="engine backend"):
+                pool.attach("n", wide, engine_backend="fortran")
+            with pytest.raises(KeyError, match="not attached"):
+                pool.serial_engine("n")
 
 
 def _readout_case(fan_in, n_groups, seed):
@@ -224,39 +283,79 @@ def _readout_case(fan_in, n_groups, seed):
     return sub, int_weights, scale, biases, table
 
 
+@pytest.fixture(
+    scope="class",
+    # 12/16 take the native epilogue's second index byte, 17 is past it
+    params=[(1, 10), (5, 4), (6, 10), (8, 1), (8, 4), (12, 2), (16, 1), (17, 1)],
+    ids=lambda shape: f"p{shape[0]}-g{shape[1]}",
+)
+def case(request):
+    fan_in, n_groups = request.param
+    return _readout_case(fan_in, n_groups, seed=fan_in * 31 + n_groups)
+
+
+def _readout_batch(n_samples):
+    """``(X, packed)``: ``n_samples`` random rows, packed with all-ones
+    garbage in the padding lanes."""
+    X = as_rng(9 + n_samples).integers(
+        0, 2, size=(n_samples, N_INPUTS), dtype=np.uint8
+    )
+    packed = pack_bits(X)
+    tail = n_samples % 64
+    if tail:
+        packed[:, -1] |= ~np.uint64(0) << np.uint64(tail)
+    return X, packed
+
+
+def _assert_the_formula(scores, case, X):
+    """``scores`` are the read-out formula the table replaced, to the bit."""
+    sub, int_weights, scale, biases, _table = case
+    bits = sub.evaluate_outputs(X).astype(np.int64)
+    sums = np.einsum(
+        "ngk,gk->ng", bits.reshape((len(X),) + int_weights.shape), int_weights
+    )
+    np.testing.assert_array_equal(scores, scale * sums + biases)
+
+
+def _assert_bad_read_outs_rejected(run_scores, table):
+    """``run_scores(packed, n_samples, table)`` raises ``ValueError`` on a
+    malformed table, a sample count its words cannot hold, or packed
+    inputs of the wrong width."""
+    packed = np.zeros((N_INPUTS, 2), dtype=np.uint64)
+    bad_tables = [
+        table[:, :-1],  # not 2**p wide
+        np.ascontiguousarray(table[:, : table.shape[1] // 2]),  # p - 1
+        np.vstack([table, table]),  # n_groups * p != n_outputs
+        table.astype(np.float32),
+        table.astype(np.int64),
+        np.asfortranarray(np.vstack([table, table]))[: table.shape[0]],  # strided
+        table.ravel(),
+    ]
+    for bad in bad_tables:
+        with pytest.raises(ValueError):
+            run_scores(packed, 100, bad)
+    with pytest.raises(ValueError):
+        run_scores(packed, 129, table)
+    with pytest.raises(ValueError):
+        run_scores(packed, -1, table)
+    with pytest.raises(ValueError):
+        run_scores(np.zeros((3, 2), dtype=np.uint64), 100, table)
+
+
 class TestRunScores:
     """``run_scores`` == ``run_packed`` + ``lookup_scores`` == the formula
     the table replaced, to the bit, whatever runs the words."""
 
-    @pytest.fixture(
-        scope="class",
-        # 12/16 take the native epilogue's second index byte, 17 is past it
-        params=[(1, 10), (5, 4), (6, 10), (8, 1), (8, 4), (12, 2), (16, 1), (17, 1)],
-        ids=lambda shape: f"p{shape[0]}-g{shape[1]}",
-    )
-    def case(self, request):
-        fan_in, n_groups = request.param
-        return _readout_case(fan_in, n_groups, seed=fan_in * 31 + n_groups)
-
     @pytest.fixture(scope="class", params=ENGINES)
     def built(self, request, case):
         build, _backend = request.param
-        engine, pool = build(case[0])
-        yield engine
-        engine.close()
-        if pool is not None:
-            pool.close()
+        with build(case[0]) as engine:
+            yield engine
 
     @pytest.mark.parametrize("n_samples", [0, 1, 63, 64, 65, 150, 1000])
     def test_bit_identical_scores(self, built, case, n_samples):
-        sub, int_weights, scale, biases, table = case
-        X = as_rng(9 + n_samples).integers(
-            0, 2, size=(n_samples, N_INPUTS), dtype=np.uint8
-        )
-        packed = pack_bits(X)
-        tail = n_samples % 64
-        if tail:  # all-ones garbage in the padding lanes
-            packed[:, -1] |= ~np.uint64(0) << np.uint64(tail)
+        table = case[4]
+        X, packed = _readout_batch(n_samples)
         scores = built.run_scores(packed, n_samples, table)
         assert scores.dtype == np.float64
         assert scores.shape == (n_samples, table.shape[0])
@@ -264,33 +363,36 @@ class TestRunScores:
         np.testing.assert_array_equal(
             scores, lookup_scores(built.run_packed(packed), n_samples, table)
         )
-        bits = sub.evaluate_outputs(X).astype(np.int64)
-        sums = np.einsum(
-            "ngk,gk->ng", bits.reshape((n_samples,) + int_weights.shape), int_weights
-        )
-        np.testing.assert_array_equal(scores, scale * sums + biases)
+        _assert_the_formula(scores, case, X)
 
     def test_table_and_sample_count_validated(self, built, case):
-        table = case[4]
-        packed = np.zeros((N_INPUTS, 2), dtype=np.uint64)
-        bad_tables = [
-            table[:, :-1],  # not 2**p wide
-            np.ascontiguousarray(table[:, : table.shape[1] // 2]),  # p - 1
-            np.vstack([table, table]),  # n_groups * p != n_outputs
-            table.astype(np.float32),
-            table.astype(np.int64),
-            np.asfortranarray(np.vstack([table, table]))[: table.shape[0]],  # strided
-            table.ravel(),
-        ]
-        for bad in bad_tables:
-            with pytest.raises(ValueError):
-                built.run_scores(packed, 100, bad)
-        with pytest.raises(ValueError):
-            built.run_scores(packed, 129, table)
-        with pytest.raises(ValueError):
-            built.run_scores(packed, -1, table)
-        with pytest.raises(ValueError):
-            built.run_scores(np.zeros((3, 2), dtype=np.uint64), 100, table)
+        _assert_bad_read_outs_rejected(built.run_scores, case[4])
+
+
+class TestPoolReadOut:
+    """A pool's words feed the read-out as an engine's do: on every
+    read-out shape, ``lookup_scores`` over ``pool.run_packed`` is the
+    formula the table replaced, to the bit."""
+
+    @pytest.fixture(scope="class", params=POOLS)
+    def pool(self, request, case):
+        build, _backend = request.param
+        with build(case[0]) as built:
+            yield built
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 63, 64, 65, 150, 1000])
+    def test_bit_identical_scores(self, pool, case, n_samples):
+        X, packed = _readout_batch(n_samples)
+        scores = lookup_scores(pool.run_packed("m", packed), n_samples, case[4])
+        _assert_the_formula(scores, case, X)
+
+    def test_table_and_sample_count_validated(self, pool, case):
+        _assert_bad_read_outs_rejected(
+            lambda packed, n_samples, table: lookup_scores(
+                pool.run_packed("m", packed), n_samples, table
+            ),
+            case[4],
+        )
 
 
 @needs_cc
@@ -682,65 +784,3 @@ class TestVectorTail:
             scores, lookup_scores(pack_bits(expected), n, table)
         )
 
-
-class TestHandleLifecycle:
-    """What is specific to the pool-bound handle: it owns one attachment."""
-
-    def test_close_detaches_only_its_own_attachment(self, netlist):
-        other = random_netlist(16, 40, seed=32, n_outputs=3)
-        rng = as_rng(16)
-        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            view_a = ShardedEngine(netlist, pool=pool, model_id="a")
-            view_b = ShardedEngine(other, pool=pool)
-            assert view_a.model_id == "a"
-            assert sorted(pool.model_ids) == sorted(["a", view_b.model_id])
-            X = rng.integers(0, 2, size=(300, N_INPUTS), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                view_a.predict_batch(X), netlist.evaluate_outputs(X)
-            )
-            view_a.close()  # detaches "a", pool stays up for the other
-            view_a.close()  # idempotent
-            assert pool.model_ids == [view_b.model_id]
-            X_b = rng.integers(0, 2, size=(300, 16), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                view_b.predict_batch(X_b), other.evaluate_outputs(X_b)
-            )
-            with pytest.raises(RuntimeError, match="closed"):
-                view_a.predict_batch(X)
-
-    def test_stale_handle_cannot_detach_a_reused_id(self, netlist):
-        """A closed handle stays closed even when its id is attached again:
-        closing it twice must not detach the newcomer."""
-        with WorkerPool(n_workers=2) as pool:
-            first = ShardedEngine(netlist, pool=pool, model_id="m")
-            first.close()
-            second = ShardedEngine(netlist, pool=pool, model_id="m")
-            first.close()
-            assert pool.model_ids == ["m"]
-            with pytest.raises(RuntimeError, match="closed"):
-                first.run_packed(np.zeros((N_INPUTS, 1), dtype=np.uint64))
-            second.close()
-            assert pool.model_ids == []
-
-    def test_attach_options_reach_the_pool(self):
-        """``max_lut_inputs`` and ``engine_backend`` are attach options.
-        One pool per handle: the first one's batch forks its pool, which
-        then takes no further attach."""
-        wide = random_netlist(16, 30, seed=22, lut_widths=(8,), n_outputs=4)
-        X = as_rng(8).integers(0, 2, size=(300, 16), dtype=np.uint8)
-        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            with ShardedEngine(wide, pool=pool, max_lut_inputs=6) as handle:
-                optimized = pool.optimized_netlist(handle.model_id)
-                assert all(node.n_inputs <= 6 for node in optimized.nodes)
-                np.testing.assert_array_equal(
-                    handle.predict_batch(X), wide.evaluate_outputs(X)
-                )
-            assert pool.model_ids == []
-        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            with ShardedEngine(wide, pool=pool, engine_backend="auto") as handle:
-                expected = "native" if toolchain_available() else "numpy"
-                assert handle.backend == expected
-                assert pool.serial_engine(handle.model_id).backend == expected
-            with pytest.raises(ValueError, match="engine backend"):
-                ShardedEngine(wide, pool=pool, engine_backend="fortran")
-            assert pool.model_ids == []

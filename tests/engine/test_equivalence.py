@@ -190,33 +190,27 @@ class TestClassifierFastPaths:
         module = restored.rinc_modules_[0]
         np.testing.assert_array_equal(module.predict_batch(X), module.predict(X))
 
-    def test_caller_owned_pool_engine_matches(self, trained):
-        """The classifier holds no pool: the caller attaches, passes the
-        handle as ``engine=`` and detaches."""
-        from repro.engine import ShardedEngine, WorkerPool
+    def test_caller_built_engine_and_pool_match(self, trained):
+        """The classifier holds no pool: an engine the caller built runs
+        as ``engine=``, and a pool serving the classifier's netlist answers
+        its intermediate bits and, through the read-out, its scores."""
+        from repro.engine import WorkerPool, compile_netlist, pack_bits
 
         clf, X, _targets, _y = trained
-        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            with ShardedEngine(clf.to_netlist(), pool=pool) as handle:
-                np.testing.assert_array_equal(
-                    clf.predict_batch(X, engine=handle), clf.predict(X)
-                )
-                np.testing.assert_array_equal(
-                    clf.predict_batch(X, batch_size=129, engine=handle),
-                    clf.predict(X),
-                )
-                np.testing.assert_array_equal(
-                    clf.predict_intermediate_batch(X, engine=handle),
-                    clf.predict_intermediate(X),
-                )
-                np.testing.assert_array_equal(
-                    clf.decision_scores_batch(X, engine=handle),
-                    clf.decision_scores_batch(X),
-                )
-                with pytest.raises(ValueError, match="at most one"):
-                    clf.predict_batch(X, engine=handle, engine_backend="numpy")
-            assert pool.model_ids == []
-        assert not any(  # nothing pool-bound is cached on the classifier
-            isinstance(engine, ShardedEngine)
-            for engine in clf._compiled_.values()
+        engine = compile_netlist(clf.to_netlist())
+        np.testing.assert_array_equal(
+            clf.predict_batch(X, batch_size=129, engine=engine), clf.predict(X)
         )
+        with pytest.raises(ValueError, match="at most one"):
+            clf.predict_batch(X, engine=engine, engine_backend="numpy")
+        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
+            pool.attach("clf", clf.to_netlist())
+            np.testing.assert_array_equal(
+                pool.evaluate_outputs("clf", X), clf.predict_intermediate(X)
+            )
+            np.testing.assert_array_equal(
+                clf.output_layer_.decision_scores_packed(
+                    pool.run_packed("clf", pack_bits(X)), len(X)
+                ),
+                clf.decision_scores_batch(X),
+            )

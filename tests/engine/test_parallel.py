@@ -1,11 +1,11 @@
 """Worker-pool tests: the multi-model contract and the pool's own lifecycle.
 
 Word blocks of a packed batch are independent, so a pool must reproduce the
-serial engine bit for bit — that, for the :class:`ShardedEngine` handle on
-every pool flavour, is ``test_engine_conformance``'s job.  Here: several
-netlists attached to one pool, the model set fixed at the fork, shard
-interleaving under concurrent per-model load, detach semantics, fallback,
-cleanup, and the exact calls of the benchmark's pool row.
+serial engine bit for bit — that, for every pool flavour, is
+``test_engine_conformance``'s job.  Here: several netlists attached to one
+pool, the model set fixed at the fork, shard interleaving under concurrent
+per-model load, fallback, cleanup, and the exact calls of the benchmark's
+pool row.
 """
 
 import threading
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    ShardedEngine,
     WorkerPool,
     compile_netlist,
     pack_bits,
@@ -133,37 +132,12 @@ class TestWorkerPool:
                 pool.attach("b", netlist_b)
             with pytest.raises(RuntimeError, match="warm_up"):
                 pool.attach(None, netlist_b)
-            with pytest.raises(RuntimeError, match="warm_up"):
-                ShardedEngine(netlist_b, pool=pool)
-            assert pool.model_ids == ["a"]
+            with pytest.raises(KeyError, match=r"attached: \['a'\]"):
+                pool.serial_engine("b")
             for _ in range(3):
                 np.testing.assert_array_equal(
                     pool.evaluate_outputs("a", X), serial_a.predict_batch(X)
                 )
-            assert pool.backend == "process"
-
-    def test_detach_after_fork_leaves_the_other_model_bit_exact(self, models):
-        """Detaching on a forked pool drops the parent's record only: the
-        detached id stops resolving, the other model keeps its shards."""
-        rng = as_rng(18)
-        with WorkerPool(
-            n_workers=2, backend="process", min_words_per_worker=1
-        ) as pool:
-            for name, (netlist, _) in models.items():
-                pool.attach(name, netlist)
-            pool.warm_up()
-            if pool.backend != "process":  # pragma: no cover - no fork host
-                pytest.skip("process backend unavailable on this host")
-            pool.detach("a")
-            pool.detach("a")  # idempotent
-            assert pool.model_ids == ["b"]
-            with pytest.raises(KeyError, match="not attached"):
-                pool.run_packed("a", np.zeros((24, 4), dtype=np.uint64))
-            _, serial_b = models["b"]
-            X = rng.integers(0, 2, size=(700, 16), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                pool.evaluate_outputs("b", X), serial_b.predict_batch(X)
-            )
             assert pool.backend == "process"
 
     def test_concurrent_per_model_load_interleaves_shards(self, models):
@@ -202,24 +176,6 @@ class TestWorkerPool:
             for t in threads:
                 t.join()
         assert not errors, errors
-
-    def test_detach_frees_the_id(self, models):
-        netlist_a, serial_a = models["a"]
-        rng = as_rng(15)
-        X = rng.integers(0, 2, size=(200, 24), dtype=np.uint8)
-        with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            pool.attach("a", netlist_a)
-            with pytest.raises(ValueError, match="already attached"):
-                pool.attach("a", netlist_a)
-            pool.detach("a")
-            assert pool.model_ids == []
-            with pytest.raises(KeyError, match="not attached"):
-                pool.run_packed("a", np.zeros((24, 4), dtype=np.uint64))
-            # re-attach under the same id gets a fresh worker-side key
-            pool.attach("a", netlist_a)
-            np.testing.assert_array_equal(
-                pool.evaluate_outputs("a", X), serial_a.predict_batch(X)
-            )
 
     def test_fallback_to_serial_releases_shared_memory(self, models):
         """The serial backend never leases shm again: fallback must unlink
@@ -270,7 +226,6 @@ class TestWorkerPool:
             with pytest.warns(RuntimeWarning, match="falling back"):
                 pool._fall_back_to_serial(OSError("injected"), stacklevel=2)
             pool.attach("b", netlist_b)
-            assert sorted(pool.model_ids) == ["a", "b"]
             np.testing.assert_array_equal(
                 pool.evaluate_outputs("b", X), serial_b.predict_batch(X)
             )
@@ -279,6 +234,9 @@ class TestWorkerPool:
         with WorkerPool(n_workers=2) as pool:
             with pytest.raises(ValueError, match="non-empty string"):
                 pool.attach("", random_netlist(8, 10, seed=33))
+            pool.attach("m", random_netlist(8, 10, seed=38))
+            with pytest.raises(ValueError, match="already attached"):
+                pool.attach("m", random_netlist(8, 10, seed=38))
             # auto-generated ids skip names the user already took
             pool.attach("model-0", random_netlist(8, 10, seed=36))
             auto = pool.attach(None, random_netlist(8, 10, seed=37))

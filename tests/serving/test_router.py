@@ -370,6 +370,51 @@ class TestFailover:
         assert snapshot["failovers"] == 1
         assert snapshot["backends"][0]["state"] == "ejected"
 
+    def test_backend_stalling_mid_request_fails_over(self):
+        """A backend that reads the request and never answers: past
+        ``request_timeout`` the router ejects it and the other replica
+        answers the client."""
+        rows = [[1, 1, 0, 1, 0, 0, 0, 1]]
+
+        async def staller(reader, writer):
+            await read_message(reader)  # swallow the predict, say nothing
+            await reader.read()  # until the router hangs up
+
+        async def drive():
+            stalled = await _ScriptedBackend(staller).start()
+            backend = await _backend()
+            router = RouterServer(
+                {
+                    "m": [
+                        (stalled.host, stalled.port),
+                        (backend.host, backend.port),
+                    ]
+                },
+                health_interval=0,
+                retry=None,
+                request_timeout=0.3,
+            )
+            address = await router.start()
+            try:
+                response = await _request(
+                    address, {"op": "predict", "id": 7, "features": rows}
+                )
+                return response, router.snapshot()
+            finally:
+                await router.stop()
+                await stalled.stop()
+                await backend.stop()
+
+        response, snapshot = asyncio.run(drive())
+        assert response["ok"], response
+        assert response["id"] == 7
+        np.testing.assert_array_equal(response["labels"], _expected(rows))
+        assert snapshot["failovers"] == 1
+        stalled_entry, live_entry = snapshot["backends"]
+        assert (stalled_entry["state"], stalled_entry["ejections"]) == ("ejected", 1)
+        assert stalled_entry["forwarded"] == 0
+        assert (live_entry["state"], live_entry["forwarded"]) == ("healthy", 1)
+
     def test_drain_503_reroutes_immediately_without_backoff(self):
         """A draining backend's typed unavailable is a re-route signal, not
         a retry-with-backoff — retry=None proves no backoff is consumed."""

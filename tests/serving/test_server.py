@@ -457,18 +457,19 @@ class TestMultiModel:
                     client.predict(rows, model="late")
 
     def test_shared_pool_behind_two_models(self, banks):
-        """Both models' engines ride one WorkerPool; results stay bit-exact."""
-        from repro.engine import ShardedEngine
+        """Both models' functions evaluate on one WorkerPool; results stay
+        bit-exact."""
+        from functools import partial
 
         rng = as_rng(12)
         with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
             srv = InferenceServer(
                 max_batch=32, max_wait_us=2_000, max_queue=256
             )
-            views = {}
             for name, (width, engine) in banks.items():
-                # rebuild each bank's netlist view over the shared pool
-                views[name] = ShardedEngine(
+                # rebuild each bank's netlist for the shared pool
+                pool.attach(
+                    name,
                     rinc_bank_netlist(
                         n_primary_inputs=width,
                         n_trees=24 if name == "wide" else 12,
@@ -477,11 +478,8 @@ class TestMultiModel:
                         lut_width=4 if name == "wide" else 3,
                         seed=6 if name == "wide" else 7,
                     ),
-                    pool=pool,
-                    model_id=name,
                 )
-                srv.register_model(name, views[name].predict_batch)
-            assert sorted(pool.model_ids) == ["narrow", "wide"]
+                srv.register_model(name, partial(pool.evaluate_outputs, name))
             with BackgroundServer(srv) as handle:
                 with ServingClient(*handle.address) as client:
                     for name, (width, engine) in banks.items():
@@ -503,7 +501,7 @@ def test_serving_imports_no_engine_implementation():
     import repro.serving
 
     banned_modules = {"repro.engine.native", "repro.engine.parallel"}
-    banned_names = {"NativeCompiledNetlist", "ShardedEngine", "WorkerPool"}
+    banned_names = {"NativeCompiledNetlist", "WorkerPool"}
     for path in pathlib.Path(repro.serving.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -698,41 +696,39 @@ class TestEngineOwnership:
         return clf, X[:100], clf.predict(X[:100])
 
     @pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
-    def test_explicit_functions_serve_a_pool_bound_engine(self, trained, binary):
-        """Serving through a WorkerPool is the caller's: functions closing
-        over a ``ShardedEngine`` serve bit-exactly on either wire, and run
-        on the queue's executor thread."""
-        from repro.engine import ShardedEngine
-
+    def test_explicit_functions_serve_through_a_pool(self, trained, binary):
+        """Serving through a WorkerPool is the caller's: functions calling
+        the pool serve bit-exactly on either wire, and run on the queue's
+        executor thread."""
         clf, X, expected = trained
         with WorkerPool(n_workers=2, min_words_per_worker=1) as pool:
-            with ShardedEngine(clf.to_netlist(), pool=pool) as engine:
-                srv = InferenceServer(
-                    max_batch=256, max_wait_us=1_000, warm_up=pool.warm_up
+            pool.attach("m", clf.to_netlist())
+
+            def packed_fn(words, n):
+                return clf.output_layer_.decision_scores_packed(
+                    pool.run_packed("m", words), n
                 )
-                srv.register_model(
-                    "m",
-                    scores_fn=lambda X: clf.decision_scores_batch(
-                        X, engine=engine
-                    ),
-                    packed_fn=lambda words, n: clf.decision_scores_packed_batch(
-                        words, n, engine=engine
-                    ),
-                )
-                with BackgroundServer(srv) as handle:
-                    with ServingClient(*handle.address, binary=binary) as client:
-                        labels, scores = client.predict(
-                            X, model="m", return_scores=True
-                        )
-                        np.testing.assert_array_equal(labels, expected)
-                        np.testing.assert_allclose(
-                            scores, clf.decision_scores_batch(X)
-                        )
-                        (listed,) = client.list_models()["models"]
-                    assert listed["on_loop"] is False
-                    assert listed["packed"] is True
-                assert pool.model_ids == [engine.model_id]  # the caller's
-            assert pool.model_ids == []
+
+            srv = InferenceServer(
+                max_batch=256, max_wait_us=1_000, warm_up=pool.warm_up
+            )
+            srv.register_model(
+                "m",
+                scores_fn=lambda X: packed_fn(pack_bits(X), len(X)),
+                packed_fn=packed_fn,
+            )
+            with BackgroundServer(srv) as handle:
+                with ServingClient(*handle.address, binary=binary) as client:
+                    labels, scores = client.predict(
+                        X, model="m", return_scores=True
+                    )
+                    np.testing.assert_array_equal(labels, expected)
+                    np.testing.assert_allclose(
+                        scores, clf.decision_scores_batch(X)
+                    )
+                    (listed,) = client.list_models()["models"]
+                assert listed["on_loop"] is False
+                assert listed["packed"] is True
 
     def test_retiring_one_registration_keeps_the_others_serving(self, trained):
         """One fitted classifier under two names and as two versions: each
@@ -1899,6 +1895,36 @@ class TestEveryRequestGetsOneTypedReply:
         "canary_max_p99_ratio_huge": (
             "backend", '"op":"promote_canary","version":2,'
             f'"max_p99_ratio":{BIG}', "bad_request",
+        ),
+        # policy fields are typed as sent: no string, bool or fractional
+        # count is cast (a JSON true would open the divergence gate)
+        "canary_min_requests_string": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"min_requests":"5"', "bad_request",
+        ),
+        "canary_min_requests_fractional": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"min_requests":3.9', "bad_request",
+        ),
+        "canary_min_requests_bool": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"min_requests":true', "bad_request",
+        ),
+        "canary_max_divergence_rate_bool": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"max_divergence_rate":true', "bad_request",
+        ),
+        "canary_max_divergence_rate_string": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"max_divergence_rate":"0.5"', "bad_request",
+        ),
+        "canary_max_p99_ratio_bool": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"max_p99_ratio":true', "bad_request",
+        ),
+        "canary_max_p99_ratio_string": (
+            "backend", '"op":"promote_canary","version":2,'
+            '"max_p99_ratio":"2"', "bad_request",
         ),
         "set_shadow_fraction_huge": (
             "backend", f'"op":"set_shadow","version":2,"fraction":{BIG}',

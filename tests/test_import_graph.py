@@ -77,3 +77,35 @@ def test_training_imports_scipy_when_it_fits():
     assert report["before"] is False
     assert report["after"] is True
     assert report["accuracy"] > 0.5
+
+
+def test_only_the_engine_package_reaches_the_worker_pool():
+    """The process pool is a leaf of ``repro.engine``: no other module of
+    ``src/repro`` imports ``repro.engine.parallel`` or names
+    ``WorkerPool``, so nothing can hand a pool to a classifier or a server."""
+    import ast
+
+    src = REPO / "src"
+    allowed = {"repro/engine/__init__.py", "repro/engine/parallel.py"}
+    for path in sorted((src / "repro").rglob("*.py")):
+        module_path = path.relative_to(src).as_posix()
+        if module_path in allowed:
+            continue
+        package = module_path.rsplit("/", 1)[0].split("/")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+                names = set()
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                names = {alias.name for alias in node.names}
+                modules = {module} | {f"{module}.{name}" for name in names}
+            elif isinstance(node, ast.Name):
+                modules, names = set(), {node.id}
+            elif isinstance(node, ast.Attribute):
+                modules, names = set(), {node.attr}
+            else:
+                continue
+            assert "repro.engine.parallel" not in modules, (module_path, modules)
+            assert "WorkerPool" not in names, (module_path, names)
