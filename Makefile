@@ -60,12 +60,13 @@ loc:
 	done; \
 	printf '%7d  %s\n' $$(find src -name '*.py' | xargs cat | wc -l) total
 
-# The one wall-clock target that is not benchmarks/perf: eight report-only
+# The one wall-clock target that is not benchmarks/perf: nine report-only
 # A-vs-B comparisons (chain fusion, P=8 pipeline, structured bank, pool
 # sharding, native-mt one-word latency, multi-model serving, binary-vs-JSON
-# wire, 2-replica router) parked until benchmarks/perf grows absolute
-# workloads for them.  Prints tables, asserts on no time, touches no tracked
-# file; not a prerequisite of test or check.
+# wire, 2-replica router, native compile on a restart) parked until
+# benchmarks/perf grows absolute workloads for them.  Prints tables,
+# asserts on no time, touches no tracked file; not a prerequisite of test
+# or check.
 bench:
 	$(PYTEST) benchmarks/parked_comparisons.py -q -rs
 

@@ -1,6 +1,6 @@
 """Parked wall-clock comparisons: report-only, run by ``make bench`` alone.
 
-Eight A-vs-B stopwatches.  A ratio against a baseline that moves is not a
+Nine A-vs-B stopwatches.  A ratio against a baseline that moves is not a
 measurement of A (make B faster and A "regresses"), so speed is judged only
 by ``benchmarks/perf``: absolute units, parent/change pairs.  These are the
 comparisons ``BENCHMARK.json`` has no workload for yet:
@@ -15,6 +15,8 @@ native-mt one-word latency      a one-word row for the native-mt engine
 multi-model serving             a two-model ``serve_small_closed`` mix
 binary vs JSON wire             a JSON-wire serving workload
 2-replica router                a routed serving workload
+native compile on a restart     ``compile_cold`` split into index-hit
+                                and index-miss rows (ROADMAP item 1(a))
 ==============================  =========================================
 
 Nothing here asserts on a time and the file name keeps it out of the
@@ -28,11 +30,21 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
+import pickle
+import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
+from pathlib import Path
 
-from repro.engine import WorkerPool, compile_netlist, pack_bits
+from repro.engine import (
+    WorkerPool,
+    compile_netlist,
+    pack_bits,
+    structured_bank_netlist,
+)
 from repro.serving import BackgroundServer
 from repro.serving.transport import encode_message, encode_predict_request
 
@@ -41,7 +53,7 @@ import test_native_mt_throughput as native_mt_bench
 import test_router_throughput as router_bench
 import test_serving_latency as serving_bench
 import test_wire_overhead as wire_bench
-from bench_utils import BATCH, emit, random_rows, require_toolchain
+from bench_utils import BATCH, N_FEATURES, emit, random_rows, require_toolchain
 
 
 def _interleaved_best(calls, rounds=6, inner=3):
@@ -284,3 +296,83 @@ def test_two_replica_router_vs_single_backend():
             lambda name: f"{total_samples / best[name]:9,.0f} samples/s  ",
         ),
     )
+
+
+#: a restarted process compiling a saved netlist: prints the compile's and
+#: the whole interpreter's seconds
+_RESTART = """
+import pickle, sys, time
+from repro.engine import compile_netlist
+with open(sys.argv[1], "rb") as handle:
+    netlist = pickle.load(handle)
+start = time.perf_counter()
+engine = compile_netlist(netlist, backend="native")
+print(time.perf_counter() - start, engine.backend)
+"""
+
+
+def test_native_compile_on_a_restart():
+    """What the ``<key>.prog`` index serves: a fresh interpreter compiling
+    a netlist the warm cache has seen (a restarted server, a replica),
+    beside the same restart with only the object cached (no index entry:
+    passes, lowering, codegen, digest) and a new netlist (a new model
+    version: the same shape, other tables — always a full miss)."""
+    require_toolchain()
+    netlist = engine_bench.structured_bank()
+    rounds = 3
+    with tempfile.TemporaryDirectory() as scratch:
+        cache = Path(scratch, "cache")
+        env = dict(
+            os.environ,
+            REPRO_NATIVE_CACHE=str(cache),
+            PYTHONPATH=os.pathsep.join(
+                [str(Path(__file__).resolve().parents[1] / "src"),
+                 os.environ.get("PYTHONPATH", "")]
+            ),
+        )
+
+        def restart(saved):
+            start = time.perf_counter()
+            out = subprocess.run(
+                [sys.executable, "-c", _RESTART, saved],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            ).stdout.split()
+            assert out[1] == "native"
+            return float(out[0]), time.perf_counter() - start
+
+        def save(name, payload):
+            path = os.path.join(scratch, name)
+            with open(path, "wb") as handle:
+                pickle.dump(payload, handle)
+            return path
+
+        same = save("same.pkl", netlist)
+        restart(same)  # the cold build the two warm paths restart against
+        best = {
+            path: (float("inf"), float("inf"))
+            for path in ("index hit", "object only", "new netlist")
+        }
+        for round_ in range(rounds):
+            version = structured_bank_netlist(
+                N_FEATURES, n_trees=480, n_mats=80, n_outputs=10,
+                lut_width=6, tree_depth=2, seed=100 + round_,
+            )
+            paths = {
+                "index hit": lambda: restart(same),
+                "object only": lambda: [
+                    entry.unlink() for entry in cache.glob("*.prog")
+                ] and restart(same),
+                "new netlist": lambda: restart(save(f"v{round_}.pkl", version)),
+            }
+            for name, call in paths.items():
+                best[name] = tuple(map(min, best[name], call()))
+    emit(
+        f"Native compile on a restart ({netlist.n_luts}-LUT structured bank, "
+        f"fresh interpreter, best of {rounds})",
+        "\n".join(
+            f"{name:12s} compile {seconds * 1e3:9.1f} ms  "
+            f"interpreter {wall * 1e3:8.1f} ms"
+            for name, (seconds, wall) in best.items()
+        ),
+    )
+

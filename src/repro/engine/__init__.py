@@ -83,6 +83,12 @@ Compiler
     -march=native``; ``backend="native-mt"`` is that same build with
     ``run_packed`` sharding large batches across word ranges on an
     in-process thread pool (ctypes releases the GIL), up to the core count.
+    The cache is indexed by input as well: on the default pipeline a
+    native compile or attach first hashes the netlist it was given into a
+    ``<key>.prog`` entry holding the lowered program and its object's
+    digest, so compiling the same netlist again on a warm cache — a
+    restarted server or a replica registering a saved model — runs no
+    passes, no lowering and no code generation.  A new netlist is a miss.
 
 Runtime
 =======

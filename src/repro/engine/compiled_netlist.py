@@ -47,7 +47,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +88,29 @@ class _Group:
     @property
     def n_nodes(self) -> int:
         return self.output_slots.shape[0]
+
+    def __getstate__(self) -> dict:
+        # every table entry is 0 or all-ones: a pickle carries one bit each
+        return {
+            "arity": self.arity,
+            "input_slots": self.input_slots,
+            "output_slots": self.output_slots,
+            "table_bits": np.packbits(self.table_words != 0),
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+
+    def __getattr__(self, name: str):
+        # an unpickled group's words, unpacked when first read: a native
+        # engine found in the index reads them only to generate its source
+        if name != "table_words" or "table_bits" not in self.__dict__:
+            raise AttributeError(name)
+        shape = (self.n_nodes, 1 << self.arity, 1)
+        bits = np.unpackbits(self.table_bits, count=int(np.prod(shape))).reshape(shape)
+        words = np.where(bits != 0, _ALL_ONES, np.uint64(0))
+        self.__dict__["table_words"] = words
+        return words
 
     # What CompiledNetlist.run_packed reads for arity >= 2, derived from the
     # fields above on first use (the native backend never asks).
@@ -535,7 +558,7 @@ def build_engine(
     ``"auto"`` and the no-toolchain fallback are decided:
     :func:`compile_netlist`, :func:`attach_engine`, :meth:`WorkerPool.attach
     <repro.engine.parallel.WorkerPool.attach>` and the pool's workers all
-    come through here and carry the returned object from then on.
+    follow its rule and carry the returned object from then on.
 
     ``"numpy"`` is the word-op interpreter; ``"native"`` lowers further to
     generated C in a cached shared object (:mod:`repro.engine.native`);
@@ -550,14 +573,7 @@ def build_engine(
     cache the parent had still serves its shards.
     """
     return _select_engine(
-        netlist,
-        backend,
-        strict,
-        lambda native, program: (
-            native.NativeCompiledNetlist.tuned(program)
-            if backend == "native-mt"
-            else native.NativeCompiledNetlist(program)
-        ),
+        lambda: CompiledNetlist.from_netlist(netlist), backend, strict, True
     )
 
 
@@ -569,46 +585,76 @@ def attach_engine(netlist: LUTNetlist, backend: str) -> PackedEngine:
     :meth:`~repro.engine.native.NativeCompiledNetlist.attach` engine, which
     answers on the NumPy program until its build lands; a missing
     toolchain or a refused cache directory is decided here and now, as in
-    :func:`build_engine`.  ``"numpy"`` is :func:`compile_netlist`'s engine.
+    :func:`build_engine`.  A netlist whose build is in the cache's index
+    (see :func:`compile_netlist`) comes back loaded, with no thread.
+    ``"numpy"`` is :func:`compile_netlist`'s engine.
     """
     if not netlist.output_signals:
         raise ValueError("netlist must declare at least one output signal")
     return _select_engine(
-        optimize_netlist(netlist),
+        lambda: CompiledNetlist.from_netlist(optimize_netlist(netlist)),
         backend,
         True,
-        lambda native, program: native.NativeCompiledNetlist.attach(
-            program, "native-mt" if backend == "native-mt" else "native"
-        ),
+        False,
+        (netlist, None),
     )
 
 
-def _select_engine(netlist: LUTNetlist, backend: str, strict: bool, make_native):
-    """The NumPy program for ``netlist``, or ``make_native(native module,
-    program)`` with :func:`build_engine`'s fallback rule."""
+def _select_engine(
+    lower: Callable[[], CompiledNetlist],
+    backend: str,
+    strict: bool,
+    wait: bool,
+    index: Optional[tuple] = None,
+) -> PackedEngine:
+    """The NumPy program ``lower()`` returns, or its native engine by
+    :func:`build_engine`'s fallback rule: built before it returns when
+    ``wait``, else attached.  ``index`` is ``(netlist, max_lut_inputs)``
+    when ``lower()`` is that netlist through the default pipeline, and a
+    native build is then looked up by it first (see
+    :func:`repro.engine.native.look_up`).
+
+    ``lower`` runs at most once, outside the fallback: an error of its own
+    raises as it is, and a fallback returns the program it lowered.  Each
+    public entry point calls this directly, so the fallback warning names
+    the line that called the entry point.
+    """
     if backend not in ENGINE_BACKENDS:
         raise ValueError(
             f"unknown engine backend {backend!r} (choose from {ENGINE_BACKENDS})"
         )
-    program = CompiledNetlist.from_netlist(netlist)
     if backend == "numpy":
-        return program
+        return lower()
     from repro.engine import native  # deferred: native imports this module
 
     try:
-        return make_native(native, program)
+        path, engine = native.look_up(*index, backend, wait) if index else (None, None)
     except Exception as error:
-        unavailable = isinstance(error, native.NativeUnavailableError)
-        if strict and not (backend == "auto" and unavailable):
-            raise
-        if native.find_compiler() is not None:
-            warnings.warn(
-                f"native backend unavailable ({error}); "
-                "falling back to the NumPy engine",
-                RuntimeWarning,
-                stacklevel=4,
-            )
+        _fall_back(native, error, backend, strict)
+        return lower()
+    if engine is not None:
+        return engine
+    program = lower()
+    try:
+        return native.open_engine(program, backend, wait, path)
+    except Exception as error:
+        _fall_back(native, error, backend, strict)
         return program
+
+
+def _fall_back(native, error: Exception, backend: str, strict: bool) -> None:
+    """Re-raise ``error`` unless :func:`build_engine`'s rule falls back
+    from it; warn of a fallback on a host that has a toolchain."""
+    unavailable = isinstance(error, native.NativeUnavailableError)
+    if strict and not (backend == "auto" and unavailable):
+        raise error
+    if native.find_compiler() is not None:
+        warnings.warn(
+            f"native backend unavailable ({error}); "
+            "falling back to the NumPy engine",
+            RuntimeWarning,
+            stacklevel=4,
+        )
 
 
 def compile_netlist(
@@ -628,6 +674,14 @@ def compile_netlist(
     ``netlist.evaluate_outputs`` for every pipeline configuration and
     every backend.
 
+    On a native backend with the default pipeline the build is first
+    looked up by ``netlist`` itself: the cache directory's ``<key>.prog``
+    index (see :mod:`repro.engine.native`) maps the netlist's content and
+    ``max_lut_inputs`` to the lowered program and its object's digest, so
+    compiling the same netlist again on a warm cache — in this process or
+    a restarted one — runs no passes, no lowering and no code generation.
+    A netlist compiled for the first time is a miss and runs them all.
+
     Parameters
     ----------
     passes:
@@ -642,5 +696,12 @@ def compile_netlist(
     """
     if not netlist.output_signals:
         raise ValueError("netlist must declare at least one output signal")
-    optimized = optimize_netlist(netlist, passes=passes, max_lut_inputs=max_lut_inputs)
-    return build_engine(optimized, backend)
+    return _select_engine(
+        lambda: CompiledNetlist.from_netlist(
+            optimize_netlist(netlist, passes=passes, max_lut_inputs=max_lut_inputs)
+        ),
+        backend,
+        True,
+        True,
+        (netlist, max_lut_inputs) if passes is None else None,
+    )

@@ -84,6 +84,15 @@ one build.
 Concurrent builders of the same digest serialise on a ``<digest>.lock``
 file, so exactly one build runs per digest per host and the losers reuse
 the winner's atomically-published object.
+The cache is keyed by the input too: ``compile_netlist`` and
+``attach_engine`` on the default pipeline hash the netlist they were given
+(with the fabric width, the host's build and the source of the pipeline's
+own modules) into a ``<key>.prog`` index holding the source digest and the
+lowered program.  What it serves is a netlist compiled *again* on a warm
+cache — a restarted server or a replica registering a saved model: that
+runs no passes, no lowering and no code generation, and ``c_source`` is
+generated only when read.  A new netlist (a new model version) is always
+a miss, which costs the key and one index write on top of the build.
 :class:`NativeCompiledNetlist` wraps the loaded object behind the exact
 ``run_packed``/``evaluate_outputs``/``predict_batch`` surface of the NumPy
 engine and is bit-exact against it (the equivalence suite is the gate).
@@ -100,7 +109,11 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib
+import marshal
 import os
+import pickle
+import re
 import shlex
 import shutil
 import signal
@@ -112,6 +125,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -191,8 +205,21 @@ _OWN_PROCESS_GROUP = (
 _ENV_CACHE_DIR = "REPRO_NATIVE_CACHE"
 _ENV_CC = "CC"
 
+#: the modules whose code decides the program and the source a netlist
+#: compiles to: their source bytes salt every ``<key>.prog`` name, so an
+#: edit to any of them makes every index entry a miss
+_PIPELINE_MODULES = (
+    "repro.core.netlist",
+    "repro.engine.ir",
+    "repro.engine.passes",
+    "repro.engine.compiled_netlist",
+    "repro.engine.native",
+)
+
 _UNSET = object()
 _compiler_cache: object = _UNSET
+#: what :func:`_pipeline_salt` read, once per process
+_salt: Optional[bytes] = None
 _compiler_lock = threading.Lock()
 
 #: compiler command -> (flags, vector lanes, target), what :func:`_host_build`
@@ -707,13 +734,20 @@ def _cache_directory(cache_dir: Optional[str]) -> str:
     effective user that nobody else can write.  Nothing in a refused
     directory can be trusted, so it is not repaired: the error asks for it
     to be removed (an older release created it ``0o775`` under umask 002).
-    An explicit ``cache_dir`` or ``$REPRO_NATIVE_CACHE`` is taken as it is.
+    An explicit ``cache_dir`` or ``$REPRO_NATIVE_CACHE`` is taken as it is;
+    one that cannot be created (a file in the way, a read-only parent) is
+    unavailable too.
     """
     directory = cache_dir or shared_object_cache_dir()
-    if cache_dir or os.environ.get(_ENV_CACHE_DIR):
-        os.makedirs(directory, exist_ok=True)
+    explicit = bool(cache_dir or os.environ.get(_ENV_CACHE_DIR))
+    try:
+        os.makedirs(directory, mode=0o777 if explicit else 0o700, exist_ok=True)
+    except OSError as error:
+        raise NativeUnavailableError(
+            f"cannot use the native cache {directory}: {error}"
+        ) from error
+    if explicit:
         return directory
-    os.makedirs(directory, mode=0o700, exist_ok=True)
     info = os.lstat(directory)
     if (
         not stat.S_ISDIR(info.st_mode)
@@ -740,6 +774,15 @@ def _required_compiler() -> List[str]:
     return compiler
 
 
+def _host_command() -> Tuple[List[str], int, str]:
+    """``(command, lanes, target)`` of every build on this host: the
+    compiler and flags it links with, and :func:`_host_build`'s lanes and
+    target.  Raises :class:`NativeUnavailableError` without a toolchain."""
+    compiler = _required_compiler()
+    flags, lanes, target = _host_build(compiler)
+    return [*compiler, *flags, *_COMMON_CFLAGS], lanes, target
+
+
 def _plan_build(source: str, cache_dir: Optional[str]) -> Tuple[List[str], str, str]:
     """``(command, digest, so_path)`` of the build of ``source``: all that
     :func:`build_shared_object` resolves before it compiles — the compiler,
@@ -747,9 +790,7 @@ def _plan_build(source: str, cache_dir: Optional[str]) -> Tuple[List[str], str, 
     last two read from the environment now.  Raises
     :class:`NativeUnavailableError` when there is no toolchain or the
     default cache directory is refused."""
-    compiler = _required_compiler()
-    flags, _, target = _host_build(compiler)
-    command = [*compiler, *flags, *_COMMON_CFLAGS]
+    command, _, target = _host_command()
     digest = _source_digest(source, [*command, target])
     so_path = os.path.join(_cache_directory(cache_dir), f"{digest}.so")
     return command, digest, so_path
@@ -839,6 +880,97 @@ def _load_entry_points(digest: str, so_path: str):
         return cached[1], cached[2]
 
 
+# -------------------------------------------------------------------- index
+def _pipeline_salt() -> bytes:
+    """A digest of the source of :data:`_PIPELINE_MODULES`, read once per
+    process."""
+    global _salt
+    if _salt is None:
+        hasher = hashlib.sha256()
+        for name in _PIPELINE_MODULES:
+            with open(importlib.import_module(name).__file__, "rb") as handle:
+                hasher.update(handle.read())
+        _salt = hasher.digest()
+    return _salt
+
+
+def look_up(
+    netlist, max_lut_inputs: Optional[int], backend: str, wait: bool
+) -> Tuple[Optional[str], Optional["NativeCompiledNetlist"]]:
+    """``(path, engine)``: the ``<key>.prog`` of ``netlist`` through the
+    default pipeline at ``max_lut_inputs`` (``None`` when the key cannot
+    encode a name), and, when that entry holds a digest and a program of
+    the netlist's shape whose object is on disk, the :meth:`attach
+    <NativeCompiledNetlist.attach>` engine of that build (else ``None``).
+    The key hashes the netlist's content, ``max_lut_inputs``, the host's
+    build and :func:`_pipeline_salt`; a hit runs no pass, lowering or
+    code generation.  Raises :class:`NativeUnavailableError` as
+    :func:`_plan_build` does.
+    """
+    command, lanes, target = _host_command()
+    directory = _cache_directory(None)
+    try:
+        # version 2 writes no back-references and no interning marks: equal
+        # content gives equal bytes, however its strings are shared (NumPy
+        # strings and scalars go in as their raw bytes)
+        nodes = [(n.name, n.input_signals, n.table.tobytes()) for n in netlist.nodes]
+        content = marshal.dumps(
+            (netlist.n_primary_inputs, nodes, netlist.output_signals,
+             max_lut_inputs, lanes, command, target),
+            2,
+        )
+    except ValueError:  # what marshal cannot write: a str subclass
+        return None, None
+    key = hashlib.sha256(_pipeline_salt() + content).hexdigest()
+    path = os.path.join(directory, f"{key}.prog")
+    try:
+        with open(path, "rb") as handle:
+            # trusted as far as the directory's objects are, which are dlopened
+            digest, program = pickle.load(handle)
+        so_path = os.path.join(directory, f"{digest}.so")
+        hit = (
+            re.fullmatch("[0-9a-f]{24}", digest)
+            and isinstance(program, CompiledNetlist)
+            and program.n_primary_inputs == netlist.n_primary_inputs
+            and program.n_outputs == len(netlist.output_signals)
+            and os.path.exists(so_path)
+        )
+    except Exception:  # noqa: BLE001 - unpickling foreign bytes raises anything
+        hit = False
+    if not hit:
+        return path, None
+    build = (command, digest, so_path)
+    return path, NativeCompiledNetlist.attach(program, backend, wait=wait, build=build)
+
+
+def _write_index(path: str, digest: str, program: CompiledNetlist) -> None:
+    """Publish ``(digest, program)`` at ``path`` by an atomic rename.  A
+    failure leaves the entry as it was — the next compile misses — and
+    never fails this one."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            pickle.dump((digest, program), handle, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    except (OSError, pickle.PicklingError):  # the next compile misses
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def open_engine(
+    program: CompiledNetlist, backend: str, wait: bool, path: Optional[str] = None
+) -> "NativeCompiledNetlist":
+    """:meth:`NativeCompiledNetlist.attach` of ``program``, published at
+    ``path`` — the ``<key>.prog`` a :func:`look_up` missed — for the next
+    compile of the same netlist, in any process, to find."""
+    engine = NativeCompiledNetlist.attach(program, backend, wait=wait)
+    if path is not None:
+        _write_index(path, engine.digest, program)
+    return engine
+
+
 def _shared_executor() -> ThreadPoolExecutor:
     """The process-wide shard executor (lazy, shared by every engine).
 
@@ -882,13 +1014,14 @@ class NativeCompiledNetlist(PackedEngine):
 
     Build one with ``compile_netlist(netlist, backend="native")`` (or
     ``"auto"``), or :meth:`tuned` / ``backend="native-mt"`` for the same
-    build threaded up to the core count; constructing directly from an
-    already-lowered program is what
-    :func:`~repro.engine.compiled_netlist.build_engine` does.  Each of
-    these returns once the shared object is loaded, and raises
-    :class:`NativeUnavailableError` when the host cannot build.
-    :meth:`attach` instead returns before the compiler runs: until the
-    build lands the engine answers on ``program``, bit for bit the same.
+    build threaded up to the core count, or construct one directly from an
+    already-lowered program.  A ``compile_netlist`` on the default
+    pipeline may instead find the program and its build in the cache's
+    ``<key>.prog`` index and generate no code (``c_source`` is then
+    generated when read).  Each of these returns once the shared object is
+    loaded, and raises :class:`NativeUnavailableError` when the host cannot
+    build.  :meth:`attach` instead returns before the compiler runs: until
+    the build lands the engine answers on ``program``, bit for bit the same.
     """
 
     def __init__(
@@ -912,9 +1045,11 @@ class NativeCompiledNetlist(PackedEngine):
         unroll: Optional[int],
         opt_tier: Optional[str],
         min_words_per_thread: int,
+        build: Optional[Tuple[List[str], str, str]] = None,
     ) -> None:
         """Everything up to the compiler run: the C source and, from the
-        host and the environment as they are now, the build's plan."""
+        host and the environment as they are now, the build's plan — or
+        ``build``, a known ``(command, digest, so_path)``, and no source."""
         if threads < 1:
             raise ValueError("threads must be >= 1")
         if min_words_per_thread < 1:
@@ -931,8 +1066,7 @@ class NativeCompiledNetlist(PackedEngine):
         self.threads = threads
         self.min_words_per_thread = min_words_per_thread
         self.unroll = vector_lanes() if unroll is None else unroll
-        self.c_source = generate_c_source(program, unroll=self.unroll)
-        self._command, self.digest, self.shared_object = _plan_build(
+        self._command, self.digest, self.shared_object = build or _plan_build(
             self.c_source, cache_dir
         )
         self._native_backend = "native-mt" if threads > 1 else "native"
@@ -940,6 +1074,13 @@ class NativeCompiledNetlist(PackedEngine):
         #: loaded, else ``None``: assigned once, read once per call
         self._entry: Optional[Tuple[object, object]] = None
         self._built = threading.Event()
+
+    @cached_property
+    def c_source(self) -> str:
+        """The generated C of ``program`` at ``unroll`` lanes: generated
+        with the plan, or — on an engine found in the index — when first
+        read."""
+        return generate_c_source(self.program, unroll=self.unroll)
 
     def _build(self) -> None:
         """Compile the planned build unless it is cached, load it, and
@@ -961,30 +1102,40 @@ class NativeCompiledNetlist(PackedEngine):
 
     @classmethod
     def attach(
-        cls, program: CompiledNetlist, backend: str = "native"
+        cls,
+        program: CompiledNetlist,
+        backend: str = "native",
+        *,
+        wait: bool = False,
+        build: Optional[Tuple[List[str], str, str]] = None,
     ) -> "NativeCompiledNetlist":
         """The ``backend`` (``"native"`` or ``"native-mt"``) engine for
-        ``program``, returned before the compiler runs.
+        ``program``, returned before the compiler runs — or, with ``wait``,
+        once its object is loaded, as the constructor returns.
 
         Everything but the compiler run happens here: code generation,
         compiler discovery, the host's flags, the cache directory and the
         digest, so a missing toolchain or a refused cache raises
         :class:`NativeUnavailableError` now, and a later change of
-        ``$REPRO_NATIVE_CACHE`` does not move the build.  A cached object
-        is loaded at once.  Otherwise one non-daemon thread,
-        ``repro-native-build``, compiles and links while the engine answers
-        on ``program`` — one call at a time, under the program's lock — and
-        the loaded object takes over from the next call; the interpreter
-        does not exit before that thread.  A failed build warns, naming the
-        command, and leaves ``program`` answering.  :meth:`wait` blocks
-        until the build has landed or failed; ``backend`` and ``on_loop``
-        describe the tier that answers now.
+        ``$REPRO_NATIVE_CACHE`` does not move the build.  ``build`` is a
+        known ``(command, digest, so_path)`` plan, as :func:`look_up` finds
+        one, and then no code is generated.  A cached object is loaded at
+        once.  Otherwise one non-daemon thread, ``repro-native-build``,
+        compiles and links while the engine answers on ``program`` — one
+        call at a time, under the program's lock — and the loaded object
+        takes over from the next call; the interpreter does not exit before
+        that thread.  A failed build warns, naming the command, and leaves
+        ``program`` answering.  :meth:`wait` blocks until the build has
+        landed or failed; ``backend`` and ``on_loop`` describe the tier
+        that answers now.
         """
         engine = cls.__new__(cls)
         threads = default_thread_count() if backend == "native-mt" else 1
-        engine._plan(program, None, threads, None, None, DEFAULT_MIN_WORDS_PER_THREAD)
-        engine._native_backend = backend
-        if os.path.exists(engine.shared_object):
+        engine._plan(
+            program, None, threads, None, None, DEFAULT_MIN_WORDS_PER_THREAD, build
+        )
+        engine._native_backend = "native-mt" if backend == "native-mt" else "native"
+        if wait or os.path.exists(engine.shared_object):
             engine._build()
         else:
             threading.Thread(

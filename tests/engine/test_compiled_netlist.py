@@ -260,3 +260,25 @@ class TestSharedInstance:
         np.testing.assert_array_equal(
             clone.predict_batch(X), netlist.evaluate_outputs(X)
         )
+
+    def test_a_pickle_carries_one_bit_per_table_entry(self):
+        """Table words are 0 or all-ones: a pickle packs them to bits and
+        the clone unpacks the same words when first read."""
+        import pickle
+
+        netlist = random_netlist(16, 200, seed=32, lut_widths=(5, 6))
+        compiled = compile_netlist(netlist)
+        data = pickle.dumps(compiled)
+        table_bytes = sum(g.table_words.nbytes for g in compiled._groups
+                          if hasattr(g, "table_words"))
+        assert table_bytes > 0 and len(data) < table_bytes  # less than the words
+        clone = pickle.loads(data)
+        for mine, theirs in zip(compiled._groups, clone._groups):
+            if hasattr(mine, "table_words"):
+                assert "table_words" not in theirs.__dict__
+                np.testing.assert_array_equal(theirs.table_words, mine.table_words)
+                assert theirs.table_words.dtype == np.uint64
+        X = np.random.default_rng(3).integers(0, 2, size=(70, 16), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            clone.predict_batch(X), netlist.evaluate_outputs(X)
+        )

@@ -1,7 +1,8 @@
 """One conformance suite for every engine: same bits, same surface.
 
 Whatever runs the words — the NumPy interpreter, the generated-C engine or
-the same build threaded (``native-mt``) — an engine must reproduce
+the same build threaded (``native-mt``), compiled cold or found in the
+cache's index — an engine must reproduce
 ``LUTNetlist.evaluate_outputs`` bit for bit on ragged batches and expose
 the shared :class:`PackedEngine` surface, because the classifiers and the
 serving layer hold engines as objects and know nothing else about them.
@@ -20,6 +21,7 @@ import os
 import re
 import shutil
 import subprocess
+import tempfile
 
 import numpy as np
 import pytest
@@ -56,6 +58,26 @@ needs_cc = pytest.mark.skipif(
 
 def _in_process(backend):
     return lambda netlist: compile_netlist(netlist, backend=backend)
+
+
+def _index_hit(backend):
+    """The ``backend`` engine of a second compile on a fresh cache: found
+    in the index, with no pass, lowering or code generation run."""
+
+    def banned(*_args, **_kwargs):
+        raise AssertionError("an index hit ran the pipeline")
+
+    def build(netlist):
+        with tempfile.TemporaryDirectory() as cache, \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NATIVE_CACHE", cache)
+            compile_netlist(netlist, backend=backend)
+            patch.setattr(compiled_mod, "optimize_netlist", banned)
+            patch.setattr(CompiledNetlist, "from_netlist", banned)
+            patch.setattr(native_mod, "generate_c_source", banned)
+            return compile_netlist(netlist, backend=backend)
+
+    return build
 
 
 def _sharded_native(netlist):
@@ -112,6 +134,8 @@ ENGINES = [
     _engine_param(_in_process("native"), "native", "native", True),
     _engine_param(_in_process("native-mt"), "native-mt", "native-mt", True),
     _engine_param(_sharded_native, "native-mt", "native-mt-2x1word", True),
+    _engine_param(_index_hit("native"), "native", "native-index-hit", True),
+    _engine_param(_index_hit("native-mt"), "native-mt", "native-mt-index-hit", True),
 ]
 
 POOLS = [

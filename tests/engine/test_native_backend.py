@@ -5,10 +5,21 @@ width (including the mux-group lowering via ``max_lut_inputs`` and the
 constant/arity-0 cases), native vs NumPy vs the naive simulator, ragged
 batch tails included.  The fallback half forces the no-toolchain path:
 ``backend="auto"`` must degrade to the NumPy engine silently and
-``backend="native"`` must raise the typed error.
+``backend="native"`` must raise the typed error.  The index half drives
+the ``<key>.prog`` entries a warm compile is served from through what can
+go wrong with them.
 """
 
+import ast
+import importlib.util
+import json
 import os
+import pickle
+import pkgutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +29,14 @@ from repro.engine import (
     CompiledNetlist,
     NativeCompiledNetlist,
     NativeUnavailableError,
+    build_engine,
     compile_netlist,
     pack_bits,
     random_netlist,
 )
+from repro.engine import compiled_netlist as compiled_mod
 from repro.engine import native as native_mod
+from repro.engine.compiled_netlist import attach_engine
 from repro.engine.native import (
     build_shared_object,
     find_compiler,
@@ -662,3 +676,468 @@ class TestTieredAttach:
         assert engine.shared_object == str(tmp_path / "cache" / f"{engine.digest}.so")
         assert os.path.exists(engine.shared_object)
         assert not (tmp_path / "elsewhere").exists()
+
+
+# ------------------------------------------------------------ the index
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty ``$REPRO_NATIVE_CACHE``."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    return cache
+
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """``{"passes": n, "codegen": n}``: how often ``compile_netlist`` ran the
+    pass pipeline and the code generator since the fixture was set up."""
+    calls = {"passes": 0, "codegen": 0}
+    optimize, generate = compiled_mod.optimize_netlist, native_mod.generate_c_source
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(compiled_mod, "optimize_netlist", counted("passes", optimize))
+    monkeypatch.setattr(native_mod, "generate_c_source", counted("codegen", generate))
+    return calls
+
+
+def _index_case():
+    return random_netlist(12, 30, seed=131, n_outputs=6)
+
+
+def _assert_serves(engine, netlist, seed=132):
+    width = netlist.n_primary_inputs
+    X = as_rng(seed).integers(0, 2, size=(150, width), dtype=np.uint8)
+    np.testing.assert_array_equal(engine.predict_batch(X), netlist.evaluate_outputs(X))
+
+
+def _compile_counting(netlist, calls, **options):
+    """``(engine, whether the compile was an index hit)``."""
+    before = dict(calls)
+    engine = compile_netlist(netlist, backend="native", **options)
+    return engine, calls == before
+
+
+def _entries(cache):
+    return sorted(cache.glob("*.prog"))
+
+
+@needs_cc
+class TestInputIndex:
+    """A warm native compile is served from ``<key>.prog``: the lowered
+    program and its object's digest, keyed by the netlist it was given."""
+
+    def test_a_warm_compile_runs_no_pass_and_no_codegen(
+        self, fresh_cache, pipeline_calls
+    ):
+        netlist = _index_case()
+        cold, hit = _compile_counting(netlist, pipeline_calls, max_lut_inputs=4)
+        assert not hit and pipeline_calls == {"passes": 1, "codegen": 1}
+        assert len(_entries(fresh_cache)) == 1
+        warm, hit = _compile_counting(netlist, pipeline_calls, max_lut_inputs=4)
+        assert hit
+        assert (warm.digest, warm.shared_object) == (cold.digest, cold.shared_object)
+        assert (warm.backend, warm.on_loop, warm.wait(0)) == ("native", True, True)
+        _assert_serves(warm, netlist)
+        assert warm.c_source == cold.c_source  # generated only now, when read
+        assert pipeline_calls["codegen"] == 2
+        # another fabric width, and an explicit pipeline, are not this entry
+        assert not _compile_counting(netlist, pipeline_calls, max_lut_inputs=3)[1]
+        assert len(_entries(fresh_cache)) == 2
+        from repro.engine import default_passes
+
+        passes = default_passes(4)
+        assert not _compile_counting(netlist, pipeline_calls, passes=passes)[1]
+        assert len(_entries(fresh_cache)) == 2
+
+    def test_one_entry_serves_every_native_backend(self, fresh_cache, pipeline_calls):
+        netlist = _index_case()
+        compile_netlist(netlist, backend="native")
+        calls = dict(pipeline_calls)
+        engines = [
+            compile_netlist(netlist, backend="native-mt"),
+            compile_netlist(netlist, backend="auto"),
+            attach_engine(netlist, "native-mt"),
+            attach_engine(netlist, "auto"),
+        ]
+        assert pipeline_calls == calls
+        assert [e.backend for e in engines] == ["native-mt", "native"] * 2
+        assert [e.wait(0) for e in engines] == [True] * 4
+        for engine in engines:
+            _assert_serves(engine, netlist)
+        assert len(_entries(fresh_cache)) == 1
+
+    def test_a_changed_table_entry_is_a_miss(self, fresh_cache, pipeline_calls):
+        netlist = _index_case()
+        before, _ = _compile_counting(netlist, pipeline_calls)
+        [node] = [n for n in netlist.nodes if n.name == netlist.output_signals[0]]
+        node.table[3] ^= 1
+        after, hit = _compile_counting(netlist, pipeline_calls)
+        assert not hit and after.digest != before.digest
+        _assert_serves(after, netlist)
+        X = as_rng(133).integers(0, 2, size=(400, 12), dtype=np.uint8)
+        assert not np.array_equal(before.predict_batch(X), after.predict_batch(X))
+        node.table[3] ^= 1  # and back: the first entry still answers
+        assert _compile_counting(netlist, pipeline_calls)[0].digest == before.digest
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "garbage", "wrong type", "wrong shape", "unknown digest"],
+    )
+    def test_a_damaged_entry_is_a_miss_and_is_rewritten(
+        self, fresh_cache, pipeline_calls, damage
+    ):
+        netlist = _index_case()
+        _compile_counting(netlist, pipeline_calls)
+        [entry] = _entries(fresh_cache)
+        good = entry.read_bytes()
+        other = CompiledNetlist.from_netlist(
+            random_netlist(12, 8, seed=134, n_outputs=2)
+        )
+        entry.write_bytes({
+            "truncated": good[: len(good) // 2],
+            "garbage": b"\x80\x05not a pickle at all",
+            "wrong type": pickle.dumps({"digest": "0" * 24}),
+            "wrong shape": pickle.dumps((pickle.loads(good)[0], other)),
+            "unknown digest": pickle.dumps(("../" + "0" * 21, pickle.loads(good)[1])),
+        }[damage])
+        engine, hit = _compile_counting(netlist, pipeline_calls)
+        assert not hit
+        _assert_serves(engine, netlist)
+        assert entry.read_bytes() == good  # rewritten, readable again
+        assert _compile_counting(netlist, pipeline_calls)[1]
+
+    def test_an_entry_whose_object_is_gone_is_a_miss(self, fresh_cache, pipeline_calls):
+        netlist = _index_case()
+        cold, _ = _compile_counting(netlist, pipeline_calls)
+        os.unlink(cold.shared_object)
+        engine, hit = _compile_counting(netlist, pipeline_calls)
+        assert not hit and os.path.exists(cold.shared_object)
+        _assert_serves(engine, netlist)
+        assert _compile_counting(netlist, pipeline_calls)[1]
+
+    @pytest.mark.parametrize("what", ["salt", "target"])
+    def test_a_key_of_another_salt_or_target_is_a_miss(
+        self, fresh_cache, pipeline_calls, monkeypatch, what
+    ):
+        """Entries written by other pipeline code, or for another CPU
+        sharing the directory, are never found."""
+        netlist = _index_case()
+        _compile_counting(netlist, pipeline_calls)
+        if what == "salt":
+            monkeypatch.setattr(native_mod, "_salt", b"edited pipeline source")
+        else:
+            compiler = tuple(find_compiler())
+            flags, lanes, _ = native_mod._host_build(compiler)
+            monkeypatch.setitem(
+                native_mod._host_builds, compiler, (flags, lanes, "other")
+            )
+        engine, hit = _compile_counting(netlist, pipeline_calls)
+        assert not hit and len(_entries(fresh_cache)) == 2
+        _assert_serves(engine, netlist)
+        assert _compile_counting(netlist, pipeline_calls)[1]
+        monkeypatch.undo()
+        assert len(_entries(fresh_cache)) == 2
+
+    def test_names_and_widths_of_other_types(self, fresh_cache, pipeline_calls):
+        """``add_node`` takes names of any ``str`` type: NumPy strings, and
+        a NumPy integer width, are keyed like any other; names of a
+        ``str`` subclass, which the key cannot encode, compile in full
+        every time and write no entry."""
+
+        class Name(str):
+            pass
+
+        def netlist_of(name):
+            netlist = LUTNetlist(n_primary_inputs=4)
+            inputs = [name("in0"), name("in3")]
+            netlist.add_node(name("x"), "mat", inputs, np.array([0, 1, 1, 0]))
+            netlist.mark_output(name("x"))
+            return netlist
+
+        keyed = netlist_of(np.str_)
+        for width in (None, np.int64(4)):
+            assert not _compile_counting(keyed, pipeline_calls, max_lut_inputs=width)[1]
+            assert _compile_counting(keyed, pipeline_calls, max_lut_inputs=width)[1]
+        assert len(_entries(fresh_cache)) == 2
+        unkeyed = netlist_of(Name)
+        for _ in range(2):
+            engine, hit = _compile_counting(unkeyed, pipeline_calls)
+            assert not hit
+            _assert_serves(engine, unkeyed)
+        assert len(_entries(fresh_cache)) == 2
+
+    def test_a_failed_index_write_never_fails_the_compile(
+        self, fresh_cache, pipeline_calls
+    ):
+        netlist = _index_case()
+        fresh_cache.mkdir()
+        path, _ = native_mod.look_up(netlist, None, "native", True)
+        os.mkdir(path)  # nothing can be read from, or renamed onto, it
+        for _ in range(2):
+            engine, hit = _compile_counting(netlist, pipeline_calls)
+            assert not hit
+            _assert_serves(engine, netlist)
+        assert sorted(p.name for p in fresh_cache.iterdir() if ".tmp" in p.name) == []
+
+    def test_two_processes_racing_the_first_write(self, fresh_cache, pipeline_calls):
+        import multiprocessing as mp
+
+        netlist = _index_case()
+        ctx = mp.get_context("fork")
+        barrier, results = ctx.Barrier(2), ctx.Queue()
+
+        def racer():
+            barrier.wait()
+            engine = compile_netlist(netlist, backend="native")
+            X = as_rng(135).integers(0, 2, size=(150, 12), dtype=np.uint8)
+            exact = np.array_equal(engine.predict_batch(X), netlist.evaluate_outputs(X))
+            results.put((engine.digest, exact))
+
+        procs = [ctx.Process(target=racer) for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        outcomes = [results.get(timeout=120) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [exact for _, exact in outcomes] == [True, True]
+        assert len({digest for digest, _ in outcomes}) == 1
+        assert len(_entries(fresh_cache)) == 1
+        assert [p.name for p in fresh_cache.iterdir() if ".tmp" in p.name] == []
+        engine, hit = _compile_counting(netlist, pipeline_calls)
+        assert hit and engine.digest == outcomes[0][0]
+        _assert_serves(engine, netlist)
+
+
+_FRESH_INTERPRETER = """
+import hashlib, json, sys
+from repro.engine import compiled_netlist, native, random_netlist
+from repro.engine.compiled_netlist import attach_engine, compile_netlist
+
+calls = []
+
+
+def counted(name, real):
+    return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+
+for module, name in ((compiled_netlist, "optimize_netlist"),
+                     (native, "generate_c_source")):
+    setattr(module, name, counted(name, getattr(module, name)))
+netlist = random_netlist(12, 30, seed=131, n_outputs=6)
+engines = [compile_netlist(netlist, backend="native", max_lut_inputs=4),
+           attach_engine(netlist, "native-mt")]
+before = list(calls)
+print(json.dumps({
+    "calls": before,
+    "engines": [[e.digest, e.backend, e.on_loop, e.wait(0),
+                 hashlib.sha256(e.c_source.encode()).hexdigest()] for e in engines],
+}))
+"""
+
+
+@needs_cc
+def test_a_fresh_interpreter_finds_the_build(fresh_cache):
+    """A server restart, a replica: another process compiling the same
+    netlist on a warm cache runs no pass and no code generation, and gets
+    the cold engine's build."""
+    import hashlib
+
+    netlist = _index_case()
+    cold = [
+        compile_netlist(netlist, backend="native", max_lut_inputs=4),
+        compile_netlist(netlist, backend="native-mt"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    child = json.loads(out)
+    assert child["calls"] == []
+    assert child["engines"] == [
+        [e.digest, e.backend, e.on_loop, True,
+         hashlib.sha256(e.c_source.encode()).hexdigest()]
+        for e in cold
+    ]
+
+
+#: modules the pipeline imports whose code decides neither the program nor
+#: its source, and why
+NOT_IN_THE_PROGRAM = {
+    "repro.engine.bitpack": "packs sample words and checks read-out tables: "
+    "evaluation only",
+}
+
+
+def _repro_imports(name):
+    """The ``repro.engine`` / ``repro.core`` modules (not packages) module
+    ``name`` imports anywhere in its body, deferred imports included."""
+    modules = {
+        f"{package}.{info.name}"
+        for package in ("repro.engine", "repro.core")
+        for info in pkgutil.iter_modules(importlib.import_module(package).__path__)
+        if not info.ispkg
+    }
+    tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = name.rsplit(".", node.level)[0]
+                base = f"{package}.{base}" if base else package
+            named.add(base)
+            named.update(f"{base}.{alias.name}" for alias in node.names)
+    return named & modules
+
+
+def test_the_salt_covers_the_pipeline():
+    """Every module the salted ones reach decides the program — and is
+    salted — or is named above as not deciding it: an edit anywhere else
+    could serve a stale program from the index."""
+    salted = set(native_mod._PIPELINE_MODULES)
+    reached, todo = set(), list(salted)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_repro_imports(name))
+    assert reached - salted == set(NOT_IN_THE_PROGRAM)
+    import hashlib
+
+    hasher = hashlib.sha256()
+    for name in native_mod._PIPELINE_MODULES:
+        hasher.update(Path(importlib.util.find_spec(name).origin).read_bytes())
+    assert native_mod._pipeline_salt() == hasher.digest()
+
+
+class TestUnusableCache:
+    """``$REPRO_NATIVE_CACHE`` naming a regular file: unavailable, so
+    ``"auto"`` serves NumPy and ``"native"`` raises the typed error."""
+
+    @pytest.fixture
+    def file_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "a-file"
+        path.write_text("not a directory")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(path))
+        return path
+
+    @pytest.mark.parametrize(
+        "entry", ["compile_netlist", "attach_engine", "build_engine"]
+    )
+    def test_auto_falls_back_and_native_raises(self, file_cache, entry):
+        call = {
+            "compile_netlist": lambda n, b: compile_netlist(n, backend=b),
+            "attach_engine": attach_engine,
+            "build_engine": build_engine,
+        }[entry]
+        netlist = _index_case()
+        with pytest.raises(NativeUnavailableError, match=str(file_cache)):
+            call(netlist, "native")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if find_compiler() is None else "error")
+            if find_compiler() is not None:
+                with pytest.warns(RuntimeWarning, match=str(file_cache)):
+                    engine = call(netlist, "auto")
+            else:
+                engine = call(netlist, "auto")
+        assert isinstance(engine, CompiledNetlist) and engine.backend == "numpy"
+        _assert_serves(engine, netlist)
+        assert file_cache.read_text() == "not a directory"
+
+
+#: one direct call per public entry point; the fallback warning names it
+FALLBACK_CALLS = {
+    "compile_netlist": lambda netlist: compile_netlist(netlist, backend="auto"),
+    "build_engine": lambda netlist: build_engine(netlist, "auto"),
+    "attach_engine": lambda netlist: attach_engine(netlist, "auto"),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("entry", sorted(FALLBACK_CALLS))
+def test_the_fallback_warning_names_the_caller(tmp_path, monkeypatch, entry):
+    cache = tmp_path / "a-file"
+    cache.write_text("")
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    call = FALLBACK_CALLS[entry]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        engine = call(_index_case())
+    [warning] = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "falling back" in str(warning.message)
+    where = (warning.filename, warning.lineno)
+    assert where == (__file__, call.__code__.co_firstlineno)
+    assert engine.backend == "numpy"
+
+
+#: each entry point at ``"auto"``, and how often it runs the passes
+LOWERING_CALLS = {
+    "compile_netlist": (lambda netlist: compile_netlist(netlist, backend="auto"), 1),
+    "attach_engine": (lambda netlist: attach_engine(netlist, "auto"), 1),
+    "build_engine": (lambda netlist: build_engine(netlist, "auto"), 0),
+}
+
+
+@pytest.mark.parametrize("where", ["look-up", "build"])
+@pytest.mark.parametrize("entry", sorted(LOWERING_CALLS))
+def test_a_fallback_lowers_once(tmp_path, monkeypatch, entry, where):
+    """A native path that gives up — before the look-up (a cache that is a
+    file) or at the build — falls back on the program it lowered: the
+    passes and the lowering run once, not again for the NumPy engine."""
+    if where == "look-up":
+        cache = tmp_path / "a-file"
+        cache.write_text("")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    else:
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+
+        def unavailable(*_args, **_kwargs):
+            raise NativeUnavailableError("no build here")
+
+        monkeypatch.setattr(NativeCompiledNetlist, "_plan", unavailable)
+    calls = {"passes": 0, "lowering": 0}
+    optimize, lower = compiled_mod.optimize_netlist, CompiledNetlist.from_netlist
+
+    def optimize_counted(*args, **kwargs):
+        calls["passes"] += 1
+        return optimize(*args, **kwargs)
+
+    def lower_counted(netlist):
+        calls["lowering"] += 1
+        return lower(netlist)
+
+    monkeypatch.setattr(compiled_mod, "optimize_netlist", optimize_counted)
+    monkeypatch.setattr(CompiledNetlist, "from_netlist", lower_counted)
+    call, passes = LOWERING_CALLS[entry]
+    netlist = _index_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        engine = call(netlist)
+    assert engine.backend == "numpy"
+    assert calls == {"passes": passes, "lowering": 1}
+    _assert_serves(engine, netlist)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_a_lowering_error_is_not_a_fallback(tmp_path, monkeypatch, strict):
+    """An error of the lowering itself raises as it is, under either
+    contract, with no 'native backend unavailable' warning."""
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+
+    def broken(_netlist):
+        raise ValueError("cannot lower this")
+
+    monkeypatch.setattr(CompiledNetlist, "from_netlist", broken)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cannot lower this"):
+            build_engine(_index_case(), "native", strict=strict)
