@@ -23,12 +23,13 @@ straight-line word statements:
   calls them in order: one ``W s[n_slots]`` stack array holds the whole
   live state, so the working set is L1-resident instead of a word-matrix
   walk through L2;
-* consecutive segments are grouped into translation units of at most
-  ``_UNIT_STATEMENTS`` statements, cut where the program says and nowhere
-  the host does (the source and its digest never depend on a core count).
-  The units travel in the one source string, behind marker lines, and
-  :func:`build_shared_object` compiles them concurrently.  A segment
-  called across units has hidden visibility: a direct call, not an export;
+* the driver, the exports and the read-out form a translation unit of
+  their own, and consecutive segments are grouped into segment units of at
+  most ``_UNIT_STATEMENTS`` statements, cut where the program says and
+  nowhere the host does (the source and its digest never depend on a core
+  count).  The units travel in the one source string, behind marker lines,
+  and :func:`build_shared_object` compiles them concurrently.  Every
+  segment has hidden visibility: a direct call, not an export;
 * the exported entry points are ``run_range(in, out, lo, hi, n_words)``,
   which writes only word columns ``[lo, hi)`` of the full-stride planes —
   what makes in-process word sharding possible — and
@@ -56,11 +57,14 @@ bit-exact.
 
 Every engine runs one build, decided by one ``cc -O1 -march=native -dM -E``
 probe per process and compiler: K is 8 when the target predefines
-``__AVX512F__``, else 4 (:func:`vector_lanes`), and the flags are
-``-O1 -march=native`` — or ``-O1`` alone, still at 4 lanes through GCC's
-generic vector lowering, when the compiler rejects the probe.  ``-O1``
-builds the straight-line program as fast as the old scalar build and runs
-within a few per cent of ``-O2`` (docs/architecture.md has the sweep).
+``__AVX512F__``, else 4 (:func:`vector_lanes`).  The segment units, where
+the compiler spends nearly all of a cold build, are compiled at ``-Og
+-march=native``: half the compiler time of ``-O1`` for the same kernel
+speed.  The driver unit is small and its loops — the padded block and the
+read-out — are hot in every ``run_scores``, so it keeps ``-O1
+-march=native``.  When the compiler rejects the probe both drop
+``-march=native``, still at 4 lanes through GCC's generic vector lowering
+(docs/architecture.md has the sweep).
 
 Because the generated code keeps no global state (the word loop's state
 lives on the C stack) a loaded program is thread-safe, and ``ctypes``
@@ -78,7 +82,7 @@ at attach.
 
 The source is compiled at attach time with the host toolchain (``$CC``,
 else ``cc``/``gcc``/``clang``) into a shared object cached under a digest of
-the generated source, build command and target CPU, so recompiling the same
+the generated source, build commands and target CPU, so recompiling the same
 netlist — in this process, a forked worker, or tomorrow's process — reuses
 one build.
 Concurrent builders of the same digest serialise on a ``<digest>.lock``
@@ -153,14 +157,17 @@ __all__ = [
     "shared_object_cache_dir",
 ]
 
-#: the flags of every build.  Straight-line bitwise code gains ~3x going
-#: -O0 -> -O1 (register allocation of the slot array) and a few per cent
-#: more at -O2, for a third more compile time; -march=native lets the
-#: vector type use the host's widest register.  A compiler that rejects
-#: -march=native builds with -O1 alone (see _host_build)
+#: the flags of the driver unit (the word loop, the padded block and the
+#: ``copy_scores`` read-out, hot in every ``run_scores``), and of the probe
+#: (see _host_build).  -march=native lets the vector type use the host's
+#: widest register; a compiler that rejects it builds both kinds of unit
+#: without it.  At -Og the read-out runs 15-20 % slower on 2048+ samples
 _CFLAGS = ("-O1", "-march=native")
 
-_COMMON_CFLAGS = ("-fPIC", "-shared")
+#: the flags of every segment unit: on the straight-line ``seg*`` bodies
+#: -Og costs about half the compiler time of -O1 for the same kernel speed,
+#: and -O0 is no cheaper (docs/architecture.md has the sweep)
+_SEGMENT_CFLAGS = ("-Og", "-march=native")
 
 #: a thread shard below this many packed words (64 samples each) is not
 #: worth the submit/wake cost — batches under ``threads * grain`` words
@@ -222,9 +229,13 @@ _compiler_cache: object = _UNSET
 _salt: Optional[bytes] = None
 _compiler_lock = threading.Lock()
 
-#: compiler command -> (flags, vector lanes, target), what :func:`_host_build`
-#: learned
-_host_builds: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], int, str]] = {}
+#: ``((driver flags, segment flags), vector lanes, target)``
+_HostBuild = Tuple[Tuple[Tuple[str, ...], Tuple[str, ...]], int, str]
+#: compiler command -> what :func:`_host_build` learned
+_host_builds: Dict[Tuple[str, ...], _HostBuild] = {}
+
+#: ``(commands, digest, so_path)``: a build as :func:`_plan_build` plans it
+_Plan = Tuple[List[List[str]], str, str]
 
 #: digest -> loaded (CDLL, run_range, run_scores_range) so every instance
 #: of the same program in one process shares a single dlopen handle
@@ -280,15 +291,17 @@ def toolchain_available() -> bool:
     return find_compiler() is not None
 
 
-def _host_build(compiler: Sequence[str]) -> Tuple[Tuple[str, ...], int, str]:
-    """``(flags, lanes, target)`` of every build with ``compiler``, from one
-    ``cc -O1 -march=native -dM -E`` query per process and compiler: the
-    query's flags, at 8 lanes (512 bits) when it predefines ``__AVX512F__``
-    and 4 otherwise — or, when the compiler rejects it, ``-O1`` alone at 4
-    lanes (GCC's generic vector lowering, still bit-exact).  ``target``
-    digests the query's macros — the compiler version and the CPU features
-    ``-march=native`` resolved to — and keys every build, so hosts sharing
-    a cache directory never load each other's objects."""
+def _host_build(compiler: Sequence[str]) -> _HostBuild:
+    """``((driver flags, segment flags), lanes, target)`` of every build
+    with ``compiler``, from one ``cc -O1 -march=native -dM -E`` query per
+    process and compiler: :data:`_CFLAGS` and :data:`_SEGMENT_CFLAGS`, at 8
+    lanes (512 bits) when the query predefines ``__AVX512F__`` and 4
+    otherwise — or, when the compiler rejects it, both without
+    ``-march=native`` at 4 lanes (GCC's generic vector lowering, still
+    bit-exact).  ``target`` digests the query's macros — the compiler
+    version and the CPU features ``-march=native`` resolved to — and keys
+    every build, so hosts sharing a cache directory never load each other's
+    objects."""
     key = tuple(compiler)
     with _compiler_lock:
         if key not in _host_builds:
@@ -300,9 +313,9 @@ def _host_build(compiler: Sequence[str]) -> Tuple[Tuple[str, ...], int, str]:
                 ).stdout
                 target = hashlib.sha256(macros.encode()).hexdigest()[:16]
                 lanes = 8 if "__AVX512F__" in macros.split() else 4
-                build = (_CFLAGS, lanes, target)
-            except (OSError, subprocess.SubprocessError):
-                build = (_CFLAGS[:1], 4, "generic")
+                build = ((_CFLAGS, _SEGMENT_CFLAGS), lanes, target)
+            except (OSError, subprocess.SubprocessError):  # [:1]: no -march
+                build = ((_CFLAGS[:1], _SEGMENT_CFLAGS[:1]), 4, "generic")
             _host_builds[key] = build
         return _host_builds[key]
 
@@ -499,11 +512,12 @@ def generate_c_source(program: CompiledNetlist, unroll: Optional[int] = None) ->
     or past ``hi`` — bit-exact for every word count, and adjacent ranges
     may run in any order.
 
-    A program of more than ``_UNIT_STATEMENTS`` statements comes back as
-    several translation units in the one string, joined by
-    ``_UNIT_MARKER`` lines: the first holds the driver and the exports and
-    declares the segments of the others, which hold nothing but ``seg*``
-    functions of hidden visibility.
+    The source is one driver unit and the segment units, in the one
+    string, joined by ``_UNIT_MARKER`` lines: the driver unit holds the
+    driver, the exports and the read-out and declares every segment; each
+    segment unit holds nothing but ``seg*`` functions of hidden visibility,
+    at most ``_UNIT_STATEMENTS`` statements of them.  :func:`_compile`
+    builds the two kinds with different flags.
     """
     k = vector_lanes() if unroll is None else unroll
     if k < 1:
@@ -513,27 +527,17 @@ def generate_c_source(program: CompiledNetlist, unroll: Optional[int] = None) ->
     segments = _pack(counts, _SEGMENT_STATEMENTS)
     units = _pack(
         [sum(counts[i] for i in segment) for segment in segments], _UNIT_STATEMENTS
-    ) or [range(0)]  # a program of no nodes is still a driver
-
-    def open_width(own: range, linkage: str) -> List[str]:
-        """The word type ``W`` at ``k`` lanes and segment functions ``own``."""
-        if k == 1:
-            lines = ["typedef uint64_t w1;"]
-        else:
-            # may_alias: the lanes are loaded straight out of the uint64
-            # planes, so the vector type must be allowed to alias them;
-            # aligned(8): packed planes are only word-aligned
-            lines = [
-                f"typedef uint64_t w{k} __attribute__((vector_size({k * 8}),"
-                " aligned(8), may_alias));"
-            ]
-        lines.append(f"#define W w{k}")
-        for index in own:
-            lines.append(f"{linkage} void seg{index}_w{k}(W* restrict s) {{")
-            lines.extend(blocks[i][0] for i in segments[index])
-            lines.append("}")
-            lines.append("")
-        return lines
+    )
+    if k == 1:
+        word_type = "typedef uint64_t w1;"
+    else:
+        # may_alias: the lanes are loaded straight out of the uint64 planes,
+        # so the vector type must be allowed to alias them; aligned(8):
+        # packed planes are only word-aligned
+        word_type = (
+            f"typedef uint64_t w{k} __attribute__((vector_size({k * 8}),"
+            " aligned(8), may_alias));"
+        )
 
     n_slots, n_in = max(program.n_slots, 1), max(program.n_primary_inputs, 1) * k
     n_out = max(program.n_outputs, 1) * k
@@ -551,9 +555,8 @@ def generate_c_source(program: CompiledNetlist, unroll: Optional[int] = None) ->
             f"run_word_w{k}(bin, bout, 0, {k});",
         ]
 
-    parts = list(_UNIT_PRELUDE)
-    parts.extend(open_width(units[0], "static"))
-    for index in range(units[0].stop, len(segments)):
+    parts = [*_UNIT_PRELUDE, word_type, f"#define W w{k}"]
+    for index in range(len(segments)):
         parts.append(f"{_HIDDEN} void seg{index}_w{k}(W* restrict s);")
     parts.append(
         f"static void run_word_w{k}(const uint64_t* restrict in,"
@@ -611,20 +614,23 @@ def generate_c_source(program: CompiledNetlist, unroll: Optional[int] = None) ->
     parts.append("}")
     parts.append("}")
     sources = ["\n".join(parts) + "\n"]
-    for own in units[1:]:
-        parts = list(_UNIT_PRELUDE)
-        parts.extend(open_width(own, _HIDDEN))
-        parts.append("#undef W")
-        parts.append("")
+    for own in units:
+        parts = [*_UNIT_PRELUDE, word_type, f"#define W w{k}"]
+        for index in own:
+            parts.append(f"{_HIDDEN} void seg{index}_w{k}(W* restrict s) {{")
+            parts.extend(blocks[i][0] for i in segments[index])
+            parts += ["}", ""]
+        parts += ["#undef W", ""]
         sources.append("\n".join(parts))
     return _UNIT_MARKER.join(sources)
 
 
 # -------------------------------------------------------------------- build
-def _source_digest(source: str, command: List[str]) -> str:
+def _source_digest(source: str, commands: List[List[str]], target: str) -> str:
     hasher = hashlib.sha256()
-    hasher.update(" ".join(command).encode())
-    hasher.update(b"\x00")
+    for words in (*commands, [target]):
+        hasher.update(" ".join(words).encode())
+        hasher.update(b"\x00")
     hasher.update(source.encode())
     return hasher.hexdigest()[:24]
 
@@ -774,32 +780,37 @@ def _required_compiler() -> List[str]:
     return compiler
 
 
-def _host_command() -> Tuple[List[str], int, str]:
-    """``(command, lanes, target)`` of every build on this host: the
-    compiler and flags it links with, and :func:`_host_build`'s lanes and
-    target.  Raises :class:`NativeUnavailableError` without a toolchain."""
+def _host_command() -> Tuple[List[List[str]], int, str]:
+    """``(commands, lanes, target)`` of every build on this host: the
+    compile of the driver unit, the compile of a segment unit and the link,
+    and :func:`_host_build`'s lanes and target.  Raises
+    :class:`NativeUnavailableError` without a toolchain."""
     compiler = _required_compiler()
-    flags, lanes, target = _host_build(compiler)
-    return [*compiler, *flags, *_COMMON_CFLAGS], lanes, target
+    unit_flags, lanes, target = _host_build(compiler)
+    driver, segments = ([*compiler, *flags, "-fPIC", "-c"] for flags in unit_flags)
+    return [driver, segments, [*compiler, "-shared"]], lanes, target
 
 
-def _plan_build(source: str, cache_dir: Optional[str]) -> Tuple[List[str], str, str]:
-    """``(command, digest, so_path)`` of the build of ``source``: all that
+def _plan_build(source: str, cache_dir: Optional[str]) -> _Plan:
+    """``(commands, digest, so_path)`` of the build of ``source``: all that
     :func:`build_shared_object` resolves before it compiles — the compiler,
     the host's flags and target, the digest and the cache directory, the
     last two read from the environment now.  Raises
     :class:`NativeUnavailableError` when there is no toolchain or the
     default cache directory is refused."""
-    command, _, target = _host_command()
-    digest = _source_digest(source, [*command, target])
+    commands, _, target = _host_command()
+    digest = _source_digest(source, commands, target)
     so_path = os.path.join(_cache_directory(cache_dir), f"{digest}.so")
-    return command, digest, so_path
+    return commands, digest, so_path
 
 
-def _compile(source: str, command: List[str], digest: str, so_path: str) -> None:
-    """Compile ``source`` by :func:`_plan_build`'s plan and publish it at
+def _compile(source: str, commands: List[List[str]], digest: str, so_path: str) -> None:
+    """Compile ``source`` by :func:`_plan_build`'s plan — every unit with
+    ``cc -c``, concurrently, the driver unit by the first command and the
+    segment units by the second, then one link — and publish it at
     ``so_path``, unless a builder holding the digest's lock before us
     already did."""
+    driver, segments, link = commands
     directory = os.path.dirname(so_path)
     with _build_lock(directory, digest):
         # the lock's previous holder may have published while we waited
@@ -807,30 +818,28 @@ def _compile(source: str, command: List[str], digest: str, so_path: str) -> None
             return
         c_path = os.path.join(directory, f"{digest}.c")
         unique = f".{os.getpid()}-{threading.get_ident()}.tmp"
-        c_tmp = c_path + unique + ".c"  # cc needs the suffix to see C source
+        c_tmp = c_path + unique
         so_tmp = so_path + unique
         sources = {c_tmp: source}  # what to write: the kept source, the units
         compiles: List[List[str]] = []
-        link_inputs = [c_tmp]  # one unit: the source itself, one compiler run
-        units = source.split(_UNIT_MARKER)
-        if len(units) > 1:
-            link_inputs = []
-            for index, unit in enumerate(units):
-                stem = f"{c_path}{unique}.{index}"
-                sources[stem + ".c"] = unit
-                compiles.append(command + ["-c", "-o", stem + ".o", stem + ".c"])
-                link_inputs.append(stem + ".o")
+        objects: List[str] = []
+        for index, unit in enumerate(source.split(_UNIT_MARKER)):
+            stem = f"{c_path}{unique}.{index}"  # cc needs .c to see C source
+            sources[stem + ".c"] = unit
+            flags = segments if index else driver
+            compiles.append(flags + ["-o", stem + ".o", stem + ".c"])
+            objects.append(stem + ".o")
         try:
             for path, text in sources.items():
                 with open(path, "w") as handle:
                     handle.write(text)
             _run_compilers(compiles)
-            _run_compilers([command + ["-o", so_tmp] + link_inputs])
+            _run_compilers([link + ["-o", so_tmp] + objects])
             # keep the source next to the object for debugging, then publish
             os.replace(c_tmp, c_path)
             os.replace(so_tmp, so_path)
         finally:
-            for leftover in [*sources, *link_inputs, so_tmp]:
+            for leftover in [*sources, *objects, so_tmp]:
                 try:
                     os.unlink(leftover)
                 except OSError:
@@ -842,13 +851,12 @@ def build_shared_object(
 ) -> Tuple[str, str]:
     """Compile ``source`` into a cached shared object; ``(digest, path)``.
 
-    The cache key digests the whole source, the build command and the
+    The cache key digests the whole source, the build commands and the
     compiler's target (see :func:`_host_build`), so a compiler, flag or
-    CPU change never serves a stale or foreign object.
-    A source of several translation units (see :func:`generate_c_source`)
-    is compiled unit by unit with ``cc -c``, concurrently, and the objects
-    linked by the same command; a source of one unit — every small
-    netlist — goes to that link command as it is, a single compiler run.
+    CPU change never serves a stale or foreign object.  The translation
+    units (see :func:`generate_c_source`) are compiled one by one with
+    ``cc -c``, concurrently — the driver unit at :data:`_CFLAGS`, the
+    segment units at :data:`_SEGMENT_CFLAGS` — and the objects linked.
     Builds land under unique temp names and are published with an atomic
     rename; concurrent builders of the same digest additionally serialise
     on a ``<digest>.lock`` file so only one build runs per digest.
@@ -857,9 +865,9 @@ def build_shared_object(
     toolchain, the default cache directory is not private, or the build
     fails; a failed build leaves nothing behind.
     """
-    command, digest, so_path = _plan_build(source, cache_dir)
+    commands, digest, so_path = _plan_build(source, cache_dir)
     if not os.path.exists(so_path):
-        _compile(source, command, digest, so_path)
+        _compile(source, commands, digest, so_path)
     return digest, so_path
 
 
@@ -907,7 +915,7 @@ def look_up(
     code generation.  Raises :class:`NativeUnavailableError` as
     :func:`_plan_build` does.
     """
-    command, lanes, target = _host_command()
+    commands, lanes, target = _host_command()
     directory = _cache_directory(None)
     try:
         # version 2 writes no back-references and no interning marks: equal
@@ -916,7 +924,7 @@ def look_up(
         nodes = [(n.name, n.input_signals, n.table.tobytes()) for n in netlist.nodes]
         content = marshal.dumps(
             (netlist.n_primary_inputs, nodes, netlist.output_signals,
-             max_lut_inputs, lanes, command, target),
+             max_lut_inputs, lanes, commands, target),
             2,
         )
     except ValueError:  # what marshal cannot write: a str subclass
@@ -939,7 +947,7 @@ def look_up(
         hit = False
     if not hit:
         return path, None
-    build = (command, digest, so_path)
+    build = (commands, digest, so_path)
     return path, NativeCompiledNetlist.attach(program, backend, wait=wait, build=build)
 
 
@@ -1008,9 +1016,10 @@ class NativeCompiledNetlist(PackedEngine):
         Vector lane count of the generated code (words per statement);
         the host's :func:`vector_lanes` by default.
     ``opt_tier``
-        The build's compiler flags as one string (``"-O1 -march=native"``,
-        or ``"-O1"`` where the compiler rejects ``-march=native``); passing
-        it back is accepted, any other value raises ``ValueError``.
+        The build's compiler flags as one string, the driver unit's and
+        the segment units' (``"-O1 -march=native / -Og -march=native"``, or
+        ``"-O1 / -Og"`` where the compiler rejects ``-march=native``);
+        passing it back is accepted, any other value raises ``ValueError``.
 
     Build one with ``compile_netlist(netlist, backend="native")`` (or
     ``"auto"``), or :meth:`tuned` / ``backend="native-mt"`` for the same
@@ -1045,16 +1054,18 @@ class NativeCompiledNetlist(PackedEngine):
         unroll: Optional[int],
         opt_tier: Optional[str],
         min_words_per_thread: int,
-        build: Optional[Tuple[List[str], str, str]] = None,
+        build: Optional[_Plan] = None,
     ) -> None:
         """Everything up to the compiler run: the C source and, from the
         host and the environment as they are now, the build's plan — or
-        ``build``, a known ``(command, digest, so_path)``, and no source."""
+        ``build``, a known ``(commands, digest, so_path)``, and no source."""
         if threads < 1:
             raise ValueError("threads must be >= 1")
         if min_words_per_thread < 1:
             raise ValueError("min_words_per_thread must be >= 1")
-        self.opt_tier = " ".join(_host_build(_required_compiler())[0])
+        self.opt_tier = " / ".join(
+            " ".join(flags) for flags in _host_build(_required_compiler())[0]
+        )
         if opt_tier not in (None, self.opt_tier):
             raise ValueError(
                 f"opt_tier {opt_tier!r} is not this host's build {self.opt_tier!r}"
@@ -1066,7 +1077,7 @@ class NativeCompiledNetlist(PackedEngine):
         self.threads = threads
         self.min_words_per_thread = min_words_per_thread
         self.unroll = vector_lanes() if unroll is None else unroll
-        self._command, self.digest, self.shared_object = build or _plan_build(
+        self._commands, self.digest, self.shared_object = build or _plan_build(
             self.c_source, cache_dir
         )
         self._native_backend = "native-mt" if threads > 1 else "native"
@@ -1086,7 +1097,7 @@ class NativeCompiledNetlist(PackedEngine):
         """Compile the planned build unless it is cached, load it, and
         answer on it from the next call."""
         if not os.path.exists(self.shared_object):
-            _compile(self.c_source, self._command, self.digest, self.shared_object)
+            _compile(self.c_source, self._commands, self.digest, self.shared_object)
         self._entry = _load_entry_points(self.digest, self.shared_object)
         self._built.set()
 
@@ -1107,7 +1118,7 @@ class NativeCompiledNetlist(PackedEngine):
         backend: str = "native",
         *,
         wait: bool = False,
-        build: Optional[Tuple[List[str], str, str]] = None,
+        build: Optional[_Plan] = None,
     ) -> "NativeCompiledNetlist":
         """The ``backend`` (``"native"`` or ``"native-mt"``) engine for
         ``program``, returned before the compiler runs — or, with ``wait``,
@@ -1118,7 +1129,7 @@ class NativeCompiledNetlist(PackedEngine):
         digest, so a missing toolchain or a refused cache raises
         :class:`NativeUnavailableError` now, and a later change of
         ``$REPRO_NATIVE_CACHE`` does not move the build.  ``build`` is a
-        known ``(command, digest, so_path)`` plan, as :func:`look_up` finds
+        known ``(commands, digest, so_path)`` plan, as :func:`look_up` finds
         one, and then no code is generated.  A cached object is loaded at
         once.  Otherwise one non-daemon thread, ``repro-native-build``,
         compiles and links while the engine answers on ``program`` — one

@@ -18,7 +18,7 @@ from repro.experiments.reporting import print_section, rows_to_table
 from repro.experiments.table2_accuracy import TABLE2_HEADERS, run_table2
 from repro.experiments.table3_power import TABLE3_HEADERS, run_table3
 from repro.experiments.table4_operations import TABLE4_HEADERS, run_table4
-from repro.experiments.table5_opcounts import TABLE5_HEADERS, run_table5
+from repro.experiments.table5_opcounts import run_table5, table5_headers
 from repro.experiments.table6_energy import TABLE6_HEADERS, run_table6
 from repro.experiments.table7_resources import TABLE7_HEADERS, run_table7
 
@@ -73,7 +73,7 @@ def run_all(
     )
     sections["table5"] = print_section(
         "Table 5: classifier operation counts",
-        rows_to_table(TABLE5_HEADERS, run_table5(datasets), markdown),
+        rows_to_table(table5_headers(datasets), run_table5(datasets), markdown),
     )
     sections["table6"] = print_section(
         "Table 6: energy per inference",

@@ -7,7 +7,16 @@ from typing import List, Sequence
 from repro.experiments.architectures import get_architecture
 from repro.hardware.power_model import count_classifier_operations
 
-TABLE5_HEADERS = ["Operation", "MNIST", "CIFAR-10", "SVHN"]
+#: the column title of each dataset
+DATASET_TITLES = {"mnist": "MNIST", "cifar10": "CIFAR-10", "svhn": "SVHN"}
+
+
+def table5_headers(datasets: Sequence[str] = ("mnist", "cifar10", "svhn")) -> List[str]:
+    """The headers of :func:`run_table5` over ``datasets``: one column each."""
+    return ["Operation", *(DATASET_TITLES.get(name, name) for name in datasets)]
+
+
+TABLE5_HEADERS = table5_headers()
 
 #: the operation counts the paper lists, for direct comparison
 PAPER_TABLE5 = {

@@ -12,9 +12,10 @@ integers) — ``PYTHONPATH=src python tests/engine/test_codegen_golden.py``
 prints the table — and the test passes on both sides of that change.  A
 change that *intends* to alter the generated program re-records it and says
 so: the ``c_unroll4`` column was re-recorded when vector builds dropped
-their scalar twin (one K-lane instantiation, a padded tail block); every
-``c_unroll1`` and ``netlist`` digest is still the one recorded at
-``697752c``.
+their scalar twin (one K-lane instantiation, a padded tail block), and both
+C columns when the driver moved to a translation unit of its own (compiled
+at other flags than the segments); every ``netlist`` digest is still the
+one recorded at ``697752c``.
 """
 
 import hashlib
@@ -115,63 +116,63 @@ def digests(name: str, pipeline: str) -> dict:
 
 GOLDEN = {
     "planted/p6": {
-        "c_unroll1": "5147bee17fb12f8be12e3c27c93907ed5eee4f7b375ff1dd7411f59dc2167270",
-        "c_unroll4": "4502cce43b88532f447d2596a818343bb4ee1cafdd1a9bb1147091b70359d564",
+        "c_unroll1": "4ebcd740f42878ec9e19d6f48f6ee19b01c7866daff3137df95a94edd77adec7",
+        "c_unroll4": "7c3912d627fd9d6076a5ee3a11c8bfa2817d19da07f148141c3bfeb02dca6468",
         "netlist": "3f00cbc37b52c5d426ce5823fc39ffcc6f8181e91730f9dd48b7869c77b23585"
     },
     "planted/raw": {
-        "c_unroll1": "e67e677b14be9b31f38150d49eb0b1f2b6cd92696bf4d06fe11dee5f6624e610",
-        "c_unroll4": "b58e5f799173731d9266cefc75793912eb6c14dafa2577116f57ff16cbfcb34e",
+        "c_unroll1": "28d994b8311691c1e61a4e11cc0bd7f376ea17c239e1fb2fcbb4043dfe0d348b",
+        "c_unroll4": "0ccb557328b568ffe81a6e83ceca81d7af745b04598a0a569351f1b7dc23c25e",
         "netlist": "2bee0c88d0a15bd90966c7f00f33dc2fffa878536a07bde3dcc5ae50b49efe3e"
     },
     "planted/unbounded": {
-        "c_unroll1": "f1f92ea0a039094b7ea38c0d5cf18e88940080f90e26e712a0f37633d14605f1",
-        "c_unroll4": "4b12d5116672cfb682b73aaac5159905dceb029c417b946f398afecac09166c8",
+        "c_unroll1": "5ea63fd834792d4014ec05a25d7305cdf418ce870a7530fbb464e07bef925289",
+        "c_unroll4": "4cbc0c06f4479c451b076bc4ec14701369efd5a1a20b37900eedc7c93afa5236",
         "netlist": "01078848a8a2a7c056ee9adfd04f59c008334f97552823c626e4ba2147b94c95"
     },
     "random_dag/p6": {
-        "c_unroll1": "1d40455f1030f4cfcbc80f4810bc379d83d2404bc0f2cdc73ef24e8b76aacd98",
-        "c_unroll4": "97177afcbfdba0794546dd3a7b94911e1ba2953b6c148659ab52e263fd315ff4",
+        "c_unroll1": "ac07fe56e1d0f16d7d84c145dce9905538c5d93a84f64311b4f7f0162ec6a5b3",
+        "c_unroll4": "f61099cbeab424a1fb07f57950c08592b04189e4a80b08de6b20a83effd20d73",
         "netlist": "926f6bde0bdb40565a8cdc3e1f697ca18eebd7c9fd81149b0c18aada5bfa85a3"
     },
     "random_dag/raw": {
-        "c_unroll1": "9ca3604b39065556cc00f4916f36212aa9c0c19c4fd34e2fd4053a4a3d7ec10c",
-        "c_unroll4": "75a1b4a8f8b4cf26c7e2091efb1cdbb347d50f1d1b38fa3466b1e2dc760b1711",
+        "c_unroll1": "b96ae16efe616a6b690d7ae1ea6eb85470b0d9532a1861841a4bad7c4a2ac353",
+        "c_unroll4": "f8faff0dbe700e21eb62957def1962bea03c78cfc66654fd6e3b95bb5c764a86",
         "netlist": "6d968372c9e954374334cc1ee151465338bcfde56575dc780ac933b545b59526"
     },
     "random_dag/unbounded": {
-        "c_unroll1": "2cfc39729b96df84820b186651e5be8ae8e145e77e1dd111e98d539a04cb020f",
-        "c_unroll4": "5b9659cc2665bead8b363f4c00d18421d0b613156583dc0b5e86ebfa2fa72712",
+        "c_unroll1": "d6f1fc66dd600cc5335bd6763d242eeb163f4785b75703492550c58a820e7124",
+        "c_unroll4": "9de9ab0e1ef7260741160faf9e34a129046c14d51f663e73d54f7035b93c1e36",
         "netlist": "bf0f7bbaefff5e56de6f188389ffaead4008cf22df0d7fa8508addb2dd4804bc"
     },
     "rinc_p6/p6": {
-        "c_unroll1": "d249ebaa0f05d1092ddde8d9d1f29f54d2a4e11ac5085d77243136630ed75e88",
-        "c_unroll4": "27dba101abc07a7b289b06f33f0cf158d52d39bfdea53118218b63fdfdc16653",
+        "c_unroll1": "49c0a2015ee7b2f867f2df1d3d00281656183793cc1a3375617680fc1758e47a",
+        "c_unroll4": "161c9d714cf54e8641ec075a07e4a3b4fc9e82b0841a06ba0caf625d3ff8116d",
         "netlist": "78bb89b85f6a43f1d8302ef535d1568ef125422d0e1d3fa9958974feaec9498b"
     },
     "rinc_p6/raw": {
-        "c_unroll1": "7351ff84abec130c41a8729b807579398c38cca06a634d1442181932a4cee783",
-        "c_unroll4": "f7d9f8c74009fd657f674e3e8daad8c8d841354a22b4387f33ff39e50e743384",
+        "c_unroll1": "9199d99de63afcbdef00326fb98d79aec281489832f9a534808c563810a5eced",
+        "c_unroll4": "44105674d1ae805f279b2eb373460dabe9e96c2d503eb3cac45281c9b0d4b884",
         "netlist": "ace92b838633cf12e0121faec8453f0be200c55c44266c23bed3159667c339c2"
     },
     "rinc_p6/unbounded": {
-        "c_unroll1": "d249ebaa0f05d1092ddde8d9d1f29f54d2a4e11ac5085d77243136630ed75e88",
-        "c_unroll4": "27dba101abc07a7b289b06f33f0cf158d52d39bfdea53118218b63fdfdc16653",
+        "c_unroll1": "49c0a2015ee7b2f867f2df1d3d00281656183793cc1a3375617680fc1758e47a",
+        "c_unroll4": "161c9d714cf54e8641ec075a07e4a3b4fc9e82b0841a06ba0caf625d3ff8116d",
         "netlist": "78bb89b85f6a43f1d8302ef535d1568ef125422d0e1d3fa9958974feaec9498b"
     },
     "struct_p8/p6": {
-        "c_unroll1": "567a0701d11cd6b6188e1c4d6ee47f06cb7e13a2079886fac022381e26ffb2b2",
-        "c_unroll4": "41e2fe951999fccf6be7334576788d076d2bc1b3594246fb48eb065413b20f86",
+        "c_unroll1": "a4497d4fdcb1110b0a00d097b1a9577f3e1278236d9b3f43de68fbd3aba007d8",
+        "c_unroll4": "6c2dfd714ce11bdf35b2bba36f00f0e8bda9f5d25ed1eecab60c8cf87d8b7e65",
         "netlist": "8a7fe557fa2616a533adb1332a57c41409a40eda3709897b37a7b938f7996cc8"
     },
     "struct_p8/raw": {
-        "c_unroll1": "4b552dc2a58205c2e8340fbdc4cc08542e114b20b51e5ce68b0720cb0b09e8c6",
-        "c_unroll4": "045236c686d8adac8915741813c23d3d0174f60add30a82bdb4f7213269ac398",
+        "c_unroll1": "b2ff7a0f8e63a1ed9c13c3371b28da49c36e44edae9c94b25b6f66aea28d52c5",
+        "c_unroll4": "754b4f7f018e032e730e037e48573f0b5b19232b8ca1c4c2813ef58cddbec957",
         "netlist": "df10c3bd55040ca5f62f3b94cc40155be8c5b838b609628b641ce842527b5f2e"
     },
     "struct_p8/unbounded": {
-        "c_unroll1": "ad9d9d4f2b03d5904ed4a0640807aac89748ba59bb2178aad15ddcbafcda9339",
-        "c_unroll4": "2abb01f2b53738f4bd958ee3653803590e865c97b13925af39c685d75c34b399",
+        "c_unroll1": "3448f18068183665445b15173b55275eba42719cccdc1d9d5077f5cd7e271a5c",
+        "c_unroll4": "c308d5601d6d588edd2b2282cc0685ff530fbc2417a0fce2a2f98a1785b2b23e",
         "netlist": "b79286b79030bd15c375d9dbce10d958f10a6b0fc41d6199a5b6aebe661070b8"
     }
 }

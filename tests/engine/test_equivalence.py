@@ -127,6 +127,8 @@ class TestClassifierFastPaths:
         # per-backend engine caches are independent and both sticky
         assert clf.compiled_netlist("native") is clf.compiled_netlist("native")
         assert clf.compiled_netlist("native") is not clf.compiled_netlist()
+        # a cold cache answers on NumPy until the background build lands
+        assert clf.compiled_netlist("native").wait()
         assert clf.compiled_netlist("native").backend == "native"
 
     def test_rinc_predict_batch_matches_predict(self, trained):

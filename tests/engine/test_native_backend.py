@@ -234,15 +234,17 @@ def _race_two_builders(tmp_path, source, cc_wrapper):
 @needs_cc
 class TestConcurrentBuilders:
     def test_racing_processes_compile_once(self, tmp_path, cc_wrapper):
-        """Two processes building the same digest: exactly one compiler
-        run, both get a working object, no corruption."""
+        """Two processes building the same digest: exactly one build — one
+        compile per unit and one link — both get a working object, no
+        corruption."""
         source = generate_c_source(
             compile_netlist(random_netlist(10, 30, seed=77))
         )
-        # one compile total across both processes (the loser waited on the
+        n_units = source.count(native_mod._UNIT_MARKER) + 1
+        # one build total across both processes (the loser waited on the
         # lock file and reused the winner's atomically-published object)
         invocations, cache, digest = _race_two_builders(tmp_path, source, cc_wrapper)
-        assert invocations == 1
+        assert invocations == n_units + 1
         # the published object is loadable and correct in this process
         so_path = str(cache / f"{digest}.so")
         run, _ = native_mod._load_entry_points(digest, so_path)
@@ -260,13 +262,13 @@ class TestConcurrentBuilders:
         assert run is not None
 
     def test_stale_tmp_files_are_cleaned(self, tmp_path, monkeypatch):
-        """Success or failure, one unit or several: no ``.tmp`` names and
-        no objects stay behind, and a failed build publishes nothing."""
-        one_unit = generate_c_source(
+        """Success or failure, two units or many: no ``.tmp`` names and no
+        objects stay behind, and a failed build publishes nothing."""
+        small = generate_c_source(
             compile_netlist(random_netlist(6, 8, seed=42))
         )
         several, _ = _multi_unit_source(monkeypatch)
-        for source in (one_unit, several):
+        for source in (small, several):
             digest, _ = build_shared_object(source, cache_dir=str(tmp_path))
             broken = source + "this is not C\n"  # lands in the last unit
             with pytest.raises(NativeUnavailableError, match="C build failed"):

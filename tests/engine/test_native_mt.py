@@ -212,7 +212,10 @@ class TestVectorCodegen:
         (query,) = log.read_text().splitlines()
         assert query.split()[:4] == [*native_mod._CFLAGS, "-dM", "-E"]
         flags = native_mod._host_build([str(fake_cc)])[0]
-        assert flags == (native_mod._CFLAGS if macros else ("-O1",))
+        assert flags == (
+            (native_mod._CFLAGS, native_mod._SEGMENT_CFLAGS)
+            if macros else (("-O1",), ("-Og",))
+        )
         monkeypatch.setattr(native_mod, "find_compiler", lambda: None)
         assert native_mod.vector_lanes() == 4
 
@@ -245,9 +248,12 @@ class TestOneBuild:
 
         monkeypatch.setattr(native_mod, "_run_compilers", spy)
         single = compile_netlist(netlist, backend="native")
-        assert len(compiles) == 1  # one unit: the link command is the build
+        # one build: each unit compiled once, then one link
+        n_units = single.c_source.count(native_mod._UNIT_MARKER) + 1
+        assert n_units == 2  # the driver unit and one segment unit
+        assert ["-shared" in command for command in compiles] == [False, False, True]
         threaded = compile_netlist(netlist, backend="native-mt")
-        assert len(compiles) == 1  # the second attach is a cache hit
+        assert len(compiles) == n_units + 1  # the second attach is a cache hit
         names = sorted(path.name for path in tmp_path.iterdir())
         assert [n for n in names if n.endswith(".so")] == [f"{single.digest}.so"]
         assert not [n for n in names if n.endswith(".json")]
@@ -270,7 +276,8 @@ class TestOneBuild:
 
     def test_host_without_march_native(self, tmp_path, monkeypatch):
         """A compiler that rejects ``-march=native``: the probe yields
-        ``-O1`` alone at 4 lanes, and that build runs bit-exact."""
+        ``-O1`` for the driver and ``-Og`` for the segments, at 4 lanes; no
+        command of the build carries the flag, and it runs bit-exact."""
         fake_cc = tmp_path / "fake-cc"
         fake_cc.write_text(
             "#!/bin/sh\n"
@@ -285,9 +292,20 @@ class TestOneBuild:
         monkeypatch.setattr(native_mod, "find_compiler", lambda: [str(fake_cc)])
         monkeypatch.setattr(native_mod, "_host_builds", {})
         assert vector_lanes() == 4
+        compiles = []
+        real = native_mod._run_compilers
+
+        def spy(commands):
+            compiles.extend(commands)
+            return real(commands)
+
+        monkeypatch.setattr(native_mod, "_run_compilers", spy)
         netlist, program = _program(seed=54, n_primary=10, n_nodes=15)
         engine = NativeCompiledNetlist(program, cache_dir=str(tmp_path / "cache"))
-        assert (engine.opt_tier, engine.unroll) == ("-O1", 4)
+        assert (engine.opt_tier, engine.unroll) == ("-O1 / -Og", 4)
+        assert len(compiles) == 3  # driver unit, segment unit, link
+        assert not [c for c in compiles if "-march=native" in c]
+        assert [c[1] for c in compiles[:2]] == ["-O1", "-Og"]
         X = as_rng(55).integers(0, 2, size=(333, 10), dtype=np.uint8)
         np.testing.assert_array_equal(
             engine.predict_batch(X), netlist.evaluate_outputs(X)
@@ -320,6 +338,58 @@ class TestOneBuild:
         warm = NativeCompiledNetlist.tuned(program, cache_dir=str(tmp_path))
         assert generated == [vector_lanes()] * 2
         assert warm.digest == cold.digest
+
+
+@needs_cc
+class TestUnitFlags:
+    """The driver unit builds at ``_CFLAGS``, every segment unit at
+    ``_SEGMENT_CFLAGS``, and the digest covers both sets."""
+
+    def test_each_unit_gets_its_flags(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(native_mod, "_SEGMENT_STATEMENTS", 10)
+        monkeypatch.setattr(native_mod, "_UNIT_STATEMENTS", 40)
+        netlist, program = _program(seed=58, n_primary=10, n_nodes=30)
+        compiles = []
+        real = native_mod._run_compilers
+
+        def spy(commands):
+            compiles.extend(commands)
+            return real(commands)
+
+        monkeypatch.setattr(native_mod, "_run_compilers", spy)
+        engine = NativeCompiledNetlist(program, cache_dir=str(tmp_path))
+        units = engine.c_source.split(native_mod._UNIT_MARKER)
+        assert len(units) >= 4
+        *unit_compiles, link = compiles
+        assert len(unit_compiles) == len(units)
+        compiler = find_compiler()
+        driver, segments = native_mod._host_build(compiler)[0]
+        assert (driver[0], segments[0]) == ("-O1", "-Og")
+        for index, command in enumerate(unit_compiles):
+            assert command[-1].endswith(f".{index}.c")  # unit 0 is the driver
+            flags = segments if index else driver
+            assert command[: len(compiler) + len(flags)] == [*compiler, *flags]
+            assert "-c" in command and "-shared" not in command
+        assert "-shared" in link and "-c" not in link
+        X = as_rng(59).integers(0, 2, size=(300, 10), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            engine.predict_batch(X), netlist.evaluate_outputs(X)
+        )
+
+    def test_either_flag_set_changes_the_digest(self, tmp_path, monkeypatch):
+        _, program = _program(seed=62, n_primary=10, n_nodes=15)
+        source = generate_c_source(program)
+
+        def digest(driver, segments):
+            monkeypatch.setattr(native_mod, "_CFLAGS", driver)
+            monkeypatch.setattr(native_mod, "_SEGMENT_CFLAGS", segments)
+            monkeypatch.setattr(native_mod, "_host_builds", {})
+            return native_mod._plan_build(source, str(tmp_path))[1]
+
+        base = digest(("-O1", "-march=native"), ("-Og", "-march=native"))
+        assert base == digest(("-O1", "-march=native"), ("-Og", "-march=native"))
+        assert base != digest(("-O2", "-march=native"), ("-Og", "-march=native"))
+        assert base != digest(("-O1", "-march=native"), ("-O1", "-march=native"))
 
 
 # ------------------------------------------------------- backend plumbing

@@ -11,11 +11,14 @@ from repro.experiments import (
     run_table6,
     run_table7,
 )
-from repro.experiments.table3_power import paper_scale_physical_luts
+from repro.experiments.table3_power import TABLE3_HEADERS, paper_scale_physical_luts
 from repro.experiments.table6_energy import PAPER_TABLE6, energy_reduction_summary
 from repro.experiments.reporting import rows_to_table
+from repro.experiments.runner import run_all
 from repro.experiments.table2_accuracy import TABLE2_HEADERS
+from repro.experiments.table5_opcounts import table5_headers
 from repro.experiments.table6_energy import TABLE6_HEADERS
+from repro.experiments.table7_resources import TABLE7_HEADERS
 
 
 class TestTable3:
@@ -185,3 +188,31 @@ class TestReporting:
 
     def test_table2_headers_cover_all_columns(self):
         assert len(TABLE2_HEADERS) == 10
+
+
+class TestOneDatasetSubset:
+    """Every analytical table renders over a proper subset of the datasets,
+    as ``python -m repro.experiments.runner --datasets mnist`` asks."""
+
+    def test_table3(self):
+        text = rows_to_table(TABLE3_HEADERS, run_table3(["mnist"]))
+        assert "mnist" in text and "svhn" not in text
+
+    def test_table5(self):
+        headers = table5_headers(["mnist"])
+        assert headers == ["Operation", "MNIST"]
+        text = rows_to_table(headers, run_table5(["mnist"]))
+        assert "267264" in text and "CIFAR-10" not in text
+
+    def test_table6(self):
+        text = rows_to_table(TABLE6_HEADERS, run_table6(["mnist"]))
+        assert "poet-bin" in text
+
+    def test_table7(self):
+        text = rows_to_table(TABLE7_HEADERS, run_table7(["svhn"]))
+        assert "svhn" in text and "mnist" not in text
+
+    def test_runner_renders_every_table(self, capsys):
+        sections = run_all(datasets=["mnist"], skip_training=True)
+        assert {"table3", "table5", "table6", "table7"} <= set(sections)
+        assert "CIFAR-10" not in sections["table5"]
